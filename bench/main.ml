@@ -9,7 +9,7 @@
      dune exec bench/main.exe -- --quick micro --json bench.json
                                          # machine-readable estimates
      dune exec bench/main.exe -- --trace bench-trace.json fig8
-                                         # vp-obs-trace/1 span/counter log
+                                         # vp-perfetto-trace/1 span timeline
      dune exec bench/main.exe -- --backend compiled --quick micro
                                          # functional backend for all runs
 
@@ -891,12 +891,15 @@ let overhead ~quick =
 
 (* ------------------------------------------------------------------ *)
 
-(* What each experiment needs pre-computed by the engine: the matrix
-   rewrites/coverages, and the timing simulations. *)
+(* What each experiment needs pre-computed by the engine: [None] when
+   it reads no profile at all (a lone sample is computed on demand
+   through the engine's memo), otherwise whether it also reads the
+   matrix rewrites/coverages and the timing simulations. *)
 let needs = function
-  | "fig8" | "table3" | "ablation-sink" | "session" -> (true, false)
-  | "fig10" | "baseline-aggregate" | "ablation-superblock" -> (true, true)
-  | _ -> (false, false)
+  | "table2" | "ablation-bbb" | "micro" | "overhead" | "gen" -> None
+  | "fig8" | "table3" | "ablation-sink" | "session" -> Some (true, false)
+  | "fig10" | "baseline-aggregate" | "ablation-superblock" -> Some (true, true)
+  | _ -> Some (false, false)
 
 (* Pull "--name VALUE" or "--name=VALUE" out of the argument list. *)
 let parse_valued ~name args =
@@ -1102,37 +1105,35 @@ let () =
     picks;
   (* Populate the engine caches in parallel before any table renders;
      the DAG covers the union of what the picked experiments read. *)
-  let obs =
+  let metrics =
     match trace_path with
-    | Some _ -> Vp_obs.create ()
-    | None -> Vp_obs.disabled
+    | Some _ -> Vp_metrics.create ()
+    | None -> Vp_metrics.disabled
   in
   engine :=
     Engine.create ~jobs
       ~profile_config:
         (Vacuum.Config.with_backend !backend
-           (Vacuum.Config.with_obs obs Vacuum.Config.default))
-      ~obs ();
-  let rewrites, timing =
-    List.fold_left
-      (fun (r, t) pick ->
-        let r', t' = needs pick in
-        (r || r', t || t'))
-      (false, false) picks
-  in
-  Engine.run ~rewrites ~timing !engine
-    ~specs:(List.map spec_of workloads)
-    ~cells:
-      (List.map
-         (fun (inference, linking, _) -> cell_of ~inference ~linking)
-         configurations)
-    ();
+           (Vacuum.Config.with_metrics metrics Vacuum.Config.default))
+      ();
+  let needed = List.filter_map needs picks in
+  if needed <> [] then
+    Engine.run
+      ~rewrites:(List.exists fst needed)
+      ~timing:(List.exists snd needed)
+      !engine
+      ~specs:(List.map spec_of workloads)
+      ~cells:
+        (List.map
+           (fun (inference, linking, _) -> cell_of ~inference ~linking)
+           configurations)
+      ();
   (match Engine.truncated_profiles !engine with
   | [] -> ()
   | name :: _ -> fail_truncated name);
   List.iter run picks;
   (match trace_path with
-  | Some path -> Vp_obs.Sink.write_trace obs ~path
+  | Some path -> ignore (Vp_metrics.Perfetto.write_spans metrics ~path : int)
   | None -> ());
   (* --timeline FILE: one telemetry-enabled run of the reference
      workload (profile + rewritten run + timing model), written as a
@@ -1167,7 +1168,12 @@ let () =
   | Some path ->
     write_json ~path ~jobs
       ~engine_metrics:(Engine.metrics !engine)
-      ~counters:(Vp_obs.Sink.counters obs)
+      ~counters:
+        (List.filter_map
+           (function
+             | name, Vp_metrics.Snapshot.Counter v -> Some (name, v)
+             | _ -> None)
+           (Vp_metrics.Snapshot.samples metrics))
       ~timeline:timeline_tls
   | None -> ());
   Format.eprintf "@.%a" Engine.pp_summary !engine

@@ -6,8 +6,8 @@
     aggregation service.  The format is deliberately small — LEB128
     varints, delta-coded branch pcs — because a stream is mostly tiny
     integers, and versioned-plus-checksummed because it crosses
-    machine boundaries, mirroring the [vp-obs-trace/1] /
-    [vp-timeline-trace/1] pattern of a self-identifying header and a
+    machine boundaries, mirroring the [vp-timeline-trace/1] and
+    [vp-metrics-snapshot/1] pattern of a self-identifying header and a
     validator that rejects anything malformed before the pipeline sees
     it.
 

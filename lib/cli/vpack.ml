@@ -105,10 +105,10 @@ let timing_flag =
 
 let trace_flag doc = Spec.flag ~kind:Spec.Value ~docv:"FILE" ~doc [ "trace" ]
 
-let obs_trace_flag =
+let span_trace_flag =
   trace_flag
-    "Record pipeline spans and counters and write a JSON-lines trace (schema \
-     vp-obs-trace/1, one object per line) to FILE."
+    "Record pipeline spans and write them as a Chrome trace-event / \
+     Perfetto JSON timeline (schema vp-perfetto-trace/1) to FILE."
 
 let ingest_trace_flag =
   Spec.flag ~kind:Spec.Value ~docv:"FILE"
@@ -413,17 +413,19 @@ let report_cmd =
     ~flags:
       [
         workloads_flag; no_inference_flag; no_linking_flag; timing_flag;
-        jobs_flag; obs_trace_flag; backend_flag;
+        jobs_flag; span_trace_flag; backend_flag;
       ]
     (fun m ->
       let backend = resolve_backend m in
       let ws = List.map find_workload (Spec.values m "workload") in
       let trace = Spec.value m "trace" in
-      let obs =
-        match trace with Some _ -> Vp_obs.create () | None -> Vp_obs.disabled
+      let metrics =
+        match trace with
+        | Some _ -> Vp_metrics.create ()
+        | None -> Vp_metrics.disabled
       in
       let config =
-        Config.with_backend backend (Config.with_obs obs (config_of m))
+        Config.with_backend backend (Config.with_metrics metrics (config_of m))
       in
       let timing = Spec.flag_set m "timing" in
       (* Each evaluation is an isolated profile/rewrite/simulate chain;
@@ -441,44 +443,29 @@ let report_cmd =
       match trace with
       | None -> ()
       | Some path ->
-        Vp_obs.Sink.write_trace obs ~path;
-        Printf.printf "trace: %d spans, %d counters -> %s\n"
-          (List.length (Vp_obs.Sink.spans obs))
-          (List.length (Vp_obs.Sink.counters obs))
+        Printf.printf "trace: %d spans -> %s\n"
+          (Vp_metrics.Perfetto.write_spans metrics ~path)
           path)
 
 (* --- stats --- *)
 
 let stats_cmd =
-  let metrics_flag =
-    Spec.flag ~kind:Spec.Bool
-      ~doc:
-        "Also enable the metrics registry and print its one-shot OpenMetrics \
-         snapshot (volatile section included)."
-      [ "metrics" ]
-  in
   Spec.cmd ~name:"stats"
     ~doc:
-      "Evaluate one workload with the observability recorder enabled and \
-       print the effective configuration plus per-stage span and counter \
-       tables."
+      "Evaluate one workload with the metrics registry enabled and print the \
+       effective configuration, the per-stage span table and the registry's \
+       OpenMetrics snapshot (volatile section included)."
     ~flags:
       [
         workload_flag; no_inference_flag; no_linking_flag; timing_flag;
-        obs_trace_flag; metrics_flag; backend_flag;
+        span_trace_flag; backend_flag;
       ]
     (fun m ->
       let backend = resolve_backend m in
       let w = workload_of m in
-      let obs = Vp_obs.create () in
-      let metrics =
-        if Spec.flag_set m "metrics" then Vp_metrics.create ()
-        else Vp_metrics.disabled
-      in
+      let metrics = Vp_metrics.create () in
       let config =
-        Config.with_backend backend
-          (Config.with_obs obs
-             (Config.with_metrics metrics (config_of m)))
+        Config.with_backend backend (Config.with_metrics metrics (config_of m))
       in
       let img = Program.layout (w.Registry.program ()) in
       let report =
@@ -490,19 +477,16 @@ let stats_cmd =
       Printf.printf "\neffective configuration (%s):\n" (Registry.name w);
       Format.printf "%a@." Config.pp config;
       Printf.printf "\npipeline spans (%s):\n" (Registry.name w);
-      Vp_util.Tabular.print (Vp_obs.Sink.span_table obs);
-      Printf.printf "\npipeline counters:\n";
-      Vp_util.Tabular.print (Vp_obs.Sink.counter_table obs);
-      (match Vp_obs.Sink.dropped_spans obs with
+      Vp_util.Tabular.print (Vp_metrics.Span.table metrics);
+      (match Vp_metrics.Span.dropped metrics with
       | 0 -> ()
       | n -> Printf.printf "(%d spans dropped to ring wrap-around)\n" n);
-      if Vp_metrics.enabled metrics then begin
-        Printf.printf "\nmetrics snapshot:\n";
-        print_string (Vp_metrics.Snapshot.render ~volatile:true metrics)
-      end;
+      Printf.printf "\nmetrics snapshot:\n";
+      print_string (Vp_metrics.Snapshot.render ~volatile:true metrics);
       match Spec.value m "trace" with
       | None -> ()
-      | Some path -> Vp_obs.Sink.write_trace obs ~path)
+      | Some path ->
+        ignore (Vp_metrics.Perfetto.write_spans metrics ~path : int))
 
 (* --- timeline --- *)
 
@@ -751,7 +735,7 @@ let serve_cmd =
       ~doc:
         "Flight recorder: on a fallback to the original image, a verifier \
          rejection or an oracle failure, dump the metric registry with its \
-         recent mark ring (plus the obs trace, if recording) to DIR."
+         recent mark ring, plus its span ring as a Perfetto trace, to DIR."
       [ "flight-dir" ]
   in
   Spec.cmd ~name:"serve"
@@ -787,14 +771,9 @@ let serve_cmd =
       let perfetto_path = Spec.value m "perfetto" in
       let flight_dir = Spec.value m "flight-dir" in
       let metrics =
-        match (metrics_path, flight_dir) with
-        | None, None -> Vp_metrics.disabled
+        match (metrics_path, perfetto_path, flight_dir) with
+        | None, None, None -> Vp_metrics.disabled
         | _ -> Vp_metrics.create ?flight_dir ()
-      in
-      let obs =
-        match perfetto_path with
-        | Some _ -> Vp_obs.create ()
-        | None -> Vp_obs.disabled
       in
       let config =
         Config.default
@@ -815,7 +794,6 @@ let serve_cmd =
                  oracle = not (Spec.flag_set m "no-oracle");
                })
         |> Config.with_metrics metrics
-        |> Config.with_obs obs
         |> fun c ->
         match trace_dir with
         | None -> c
@@ -916,7 +894,7 @@ let serve_cmd =
         in
         let events =
           Vp_metrics.Perfetto.of_spans ~pid:1 ~cat:"driver"
-            (Vp_obs.Sink.spans obs)
+            (Vp_metrics.Span.ring metrics)
           @ session_events
         in
         Vp_metrics.Perfetto.write
@@ -931,10 +909,10 @@ let serve_cmd =
 let trace_check_cmd =
   Spec.cmd ~name:"trace-check"
     ~doc:
-      "Validate a trace file against its schema (vp-obs-trace/1, \
-       vp-timeline-trace/1, vp-profile-wire/1, vp-retire-trace/1, \
-       vp-metrics-snapshot/1 or vp-perfetto-trace/1, detected from the \
-       first line); failures name the schema and the offending line."
+      "Validate a trace file against its schema (vp-timeline-trace/1, \
+       vp-profile-wire/1, vp-retire-trace/1, vp-metrics-snapshot/1 or \
+       vp-perfetto-trace/1, detected from the first line); failures name \
+       the schema and the offending line."
     ~positional:
       {
         Spec.pos_docv = "FILE";
@@ -945,9 +923,8 @@ let trace_check_cmd =
     (fun m ->
       let file = List.hd (Spec.positional m) in
       (* One dispatch table over every schema vpack emits, sniffed from
-         the meta line; unmatched files fall through to vp-obs-trace/1
-         (the only schema whose meta line is per-record).  Success and
-         failure messages are uniform across schemas. *)
+         the meta line.  Success and failure messages are uniform across
+         schemas. *)
       let validators =
         [
           ( "vp-timeline-trace/1",
@@ -976,16 +953,9 @@ let trace_check_cmd =
               Result.map
                 (Printf.sprintf "%d events")
                 (Vp_metrics.Perfetto.validate_file ~path) );
-          ( "vp-obs-trace/1",
-            fun path ->
-              Result.map
-                (Printf.sprintf "%d lines")
-                (Vp_obs.Sink.validate_file ~path) );
         ]
       in
-      (* A zero-byte file matches no schema and would otherwise fall
-         through to the vp-obs-trace/1 parser's own complaint; report
-         it for what it is. *)
+      (* A zero-byte file matches no schema; report it for what it is. *)
       let size, first =
         let ic = open_in_bin file in
         let n = in_channel_length ic in
@@ -1007,7 +977,13 @@ let trace_check_cmd =
       let schema, validate =
         match List.find_opt (fun (tag, _) -> contains first tag) validators with
         | Some v -> v
-        | None -> List.nth validators (List.length validators - 1)
+        | None ->
+          Printf.eprintf
+            "%s: invalid trace: unknown schema (the first line names none of \
+             %s)\n"
+            file
+            (String.concat ", " (List.map fst validators));
+          exit 1
       in
       match validate file with
       | Ok detail -> Printf.printf "%s: valid %s, %s\n" file schema detail

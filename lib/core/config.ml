@@ -28,7 +28,6 @@ type t = {
   backend : Vp_exec.Emulator.backend;
   mem_words : int;
   fuel : int;
-  obs : Vp_obs.t;
   metrics : Vp_metrics.t;
   telemetry : Vp_telemetry.config;
   fault : Vp_fault.Plan.t option;
@@ -41,9 +40,9 @@ let v ?(detector = Vp_hsd.Config.default) ?(history_size = 0)
     ?(identify = Vp_region.Identify.default) ?(linking = true)
     ?(opt = Vp_opt.Opt.default) ?(cpu = Vp_cpu.Config.default)
     ?(backend = Vp_exec.Emulator.Decoded) ?(mem_words = 1 lsl 20)
-    ?(fuel = 200_000_000) ?(obs = Vp_obs.disabled)
-    ?(metrics = Vp_metrics.disabled) ?(telemetry = Vp_telemetry.off) ?fault
-    ?(degrade = true) ?(session = default_session) () =
+    ?(fuel = 200_000_000) ?(metrics = Vp_metrics.disabled)
+    ?(telemetry = Vp_telemetry.off) ?fault ?(degrade = true)
+    ?(session = default_session) () =
   {
     detector;
     history_size;
@@ -55,7 +54,6 @@ let v ?(detector = Vp_hsd.Config.default) ?(history_size = 0)
     backend;
     mem_words;
     fuel;
-    obs;
     metrics;
     telemetry;
     fault;
@@ -92,7 +90,6 @@ let cpu t = t.cpu
 let backend t = t.backend
 let mem_words t = t.mem_words
 let fuel t = t.fuel
-let obs t = t.obs
 let metrics t = t.metrics
 let telemetry t = t.telemetry
 let fault t = t.fault
@@ -108,7 +105,6 @@ let with_cpu cpu t = { t with cpu }
 let with_backend backend t = { t with backend }
 let with_mem_words mem_words t = { t with mem_words }
 let with_fuel fuel t = { t with fuel }
-let with_obs obs t = { t with obs }
 let with_metrics metrics t = { t with metrics }
 let with_telemetry telemetry t = { t with telemetry }
 let with_fault fault t = { t with fault = Some fault }
@@ -218,7 +214,6 @@ let json_of_t t =
       ("backend", J_str (Vp_exec.Emulator.backend_name t.backend));
       ("mem_words", J_int t.mem_words);
       ("fuel", J_int t.fuel);
-      ("obs", J_bool (Vp_obs.enabled t.obs));
       ("metrics", J_bool (Vp_metrics.enabled t.metrics));
       ( "telemetry",
         J_obj

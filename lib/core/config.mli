@@ -4,7 +4,7 @@
     or {!experiment}, derive variants with the [with_*] setters, and
     read fields through the accessors.  Downstream code never
     constructs the record literally, so adding a field — like the
-    {!obs} recorder — is not a breaking change.
+    {!metrics} registry — is not a breaking change.
 
     The four configurations evaluated in Figures 8 and 10 are the
     cross product of hot-block inference and package linking; build
@@ -48,7 +48,6 @@ val v :
   ?backend:Vp_exec.Emulator.backend ->
   ?mem_words:int ->
   ?fuel:int ->
-  ?obs:Vp_obs.t ->
   ?metrics:Vp_metrics.t ->
   ?telemetry:Vp_telemetry.config ->
   ?fault:Vp_fault.Plan.t ->
@@ -60,7 +59,7 @@ val v :
 
 val default : t
 (** [v ()]: Table 2 detector, inference and linking on, layout and
-    scheduling on, observability disabled. *)
+    scheduling on, instrumentation disabled. *)
 
 val experiment : inference:bool -> linking:bool -> t
 (** One of the four Figure 8 / Figure 10 configurations.  Uses the
@@ -98,20 +97,15 @@ val backend : t -> Vp_exec.Emulator.backend
 val mem_words : t -> int
 val fuel : t -> int
 
-val obs : t -> Vp_obs.t
-(** The observability recorder the pipeline reports through;
-    {!Vp_obs.disabled} by default. *)
-
 val metrics : t -> Vp_metrics.t
-(** The aggregated metrics registry (counters, gauges, histograms)
-    the pipeline reports through; {!Vp_metrics.disabled} by
-    default.  Like {!obs} this is a shared recorder; its {e stable}
-    snapshot is byte-identical across [--jobs], shards and
-    backends. *)
+(** The instrumentation registry (counters, gauges, histograms,
+    spans) the pipeline reports through; {!Vp_metrics.disabled} by
+    default.  This is a shared recorder; its {e stable} snapshot is
+    byte-identical across [--jobs], shards and backends. *)
 
 val telemetry : t -> Vp_telemetry.config
 (** The run-time telemetry sampling configuration ({!Vp_telemetry.off}
-    by default).  Unlike {!obs} this is a {e configuration}, not a
+    by default).  Unlike {!metrics} this is a {e configuration}, not a
     shared recorder: each run (profiling, coverage, timing) creates
     its own per-run {!Vp_telemetry.t} from it, so timelines stay
     deterministic under any [Vacuum.Engine] schedule. *)
@@ -143,7 +137,6 @@ val with_cpu : Vp_cpu.Config.t -> t -> t
 val with_backend : Vp_exec.Emulator.backend -> t -> t
 val with_mem_words : int -> t -> t
 val with_fuel : int -> t -> t
-val with_obs : Vp_obs.t -> t -> t
 val with_metrics : Vp_metrics.t -> t -> t
 val with_telemetry : Vp_telemetry.config -> t -> t
 val with_fault : Vp_fault.Plan.t -> t -> t

@@ -30,8 +30,7 @@ let lanes_of_image image =
   (lane_of, Array.of_list (List.rev !names))
 
 let measure ?(config = Config.default) (r : Driver.rewrite) =
-  let obs = Config.obs config in
-  Vp_obs.Span.record obs "coverage"
+  Vp_metrics.Span.record (Config.metrics config) "coverage"
     ~work:(fun c -> c.outcome.Emulator.instructions)
   @@ fun () ->
   let image = Driver.rewritten_image r in

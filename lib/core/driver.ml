@@ -7,8 +7,8 @@ module Linking = Vp_package.Linking
 module Emit = Vp_package.Emit
 module Pkg = Vp_package.Pkg
 module Verify = Vp_package.Verify
-module Span = Vp_obs.Span
-module Counter = Vp_obs.Counter
+module Span = Vp_metrics.Span
+module Counter = Vp_metrics.Counter
 
 let src = Logs.Src.create "vacuum.driver" ~doc:"Vacuum pipeline driver"
 
@@ -59,9 +59,9 @@ let pp_demotion ppf d =
    accounting, phase-log construction, truncation warnings. *)
 let finish_profile ~config ~image ~fuel ~outcome ~detector ~executed ~takens
     ~timeline ~extra_warnings =
-  let obs = Config.obs config in
-  Vp_metrics.Histogram.observe (Config.metrics config)
-    "driver.profile.instructions" outcome.Emulator.instructions;
+  let metrics = Config.metrics config in
+  Vp_metrics.Histogram.observe metrics "driver.profile.instructions"
+    outcome.Emulator.instructions;
   let aggregate = Vp_exec.Branch_profile.of_counts ~executed ~takens in
   let plan = Config.fault config in
   let snapshots = Detector.snapshots detector in
@@ -70,7 +70,7 @@ let finish_profile ~config ~image ~fuel ~outcome ~detector ~executed ~takens
     | Some plan when not (Vp_fault.Plan.is_clean plan) ->
       let counter_max = Config.counter_max config in
       let faulted = Vp_fault.Inject.snapshots ~plan ~counter_max snapshots in
-      Counter.bump obs "fault.runs" 1;
+      Counter.bump metrics "fault.runs" 1;
       ( faulted,
         [
           Error.v ~stage:"fault" "plan %s active (%d -> %d snapshots)"
@@ -79,24 +79,24 @@ let finish_profile ~config ~image ~fuel ~outcome ~detector ~executed ~takens
         ] )
     | _ -> (snapshots, [])
   in
-  Counter.bump obs "detector.detections" (Detector.detections detector);
-  Counter.bump obs "detector.rearms" (Detector.rearms detector);
-  Counter.bump obs "detector.recordings" (Detector.recordings detector);
-  Counter.bump obs "detector.history_suppressed"
+  Counter.bump metrics "detector.detections" (Detector.detections detector);
+  Counter.bump metrics "detector.rearms" (Detector.rearms detector);
+  Counter.bump metrics "detector.recordings" (Detector.recordings detector);
+  Counter.bump metrics "detector.history_suppressed"
     (Detector.history_suppressed detector);
   let log, filter_stats =
     Phase_log.build_with_stats ~similarity:(Config.similarity config) snapshots
   in
-  Counter.bump obs "phases.merged" filter_stats.Phase_log.merged;
-  Counter.bump obs "phases.unique" filter_stats.Phase_log.new_classes;
-  Counter.bump obs "phases.rejected_missing"
+  Counter.bump metrics "phases.merged" filter_stats.Phase_log.merged;
+  Counter.bump metrics "phases.unique" filter_stats.Phase_log.new_classes;
+  Counter.bump metrics "phases.rejected_missing"
     filter_stats.Phase_log.rejected_missing;
-  Counter.bump obs "phases.rejected_bias_flips"
+  Counter.bump metrics "phases.rejected_bias_flips"
     filter_stats.Phase_log.rejected_bias_flips;
   let truncated = not outcome.Emulator.halted in
   let truncation_warnings =
     if truncated then begin
-      Counter.bump obs "profile.truncated" 1;
+      Counter.bump metrics "profile.truncated" 1;
       Log.warn (fun m ->
           m
             "profile truncated: fuel (%d) exhausted after %d instructions; \
@@ -123,8 +123,8 @@ let finish_profile ~config ~image ~fuel ~outcome ~detector ~executed ~takens
   }
 
 let profile ?(config = Config.default) image =
-  let obs = Config.obs config in
-  Span.record obs "profile"
+  let metrics = Config.metrics config in
+  Span.record metrics "profile"
     ~work:(fun p -> p.outcome.Emulator.instructions)
   @@ fun () ->
   let same = Vp_phase.Similarity.same ~config:(Config.similarity config) in
@@ -222,8 +222,8 @@ let profile ?(config = Config.default) image =
    rewriting are not. *)
 let profile_of_events ?(config = Config.default) ?(instructions = 0) image
     events =
-  let obs = Config.obs config in
-  Span.record obs "ingest"
+  let metrics = Config.metrics config in
+  Span.record metrics "ingest"
     ~work:(fun p -> p.outcome.Emulator.cond_branches)
   @@ fun () ->
   let same = Vp_phase.Similarity.same ~config:(Config.similarity config) in
@@ -280,15 +280,14 @@ let profile_of_events ?(config = Config.default) ?(instructions = 0) image
    last resort every package, leaving the image unmodified.  A
    demoted result is always still a sound result. *)
 
-let make_demoter ~obs ~metrics =
+let make_demoter metrics =
   let demotions = ref [] in
   let demote rung error =
     demotions := { rung; error } :: !demotions;
-    Counter.bump obs ("degrade." ^ rung_name rung) 1;
-    Vp_metrics.Counter.bump metrics ("demote." ^ rung_name rung) 1;
+    Counter.bump metrics ("demote." ^ rung_name rung) 1;
     Vp_metrics.Flight.note metrics ~kind:"demote" ~label:(rung_name rung);
     if rung = Fallback_image then
-      Vp_metrics.Flight.dump metrics ~obs ~reason:"fallback-image"
+      Vp_metrics.Flight.dump metrics ~reason:"fallback-image"
         ~label:"driver" ();
     Log.warn (fun m -> m "%a" pp_demotion { rung; error })
   in
@@ -310,7 +309,7 @@ let wrap_stage ~degrade stage f =
    [on_screened] fires between screening and emission (the one-shot
    driver injects its per-region bookkeeping there). *)
 let assemble_parts ~config ~demote ~on_screened ~original packages =
-  let obs = Config.obs config in
+  let metrics = Config.metrics config in
   let degrade = Config.degrade config in
   let plan = Config.fault config in
   (* Package screening: structural validity plus the plan's resource
@@ -404,18 +403,18 @@ let assemble_parts ~config ~demote ~on_screened ~original packages =
   in
   let link_and_emit pkgs =
     let groups, link_stats =
-      Span.record obs "link"
+      Span.record metrics "link"
         ~work:(fun (_, s) -> s.Linking.orderings_ranked)
       @@ fun () ->
       Linking.group_packages_with_stats ~linking:(Config.linking config) pkgs
     in
-    Counter.bump obs "link.groups" link_stats.Linking.groups;
-    Counter.bump obs "link.linked_groups" link_stats.Linking.linked_groups;
-    Counter.bump obs "link.orderings_ranked"
+    Counter.bump metrics "link.groups" link_stats.Linking.groups;
+    Counter.bump metrics "link.linked_groups" link_stats.Linking.linked_groups;
+    Counter.bump metrics "link.orderings_ranked"
       link_stats.Linking.orderings_ranked;
-    Counter.bump obs "link.greedy_fallbacks"
+    Counter.bump metrics "link.greedy_fallbacks"
       link_stats.Linking.greedy_fallbacks;
-    Counter.bump obs "link.links" link_stats.Linking.links_resolved;
+    Counter.bump metrics "link.links" link_stats.Linking.links_resolved;
     Emit.of_groups ~transform original groups
   in
   (* The package id is a prefix of every label it emits, so a label-
@@ -450,17 +449,15 @@ let assemble_parts ~config ~demote ~on_screened ~original packages =
       | None -> fallback e)
     | Ok emitted ->
       let report =
-        Span.record obs "verify"
+        Span.record metrics "verify"
           ~work:(fun (r : Verify.report) -> r.Verify.checked_instructions)
         @@ fun () -> verify emitted
       in
       if Verify.ok report then (emitted, report)
       else begin
-        Counter.bump obs "verify.rejections" 1;
-        let metrics = Config.metrics config in
-        Vp_metrics.Counter.bump metrics "verify.rejections" 1;
+        Counter.bump metrics "verify.rejections" 1;
         Vp_metrics.Flight.note metrics ~kind:"verify" ~label:"rejection";
-        Vp_metrics.Flight.dump metrics ~obs ~reason:"verifier-rejection"
+        Vp_metrics.Flight.dump metrics ~reason:"verifier-rejection"
           ~label:"driver" ();
         let first = List.hd report.Verify.violations in
         let e =
@@ -494,7 +491,7 @@ let assemble_parts ~config ~demote ~on_screened ~original packages =
       end
   in
   let emitted, verification =
-    Span.record obs "emit"
+    Span.record metrics "emit"
       ~work:(fun ((e : Emit.result), _) -> e.Emit.package_instructions)
     @@ fun () -> emit_verified screened (List.length screened + 1)
   in
@@ -508,23 +505,19 @@ type assembly = {
 }
 
 let assemble ?(config = Config.default) ~original packages =
-  let demotions, demote =
-    make_demoter ~obs:(Config.obs config) ~metrics:(Config.metrics config)
-  in
+  let demotions, demote = make_demoter (Config.metrics config) in
   let survivors, assembled, checks =
     assemble_parts ~config ~demote ~on_screened:ignore ~original packages
   in
   { survivors; assembled; checks; drops = List.rev !demotions }
 
 let rewrite_of_profile ?(config = Config.default) source =
-  let obs = Config.obs config in
+  let metrics = Config.metrics config in
   let degrade = Config.degrade config in
-  let demotions, demote =
-    make_demoter ~obs ~metrics:(Config.metrics config)
-  in
+  let demotions, demote = make_demoter metrics in
   let wrap stage f = wrap_stage ~degrade stage f in
   let regions =
-    Span.record obs "regions" ~work:(List.length) @@ fun () ->
+    Span.record metrics "regions" ~work:(List.length) @@ fun () ->
     List.filter_map
       (fun (phase : Phase_log.phase) ->
         match
@@ -542,13 +535,14 @@ let rewrite_of_profile ?(config = Config.default) source =
   in
   List.iter
     (fun info ->
-      Counter.bump obs "identify.hot_blocks" info.stats.Identify.hot_blocks;
-      Counter.bump obs "identify.inference_rounds"
+      Counter.bump metrics "identify.hot_blocks" info.stats.Identify.hot_blocks;
+      Counter.bump metrics "identify.inference_rounds"
         info.stats.Identify.inference_rounds;
-      Counter.bump obs "identify.grown_blocks" info.stats.Identify.grown_blocks)
+      Counter.bump metrics "identify.grown_blocks"
+        info.stats.Identify.grown_blocks)
     regions;
   let packages =
-    Span.record obs "packages" ~work:(List.length) @@ fun () ->
+    Span.record metrics "packages" ~work:(List.length) @@ fun () ->
     List.concat_map
       (fun info ->
         match
@@ -565,8 +559,8 @@ let rewrite_of_profile ?(config = Config.default) source =
   in
   List.iter
     (fun (p : Pkg.t) ->
-      Counter.bump obs "build.blocks" (List.length p.Pkg.blocks);
-      Counter.bump obs "build.exit_blocks"
+      Counter.bump metrics "build.blocks" (List.length p.Pkg.blocks);
+      Counter.bump metrics "build.exit_blocks"
         (List.length
            (List.filter (fun (b : Pkg.block) -> b.Pkg.is_exit) p.Pkg.blocks)))
     packages;

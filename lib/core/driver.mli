@@ -16,7 +16,7 @@
     exceptions — the pipeline walks the demotion ladder instead
     ({!Drop_package} → {!Drop_region} → {!Fallback_image}), and every
     step taken is recorded in {!rewrite.demotions} and the
-    [degrade.*] observability counters.  Every emitted image is
+    [demote.*] counters of {!Config.metrics}.  Every emitted image is
     checked by {!Vp_package.Verify} before it is handed to anything
     that simulates it. *)
 

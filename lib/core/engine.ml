@@ -18,7 +18,6 @@ type metric = {
 type t = {
   jobs : int;
   profile_config : Config.t;
-  obs : Vp_obs.t;
   lock : Mutex.t;
   images : (string, Vp_prog.Image.t) Hashtbl.t;
   profiles : (string, Driver.profile) Hashtbl.t;
@@ -36,11 +35,10 @@ type t = {
 }
 
 let create ?(jobs = Pool.default_jobs ()) ?(profile_config = Config.default)
-    ?(obs = Vp_obs.disabled) () =
+    () =
   {
     jobs = Stdlib.max 1 jobs;
     profile_config;
-    obs;
     lock = Mutex.create ();
     images = Hashtbl.create 32;
     profiles = Hashtbl.create 32;
@@ -87,10 +85,8 @@ let memo t table ~kind ~label ~instructions key compute =
     let v = compute () in
     let wall_s = now () -. t0 in
     let work = instructions v in
-    Vp_obs.Span.note t.obs (kind ^ ":" ^ label) ~wall_s ~work;
-    Vp_metrics.Histogram.observe ~volatile:true
-      (Config.metrics t.profile_config) "engine.task.wall_us"
-      (int_of_float (wall_s *. 1e6));
+    Vp_metrics.Span.note (Config.metrics t.profile_config)
+      (kind ^ ":" ^ label) ~wall_s ~work;
     locked t (fun () ->
         Hashtbl.replace table key v;
         t.metrics <-
@@ -241,8 +237,6 @@ let run ?(rewrites = true) ?(timing = false) t ~specs ~cells () =
   Pool.shutdown pool;
   t.dag_wall_s <- t.dag_wall_s +. (now () -. t0);
   let hits1, misses1 = locked t (fun () -> (t.hits, t.misses)) in
-  Vp_obs.Counter.bump t.obs "engine.memo_hits" (hits1 - hits0);
-  Vp_obs.Counter.bump t.obs "engine.memo_misses" (misses1 - misses0);
   let metrics = Config.metrics t.profile_config in
   Vp_metrics.Counter.bump metrics "engine.memo_hits" (hits1 - hits0);
   Vp_metrics.Counter.bump metrics "engine.memo_misses" (misses1 - misses0);

@@ -34,15 +34,15 @@ type metric = {
 
 type t
 
-val create :
-  ?jobs:int -> ?profile_config:Config.t -> ?obs:Vp_obs.t -> unit -> t
+val create : ?jobs:int -> ?profile_config:Config.t -> unit -> t
 (** An engine running at most [jobs] tasks concurrently (default
     {!Vp_util.Pool.default_jobs}; [jobs <= 1] is sequential).
     [profile_config] (default {!Config.default}) governs the shared
-    profiling runs.  With an enabled [obs] recorder, every memo miss is
-    also recorded as a depth-0 span named [kind:label] with the task's
-    wall time and simulated instructions, and {!run} flushes memo
-    hit/miss counters. *)
+    profiling runs.  When its {!Config.metrics} registry is enabled,
+    every memo miss is also recorded there as a depth-0 span named
+    [kind:label] with the task's wall time and simulated instructions,
+    {!run} counts memo hits and misses, and the pool reports its
+    scheduler hooks. *)
 
 val jobs : t -> int
 

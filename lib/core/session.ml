@@ -11,7 +11,6 @@ module Pkg = Vp_package.Pkg
 module Emit = Vp_package.Emit
 module Verify = Vp_package.Verify
 module Image = Vp_prog.Image
-module Counter = Vp_obs.Counter
 
 let src = Logs.Src.create "vacuum.session" ~doc:"Vacuum online session"
 
@@ -185,7 +184,6 @@ let step t =
   if t.halted then
     Error.failf ~stage:"session" "step: the session's program has halted";
   let config = t.config in
-  let obs = Config.obs config in
   let metrics = Config.metrics config in
   let session_cfg = Config.session config in
   let backend = Config.backend config in
@@ -289,7 +287,7 @@ let step t =
              (Vp_util.Rng.create ~seed:plan.Vp_fault.Plan.seed)
              epoch)
       in
-      Counter.bump obs "fault.runs" 1;
+      Vp_metrics.Counter.bump metrics "fault.runs" 1;
       Vp_fault.Inject.snapshots ~plan
         ~counter_max:(Config.counter_max config)
         (Detector.snapshots detector)
@@ -316,7 +314,6 @@ let step t =
       | None ->
         let id = t.next_id in
         t.next_id <- id + 1;
-        Counter.bump obs "session.drifts" 1;
         Vp_metrics.Counter.bump metrics "session.drifts" 1;
         Vp_metrics.Flight.note metrics ~kind:"drift"
           ~label:(string_of_int id);
@@ -405,7 +402,6 @@ let step t =
         in
         t.cache <- List.filter (fun e -> e.id <> victim.id) t.cache;
         evicted := victim.id :: !evicted;
-        Counter.bump obs "session.evictions" 1;
         Vp_metrics.Counter.bump metrics "session.cache.evictions" 1;
         Vp_metrics.Flight.note metrics ~kind:"evict"
           ~label:(string_of_int victim.id);
@@ -485,10 +481,9 @@ let step t =
         in
         oracle_ok := Some ok;
         if not ok then begin
-          Counter.bump obs "session.oracle_failures" 1;
           Vp_metrics.Counter.bump metrics "session.oracle_failures" 1;
           Vp_metrics.Flight.note metrics ~kind:"oracle" ~label:"failure";
-          Vp_metrics.Flight.dump metrics ~obs ~reason:"oracle-failure"
+          Vp_metrics.Flight.dump metrics ~reason:"oracle-failure"
             ~label:(Printf.sprintf "epoch-%d" epoch) ()
         end;
         ok
@@ -518,13 +513,11 @@ let step t =
         t.depth <- 0;
         t.dirty <- false;
         activated := true;
-        Counter.bump obs "session.activations" 1;
         Vp_metrics.Counter.bump metrics "session.activations" 1;
         Vp_telemetry.Event.emit tl ~kind:"activate" ~at:t.retired ~value:epoch
       end
       else begin
         deferred := true;
-        Counter.bump obs "session.deferrals" 1;
         Vp_metrics.Counter.bump metrics "session.deferrals" 1;
         Vp_telemetry.Event.emit tl ~kind:"defer" ~at:t.retired ~value:t.depth
       end

@@ -7,9 +7,9 @@ type t = {
 }
 
 let measure ?(config = Config.default) (r : Driver.rewrite) =
-  let obs = Config.obs config in
+  let metrics = Config.metrics config in
   let time name image =
-    Vp_obs.Span.record obs name ~work:(fun s -> s.Pipeline.instructions)
+    Vp_metrics.Span.record metrics name ~work:(fun s -> s.Pipeline.instructions)
     @@ fun () ->
     Pipeline.simulate ~config:(Config.cpu config)
       ~backend:(Config.backend config) ~fuel:(Config.fuel config)
@@ -19,10 +19,10 @@ let measure ?(config = Config.default) (r : Driver.rewrite) =
   let optimized = time "timing:optimized" (Driver.rewritten_image r) in
   List.iter
     (fun (tag, (s : Pipeline.stats)) ->
-      Vp_obs.Counter.bump obs
+      Vp_metrics.Counter.bump metrics
         ("cpu." ^ tag ^ ".fetch_line_buffer_hits")
         s.Pipeline.fetch_line_buffer_hits;
-      Vp_obs.Counter.bump obs
+      Vp_metrics.Counter.bump metrics
         ("cpu." ^ tag ^ ".data_line_buffer_hits")
         s.Pipeline.data_line_buffer_hits)
     [ ("baseline", baseline); ("optimized", optimized) ];

@@ -87,9 +87,28 @@ end
 type metric = M_counter of int ref | M_gauge of int ref | M_hist of Hist.h
 type entry = { volatile : bool; metric : metric }
 
+let span_capacity = 4096
+
+type span = {
+  name : string;
+  depth : int;
+  start_s : float;
+  wall_s : float;
+  work : int;
+  minor_words : float;
+  major_words : float;
+}
+
 type reg = {
   mutex : Mutex.t;
   table : (string, entry) Hashtbl.t;
+  (* Per-domain stack of open spans, innermost first, holding their
+     start readings: spans nest within one domain; tasks on other
+     domains get their own stack, so concurrent stages never see each
+     other's nesting. *)
+  stack : span list ref Domain.DLS.key;
+  ring : span option array;  (* completed; slot = index mod capacity *)
+  mutable completed : int;
   flight_cap : int;
   flight_dir : string option;
   fl_kind : string array;
@@ -110,6 +129,9 @@ let create ?(flight_capacity = 64) ?flight_dir () =
     {
       mutex = Mutex.create ();
       table = Hashtbl.create 64;
+      stack = Domain.DLS.new_key (fun () -> ref []);
+      ring = Array.make span_capacity None;
+      completed = 0;
       flight_cap = cap;
       flight_dir;
       fl_kind = Array.make cap "";
@@ -218,6 +240,148 @@ module Histogram = struct
           match Hashtbl.find_opt r.table name with
           | Some { metric = M_hist h; _ } -> Some (Hist.copy h)
           | _ -> None)
+end
+
+(* ------------------------------------------------------------------ *)
+(* Spans: per-name aggregates in the registry, raw spans in a ring.    *)
+
+module Span = struct
+  type token = int
+  (* 0 on a disabled registry; otherwise the span's depth + 1 on the
+     entering domain. *)
+
+  let capacity = span_capacity
+
+  (* The ring append and the per-name counters and wall histogram, in
+     one critical section. *)
+  let complete r ({ name; work; wall_s; _ } as s) =
+    locked r (fun () ->
+        r.ring.(r.completed mod span_capacity) <- Some s;
+        r.completed <- r.completed + 1;
+        let key = "span." ^ name in
+        (match counter_cell r ~volatile:false (key ^ ".count") with
+        | Some c -> incr c
+        | None -> ());
+        (match counter_cell r ~volatile:false (key ^ ".work") with
+        | Some c -> c := !c + work
+        | None -> ());
+        match hist_cell r ~volatile:true (key ^ ".wall_us") with
+        | Some h -> Hist.observe h (int_of_float (wall_s *. 1e6))
+        | None -> ())
+
+  let enter t name =
+    match t with
+    | Disabled -> 0
+    | Enabled r ->
+      let st = Domain.DLS.get r.stack in
+      let depth = List.length !st in
+      let minor_words = Gc.minor_words () in
+      let major_words = (Gc.quick_stat ()).Gc.major_words in
+      let start_s = Unix.gettimeofday () in
+      st :=
+        { name; depth; start_s; wall_s = 0.0; work = 0; minor_words;
+          major_words }
+        :: !st;
+      depth + 1
+
+  let exit ?(work = 0) t token =
+    match t with
+    | Disabled -> ()
+    | Enabled r -> (
+      let stop = Unix.gettimeofday () in
+      let minor = Gc.minor_words () in
+      let major = (Gc.quick_stat ()).Gc.major_words in
+      let st = Domain.DLS.get r.stack in
+      (* Pop down to this span; unclosed children (a raise skipped
+         their exit) are discarded with their parent's extent. *)
+      let rec pop = function
+        | o :: rest when o.depth >= token -> pop rest
+        | o :: rest when o.depth = token - 1 -> Some (o, rest)
+        | _ -> None
+      in
+      match pop !st with
+      | None -> ()
+      | Some (o, rest) ->
+        st := rest;
+        complete r
+          {
+            o with
+            wall_s = stop -. o.start_s;
+            work;
+            minor_words = minor -. o.minor_words;
+            major_words = major -. o.major_words;
+          })
+
+  let record ?work t name f =
+    match t with
+    | Disabled -> f ()
+    | Enabled _ -> (
+      let token = enter t name in
+      match f () with
+      | v ->
+        exit ~work:(match work with Some w -> w v | None -> 0) t token;
+        v
+      | exception e ->
+        exit ~work:(-1) t token;
+        raise e)
+
+  let note t name ~wall_s ~work =
+    match t with
+    | Disabled -> ()
+    | Enabled r ->
+      complete r
+        {
+          name;
+          depth = 0;
+          start_s = Unix.gettimeofday () -. wall_s;
+          wall_s;
+          work;
+          minor_words = 0.0;
+          major_words = 0.0;
+        }
+
+  let ring t =
+    match t with
+    | Disabled -> []
+    | Enabled r ->
+      locked r (fun () ->
+          let kept = Stdlib.min r.completed span_capacity in
+          List.init kept (fun i ->
+              Option.get r.ring.((r.completed - kept + i) mod span_capacity)))
+
+  let dropped t =
+    match t with
+    | Disabled -> 0
+    | Enabled r ->
+      locked r (fun () -> Stdlib.max 0 (r.completed - span_capacity))
+
+  (* Chronological (start) order, indented by nesting depth; the
+     stable sort keeps completion order among equal starts. *)
+  let table t =
+    let module Tab = Vp_util.Tabular in
+    let tab =
+      Tab.create
+        ~header:
+          [
+            ("span", Tab.Left);
+            ("wall", Tab.Right);
+            ("work", Tab.Right);
+            ("minor words", Tab.Right);
+            ("major words", Tab.Right);
+          ]
+    in
+    List.iter
+      (fun s ->
+        Tab.add_row tab
+          [
+            String.make (2 * s.depth) ' ' ^ s.name;
+            Printf.sprintf "%.3f ms" (1e3 *. s.wall_s);
+            (if s.work = 0 then "-" else string_of_int s.work);
+            Printf.sprintf "%.0f" s.minor_words;
+            Printf.sprintf "%.0f" s.major_words;
+          ])
+      (List.stable_sort (fun a b -> compare a.start_s b.start_s) (ring t));
+    tab
 end
 
 (* ------------------------------------------------------------------ *)
@@ -489,14 +653,14 @@ module Perfetto = struct
 
   let of_spans ~pid ?tid ~cat spans =
     List.map
-      (fun (s : Vp_obs.span) ->
+      (fun (s : span) ->
         {
-          name = s.Vp_obs.name;
+          name = s.name;
           cat;
           pid;
-          tid = (match tid with Some t -> t | None -> s.Vp_obs.depth);
-          ts_us = s.Vp_obs.start_s *. 1e6;
-          dur_us = s.Vp_obs.wall_s *. 1e6;
+          tid = (match tid with Some t -> t | None -> s.depth);
+          ts_us = s.start_s *. 1e6;
+          dur_us = s.wall_s *. 1e6;
         })
       spans
 
@@ -555,6 +719,12 @@ module Perfetto = struct
     Buffer.add_string buf "]}\n";
     Snapshot.write_file ~path (Buffer.contents buf)
 
+  let write_spans t ~path =
+    let spans = Span.ring t in
+    write ~processes:[ (1, "driver") ] ~path
+      (of_spans ~pid:1 ~cat:"driver" spans);
+    List.length spans
+
   let contains hay needle =
     match Snapshot.find_sub hay needle with Some _ -> true | None -> false
 
@@ -574,38 +744,27 @@ module Perfetto = struct
             (Printf.sprintf "line %d: missing \"]}\" array closer" (n + 1))
         else begin
           let body = List.filteri (fun i _ -> i < n - 1) rest in
+          (* JSON array syntax: a comma after every event but the last. *)
+          let last = n - 2 in
           let check i line =
-            let lineno = i + 2 in
-            let line =
-              if String.length line > 0 && line.[String.length line - 1] = ','
-              then String.sub line 0 (String.length line - 1)
-              else line
-            in
-            if
-              String.length line < 2
-              || line.[0] <> '{'
-              || line.[String.length line - 1] <> '}'
-            then Error (Printf.sprintf "line %d: not a JSON object" lineno)
+            let fail what = Error (Printf.sprintf "line %d: %s" (i + 2) what) in
+            let has key = contains line ("\"" ^ key ^ "\":") in
+            let len = String.length line in
+            let comma = len > 0 && line.[len - 1] = ',' in
+            let len = if comma then len - 1 else len in
+            if comma && i = last then fail "trailing comma after the last event"
+            else if (not comma) && i < last then
+              fail "missing comma before the next event"
+            else if len < 2 || line.[0] <> '{' || line.[len - 1] <> '}' then
+              fail "not a JSON object"
             else if contains line "\"ph\":\"M\"" then
-              if contains line "\"name\":" && contains line "\"pid\":" then Ok ()
-              else
-                Error
-                  (Printf.sprintf "line %d: metadata event missing name/pid"
-                     lineno)
+              if has "name" && has "pid" then Ok ()
+              else fail "metadata event missing name/pid"
             else if contains line "\"ph\":\"X\"" then
-              if
-                contains line "\"name\":"
-                && contains line "\"pid\":"
-                && contains line "\"tid\":"
-                && contains line "\"ts\":"
-                && contains line "\"dur\":"
-              then Ok ()
-              else
-                Error
-                  (Printf.sprintf
-                     "line %d: complete event missing name/pid/tid/ts/dur"
-                     lineno)
-            else Error (Printf.sprintf "line %d: unknown event phase" lineno)
+              if List.for_all has [ "name"; "pid"; "tid"; "ts"; "dur" ] then
+                Ok ()
+              else fail "complete event missing name/pid/tid/ts/dur"
+            else fail "unknown event phase"
           in
           let rec walk i = function
             | [] -> Ok (List.length body)
@@ -653,7 +812,7 @@ module Flight = struct
       (function ('a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '-' | '_') as c -> c | _ -> '-')
       label
 
-  let dump t ?obs ~reason ~label () =
+  let dump t ~reason ~label () =
     match t with
     | Disabled -> ()
     | Enabled r -> (
@@ -688,11 +847,10 @@ module Flight = struct
         Snapshot.write_file
           ~path:(Filename.concat dir (base ^ ".metrics"))
           (Buffer.contents buf);
-        (match obs with
-        | Some o when Vp_obs.enabled o ->
-          Vp_obs.Sink.write_trace o
-            ~path:(Filename.concat dir (base ^ "-obs.jsonl"))
-        | _ -> ()))
+        ignore
+          (Perfetto.write_spans t
+             ~path:(Filename.concat dir (base ^ ".perfetto.json"))
+            : int))
 
   let dumps t =
     match t with Disabled -> 0 | Enabled r -> locked r (fun () -> r.dump_total)

@@ -1,30 +1,29 @@
-(** Continuous-profiling metrics plane: the aggregated, always-on
-    counterpart to the event-shaped {!Vp_obs} spans and
-    {!Vp_telemetry} series.
+(** The instrumentation plane: one registry for every counter,
+    gauge, histogram and span the pipeline records.
 
-    A {!t} is a {e registry} of named counters, gauges, and
-    fixed-bucket log-scale {!Hist}ograms, threaded through
-    [Vacuum.Config] the same way as the obs recorder.  The
-    {!disabled} registry turns every operation into an early-out on
-    one immutable boolean, so instrumented paths cost nothing — and
-    allocate nothing — when metrics are off.
+    A {!t} is a {e registry} of named counters, gauges, fixed-bucket
+    log-scale {!Hist}ograms and nestable {!Span}s, threaded through
+    [Vacuum.Config].  The {!disabled} registry turns every operation
+    into an early-out on one constructor match, so instrumented paths
+    cost nothing — and allocate nothing — when metrics are off.
 
     {b Determinism contract.}  Metrics come in two volatility
     classes.  {e Stable} metrics (the default for counters and
     histograms) carry schedule-independent values: instruction
-    counts, cache events, demotion outcomes.  Their rendered
-    snapshot is byte-identical for any [--jobs]/[--shards] and
-    across execution backends, the same discipline as
-    [Vp_aggregate.Profile].  {e Volatile} metrics (wall-clock
-    readings, scheduler occupancy; every gauge) are excluded from
-    the default snapshot and only appear under a [# volatile]
-    marker when explicitly requested — so CI can diff the stable
-    exposition while humans still see latency quantiles.
+    counts, cache events, demotion outcomes, span completions and
+    work.  Their rendered snapshot is byte-identical for any
+    [--jobs]/[--shards] and across execution backends, the same
+    discipline as [Vp_aggregate.Profile].  {e Volatile} metrics
+    (wall-clock readings, scheduler occupancy; every gauge) are
+    excluded from the default snapshot and only appear under a
+    [# volatile] marker when explicitly requested — so CI can diff
+    the stable exposition while humans still see latency quantiles.
 
     {b Domains.}  All registry updates take the registry mutex;
     histograms merge additively (bucket vectors, exact count and
     sum), so concurrent writers from pool domains produce the same
-    stable readings as the sequential schedule. *)
+    stable readings as the sequential schedule.  The open-span stack
+    is domain-local. *)
 
 type t
 (** A registry; either {!disabled} or created by {!create}. *)
@@ -105,6 +104,61 @@ module Histogram : sig
   (** A copy of the named histogram's current state. *)
 end
 
+(** One completed span, as kept in the export ring. *)
+type span = {
+  name : string;
+  depth : int;  (** nesting level at entry, 0 = top *)
+  start_s : float;  (** [Unix.gettimeofday] at entry *)
+  wall_s : float;
+  work : int;  (** caller-defined; retired instructions for run spans *)
+  minor_words : float;  (** minor-heap words allocated inside the span *)
+  major_words : float;
+}
+
+(** Nestable stage spans.
+
+    Each completed span is recorded three ways: the stable counters
+    [span.<name>.count] and [span.<name>.work] (the schedule-independent
+    per-name summary), the volatile histogram [span.<name>.wall_us],
+    and an entry in a ring of the last {!capacity} spans, which feeds
+    {!table} and {!Perfetto.of_spans}.  Older spans are dropped from
+    the ring (never from the counters) and counted by {!dropped}. *)
+module Span : sig
+  type token
+  (** An open span, held by the caller between {!enter} and {!exit}. *)
+
+  val enter : t -> string -> token
+  (** Open a span.  Nesting is tracked per domain: a span entered
+      while another is open on the same domain records one level
+      deeper. *)
+
+  val exit : ?work:int -> t -> token -> unit
+  (** Close the span and record it with its wall-clock seconds,
+      minor/major allocation words and [work] (default [0]; the
+      pipeline reports retired instructions here). *)
+
+  val record : ?work:('a -> int) -> t -> string -> (unit -> 'a) -> 'a
+  (** [record t name f] = [enter] / [f ()] / [exit], exception-safe;
+      [work] maps the result to the span's work figure.  A span whose
+      [f] raises is recorded with work [-1]. *)
+
+  val note : t -> string -> wall_s:float -> work:int -> unit
+  (** Record an already-measured span (depth 0) — the adapter for
+      externally timed work such as the engine's tasks. *)
+
+  val capacity : int
+  (** Ring size, [4096]. *)
+
+  val ring : t -> span list
+  (** Surviving spans in completion order, oldest first. *)
+
+  val dropped : t -> int
+  (** Spans lost to ring wrap-around. *)
+
+  val table : t -> Vp_util.Tabular.t
+  (** The ring in start order, indented by nesting depth. *)
+end
+
 (** OpenMetrics-style text exposition (schema
     [vp-metrics-snapshot/1], documented in DESIGN.md).
 
@@ -156,15 +210,21 @@ module Perfetto : sig
     dur_us : float;
   }
 
-  val of_spans : pid:int -> ?tid:int -> cat:string -> Vp_obs.span list -> event list
-  (** Obs spans as events; [tid] defaults to the span's nesting
+  val of_spans : pid:int -> ?tid:int -> cat:string -> span list -> event list
+  (** Ring spans as events; [tid] defaults to the span's nesting
       depth. *)
 
   val write : ?processes:(int * string) list -> path:string -> event list -> unit
   (** [processes] adds [process_name] metadata records
       (pid, label). *)
 
+  val write_spans : t -> path:string -> int
+  (** The registry's span ring as one [driver] process (pid 1, a lane
+      per nesting depth); returns the number of spans written. *)
+
   val validate_file : path:string -> (int, string) result
+  (** Schema and syntax check; [Ok n] counts the event lines.  Every
+      event line but the last must end in a comma, the last must not. *)
 end
 
 (** Flight recorder: a bounded ring of recent marks (demotions,
@@ -175,13 +235,13 @@ module Flight : sig
   val note : t -> kind:string -> label:string -> unit
   (** Record a mark in the ring; no I/O, no-op when disabled. *)
 
-  val dump : t -> ?obs:Vp_obs.t -> reason:string -> label:string -> unit -> unit
+  val dump : t -> reason:string -> label:string -> unit -> unit
   (** Write [<flight_dir>/flight-<label>-<n>.metrics] (a
       vp-metrics-snapshot/1 file with [# reason]/[# mark] comment
-      lines, volatile section included) and, when [obs] is an
-      enabled recorder, [flight-<label>-<n>-obs.jsonl]
-      (vp-obs-trace/1).  [n] counts dumps per label.  No-op when
-      disabled or no [flight_dir] was configured. *)
+      lines, volatile section included) and the span ring as
+      [flight-<label>-<n>.perfetto.json] (vp-perfetto-trace/1).  [n]
+      counts dumps per label.  No-op when disabled or no [flight_dir]
+      was configured. *)
 
   val dumps : t -> int
   (** Total dumps written so far. *)

@@ -239,10 +239,10 @@ module Sink = struct
 
   (* ---- validation ---- *)
 
-  (* Pragmatic line checker matched to our own writer, in the mould of
-     {!Vp_obs.Sink.validate_line}: one object per line, a [type] tag,
-     the schema's required keys present.  Not a general JSON parser —
-     the format is fully under this module's control. *)
+  (* Pragmatic line checker matched to our own writer: one object per
+     line, a [type] tag, the schema's required keys present.  Not a
+     general JSON parser — the format is fully under this module's
+     control. *)
 
   let required_keys = function
     | "meta" -> Some [ "schema"; "interval"; "intervals" ]

@@ -1,9 +1,10 @@
 (** Runtime phase telemetry: per-interval time-series of a single run.
 
-    Where {!Vp_obs} observes the {e software pipeline} (stage spans and
-    counters), this module observes the {e simulated machine}: a
-    {!t} is a per-run timeline that samples the execution every
-    [interval] retired instructions, recording named integer series
+    Where {!Vp_metrics} observes the {e software pipeline} (stage
+    spans, counters and histograms), this module observes the
+    {e simulated machine}: a {!t} is a per-run timeline that samples
+    the execution every [interval] retired instructions, recording
+    named integer series
     (HDC value, BBB occupancy, package residency, cache misses, …) and
     discrete events (detections, recordings, launches, side exits)
     stamped with their position in the run.

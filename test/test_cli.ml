@@ -140,11 +140,11 @@ commands:
   extract      Run region identification and package extraction.
   aggregate    Aggregate a fleet of per-machine profile streams (emulated, or ingested from vp-profile-wire/1 files) into one consensus profile and feed it through the packaging pipeline.  Stdout is byte-identical for every --shards/--jobs value.
   report       Full evaluation of one or more workloads (coverage, expansion, optional timing), in parallel under --jobs.
-  stats        Evaluate one workload with the observability recorder enabled and print the effective configuration plus per-stage span and counter tables.
+  stats        Evaluate one workload with the metrics registry enabled and print the effective configuration, the per-stage span table and the registry's OpenMetrics snapshot (volatile section included).
   timeline     Render a workload's interval timeline: detector state and phase extents of the profiling run, package residency lanes of the rewritten run, and (with --timing) timing-model series.
   serve        Run the online re-optimization loop on one or more workloads: profile, package, hot-patch the running image at a verified safe launch point, keep profiling the rewritten image, and re-package on phase drift — the package cache bounded by --cache-pct.  Stdout is byte-identical for every --jobs value and backend.
   top          Dashboard over a `vpack serve --metrics` snapshot: counter and cache tables, per-histogram bucket sparklines with p50/p90/p99.  Renders one frame by default; --watch re-reads and redraws live.
-  trace-check  Validate a trace file against its schema (vp-obs-trace/1, vp-timeline-trace/1, vp-profile-wire/1, vp-retire-trace/1, vp-metrics-snapshot/1 or vp-perfetto-trace/1, detected from the first line); failures name the schema and the offending line.
+  trace-check  Validate a trace file against its schema (vp-timeline-trace/1, vp-profile-wire/1, vp-retire-trace/1, vp-metrics-snapshot/1 or vp-perfetto-trace/1, detected from the first line); failures name the schema and the offending line.
   verify       Run the pipeline and the package soundness verifier on every emitted package; exit 4 if any check fails.
   chaos        Run the seed x fault-plan chaos matrix: every preset fault plan, asserting the differential oracle on each rewritten image; exit 5 on any cell failure.
   fuzz         Statistical chaos campaign over generated binaries: each case runs the full profile -> package -> verify -> rewrite pipeline under the fault-plan matrix with the differential oracle, plus vp-retire-trace/1 round-trip, ingestion-equivalence and corruption-totality checks; failures are shrunk to minimal repro files.  Reports are byte-identical across --jobs and backends.
@@ -173,7 +173,7 @@ options:
   --interval N               Telemetry sampling interval for --trace-dir, in retired instructions. (default 10000)
   --metrics FILE             Rewrite an OpenMetrics snapshot (schema vp-metrics-snapshot/1) of the stable metric registry to FILE after every epoch — a scrape-able live view, byte-identical for every --jobs value and backend.
   --perfetto FILE            Write a Chrome trace-event / Perfetto JSON timeline (schema vp-perfetto-trace/1) to FILE: pipeline spans on the driver lane, per-epoch session slices on one lane per workload.
-  --flight-dir DIR           Flight recorder: on a fallback to the original image, a verifier rejection or an oracle failure, dump the metric registry with its recent mark ring (plus the obs trace, if recording) to DIR.
+  --flight-dir DIR           Flight recorder: on a fallback to the original image, a verifier rejection or an oracle failure, dump the metric registry with its recent mark ring, plus its span ring as a Perfetto trace, to DIR.
   -j, --jobs N               Evaluate up to N workloads in parallel on separate domains (0 = the machine's recommended domain count). (default 0)
   --backend BACKEND          Functional emulator backend: reference, decoded or compiled.  All backends produce bit-identical results; the choice only affects simulation speed. (default decoded)
   --help                     Show this help.

@@ -301,33 +301,28 @@ let test_degrade_off_raises () =
 
 let test_truncation_surfaces () =
   let img = Program.layout (Progs.two_phase ~iters_per_phase:5_000 ~repeats:4) in
-  let obs = Vp_obs.create () in
-  let config = Config.v ~obs ~fuel:2_000 () in
+  let metrics = Vp_metrics.create () in
+  let config = Config.v ~metrics ~fuel:2_000 () in
   let p = Driver.profile ~config img in
   Alcotest.(check bool) "truncated" true p.Driver.truncated;
   Alcotest.(check bool) "structured warning" true
     (List.exists
        (fun (w : Vacuum.Error.t) -> w.Vacuum.Error.stage = "profile")
        p.Driver.warnings);
-  Alcotest.(check (option int)) "counter bumped" (Some 1)
-    (List.assoc_opt "profile.truncated" (Vp_obs.Sink.counters obs))
+  Alcotest.(check int) "counter bumped" 1
+    (Vp_metrics.Counter.value metrics "profile.truncated")
 
 let test_fault_counters () =
   let img = Program.layout (Progs.two_phase ~iters_per_phase:3000 ~repeats:3) in
-  let obs = Vp_obs.create () in
+  let metrics = Vp_metrics.create () in
   let config =
-    Config.v ~obs ~fault:(Plan.v ~max_package_instrs:1 "collapse") ()
+    Config.v ~metrics ~fault:(Plan.v ~max_package_instrs:1 "collapse") ()
   in
   let (_ : Driver.rewrite) = Driver.rewrite ~config img in
-  let counters = Vp_obs.Sink.counters obs in
   Alcotest.(check bool) "drop_package counted" true
-    (match List.assoc_opt "degrade.drop-package" counters with
-    | Some n -> n > 0
-    | None -> false);
+    (Vp_metrics.Counter.value metrics "demote.drop-package" > 0);
   Alcotest.(check bool) "drop_region counted" true
-    (match List.assoc_opt "degrade.drop-region" counters with
-    | Some n -> n > 0
-    | None -> false)
+    (Vp_metrics.Counter.value metrics "demote.drop-region" > 0)
 
 (* --- chaos matrix --- *)
 

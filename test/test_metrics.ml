@@ -1,9 +1,10 @@
-(* The metrics plane: log-scale histograms, the registry and its
-   volatility classes, snapshot exposition and round-trip, Perfetto
-   export, the flight recorder, pool scheduler hooks — and the two
-   contracts everything hangs on: stable snapshots are byte-identical
-   across schedules and backends, and the disabled registry allocates
-   nothing on hot paths. *)
+(* The instrumentation plane: log-scale histograms, the registry and
+   its volatility classes, spans and their ring, snapshot exposition
+   and round-trip, Perfetto export, the flight recorder, pool scheduler
+   hooks, pipeline span coverage — and the two contracts everything
+   hangs on: stable snapshots are byte-identical across schedules and
+   backends, and the disabled registry allocates nothing on hot
+   paths. *)
 
 module M = Vp_metrics
 module Hist = Vp_metrics.Hist
@@ -12,7 +13,9 @@ module Program = Vp_prog.Program
 module Emulator = Vp_exec.Emulator
 module Config = Vacuum.Config
 module Session = Vacuum.Session
+module Engine = Vacuum.Engine
 module Progs = Vp_test_support.Progs
+module Gen = Vp_test_support.Gen
 
 let read_file path =
   let ic = open_in_bin path in
@@ -26,6 +29,11 @@ let write_file path s =
   close_out oc
 
 let temp suffix = Filename.temp_file "vp-metrics" suffix
+
+let contains hay needle =
+  let nh = String.length hay and nn = String.length needle in
+  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
+  go 0
 
 (* ---- Hist ---- *)
 
@@ -148,6 +156,42 @@ let test_disabled_registry_inert () =
   Alcotest.(check string) "empty render" "# vp-metrics-snapshot/1\n# EOF\n"
     (M.Snapshot.render t)
 
+(* ---- counters ---- *)
+
+let test_counter_basics () =
+  let t = M.create () in
+  M.Counter.bump t "a" 1;
+  M.Counter.bump t "a" 4;
+  M.Counter.bump t "b" 2;
+  M.Counter.bump t "zero" 0;
+  Alcotest.(check int) "bumps add up by name" 5 (M.Counter.value t "a");
+  Alcotest.(check int) "unknown name reads 0" 0 (M.Counter.value t "nope");
+  Alcotest.(check (list string))
+    "snapshot sorted by name" [ "a"; "b"; "zero" ]
+    (List.map fst (M.Snapshot.samples t))
+
+let test_counter_disabled () =
+  let t = M.disabled in
+  M.Counter.bump t "ghost" 7;
+  M.Counter.bump ~volatile:true t "ghost" 7;
+  Alcotest.(check int) "disabled value is 0" 0 (M.Counter.value t "ghost");
+  Alcotest.(check int) "disabled records nothing" 0
+    (List.length (M.Snapshot.samples ~volatile:true t))
+
+let test_counter_bump_is_parallel_safe () =
+  (* Engine tasks bump shared names from several domains at once: no
+     update may be lost. *)
+  let t = M.create () in
+  let domains =
+    List.init 4 (fun _ ->
+        Domain.spawn (fun () ->
+            for _ = 1 to 1000 do
+              M.Counter.bump t "shared" 1
+            done))
+  in
+  List.iter Domain.join domains;
+  Alcotest.(check int) "no lost updates" 4000 (M.Counter.value t "shared")
+
 let test_first_registration_wins () =
   let t = M.create () in
   M.Counter.bump t "x" 4;
@@ -175,6 +219,189 @@ let test_disabled_zero_alloc () =
     (Printf.sprintf "%.0f minor words over 200k disabled ops" words)
     true (words < 256.)
 
+let unit_task () = ()
+
+let test_disabled_spans_zero_alloc () =
+  let t = M.disabled in
+  M.Span.exit ~work:1 t (M.Span.enter t "warm");
+  M.Span.record t "warm" unit_task;
+  let before = Gc.minor_words () in
+  for _ = 1 to 100_000 do
+    let tok = M.Span.enter t "hot" in
+    M.Span.record t "hot" unit_task;
+    M.Span.exit ~work:3 t tok
+  done;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f minor words over 300k disabled span ops" words)
+    true (words < 256.)
+
+(* ---- spans ---- *)
+
+let test_span_nesting () =
+  let t = M.create () in
+  let outer = M.Span.enter t "outer" in
+  let inner = M.Span.enter t "inner" in
+  M.Span.exit ~work:3 t inner;
+  M.Span.exit ~work:7 t outer;
+  (match M.Span.ring t with
+  | [ a; b ] ->
+    Alcotest.(check string) "inner completes first" "inner" a.M.name;
+    Alcotest.(check int) "inner depth" 1 a.M.depth;
+    Alcotest.(check int) "inner work" 3 a.M.work;
+    Alcotest.(check string) "outer second" "outer" b.M.name;
+    Alcotest.(check int) "outer depth" 0 b.M.depth;
+    Alcotest.(check int) "outer work" 7 b.M.work
+  | spans -> Alcotest.failf "expected 2 spans, got %d" (List.length spans));
+  Alcotest.(check int) "count counter" 1 (M.Counter.value t "span.inner.count");
+  Alcotest.(check int) "work counter" 7 (M.Counter.value t "span.outer.work")
+
+let test_span_record () =
+  let t = M.create () in
+  let v = M.Span.record t "stage" ~work:(fun n -> n * 2) (fun () -> 21) in
+  Alcotest.(check int) "result threads through unchanged" 21 v;
+  (match M.Span.ring t with
+  | [ s ] ->
+    Alcotest.(check string) "name" "stage" s.M.name;
+    Alcotest.(check int) "work from result" 42 s.M.work
+  | _ -> Alcotest.fail "expected one span");
+  Alcotest.(check int) "stable work counter" 42
+    (M.Counter.value t "span.stage.work");
+  (match M.Histogram.get t "span.stage.wall_us" with
+  | Some h -> Alcotest.(check int) "one wall sample" 1 (Hist.count h)
+  | None -> Alcotest.fail "wall histogram registered");
+  Alcotest.(check bool) "wall histogram is volatile" false
+    (contains (M.Snapshot.render t) "wall_us")
+
+let test_span_record_exception_safe () =
+  let t = M.create () in
+  (try ignore (M.Span.record t "boom" (fun () -> raise Exit) : unit)
+   with Exit -> ());
+  (match M.Span.ring t with
+  | [ s ] ->
+    Alcotest.(check string) "span still recorded" "boom" s.M.name;
+    Alcotest.(check int) "failure work marker" (-1) s.M.work
+  | _ -> Alcotest.fail "expected one span");
+  (* The stack unwound: the next span is back at depth 0. *)
+  M.Span.exit t (M.Span.enter t "after");
+  match M.Span.ring t with
+  | [ _; s ] -> Alcotest.(check int) "depth reset" 0 s.M.depth
+  | _ -> Alcotest.fail "expected two spans"
+
+let test_span_note () =
+  let t = M.create () in
+  M.Span.note t "ext" ~wall_s:1.5 ~work:99;
+  match M.Span.ring t with
+  | [ s ] ->
+    Alcotest.(check string) "name" "ext" s.M.name;
+    Alcotest.(check (float 1e-9)) "wall" 1.5 s.M.wall_s;
+    Alcotest.(check int) "work" 99 s.M.work;
+    Alcotest.(check int) "depth 0" 0 s.M.depth
+  | _ -> Alcotest.fail "expected one span"
+
+let test_ring_wraparound () =
+  let t = M.create () in
+  let n = M.Span.capacity + 6 in
+  for i = 0 to n - 1 do
+    M.Span.note t "s" ~wall_s:0.0 ~work:i
+  done;
+  Alcotest.(check int) "dropped count" 6 (M.Span.dropped t);
+  let works = List.map (fun s -> s.M.work) (M.Span.ring t) in
+  Alcotest.(check int) "ring holds capacity spans" M.Span.capacity
+    (List.length works);
+  Alcotest.(check int) "oldest survivor" 6 (List.hd works);
+  Alcotest.(check int) "newest last" (n - 1) (List.nth works (n - 7));
+  Alcotest.(check int) "counters keep every span" n
+    (M.Counter.value t "span.s.count")
+
+let test_disabled_spans_are_free () =
+  let t = M.disabled in
+  M.Span.exit t (M.Span.enter t "never");
+  M.Span.note t "never" ~wall_s:1.0 ~work:1;
+  Alcotest.(check int) "nothing in the ring" 0 (List.length (M.Span.ring t));
+  Alcotest.(check int) "no counters" 0 (List.length (M.Snapshot.samples t))
+
+(* ---- pipeline spans ---- *)
+
+let tiny_config metrics =
+  Config.with_metrics metrics
+    (Config.with_detector Vp_hsd.Config.tiny Config.default)
+
+let test_driver_span_coverage () =
+  let t = M.create () in
+  let config = tiny_config t in
+  let img = Program.layout (Gen.random_phased ~seed:3) in
+  let p = Vacuum.Driver.profile ~config img in
+  let r = Vacuum.Driver.rewrite_of_profile ~config p in
+  ignore (Vacuum.Coverage.measure ~config r);
+  let spans = M.Span.ring t in
+  let names = List.map (fun s -> s.M.name) spans in
+  List.iter
+    (fun stage ->
+      Alcotest.(check bool)
+        (stage ^ " span present") true (List.mem stage names))
+    [ "profile"; "regions"; "packages"; "link"; "emit"; "coverage" ];
+  let profile_span = List.find (fun s -> s.M.name = "profile") spans in
+  Alcotest.(check int)
+    "profile span work is retired instructions"
+    p.Vacuum.Driver.outcome.Emulator.instructions profile_span.M.work;
+  Alcotest.(check int) "profile work counter agrees" profile_span.M.work
+    (M.Counter.value t "span.profile.work");
+  Alcotest.(check bool) "stage counters flushed" true
+    (M.Counter.value t "detector.recordings" > 0)
+
+let test_observed_run_is_behaviour_preserving () =
+  (* An enabled registry must not change what the pipeline computes. *)
+  let img = Program.layout (Gen.random_phased ~seed:11) in
+  let run metrics =
+    let config = tiny_config metrics in
+    let p = Vacuum.Driver.profile ~config img in
+    let r = Vacuum.Driver.rewrite_of_profile ~config p in
+    let c = Vacuum.Coverage.measure ~config r in
+    ( p.Vacuum.Driver.outcome,
+      List.length r.Vacuum.Driver.packages,
+      c.Vacuum.Coverage.coverage_pct )
+  in
+  let off = run M.disabled in
+  let on_ = run (M.create ()) in
+  Alcotest.(check bool) "identical results" true (off = on_)
+
+(* The determinism contract: a registry shared by engine schedules at
+   --jobs 1 and --jobs 4 renders the same stable snapshot — span
+   completions and work included. *)
+let test_engine_determinism_across_jobs () =
+  let specs =
+    List.map
+      (fun seed ->
+        {
+          Engine.name = Printf.sprintf "gen%d" seed;
+          load = (fun () -> Program.layout (Gen.random_phased ~seed));
+        })
+      [ 1; 2; 3 ]
+  in
+  let cells =
+    [
+      { Engine.key = "full"; config = tiny_config M.disabled };
+      {
+        Engine.key = "nolink";
+        config =
+          Config.with_detector Vp_hsd.Config.tiny
+            (Config.experiment ~inference:true ~linking:false);
+      };
+    ]
+  in
+  let observe jobs =
+    let t = M.create () in
+    let engine = Engine.create ~jobs ~profile_config:(tiny_config t) () in
+    Engine.run engine ~specs ~cells ();
+    M.Snapshot.render t
+  in
+  let seq = observe 1 in
+  Alcotest.(check string) "stable snapshot identical across schedules" seq
+    (observe 4);
+  Alcotest.(check bool) "snapshot covers every task" true
+    (contains seq "span_profile_gen1_count_total 1")
+
 (* ---- snapshot ---- *)
 
 let populated () =
@@ -189,11 +416,6 @@ let populated () =
   M.Counter.bump ~volatile:true t "pool.tasks" 9;
   M.Histogram.observe ~volatile:true t "session.epoch.wall_us" 777;
   t
-
-let contains hay needle =
-  let nh = String.length hay and nn = String.length needle in
-  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-  go 0
 
 let test_render_volatility_classes () =
   let t = populated () in
@@ -326,11 +548,11 @@ let test_pool_hooks_totals () =
 (* ---- perfetto ---- *)
 
 let test_perfetto_export () =
-  let obs = Vp_obs.create () in
-  Vp_obs.Span.note obs "profile:w" ~wall_s:0.25 ~work:1000;
-  Vp_obs.Span.note obs "rewrite:w" ~wall_s:0.5 ~work:0;
+  let t = M.create () in
+  M.Span.note t "profile:w" ~wall_s:0.25 ~work:1000;
+  M.Span.note t "rewrite:w" ~wall_s:0.5 ~work:0;
   let events =
-    M.Perfetto.of_spans ~pid:1 ~cat:"driver" (Vp_obs.Sink.spans obs)
+    M.Perfetto.of_spans ~pid:1 ~cat:"driver" (M.Span.ring t)
     @ [
         {
           M.Perfetto.name = "epoch-0";
@@ -353,6 +575,46 @@ let test_perfetto_export () =
   Alcotest.(check bool) "schema line" true (contains s "vp-perfetto-trace/1");
   Alcotest.(check bool) "process metadata" true (contains s "process_name");
   Alcotest.(check bool) "span event" true (contains s "profile:w");
+  Sys.remove path;
+  (* Files that are not valid JSON must not validate: the event array
+     needs a comma between events and none after the last. *)
+  let head =
+    "{\"schema\":\"vp-perfetto-trace/1\",\"displayTimeUnit\":\"ms\",\
+     \"traceEvents\":[\n"
+  in
+  let ev name =
+    Printf.sprintf
+      "{\"ph\":\"X\",\"name\":\"%s\",\"cat\":\"c\",\"pid\":1,\"tid\":0,\
+       \"ts\":0.000,\"dur\":1.000}"
+      name
+  in
+  List.iter
+    (fun (what, body, line) ->
+      let path = temp ".json" in
+      write_file path (head ^ body ^ "]}\n");
+      (match M.Perfetto.validate_file ~path with
+      | Ok n -> Alcotest.failf "%s accepted (%d events)" what n
+      | Error e ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: %S names %s" what e line)
+          true (contains e line));
+      Sys.remove path)
+    [
+      ("missing comma", ev "a" ^ "\n" ^ ev "b" ^ "\n", "line 2");
+      ("trailing comma", ev "a" ^ ",\n" ^ ev "b" ^ ",\n", "line 3");
+    ]
+
+let test_span_ring_roundtrip () =
+  let t = M.create () in
+  M.Span.record t "stage \"one\"" unit_task;
+  M.Span.note t "stage2" ~wall_s:0.5 ~work:123;
+  let path = temp ".json" in
+  Alcotest.(check int) "spans written" 2 (M.Perfetto.write_spans t ~path);
+  (match M.Perfetto.validate_file ~path with
+  | Ok n -> Alcotest.(check int) "2 spans + process metadata" 3 n
+  | Error e -> Alcotest.fail ("span trace rejected: " ^ e));
+  Alcotest.(check bool) "name escaped" true
+    (contains (read_file path) "stage \\\"one\\\"");
   Sys.remove path
 
 (* ---- flight recorder ---- *)
@@ -367,21 +629,20 @@ let test_flight_dump () =
   for i = 1 to 6 do
     M.Flight.note t ~kind:"drift" ~label:(string_of_int i)
   done;
-  let obs = Vp_obs.create () in
-  Vp_obs.Span.note obs "profile:w" ~wall_s:0.1 ~work:10;
-  M.Flight.dump t ~obs ~reason:"oracle-failure" ~label:"epoch-2" ();
+  M.Span.note t "profile:w" ~wall_s:0.1 ~work:10;
+  M.Flight.dump t ~reason:"oracle-failure" ~label:"epoch-2" ();
   Alcotest.(check int) "one dump" 1 (M.Flight.dumps t);
   let metrics_file = Filename.concat dir "flight-epoch-2-0.metrics" in
-  let obs_file = Filename.concat dir "flight-epoch-2-0-obs.jsonl" in
+  let spans_file = Filename.concat dir "flight-epoch-2-0.perfetto.json" in
   Alcotest.(check bool) "metrics file written" true (Sys.file_exists metrics_file);
-  Alcotest.(check bool) "obs file written" true (Sys.file_exists obs_file);
-  (* the dump is itself a valid snapshot, and the obs file a valid trace *)
+  (* the dump is itself a valid snapshot, and the span ring a valid
+     Perfetto trace *)
   (match M.Snapshot.validate_file ~path:metrics_file with
   | Ok _ -> ()
   | Error e -> Alcotest.fail ("flight dump not a valid snapshot: " ^ e));
-  (match Vp_obs.Sink.validate_file ~path:obs_file with
-  | Ok _ -> ()
-  | Error e -> Alcotest.fail ("flight obs not a valid trace: " ^ e));
+  (match M.Perfetto.validate_file ~path:spans_file with
+  | Ok n -> Alcotest.(check int) "span + process metadata" 2 n
+  | Error e -> Alcotest.fail ("flight spans not a valid trace: " ^ e));
   let s = read_file metrics_file in
   Alcotest.(check bool) "reason recorded" true
     (contains s "# reason oracle-failure");
@@ -417,8 +678,37 @@ let () =
           Alcotest.test_case "first registration wins" `Quick
             test_first_registration_wins;
         ] );
+      ( "counters",
+        [
+          Alcotest.test_case "basics" `Quick test_counter_basics;
+          Alcotest.test_case "disabled" `Quick test_counter_disabled;
+          Alcotest.test_case "bump parallel safety" `Quick
+            test_counter_bump_is_parallel_safe;
+        ] );
+      ( "spans",
+        [
+          Alcotest.test_case "nesting" `Quick test_span_nesting;
+          Alcotest.test_case "record" `Quick test_span_record;
+          Alcotest.test_case "record exception safety" `Quick
+            test_span_record_exception_safe;
+          Alcotest.test_case "note" `Quick test_span_note;
+          Alcotest.test_case "ring wraparound" `Quick test_ring_wraparound;
+          Alcotest.test_case "disabled no-op" `Quick
+            test_disabled_spans_are_free;
+        ] );
+      ( "pipeline",
+        [
+          Alcotest.test_case "driver span coverage" `Quick
+            test_driver_span_coverage;
+          Alcotest.test_case "observation preserves behaviour" `Quick
+            test_observed_run_is_behaviour_preserving;
+          Alcotest.test_case "engine determinism across --jobs" `Slow
+            test_engine_determinism_across_jobs;
+        ] );
       ( "alloc",
         [
+          Alcotest.test_case "disabled spans allocation-free" `Quick
+            test_disabled_spans_zero_alloc;
           Alcotest.test_case "disabled path allocation-free" `Quick
             test_disabled_zero_alloc;
         ] );
@@ -441,7 +731,11 @@ let () =
       ( "sched",
         [ Alcotest.test_case "pool hook totals" `Quick test_pool_hooks_totals ] );
       ( "perfetto",
-        [ Alcotest.test_case "export and validate" `Quick test_perfetto_export ] );
+        [
+          Alcotest.test_case "export and validate" `Quick test_perfetto_export;
+          Alcotest.test_case "span ring roundtrip" `Quick
+            test_span_ring_roundtrip;
+        ] );
       ( "flight",
         [
           Alcotest.test_case "dump on failure" `Quick test_flight_dump;
