@@ -27,3 +27,16 @@ let term_defs = function
   | Pkg.Branch _ | Pkg.Return | Pkg.Exit_jump _ | Pkg.Stop | Pkg.Fall _
   | Pkg.Goto _ ->
     []
+
+let index blocks =
+  let index = Hashtbl.create (max 16 (Array.length blocks)) in
+  Array.iteri (fun i (b : Pkg.block) -> Hashtbl.replace index b.Pkg.label i) blocks;
+  index
+
+let mask regs = List.fold_left (fun m r -> m lor (1 lsl Reg.to_int r)) 0 regs
+
+let pure = function
+  | Instr.Alu _ | Instr.Li _ | Instr.La _ -> true
+  | Instr.Load _ | Instr.Store _ | Instr.Br _ | Instr.Jmp _ | Instr.Call _
+  | Instr.Ret | Instr.Nop | Instr.Halt ->
+    false

@@ -13,160 +13,176 @@ type machine = {
 
 let epic_default = { issue_width = 8; ialu = 5; fp = 3; mem = 3; branch = 3 }
 
-let fu_slot = function
-  | Op.Ialu -> `Ialu
-  | Op.Fp | Op.Long_fp -> `Fp
-  | Op.Mem -> `Mem
-  | Op.Control -> `Branch
+let imax (a : int) b = if a >= b then a else b
 
-let slot_count machine = function
-  | `Ialu -> machine.ialu
-  | `Fp -> machine.fp
-  | `Mem -> machine.mem
-  | `Branch -> machine.branch
+(* Functional-unit classes index the per-cycle slot table. *)
+let slot_class = function
+  | Op.Ialu -> 0
+  | Op.Fp | Op.Long_fp -> 1
+  | Op.Mem -> 2
+  | Op.Control -> 3
 
-(* Registers that create dependences: the zero register is neither
-   really written nor meaningfully read. *)
-let dep_regs regs = List.filter (fun r -> not (Reg.equal r Reg.zero)) regs
+let capacities m = [| m.ialu; m.fp; m.mem; m.branch |]
 
-(* Dependence edges as predecessor lists: preds.(i) = list of (j, min
-   latency) with j < i that must issue before i. *)
-let dependences instrs =
-  let arr = Array.of_list instrs in
-  let n = Array.length arr in
-  let preds = Array.make n [] in
-  let add i j lat = preds.(i) <- (j, lat) :: preds.(i) in
-  for i = 0 to n - 1 do
-    let defs_i = dep_regs (Instr.defs arr.(i)) in
-    let uses_i = dep_regs (Instr.uses arr.(i)) in
-    for j = 0 to i - 1 do
-      let defs_j = dep_regs (Instr.defs arr.(j)) in
-      let uses_j = dep_regs (Instr.uses arr.(j)) in
-      let overlap a b = List.exists (fun r -> List.exists (Reg.equal r) b) a in
-      (* RAW: j defines something i uses — full latency. *)
-      if overlap defs_j uses_i then add i j (Instr.latency arr.(j));
-      (* WAW: both define — next cycle is enough on this machine. *)
-      if overlap defs_j defs_i then add i j 1;
-      (* WAR: j uses what i defines — same cycle would be fine on a
-         register-read-at-issue machine; keep order with latency 0. *)
-      if overlap uses_j defs_i then add i j 0;
-      (* Memory ordering: stores are barriers. *)
-      let mem_dep =
-        (Instr.is_store arr.(j) && Instr.is_mem arr.(i))
-        || (Instr.is_mem arr.(j) && Instr.is_store arr.(i))
-      in
-      if mem_dep then add i j 1
-    done
-  done;
-  preds
+(* Register masks without the zero register: it is neither really
+   written nor meaningfully read, so it creates no dependence. *)
+let dep_mask regs = Pkg_flow.mask regs land lnot (1 lsl Reg.to_int Reg.zero)
 
-(* Latency-weighted height of each node: longest path to any sink. *)
-let heights instrs preds =
-  let arr = Array.of_list instrs in
-  let n = Array.length arr in
-  let succs = Array.make n [] in
-  Array.iteri
-    (fun i ps -> List.iter (fun (j, lat) -> succs.(j) <- (i, lat) :: succs.(j)) ps)
-    preds;
-  let h = Array.make n 0 in
-  for i = n - 1 downto 0 do
-    h.(i) <-
-      List.fold_left
-        (fun acc (succ, lat) -> max acc (h.(succ) + max 1 lat))
-        (Instr.latency arr.(i))
-        succs.(i)
-  done;
-  h
+let no_mem = 0
+let load = 1
+let store = 2
+
+(* One body as flat per-instruction arrays. *)
+type body = {
+  defs : int array;
+  uses : int array;
+  mem : int array;  (** [no_mem], [load] or [store] *)
+  lat : int array;
+  cls : int array;  (** [slot_class] of the functional unit *)
+}
+
+let summarise arr =
+  {
+    defs = Array.map (fun i -> dep_mask (Instr.defs i)) arr;
+    uses = Array.map (fun i -> dep_mask (Instr.uses i)) arr;
+    mem =
+      Array.map
+        (fun i -> if Instr.is_store i then store else if Instr.is_load i then load else no_mem)
+        arr;
+    lat = Array.map Instr.latency arr;
+    cls = Array.map (fun i -> slot_class (Instr.fu i)) arr;
+  }
+
+(* Minimum issue distance from [j] to a later [i], or -1 when [i] does
+   not depend on [j].  RAW: [j]'s full latency.  WAW: the next cycle is
+   enough on this machine.  WAR: registers are read at issue, so the
+   same cycle is fine but the order must hold (0).  Memory: stores are
+   barriers against every memory operation; loads may pass loads. *)
+let edge b j i =
+  let e = if b.defs.(j) land b.uses.(i) <> 0 then b.lat.(j) else -1 in
+  let e = if b.defs.(j) land b.defs.(i) <> 0 then imax e 1 else e in
+  let e = if b.uses.(j) land b.defs.(i) <> 0 then imax e 0 else e in
+  let mj = b.mem.(j) and mi = b.mem.(i) in
+  if (mj = store && mi <> no_mem) || (mi = store && mj <> no_mem) then imax e 1 else e
 
 let schedule_body ?(machine = epic_default) instrs =
-  let arr = Array.of_list instrs in
-  let n = Array.length arr in
-  if n <= 1 then instrs
-  else begin
-    let preds = dependences instrs in
-    let h = heights instrs preds in
-    let issued = Array.make n (-1) in
-    (* issue cycle, -1 = not yet *)
-    let order = ref [] in
-    let remaining = ref n in
+  match instrs with
+  | [] | [ _ ] -> instrs
+  | _ ->
+    let arr = Array.of_list instrs in
+    let n = Array.length arr in
+    let b = summarise arr in
+    let cap = capacities machine in
+    (* Latency-weighted height (longest path to any sink) and the
+       number of unissued predecessors of each instruction. *)
+    let height = Array.make n 0 in
+    let pending = Array.make n 0 in
+    for j = n - 1 downto 0 do
+      let h = ref b.lat.(j) in
+      for i = j + 1 to n - 1 do
+        let e = edge b j i in
+        if e >= 0 then begin
+          h := imax !h (height.(i) + imax 1 e);
+          pending.(i) <- pending.(i) + 1
+        end
+      done;
+      height.(j) <- !h
+    done;
+    (* List scheduling: each pick takes the ready instruction with a
+       free slot of the highest height, lowest index first, and the
+       scan repeats after every issue so a latency-0 successor can
+       still issue in the same cycle.  Only released instructions (no
+       unissued predecessor left) are scanned. *)
+    let ready_at = Array.make n 0 in
+    let released = Array.make n 0 in
+    let nreleased = ref 0 in
+    let release i =
+      released.(!nreleased) <- i;
+      incr nreleased
+    in
+    for i = 0 to n - 1 do
+      if pending.(i) = 0 then release i
+    done;
+    let order = Array.make n 0 in
+    let used = Array.make (Array.length cap) 0 in
+    let count = ref 0 in
     let cycle = ref 0 in
-    while !remaining > 0 do
+    while !count < n do
+      Array.fill used 0 (Array.length used) 0;
       let width = ref 0 in
-      let used = Hashtbl.create 4 in
-      let slot_free s =
-        Option.value ~default:0 (Hashtbl.find_opt used s) < slot_count machine s
-      in
-      let take s =
-        Hashtbl.replace used s (1 + Option.value ~default:0 (Hashtbl.find_opt used s))
-      in
-      (* Ready: unissued, all preds issued with latency satisfied. *)
       let progressed = ref true in
       while !progressed && !width < machine.issue_width do
-        progressed := false;
-        let candidates =
-          List.filter
-            (fun i ->
-              issued.(i) < 0
-              && List.for_all
-                   (fun (j, lat) -> issued.(j) >= 0 && issued.(j) + lat <= !cycle)
-                   preds.(i)
-              && slot_free (fu_slot (Instr.fu arr.(i))))
-            (List.init n Fun.id)
-          |> List.sort (fun a b -> compare (h.(b), a) (h.(a), b))
-        in
-        match candidates with
-        | i :: _ ->
-          issued.(i) <- !cycle;
-          take (fu_slot (Instr.fu arr.(i)));
-          order := i :: !order;
+        let best = ref (-1) in
+        let slot = ref 0 in
+        for k = 0 to !nreleased - 1 do
+          let i = released.(k) in
+          if
+            ready_at.(i) <= !cycle
+            && used.(b.cls.(i)) < cap.(b.cls.(i))
+            && (!best < 0
+               || height.(i) > height.(!best)
+               || (height.(i) = height.(!best) && i < !best))
+          then begin
+            best := i;
+            slot := k
+          end
+        done;
+        let j = !best in
+        if j < 0 then progressed := false
+        else begin
+          decr nreleased;
+          released.(!slot) <- released.(!nreleased);
+          order.(!count) <- j;
+          incr count;
           incr width;
-          decr remaining;
-          progressed := true
-        | [] -> ()
+          used.(b.cls.(j)) <- used.(b.cls.(j)) + 1;
+          for i = j + 1 to n - 1 do
+            let e = edge b j i in
+            if e >= 0 then begin
+              pending.(i) <- pending.(i) - 1;
+              ready_at.(i) <- imax ready_at.(i) (!cycle + e);
+              if pending.(i) = 0 then release i
+            end
+          done
+        end
       done;
       incr cycle
     done;
-    List.rev_map (fun i -> arr.(i)) !order
-  end
+    let rec collect k acc = if k < 0 then acc else collect (k - 1) (arr.(order.(k)) :: acc) in
+    collect (n - 1) []
 
 let estimate_cycles ?(machine = epic_default) instrs =
   (* In-order issue of the body as given, tracking operand readiness
-     and FU occupancy per cycle. *)
+     and FU occupancy per cycle.  The zero register is never marked
+     busy, so reading it never waits. *)
+  let cap = capacities machine in
+  let used = Array.make (Array.length cap) 0 in
   let ready = Array.make Reg.count 0 in
   let cycle = ref 0 in
   let width = ref 0 in
-  let used = Hashtbl.create 4 in
-  let advance () =
-    incr cycle;
-    width := 0;
-    Hashtbl.reset used
-  in
   List.iter
     (fun i ->
       let operand_ready =
-        List.fold_left
-          (fun acc r -> max acc ready.(Reg.to_int r))
-          0
-          (dep_regs (Instr.uses i))
+        List.fold_left (fun acc r -> imax acc ready.(Reg.to_int r)) 0 (Instr.uses i)
       in
-      while
-        !cycle < operand_ready
-        || !width >= machine.issue_width
-        || Option.value ~default:0 (Hashtbl.find_opt used (fu_slot (Instr.fu i)))
-           >= slot_count machine (fu_slot (Instr.fu i))
-      do
-        advance ()
+      let c = slot_class (Instr.fu i) in
+      while !cycle < operand_ready || !width >= machine.issue_width || used.(c) >= cap.(c) do
+        incr cycle;
+        width := 0;
+        Array.fill used 0 (Array.length used) 0
       done;
-      let s = fu_slot (Instr.fu i) in
-      Hashtbl.replace used s (1 + Option.value ~default:0 (Hashtbl.find_opt used s));
+      used.(c) <- used.(c) + 1;
       incr width;
       List.iter
-        (fun r -> ready.(Reg.to_int r) <- !cycle + Instr.latency i)
-        (dep_regs (Instr.defs i)))
+        (fun r ->
+          if not (Reg.equal r Reg.zero) then ready.(Reg.to_int r) <- !cycle + Instr.latency i)
+        (Instr.defs i))
     instrs;
-  !cycle + 1
+  match instrs with [] -> 0 | _ -> !cycle + 1
 
 let run ?machine pkg =
   Pkg.map_blocks
-    (fun b -> { b with Pkg.body = schedule_body ?machine b.Pkg.body })
+    (fun b ->
+      let body = schedule_body ?machine b.Pkg.body in
+      if body == b.Pkg.body then b else { b with Pkg.body })
     pkg

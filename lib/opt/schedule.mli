@@ -26,8 +26,8 @@ val schedule_body :
     the input that respects all dependences. *)
 
 val estimate_cycles : ?machine:machine -> Vp_isa.Instr.t list -> int
-(** Cycles the machine needs for this body in order, used to report
-    schedule compaction. *)
+(** Cycles the machine needs for this body in order (0 for an empty
+    body), used to report schedule compaction. *)
 
 val run : ?machine:machine -> Vp_package.Pkg.t -> Vp_package.Pkg.t
 (** Schedule every block body of a package. *)

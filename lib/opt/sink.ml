@@ -1,84 +1,72 @@
 module Instr = Vp_isa.Instr
-module Reg = Vp_isa.Reg
 module Pkg = Vp_package.Pkg
 
 type stats = { sunk : int; deleted : int }
 
-let mask_of regs = List.fold_left (fun m r -> m lor (1 lsl Reg.to_int r)) 0 regs
-
-let regs_of mask =
-  List.filter
-    (fun r -> mask land (1 lsl Reg.to_int r) <> 0)
-    (List.init Reg.count Reg.of_int)
-
+let mask = Pkg_flow.mask
 let succ_labels = Pkg_flow.succ_labels
-let term_uses = Pkg_flow.term_uses
-let term_defs = Pkg_flow.term_defs
 
-(* Backward liveness over the package graph.  Exit blocks' terminal
-   contribution is their recorded dummy-consumer set. *)
+(* Backward liveness over the package graph.  Each block is summarised
+   once as a (gen, kill) mask pair — registers read before any write in
+   the block, registers the block writes — so a sweep costs one
+   [live_in = gen lor (live_out land lnot kill)] per block.  Exit
+   blocks' terminal contribution is their recorded dummy-consumer
+   set. *)
 let liveness (pkg : Pkg.t) =
   let blocks = Array.of_list pkg.Pkg.blocks in
-  let index = Hashtbl.create 64 in
-  Array.iteri (fun i b -> Hashtbl.replace index b.Pkg.label i) blocks;
   let n = Array.length blocks in
+  let index = Pkg_flow.index blocks in
+  let gen = Array.make n 0 in
+  let kill = Array.make n 0 in
+  Array.iteri
+    (fun i (b : Pkg.block) ->
+      let g = ref 0 and k = ref 0 in
+      List.iter
+        (fun ins ->
+          g := !g lor (mask (Instr.uses ins) land lnot !k);
+          k := !k lor mask (Instr.defs ins))
+        b.Pkg.body;
+      gen.(i) <- !g lor (mask (Pkg_flow.term_uses b.Pkg.term) land lnot !k);
+      kill.(i) <- !k lor mask (Pkg_flow.term_defs b.Pkg.term))
+    blocks;
+  (* Exit blocks carry the live set across the exited arc even after
+     linking retargets their terminator to another package. *)
+  let terminal =
+    Array.map
+      (fun (b : Pkg.block) ->
+        if b.Pkg.is_exit then mask b.Pkg.live_out
+        else mask (Pkg_flow.term_uses b.Pkg.term))
+      blocks
+  in
+  let succs =
+    Array.map
+      (fun (b : Pkg.block) ->
+        List.filter_map (Hashtbl.find_opt index) (succ_labels b.Pkg.term))
+      blocks
+  in
   let live_in = Array.make n 0 in
-  let live_out = Array.make n 0 in
-  let terminal_mask (b : Pkg.block) =
-    (* Exit blocks carry the live set across the exited arc even after
-       linking retargets their terminator to another package. *)
-    if b.Pkg.is_exit then mask_of b.Pkg.live_out
-    else mask_of (term_uses b.Pkg.term)
-  in
-  let transfer (b : Pkg.block) out =
-    let after_body = out lor mask_of (term_uses b.Pkg.term) in
-    let after_body = (after_body land lnot (mask_of (term_defs b.Pkg.term)))
-                     lor mask_of (term_uses b.Pkg.term) in
-    List.fold_left
-      (fun live i ->
-        (live land lnot (mask_of (Instr.defs i))) lor mask_of (Instr.uses i))
-      after_body (List.rev b.Pkg.body)
-  in
   let changed = ref true in
   while !changed do
     changed := false;
     for i = n - 1 downto 0 do
-      let b = blocks.(i) in
-      let out =
-        List.fold_left
-          (fun acc l ->
-            match Hashtbl.find_opt index l with
-            | Some j -> acc lor live_in.(j)
-            | None -> acc)
-          (terminal_mask b) (succ_labels b.Pkg.term)
-      in
-      let inn = transfer b out in
-      if out <> live_out.(i) || inn <> live_in.(i) then begin
-        live_out.(i) <- out;
+      let out = List.fold_left (fun acc j -> acc lor live_in.(j)) terminal.(i) succs.(i) in
+      let inn = gen.(i) lor (out land lnot kill.(i)) in
+      if inn <> live_in.(i) then begin
         live_in.(i) <- inn;
         changed := true
       end
     done
   done;
-  (blocks, index, live_in, live_out)
+  (blocks, index, live_in)
 
 let live_in pkg =
-  let blocks, _, live_in, _ = liveness pkg in
-  let table = Hashtbl.create 64 in
-  Array.iteri
-    (fun i (b : Pkg.block) -> Hashtbl.replace table b.Pkg.label (regs_of live_in.(i)))
-    blocks;
+  let blocks, _, live_in = liveness pkg in
+  let table = Hashtbl.create (max 16 (Array.length blocks)) in
+  Array.iteri (fun i (b : Pkg.block) -> Hashtbl.replace table b.Pkg.label live_in.(i)) blocks;
   table
 
-(* Only pure register computations may move. *)
-let sinkable = function
-  | Instr.Alu _ | Instr.Li _ | Instr.La _ -> true
-  | Instr.Load _ | Instr.Store _ | Instr.Br _ | Instr.Jmp _ | Instr.Call _
-  | Instr.Ret | Instr.Nop | Instr.Halt ->
-    false
-
 let run (pkg : Pkg.t) =
-  let blocks, index, live_in, _ = liveness pkg in
+  let blocks, index, live_in = liveness pkg in
   let exit_of label =
     match Hashtbl.find_opt index label with
     | Some j when blocks.(j).Pkg.is_exit -> Some j
@@ -100,7 +88,7 @@ let run (pkg : Pkg.t) =
                 match Hashtbl.find_opt index l with
                 | Some j when not blocks.(j).Pkg.is_exit -> acc lor live_in.(j)
                 | _ -> acc)
-              (mask_of (term_uses b.Pkg.term))
+              (mask (Pkg_flow.term_uses b.Pkg.term))
               (succ_labels b.Pkg.term)
           in
           (* Walk the body backwards, tracking (a) registers read later
@@ -118,8 +106,8 @@ let run (pkg : Pkg.t) =
           let exit_live j = live_in.(j) lor sunk_uses_of j in
           List.iter
             (fun i ->
-              let defs = mask_of (Instr.defs i) in
-              let uses = mask_of (Instr.uses i) in
+              let defs = mask (Instr.defs i) in
+              let uses = mask (Instr.uses i) in
               let needed_internally = defs land !live_later <> 0 in
               let sources_stable = uses land !redefined_below = 0 in
               let wanted_exits =
@@ -130,7 +118,7 @@ let run (pkg : Pkg.t) =
                  so such an instruction is dead here, not sinkable. *)
               let def_stable = defs land !redefined_below = 0 in
               if
-                sinkable i && defs <> 0
+                Pkg_flow.pure i && defs <> 0
                 && not needed_internally
                 && sources_stable
               then

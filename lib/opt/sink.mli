@@ -23,8 +23,9 @@ type stats = {
 
 val run : Vp_package.Pkg.t -> Vp_package.Pkg.t * stats
 
-val live_in : Vp_package.Pkg.t -> (string, Vp_isa.Reg.t list) Hashtbl.t
-(** Package-level live-in per block label (exposed for tests).  Exit
-    blocks seed their out-set with the recorded live registers across
-    the exited arc; returns use the calling convention's registers;
-    halts use the result register. *)
+val live_in : Vp_package.Pkg.t -> (string, int) Hashtbl.t
+(** Package-level live-in register mask per block label (bit [r] set
+    when register [r] is live, as {!Pkg_flow.mask}).  Exit blocks seed
+    their out-set with the recorded live registers across the exited
+    arc; returns use the calling convention's registers; halts use the
+    result register. *)

@@ -1,110 +1,114 @@
 module Instr = Vp_isa.Instr
-module Reg = Vp_isa.Reg
 module Pkg = Vp_package.Pkg
 
 type stats = { merged : int; hoisted : int }
 
-let pure = function
-  | Instr.Alu _ | Instr.Li _ | Instr.La _ -> true
-  | Instr.Load _ | Instr.Store _ | Instr.Br _ | Instr.Jmp _ | Instr.Call _
-  | Instr.Ret | Instr.Nop | Instr.Halt ->
-    false
+let mask = Pkg_flow.mask
 
-(* Package-internal predecessor counts by label. *)
-let pred_counts (blocks : Pkg.block list) =
-  let counts = Hashtbl.create 64 in
-  List.iter
+(* Package-internal predecessor counts by block position. *)
+let pred_counts index (blocks : Pkg.block array) =
+  let counts = Array.make (Array.length blocks) 0 in
+  Array.iter
     (fun (b : Pkg.block) ->
       List.iter
         (fun l ->
-          Hashtbl.replace counts l (1 + Option.value ~default:0 (Hashtbl.find_opt counts l)))
+          match Hashtbl.find_opt index l with
+          | Some j -> counts.(j) <- counts.(j) + 1
+          | None -> ())
         (Pkg_flow.succ_labels b.Pkg.term))
     blocks;
   counts
 
-(* One merging round: absorb the first eligible single-predecessor
-   target of an unconditional transfer.  Returns None at fix-point. *)
-let merge_once ~protected blocks =
-  let counts = pred_counts blocks in
-  let by_label = Hashtbl.create 64 in
-  List.iter (fun (b : Pkg.block) -> Hashtbl.replace by_label b.Pkg.label b) blocks;
-  let eligible (a : Pkg.block) =
+let set_of labels =
+  let set = Hashtbl.create 16 in
+  List.iter (fun l -> Hashtbl.replace set l ()) labels;
+  set
+
+(* Chain merging in one forward pass: each surviving block, in list
+   order, absorbs the single-predecessor target of its unconditional
+   transfer while it has one.  A merge leaves every other block's
+   predecessor count and terminator unchanged, so this makes the same
+   merges as repeatedly merging the first eligible block in list order
+   until none is left.  Returns the surviving blocks, the merge count
+   and the absorbed -> absorber renames. *)
+let merge_chains ~protected (pkg : Pkg.t) =
+  let blocks = Array.of_list pkg.Pkg.blocks in
+  let index = Pkg_flow.index blocks in
+  let counts = pred_counts index blocks in
+  let absorbed = Array.make (Array.length blocks) false in
+  let merged = ref 0 in
+  let renames = Hashtbl.create 8 in
+  let target (a : Pkg.block) =
     match a.Pkg.term with
     | Pkg.Fall l | Pkg.Goto l -> (
-      match Hashtbl.find_opt by_label l with
-      | Some b
-        when (not b.Pkg.is_exit)
+      match Hashtbl.find_opt index l with
+      | Some j
+        when (not blocks.(j).Pkg.is_exit)
              && (not a.Pkg.is_exit)
              && l <> a.Pkg.label
-             && Option.value ~default:0 (Hashtbl.find_opt counts l) = 1
-             && not (List.mem l protected) ->
-        Some (a, b)
+             && counts.(j) = 1
+             && not (Hashtbl.mem protected l) ->
+        Some j
       | _ -> None)
     | _ -> None
   in
-  let rec find = function
-    | [] -> None
-    | a :: rest -> ( match eligible a with Some pair -> Some pair | None -> find rest)
-  in
-  match find blocks with
-  | None -> None
-  | Some (a, b) ->
-    let merged =
-      {
-        a with
-        Pkg.body = a.Pkg.body @ b.Pkg.body;
-        term = b.Pkg.term;
-        taken_prob = b.Pkg.taken_prob;
-        weight = max a.Pkg.weight b.Pkg.weight;
-      }
-    in
-    Some
-      ( List.filter_map
-          (fun (c : Pkg.block) ->
-            if c.Pkg.label = a.Pkg.label then Some merged
-            else if c.Pkg.label = b.Pkg.label then None
-            else Some c)
-          blocks,
-        (b.Pkg.label, a.Pkg.label) )
-
-let overlap regs mask =
-  List.exists (fun r -> mask land (1 lsl Reg.to_int r) <> 0) regs
-
-let mask_of regs = List.fold_left (fun m r -> m lor (1 lsl Reg.to_int r)) 0 regs
+  Array.iteri
+    (fun i (head : Pkg.block) ->
+      if not absorbed.(i) then begin
+        (* Bodies are collected newest first and concatenated once. *)
+        let rec grow (a : Pkg.block) bodies =
+          match (target a, bodies) with
+          | None, [] -> a
+          | None, _ -> { a with Pkg.body = List.concat (a.Pkg.body :: List.rev bodies) }
+          | Some j, _ ->
+            let b = blocks.(j) in
+            absorbed.(j) <- true;
+            incr merged;
+            Hashtbl.replace renames b.Pkg.label head.Pkg.label;
+            grow
+              {
+                a with
+                Pkg.term = b.Pkg.term;
+                taken_prob = b.Pkg.taken_prob;
+                weight = max a.Pkg.weight b.Pkg.weight;
+              }
+              (b.Pkg.body :: bodies)
+        in
+        blocks.(i) <- grow head []
+      end)
+    blocks;
+  (List.filteri (fun i _ -> not absorbed.(i)) (Array.to_list blocks), !merged, renames)
 
 (* Hoist the eligible pure prefix of each branch's single-predecessor
    fall-through successor above the branch. *)
 let hoist ~protected ~max_hoist (pkg : Pkg.t) =
   let live = Sink.live_in pkg in
-  let counts = pred_counts pkg.Pkg.blocks in
-  let by_label = Hashtbl.create 64 in
-  List.iter (fun (b : Pkg.block) -> Hashtbl.replace by_label b.Pkg.label b) pkg.Pkg.blocks;
+  let blocks = Array.of_list pkg.Pkg.blocks in
+  let index = Pkg_flow.index blocks in
+  let counts = pred_counts index blocks in
   let hoisted = ref 0 in
   (* Per-target prefix removals, applied in one rebuild pass. *)
   let moved : (string, Instr.t list) Hashtbl.t = Hashtbl.create 8 in
   let additions : (string, Instr.t list) Hashtbl.t = Hashtbl.create 8 in
-  List.iter
+  Array.iter
     (fun (a : Pkg.block) ->
       match a.Pkg.term with
       | Pkg.Branch { taken; fall; src1; src2; _ }
         when taken <> fall
-             && (not (List.mem fall protected))
-             && (not (Hashtbl.mem moved fall))
-             && Option.value ~default:0 (Hashtbl.find_opt counts fall) = 1 -> (
-        match Hashtbl.find_opt by_label fall with
-        | Some b when not b.Pkg.is_exit ->
-          let live_taken =
-            mask_of (Option.value ~default:[] (Hashtbl.find_opt live taken))
-          in
-          let forbidden = live_taken lor mask_of [ src1; src2 ] in
+             && (not (Hashtbl.mem protected fall))
+             && not (Hashtbl.mem moved fall) -> (
+        match Hashtbl.find_opt index fall with
+        | Some j when counts.(j) = 1 && not blocks.(j).Pkg.is_exit ->
+          let live_taken = Option.value ~default:0 (Hashtbl.find_opt live taken) in
+          let forbidden = live_taken lor mask [ src1; src2 ] in
           let rec prefix n acc = function
             | i :: rest
-              when n < max_hoist && pure i
-                   && not (overlap (Instr.defs i) forbidden) ->
+              when n < max_hoist && Pkg_flow.pure i
+                   && mask (Instr.defs i) land forbidden = 0 ->
               prefix (n + 1) (i :: acc) rest
             | _ -> List.rev acc
           in
-          let p = prefix 0 [] b.Pkg.body in
+          let p = prefix 0 [] blocks.(j).Pkg.body in
           if p <> [] then begin
             hoisted := !hoisted + List.length p;
             Hashtbl.replace moved fall p;
@@ -112,41 +116,32 @@ let hoist ~protected ~max_hoist (pkg : Pkg.t) =
           end
         | _ -> ())
       | _ -> ())
-    pkg.Pkg.blocks;
-  let blocks =
-    List.map
-      (fun (b : Pkg.block) ->
-        let body =
-          match Hashtbl.find_opt moved b.Pkg.label with
-          | Some p ->
-            let rec drop k l = if k = 0 then l else drop (k - 1) (List.tl l) in
-            drop (List.length p) b.Pkg.body
-          | None -> b.Pkg.body
-        in
-        let body =
-          match Hashtbl.find_opt additions b.Pkg.label with
-          | Some p -> body @ p
-          | None -> body
-        in
-        { b with Pkg.body })
-      pkg.Pkg.blocks
-  in
-  ({ pkg with Pkg.blocks }, !hoisted)
+    blocks;
+  if !hoisted = 0 then (pkg, 0)
+  else
+    let blocks =
+      List.map
+        (fun (b : Pkg.block) ->
+          let body =
+            match Hashtbl.find_opt moved b.Pkg.label with
+            | Some p ->
+              let rec drop k l = if k = 0 then l else drop (k - 1) (List.tl l) in
+              drop (List.length p) b.Pkg.body
+            | None -> b.Pkg.body
+          in
+          let body =
+            match Hashtbl.find_opt additions b.Pkg.label with
+            | Some p -> body @ p
+            | None -> body
+          in
+          { b with Pkg.body })
+        pkg.Pkg.blocks
+    in
+    ({ pkg with Pkg.blocks }, !hoisted)
 
 let run ?(protected = []) ?(max_hoist = 4) (pkg : Pkg.t) =
-  let protected = List.map fst pkg.Pkg.entries @ protected in
-  let merged = ref 0 in
-  let blocks = ref pkg.Pkg.blocks in
-  let renames = Hashtbl.create 8 in
-  let continue_ = ref true in
-  while !continue_ do
-    match merge_once ~protected !blocks with
-    | Some (blocks', (absorbed, into)) ->
-      incr merged;
-      Hashtbl.replace renames absorbed into;
-      blocks := blocks'
-    | None -> continue_ := false
-  done;
+  let protected = set_of (List.map fst pkg.Pkg.entries @ protected) in
+  let blocks, merged, renames = merge_chains ~protected pkg in
   (* An absorbed branch block's site now lives in its absorber; follow
      rename chains so metadata stays resolvable. *)
   let rec resolve l =
@@ -157,6 +152,6 @@ let run ?(protected = []) ?(max_hoist = 4) (pkg : Pkg.t) =
       (fun (s : Pkg.site) -> { s with Pkg.block_label = resolve s.Pkg.block_label })
       pkg.Pkg.sites
   in
-  let pkg = { pkg with Pkg.blocks = !blocks; sites } in
+  let pkg = { pkg with Pkg.blocks; sites } in
   let pkg, hoisted = hoist ~protected ~max_hoist pkg in
-  (pkg, { merged = !merged; hoisted })
+  (pkg, { merged; hoisted })

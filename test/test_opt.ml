@@ -1,5 +1,7 @@
 (* Tests for vp_opt: weight propagation, layout (branch flipping and
-   hot chaining), and the list scheduler's dependence preservation. *)
+   hot chaining), the list scheduler's dependence preservation,
+   superblock formation, exit sinking, and golden digests pinning the
+   optimizer's output byte for byte. *)
 
 module Instr = Vp_isa.Instr
 module Op = Vp_isa.Op
@@ -160,10 +162,12 @@ let eval instrs =
     instrs;
   (Array.to_list regs, Array.to_list mem)
 
+(* Random straight-line bodies over eight temporaries, with the zero
+   register drawn now and then as a source and as a destination. *)
 let random_straightline rng len =
   let module R = Vp_util.Rng in
   List.init len (fun _ ->
-      let reg () = Reg.of_int (8 + R.int rng 8) in
+      let reg () = if R.int rng 10 = 0 then Reg.zero else Reg.of_int (8 + R.int rng 8) in
       match R.int rng 5 with
       | 0 -> Instr.Li { dst = reg (); imm = R.int_in rng (-50) 50 }
       | 1 | 2 ->
@@ -178,9 +182,12 @@ let random_straightline rng len =
       | 3 -> Instr.Load { dst = reg (); base = Reg.zero; offset = R.int rng 60 }
       | _ -> Instr.Store { src = reg (); base = Reg.zero; offset = R.int rng 60 })
 
+(* Real package bodies reach about a hundred instructions. *)
+let max_body = 128
+
 let prop_schedule_preserves_semantics =
   QCheck.Test.make ~name:"scheduling preserves straight-line semantics" ~count:200
-    QCheck.(pair (int_range 0 100_000) (int_range 0 40))
+    QCheck.(pair (int_range 0 100_000) (int_range 0 max_body))
     (fun (seed, len) ->
       let rng = Vp_util.Rng.create ~seed in
       let body = random_straightline rng len in
@@ -189,13 +196,78 @@ let prop_schedule_preserves_semantics =
 
 let prop_schedule_is_permutation =
   QCheck.Test.make ~name:"schedule is a permutation" ~count:100
-    QCheck.(int_range 0 100_000)
-    (fun seed ->
+    QCheck.(pair (int_range 0 100_000) (int_range 0 max_body))
+    (fun (seed, len) ->
       let rng = Vp_util.Rng.create ~seed in
-      let body = random_straightline rng 30 in
+      let body = random_straightline rng len in
       let scheduled = Schedule.schedule_body body in
       List.sort compare (List.map Instr.to_string body)
       = List.sort compare (List.map Instr.to_string scheduled))
+
+(* Position of each original instruction in the schedule.  Equal
+   instructions are matched first-come first-served: equal instructions
+   that depend on each other keep their order, and equal independent
+   ones are interchangeable. *)
+let schedule_positions body scheduled =
+  let orig = Array.of_list body in
+  let pos = Array.make (Array.length orig) (-1) in
+  List.iteri
+    (fun k instr ->
+      let rec find i =
+        if i >= Array.length orig then failwith "scheduled instruction not in body"
+        else if pos.(i) < 0 && orig.(i) = instr then pos.(i) <- k
+        else find (i + 1)
+      in
+      find 0)
+    scheduled;
+  pos
+
+let prop_schedule_keeps_dependences =
+  QCheck.Test.make ~name:"schedule keeps every dependent pair in order" ~count:200
+    QCheck.(pair (int_range 0 100_000) (int_range 0 max_body))
+    (fun (seed, len) ->
+      let rng = Vp_util.Rng.create ~seed in
+      let body = random_straightline rng len in
+      let pos = schedule_positions body (Schedule.schedule_body body) in
+      let orig = Array.of_list body in
+      let regs f i = List.filter (fun r -> not (Reg.equal r Reg.zero)) (f orig.(i)) in
+      let meets a b = List.exists (fun r -> List.mem r b) a in
+      let dependent i j =
+        meets (regs Instr.defs i) (regs Instr.uses j) (* RAW *)
+        || meets (regs Instr.defs i) (regs Instr.defs j) (* WAW *)
+        || meets (regs Instr.uses i) (regs Instr.defs j) (* WAR *)
+        || (Instr.is_store orig.(i) && Instr.is_mem orig.(j))
+        || (Instr.is_mem orig.(i) && Instr.is_store orig.(j))
+      in
+      let ok = ref true in
+      for j = 0 to len - 1 do
+        for i = 0 to j - 1 do
+          if dependent i j && pos.(i) > pos.(j) then ok := false
+        done
+      done;
+      !ok)
+
+let test_schedule_zero_register_free () =
+  (* Only r0 links the first multiply to the chain after it: writing or
+     reading r0 creates no dependence, so the taller chain issues
+     first. *)
+  let body =
+    [
+      Instr.Alu { op = Op.Mul; dst = Reg.zero; src1 = t0; src2 = Instr.Imm 3 };
+      Instr.Alu { op = Op.Mul; dst = t1; src1 = Reg.zero; src2 = Instr.Imm 5 };
+      Instr.Alu { op = Op.Mul; dst = t1; src1 = t1; src2 = Instr.Imm 5 };
+    ]
+  in
+  match Schedule.schedule_body body with
+  | first :: _ ->
+    Alcotest.(check string) "chain head first" (Instr.to_string (List.nth body 1))
+      (Instr.to_string first)
+  | [] -> Alcotest.fail "empty schedule"
+
+let test_estimate_cycles_empty () =
+  Alcotest.(check int) "empty body" 0 (Schedule.estimate_cycles []);
+  Alcotest.(check int) "one instruction" 1
+    (Schedule.estimate_cycles [ Instr.Li { dst = t0; imm = 1 } ])
 
 let test_schedule_hides_latency () =
   (* Two independent multiply chains interleave; in program order they
@@ -487,6 +559,123 @@ let test_opt_transform_end_to_end_equivalence () =
   Alcotest.(check int) "optimized checksum" orig.Emulator.checksum optimized.Emulator.checksum;
   Alcotest.(check int) "plain checksum" orig.Emulator.checksum plain.Emulator.checksum
 
+let site label pc =
+  {
+    Pkg.orig_pc = pc;
+    site_context = [];
+    block_label = label;
+    bias = Pkg.U;
+    cold_exit = None;
+    cold_target = None;
+  }
+
+(* Chain merging when the absorbed block precedes its absorber in list
+   order: [b] first absorbs [c], then the entry [a] absorbs the merged
+   [b].  Sites on either absorbed block resolve to [a]. *)
+let test_superblock_absorbed_before_absorber () =
+  let p =
+    {
+      chain_package with
+      Pkg.blocks =
+        [
+          block "b" ~orig:2 ~weight:7 ~body:[ Instr.Li { dst = t1; imm = 2 } ] (Pkg.Fall "c");
+          block "c" ~orig:4 ~weight:3 ~body:[ Instr.Li { dst = t2; imm = 3 } ] Pkg.Return;
+          block "a" ~orig:0 ~weight:5 ~body:[ Instr.Li { dst = t0; imm = 1 } ] (Pkg.Goto "b");
+        ];
+      sites = [ site "c" 4; site "b" 2 ];
+    }
+  in
+  let p', stats = Superblock.run p in
+  Alcotest.(check int) "two merges" 2 stats.Superblock.merged;
+  (match p'.Pkg.blocks with
+  | [ b ] ->
+    Alcotest.(check string) "absorber survives" "a" b.Pkg.label;
+    Alcotest.(check (list string)) "bodies in chain order"
+      [ "li t0, #1"; "li t1, #2"; "li t2, #3" ]
+      (List.map Instr.to_string b.Pkg.body);
+    Alcotest.(check int) "max weight" 7 b.Pkg.weight;
+    Alcotest.(check bool) "terminator inherited" true (b.Pkg.term = Pkg.Return)
+  | bs -> Alcotest.failf "expected one block, got %d" (List.length bs));
+  Alcotest.(check (list string)) "sites resolve to the absorber" [ "a"; "a" ]
+    (List.map (fun (s : Pkg.site) -> s.Pkg.block_label) p'.Pkg.sites)
+
+(* A 200-block fall-through chain collapses into its head: 199 merges,
+   bodies in order, every site resolves to the surviving head. *)
+let test_superblock_long_chain () =
+  let n = 200 in
+  let label i = Printf.sprintf "c%d" i in
+  let blocks =
+    List.init n (fun i ->
+        block (label i) ~orig:(4 * i)
+          ~body:[ Instr.Li { dst = t0; imm = i } ]
+          (if i = n - 1 then Pkg.Return else Pkg.Fall (label (i + 1))))
+  in
+  let sites = List.init n (fun i -> site (label i) (4 * i)) in
+  let p = { chain_package with Pkg.blocks; entries = [ ("c0", 0) ]; sites } in
+  let p', stats = Superblock.run p in
+  Alcotest.(check int) "199 merges" (n - 1) stats.Superblock.merged;
+  (match p'.Pkg.blocks with
+  | [ b ] ->
+    Alcotest.(check string) "head survives" "c0" b.Pkg.label;
+    Alcotest.(check (list int)) "bodies in chain order" (List.init n Fun.id)
+      (List.map (function Instr.Li { imm; _ } -> imm | _ -> -1) b.Pkg.body)
+  | bs -> Alcotest.failf "expected one block, got %d" (List.length bs));
+  List.iter
+    (fun (s : Pkg.site) -> Alcotest.(check string) "site resolves" "c0" s.Pkg.block_label)
+    p'.Pkg.sites
+
+(* --- golden byte-identity --- *)
+
+(* The optimizer's output is pinned byte for byte: every package of the
+   first 200 campaign cases (root seed 0, the campaign's detector and
+   configuration), transformed under each preset, rendered with
+   [Pkg.pp] plus everything [pp] leaves out (bodies, branch conditions
+   and operands, taken probabilities, weights, exit live sets, sites),
+   and hashed.  A deliberate output change must update these digests. *)
+module Campaign = Vp_gen.Campaign
+module Driver = Vacuum.Driver
+
+let golden_packages =
+  lazy
+    (List.concat_map
+       (fun i ->
+         let spec = Campaign.spec_of_index ~root_seed:0 i in
+         let image =
+           Program.layout (Vp_gen.Gen.program ~seed:spec.Campaign.seed spec.Campaign.params)
+         in
+         let config = Campaign.default_config in
+         let rw = Driver.rewrite_of_profile ~config (Driver.profile ~config image) in
+         rw.Driver.packages)
+       (List.init 200 Fun.id))
+
+let render_package buf (p : Pkg.t) =
+  Buffer.add_string buf (Format.asprintf "%a@." Pkg.pp p);
+  let regs rs = String.concat "," (List.map Reg.name rs) in
+  List.iter
+    (fun (b : Pkg.block) ->
+      Printf.bprintf buf "%s w=%d p=%s live=%s\n" b.Pkg.label b.Pkg.weight
+        (match b.Pkg.taken_prob with Some p -> Printf.sprintf "%h" p | None -> "-")
+        (regs b.Pkg.live_out);
+      (match b.Pkg.term with
+      | Pkg.Branch { cond; src1; src2; _ } ->
+        Printf.bprintf buf "  cond %s %s\n" (Op.cond_name cond) (regs [ src1; src2 ])
+      | _ -> ());
+      List.iter (fun i -> Printf.bprintf buf "  %s\n" (Instr.to_string i)) b.Pkg.body)
+    p.Pkg.blocks;
+  List.iter
+    (fun (s : Pkg.site) -> Printf.bprintf buf "site %x %s\n" s.Pkg.orig_pc s.Pkg.block_label)
+    p.Pkg.sites
+
+let golden_digest config =
+  let buf = Buffer.create (1 lsl 20) in
+  List.iter
+    (fun p -> render_package buf (Opt.transform ~config p))
+    (Lazy.force golden_packages);
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let test_golden name config expected () =
+  Alcotest.(check string) (name ^ " digest") expected (golden_digest config)
+
 let () =
   Alcotest.run "vp_opt"
     [
@@ -507,6 +696,9 @@ let () =
         [
           QCheck_alcotest.to_alcotest prop_schedule_preserves_semantics;
           QCheck_alcotest.to_alcotest prop_schedule_is_permutation;
+          QCheck_alcotest.to_alcotest prop_schedule_keeps_dependences;
+          Alcotest.test_case "zero register" `Quick test_schedule_zero_register_free;
+          Alcotest.test_case "empty body cycles" `Quick test_estimate_cycles_empty;
           Alcotest.test_case "hides latency" `Quick test_schedule_hides_latency;
           Alcotest.test_case "store/load order" `Quick test_schedule_store_load_order;
           Alcotest.test_case "end-to-end equivalence" `Quick
@@ -522,6 +714,19 @@ let () =
             test_superblock_hoist_blocked_by_taken_liveness;
           Alcotest.test_case "hoist vs branch sources" `Quick
             test_superblock_hoist_blocked_by_branch_sources;
+          Alcotest.test_case "absorbed before absorber" `Quick
+            test_superblock_absorbed_before_absorber;
+          Alcotest.test_case "200-block chain" `Quick test_superblock_long_chain;
+        ] );
+      ( "golden",
+        [
+          Alcotest.test_case "default" `Quick
+            (test_golden "default" Opt.default "fd1fbb09b784fdcf62975d445831cd30");
+          Alcotest.test_case "paper" `Quick
+            (test_golden "paper" Opt.paper "ded3729a261da0304104a039266bb7e5");
+          Alcotest.test_case "with_sinking" `Quick
+            (test_golden "with_sinking" Opt.with_sinking
+               "bafaa4fe435a4df1417e8f9d32b3f8d1");
         ] );
       ( "sink",
         [
