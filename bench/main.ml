@@ -772,7 +772,7 @@ let micro ~quick =
   in
   let timing_100k =
     Staged.stage (fun () ->
-        ignore (Vp_cpu.Pipeline.simulate ~backend:!backend ~fuel:100_000 img))
+        ignore (Vp_cpu.Pipeline.simulate ~fuel:100_000 img))
   in
   let tests =
     Test.make_grouped ~name:"vacuum"

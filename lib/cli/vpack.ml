@@ -250,7 +250,7 @@ let phases_cmd =
               ps.Vp_cpu.Pipeline.phase ps.Vp_cpu.Pipeline.branches
               ps.Vp_cpu.Pipeline.seg_instructions ps.Vp_cpu.Pipeline.seg_cycles
               ps.Vp_cpu.Pipeline.seg_ipc)
-          (Vp_cpu.Pipeline.simulate_phases ~backend ~timeline img)
+          (Vp_cpu.Pipeline.simulate_phases ~timeline img)
       end)
 
 (* --- extract --- *)
@@ -605,7 +605,7 @@ let timeline_cmd =
         let tt = Vp_telemetry.create (Config.telemetry config) in
         let stats =
           Vp_cpu.Pipeline.simulate ~config:(Config.cpu config)
-            ~backend:(Config.backend config) ~fuel:(Config.fuel config)
+            ~fuel:(Config.fuel config)
             ~mem_words:(Config.mem_words config) ~telemetry:tt
             (Vacuum.Driver.rewritten_image r)
         in

@@ -164,9 +164,7 @@ let baseline t spec ~cpu =
     ~instructions:(fun (s : Pipeline.stats) -> s.Pipeline.instructions)
     spec.name
     (fun () ->
-      Pipeline.simulate ~config:cpu
-        ~backend:(Config.backend t.profile_config)
-        (image t spec))
+      Pipeline.simulate ~config:cpu (image t spec))
 
 let optimized t spec cell =
   memo t t.optimizeds ~kind:"timing" ~label:(cell_label spec cell)
@@ -175,7 +173,6 @@ let optimized t spec cell =
     (fun () ->
       Pipeline.simulate
         ~config:(Config.cpu cell.config)
-        ~backend:(Config.backend cell.config)
         (Driver.rewritten_image (rewrite t spec cell)))
 
 let truncated_profiles t =

@@ -11,8 +11,7 @@ let measure ?(config = Config.default) (r : Driver.rewrite) =
   let time name image =
     Vp_metrics.Span.record metrics name ~work:(fun s -> s.Pipeline.instructions)
     @@ fun () ->
-    Pipeline.simulate ~config:(Config.cpu config)
-      ~backend:(Config.backend config) ~fuel:(Config.fuel config)
+    Pipeline.simulate ~config:(Config.cpu config) ~fuel:(Config.fuel config)
       ~mem_words:(Config.mem_words config) image
   in
   let baseline = time "timing:baseline" r.Driver.source.Driver.image in

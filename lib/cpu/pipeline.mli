@@ -1,10 +1,13 @@
 (** Trace-driven timing model of the Table 2 EPIC machine.
 
-    The functional emulator supplies the retired instruction stream;
-    this model charges cycles for in-order multi-issue with functional
-    unit contention, operand latency interlocks, I-cache/D-cache/L2
-    misses, taken-branch fetch redirects and branch/return
-    mispredictions (charged at the 7-cycle resolution depth).
+    The compiled functional emulator ({!Vp_exec.Compile}) supplies the
+    retired instruction stream, one retirement run per basic block;
+    the model walks each run over per-pc timing facts built once per
+    (image, cpu config).  It charges cycles for in-order multi-issue
+    with functional unit contention, operand latency interlocks,
+    I-cache/D-cache/L2 misses, taken-branch fetch redirects and
+    branch/return mispredictions (charged at the 7-cycle resolution
+    depth).
     Wrong-path cache pollution is not simulated — the misprediction
     penalty is the paper's fixed resolution latency (documented
     substitution in DESIGN.md). *)
@@ -35,16 +38,16 @@ val simulate :
   ?telemetry:Vp_telemetry.t ->
   Vp_prog.Image.t ->
   stats
-(** Emulate the image and time its retirement stream.  [backend]
-    selects which functional emulator produces the retire feed
-    (default {!Vp_exec.Emulator.Decoded}); all backends deliver
-    bit-identical streams, so the choice only affects wall-clock
-    simulation speed.  With an enabled
+(** Emulate the image and time its retirement stream.  [backend] is
+    accepted and ignored: the feed always comes from the compiled
+    emulator, whose retirement stream is bit-identical to every other
+    backend's, so results do not depend on it.  [fuel] and [mem_words]
+    default as in [Vp_exec.Emulator.run].  With an enabled
     [telemetry] timeline, per-interval deltas of the timing series are
     recorded under the [timing.*] names ([instructions], [cycles],
     [icache_misses], [dcache_misses], [l2_misses], [mispredicts],
-    [fetch_stalls], [data_stalls]); the disabled default costs one
-    immutable-boolean test per retirement. *)
+    [fetch_stalls], [data_stalls]), flushed at exact instruction
+    counts; the disabled default costs one compare per retirement. *)
 
 type phase_stats = {
   phase : int;  (** phase id from the timeline; -1 = between intervals *)
@@ -56,7 +59,6 @@ type phase_stats = {
 
 val simulate_phases :
   ?config:Config.t ->
-  ?backend:Vp_exec.Emulator.backend ->
   ?fuel:int ->
   ?mem_words:int ->
   timeline:(int * int * int) list ->

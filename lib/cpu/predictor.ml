@@ -72,8 +72,12 @@ let predict_branch t ~pc ~taken =
   let index = (pc lxor t.history) land t.history_mask in
   let counter = t.counters.!(index) in
   let prediction = counter >= 2 in
+  (* Saturating 2-bit update with int compares: [Stdlib.min]/[max] are
+     polymorphic calls on this per-branch path. *)
   t.counters.!(index) <-
-    (if taken then min 3 (counter + 1) else max 0 (counter - 1));
+    (if taken then (if counter < 3 then counter + 1 else 3)
+     else if counter > 0 then counter - 1
+     else 0);
   t.history <- ((t.history lsl 1) lor if taken then 1 else 0) land t.history_mask;
   let correct = prediction = taken in
   if not correct then t.n_mispredictions <- t.n_mispredictions + 1;

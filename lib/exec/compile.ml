@@ -15,11 +15,17 @@
    to a per-instruction interpreter at the boundary, so instruction
    accounting stays exact.
 
-   Two variants of every block are compiled: a [fast] one with no
-   observation calls at all, and an [observed] one that feeds the
-   run's [on_branch]/[sink] closures (read from the per-run {!ctx}, so
-   compiled code is reusable across runs and observers).  Outcomes,
-   checksums and observation streams are bit-identical to
+   Two variants of every block exist, each compiled on first use: a
+   [fast] one with no observation calls at all, and an [observed] one
+   that reports retirement *runs* to the per-run {!ctx}'s closures
+   (so compiled code is reusable across runs and observers).  A run is
+   one straight-line span of a block, reported by one [on_run] call at
+   the block's terminator or fall-through end: loads and stores write
+   their effective address into the run's [addrs] buffer at the static
+   slot [pc - block start], and the call carries the last
+   instruction's [taken] and [next_pc].  The boundary interpreter
+   reports runs of length 1, so fuel cuts stay exact.  Outcomes,
+   checksums and the expanded observation streams are bit-identical to
    [Emulator.run_decoded], which stays the differential oracle. *)
 
 module Op = Vp_isa.Op
@@ -29,22 +35,35 @@ module Image = Vp_prog.Image
 
 (* Unchecked array access on the compiled hot paths: block and pc
    indices are validated at partition/compile time or by the
-   interpreter's own bounds check. *)
+   interpreter's own bounds check, and a run's [addrs] slot is below
+   its block's length, which the buffer covers. *)
 external ( .!() ) : 'a array -> int -> 'a = "%array_unsafe_get"
+external ( .!()<- ) : 'a array -> int -> 'a -> unit = "%array_unsafe_set"
+
+type on_run =
+  addrs:int array -> start:int -> len:int -> taken:bool -> next_pc:int -> unit
 
 (* Per-run execution context.  Compiled closures are shared across
    runs; everything run-specific — state, fuel, counters, observer
    closures — lives here.  [fuel_left] counts down so the per-block
    check is one compare; retired instructions are recovered as
-   [fuel - fuel_left]. *)
+   [fuel - fuel_left].  [run_start] is the first pc of the run not yet
+   reported (-1 when none is open): an exception escaping mid-block
+   flushes the retired prefix from it (see {!exec}).  [regs] is the
+   state's register file, which compiled code reads and writes without
+   a call per access (a cross-module call is an indirect one when
+   modules are compiled without cross-module inlining). *)
 type ctx = {
   st : State.t;
+  regs : int array;
   mutable fuel_left : int;
   mutable pkg : int;
   mutable branches : int;
   mutable halted : bool;
+  mutable run_start : int;
+  addrs : int array;
   on_branch : pc:int -> taken:bool -> unit;
-  sink : pc:int -> taken:bool -> next_pc:int -> mem_addr:int -> unit;
+  on_run : on_run;
 }
 
 type variant = {
@@ -58,8 +77,10 @@ type t = {
   block_idx : int array;  (* pc -> block id at leaders, -1 mid-block *)
   block_start : int array;
   block_len : int array;
-  fast : variant;
-  observed : variant;
+  max_len : int;
+  (* Built on first use: a run pays only for the variant it executes. *)
+  mutable fast : variant option;
+  mutable observed : variant option;
 }
 
 type result = {
@@ -131,9 +152,16 @@ let make_variant (d : Decode.t) ~block_idx ~block_start ~block_len ~nb
   let code = d.Decode.code in
   let n = Array.length tag in
   let orig_limit = d.Decode.image.Image.orig_limit in
+  (* Compiled code reads and writes the register file directly (see
+     [ctx.regs]); register operands are baked in as slot numbers. *)
+  let reg_of regs pc = (regs.(pc) : Reg.t :> int) in
+  let ra_slot = (Reg.ra :> int) in
   (* Cold path: an unresolved-label instruction actually executed;
-     rebuild the decoded interpreter's exact message lazily. *)
-  let unres pc =
+     rebuild the decoded interpreter's exact message lazily.  The pc
+     is published first, like a faulting load's, so the fault flush in
+     {!exec} knows where the retired prefix ends. *)
+  let unres (ctx : ctx) pc =
+    State.set_pc ctx.st pc;
     match Instr.target code.(pc) with
     | Some (Instr.Label l) ->
       Vp_util.Error.failf ~stage:"emulator" ~label:l "unresolved label %s" l
@@ -143,9 +171,11 @@ let make_variant (d : Decode.t) ~block_idx ~block_start ~block_len ~nb
   (* The boundary interpreter: entered at the run's start, on dynamic
      [Ret] targets, and whenever a block no longer fits in the
      remaining fuel.  It retires one instruction at a time with the
-     decoded interpreter's exact semantics (including observer
-     ordering) and re-enters compiled blocks as soon as a leader with
-     sufficient fuel comes up.  All calls are tail calls. *)
+     decoded interpreter's exact semantics, reports each as a run of
+     length 1 (the observers are no-ops in the fast variant), and
+     re-enters compiled blocks as soon as a leader with sufficient
+     fuel comes up.  No run is open while it runs ([run_start] is -1),
+     so a fault here flushes nothing.  All calls are tail calls. *)
   let rec interp (ctx : ctx) pc =
     if not ctx.halted then begin
       if ctx.fuel_left <= 0 then State.set_pc ctx.st pc
@@ -163,9 +193,9 @@ let make_variant (d : Decode.t) ~block_idx ~block_start ~block_len ~nb
     if pc >= orig_limit then ctx.pkg <- ctx.pkg + 1;
     State.set_pc st pc;
     let taken = ref false in
-    let mem_addr = ref (-1) in
     let next = ref (pc + 1) in
-    (match tag.!(pc) with
+    let tg = tag.!(pc) in
+    (match tg with
     | 0 (* Alu, register operand *) ->
       State.set_reg st dst.!(pc)
         (Op.eval_alu alu_op.!(pc) (State.reg st src1.!(pc))
@@ -177,11 +207,11 @@ let make_variant (d : Decode.t) ~block_idx ~block_start ~block_len ~nb
     | 3 (* La *) -> State.set_reg st dst.!(pc) target.!(pc)
     | 4 (* Load *) ->
       let addr = State.reg st src1.!(pc) + imm.!(pc) in
-      mem_addr := addr;
+      ctx.addrs.!(0) <- addr;
       State.set_reg st dst.!(pc) (State.mem st addr)
     | 5 (* Store *) ->
       let addr = State.reg st src1.!(pc) + imm.!(pc) in
-      mem_addr := addr;
+      ctx.addrs.!(0) <- addr;
       let v = State.reg st dst.!(pc) in
       State.set_mem st addr v;
       if not (Reg.equal dst.!(pc) Reg.ra) then State.bump_store_digest st addr v
@@ -192,8 +222,7 @@ let make_variant (d : Decode.t) ~block_idx ~block_start ~block_len ~nb
           (State.reg st src2.!(pc))
       in
       taken := t;
-      if t then next := target.!(pc);
-      ctx.on_branch ~pc ~taken:t
+      if t then next := target.!(pc)
     | 7 (* Jmp *) ->
       taken := true;
       next := target.!(pc)
@@ -220,10 +249,11 @@ let make_variant (d : Decode.t) ~block_idx ~block_start ~block_len ~nb
           (State.reg st src2.!(pc))
       in
       taken := t;
-      if t then unres pc;
-      ctx.on_branch ~pc ~taken:t
-    | _ (* La/Jmp/Call with an unresolved label *) -> unres pc);
-    ctx.sink ~pc ~taken:!taken ~next_pc:!next ~mem_addr:!mem_addr;
+      if t then unres ctx pc
+    | _ (* La/Jmp/Call with an unresolved label *) -> unres ctx pc);
+    ctx.on_run ~addrs:ctx.addrs ~start:pc ~len:1 ~taken:!taken ~next_pc:!next;
+    if tg = Decode.tag_br || tg = Decode.tag_br_unresolved then
+      ctx.on_branch ~pc ~taken:!taken;
     if not ctx.halted then interp ctx !next
   in
   (* Compile-time dispatch to a target address.  In-range targets are
@@ -246,14 +276,15 @@ let make_variant (d : Decode.t) ~block_idx ~block_start ~block_len ~nb
             tgt
         else State.set_pc ctx.st tgt
   in
-  (* Retirement epilogue of a straight-line instruction: in the fast
-     variant it is the continuation itself — observation costs nothing
-     when nobody observes. *)
-  let fin pc k =
+  (* The fall-through end of a block that has no terminator: in the
+     observed variant it reports the block's run, in the fast variant
+     it is the continuation itself. *)
+  let fall_through start len k =
     if observed then begin
-      let np = pc + 1 in
+      let np = start + len in
       fun ctx ->
-        ctx.sink ~pc ~taken:false ~next_pc:np ~mem_addr:(-1);
+        ctx.run_start <- -1;
+        ctx.on_run ~addrs:ctx.addrs ~start ~len ~taken:false ~next_pc:np;
         k ctx
     end
     else k
@@ -262,181 +293,178 @@ let make_variant (d : Decode.t) ~block_idx ~block_start ~block_len ~nb
      tag and — for ALU ops — per operation, with operands and folded
      immediates in the closure environment.  Loads and stores publish
      the pc first so an out-of-range [State.Fault] carries the same pc
-     context as the decoded interpreter's. *)
-  let compile_straight pc k =
-    let kk = fin pc k in
+     context as the decoded interpreter's; in the observed variant
+     they also record their address at their static [slot] of the
+     run's [addrs] buffer. *)
+  let compile_straight pc slot k =
     match tag.(pc) with
     | 0 -> (
-      let d0 = dst.(pc) and a = src1.(pc) and b = src2.(pc) in
-      match alu_op.(pc) with
-      | Op.Add | Op.Fadd ->
-        fun ctx ->
-          let st = ctx.st in
-          State.set_reg st d0 (State.reg st a + State.reg st b);
-          kk ctx
-      | Op.Sub ->
-        fun ctx ->
-          let st = ctx.st in
-          State.set_reg st d0 (State.reg st a - State.reg st b);
-          kk ctx
-      | Op.Mul | Op.Fmul ->
-        fun ctx ->
-          let st = ctx.st in
-          State.set_reg st d0 (State.reg st a * State.reg st b);
-          kk ctx
-      | Op.Div | Op.Fdiv ->
-        fun ctx ->
-          let st = ctx.st in
-          let bv = State.reg st b in
-          State.set_reg st d0 (if bv = 0 then 0 else State.reg st a / bv);
-          kk ctx
-      | Op.Rem ->
-        fun ctx ->
-          let st = ctx.st in
-          let bv = State.reg st b in
-          State.set_reg st d0 (if bv = 0 then 0 else State.reg st a mod bv);
-          kk ctx
-      | Op.And ->
-        fun ctx ->
-          let st = ctx.st in
-          State.set_reg st d0 (State.reg st a land State.reg st b);
-          kk ctx
-      | Op.Or ->
-        fun ctx ->
-          let st = ctx.st in
-          State.set_reg st d0 (State.reg st a lor State.reg st b);
-          kk ctx
-      | Op.Xor ->
-        fun ctx ->
-          let st = ctx.st in
-          State.set_reg st d0 (State.reg st a lxor State.reg st b);
-          kk ctx
-      | Op.Shl ->
-        fun ctx ->
-          let st = ctx.st in
-          State.set_reg st d0 (State.reg st a lsl (State.reg st b land 63));
-          kk ctx
-      | Op.Shr ->
-        fun ctx ->
-          let st = ctx.st in
-          State.set_reg st d0 (State.reg st a asr (State.reg st b land 63));
-          kk ctx
-      | Op.Slt ->
-        fun ctx ->
-          let st = ctx.st in
-          State.set_reg st d0 (if State.reg st a < State.reg st b then 1 else 0);
-          kk ctx)
+      let d0 = reg_of dst pc and a = reg_of src1 pc and b = reg_of src2 pc in
+      (* r0 swallows writes, and an ALU op cannot fault. *)
+      if d0 = 0 then k
+      else
+        match alu_op.(pc) with
+        | Op.Add | Op.Fadd ->
+          fun ctx ->
+            ctx.regs.!(d0) <- (ctx.regs.!(a) + ctx.regs.!(b));
+            k ctx
+        | Op.Sub ->
+          fun ctx ->
+            ctx.regs.!(d0) <- (ctx.regs.!(a) - ctx.regs.!(b));
+            k ctx
+        | Op.Mul | Op.Fmul ->
+          fun ctx ->
+            ctx.regs.!(d0) <- (ctx.regs.!(a) * ctx.regs.!(b));
+            k ctx
+        | Op.Div | Op.Fdiv ->
+          fun ctx ->
+            let bv = ctx.regs.!(b) in
+            ctx.regs.!(d0) <- (if bv = 0 then 0 else ctx.regs.!(a) / bv);
+            k ctx
+        | Op.Rem ->
+          fun ctx ->
+            let bv = ctx.regs.!(b) in
+            ctx.regs.!(d0) <- (if bv = 0 then 0 else ctx.regs.!(a) mod bv);
+            k ctx
+        | Op.And ->
+          fun ctx ->
+            ctx.regs.!(d0) <- (ctx.regs.!(a) land ctx.regs.!(b));
+            k ctx
+        | Op.Or ->
+          fun ctx ->
+            ctx.regs.!(d0) <- (ctx.regs.!(a) lor ctx.regs.!(b));
+            k ctx
+        | Op.Xor ->
+          fun ctx ->
+            ctx.regs.!(d0) <- (ctx.regs.!(a) lxor ctx.regs.!(b));
+            k ctx
+        | Op.Shl ->
+          fun ctx ->
+            ctx.regs.!(d0) <- (ctx.regs.!(a) lsl (ctx.regs.!(b) land 63));
+            k ctx
+        | Op.Shr ->
+          fun ctx ->
+            ctx.regs.!(d0) <- (ctx.regs.!(a) asr (ctx.regs.!(b) land 63));
+            k ctx
+        | Op.Slt ->
+          fun ctx ->
+            ctx.regs.!(d0) <- (if ctx.regs.!(a) < ctx.regs.!(b) then 1 else 0);
+            k ctx)
     | 1 -> (
-      let d0 = dst.(pc) and a = src1.(pc) and i = imm.(pc) in
-      match alu_op.(pc) with
-      | Op.Add | Op.Fadd ->
-        fun ctx ->
-          State.set_reg ctx.st d0 (State.reg ctx.st a + i);
-          kk ctx
-      | Op.Sub ->
-        fun ctx ->
-          State.set_reg ctx.st d0 (State.reg ctx.st a - i);
-          kk ctx
-      | Op.Mul | Op.Fmul ->
-        fun ctx ->
-          State.set_reg ctx.st d0 (State.reg ctx.st a * i);
-          kk ctx
-      | Op.Div | Op.Fdiv ->
-        if i = 0 then
+      let d0 = reg_of dst pc and a = reg_of src1 pc and i = imm.(pc) in
+      if d0 = 0 then k
+      else
+        match alu_op.(pc) with
+        | Op.Add | Op.Fadd ->
           fun ctx ->
-            State.set_reg ctx.st d0 0;
-            kk ctx
-        else
+            ctx.regs.!(d0) <- (ctx.regs.!(a) + i);
+            k ctx
+        | Op.Sub ->
           fun ctx ->
-            State.set_reg ctx.st d0 (State.reg ctx.st a / i);
-            kk ctx
-      | Op.Rem ->
-        if i = 0 then
+            ctx.regs.!(d0) <- (ctx.regs.!(a) - i);
+            k ctx
+        | Op.Mul | Op.Fmul ->
           fun ctx ->
-            State.set_reg ctx.st d0 0;
-            kk ctx
-        else
+            ctx.regs.!(d0) <- (ctx.regs.!(a) * i);
+            k ctx
+        | Op.Div | Op.Fdiv ->
+          if i = 0 then
+            fun ctx ->
+              ctx.regs.!(d0) <- 0;
+              k ctx
+          else
+            fun ctx ->
+              ctx.regs.!(d0) <- (ctx.regs.!(a) / i);
+              k ctx
+        | Op.Rem ->
+          if i = 0 then
+            fun ctx ->
+              ctx.regs.!(d0) <- 0;
+              k ctx
+          else
+            fun ctx ->
+              ctx.regs.!(d0) <- (ctx.regs.!(a) mod i);
+              k ctx
+        | Op.And ->
           fun ctx ->
-            State.set_reg ctx.st d0 (State.reg ctx.st a mod i);
-            kk ctx
-      | Op.And ->
-        fun ctx ->
-          State.set_reg ctx.st d0 (State.reg ctx.st a land i);
-          kk ctx
-      | Op.Or ->
-        fun ctx ->
-          State.set_reg ctx.st d0 (State.reg ctx.st a lor i);
-          kk ctx
-      | Op.Xor ->
-        fun ctx ->
-          State.set_reg ctx.st d0 (State.reg ctx.st a lxor i);
-          kk ctx
-      | Op.Shl ->
-        let s = i land 63 in
-        fun ctx ->
-          State.set_reg ctx.st d0 (State.reg ctx.st a lsl s);
-          kk ctx
-      | Op.Shr ->
-        let s = i land 63 in
-        fun ctx ->
-          State.set_reg ctx.st d0 (State.reg ctx.st a asr s);
-          kk ctx
-      | Op.Slt ->
-        fun ctx ->
-          State.set_reg ctx.st d0 (if State.reg ctx.st a < i then 1 else 0);
-          kk ctx)
+            ctx.regs.!(d0) <- (ctx.regs.!(a) land i);
+            k ctx
+        | Op.Or ->
+          fun ctx ->
+            ctx.regs.!(d0) <- (ctx.regs.!(a) lor i);
+            k ctx
+        | Op.Xor ->
+          fun ctx ->
+            ctx.regs.!(d0) <- (ctx.regs.!(a) lxor i);
+            k ctx
+        | Op.Shl ->
+          let s = i land 63 in
+          fun ctx ->
+            ctx.regs.!(d0) <- (ctx.regs.!(a) lsl s);
+            k ctx
+        | Op.Shr ->
+          let s = i land 63 in
+          fun ctx ->
+            ctx.regs.!(d0) <- (ctx.regs.!(a) asr s);
+            k ctx
+        | Op.Slt ->
+          fun ctx ->
+            ctx.regs.!(d0) <- (if ctx.regs.!(a) < i then 1 else 0);
+            k ctx)
     | 2 ->
-      let d0 = dst.(pc) and i = imm.(pc) in
-      fun ctx ->
-        State.set_reg ctx.st d0 i;
-        kk ctx
+      let d0 = reg_of dst pc and i = imm.(pc) in
+      if d0 = 0 then k
+      else
+        fun ctx ->
+          ctx.regs.!(d0) <- i;
+          k ctx
     | 3 ->
-      let d0 = dst.(pc) and v = target.(pc) in
-      fun ctx ->
-        State.set_reg ctx.st d0 v;
-        kk ctx
+      let d0 = reg_of dst pc and v = target.(pc) in
+      if d0 = 0 then k
+      else
+        fun ctx ->
+          ctx.regs.!(d0) <- v;
+          k ctx
     | 4 ->
-      let d0 = dst.(pc) and b = src1.(pc) and off = imm.(pc) in
-      if observed then begin
-        let np = pc + 1 in
+      let d0 = reg_of dst pc and b = reg_of src1 pc and off = imm.(pc) in
+      if observed then
         fun ctx ->
           let st = ctx.st in
           State.set_pc st pc;
-          let addr = State.reg st b + off in
-          State.set_reg st d0 (State.mem st addr);
-          ctx.sink ~pc ~taken:false ~next_pc:np ~mem_addr:addr;
+          let addr = ctx.regs.!(b) + off in
+          ctx.addrs.!(slot) <- addr;
+          let v = State.mem st addr in
+          if d0 <> 0 then ctx.regs.!(d0) <- v;
           k ctx
-      end
       else
         fun ctx ->
           let st = ctx.st in
           State.set_pc st pc;
-          let addr = State.reg st b + off in
-          State.set_reg st d0 (State.mem st addr);
+          let addr = ctx.regs.!(b) + off in
+          let v = State.mem st addr in
+          if d0 <> 0 then ctx.regs.!(d0) <- v;
           k ctx
     | 5 ->
-      let s0 = dst.(pc) and b = src1.(pc) and off = imm.(pc) in
+      let s0 = reg_of dst pc and b = reg_of src1 pc and off = imm.(pc) in
       (* ra spills hold code addresses; keep them out of the digest so
          original and rewritten binaries stay comparable. *)
-      let track = not (Reg.equal s0 Reg.ra) in
-      if observed then begin
-        let np = pc + 1 in
+      let track = s0 <> ra_slot in
+      if observed then
         fun ctx ->
           let st = ctx.st in
           State.set_pc st pc;
-          let addr = State.reg st b + off in
-          let v = State.reg st s0 in
+          let addr = ctx.regs.!(b) + off in
+          ctx.addrs.!(slot) <- addr;
+          let v = ctx.regs.!(s0) in
           State.set_mem st addr v;
           if track then State.bump_store_digest st addr v;
-          ctx.sink ~pc ~taken:false ~next_pc:np ~mem_addr:addr;
           k ctx
-      end
       else if track then
         fun ctx ->
           let st = ctx.st in
           State.set_pc st pc;
-          let addr = State.reg st b + off in
-          let v = State.reg st s0 in
+          let addr = ctx.regs.!(b) + off in
+          let v = ctx.regs.!(s0) in
           State.set_mem st addr v;
           State.bump_store_digest st addr v;
           k ctx
@@ -444,78 +472,97 @@ let make_variant (d : Decode.t) ~block_idx ~block_start ~block_len ~nb
         fun ctx ->
           let st = ctx.st in
           State.set_pc st pc;
-          let addr = State.reg st b + off in
-          State.set_mem st addr (State.reg st s0);
+          let addr = ctx.regs.!(b) + off in
+          State.set_mem st addr (ctx.regs.!(s0));
           k ctx
-    | 10 -> kk (* Nop compiles to nothing in the fast variant *)
-    | 12 -> fun _ctx -> unres pc
+    | 10 -> k (* Nop compiles to nothing *)
+    | 12 -> fun ctx -> unres ctx pc
     | _ -> assert false (* terminators are compiled by compile_term *)
   in
-  (* A block's terminator: control transfer baked at compile time,
-     observation stream in the decoded interpreter's exact order
-     ([on_branch] inside the dispatch, retirement sink after, faults on
-     unresolved taken branches before either). *)
-  let compile_term pc =
+  (* A block's terminator: control transfer baked at compile time.  In
+     the observed variant it reports the block's run [start, start +
+     len) before transferring, then fires [on_branch] for a conditional
+     branch; a taken unresolved branch faults before either. *)
+  let compile_term start len pc =
     match tag.(pc) with
     | 6 ->
-      let a = src1.(pc) and b = src2.(pc) in
+      let a = reg_of src1 pc and b = reg_of src2 pc in
       let tpc = target.(pc) and np = pc + 1 in
       let gt = goto tpc and gf = goto np in
       if observed then begin
-        let test = Op.eval_cond cond.(pc) in
-        fun ctx ->
-          ctx.branches <- ctx.branches + 1;
-          let st = ctx.st in
-          let t = test (State.reg st a) (State.reg st b) in
-          ctx.on_branch ~pc ~taken:t;
+        let br ctx t =
+          ctx.run_start <- -1;
           if t then begin
-            ctx.sink ~pc ~taken:true ~next_pc:tpc ~mem_addr:(-1);
+            ctx.on_run ~addrs:ctx.addrs ~start ~len ~taken:true ~next_pc:tpc;
+            ctx.on_branch ~pc ~taken:true;
             gt ctx
           end
           else begin
-            ctx.sink ~pc ~taken:false ~next_pc:np ~mem_addr:(-1);
+            ctx.on_run ~addrs:ctx.addrs ~start ~len ~taken:false ~next_pc:np;
+            ctx.on_branch ~pc ~taken:false;
             gf ctx
           end
+        in
+        match cond.(pc) with
+        | Op.Eq ->
+          fun ctx ->
+            ctx.branches <- ctx.branches + 1;
+            br ctx (ctx.regs.!(a) = ctx.regs.!(b))
+        | Op.Ne ->
+          fun ctx ->
+            ctx.branches <- ctx.branches + 1;
+            br ctx (ctx.regs.!(a) <> ctx.regs.!(b))
+        | Op.Lt ->
+          fun ctx ->
+            ctx.branches <- ctx.branches + 1;
+            br ctx (ctx.regs.!(a) < ctx.regs.!(b))
+        | Op.Le ->
+          fun ctx ->
+            ctx.branches <- ctx.branches + 1;
+            br ctx (ctx.regs.!(a) <= ctx.regs.!(b))
+        | Op.Gt ->
+          fun ctx ->
+            ctx.branches <- ctx.branches + 1;
+            br ctx (ctx.regs.!(a) > ctx.regs.!(b))
+        | Op.Ge ->
+          fun ctx ->
+            ctx.branches <- ctx.branches + 1;
+            br ctx (ctx.regs.!(a) >= ctx.regs.!(b))
       end
       else begin
         match cond.(pc) with
         | Op.Eq ->
           fun ctx ->
             ctx.branches <- ctx.branches + 1;
-            let st = ctx.st in
-            if State.reg st a = State.reg st b then gt ctx else gf ctx
+            if ctx.regs.!(a) = ctx.regs.!(b) then gt ctx else gf ctx
         | Op.Ne ->
           fun ctx ->
             ctx.branches <- ctx.branches + 1;
-            let st = ctx.st in
-            if State.reg st a <> State.reg st b then gt ctx else gf ctx
+            if ctx.regs.!(a) <> ctx.regs.!(b) then gt ctx else gf ctx
         | Op.Lt ->
           fun ctx ->
             ctx.branches <- ctx.branches + 1;
-            let st = ctx.st in
-            if State.reg st a < State.reg st b then gt ctx else gf ctx
+            if ctx.regs.!(a) < ctx.regs.!(b) then gt ctx else gf ctx
         | Op.Le ->
           fun ctx ->
             ctx.branches <- ctx.branches + 1;
-            let st = ctx.st in
-            if State.reg st a <= State.reg st b then gt ctx else gf ctx
+            if ctx.regs.!(a) <= ctx.regs.!(b) then gt ctx else gf ctx
         | Op.Gt ->
           fun ctx ->
             ctx.branches <- ctx.branches + 1;
-            let st = ctx.st in
-            if State.reg st a > State.reg st b then gt ctx else gf ctx
+            if ctx.regs.!(a) > ctx.regs.!(b) then gt ctx else gf ctx
         | Op.Ge ->
           fun ctx ->
             ctx.branches <- ctx.branches + 1;
-            let st = ctx.st in
-            if State.reg st a >= State.reg st b then gt ctx else gf ctx
+            if ctx.regs.!(a) >= ctx.regs.!(b) then gt ctx else gf ctx
       end
     | 7 ->
       let tpc = target.(pc) in
       let g = goto tpc in
       if observed then
         fun ctx ->
-          ctx.sink ~pc ~taken:true ~next_pc:tpc ~mem_addr:(-1);
+          ctx.run_start <- -1;
+          ctx.on_run ~addrs:ctx.addrs ~start ~len ~taken:true ~next_pc:tpc;
           g ctx
       else g
     | 8 ->
@@ -524,12 +571,13 @@ let make_variant (d : Decode.t) ~block_idx ~block_start ~block_len ~nb
       let link = pc + 1 in
       if observed then
         fun ctx ->
-          State.set_reg ctx.st Reg.ra link;
-          ctx.sink ~pc ~taken:true ~next_pc:tpc ~mem_addr:(-1);
+          ctx.regs.!(ra_slot) <- link;
+          ctx.run_start <- -1;
+          ctx.on_run ~addrs:ctx.addrs ~start ~len ~taken:true ~next_pc:tpc;
           g ctx
       else
         fun ctx ->
-          State.set_reg ctx.st Reg.ra link;
+          ctx.regs.!(ra_slot) <- link;
           g ctx
     | 9 ->
       (* The return target is dynamic; the interpreter's leader check
@@ -537,19 +585,21 @@ let make_variant (d : Decode.t) ~block_idx ~block_start ~block_len ~nb
          leaders by construction). *)
       if observed then
         fun ctx ->
-          let ra = State.reg ctx.st Reg.ra in
+          let ra = ctx.regs.!(ra_slot) in
+          ctx.run_start <- -1;
           if ra = State.halt_address then begin
             ctx.halted <- true;
             State.set_pc ctx.st pc;
-            ctx.sink ~pc ~taken:true ~next_pc:State.halt_address ~mem_addr:(-1)
+            ctx.on_run ~addrs:ctx.addrs ~start ~len ~taken:true
+              ~next_pc:State.halt_address
           end
           else begin
-            ctx.sink ~pc ~taken:true ~next_pc:ra ~mem_addr:(-1);
+            ctx.on_run ~addrs:ctx.addrs ~start ~len ~taken:true ~next_pc:ra;
             interp ctx ra
           end
       else
         fun ctx ->
-          let ra = State.reg ctx.st Reg.ra in
+          let ra = ctx.regs.!(ra_slot) in
           if ra = State.halt_address then begin
             ctx.halted <- true;
             State.set_pc ctx.st pc
@@ -560,37 +610,41 @@ let make_variant (d : Decode.t) ~block_idx ~block_start ~block_len ~nb
         fun ctx ->
           ctx.halted <- true;
           State.set_pc ctx.st pc;
-          ctx.sink ~pc ~taken:false ~next_pc:State.halt_address ~mem_addr:(-1)
+          ctx.run_start <- -1;
+          ctx.on_run ~addrs:ctx.addrs ~start ~len ~taken:false
+            ~next_pc:State.halt_address
       else
         fun ctx ->
           ctx.halted <- true;
           State.set_pc ctx.st pc
     | 13 ->
-      let a = src1.(pc) and b = src2.(pc) in
+      let a = reg_of src1 pc and b = reg_of src2 pc in
       let test = Op.eval_cond cond.(pc) in
       let np = pc + 1 in
       let g = goto np in
       if observed then
         fun ctx ->
           ctx.branches <- ctx.branches + 1;
-          if test (State.reg ctx.st a) (State.reg ctx.st b) then unres pc;
+          if test (ctx.regs.!(a)) (ctx.regs.!(b)) then unres ctx pc;
+          ctx.run_start <- -1;
+          ctx.on_run ~addrs:ctx.addrs ~start ~len ~taken:false ~next_pc:np;
           ctx.on_branch ~pc ~taken:false;
-          ctx.sink ~pc ~taken:false ~next_pc:np ~mem_addr:(-1);
           g ctx
       else
         fun ctx ->
           ctx.branches <- ctx.branches + 1;
-          if test (State.reg ctx.st a) (State.reg ctx.st b) then unres pc;
+          if test (ctx.regs.!(a)) (ctx.regs.!(b)) then unres ctx pc;
           g ctx
-    | 14 | 15 -> fun _ctx -> unres pc
+    | 14 | 15 -> fun ctx -> unres ctx pc
     | _ -> assert false
   in
-  let rec compile_from pc stop =
-    if pc = stop then begin
-      if is_terminator tag.(pc) then compile_term pc
-      else compile_straight pc (goto (pc + 1))
+  let rec compile_from start len pc =
+    let slot = pc - start in
+    if slot = len - 1 then begin
+      if is_terminator tag.(pc) then compile_term start len pc
+      else compile_straight pc slot (fall_through start len (goto (pc + 1)))
     end
-    else compile_straight pc (compile_from (pc + 1) stop)
+    else compile_straight pc slot (compile_from start len (pc + 1))
   in
   for b = 0 to nb - 1 do
     let start = block_start.(b) in
@@ -599,9 +653,18 @@ let make_variant (d : Decode.t) ~block_idx ~block_start ~block_len ~nb
     (* Whole-block package accounting: the block's pcs at or above
        [orig_limit], added in one bump. *)
     let pkg = if stop >= orig_limit then stop - max start orig_limit + 1 else 0 in
-    let body = compile_from start stop in
+    let body = compile_from start len start in
     blocks.(b) <-
-      (if pkg = 0 then
+      (if observed then
+         fun ctx ->
+           if ctx.fuel_left < len then interp ctx start
+           else begin
+             ctx.fuel_left <- ctx.fuel_left - len;
+             ctx.pkg <- ctx.pkg + pkg;
+             ctx.run_start <- start;
+             body ctx
+           end
+       else if pkg = 0 then
          fun ctx ->
            if ctx.fuel_left < len then interp ctx start
            else begin
@@ -627,26 +690,31 @@ let compile (d : Decode.t) =
     block_idx;
     block_start;
     block_len;
-    fast = make_variant d ~block_idx ~block_start ~block_len ~nb ~observed:false;
-    observed =
-      make_variant d ~block_idx ~block_start ~block_len ~nb ~observed:true;
+    max_len = Array.fold_left max 1 block_len;
+    fast = None;
+    observed = None;
   }
 
-(* One-slot domain-local memo keyed by physical image identity,
+let variant t ~observed =
+  match if observed then t.observed else t.fast with
+  | Some v -> v
+  | None ->
+    let v =
+      make_variant t.decode ~block_idx:t.block_idx ~block_start:t.block_start
+        ~block_len:t.block_len ~nb:t.n_blocks ~observed
+    in
+    if observed then t.observed <- Some v else t.fast <- Some v;
+    v
+
+(* Two-entry domain-local memo keyed by physical image identity,
    mirroring the decode memo: the pipelines run the same immutable
-   image over and over, and the compiled form is pure data derived
-   from it. *)
-let memo : (Image.t * t) option ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref None)
+   images over and over (an original and its rewrite alternate), and
+   the compiled form is pure data derived from one. *)
+let memo = Vp_util.Identity_memo.create ()
 
 let of_image (image : Image.t) =
-  let slot = Domain.DLS.get memo in
-  match !slot with
-  | Some (key, c) when key == image -> c
-  | _ ->
-    let c = compile (Decode.of_image image) in
-    slot := Some (image, c);
-    c
+  Vp_util.Identity_memo.find_or_add memo image (fun image ->
+      compile (Decode.of_image image))
 
 let decode t = t.decode
 let block_count t = t.n_blocks
@@ -654,26 +722,41 @@ let block_of_pc t pc = t.block_idx.(pc)
 let block_bounds t b = (t.block_start.(b), t.block_len.(b))
 
 let noop_branch ~pc:_ ~taken:_ = ()
-let noop_sink ~pc:_ ~taken:_ ~next_pc:_ ~mem_addr:_ = ()
+let noop_run ~addrs:_ ~start:_ ~len:_ ~taken:_ ~next_pc:_ = ()
 
-let exec t st ~fuel ?on_branch ?sink () =
-  let observe =
-    (match on_branch with Some _ -> true | None -> false)
-    || match sink with Some _ -> true | None -> false
-  in
+let exec t st ~fuel ?on_branch ?on_run () =
+  let observed = Option.is_some on_branch || Option.is_some on_run in
   let ctx =
     {
       st;
+      regs = State.regs st;
       fuel_left = fuel;
       pkg = 0;
       branches = 0;
       halted = false;
-      on_branch = (match on_branch with Some f -> f | None -> noop_branch);
-      sink = (match sink with Some f -> f | None -> noop_sink);
+      run_start = -1;
+      addrs = Array.make (if observed then t.max_len else 1) 0;
+      on_branch = Option.value on_branch ~default:noop_branch;
+      on_run = Option.value on_run ~default:noop_run;
     }
   in
-  let v = if observe then t.observed else t.fast in
-  v.enter ctx (State.pc st);
+  (try (variant t ~observed).enter ctx (State.pc st)
+   with e ->
+     (* An exception escaping mid-block (a memory fault, an executed
+        unresolved label) leaves the block's retired prefix unreported:
+        the faulting instruction published its pc, so the prefix is
+        [run_start, pc).  A try per block would break the tail calls;
+        this one handler covers the whole run. *)
+     let bt = Printexc.get_raw_backtrace () in
+     let start = ctx.run_start in
+     if start >= 0 then begin
+       ctx.run_start <- -1;
+       let len = State.pc st - start in
+       if len > 0 then
+         ctx.on_run ~addrs:ctx.addrs ~start ~len ~taken:false
+           ~next_pc:(start + len)
+     end;
+     Printexc.raise_with_backtrace e bt);
   {
     instructions = fuel - ctx.fuel_left;
     package_instructions = ctx.pkg;

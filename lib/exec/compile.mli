@@ -11,12 +11,14 @@
     fits in the remaining fuel falls back to a boundary interpreter
     with per-instruction accounting, so outcomes are exact.
 
-    Two specialized variants of every block are compiled: a fast one
-    with no observation code at all, and an observed one feeding the
-    run's [on_branch]/[sink] closures.  {!exec} picks the variant from
-    the observers it is given; outcomes, checksums and observation
-    streams are bit-identical to [Emulator.run_decoded], which stays
-    the differential oracle. *)
+    Two specialized variants of every block exist, each compiled on
+    first use: a fast one with no observation code at all, and a
+    run-observed one that reports retirement {e runs} (see {!on_run})
+    and conditional-branch outcomes.  {!exec} picks the variant from
+    the observers it is given; outcomes and checksums are
+    bit-identical to [Emulator.run_decoded], which stays the
+    differential oracle, and so is the per-instruction stream a run
+    expands to. *)
 
 type t
 
@@ -30,11 +32,12 @@ type result = {
     checksum/result/final pc from it. *)
 
 val compile : Decode.t -> t
-(** Compile every basic block of the decoded image.  O(size); all
-    specialization happens here so execution never matches on tags. *)
+(** Partition the decoded image into basic blocks.  O(size); each
+    variant's closures are built on its first {!exec}, where all
+    specialization happens so execution never matches on tags. *)
 
 val of_image : Vp_prog.Image.t -> t
-(** {!compile} through a one-slot domain-local memo keyed by physical
+(** {!compile} through a two-entry domain-local memo keyed by physical
     image identity, like [Decode.of_image]. *)
 
 val decode : t -> Decode.t
@@ -47,17 +50,33 @@ val block_of_pc : t -> int -> int
 val block_bounds : t -> int -> int * int
 (** [(start pc, length)] of one block. *)
 
+type on_run =
+  addrs:int array -> start:int -> len:int -> taken:bool -> next_pc:int -> unit
+(** One retirement run: the instructions [start .. start + len - 1]
+    retired in sequence.  Every instruction but the last is a
+    straight-line one (not taken, next pc = pc + 1); [taken] and
+    [next_pc] describe the last.  A load or store at [pc] left its
+    effective address in [addrs.(pc - start)]; the other slots hold
+    stale values.  [addrs] belongs to the executing run and is
+    overwritten by the next one.  Blocks report one run each (their
+    terminator or fall-through end makes the call); the boundary
+    interpreter reports runs of length 1, so fuel cuts stay exact. *)
+
 val exec :
   t ->
   State.t ->
   fuel:int ->
   ?on_branch:(pc:int -> taken:bool -> unit) ->
-  ?sink:(pc:int -> taken:bool -> next_pc:int -> mem_addr:int -> unit) ->
+  ?on_run:on_run ->
   unit ->
   result
 (** Run compiled code from the state's current pc until halt, a return
     to {!State.halt_address}, or fuel exhaustion, leaving the final pc
-    in the state exactly as [Emulator.run_decoded] would.  [sink] is
-    the fused retirement channel ([mem_addr] is -1 for non-memory
-    instructions); observer-present runs use the observed compiled
-    variant, observer-free runs the fast one. *)
+    in the state exactly as [Emulator.run_decoded] would.
+    Observer-present runs use the run-observed variant, observer-free
+    runs the fast one.  A conditional branch's [on_branch] fires right
+    after the run it ends.  An exception escaping mid-block (a
+    {!State.Fault}, an executed unresolved label) first reports the
+    block's retired prefix — the instructions before the faulting one —
+    as a run, so the observers see exactly the retirements the decoded
+    interpreter would have fed them. *)

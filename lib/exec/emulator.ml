@@ -3,14 +3,6 @@ module Op = Vp_isa.Op
 module Reg = Vp_isa.Reg
 module Image = Vp_prog.Image
 
-type event = {
-  pc : int;
-  instr : Instr.t;
-  taken : bool;
-  next_pc : int;
-  mem_addr : int option;
-}
-
 type outcome = {
   instructions : int;
   package_instructions : int;
@@ -48,7 +40,7 @@ let unresolved code pc =
    leaves the final pc in the state so a later slice (possibly over a
    different image sharing the same address space) resumes exactly where
    this one stopped.  Counts in the outcome cover only this slice. *)
-let decoded_slice st ~fuel ?on_branch ?on_event ?on_retire (d : Decode.t) =
+let decoded_slice st ~fuel ?on_branch ?on_retire (d : Decode.t) =
   let instructions = ref 0 in
   let package_instructions = ref 0 in
   let cond_branches = ref 0 in
@@ -66,7 +58,7 @@ let decoded_slice st ~fuel ?on_branch ?on_event ?on_retire (d : Decode.t) =
   let size = Array.length tag in
   (* Per-instruction scratch, allocated once for the whole run: the
      retire loop writes plain ints and bools here instead of
-     allocating an event record or a [mem_addr] option. *)
+     allocating a record or a [mem_addr] option. *)
   let taken = ref false in
   let mem_addr = ref (-1) in
   let next = ref 0 in
@@ -137,17 +129,6 @@ let decoded_slice st ~fuel ?on_branch ?on_event ?on_retire (d : Decode.t) =
       if t then unresolved code pc;
       (match on_branch with Some f -> f ~pc ~taken:t | None -> ())
     | _ (* La/Jmp/Call with an unresolved label *) -> unresolved code pc);
-    (match on_event with
-    | Some f ->
-      f
-        {
-          pc;
-          instr = code.(pc);
-          taken = !taken;
-          next_pc = !next;
-          mem_addr = (if !mem_addr < 0 then None else Some !mem_addr);
-        }
-    | None -> ());
     (match on_retire with
     | Some f -> f ~pc ~taken:!taken ~next_pc:!next ~mem_addr:!mem_addr
     | None -> ());
@@ -164,48 +145,52 @@ let decoded_slice st ~fuel ?on_branch ?on_event ?on_retire (d : Decode.t) =
   }
 
 let run_decoded ?(fuel = 200_000_000) ?(mem_words = 1 lsl 20) ?on_branch
-    ?on_event ?on_retire (d : Decode.t) =
+    ?on_retire (d : Decode.t) =
   let st = State.create ~mem_words d.Decode.image in
-  let outcome = decoded_slice st ~fuel ?on_branch ?on_event ?on_retire d in
+  let outcome = decoded_slice st ~fuel ?on_branch ?on_retire d in
   (* The state never escapes this function; recycle its memory array. *)
   State.release st;
   outcome
 
-let run ?fuel ?mem_words ?on_branch ?on_event ?on_retire image =
-  run_decoded ?fuel ?mem_words ?on_branch ?on_event ?on_retire
-    (Decode.of_image image)
+let run ?fuel ?mem_words ?on_branch ?on_retire image =
+  run_decoded ?fuel ?mem_words ?on_branch ?on_retire (Decode.of_image image)
 
-(* Fuse the two retirement channels into the compiler's single sink,
-   preserving the decoded loop's order: [on_event] (boxed record)
-   first, then [on_retire] (plain ints).  With neither present the
-   sink is [None] and exec selects the observer-free compiled
-   variant. *)
-let fused_sink image ~on_event ~on_retire =
-  match (on_event, on_retire) with
-  | None, None -> None
-  | _ ->
-    let code = image.Image.code in
-    Some
-      (fun ~pc ~taken ~next_pc ~mem_addr ->
-        (match on_event with
-        | Some f ->
-          f
-            {
-              pc;
-              instr = code.(pc);
-              taken;
-              next_pc;
-              mem_addr = (if mem_addr < 0 then None else Some mem_addr);
-            }
-        | None -> ());
-        match on_retire with
-        | Some f -> f ~pc ~taken ~next_pc ~mem_addr
-        | None -> ())
+let noop_branch ~pc:_ ~taken:_ = ()
 
-let compiled_slice st ~fuel ?on_branch ?on_event ?on_retire (c : Compile.t) =
-  let image = (Compile.decode c).Decode.image in
-  let sink = fused_sink image ~on_event ~on_retire in
-  let r = Compile.exec c st ~fuel ?on_branch ?sink () in
+(* Expand the compiled backend's retirement runs into the decoded
+   loop's per-instruction stream, in its exact order: every
+   instruction of the run retires in turn, and a run-ending
+   conditional branch fires [on_branch] just before its own
+   retirement.  [Compile.exec] then gets no [on_branch] of its own. *)
+let expand_runs (d : Decode.t) ~on_branch ~on_retire =
+  let tag = d.Decode.tag in
+  fun ~addrs ~start ~len ~taken ~next_pc ->
+    let last = start + len - 1 in
+    for pc = start to last do
+      let t = tag.!(pc) in
+      let mem_addr =
+        if t = Decode.tag_load || t = Decode.tag_store then addrs.!(pc - start)
+        else -1
+      in
+      if pc < last then
+        on_retire ~pc ~taken:false ~next_pc:(pc + 1) ~mem_addr
+      else begin
+        if t = Decode.tag_br || t = Decode.tag_br_unresolved then
+          on_branch ~pc ~taken;
+        on_retire ~pc ~taken ~next_pc ~mem_addr
+      end
+    done
+
+let compiled_slice st ~fuel ?on_branch ?on_retire (c : Compile.t) =
+  let r =
+    match on_retire with
+    | None -> Compile.exec c st ~fuel ?on_branch ()
+    | Some on_retire ->
+      let on_branch = Option.value on_branch ~default:noop_branch in
+      Compile.exec c st ~fuel
+        ~on_run:(expand_runs (Compile.decode c) ~on_branch ~on_retire)
+        ()
+  in
   {
     instructions = r.Compile.instructions;
     package_instructions = r.Compile.package_instructions;
@@ -217,10 +202,10 @@ let compiled_slice st ~fuel ?on_branch ?on_event ?on_retire (c : Compile.t) =
   }
 
 let run_compiled ?(fuel = 200_000_000) ?(mem_words = 1 lsl 20) ?on_branch
-    ?on_event ?on_retire (c : Compile.t) =
+    ?on_retire (c : Compile.t) =
   let image = (Compile.decode c).Decode.image in
   let st = State.create ~mem_words image in
-  let outcome = compiled_slice st ~fuel ?on_branch ?on_event ?on_retire c in
+  let outcome = compiled_slice st ~fuel ?on_branch ?on_retire c in
   State.release st;
   outcome
 
@@ -242,7 +227,7 @@ let all_backends = [ Reference; Decoded; Compiled ]
 (* The original boxed interpreter, kept verbatim as the executable
    specification: the differential tests re-run every workload through
    it and require bit-identical outcomes from the decoded core. *)
-let reference_slice st ~fuel ?on_branch ?on_event image =
+let reference_slice st ~fuel ?on_branch ?on_retire image =
   let instructions = ref 0 in
   let package_instructions = ref 0 in
   let cond_branches = ref 0 in
@@ -258,7 +243,7 @@ let reference_slice st ~fuel ?on_branch ?on_event image =
     incr instructions;
     if pc >= orig_limit then incr package_instructions;
     let taken = ref false in
-    let mem_addr = ref None in
+    let mem_addr = ref (-1) in
     let next = ref (pc + 1) in
     (match instr with
     | Instr.Alu { op; dst; src1; src2 } ->
@@ -267,11 +252,11 @@ let reference_slice st ~fuel ?on_branch ?on_event image =
     | Instr.La { dst; target } -> State.set_reg st dst (target_addr target)
     | Instr.Load { dst; base; offset } ->
       let addr = State.reg st base + offset in
-      mem_addr := Some addr;
+      mem_addr := addr;
       State.set_reg st dst (State.mem st addr)
     | Instr.Store { src; base; offset } ->
       let addr = State.reg st base + offset in
-      mem_addr := Some addr;
+      mem_addr := addr;
       let v = State.reg st src in
       State.set_mem st addr v;
       if not (Reg.equal src Reg.ra) then State.bump_store_digest st addr v
@@ -300,9 +285,8 @@ let reference_slice st ~fuel ?on_branch ?on_event image =
     | Instr.Halt ->
       halted := true;
       next := State.halt_address);
-    (match on_event with
-    | Some f ->
-      f { pc; instr; taken = !taken; next_pc = !next; mem_addr = !mem_addr }
+    (match on_retire with
+    | Some f -> f ~pc ~taken:!taken ~next_pc:!next ~mem_addr:!mem_addr
     | None -> ());
     if not !halted then State.set_pc st !next
   done;
@@ -317,48 +301,27 @@ let reference_slice st ~fuel ?on_branch ?on_event image =
   }
 
 let run_reference ?(fuel = 200_000_000) ?(mem_words = 1 lsl 20) ?on_branch
-    ?on_event image =
+    ?on_retire image =
   let st = State.create ~mem_words image in
-  reference_slice st ~fuel ?on_branch ?on_event image
+  reference_slice st ~fuel ?on_branch ?on_retire image
 
-(* The reference interpreter has no native [on_retire]; adapt it onto
-   the event stream so the backend choice is transparent to retire-feed
-   consumers (telemetry, the timing model, session depth tracking). *)
-let adapt_retire ~on_event ~on_retire =
-  match on_retire with
-  | None -> on_event
-  | Some r ->
-    Some
-      (fun e ->
-        (match on_event with Some f -> f e | None -> ());
-        r ~pc:e.pc ~taken:e.taken ~next_pc:e.next_pc
-          ~mem_addr:(match e.mem_addr with Some a -> a | None -> -1))
+let run_slice ?(backend = Decoded) ~state ~fuel ?on_branch ?on_retire image =
+  match backend with
+  | Decoded ->
+    decoded_slice state ~fuel ?on_branch ?on_retire (Decode.of_image image)
+  | Compiled ->
+    compiled_slice state ~fuel ?on_branch ?on_retire (Compile.of_image image)
+  | Reference -> reference_slice state ~fuel ?on_branch ?on_retire image
 
-let run_slice ?(backend = Decoded) ~state ~fuel ?on_branch ?on_event ?on_retire
+let run_backend ?(backend = Decoded) ?fuel ?mem_words ?on_branch ?on_retire
     image =
   match backend with
   | Decoded ->
-    decoded_slice state ~fuel ?on_branch ?on_event ?on_retire
-      (Decode.of_image image)
+    run_decoded ?fuel ?mem_words ?on_branch ?on_retire (Decode.of_image image)
   | Compiled ->
-    compiled_slice state ~fuel ?on_branch ?on_event ?on_retire
+    run_compiled ?fuel ?mem_words ?on_branch ?on_retire
       (Compile.of_image image)
-  | Reference ->
-    let on_event = adapt_retire ~on_event ~on_retire in
-    reference_slice state ~fuel ?on_branch ?on_event image
-
-let run_backend ?(backend = Decoded) ?fuel ?mem_words ?on_branch ?on_event
-    ?on_retire image =
-  match backend with
-  | Decoded ->
-    run_decoded ?fuel ?mem_words ?on_branch ?on_event ?on_retire
-      (Decode.of_image image)
-  | Compiled ->
-    run_compiled ?fuel ?mem_words ?on_branch ?on_event ?on_retire
-      (Compile.of_image image)
-  | Reference ->
-    let on_event = adapt_retire ~on_event ~on_retire in
-    run_reference ?fuel ?mem_words ?on_branch ?on_event image
+  | Reference -> run_reference ?fuel ?mem_words ?on_branch ?on_retire image
 
 let aggregate_branch_profile ?fuel ?mem_words image =
   let d = Decode.of_image image in

@@ -1,27 +1,20 @@
 (** Functional (architectural) emulation of a binary image.
 
     The emulator retires one instruction at a time over the predecoded
-    form ({!Decode}) and exposes three observation channels:
+    form ({!Decode}) and exposes two observation channels:
 
     - [on_branch] fires at every conditional-branch retirement with
       the branch's static address and its outcome — exactly the event
       stream the Hot Spot Detector consumes;
-    - [on_retire] fires at every retirement with plain int arguments —
-      the allocation-free channel the trace-driven timing model uses;
-    - [on_event] fires at every retirement with a boxed {!event}
-      record (legacy tracing interface; allocates one record per
-      retired instruction).
+    - [on_retire] fires at every retirement with plain int arguments:
+      the pc, [taken] (the outcome of a conditional branch, true for
+      jumps, calls and returns), [next_pc] ({!State.halt_address} when
+      the machine stops) and [mem_addr] (the effective address of a
+      load or store, [-1] for every other instruction — no address in
+      this machine is negative).
 
-    All are optional; with only [on_branch] and [on_retire] the retire
-    loop performs no per-instruction heap allocation. *)
-
-type event = {
-  pc : int;
-  instr : Vp_isa.Instr.t;
-  taken : bool;  (** meaningful for conditional branches; true for jumps *)
-  next_pc : int;  (** {!State.halt_address} when the machine stops *)
-  mem_addr : int option;  (** effective address of a load/store *)
-}
+    Both are optional, and neither allocates per retired instruction.
+    A conditional branch fires [on_branch] before its [on_retire]. *)
 
 type outcome = {
   instructions : int;  (** dynamic instructions retired *)
@@ -37,7 +30,6 @@ val run :
   ?fuel:int ->
   ?mem_words:int ->
   ?on_branch:(pc:int -> taken:bool -> unit) ->
-  ?on_event:(event -> unit) ->
   ?on_retire:(pc:int -> taken:bool -> next_pc:int -> mem_addr:int -> unit) ->
   Vp_prog.Image.t ->
   outcome
@@ -55,20 +47,15 @@ val run_decoded :
   ?fuel:int ->
   ?mem_words:int ->
   ?on_branch:(pc:int -> taken:bool -> unit) ->
-  ?on_event:(event -> unit) ->
   ?on_retire:(pc:int -> taken:bool -> next_pc:int -> mem_addr:int -> unit) ->
   Decode.t ->
   outcome
-(** {!run} over a predecoded image.  [on_retire] is the
-    allocation-free equivalent of [on_event]: [mem_addr] is the
-    effective address of a load/store and [-1] for every other
-    instruction (no address in this machine is negative). *)
+(** {!run} over a predecoded image. *)
 
 val run_compiled :
   ?fuel:int ->
   ?mem_words:int ->
   ?on_branch:(pc:int -> taken:bool -> unit) ->
-  ?on_event:(event -> unit) ->
   ?on_retire:(pc:int -> taken:bool -> next_pc:int -> mem_addr:int -> unit) ->
   Compile.t ->
   outcome
@@ -76,9 +63,11 @@ val run_compiled :
     basic blocks execute straight-line with per-block fuel checks and
     direct block-to-block dispatch.  Outcomes, checksums and
     observation streams are bit-identical to {!run_decoded}, which
-    stays the differential oracle; [on_event]/[on_retire] are fused
-    into one compiled retirement sink, and a run with no observers at
-    all executes the observer-free compiled variant. *)
+    stays the differential oracle.  The compiled code reports one
+    retirement run per block ({!Compile.on_run}), which is expanded
+    here into the per-instruction [on_retire] stream; with only
+    [on_branch] attached no expansion happens, and a run with no
+    observers at all executes the observer-free compiled variant. *)
 
 type backend = Reference | Decoded | Compiled
 (** Which execution core runs the workload: the boxed reference
@@ -98,21 +87,18 @@ val run_backend :
   ?fuel:int ->
   ?mem_words:int ->
   ?on_branch:(pc:int -> taken:bool -> unit) ->
-  ?on_event:(event -> unit) ->
   ?on_retire:(pc:int -> taken:bool -> next_pc:int -> mem_addr:int -> unit) ->
   Vp_prog.Image.t ->
   outcome
 (** {!run} through the chosen backend (default [Decoded]), going
-    through the decode/compile memos.  The reference backend has no
-    native [on_retire]; it is adapted onto the event stream, so every
-    backend serves the same observation channels. *)
+    through the decode/compile memos.  Every backend serves the same
+    observation channels. *)
 
 val run_slice :
   ?backend:backend ->
   state:State.t ->
   fuel:int ->
   ?on_branch:(pc:int -> taken:bool -> unit) ->
-  ?on_event:(event -> unit) ->
   ?on_retire:(pc:int -> taken:bool -> next_pc:int -> mem_addr:int -> unit) ->
   Vp_prog.Image.t ->
   outcome
@@ -132,7 +118,7 @@ val run_reference :
   ?fuel:int ->
   ?mem_words:int ->
   ?on_branch:(pc:int -> taken:bool -> unit) ->
-  ?on_event:(event -> unit) ->
+  ?on_retire:(pc:int -> taken:bool -> next_pc:int -> mem_addr:int -> unit) ->
   Vp_prog.Image.t ->
   outcome
 (** The original boxed interpreter over [Instr.t], kept as the

@@ -96,6 +96,7 @@ let create ~mem_words image =
     image.Image.data_init;
   t
 
+let regs t = t.regs
 let pc t = t.program_counter
 let set_pc t v = t.program_counter <- v
 

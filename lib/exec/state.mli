@@ -26,6 +26,12 @@ val release : t -> unit
 val pc : t -> int
 val set_pc : t -> int -> unit
 
+val regs : t -> int array
+(** The register file itself, indexed by register number, for code
+    that reads and writes registers without a call per access (the
+    compiled backend).  Slot 0 holds 0 and a writer must never store
+    into it: that keeps {!reg}'s zero-register rule. *)
+
 val reg : t -> Vp_isa.Reg.t -> int
 val set_reg : t -> Vp_isa.Reg.t -> int -> unit
 

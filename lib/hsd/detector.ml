@@ -94,7 +94,10 @@ let on_branch t ~pc ~taken =
   | Bbb.Candidate -> let v = t.hdc - t.cfg.Config.hdc_dec in
     t.hdc <- (if v > 0 then v else 0)
   | Bbb.Non_candidate | Bbb.Dropped ->
-    t.hdc <- Stdlib.min hdc_max (t.hdc + t.cfg.Config.hdc_inc));
+    (* Int compare, not [Stdlib.min]: the polymorphic one is a real
+       call on this per-branch path. *)
+    let v = t.hdc + t.cfg.Config.hdc_inc in
+    t.hdc <- (if v < hdc_max then v else hdc_max));
   if t.hdc = 0 then begin
     t.raw_detections <- t.raw_detections + 1;
     (match t.hook_detect with

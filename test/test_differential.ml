@@ -95,11 +95,15 @@ let test_workload w () =
    snapshot streams, aggregate profiles and the whole observation
    sequence, not just the final state. *)
 
-let retire_digest_ref () =
+let stream_digest_ref () =
   (* FNV-1a folded into OCaml's 63-bit native int (basis truncated). *)
   let h = ref 0x3bf29ce484222325 in
   let mix x = h := (!h lxor x) * 0x100000001b3 in
   ( h,
+    (fun ~pc ~taken ->
+      mix (-2);
+      mix pc;
+      mix (if taken then 1 else 0)),
     fun ~pc ~taken ~next_pc ~mem_addr ->
       mix pc;
       mix (if taken then 1 else 0);
@@ -109,12 +113,13 @@ let retire_digest_ref () =
 let observe_backend backend image =
   let detector = Detector.create ~config:Vp_hsd.Config.default () in
   let agg : (int, int * int) Hashtbl.t = Hashtbl.create 256 in
+  let digest, branch_digest, on_retire = stream_digest_ref () in
   let on_branch ~pc ~taken =
     Detector.on_branch detector ~pc ~taken;
     let e, t = Option.value ~default:(0, 0) (Hashtbl.find_opt agg pc) in
-    Hashtbl.replace agg pc (e + 1, if taken then t + 1 else t)
+    Hashtbl.replace agg pc (e + 1, if taken then t + 1 else t);
+    branch_digest ~pc ~taken
   in
-  let digest, on_retire = retire_digest_ref () in
   let outcome = Emulator.run_backend ~backend ~fuel ~on_branch ~on_retire image in
   (outcome, Detector.snapshots detector, agg, !digest)
 
@@ -136,7 +141,8 @@ let test_backend_matrix w () =
         (tag ^ ": aggregate profiles identical")
         true
         (sorted_bindings ref_agg = sorted_bindings agg);
-      Alcotest.(check int) (tag ^ ": retire-stream digest") ref_digest digest)
+      Alcotest.(check int) (tag ^ ": observation-stream digest") ref_digest
+        digest)
     (List.tl runs)
 
 (* The fleet consensus path — profile, emulated per-machine runs under

@@ -183,14 +183,17 @@ let test_aggregate_profile_bias () =
 let test_event_stream_consistency () =
   let img = Program.layout (Progs.sum_to_n 20) in
   let events = ref [] in
-  let o = Emulator.run ~on_event:(fun e -> events := e :: !events) img in
+  let on_retire ~pc ~taken:_ ~next_pc ~mem_addr:_ =
+    events := (pc, next_pc) :: !events
+  in
+  let o = Emulator.run ~on_retire img in
   let events = List.rev !events in
   Alcotest.(check int) "one event per instruction" o.Emulator.instructions
     (List.length events);
   (* next_pc chains: each event's next_pc equals the next event's pc. *)
   let rec chain = function
-    | a :: (b :: _ as rest) ->
-      Alcotest.(check int) "pc chain" b.Emulator.pc a.Emulator.next_pc;
+    | (_, next_pc) :: (((pc, _) :: _) as rest) ->
+      Alcotest.(check int) "pc chain" pc next_pc;
       chain rest
     | _ -> ()
   in
@@ -406,10 +409,57 @@ let test_compile_blocks_partition_image () =
         1 k)
     covered
 
+(* The observation stream of one run — both channels, interleaved in
+   the order they fired — and how the run ended. *)
+type obs = Branch of int * bool | Retire of int * bool * int * int
+
+let observe_stream run =
+  let log = ref [] in
+  let on_branch ~pc ~taken = log := Branch (pc, taken) :: !log in
+  let on_retire ~pc ~taken ~next_pc ~mem_addr =
+    log := Retire (pc, taken, next_pc, mem_addr) :: !log
+  in
+  let ending =
+    match run ~on_branch ~on_retire with
+    | o ->
+      Ok
+        ( o.Emulator.instructions,
+          o.Emulator.cond_branches,
+          o.Emulator.halted,
+          o.Emulator.checksum,
+          o.Emulator.final_pc )
+    | exception e -> Error (Printexc.to_string e)
+  in
+  (List.rev !log, ending)
+
+(* Every backend must feed its observers the decoded interpreter's
+   exact stream: the compiled one reports a retirement run per block
+   and [Emulator] expands it, so a fault inside a block, a fuel cut
+   inside a block and a not-taken unresolved branch each exercise a
+   different edge of that expansion. *)
+let check_stream_parity name ?fuel img =
+  let stream backend =
+    observe_stream (fun ~on_branch ~on_retire ->
+        Emulator.run_backend ~backend ?fuel ~on_branch ~on_retire img)
+  in
+  let want, want_end = stream Emulator.Decoded in
+  List.iter
+    (fun backend ->
+      let got, got_end = stream backend in
+      let tag what =
+        Printf.sprintf "%s [%s]: %s" name (Emulator.backend_name backend) what
+      in
+      Alcotest.(check bool) (tag "same ending") true (want_end = got_end);
+      Alcotest.(check int) (tag "stream length") (List.length want)
+        (List.length got);
+      Alcotest.(check bool) (tag "same stream") true (want = got))
+    [ Emulator.Reference; Emulator.Compiled ]
+
 (* Every fuel value from 0 up past the program's full length: each one
    lands the cutoff somewhere else relative to the block boundaries, so
    this sweeps the per-block fast path, the boundary interpreter and
-   the exhaustion edge against the decoded core. *)
+   the exhaustion edge against the decoded core — outcomes and the
+   observation stream alike. *)
 let test_compiled_fuel_boundary_parity () =
   let img = Program.layout (Progs.factorial 8) in
   let d = Decode.of_image img in
@@ -427,8 +477,104 @@ let test_compiled_fuel_boundary_parity () =
     Alcotest.(check int) (tag "checksum") a.Emulator.checksum
       b.Emulator.checksum;
     Alcotest.(check int) (tag "final pc") a.Emulator.final_pc
-      b.Emulator.final_pc
+      b.Emulator.final_pc;
+    check_stream_parity (tag "stream") ~fuel img
   done
+
+(* A block that stores, then faults on a load before its terminator:
+   the retired prefix (with the store's address) must reach the
+   observers before the fault propagates, and nothing of the faulting
+   load may.  The sweep also cuts fuel at every point of the block. *)
+let test_run_feed_mid_block_fault () =
+  let r n = Reg.of_int n in
+  let img =
+    {
+      Image.code =
+        [|
+          Instr.Li { dst = r 8; imm = 7 };
+          Instr.Li { dst = r 9; imm = 0 };
+          Instr.Alu
+            {
+              op = Vp_isa.Op.Add;
+              dst = r 10;
+              src1 = r 8;
+              src2 = Instr.Reg (r 9);
+            };
+          Instr.Store { src = r 8; base = r 9; offset = 100 };
+          Instr.Load { dst = r 11; base = r 8; offset = 999_999_999 };
+          Instr.Halt;
+        |];
+      syms = [ { Image.name = "main"; start = 0; len = 6 } ];
+      entry = 0;
+      orig_limit = 6;
+      data_init = [];
+      data_break = 0;
+    }
+  in
+  check_stream_parity "mid-block fault" img;
+  for fuel = 0 to 6 do
+    check_stream_parity (Printf.sprintf "mid-block fault, fuel %d" fuel) ~fuel
+      img
+  done
+
+(* Compiled code writes the register file in place, so a write to r0
+   must compile to nothing: every backend must still read r0 as zero
+   after an ALU op, an immediate load and a memory load target it. *)
+let test_zero_register_writes () =
+  let r n = Reg.of_int n in
+  let img =
+    {
+      Image.code =
+        [|
+          Instr.Li { dst = Reg.zero; imm = 5 };
+          Instr.Li { dst = r 8; imm = 7 };
+          Instr.Alu
+            {
+              op = Vp_isa.Op.Add;
+              dst = Reg.zero;
+              src1 = r 8;
+              src2 = Instr.Reg (r 8);
+            };
+          Instr.Alu
+            {
+              op = Vp_isa.Op.Or;
+              dst = Reg.zero;
+              src1 = r 8;
+              src2 = Instr.Imm 1;
+            };
+          Instr.Store { src = r 8; base = Reg.zero; offset = 100 };
+          Instr.Load { dst = Reg.zero; base = Reg.zero; offset = 100 };
+          Instr.Alu
+            {
+              op = Vp_isa.Op.Add;
+              dst = Reg.ret_value;
+              src1 = Reg.zero;
+              src2 = Instr.Imm 0;
+            };
+          Instr.Halt;
+        |];
+      syms = [ { Image.name = "main"; start = 0; len = 8 } ];
+      entry = 0;
+      orig_limit = 8;
+      data_init = [];
+      data_break = 0;
+    }
+  in
+  List.iter
+    (fun backend ->
+      let o = Emulator.run_backend ~backend img in
+      Alcotest.(check int)
+        (Emulator.backend_name backend ^ ": r0 reads zero")
+        0 o.Emulator.result)
+    Emulator.all_backends;
+  check_stream_parity "zero register" img
+
+(* A not-taken branch to an unresolved label retires (and is observed)
+   like any branch; a taken one faults before either channel fires. *)
+let test_run_feed_unresolved_branch () =
+  check_stream_parity "unresolved, not taken"
+    (unresolved_branch_image ~taken:false);
+  check_stream_parity "unresolved, taken" (unresolved_branch_image ~taken:true)
 
 let test_compiled_unresolved_branch_parity () =
   let o =
@@ -465,31 +611,47 @@ let test_compiled_allocation_flat () =
     true
     (long -. short < 10_000.)
 
-(* Same flatness with the observed compiled variant driving both
-   observer channels — the fused sink passes unboxed labeled ints, so
-   attaching observers must not reintroduce per-retirement boxing. *)
+(* Same flatness with observers attached: the run-observed compiled
+   variant reports one run per block through plain labeled ints and a
+   reused address buffer, and [Emulator]'s expansion of those runs into
+   the per-instruction channels adds no boxing either. *)
 let test_compiled_observed_allocation_flat () =
   let img =
     Program.layout (Progs.two_phase ~iters_per_phase:100_000 ~repeats:2)
   in
+  let c = Vp_exec.Compile.of_image img in
   let branches = ref 0 in
+  let runs = ref 0 in
   let retired = ref 0 in
   let on_branch ~pc:_ ~taken:_ = incr branches in
+  let on_run ~addrs:_ ~start:_ ~len ~taken:_ ~next_pc:_ =
+    incr runs;
+    retired := !retired + len
+  in
+  let run_runs fuel =
+    let st = State.create ~mem_words:(1 lsl 20) img in
+    ignore (Vp_exec.Compile.exec c st ~fuel ~on_branch ~on_run ());
+    State.release st
+  in
   let on_retire ~pc:_ ~taken:_ ~next_pc:_ ~mem_addr:_ = incr retired in
-  let run fuel =
+  let run_expanded fuel =
     ignore
       (Emulator.run_backend ~backend:Emulator.Compiled ~fuel ~on_branch
          ~on_retire img)
   in
-  run 1_000;
-  let short = minor_words_during (fun () -> run 10_000) in
-  let long = minor_words_during (fun () -> run 100_000) in
-  Alcotest.(check bool)
-    (Printf.sprintf "observed compiled allocation flat (short %.0f, long %.0f)"
-       short long)
-    true
-    (long -. short < 10_000.);
-  Alcotest.(check bool) "observers fired" true (!branches > 0 && !retired > 0)
+  List.iter
+    (fun (what, run) ->
+      run 1_000;
+      let short = minor_words_during (fun () -> run 10_000) in
+      let long = minor_words_during (fun () -> run 100_000) in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s allocation flat (short %.0f, long %.0f)" what short
+           long)
+        true
+        (long -. short < 10_000.))
+    [ ("run-observed", run_runs); ("expanded", run_expanded) ];
+  Alcotest.(check bool) "observers fired" true
+    (!branches > 0 && !runs > 0 && !retired > !runs)
 
 let () =
   Alcotest.run "vp_exec"
@@ -543,6 +705,12 @@ let () =
             test_compiled_fuel_boundary_parity;
           Alcotest.test_case "unresolved branch parity" `Quick
             test_compiled_unresolved_branch_parity;
+          Alcotest.test_case "run feed: mid-block fault" `Quick
+            test_run_feed_mid_block_fault;
+          Alcotest.test_case "run feed: unresolved branch" `Quick
+            test_run_feed_unresolved_branch;
+          Alcotest.test_case "zero register swallows writes" `Quick
+            test_zero_register_writes;
           Alcotest.test_case "zero per-instruction allocation" `Quick
             test_compiled_allocation_flat;
           Alcotest.test_case "zero per-instruction allocation (observed)"
