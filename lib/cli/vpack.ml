@@ -73,8 +73,11 @@ let workload_pos =
     pos_required = true;
   }
 
+let default_backend = Config.backend Config.default
+
 let backend_flag =
-  Spec.flag ~kind:Spec.Value ~docv:"BACKEND" ~default:"decoded"
+  Spec.flag ~kind:Spec.Value ~docv:"BACKEND"
+    ~default:(Emulator.backend_name default_backend)
     ~doc:
       "Functional emulator backend: reference, decoded or compiled.  All \
        backends produce bit-identical results; the choice only affects \
@@ -151,12 +154,14 @@ let resolve_jobs m =
   if n <= 0 then Vp_util.Pool.default_jobs () else n
 
 let resolve_backend m =
-  let name = Option.value ~default:"decoded" (Spec.value m "backend") in
-  match Emulator.backend_of_string name with
-  | Some b -> b
-  | None ->
-    Vacuum.Error.failf ~stage:"cli"
-      "unknown backend %s (expected reference, decoded or compiled)" name
+  match Spec.value m "backend" with
+  | None -> default_backend
+  | Some name -> (
+    match Emulator.backend_of_string name with
+    | Some b -> b
+    | None ->
+      Vacuum.Error.failf ~stage:"cli"
+        "unknown backend %s (expected reference, decoded or compiled)" name)
 
 let config_of m =
   Config.experiment

@@ -91,8 +91,9 @@ val cpu : t -> Vp_cpu.Config.t
 val backend : t -> Vp_exec.Emulator.backend
 (** Which emulation core every run in the pipeline uses — profiling,
     coverage, chaos oracles, fleet emulation and the timing model's
-    retire feed all select it from here ([Decoded] by default, so the
-    differential oracle's semantics are the baseline). *)
+    retire feed all select it from here ([Compiled] by default, the
+    fastest core; every backend is bit-identical, so the choice never
+    changes a result). *)
 
 val mem_words : t -> int
 val fuel : t -> int

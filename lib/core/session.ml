@@ -70,12 +70,21 @@ type report = {
   equivalent : bool option;
 }
 
+(* What every epoch reads about the active image, rebuilt only when an
+   image is patched in: the branch fold map and the residency lanes. *)
+type view = {
+  fold : int array;
+  lane_of : int array;
+  lane_names : string array;
+}
+
 type t = {
   config : Config.t;
   original : Image.t;
   state : State.t;
   mutable image : Image.t;
   mutable emitted : Emit.result option;
+  mutable view : view;
   mutable halted : bool;
   mutable depth : int;
   mutable epoch : int;
@@ -86,8 +95,27 @@ type t = {
   mutable branches : int;
   mutable package_retired : int;
   mutable baseline : Emulator.outcome option;
+  mutable final : (int * int) option;
+      (* checksum and result register, read when the program halted;
+         [state] is released to the arena then and never read again *)
   mutable reports : epoch_report list;  (* reverse epoch order *)
 }
+
+(* pc -> original branch pc for an active image: identity below
+   [orig_limit], the emitted branch map above it, -1 for package
+   branches without a site (dropped from the detector's feed). *)
+let branch_fold_map image emitted =
+  let n = Image.size image in
+  let ol = image.Image.orig_limit in
+  let map = Array.init n (fun pc -> if pc < ol then pc else -1) in
+  (match emitted with
+  | None -> ()
+  | Some e -> List.iter (fun (pc, opc) -> if pc < n then map.(pc) <- opc) e.Emit.branch_map);
+  map
+
+let view_of image emitted =
+  let lane_of, lane_names = Coverage.lanes_of_image image in
+  { fold = branch_fold_map image emitted; lane_of; lane_names }
 
 let create ?(config = Config.default) image =
   (match Image.validate image with
@@ -99,6 +127,7 @@ let create ?(config = Config.default) image =
     state = State.create ~mem_words:(Config.mem_words config) image;
     image;
     emitted = None;
+    view = view_of image None;
     halted = false;
     depth = 0;
     epoch = 0;
@@ -109,10 +138,12 @@ let create ?(config = Config.default) image =
     branches = 0;
     package_retired = 0;
     baseline = None;
+    final = None;
     reports = [];
   }
 
 let halted t = t.halted
+let depth t = t.depth
 let epochs_run t = t.epoch
 let image t = t.image
 let cache_entries t = List.length t.cache
@@ -141,17 +172,18 @@ let epoch_fuel t =
     let total = (baseline t).Emulator.instructions in
     Stdlib.max 1 ((total / Stdlib.max 1 s.Config.epochs) + 1)
 
-(* pc -> original branch pc for the currently active image: identity
-   below [orig_limit], the emitted branch map above it, -1 for package
-   branches without a site (dropped from the detector's feed). *)
-let branch_fold_map t =
-  let n = Image.size t.image in
-  let ol = t.image.Image.orig_limit in
-  let map = Array.init n (fun pc -> if pc < ol then pc else -1) in
-  (match t.emitted with
-  | None -> ()
-  | Some e -> List.iter (fun (pc, opc) -> if pc < n then map.(pc) <- opc) e.Emit.branch_map);
-  map
+(* Depth of outstanding package-space return addresses: a [Call]
+   retiring in package code produces one (ra = pc + 1 >= orig_limit),
+   a [Ret] landing in package code consumes one.  The only other ra
+   producer, the inlined-call [La], materialises an ORIGINAL
+   continuation address, and this ISA has no indirect jumps besides
+   [Ret] — so [depth = 0 && pc < orig_limit] implies no live reference
+   into package code anywhere in the machine, and the image can be
+   swapped under the running state. *)
+let depth_step ~tag ~orig_limit ~pc ~next_pc =
+  if pc >= orig_limit then if tag.(pc) = Decode.tag_call then 1 else 0
+  else if next_pc >= orig_limit && tag.(pc) = Decode.tag_ret then -1
+  else 0
 
 let total_cache_size cache =
   List.fold_left (fun a e -> a + entry_size e) 0 cache
@@ -205,21 +237,10 @@ let step t =
       ~history_size:(Config.history_size config) ~same ()
   in
   let ol = t.image.Image.orig_limit in
-  let fold = branch_fold_map t in
-  let lane_of, lane_names = Coverage.lanes_of_image t.image in
+  let { fold; lane_of; lane_names } = t.view in
   let lane_branches = Array.make (Array.length lane_names) 0 in
-  (* Depth of outstanding package-space return addresses: a [Call]
-     retiring in package code produces one (ra = pc + 1 >= orig_limit),
-     a [Ret] landing in package code consumes one.  The only other ra
-     producer, the inlined-call [La], materialises an ORIGINAL
-     continuation address, and this ISA has no indirect jumps besides
-     [Ret] — so [depth = 0 && pc < orig_limit] implies no live
-     reference into package code anywhere in the machine, and the
-     image can be swapped under the running state. *)
   let tag = (Decode.of_image t.image).Decode.tag in
-  let epoch_branches = ref 0 in
   let on_branch ~pc ~taken =
-    incr epoch_branches;
     lane_branches.(lane_of.(pc)) <- lane_branches.(lane_of.(pc)) + 1;
     let opc = fold.(pc) in
     if opc >= 0 then Detector.on_branch detector ~pc:opc ~taken
@@ -231,6 +252,7 @@ let step t =
   let s_pkg = Vp_telemetry.Series.register tl "session.package_instructions" in
   let interval = Vp_telemetry.interval_length tl in
   let countdown = ref interval in
+  let epoch_branches = ref 0 in
   let last_branches = ref 0 in
   let pkg_now = ref 0 in
   let last_pkg = ref 0 in
@@ -241,29 +263,37 @@ let step t =
     Vp_telemetry.Series.push tl s_pkg (!pkg_now - !last_pkg);
     last_pkg := !pkg_now
   in
-  let on_retire =
+  (* The session observes retirement runs.  [Call] and [Ret] end every
+     run, so the depth moves only at a run's last instruction: with
+     telemetry off a run costs one call, whatever its length.  The
+     interval samplers walk the run's instructions, counting a
+     run-ending conditional branch before its own retirement as the
+     per-instruction stream would. *)
+  let on_run =
     if not (need_depth || telemetry_on) then None
     else
       Some
-        (fun ~pc ~taken:_ ~next_pc ~mem_addr:_ ->
-          if need_depth then begin
-            if pc >= ol then begin
-              if tag.(pc) = 8 (* Call *) then t.depth <- t.depth + 1
-            end
-            else if next_pc >= ol && tag.(pc) = 9 (* Ret *) then
-              t.depth <- t.depth - 1
-          end;
-          if telemetry_on then begin
-            if pc >= ol then incr pkg_now;
-            decr countdown;
-            if !countdown = 0 then begin
-              countdown := interval;
-              flush interval
-            end
-          end)
+        (fun ~addrs:_ ~start ~len ~taken:_ ~next_pc ->
+          let last = start + len - 1 in
+          if need_depth then
+            t.depth <-
+              t.depth + depth_step ~tag ~orig_limit:ol ~pc:last ~next_pc;
+          if telemetry_on then
+            for pc = start to last do
+              if pc >= ol then incr pkg_now;
+              if
+                pc = last
+                && (tag.(pc) = Decode.tag_br || tag.(pc) = Decode.tag_br_unresolved)
+              then incr epoch_branches;
+              decr countdown;
+              if !countdown = 0 then begin
+                countdown := interval;
+                flush interval
+              end
+            done)
   in
   let run_chunk n =
-    Emulator.run_slice ~backend ~state:t.state ~fuel:n ~on_branch ?on_retire
+    Emulator.run_slice ~backend ~state:t.state ~fuel:n ~on_branch ?on_run
       t.image
   in
   let slice = run_chunk fuel in
@@ -510,6 +540,7 @@ let step t =
       else if safe () then begin
         t.image <- assembly.Driver.assembled.Emit.image;
         t.emitted <- Some assembly.Driver.assembled;
+        t.view <- view_of t.image t.emitted;
         t.depth <- 0;
         t.dirty <- false;
         activated := true;
@@ -526,6 +557,10 @@ let step t =
   if telemetry_on then begin
     let tail = interval - !countdown in
     if tail > 0 then flush tail
+  end;
+  if t.halted then begin
+    t.final <- Some (State.checksum t.state, State.reg t.state Vp_isa.Reg.ret_value);
+    State.release t.state
   end;
   t.epoch <- epoch + 1;
   let total_instr = slice.Emulator.instructions + !grace_used in
@@ -582,13 +617,14 @@ let report t =
     else 100.0 *. float_of_int t.package_retired /. float_of_int t.retired
   in
   let equivalent =
-    if not t.halted then None
-    else
+    match t.final with
+    | None -> None
+    | Some (checksum, result) ->
       let b = baseline t in
       Some
         (b.Emulator.halted
-        && State.checksum t.state = b.Emulator.checksum
-        && State.reg t.state Vp_isa.Reg.ret_value = b.Emulator.result)
+        && checksum = b.Emulator.checksum
+        && result = b.Emulator.result)
   in
   {
     epochs;

@@ -97,7 +97,11 @@ val run : ?epochs:int -> t -> report
     epoch 2 and is identical to [run ~epochs:4] from scratch. *)
 
 val report : t -> report
-(** The report so far without running anything. *)
+(** The report so far without running anything.  Once the program has
+    halted the session's machine state is back in the emulator's arena
+    ({!Vp_exec.State.release}); the end-to-end verdict reads the final
+    checksum and result cached at the halt, so later runs on the same
+    domain cannot change it. *)
 
 val halted : t -> bool
 
@@ -107,6 +111,14 @@ val image : t -> Vp_prog.Image.t
 (** The currently active (possibly hot-patched) image. *)
 
 val cache_entries : t -> int
+
+val depth : t -> int
+(** For tests only; not part of the session API.  Package-space return
+    addresses live in the running machine: a [Call] retiring in package
+    code adds one, a [Ret] from original code into package code removes
+    one.  Images are swapped only at depth 0 with the pc in original
+    code.  [Call] and [Ret] end every retirement run, so the session
+    checks only the last instruction of each run. *)
 
 val pp_epoch : Format.formatter -> epoch_report -> unit
 val pp_report : Format.formatter -> report -> unit

@@ -40,7 +40,7 @@ let unresolved code pc =
    leaves the final pc in the state so a later slice (possibly over a
    different image sharing the same address space) resumes exactly where
    this one stopped.  Counts in the outcome cover only this slice. *)
-let decoded_slice st ~fuel ?on_branch ?on_retire (d : Decode.t) =
+let decoded_slice st ~fuel ?on_branch ?on_retire ?on_run (d : Decode.t) =
   let instructions = ref 0 in
   let package_instructions = ref 0 in
   let cond_branches = ref 0 in
@@ -62,6 +62,7 @@ let decoded_slice st ~fuel ?on_branch ?on_retire (d : Decode.t) =
   let taken = ref false in
   let mem_addr = ref (-1) in
   let next = ref 0 in
+  let addrs = [| -1 |] in
   while (not !halted) && !instructions < fuel do
     let pc = State.pc st in
     if pc < 0 || pc >= size then
@@ -132,6 +133,11 @@ let decoded_slice st ~fuel ?on_branch ?on_retire (d : Decode.t) =
     (match on_retire with
     | Some f -> f ~pc ~taken:!taken ~next_pc:!next ~mem_addr:!mem_addr
     | None -> ());
+    (match on_run with
+    | Some f ->
+      addrs.(0) <- !mem_addr;
+      f ~addrs ~start:pc ~len:1 ~taken:!taken ~next_pc:!next
+    | None -> ());
     if not !halted then State.set_pc st !next
   done;
   {
@@ -181,10 +187,10 @@ let expand_runs (d : Decode.t) ~on_branch ~on_retire =
       end
     done
 
-let compiled_slice st ~fuel ?on_branch ?on_retire (c : Compile.t) =
+let compiled_slice st ~fuel ?on_branch ?on_retire ?on_run (c : Compile.t) =
   let r =
     match on_retire with
-    | None -> Compile.exec c st ~fuel ?on_branch ()
+    | None -> Compile.exec c st ~fuel ?on_branch ?on_run ()
     | Some on_retire ->
       let on_branch = Option.value on_branch ~default:noop_branch in
       Compile.exec c st ~fuel
@@ -227,7 +233,7 @@ let all_backends = [ Reference; Decoded; Compiled ]
 (* The original boxed interpreter, kept verbatim as the executable
    specification: the differential tests re-run every workload through
    it and require bit-identical outcomes from the decoded core. *)
-let reference_slice st ~fuel ?on_branch ?on_retire image =
+let reference_slice st ~fuel ?on_branch ?on_retire ?on_run image =
   let instructions = ref 0 in
   let package_instructions = ref 0 in
   let cond_branches = ref 0 in
@@ -235,6 +241,7 @@ let reference_slice st ~fuel ?on_branch ?on_retire image =
   let orig_limit = image.Image.orig_limit in
   let code = image.Image.code in
   let size = Array.length code in
+  let addrs = [| -1 |] in
   while (not !halted) && !instructions < fuel do
     let pc = State.pc st in
     if pc < 0 || pc >= size then
@@ -288,6 +295,11 @@ let reference_slice st ~fuel ?on_branch ?on_retire image =
     (match on_retire with
     | Some f -> f ~pc ~taken:!taken ~next_pc:!next ~mem_addr:!mem_addr
     | None -> ());
+    (match on_run with
+    | Some f ->
+      addrs.(0) <- !mem_addr;
+      f ~addrs ~start:pc ~len:1 ~taken:!taken ~next_pc:!next
+    | None -> ());
     if not !halted then State.set_pc st !next
   done;
   {
@@ -305,15 +317,13 @@ let run_reference ?(fuel = 200_000_000) ?(mem_words = 1 lsl 20) ?on_branch
   let st = State.create ~mem_words image in
   reference_slice st ~fuel ?on_branch ?on_retire image
 
-let run_slice ?(backend = Decoded) ~state ~fuel ?on_branch ?on_retire image =
+let run_slice ?(backend = Compiled) ~state ~fuel ?on_branch ?on_run image =
   match backend with
-  | Decoded ->
-    decoded_slice state ~fuel ?on_branch ?on_retire (Decode.of_image image)
-  | Compiled ->
-    compiled_slice state ~fuel ?on_branch ?on_retire (Compile.of_image image)
-  | Reference -> reference_slice state ~fuel ?on_branch ?on_retire image
+  | Decoded -> decoded_slice state ~fuel ?on_branch ?on_run (Decode.of_image image)
+  | Compiled -> compiled_slice state ~fuel ?on_branch ?on_run (Compile.of_image image)
+  | Reference -> reference_slice state ~fuel ?on_branch ?on_run image
 
-let run_backend ?(backend = Decoded) ?fuel ?mem_words ?on_branch ?on_retire
+let run_backend ?(backend = Compiled) ?fuel ?mem_words ?on_branch ?on_retire
     image =
   match backend with
   | Decoded ->
@@ -324,15 +334,14 @@ let run_backend ?(backend = Decoded) ?fuel ?mem_words ?on_branch ?on_retire
   | Reference -> run_reference ?fuel ?mem_words ?on_branch ?on_retire image
 
 let aggregate_branch_profile ?fuel ?mem_words image =
-  let d = Decode.of_image image in
   (* pc-indexed counters instead of a hashtable: the per-branch cost
      is two array bumps, and the table shape is recovered once at the
      end for the callers that want it. *)
-  let executed = Array.make (Decode.size d) 0 in
-  let takens = Array.make (Decode.size d) 0 in
+  let executed = Array.make (Image.size image) 0 in
+  let takens = Array.make (Image.size image) 0 in
   let on_branch ~pc ~taken =
     executed.(pc) <- executed.(pc) + 1;
     if taken then takens.(pc) <- takens.(pc) + 1
   in
-  let (_ : outcome) = run_decoded ?fuel ?mem_words ~on_branch d in
+  let (_ : outcome) = run_backend ?fuel ?mem_words ~on_branch image in
   Branch_profile.of_counts ~executed ~takens

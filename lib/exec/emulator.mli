@@ -72,7 +72,7 @@ val run_compiled :
 type backend = Reference | Decoded | Compiled
 (** Which execution core runs the workload: the boxed reference
     interpreter (the executable specification), the decoded flat-array
-    interpreter (the default), or the block-compiled threaded code. *)
+    interpreter, or the block-compiled threaded code (the default). *)
 
 val backend_name : backend -> string
 (** ["reference"], ["decoded"] or ["compiled"]. *)
@@ -90,7 +90,7 @@ val run_backend :
   ?on_retire:(pc:int -> taken:bool -> next_pc:int -> mem_addr:int -> unit) ->
   Vp_prog.Image.t ->
   outcome
-(** {!run} through the chosen backend (default [Decoded]), going
+(** {!run} through the chosen backend (default [Compiled]), going
     through the decode/compile memos.  Every backend serves the same
     observation channels. *)
 
@@ -99,7 +99,7 @@ val run_slice :
   state:State.t ->
   fuel:int ->
   ?on_branch:(pc:int -> taken:bool -> unit) ->
-  ?on_retire:(pc:int -> taken:bool -> next_pc:int -> mem_addr:int -> unit) ->
+  ?on_run:Compile.on_run ->
   Vp_prog.Image.t ->
   outcome
 (** One bounded slice of execution over an external {!State.t}: resume
@@ -112,7 +112,14 @@ val run_slice :
     many slices, switching images between slices (hot patching) as
     long as every image shares the address space of the one the state
     was created for.  Bit-identical across backends at arbitrary fuel
-    boundaries, like {!run_backend}. *)
+    boundaries, like {!run_backend}.
+
+    [on_run] observes retirement runs ({!Compile.on_run}): natively,
+    one per block, on [Compiled] (no per-instruction call); runs of
+    length 1 on the other two backends.  The instructions the runs
+    cover are the same on every backend, but not how they are grouped,
+    nor whether a run-ending branch's [on_branch] fires before or after
+    its run: an observer must depend on neither. *)
 
 val run_reference :
   ?fuel:int ->

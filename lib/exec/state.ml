@@ -37,20 +37,24 @@ let dirty_cap = 1 lsl 16
 
 (* Domain-local arena: the memory array is megabytes per state and
    every emulation run used to allocate a fresh one, making the
-   allocator and major GC the dominant cost of short runs.  A run
-   whose state provably dies (the emulator's own states) hands the
-   whole state back via {!release}; the next {!create} on this domain
-   steals its memory array and scrubs it via the journal.
-   Steal-on-create empties the slot first, so two live states can
-   never alias one array, even if a callback starts a nested run. *)
-let arena : t option ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref None)
+   allocator and major GC the dominant cost of short runs.  A state
+   that provably dies (the emulator's own states, a halted session's)
+   is handed back via {!release}; the next {!create} on this domain
+   steals its memory array and scrubs it via the journal.  The arena
+   keeps the [arena_slots] most recently released states, so a live
+   session and the clean runs it checks against can both recycle.
+   Steal-on-create removes the state from the arena first, so two live
+   states can never alias one array, even if a callback starts a
+   nested run. *)
+let arena_slots = 2
+
+let arena : t list ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref [])
 
 let take_arena mem_words =
   let slot = Domain.DLS.get arena in
-  match !slot with
-  | Some old when Array.length old.memory = mem_words ->
-    slot := None;
+  match List.find_opt (fun s -> Array.length s.memory = mem_words) !slot with
+  | Some old ->
+    slot := List.filter (fun s -> s != old) !slot;
     let m = old.memory in
     if old.n_dirty < 0 then Array.fill m 0 mem_words 0
     else
@@ -58,9 +62,11 @@ let take_arena mem_words =
         m.!(old.dirty.!(i)) <- 0
       done;
     (m, old.dirty)
-  | _ -> (Array.make mem_words 0, Array.make dirty_cap 0)
+  | None -> (Array.make mem_words 0, Array.make dirty_cap 0)
 
-let release t = Domain.DLS.get arena := Some t
+let release t =
+  let slot = Domain.DLS.get arena in
+  slot := List.filteri (fun i _ -> i < arena_slots) (t :: !slot)
 
 let journal t addr =
   if t.n_dirty >= 0 then begin

@@ -19,9 +19,13 @@ val create : mem_words:int -> Vp_prog.Image.t -> t
 val release : t -> unit
 (** Return [t]'s memory array to the domain-local arena for the next
     {!create} to reuse.  The reuser re-zeroes only the words [t]
-    actually dirtied (tracked in a journal), not the whole array.
-    Only call when [t] is provably dead — the emulator does so when a
-    run completes; states created directly need not bother. *)
+    actually dirtied (tracked in a journal), not the whole array.  The
+    arena keeps the two most recently released states.  Only call when
+    [t] is provably
+    dead — the emulator does so when a run completes, a session when
+    its program halts; states created directly need not bother.  A
+    released state must not be read or written again: its memory may
+    belong to a newer state. *)
 
 val pc : t -> int
 val set_pc : t -> int -> unit

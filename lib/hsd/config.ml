@@ -41,6 +41,7 @@ let hdc_max t = (1 lsl t.hdc_bits) - 1
 let validate t =
   let err fmt = Printf.ksprintf (fun s -> Error s) fmt in
   if t.sets <= 0 then err "sets must be positive"
+  else if t.sets land (t.sets - 1) <> 0 then err "sets must be a power of two"
   else if t.assoc <= 0 then err "assoc must be positive"
   else if t.counter_bits <= 0 || t.counter_bits >= 62 then err "bad counter width"
   else if t.candidate_threshold <= 0 then err "candidate threshold must be positive"

@@ -2,7 +2,7 @@
     Table 2). *)
 
 type t = {
-  sets : int;  (** BBB sets (512) *)
+  sets : int;  (** BBB sets (512); a power of two, indexed by the pc's low bits *)
   assoc : int;  (** BBB associativity (4) *)
   counter_bits : int;  (** executed/taken counter width (9) *)
   candidate_threshold : int;  (** executions before a branch is a candidate (16) *)

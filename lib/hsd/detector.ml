@@ -2,6 +2,7 @@ type raw = { id : int; detected_at : int; entries : Snapshot.entry list }
 
 type t = {
   cfg : Config.t;
+  hdc_max : int;
   bbb : Bbb.t;
   history_size : int;
   same : Snapshot.t -> Snapshot.t -> bool;
@@ -29,6 +30,7 @@ let create ?(config = Config.default) ?(history_size = 0) ?(same = fun _ _ -> fa
   | Error e -> Vp_util.Error.failf ~stage:"detector" "Detector.create: %s" e);
   {
     cfg = config;
+    hdc_max = Config.hdc_max config;
     bbb = Bbb.create config;
     history_size;
     same;
@@ -77,7 +79,7 @@ let in_history t entries =
 let rearm t =
   t.rearms <- t.rearms + 1;
   Bbb.clear t.bbb;
-  t.hdc <- Config.hdc_max t.cfg;
+  t.hdc <- t.hdc_max;
   t.since_refresh <- 0;
   t.since_clear <- 0;
   match t.hook_rearm with
@@ -89,7 +91,6 @@ let on_branch t ~pc ~taken =
   t.since_refresh <- t.since_refresh + 1;
   t.since_clear <- t.since_clear + 1;
   let verdict = Bbb.record t.bbb ~pc ~taken in
-  let hdc_max = Config.hdc_max t.cfg in
   (match verdict with
   | Bbb.Candidate -> let v = t.hdc - t.cfg.Config.hdc_dec in
     t.hdc <- (if v > 0 then v else 0)
@@ -97,7 +98,7 @@ let on_branch t ~pc ~taken =
     (* Int compare, not [Stdlib.min]: the polymorphic one is a real
        call on this per-branch path. *)
     let v = t.hdc + t.cfg.Config.hdc_inc in
-    t.hdc <- (if v < hdc_max then v else hdc_max));
+    t.hdc <- (if v < t.hdc_max then v else t.hdc_max));
   if t.hdc = 0 then begin
     t.raw_detections <- t.raw_detections + 1;
     (match t.hook_detect with

@@ -175,7 +175,7 @@ options:
   --perfetto FILE            Write a Chrome trace-event / Perfetto JSON timeline (schema vp-perfetto-trace/1) to FILE: pipeline spans on the driver lane, per-epoch session slices on one lane per workload.
   --flight-dir DIR           Flight recorder: on a fallback to the original image, a verifier rejection or an oracle failure, dump the metric registry with its recent mark ring, plus its span ring as a Perfetto trace, to DIR.
   -j, --jobs N               Evaluate up to N workloads in parallel on separate domains (0 = the machine's recommended domain count). (default 0)
-  --backend BACKEND          Functional emulator backend: reference, decoded or compiled.  All backends produce bit-identical results; the choice only affects simulation speed. (default decoded)
+  --backend BACKEND          Functional emulator backend: reference, decoded or compiled.  All backends produce bit-identical results; the choice only affects simulation speed. (default compiled)
   --help                     Show this help.
 
 exit codes:

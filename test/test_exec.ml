@@ -331,6 +331,62 @@ let minor_words_during f =
   f ();
   Gc.minor_words () -. before
 
+(* ---- the state arena ---- *)
+
+let arena_image = lazy (Program.layout (Progs.sum_to_n 10))
+
+(* However many states were released, the states live at one time
+   never share a memory array — a state released twice over included:
+   taking it from the arena takes every copy. *)
+let test_arena_no_sharing () =
+  let img = Lazy.force arena_image in
+  let create () = State.create ~mem_words:4096 img in
+  let a = create () and b = create () in
+  State.release b;
+  State.release a;
+  State.release a;
+  let live = List.init 4 (fun _ -> create ()) in
+  List.iteri (fun i s -> State.set_mem s 100 (i + 1)) live;
+  List.iteri
+    (fun i s ->
+      Alcotest.(check int) (Printf.sprintf "state %d keeps its word" i) (i + 1)
+        (State.mem s 100))
+    live;
+  List.iter State.release live;
+  let fresh = create () in
+  Alcotest.(check int) "recycled memory is scrubbed" 0 (State.mem fresh 100)
+
+(* A run started from inside another run's observer takes its own
+   state from the arena and hands it back, while the outer run keeps
+   writing its own memory: both compute what they compute alone. *)
+let test_arena_nested_run () =
+  let outer = Program.layout (Progs.two_phase ~iters_per_phase:200 ~repeats:2) in
+  let inner = Program.layout (Progs.factorial 6) in
+  List.iter
+    (fun backend ->
+      let alone = Emulator.run_backend ~backend outer in
+      let inner_alone = Emulator.run_backend ~backend inner in
+      (* Fill the arena with both slots first. *)
+      ignore (Emulator.run_backend ~backend inner);
+      ignore (Emulator.run_backend ~backend outer);
+      let nested = ref 0 in
+      let on_branch ~pc:_ ~taken:_ =
+        if !nested < 5 then begin
+          incr nested;
+          let o = Emulator.run_backend ~backend inner in
+          Alcotest.(check int) "inner checksum" inner_alone.Emulator.checksum
+            o.Emulator.checksum
+        end
+      in
+      let o = Emulator.run_backend ~backend ~on_branch outer in
+      let name = Emulator.backend_name backend in
+      Alcotest.(check int) (name ^ ": nested runs") 5 !nested;
+      Alcotest.(check int) (name ^ ": outer checksum") alone.Emulator.checksum
+        o.Emulator.checksum;
+      Alcotest.(check int) (name ^ ": outer result") alone.Emulator.result
+        o.Emulator.result)
+    Emulator.all_backends
+
 let test_run_allocation_flat () =
   let img =
     Program.layout (Progs.two_phase ~iters_per_phase:100_000 ~repeats:2)
@@ -480,6 +536,50 @@ let test_compiled_fuel_boundary_parity () =
       b.Emulator.final_pc;
     check_stream_parity (tag "stream") ~fuel img
   done
+
+(* [run_slice]'s run observer: cut into slices of every size from 1 to
+   24, the runs of each backend must cover exactly the retirements of
+   one uncut per-instruction run, in order, each with its pc, next pc
+   and (for loads and stores) effective address. *)
+let test_slice_run_feed_parity () =
+  let img = Program.layout (Progs.factorial 8) in
+  let d = Decode.of_image img in
+  let want = ref [] in
+  let (_ : Emulator.outcome) =
+    Emulator.run_decoded
+      ~on_retire:(fun ~pc ~taken:_ ~next_pc ~mem_addr ->
+        want := (pc, next_pc, mem_addr) :: !want)
+      d
+  in
+  let want = List.rev !want in
+  List.iter
+    (fun backend ->
+      for cut = 1 to 24 do
+        let got = ref [] in
+        let on_run ~addrs ~start ~len ~taken:_ ~next_pc =
+          for pc = start to start + len - 1 do
+            let t = d.Decode.tag.(pc) in
+            let mem_addr =
+              if t = Decode.tag_load || t = Decode.tag_store then
+                addrs.(pc - start)
+              else -1
+            in
+            let np = if pc = start + len - 1 then next_pc else pc + 1 in
+            got := (pc, np, mem_addr) :: !got
+          done
+        in
+        let state = State.create ~mem_words:(1 lsl 20) img in
+        let halted = ref false in
+        while not !halted do
+          let o = Emulator.run_slice ~backend ~state ~fuel:cut ~on_run img in
+          halted := o.Emulator.halted
+        done;
+        Alcotest.(check bool)
+          (Printf.sprintf "%s, slices of %d" (Emulator.backend_name backend) cut)
+          true
+          (want = List.rev !got)
+      done)
+    Emulator.all_backends
 
 (* A block that stores, then faults on a load before its terminator:
    the retired prefix (with the store's address) must reach the
@@ -703,6 +803,8 @@ let () =
             test_compile_blocks_partition_image;
           Alcotest.test_case "fuel boundary parity" `Quick
             test_compiled_fuel_boundary_parity;
+          Alcotest.test_case "slice run feed parity" `Quick
+            test_slice_run_feed_parity;
           Alcotest.test_case "unresolved branch parity" `Quick
             test_compiled_unresolved_branch_parity;
           Alcotest.test_case "run feed: mid-block fault" `Quick
@@ -715,6 +817,13 @@ let () =
             test_compiled_allocation_flat;
           Alcotest.test_case "zero per-instruction allocation (observed)"
             `Quick test_compiled_observed_allocation_flat;
+        ] );
+      ( "arena",
+        [
+          Alcotest.test_case "live states never share memory" `Quick
+            test_arena_no_sharing;
+          Alcotest.test_case "nested run in a callback" `Quick
+            test_arena_nested_run;
         ] );
       ( "observation",
         [

@@ -19,6 +19,18 @@ let test_config_validation () =
   (match Config.validate { Config.default with Config.sets = 0 } with
   | Ok () -> Alcotest.fail "zero sets accepted"
   | Error _ -> ());
+  List.iter
+    (fun sets ->
+      match Config.validate { Config.default with Config.sets } with
+      | Ok () -> Alcotest.failf "%d sets accepted" sets
+      | Error _ -> ())
+    [ 3; 6; 100; 511; 513 ];
+  List.iter
+    (fun sets ->
+      match Config.validate { Config.default with Config.sets } with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "%d sets: %s" sets e)
+    [ 1; 2; 4; 64; 512; 1024 ];
   match Config.validate { Config.default with Config.candidate_threshold = 1 lsl 9 } with
   | Ok () -> Alcotest.fail "threshold beyond counter accepted"
   | Error _ -> ()
@@ -104,6 +116,57 @@ let test_bbb_snapshot_sorted () =
     [ 13; 10; 12 ];
   let pcs = List.map (fun e -> e.Snapshot.pc) (Bbb.snapshot_entries bbb) in
   Alcotest.(check (list int)) "ascending" [ 10; 12; 13 ] pcs
+
+(* A BBB way counts exactly like [Vp_util.Counter.record], halving
+   both counters at saturation: feed one branch a random outcome
+   stream through a 4-bit table and a 4-bit counter side by side. *)
+let prop_bbb_counts_like_counter =
+  QCheck.Test.make ~name:"bbb counts like Counter" ~count:200
+    QCheck.(list_of_size Gen.(int_range 4 200) bool)
+    (fun outcomes ->
+      let config = { tiny with Config.counter_bits = 4 } in
+      let bbb = Bbb.create config in
+      let counter = Vp_util.Counter.create ~bits:4 in
+      List.for_all
+        (fun taken ->
+          ignore (Bbb.record bbb ~pc:7 ~taken);
+          Vp_util.Counter.record counter ~taken;
+          match Bbb.snapshot_entries bbb with
+          | [] -> Vp_util.Counter.executed counter < config.Config.candidate_threshold
+          | [ e ] ->
+            e.Snapshot.executed = Vp_util.Counter.executed counter
+            && e.Snapshot.taken = Vp_util.Counter.taken counter
+          | _ -> false)
+        outcomes)
+
+(* The per-branch path allocates nothing: after warm-up, 100k branches
+   that hit tracked ways, evict non-candidates and keep the HDC off
+   zero — no detection, refresh or clear — cost zero minor words.
+   Eight branches share set 0 of a 4-way table: three settle into
+   candidates, five keep evicting one another from the fourth way. *)
+let test_on_branch_allocation_free () =
+  let config =
+    { Config.default with refresh_interval = 1 lsl 30; clear_interval = 1 lsl 30 }
+  in
+  let sets = config.Config.sets in
+  let d = Detector.create ~config () in
+  let feed n =
+    for i = 0 to n - 1 do
+      Detector.on_branch d ~pc:((i land 7) * sets) ~taken:(i land 1 = 0)
+    done
+  in
+  feed 1_000;
+  let minor_words f =
+    let before = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. before
+  in
+  let overhead = minor_words ignore in
+  let words = minor_words (fun () -> feed 100_000) -. overhead in
+  Alcotest.(check int) "no detection" 0 (Detector.detections d);
+  Alcotest.(check int) "no rearm" 0 (Detector.rearms d);
+  Alcotest.(check int) "candidates" 3 (Detector.bbb_candidates d);
+  Alcotest.(check (float 0.)) "minor words over 100k branches" 0. words
 
 let test_snapshot_bias () =
   let e pc executed taken = { Snapshot.pc; executed; taken } in
@@ -255,6 +318,65 @@ let prop_detector_extents_well_formed =
                s.Snapshot.branches)
         (Detector.snapshots d))
 
+(* --- golden phase logs --- *)
+
+(* The detector's output is pinned byte for byte: the raw snapshot
+   stream (ids, extents, every entry's counters) and the filtered phase
+   log of the twelve A programs under the default configuration and of
+   the first 200 campaign cases (root seed 0, the campaign's detector
+   and configuration), rendered and hashed.  A deliberate change to the
+   detector's behaviour must update these digests. *)
+module Driver = Vacuum.Driver
+module Campaign = Vp_gen.Campaign
+module Registry = Vp_workloads.Registry
+
+let render_profile buf name (p : Driver.profile) =
+  Printf.bprintf buf "%s detections=%d\n" name p.Driver.detections;
+  List.iter
+    (fun (s : Snapshot.t) ->
+      Printf.bprintf buf "snap %d %d %d\n" s.Snapshot.id s.Snapshot.detected_at
+        s.Snapshot.ended_at;
+      List.iter
+        (fun (e : Snapshot.entry) ->
+          Printf.bprintf buf " %x %d %d\n" e.Snapshot.pc e.Snapshot.executed
+            e.Snapshot.taken)
+        s.Snapshot.branches)
+    p.Driver.snapshots;
+  Buffer.add_string buf (Format.asprintf "%a@." Vp_phase.Phase_log.pp p.Driver.log)
+
+let golden_digest profiles =
+  let buf = Buffer.create (1 lsl 20) in
+  List.iter (fun (name, p) -> render_profile buf name p) profiles;
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let test_golden_paper_a () =
+  let profiles =
+    List.filter_map
+      (fun w ->
+        if w.Registry.input <> "A" then None
+        else
+          let image = Program.layout (w.Registry.program ()) in
+          Some (Registry.name w, Driver.profile image))
+      Registry.all
+  in
+  Alcotest.(check int) "A programs" 12 (List.length profiles);
+  Alcotest.(check string) "paper-A digest" "76e0490a72dd953bd891885eaec47e5d"
+    (golden_digest profiles)
+
+let test_golden_campaign () =
+  let config = Campaign.default_config in
+  let profiles =
+    List.init 200 (fun i ->
+        let spec = Campaign.spec_of_index ~root_seed:0 i in
+        let image =
+          Program.layout
+            (Vp_gen.Gen.program ~seed:spec.Campaign.seed spec.Campaign.params)
+        in
+        (string_of_int i, Driver.profile ~config image))
+  in
+  Alcotest.(check string) "campaign digest" "586608102f64388f617deaefe236ef20"
+    (golden_digest profiles)
+
 let () =
   Alcotest.run "vp_hsd"
     [
@@ -268,6 +390,7 @@ let () =
           Alcotest.test_case "clear" `Quick test_bbb_clear;
           Alcotest.test_case "snapshot sorted" `Quick test_bbb_snapshot_sorted;
           Alcotest.test_case "snapshot bias" `Quick test_snapshot_bias;
+          QCheck_alcotest.to_alcotest prop_bbb_counts_like_counter;
         ] );
       ( "detector",
         [
@@ -279,5 +402,12 @@ let () =
           Alcotest.test_case "cold noise" `Quick test_detector_cold_noise_no_detection;
           Alcotest.test_case "emulated two-phase" `Quick test_detector_on_emulated_two_phase;
           QCheck_alcotest.to_alcotest prop_detector_extents_well_formed;
+          Alcotest.test_case "on_branch allocation-free" `Quick
+            test_on_branch_allocation_free;
+        ] );
+      ( "golden",
+        [
+          Alcotest.test_case "paper-A phase logs" `Quick test_golden_paper_a;
+          Alcotest.test_case "campaign phase logs" `Quick test_golden_campaign;
         ] );
     ]

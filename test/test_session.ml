@@ -171,6 +171,80 @@ let test_step_after_halt_raises () =
   in
   Alcotest.(check bool) "step after halt raises" true raised
 
+(* A halted session hands its machine state back to the arena; its
+   report must not change when later runs on the domain reuse that
+   memory. *)
+let test_halted_report_survives_recycling () =
+  let img = Lazy.force drifting_image in
+  let s = Session.create ~config:(session_config ()) img in
+  let r = Session.run ~epochs:12 s in
+  Alcotest.(check bool) "halted" true r.Session.halted;
+  let before = render (Session.report s) in
+  for _ = 1 to 3 do
+    ignore (Emulator.run_backend img);
+    ignore (Emulator.run_backend (Program.layout (Progs.factorial 6)))
+  done;
+  let again = Session.report s in
+  Alcotest.(check string) "report unchanged" before (render again);
+  Alcotest.(check (option bool)) "still equivalent" (Some true)
+    again.Session.equivalent
+
+(* A session tracks the package-call depth from retirement runs: one
+   check per run, at its last instruction.  Against an independent
+   per-instruction count (a [Call] retiring in package code adds one, a
+   [Ret] from original code into package code removes one; fed by the
+   Decoded backend's runs of length 1), the depth
+   must agree after every epoch, for epochs of several lengths (each
+   one a fuel cut), on every backend.  The session runs over a
+   rewritten image (099.go/A, whose packages call out) as its original,
+   with a zero cache budget so it never patches; the run must actually
+   reach a nonzero depth, or the check is vacuous. *)
+let test_depth_run_feed_parity () =
+  let w = Option.get (Vp_workloads.Registry.find ~bench:"099.go" ~input:"A") in
+  let img =
+    Driver.rewritten_image
+      (Driver.rewrite (Program.layout (w.Vp_workloads.Registry.program ())))
+  in
+  let tag = (Vp_exec.Decode.of_image img).Vp_exec.Decode.tag in
+  let ol = img.Vp_prog.Image.orig_limit in
+  let deepest = ref 0 in
+  List.iter
+    (fun backend ->
+      List.iter
+        (fun (cut, budget) ->
+          let config =
+            Config.default |> Config.with_backend backend
+            |> Config.map_session (fun s ->
+                   { s with Config.epoch_fuel = cut; cache_pct = 0.0; oracle = false })
+          in
+          let s = Session.create ~config img in
+          let state = Vp_exec.State.create ~mem_words:(Config.mem_words config) img in
+          let depth = ref 0 in
+          (* Decoded reports runs of length 1: one call per instruction. *)
+          let on_run ~addrs:_ ~start:pc ~len:_ ~taken:_ ~next_pc =
+            if pc >= ol then begin
+              if tag.(pc) = Vp_exec.Decode.tag_call then incr depth
+            end
+            else if next_pc >= ol && tag.(pc) = Vp_exec.Decode.tag_ret then
+              decr depth;
+            deepest := max !deepest !depth
+          in
+          let retired = ref 0 in
+          while (not (Session.halted s)) && !retired < budget do
+            let r = Session.step s in
+            let n = r.Session.slice.Emulator.instructions + r.Session.grace_used in
+            ignore
+              (Emulator.run_slice ~backend:Emulator.Decoded ~state ~fuel:n ~on_run img);
+            retired := !retired + n;
+            Alcotest.(check int)
+              (Printf.sprintf "%s, epochs of %d, epoch %d"
+                 (Emulator.backend_name backend) cut r.Session.epoch)
+              !depth (Session.depth s)
+          done)
+        [ (1, 5_000); (7, 20_000); (64, 100_000); (997, 100_000) ])
+    Emulator.all_backends;
+  Alcotest.(check bool) "package code calls out" true (!deepest > 0)
+
 (* ---- determinism ---- *)
 
 let test_backends_byte_identical () =
@@ -455,6 +529,10 @@ let () =
           Alcotest.test_case "cache bounded by budget" `Slow test_cache_bounded;
           Alcotest.test_case "step after halt raises" `Quick
             test_step_after_halt_raises;
+          Alcotest.test_case "halted report survives state recycling" `Slow
+            test_halted_report_survives_recycling;
+          Alcotest.test_case "depth: run feed = per-instruction feed" `Slow
+            test_depth_run_feed_parity;
         ] );
       ( "determinism",
         [
