@@ -10,12 +10,9 @@
                                          # machine-readable estimates
      dune exec bench/main.exe -- --trace bench-trace.json fig8
                                          # vp-perfetto-trace/1 span timeline
-     dune exec bench/main.exe -- --backend compiled --quick micro
+     dune exec bench/main.exe -- --backend reference --quick micro
                                          # functional backend for all runs
-
-   Experiments: table1 table2 fig8 table3 fig9 fig10
-   baseline-aggregate aggregate ablation-bbb ablation-growth
-   ablation-sink ablation-superblock session micro overhead.
+     dune exec bench/main.exe -- --help  # flags and experiments
 
    The workload x configuration matrix is executed up front by
    Vacuum.Engine on a domain pool (--jobs N, default = the machine's
@@ -901,35 +898,6 @@ let needs = function
   | "fig10" | "baseline-aggregate" | "ablation-superblock" -> Some (true, true)
   | _ -> Some (false, false)
 
-(* Pull "--name VALUE" or "--name=VALUE" out of the argument list. *)
-let parse_valued ~name args =
-  let flag = "--" ^ name in
-  let prefix = flag ^ "=" in
-  let plen = String.length prefix in
-  let rec go acc = function
-    | [] -> (None, List.rev acc)
-    | [ arg ] when arg = flag ->
-      Printf.eprintf "bench: %s expects a value\n" flag;
-      exit 2
-    | arg :: v :: rest when arg = flag -> (Some v, List.rev_append acc rest)
-    | arg :: rest
-      when String.length arg > plen && String.sub arg 0 plen = prefix ->
-      (Some (String.sub arg plen (String.length arg - plen)),
-       List.rev_append acc rest)
-    | arg :: rest -> go (arg :: acc) rest
-  in
-  go [] args
-
-let parse_jobs args =
-  match parse_valued ~name:"jobs" args with
-  | None, rest -> (None, rest)
-  | Some n, rest -> (
-    match int_of_string_opt n with
-    | Some j -> (Some j, rest)
-    | None ->
-      Printf.eprintf "bench: --jobs expects an integer, got %S\n" n;
-      exit 2)
-
 (* ------------------------------------------------------------------ *)
 (* --json FILE: machine-readable export of the micro estimates and the
    engine's per-task wall-clock timings (hand-rolled writer — the tree
@@ -1039,27 +1007,96 @@ let write_json ~path ~jobs ~engine_metrics ~counters ~timeline =
   out "\n  ]\n}\n";
   close_out oc
 
+(* ------------------------------------------------------------------ *)
+(* Command line: one Vp_cli.Spec flag table, the same parser and help
+   renderer as vpack's, with the experiments as positionals. *)
+
+module Spec = Vp_cli.Spec
+
+let experiments =
+  [
+    "table1"; "table2"; "fig8"; "table3"; "fig9"; "fig10";
+    "baseline-aggregate"; "aggregate"; "ablation-bbb"; "ablation-growth";
+    "ablation-sink"; "ablation-superblock"; "session"; "micro"; "overhead";
+    "gen";
+  ]
+
+let cli =
+  let file name doc = Spec.flag ~kind:Spec.Value ~docv:"FILE" ~doc [ name ] in
+  Spec.cmd ~name:""
+    ~doc:
+      "Regenerate the paper's tables and figures on the Table 1 workloads \
+       and run the micro-benchmarks.  Stdout is byte-identical for every \
+       --jobs value and backend; per-task timings go to stderr."
+    ~positional:
+      {
+        Spec.pos_docv = "EXPERIMENT...";
+        pos_doc =
+          "Experiments to run, in order (default: all): "
+          ^ String.concat " " experiments ^ ".";
+        pos_required = false;
+      }
+    ~exits:[ (0, "success"); (2, "command-line error or a truncated profile") ]
+    ~flags:
+      [
+        Spec.flag ~kind:Spec.Bool
+          ~doc:"A-input workloads only, and shorter micro-benchmark runs."
+          [ "quick" ];
+        Spec.flag ~kind:Spec.Value ~docv:"N" ~check:Spec.check_int
+          ~doc:
+            "Evaluate the workload x configuration matrix on N domains \
+             (default: the machine's recommended domain count; 0 or less \
+             runs sequentially)."
+          [ "jobs" ];
+        Vp_cli.Vpack.backend_flag;
+        file "json"
+          "Write the micro estimates and per-task timings as JSON (schema \
+           vacuum-bench/2) to FILE.";
+        file "trace"
+          "Record pipeline spans as a vp-perfetto-trace/1 timeline to FILE.";
+        file "timeline"
+          "Write the merged vp-timeline-trace/1 of one telemetry-enabled \
+           134.perl/A run to FILE, and its series summaries into --json.";
+      ]
+    (fun _ -> ())
+
+let cli_tool =
+  { Spec.tool_name = "bench"; version = ""; tool_doc = ""; cmds = [ cli ] }
+
+(* Parse the command line, or print usage and exit 2 — an unknown flag,
+   a bad value and an unknown experiment alike, all before the engine
+   does minutes of profiling work. *)
+let parse_args () =
+  let usage_error msg =
+    Printf.eprintf "bench: %s\n\n%s" msg (Spec.cmd_help cli_tool cli);
+    exit 2
+  in
+  match Spec.parse cli (List.tl (Array.to_list Sys.argv)) with
+  | Error e -> usage_error e
+  | Ok m when Spec.flag_set m "help" ->
+    print_string (Spec.cmd_help cli_tool cli);
+    exit 0
+  | Ok m -> (
+    match
+      List.find_opt
+        (fun pick -> not (List.mem pick experiments))
+        (Spec.positional m)
+    with
+    | Some pick -> usage_error (Printf.sprintf "unknown experiment '%s'" pick)
+    | None -> m)
+
 let () =
   Logs.set_reporter (Logs.format_reporter ());
   Logs.set_level (Some Logs.Warning);
-  let args = List.tl (Array.to_list Sys.argv) in
-  let jobs_opt, args = parse_jobs args in
-  let backend_opt, args = parse_valued ~name:"backend" args in
-  (match backend_opt with
-  | None -> ()
-  | Some s -> (
-    match Emulator.backend_of_string s with
-    | Some b -> backend := b
-    | None ->
-      Printf.eprintf
-        "bench: --backend expects reference, decoded or compiled, got %S\n" s;
-      exit 2));
-  let json_path, args = parse_valued ~name:"json" args in
-  let trace_path, args = parse_valued ~name:"trace" args in
-  let timeline_path, args = parse_valued ~name:"timeline" args in
-  let jobs = Option.value ~default:(Vp_util.Pool.default_jobs ()) jobs_opt in
-  let quick = List.mem "--quick" args in
-  let selected = List.filter (fun a -> a <> "--quick") args in
+  let m = parse_args () in
+  backend := Vp_cli.Vpack.resolve_backend m;
+  let json_path = Spec.value m "json" in
+  let trace_path = Spec.value m "trace" in
+  let timeline_path = Spec.value m "timeline" in
+  let jobs =
+    Spec.int_value m "jobs" ~default:(Vp_util.Pool.default_jobs ())
+  in
+  let quick = Spec.flag_set m "quick" in
   let workloads =
     if quick then List.filter (fun w -> w.Registry.input = "A") Registry.all
     else Registry.all
@@ -1081,28 +1118,11 @@ let () =
     | "micro" -> micro ~quick
     | "overhead" -> overhead ~quick
     | "gen" -> gen_exp ~quick
-    | other ->
-      Printf.eprintf "unknown experiment %s\n" other;
-      exit 1
+    | other -> invalid_arg ("bench: no experiment " ^ other)
   in
-  let all =
-    [
-      "table1"; "table2"; "fig8"; "table3"; "fig9"; "fig10";
-      "baseline-aggregate"; "aggregate"; "ablation-bbb"; "ablation-growth";
-      "ablation-sink"; "ablation-superblock"; "session"; "micro"; "overhead";
-      "gen";
-    ]
+  let picks =
+    match Spec.positional m with [] -> experiments | picks -> picks
   in
-  let picks = match selected with [] -> all | picks -> picks in
-  (* Reject unknown experiments before the engine does minutes of
-     profiling work. *)
-  List.iter
-    (fun pick ->
-      if not (List.mem pick all) then begin
-        Printf.eprintf "unknown experiment %s\n" pick;
-        exit 1
-      end)
-    picks;
   (* Populate the engine caches in parallel before any table renders;
      the DAG covers the union of what the picked experiments read. *)
   let metrics =

@@ -91,7 +91,7 @@ let () =
       let records = ref 0 in
       Detector.set_hooks d ~on_record:(fun ~branches:_ ~id:_ -> incr records);
       let (_ : Emulator.outcome) =
-        Emulator.run
+        Emulator.run_backend
           ~on_branch:(fun ~pc ~taken -> Detector.on_branch d ~pc ~taken)
           image
       in

@@ -191,7 +191,8 @@ let wrap_doc doc =
   String.concat " " (String.split_on_char '\n' doc)
 
 let usage_line tool cmd =
-  Printf.sprintf "usage: %s %s [OPTION]...%s" tool.tool_name cmd.name
+  Printf.sprintf "usage: %s [OPTION]...%s"
+    (String.concat " " (List.filter (( <> ) "") [ tool.tool_name; cmd.name ]))
     (match cmd.positional with
     | Some p ->
       if p.pos_required then " " ^ p.pos_docv else " [" ^ p.pos_docv ^ "]"

@@ -75,13 +75,19 @@ let workload_pos =
 
 let default_backend = Config.backend Config.default
 
+let check_backend name =
+  match Emulator.backend_of_string name with
+  | Some _ -> None
+  | None -> Some (Printf.sprintf "expected reference or compiled, got %S" name)
+
 let backend_flag =
   Spec.flag ~kind:Spec.Value ~docv:"BACKEND"
     ~default:(Emulator.backend_name default_backend)
+    ~check:check_backend
     ~doc:
-      "Functional emulator backend: reference, decoded or compiled.  All \
-       backends produce bit-identical results; the choice only affects \
-       simulation speed."
+      "Functional emulator backend: reference or compiled.  Both backends \
+       produce bit-identical results; the choice only affects simulation \
+       speed."
     [ "backend" ]
 
 let jobs_flag =
@@ -156,12 +162,7 @@ let resolve_jobs m =
 let resolve_backend m =
   match Spec.value m "backend" with
   | None -> default_backend
-  | Some name -> (
-    match Emulator.backend_of_string name with
-    | Some b -> b
-    | None ->
-      Vacuum.Error.failf ~stage:"cli"
-        "unknown backend %s (expected reference, decoded or compiled)" name)
+  | Some name -> Option.get (Emulator.backend_of_string name)
 
 let config_of m =
   Config.experiment

@@ -8,6 +8,14 @@ val tool : Spec.tool
     report, stats, timeline, serve, trace-check, verify, chaos, fuzz,
     diag, asm, disasm, machine. *)
 
+val backend_flag : Spec.flag
+(** The shared [--backend reference|compiled] flag; an unknown name is a
+    usage error at parse time. *)
+
+val resolve_backend : Spec.matches -> Vp_exec.Emulator.backend
+(** The backend a successful parse selected, [Config.default]'s when
+    the flag is absent. *)
+
 val main : unit -> unit
 (** Parse [Sys.argv], dispatch, and exit: 0 success, 2 command-line
     error, 3 pipeline error, 4 verifier rejection (and [serve] epochs

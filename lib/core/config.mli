@@ -89,11 +89,12 @@ val opt : t -> Vp_opt.Opt.config
 val cpu : t -> Vp_cpu.Config.t
 
 val backend : t -> Vp_exec.Emulator.backend
-(** Which emulation core every run in the pipeline uses — profiling,
-    coverage, chaos oracles, fleet emulation and the timing model's
-    retire feed all select it from here ([Compiled] by default, the
-    fastest core; every backend is bit-identical, so the choice never
-    changes a result). *)
+(** Which emulation core every functional run in the pipeline uses —
+    profiling, coverage, chaos oracles and fleet emulation all select
+    it from here: [Compiled] (the default, the fast core) or
+    [Reference] (the executable specification).  The two are
+    bit-identical, so the choice never changes a result; the timing
+    model's retire feed always comes from [Compiled]. *)
 
 val mem_words : t -> int
 val fuel : t -> int

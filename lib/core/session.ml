@@ -1,6 +1,7 @@
 module Emulator = Vp_exec.Emulator
 module State = Vp_exec.State
 module Decode = Vp_exec.Decode
+module Compile = Vp_exec.Compile
 module Detector = Vp_hsd.Detector
 module Snapshot = Vp_hsd.Snapshot
 module Phase_log = Vp_phase.Phase_log
@@ -239,7 +240,7 @@ let step t =
   let ol = t.image.Image.orig_limit in
   let { fold; lane_of; lane_names } = t.view in
   let lane_branches = Array.make (Array.length lane_names) 0 in
-  let tag = (Decode.of_image t.image).Decode.tag in
+  let tag = (Compile.decode (Compile.of_image t.image)).Decode.tag in
   let on_branch ~pc ~taken =
     lane_branches.(lane_of.(pc)) <- lane_branches.(lane_of.(pc)) + 1;
     let opc = fold.(pc) in

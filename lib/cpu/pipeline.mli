@@ -42,7 +42,7 @@ val simulate :
     accepted and ignored: the feed always comes from the compiled
     emulator, whose retirement stream is bit-identical to every other
     backend's, so results do not depend on it.  [fuel] and [mem_words]
-    default as in [Vp_exec.Emulator.run].  With an enabled
+    default as in [Vp_exec.Emulator.run_backend].  With an enabled
     [telemetry] timeline, per-interval deltas of the timing series are
     recorded under the [timing.*] names ([instructions], [cycles],
     [icache_misses], [dcache_misses], [l2_misses], [mispredicts],

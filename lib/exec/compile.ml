@@ -1,6 +1,6 @@
 (* Block-threaded closure compilation of a decoded image.
 
-   The decoded core ({!Decode} + [Emulator.run_decoded]) still pays a
+   An interpreter over the decoded form ({!Decode}) pays a
    per-instruction dispatch: fuel check, pc bounds check, tag load,
    match, operand loads, scratch writes, [State.set_pc].  This module
    removes all of it.  The image is partitioned into basic blocks and
@@ -26,7 +26,8 @@
    instruction's [taken] and [next_pc].  The boundary interpreter
    reports runs of length 1, so fuel cuts stay exact.  Outcomes,
    checksums and the expanded observation streams are bit-identical to
-   [Emulator.run_decoded], which stays the differential oracle. *)
+   the reference interpreter's ([Emulator.run_backend ~backend:Reference]),
+   the differential oracle. *)
 
 module Op = Vp_isa.Op
 module Reg = Vp_isa.Reg
@@ -157,7 +158,7 @@ let make_variant (d : Decode.t) ~block_idx ~block_start ~block_len ~nb
   let reg_of regs pc = (regs.(pc) : Reg.t :> int) in
   let ra_slot = (Reg.ra :> int) in
   (* Cold path: an unresolved-label instruction actually executed;
-     rebuild the decoded interpreter's exact message lazily.  The pc
+     rebuild the reference interpreter's exact message lazily.  The pc
      is published first, like a faulting load's, so the fault flush in
      {!exec} knows where the retired prefix ends. *)
   let unres (ctx : ctx) pc =
@@ -171,7 +172,7 @@ let make_variant (d : Decode.t) ~block_idx ~block_start ~block_len ~nb
   (* The boundary interpreter: entered at the run's start, on dynamic
      [Ret] targets, and whenever a block no longer fits in the
      remaining fuel.  It retires one instruction at a time with the
-     decoded interpreter's exact semantics, reports each as a run of
+     reference interpreter's exact semantics, reports each as a run of
      length 1 (the observers are no-ops in the fast variant), and
      re-enters compiled blocks as soon as a leader with sufficient
      fuel comes up.  No run is open while it runs ([run_start] is -1),
@@ -260,9 +261,9 @@ let make_variant (d : Decode.t) ~block_idx ~block_start ~block_len ~nb
      leaders by construction (branch/jump/call targets and fallthrough
      successors are all marked), so this is a direct jump into the
      target block's closure; its prologue re-checks fuel.  Out-of-range
-     targets replicate the decoded loop exactly: the bounds fault only
-     fires while fuel remains, otherwise the run ends with the bad pc
-     as [final_pc]. *)
+     targets replicate the reference interpreter exactly: the bounds
+     fault only fires while fuel remains, otherwise the run ends with
+     the bad pc as [final_pc]. *)
   let goto tgt =
     if tgt >= 0 && tgt < n then begin
       let b = block_idx.(tgt) in
@@ -293,7 +294,7 @@ let make_variant (d : Decode.t) ~block_idx ~block_start ~block_len ~nb
      tag and — for ALU ops — per operation, with operands and folded
      immediates in the closure environment.  Loads and stores publish
      the pc first so an out-of-range [State.Fault] carries the same pc
-     context as the decoded interpreter's; in the observed variant
+     context as the reference interpreter's; in the observed variant
      they also record their address at their static [slot] of the
      run's [addrs] buffer. *)
   let compile_straight pc slot k =
@@ -706,10 +707,11 @@ let variant t ~observed =
     if observed then t.observed <- Some v else t.fast <- Some v;
     v
 
-(* Two-entry domain-local memo keyed by physical image identity,
-   mirroring the decode memo: the pipelines run the same immutable
-   images over and over (an original and its rewrite alternate), and
-   the compiled form is pure data derived from one. *)
+(* Two-entry domain-local memo keyed by physical image identity: the
+   pipelines run the same immutable images over and over (an original
+   and its rewrite alternate, the timing model reads the decoded form
+   after the functional run), and the compiled form — the decoded one
+   included — is pure data derived from one. *)
 let memo = Vp_util.Identity_memo.create ()
 
 let of_image (image : Image.t) =

@@ -16,9 +16,9 @@
     run-observed one that reports retirement {e runs} (see {!on_run})
     and conditional-branch outcomes.  {!exec} picks the variant from
     the observers it is given; outcomes and checksums are
-    bit-identical to [Emulator.run_decoded], which stays the
-    differential oracle, and so is the per-instruction stream a run
-    expands to. *)
+    bit-identical to the reference interpreter's
+    ([Emulator.run_backend ~backend:Reference]), the differential
+    oracle, and so is the per-instruction stream a run expands to. *)
 
 type t
 
@@ -37,8 +37,10 @@ val compile : Decode.t -> t
     specialization happens so execution never matches on tags. *)
 
 val of_image : Vp_prog.Image.t -> t
-(** {!compile} through a two-entry domain-local memo keyed by physical
-    image identity, like [Decode.of_image]. *)
+(** {!compile} of [Decode.of_image] through a two-entry domain-local
+    memo keyed by physical image identity — the one memo of both forms:
+    {!decode} on its result is how every other reader (sessions, the
+    timing model) gets the decoded image without decoding again. *)
 
 val decode : t -> Decode.t
 
@@ -72,11 +74,11 @@ val exec :
   result
 (** Run compiled code from the state's current pc until halt, a return
     to {!State.halt_address}, or fuel exhaustion, leaving the final pc
-    in the state exactly as [Emulator.run_decoded] would.
+    in the state exactly as the reference interpreter would.
     Observer-present runs use the run-observed variant, observer-free
     runs the fast one.  A conditional branch's [on_branch] fires right
     after the run it ends.  An exception escaping mid-block (a
     {!State.Fault}, an executed unresolved label) first reports the
     block's retired prefix — the instructions before the faulting one —
-    as a run, so the observers see exactly the retirements the decoded
+    as a run, so the observers see exactly the retirements the reference
     interpreter would have fed them. *)

@@ -39,7 +39,7 @@ let tag_br_unresolved = 13
 let tag_jmp_unresolved = 14
 let tag_call_unresolved = 15
 
-let decode (image : Image.t) =
+let of_image (image : Image.t) =
   let code = image.Image.code in
   let n = Array.length code in
   let tag = Array.make n tag_nop in
@@ -139,16 +139,6 @@ let decode (image : Image.t) =
     defs_off;
     defs;
   }
-
-(* Two-entry domain-local memo keyed by physical image identity: the
-   pipelines decode the same immutable images over and over (timing
-   model after functional run, the original and its rewrite in
-   alternation, repeated benchmark iterations), and a decoded form is
-   pure data derived from one. *)
-let memo = Vp_util.Identity_memo.create ()
-
-let of_image (image : Image.t) =
-  Vp_util.Identity_memo.find_or_add memo image decode
 
 let size t = Array.length t.tag
 

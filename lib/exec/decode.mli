@@ -1,10 +1,11 @@
-(** Predecoded image: the flat, allocation-free execution form.
+(** Predecoded image: the flat lowering that [Compile] and the timing
+    model read.
 
     {!of_image} lowers an image's [Instr.t array] into parallel int
-    arrays once, at load time, so the emulator's retire loop and the
-    timing model touch nothing but unboxed array cells.  Operands
-    ([Reg.t] is an immediate int), ALU opcodes and branch conditions
-    (constant constructors) all live in flat arrays; variable-length
+    arrays once, at load time, so block compilation and the timing
+    model touch nothing but unboxed array cells.  Operands ([Reg.t] is
+    an immediate int), ALU opcodes and branch conditions (constant
+    constructors) all live in flat arrays; variable-length
     per-instruction register sets ([Instr.uses]/[Instr.defs], which
     allocate lists on every call) are frozen into CSR-style
     offset+payload arrays.
@@ -75,7 +76,9 @@ val tag_call_unresolved : int
 
 val of_image : Vp_prog.Image.t -> t
 (** Lower the image.  O(size); performs all list/variant traversal up
-    front so execution never does. *)
+    front so execution never does.  Not memoized: [Compile.of_image]
+    is the one caller and memoizes the result, so read a shared
+    decoded form back with [Compile.decode (Compile.of_image image)]. *)
 
 val size : t -> int
 

@@ -13,6 +13,17 @@ type outcome = {
   final_pc : int;
 }
 
+type backend = Reference | Compiled
+
+let backend_name = function Reference -> "reference" | Compiled -> "compiled"
+
+let backend_of_string = function
+  | "reference" -> Some Reference
+  | "compiled" -> Some Compiled
+  | _ -> None
+
+let all_backends = [ Reference; Compiled ]
+
 let target_addr = function
   | Instr.Addr a -> a
   | Instr.Label l -> Vp_util.Error.failf ~stage:"emulator" ~label:l "unresolved label %s" l
@@ -21,218 +32,14 @@ let operand_value st = function
   | Instr.Reg r -> State.reg st r
   | Instr.Imm n -> n
 
-(* Unchecked array access inside the decoded hot loop: [pc] is
-   validated against the image size at the top of each iteration, and
-   every decoded table has exactly one entry per pc. *)
-external ( .!() ) : 'a array -> int -> 'a = "%array_unsafe_get"
-
-(* Cold path: an unresolved-label instruction actually executed.
-   Re-read the boxed instruction to rebuild the exact message
-   {!target_addr} would have produced. *)
-let unresolved code pc =
-  match Instr.target code.(pc) with
-  | Some (Instr.Label l) ->
-    Vp_util.Error.failf ~stage:"emulator" ~label:l "unresolved label %s" l
-  | _ -> assert false
-
-(* One bounded slice of decoded execution over an external [st]: starts
-   from the state's current pc, retires at most [fuel] instructions, and
-   leaves the final pc in the state so a later slice (possibly over a
-   different image sharing the same address space) resumes exactly where
-   this one stopped.  Counts in the outcome cover only this slice. *)
-let decoded_slice st ~fuel ?on_branch ?on_retire ?on_run (d : Decode.t) =
-  let instructions = ref 0 in
-  let package_instructions = ref 0 in
-  let cond_branches = ref 0 in
-  let halted = ref false in
-  let orig_limit = d.Decode.image.Image.orig_limit in
-  let tag = d.Decode.tag in
-  let dst = d.Decode.dst in
-  let src1 = d.Decode.src1 in
-  let src2 = d.Decode.src2 in
-  let imm = d.Decode.imm in
-  let alu_op = d.Decode.alu_op in
-  let cond = d.Decode.cond in
-  let target = d.Decode.target in
-  let code = d.Decode.code in
-  let size = Array.length tag in
-  (* Per-instruction scratch, allocated once for the whole run: the
-     retire loop writes plain ints and bools here instead of
-     allocating a record or a [mem_addr] option. *)
-  let taken = ref false in
-  let mem_addr = ref (-1) in
-  let next = ref 0 in
-  let addrs = [| -1 |] in
-  while (not !halted) && !instructions < fuel do
-    let pc = State.pc st in
-    if pc < 0 || pc >= size then
-      Vp_util.Error.failf ~stage:"emulator" ~pc "pc 0x%x outside image" pc;
-    incr instructions;
-    if pc >= orig_limit then incr package_instructions;
-    taken := false;
-    mem_addr := -1;
-    next := pc + 1;
-    (match tag.!(pc) with
-    | 0 (* Alu, register operand *) ->
-      State.set_reg st dst.!(pc)
-        (Op.eval_alu alu_op.!(pc) (State.reg st src1.!(pc))
-           (State.reg st src2.!(pc)))
-    | 1 (* Alu, immediate operand *) ->
-      State.set_reg st dst.!(pc)
-        (Op.eval_alu alu_op.!(pc) (State.reg st src1.!(pc)) imm.!(pc))
-    | 2 (* Li *) -> State.set_reg st dst.!(pc) imm.!(pc)
-    | 3 (* La *) -> State.set_reg st dst.!(pc) target.!(pc)
-    | 4 (* Load *) ->
-      let addr = State.reg st src1.!(pc) + imm.!(pc) in
-      mem_addr := addr;
-      State.set_reg st dst.!(pc) (State.mem st addr)
-    | 5 (* Store *) ->
-      let addr = State.reg st src1.!(pc) + imm.!(pc) in
-      mem_addr := addr;
-      let v = State.reg st dst.!(pc) in
-      State.set_mem st addr v;
-      (* ra spills hold code addresses; keep them out of the digest so
-         original and rewritten binaries stay comparable. *)
-      if not (Reg.equal dst.!(pc) Reg.ra) then State.bump_store_digest st addr v
-    | 6 (* Br *) ->
-      incr cond_branches;
-      let t =
-        Op.eval_cond cond.!(pc) (State.reg st src1.!(pc)) (State.reg st src2.!(pc))
-      in
-      taken := t;
-      if t then next := target.!(pc);
-      (match on_branch with Some f -> f ~pc ~taken:t | None -> ())
-    | 7 (* Jmp *) ->
-      taken := true;
-      next := target.!(pc)
-    | 8 (* Call *) ->
-      taken := true;
-      State.set_reg st Reg.ra (pc + 1);
-      next := target.!(pc)
-    | 9 (* Ret *) ->
-      taken := true;
-      let ra = State.reg st Reg.ra in
-      if ra = State.halt_address then begin
-        halted := true;
-        next := State.halt_address
-      end
-      else next := ra
-    | 10 (* Nop *) -> ()
-    | 11 (* Halt *) ->
-      halted := true;
-      next := State.halt_address
-    | 13 (* Br, unresolved label: fault only when taken *) ->
-      incr cond_branches;
-      let t =
-        Op.eval_cond cond.!(pc) (State.reg st src1.!(pc)) (State.reg st src2.!(pc))
-      in
-      taken := t;
-      if t then unresolved code pc;
-      (match on_branch with Some f -> f ~pc ~taken:t | None -> ())
-    | _ (* La/Jmp/Call with an unresolved label *) -> unresolved code pc);
-    (match on_retire with
-    | Some f -> f ~pc ~taken:!taken ~next_pc:!next ~mem_addr:!mem_addr
-    | None -> ());
-    (match on_run with
-    | Some f ->
-      addrs.(0) <- !mem_addr;
-      f ~addrs ~start:pc ~len:1 ~taken:!taken ~next_pc:!next
-    | None -> ());
-    if not !halted then State.set_pc st !next
-  done;
-  {
-    instructions = !instructions;
-    package_instructions = !package_instructions;
-    cond_branches = !cond_branches;
-    halted = !halted;
-    checksum = State.checksum st;
-    result = State.reg st Reg.ret_value;
-    final_pc = State.pc st;
-  }
-
-let run_decoded ?(fuel = 200_000_000) ?(mem_words = 1 lsl 20) ?on_branch
-    ?on_retire (d : Decode.t) =
-  let st = State.create ~mem_words d.Decode.image in
-  let outcome = decoded_slice st ~fuel ?on_branch ?on_retire d in
-  (* The state never escapes this function; recycle its memory array. *)
-  State.release st;
-  outcome
-
-let run ?fuel ?mem_words ?on_branch ?on_retire image =
-  run_decoded ?fuel ?mem_words ?on_branch ?on_retire (Decode.of_image image)
-
-let noop_branch ~pc:_ ~taken:_ = ()
-
-(* Expand the compiled backend's retirement runs into the decoded
-   loop's per-instruction stream, in its exact order: every
-   instruction of the run retires in turn, and a run-ending
-   conditional branch fires [on_branch] just before its own
-   retirement.  [Compile.exec] then gets no [on_branch] of its own. *)
-let expand_runs (d : Decode.t) ~on_branch ~on_retire =
-  let tag = d.Decode.tag in
-  fun ~addrs ~start ~len ~taken ~next_pc ->
-    let last = start + len - 1 in
-    for pc = start to last do
-      let t = tag.!(pc) in
-      let mem_addr =
-        if t = Decode.tag_load || t = Decode.tag_store then addrs.!(pc - start)
-        else -1
-      in
-      if pc < last then
-        on_retire ~pc ~taken:false ~next_pc:(pc + 1) ~mem_addr
-      else begin
-        if t = Decode.tag_br || t = Decode.tag_br_unresolved then
-          on_branch ~pc ~taken;
-        on_retire ~pc ~taken ~next_pc ~mem_addr
-      end
-    done
-
-let compiled_slice st ~fuel ?on_branch ?on_retire ?on_run (c : Compile.t) =
-  let r =
-    match on_retire with
-    | None -> Compile.exec c st ~fuel ?on_branch ?on_run ()
-    | Some on_retire ->
-      let on_branch = Option.value on_branch ~default:noop_branch in
-      Compile.exec c st ~fuel
-        ~on_run:(expand_runs (Compile.decode c) ~on_branch ~on_retire)
-        ()
-  in
-  {
-    instructions = r.Compile.instructions;
-    package_instructions = r.Compile.package_instructions;
-    cond_branches = r.Compile.cond_branches;
-    halted = r.Compile.halted;
-    checksum = State.checksum st;
-    result = State.reg st Reg.ret_value;
-    final_pc = State.pc st;
-  }
-
-let run_compiled ?(fuel = 200_000_000) ?(mem_words = 1 lsl 20) ?on_branch
-    ?on_retire (c : Compile.t) =
-  let image = (Compile.decode c).Decode.image in
-  let st = State.create ~mem_words image in
-  let outcome = compiled_slice st ~fuel ?on_branch ?on_retire c in
-  State.release st;
-  outcome
-
-type backend = Reference | Decoded | Compiled
-
-let backend_name = function
-  | Reference -> "reference"
-  | Decoded -> "decoded"
-  | Compiled -> "compiled"
-
-let backend_of_string = function
-  | "reference" -> Some Reference
-  | "decoded" -> Some Decoded
-  | "compiled" -> Some Compiled
-  | _ -> None
-
-let all_backends = [ Reference; Decoded; Compiled ]
-
 (* The original boxed interpreter, kept verbatim as the executable
    specification: the differential tests re-run every workload through
-   it and require bit-identical outcomes from the decoded core. *)
+   it and require bit-identical outcomes from the compiled core.  One
+   bounded slice over an external [st]: starts from the state's current
+   pc, retires at most [fuel] instructions, and leaves the final pc in
+   the state so a later slice (possibly over a different image sharing
+   the same address space) resumes exactly where this one stopped.
+   Counts in the outcome cover only this slice. *)
 let reference_slice st ~fuel ?on_branch ?on_retire ?on_run image =
   let instructions = ref 0 in
   let package_instructions = ref 0 in
@@ -266,6 +73,8 @@ let reference_slice st ~fuel ?on_branch ?on_retire ?on_run image =
       mem_addr := addr;
       let v = State.reg st src in
       State.set_mem st addr v;
+      (* ra spills hold code addresses; keep them out of the digest so
+         original and rewritten binaries stay comparable. *)
       if not (Reg.equal src Reg.ra) then State.bump_store_digest st addr v
     | Instr.Br { cond; src1; src2; target } ->
       incr cond_branches;
@@ -312,26 +121,73 @@ let reference_slice st ~fuel ?on_branch ?on_retire ?on_run image =
     final_pc = State.pc st;
   }
 
-let run_reference ?(fuel = 200_000_000) ?(mem_words = 1 lsl 20) ?on_branch
-    ?on_retire image =
-  let st = State.create ~mem_words image in
-  reference_slice st ~fuel ?on_branch ?on_retire image
+(* Unchecked array access in the run expansion: every pc a run covers
+   is inside the image, and its [addrs] slot is below the run length. *)
+external ( .!() ) : 'a array -> int -> 'a = "%array_unsafe_get"
+
+let noop_branch ~pc:_ ~taken:_ = ()
+
+(* Expand the compiled backend's retirement runs into the reference
+   interpreter's per-instruction stream, in its exact order: every
+   instruction of the run retires in turn, and a run-ending
+   conditional branch fires [on_branch] just before its own
+   retirement.  [Compile.exec] then gets no [on_branch] of its own. *)
+let expand_runs (d : Decode.t) ~on_branch ~on_retire =
+  let tag = d.Decode.tag in
+  fun ~addrs ~start ~len ~taken ~next_pc ->
+    let last = start + len - 1 in
+    for pc = start to last do
+      let t = tag.!(pc) in
+      let mem_addr =
+        if t = Decode.tag_load || t = Decode.tag_store then addrs.!(pc - start)
+        else -1
+      in
+      if pc < last then
+        on_retire ~pc ~taken:false ~next_pc:(pc + 1) ~mem_addr
+      else begin
+        if t = Decode.tag_br || t = Decode.tag_br_unresolved then
+          on_branch ~pc ~taken;
+        on_retire ~pc ~taken ~next_pc ~mem_addr
+      end
+    done
+
+let compiled_slice st ~fuel ?on_branch ?on_retire ?on_run (c : Compile.t) =
+  let r =
+    match on_retire with
+    | None -> Compile.exec c st ~fuel ?on_branch ?on_run ()
+    | Some on_retire ->
+      let on_branch = Option.value on_branch ~default:noop_branch in
+      Compile.exec c st ~fuel
+        ~on_run:(expand_runs (Compile.decode c) ~on_branch ~on_retire)
+        ()
+  in
+  {
+    instructions = r.Compile.instructions;
+    package_instructions = r.Compile.package_instructions;
+    cond_branches = r.Compile.cond_branches;
+    halted = r.Compile.halted;
+    checksum = State.checksum st;
+    result = State.reg st Reg.ret_value;
+    final_pc = State.pc st;
+  }
+
+let slice backend st ~fuel ?on_branch ?on_retire ?on_run image =
+  match backend with
+  | Compiled ->
+    compiled_slice st ~fuel ?on_branch ?on_retire ?on_run
+      (Compile.of_image image)
+  | Reference -> reference_slice st ~fuel ?on_branch ?on_retire ?on_run image
 
 let run_slice ?(backend = Compiled) ~state ~fuel ?on_branch ?on_run image =
-  match backend with
-  | Decoded -> decoded_slice state ~fuel ?on_branch ?on_run (Decode.of_image image)
-  | Compiled -> compiled_slice state ~fuel ?on_branch ?on_run (Compile.of_image image)
-  | Reference -> reference_slice state ~fuel ?on_branch ?on_run image
+  slice backend state ~fuel ?on_branch ?on_run image
 
-let run_backend ?(backend = Compiled) ?fuel ?mem_words ?on_branch ?on_retire
-    image =
-  match backend with
-  | Decoded ->
-    run_decoded ?fuel ?mem_words ?on_branch ?on_retire (Decode.of_image image)
-  | Compiled ->
-    run_compiled ?fuel ?mem_words ?on_branch ?on_retire
-      (Compile.of_image image)
-  | Reference -> run_reference ?fuel ?mem_words ?on_branch ?on_retire image
+let run_backend ?(backend = Compiled) ?(fuel = 200_000_000)
+    ?(mem_words = 1 lsl 20) ?on_branch ?on_retire image =
+  let st = State.create ~mem_words image in
+  let outcome = slice backend st ~fuel ?on_branch ?on_retire image in
+  (* The state never escapes this function; recycle its memory array. *)
+  State.release st;
+  outcome
 
 let aggregate_branch_profile ?fuel ?mem_words image =
   (* pc-indexed counters instead of a hashtable: the per-branch cost

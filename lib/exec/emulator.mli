@@ -1,7 +1,10 @@
 (** Functional (architectural) emulation of a binary image.
 
-    The emulator retires one instruction at a time over the predecoded
-    form ({!Decode}) and exposes two observation channels:
+    Two backends run the same machine: [Compiled], the block-threaded
+    closures of {!Compile} (the default), and [Reference], the boxed
+    interpreter over [Instr.t] that retires one instruction at a time —
+    the executable specification the differential tests hold [Compiled]
+    to.  Either exposes two observation channels:
 
     - [on_branch] fires at every conditional-branch retirement with
       the branch's static address and its outcome — exactly the event
@@ -13,8 +16,10 @@
       load or store, [-1] for every other instruction — no address in
       this machine is negative).
 
-    Both are optional, and neither allocates per retired instruction.
-    A conditional branch fires [on_branch] before its [on_retire]. *)
+    Both are optional; on [Compiled] neither allocates per retired
+    instruction.  A conditional branch fires [on_branch] before its
+    [on_retire].  Outcomes, checksums and both streams are
+    bit-identical across backends. *)
 
 type outcome = {
   instructions : int;  (** dynamic instructions retired *)
@@ -26,56 +31,13 @@ type outcome = {
   final_pc : int;
 }
 
-val run :
-  ?fuel:int ->
-  ?mem_words:int ->
-  ?on_branch:(pc:int -> taken:bool -> unit) ->
-  ?on_retire:(pc:int -> taken:bool -> next_pc:int -> mem_addr:int -> unit) ->
-  Vp_prog.Image.t ->
-  outcome
-(** Execute from the image entry until [Halt], a return to
-    {!State.halt_address}, or fuel exhaustion (default fuel 200M).
-    Decodes the image first; callers that run the same image many
-    times should decode once and use {!run_decoded}.  [on_retire] is
-    forwarded to {!run_decoded} — the allocation-free per-retirement
-    sink the telemetry layer's interval samplers piggyback on.  Raises
-    {!State.Fault} on out-of-range memory access and
-    [Invalid_argument] on a jump outside the image or an executed
-    unresolved label. *)
-
-val run_decoded :
-  ?fuel:int ->
-  ?mem_words:int ->
-  ?on_branch:(pc:int -> taken:bool -> unit) ->
-  ?on_retire:(pc:int -> taken:bool -> next_pc:int -> mem_addr:int -> unit) ->
-  Decode.t ->
-  outcome
-(** {!run} over a predecoded image. *)
-
-val run_compiled :
-  ?fuel:int ->
-  ?mem_words:int ->
-  ?on_branch:(pc:int -> taken:bool -> unit) ->
-  ?on_retire:(pc:int -> taken:bool -> next_pc:int -> mem_addr:int -> unit) ->
-  Compile.t ->
-  outcome
-(** {!run_decoded} over block-compiled closures ({!Compile}): whole
-    basic blocks execute straight-line with per-block fuel checks and
-    direct block-to-block dispatch.  Outcomes, checksums and
-    observation streams are bit-identical to {!run_decoded}, which
-    stays the differential oracle.  The compiled code reports one
-    retirement run per block ({!Compile.on_run}), which is expanded
-    here into the per-instruction [on_retire] stream; with only
-    [on_branch] attached no expansion happens, and a run with no
-    observers at all executes the observer-free compiled variant. *)
-
-type backend = Reference | Decoded | Compiled
+type backend = Reference | Compiled
 (** Which execution core runs the workload: the boxed reference
-    interpreter (the executable specification), the decoded flat-array
-    interpreter, or the block-compiled threaded code (the default). *)
+    interpreter (the executable specification) or the block-compiled
+    threaded code (the default). *)
 
 val backend_name : backend -> string
-(** ["reference"], ["decoded"] or ["compiled"]. *)
+(** ["reference"] or ["compiled"]. *)
 
 val backend_of_string : string -> backend option
 (** Inverse of {!backend_name}; [None] on an unknown name. *)
@@ -90,9 +52,19 @@ val run_backend :
   ?on_retire:(pc:int -> taken:bool -> next_pc:int -> mem_addr:int -> unit) ->
   Vp_prog.Image.t ->
   outcome
-(** {!run} through the chosen backend (default [Compiled]), going
-    through the decode/compile memos.  Every backend serves the same
-    observation channels. *)
+(** Execute from the image entry on the chosen backend (default
+    [Compiled]) until [Halt], a return to {!State.halt_address}, or
+    fuel exhaustion (default fuel 200M), over a fresh state of
+    [mem_words] words (default 1M) taken from and returned to the
+    {!State} arena.  [Compiled] goes through the {!Compile.of_image}
+    memo, so running the same image again compiles nothing.  It reports
+    one retirement run per block ({!Compile.on_run}), expanded here into
+    the per-instruction [on_retire] stream; with only [on_branch]
+    attached no expansion happens, and a run with no observers at all
+    executes the observer-free compiled variant.  Raises {!State.Fault}
+    on out-of-range memory access, and [Vp_util.Error.Error] with stage
+    ["emulator"] on a jump outside the image or an executed unresolved
+    label. *)
 
 val run_slice :
   ?backend:backend ->
@@ -116,22 +88,10 @@ val run_slice :
 
     [on_run] observes retirement runs ({!Compile.on_run}): natively,
     one per block, on [Compiled] (no per-instruction call); runs of
-    length 1 on the other two backends.  The instructions the runs
-    cover are the same on every backend, but not how they are grouped,
-    nor whether a run-ending branch's [on_branch] fires before or after
-    its run: an observer must depend on neither. *)
-
-val run_reference :
-  ?fuel:int ->
-  ?mem_words:int ->
-  ?on_branch:(pc:int -> taken:bool -> unit) ->
-  ?on_retire:(pc:int -> taken:bool -> next_pc:int -> mem_addr:int -> unit) ->
-  Vp_prog.Image.t ->
-  outcome
-(** The original boxed interpreter over [Instr.t], kept as the
-    executable specification of {!run}: it allocates per instruction
-    and is only used by differential tests, which require outcomes,
-    checksums and observation streams bit-identical to {!run}'s. *)
+    length 1 on [Reference].  The instructions the runs cover are the
+    same on both backends, but not how they are grouped, nor whether a
+    run-ending branch's [on_branch] fires before or after its run: an
+    observer must depend on neither. *)
 
 val aggregate_branch_profile :
   ?fuel:int -> ?mem_words:int -> Vp_prog.Image.t -> Branch_profile.t

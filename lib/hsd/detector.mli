@@ -56,7 +56,7 @@ val set_hooks :
 
 val on_branch : t -> pc:int -> taken:bool -> unit
 (** Feed one retired conditional branch; wire this to
-    [Vp_exec.Emulator.run ~on_branch]. *)
+    [Vp_exec.Emulator.run_backend ~on_branch]. *)
 
 val replay : t -> (int * bool) array -> unit
 (** Feed a recorded (pc, taken) stream through {!on_branch} in order —

@@ -19,10 +19,10 @@
     {b Cost.}  Series storage is preallocated and grows by doubling;
     pushes are array stores.  The {!disabled} timeline turns every
     entry point into an early-out on one immutable boolean, and
-    callers on the decoded hot loop are expected to not install their
-    sampling callback at all when telemetry is off (see
-    [Vacuum.Driver]), so the disabled path adds nothing to the decoded
-    core. *)
+    callers on the emulator's hot loop are expected to not install
+    their sampling callback at all when telemetry is off (see
+    [Vacuum.Driver]), so the disabled path adds nothing to the
+    compiled core. *)
 
 type config = {
   enabled : bool;

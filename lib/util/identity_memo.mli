@@ -1,6 +1,6 @@
 (** Two-entry domain-local memo keyed by physical identity.
 
-    Derived forms of immutable values (a decoded or compiled image, the
+    Derived forms of immutable values (a compiled image, the
     timing facts of one) are pure data, and the pipelines ask for the
     same few keys over and over: an original image and its rewrite
     alternate through every Figure 10 measurement.  Keeping the two most

@@ -68,6 +68,20 @@ let test_check_rejects_value () =
     "option '--epochs': expected an integer, got \"many\""
     (parse_err (cmd "serve") [ "-w"; "li"; "--epochs"; "many" ])
 
+(* Two backends exist; any other name — the retired "decoded" one
+   included — is a usage error at parse time, before a command body
+   runs. *)
+let test_unknown_backend () =
+  Alcotest.(check (option string))
+    "decoded is no backend" None
+    (Option.map Vp_exec.Emulator.backend_name
+       (Vp_exec.Emulator.backend_of_string "decoded"));
+  Alcotest.(check string) "message"
+    "option '--backend': expected reference or compiled, got \"decoded\""
+    (parse_err (cmd "run") [ "-w"; "perl"; "--backend"; "decoded" ]);
+  Alcotest.(check int) "exit 2" 2
+    (Spec.main tool [| "vpack"; "run"; "-w"; "perl"; "--backend"; "decoded" |])
+
 let test_missing_value () =
   Alcotest.(check string) "message" "option '--epochs' needs a N value"
     (parse_err (cmd "serve") [ "-w"; "li"; "--epochs" ])
@@ -175,7 +189,7 @@ options:
   --perfetto FILE            Write a Chrome trace-event / Perfetto JSON timeline (schema vp-perfetto-trace/1) to FILE: pipeline spans on the driver lane, per-epoch session slices on one lane per workload.
   --flight-dir DIR           Flight recorder: on a fallback to the original image, a verifier rejection or an oracle failure, dump the metric registry with its recent mark ring, plus its span ring as a Perfetto trace, to DIR.
   -j, --jobs N               Evaluate up to N workloads in parallel on separate domains (0 = the machine's recommended domain count). (default 0)
-  --backend BACKEND          Functional emulator backend: reference, decoded or compiled.  All backends produce bit-identical results; the choice only affects simulation speed. (default compiled)
+  --backend BACKEND          Functional emulator backend: reference or compiled.  Both backends produce bit-identical results; the choice only affects simulation speed. (default compiled)
   --help                     Show this help.
 
 exit codes:
@@ -213,6 +227,7 @@ let () =
           Alcotest.test_case "check rejects value" `Quick
             test_check_rejects_value;
           Alcotest.test_case "missing value" `Quick test_missing_value;
+          Alcotest.test_case "unknown backend" `Quick test_unknown_backend;
           Alcotest.test_case "positional required" `Quick
             test_positional_required;
           Alcotest.test_case "positional after --" `Quick

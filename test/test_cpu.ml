@@ -159,7 +159,7 @@ let test_simulate_phases_partitions () =
   let whole = Pipeline.simulate img in
   (* A synthetic two-interval timeline covering all branches. *)
   let total_branches =
-    (Vp_exec.Emulator.run img).Vp_exec.Emulator.cond_branches
+    (Vp_exec.Emulator.run_backend img).Vp_exec.Emulator.cond_branches
   in
   let timeline =
     [ (0, total_branches / 2, 0); (total_branches / 2, total_branches + 1, 1) ]
@@ -208,7 +208,7 @@ let test_pipeline_rejects_unresolved_branch () =
       data_break = 0;
     }
   in
-  let outcome = Vp_exec.Emulator.run img in
+  let outcome = Vp_exec.Emulator.run_backend img in
   Alcotest.(check bool) "emulator completes" true
     outcome.Vp_exec.Emulator.halted;
   Alcotest.check_raises "pipeline rejects"
@@ -230,7 +230,8 @@ let test_speedup_ratio () =
 
 (* The retire path must not allocate per instruction: a 10x longer
    simulation allocates the same constant amount (caches, predictor,
-   decoded tables are per-call or memoized, not per-retirement). *)
+   the compiled image and its decoded tables are memoized, not
+   per-retirement). *)
 let test_simulate_allocation_flat () =
   let img =
     Program.layout (Progs.two_phase ~iters_per_phase:100_000 ~repeats:2)

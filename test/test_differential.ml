@@ -1,8 +1,10 @@
-(* Differential tests: the decoded execution core against the boxed
-   reference interpreter.  Every registry A-input workload runs through
-   both [Emulator.run_reference] (the original instruction-at-a-time
-   interpreter, kept as the executable specification) and the decoded
-   [Emulator.run]; the two must agree on every outcome field, on the
+(* Differential tests: execution over the decoded form (the compiled
+   backend's closures) against the boxed reference interpreter.  Every
+   registry A-input workload runs through both the [Reference] backend
+   (the original instruction-at-a-time interpreter, kept as the
+   executable specification) and the default [Compiled] one with only a
+   branch observer attached — the compiled code's native branch feed,
+   no run expansion; the two must agree on every outcome field, on the
    hot-spot detector's snapshot stream, and on the whole-run aggregate
    branch profile. *)
 
@@ -55,11 +57,13 @@ let test_workload w () =
   let image = Program.layout (w.Registry.program ()) in
   let ref_outcome, ref_snaps, ref_agg =
     observe
-      (fun ~fuel ~on_branch image -> Emulator.run_reference ~fuel ~on_branch image)
+      (fun ~fuel ~on_branch image ->
+        Emulator.run_backend ~backend:Emulator.Reference ~fuel ~on_branch image)
       image
   in
   let dec_outcome, dec_snaps, dec_agg =
-    observe (fun ~fuel ~on_branch image -> Emulator.run ~fuel ~on_branch image)
+    observe
+      (fun ~fuel ~on_branch image -> Emulator.run_backend ~fuel ~on_branch image)
       image
   in
   check_outcome name ref_outcome dec_outcome;
@@ -87,8 +91,8 @@ let test_workload w () =
     (Vp_exec.Branch_profile.total_executed bp)
 
 (* ------------------------------------------------------------------ *)
-(* Three-way backend matrix: reference vs decoded vs compiled through
-   the uniform [run_backend] entry point.  Each backend runs with the
+(* Backend matrix: reference vs compiled through the uniform
+   [run_backend] entry point.  Each backend runs with the
    full observer set attached — detector + aggregate on the branch
    stream, and an order-sensitive FNV digest of every retirement
    (pc, taken, next_pc, mem_addr) — so the comparison covers outcomes,
@@ -169,17 +173,10 @@ let test_fleet_consensus_backends () =
       List.length r.Vacuum.Driver.packages,
       r.Vacuum.Driver.emitted.Vp_package.Emit.package_instructions )
   in
-  let reference = consensus Emulator.Decoded in
-  List.iter
-    (fun b ->
-      Alcotest.(check bool)
-        (Printf.sprintf "fleet consensus identical on %s backend"
-           (Emulator.backend_name b))
-        true
-        (consensus b = reference))
-    [ Emulator.Reference; Emulator.Compiled ]
+  Alcotest.(check bool) "fleet consensus identical on compiled backend" true
+    (consensus Emulator.Compiled = consensus Emulator.Reference)
 
-(* The full driver path (decoded core + pc-indexed profile counters)
+(* The full driver path (compiled core + pc-indexed profile counters)
    against a reference-interpreter reconstruction of the same
    aggregate, on one real workload end to end. *)
 let test_driver_profile_matches_reference () =
@@ -191,7 +188,7 @@ let test_driver_profile_matches_reference () =
     let e, t = Option.value ~default:(0, 0) (Hashtbl.find_opt agg pc) in
     Hashtbl.replace agg pc (e + 1, if taken then t + 1 else t)
   in
-  let outcome = Emulator.run_reference ~on_branch image in
+  let outcome = Emulator.run_backend ~backend:Emulator.Reference ~on_branch image in
   check_outcome "driver profile" outcome p.Vacuum.Driver.outcome;
   Alcotest.(check bool)
     "driver aggregate matches reference interpreter" true

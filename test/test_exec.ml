@@ -7,7 +7,7 @@ module Emulator = Vp_exec.Emulator
 module State = Vp_exec.State
 module Progs = Vp_test_support.Progs
 
-let run p = Emulator.run (Program.layout p)
+let run p = Emulator.run_backend (Program.layout p)
 
 let test_sum_loop () =
   let o = run (Progs.sum_to_n 100) in
@@ -58,7 +58,7 @@ let test_fuel_exhaustion () =
       B.li fb z 0;
       B.while_ fb (fun () -> (Vp_isa.Op.Eq, z, B.K 0)) (fun () -> ());
       B.halt fb);
-  let o = Emulator.run ~fuel:10_000 (Program.layout (B.program b ~entry:"main")) in
+  let o = Emulator.run_backend ~fuel:10_000 (Program.layout (B.program b ~entry:"main")) in
   Alcotest.(check bool) "not halted" false o.Emulator.halted;
   Alcotest.(check int) "fuel consumed" 10_000 o.Emulator.instructions
 
@@ -72,7 +72,7 @@ let test_memory_fault () =
   let img = Program.layout (B.program b ~entry:"main") in
   Alcotest.(check bool) "fault raised" true
     (try
-       ignore (Emulator.run img);
+       ignore (Emulator.run_backend img);
        false
      with State.Fault _ -> true)
 
@@ -94,7 +94,7 @@ let test_builder_break_continue () =
           B.alu fb Op.Add acc acc (B.V i));
       B.ret fb (Some acc);
       B.halt fb);
-  let o = Emulator.run (Program.layout (B.program b ~entry:"main")) in
+  let o = Emulator.run_backend (Program.layout (B.program b ~entry:"main")) in
   (* Odd values below 7: 1 + 3 + 5. *)
   Alcotest.(check int) "break/continue semantics" 9 o.Emulator.result
 
@@ -121,7 +121,7 @@ let test_builder_raw_labels () =
       B.place_label fb out;
       B.ret fb (Some acc);
       B.halt fb);
-  let o = Emulator.run (Program.layout (B.program b ~entry:"main")) in
+  let o = Emulator.run_backend (Program.layout (B.program b ~entry:"main")) in
   Alcotest.(check int) "bottom-tested loop" 45 o.Emulator.result
 
 let test_builder_frame_locals () =
@@ -149,7 +149,7 @@ let test_builder_frame_locals () =
           B.alu fb Op.Add acc acc (B.V v));
       B.ret fb (Some acc);
       B.halt fb);
-  let o = Emulator.run (Program.layout (B.program b ~entry:"main")) in
+  let o = Emulator.run_backend (Program.layout (B.program b ~entry:"main")) in
   (* sum of i^2 + 1 for i in 0..7 = 140 + 8. *)
   Alcotest.(check int) "frame-local array" 148 o.Emulator.result
 
@@ -158,7 +158,7 @@ let test_branch_observation () =
   let seen = ref 0 in
   let taken_count = ref 0 in
   let o =
-    Emulator.run
+    Emulator.run_backend
       ~on_branch:(fun ~pc:_ ~taken ->
         incr seen;
         if taken then incr taken_count)
@@ -186,7 +186,7 @@ let test_event_stream_consistency () =
   let on_retire ~pc ~taken:_ ~next_pc ~mem_addr:_ =
     events := (pc, next_pc) :: !events
   in
-  let o = Emulator.run ~on_retire img in
+  let o = Emulator.run_backend ~on_retire img in
   let events = List.rev !events in
   Alcotest.(check int) "one event per instruction" o.Emulator.instructions
     (List.length events);
@@ -209,7 +209,7 @@ let test_package_instruction_accounting () =
   let img3 =
     Image.patch img2 [ (img2.Image.entry, Vp_isa.Instr.Jmp { target = Vp_isa.Instr.Addr base }) ]
   in
-  let o = Emulator.run img3 in
+  let o = Emulator.run_backend img3 in
   Alcotest.(check bool) "halted" true o.Emulator.halted;
   Alcotest.(check int) "package instructions" 2 o.Emulator.package_instructions
 
@@ -222,7 +222,8 @@ let test_checksum_stability () =
     (a.Emulator.checksum <> c.Emulator.checksum)
 
 (* ------------------------------------------------------------------ *)
-(* The decoded form. *)
+(* The decoded form, and the lazy unresolved-label faults its tags
+   carry. *)
 
 module Decode = Vp_exec.Decode
 module Instr = Vp_isa.Instr
@@ -252,15 +253,9 @@ let test_decode_tables_match_instr () =
         (Instr.fu i = d.Decode.fu.(pc)))
     img.Image.code
 
-let test_decode_memoizes_on_identity () =
-  let img = Program.layout (Progs.sum_to_n 10) in
-  let d1 = Decode.of_image img in
-  let d2 = Decode.of_image img in
-  Alcotest.(check bool) "same physical image, same decode" true (d1 == d2)
-
 (* Unresolved [Label] targets must fault lazily — exactly when the
-   instruction executes and (for branches) only when taken, matching
-   the boxed interpreter's behaviour. *)
+   instruction executes and (for branches) only when taken — with the
+   same error payload on every backend. *)
 let unresolved_branch_image ~taken =
   let r = Reg.of_int 8 in
   {
@@ -283,49 +278,58 @@ let unresolved_branch_image ~taken =
     data_break = 0;
   }
 
+let on_every_backend f =
+  List.iter (fun backend -> f (Emulator.backend_name backend) backend)
+    Emulator.all_backends
+
 let test_unresolved_branch_not_taken_runs () =
-  let o = Emulator.run (unresolved_branch_image ~taken:false) in
-  Alcotest.(check bool) "halted" true o.Emulator.halted;
-  Alcotest.(check int) "branch counted" 1 o.Emulator.cond_branches
+  on_every_backend (fun name backend ->
+      let o =
+        Emulator.run_backend ~backend (unresolved_branch_image ~taken:false)
+      in
+      Alcotest.(check bool) (name ^ ": halted") true o.Emulator.halted;
+      Alcotest.(check int) (name ^ ": branch counted") 1
+        o.Emulator.cond_branches)
+
+let emulator_error ?pc ?label what =
+  Vp_util.Error.Error
+    { stage = "emulator"; what; pc; label; workload = None }
 
 let test_unresolved_branch_taken_faults () =
-  Alcotest.check_raises "taken unresolved branch"
-    (Vp_util.Error.Error
-       {
-         stage = "emulator";
-         what = "unresolved label nowhere";
-         pc = None;
-         label = Some "nowhere";
-         workload = None;
-       }) (fun () ->
-      ignore (Emulator.run (unresolved_branch_image ~taken:true)))
+  on_every_backend (fun name backend ->
+      Alcotest.check_raises
+        (name ^ ": taken unresolved branch")
+        (emulator_error ~label:"nowhere" "unresolved label nowhere")
+        (fun () ->
+          ignore
+            (Emulator.run_backend ~backend
+               (unresolved_branch_image ~taken:true))))
+
+let jump_image target =
+  {
+    Image.code = [| Instr.Jmp { target }; Instr.Halt |];
+    syms = [ { Image.name = "main"; start = 0; len = 2 } ];
+    entry = 0;
+    orig_limit = 2;
+    data_init = [];
+    data_break = 0;
+  }
 
 let test_unresolved_jmp_faults () =
-  let img =
-    {
-      Image.code = [| Instr.Jmp { target = Instr.Label "gone" }; Instr.Halt |];
-      syms = [ { Image.name = "main"; start = 0; len = 2 } ];
-      entry = 0;
-      orig_limit = 2;
-      data_init = [];
-      data_break = 0;
-    }
-  in
-  Alcotest.check_raises "unresolved jmp"
-    (Vp_util.Error.Error
-       {
-         stage = "emulator";
-         what = "unresolved label gone";
-         pc = None;
-         label = Some "gone";
-         workload = None;
-       }) (fun () ->
-      ignore (Emulator.run img))
+  on_every_backend (fun name backend ->
+      Alcotest.check_raises (name ^ ": unresolved jmp")
+        (emulator_error ~label:"gone" "unresolved label gone") (fun () ->
+          ignore
+            (Emulator.run_backend ~backend (jump_image (Instr.Label "gone")))))
 
-(* The hot loop must not allocate per retired instruction: minor-heap
-   allocation for a 10x longer run stays flat (the decoded form is
-   memoized, the memory array comes from the arena, and the loop's
-   scratch is unboxed). *)
+(* A jump past the image's last instruction faults at the target pc. *)
+let test_jump_outside_image_faults () =
+  on_every_backend (fun name backend ->
+      Alcotest.check_raises (name ^ ": jump outside image")
+        (emulator_error ~pc:1000 "pc 0x3e8 outside image") (fun () ->
+          ignore
+            (Emulator.run_backend ~backend (jump_image (Instr.Addr 1000)))))
+
 let minor_words_during f =
   let before = Gc.minor_words () in
   f ();
@@ -387,30 +391,13 @@ let test_arena_nested_run () =
         o.Emulator.result)
     Emulator.all_backends
 
-let test_run_allocation_flat () =
-  let img =
-    Program.layout (Progs.two_phase ~iters_per_phase:100_000 ~repeats:2)
-  in
-  (* Warm the decode memo and the state arena. *)
-  ignore (Emulator.run ~fuel:1_000 img);
-  let short = minor_words_during (fun () -> ignore (Emulator.run ~fuel:10_000 img)) in
-  let long =
-    minor_words_during (fun () -> ignore (Emulator.run ~fuel:100_000 img))
-  in
-  (* 90k extra instructions; even one boxed word each would show up as
-     ~90k words.  Allow generous constant slack. *)
-  Alcotest.(check bool)
-    (Printf.sprintf "allocation flat (short %.0f, long %.0f)" short long)
-    true
-    (long -. short < 10_000.)
-
 let prop_random_programs_halt =
   QCheck.Test.make ~name:"random arithmetic programs halt deterministically" ~count:40
     QCheck.(int_range 0 100_000)
     (fun seed ->
       let img = Program.layout (Progs.random_arith ~seed) in
-      let a = Emulator.run img in
-      let b = Emulator.run img in
+      let a = Emulator.run_backend img in
+      let b = Emulator.run_backend img in
       a.Emulator.halted && a.Emulator.checksum = b.Emulator.checksum
       && a.Emulator.result = b.Emulator.result)
 
@@ -418,12 +405,12 @@ let prop_spill_sum_matches_closed_form =
   QCheck.Test.make ~name:"spill-heavy sums match closed form" ~count:20
     QCheck.(int_range 1 30)
     (fun n ->
-      let o = Emulator.run (Program.layout (Progs.spill_heavy n)) in
+      let o = Emulator.run_backend (Program.layout (Progs.spill_heavy n)) in
       o.Emulator.result = n * (n + 1) / 2)
 
 (* ------------------------------------------------------------------ *)
 (* Compiled backend: block partitioning, memoization, fuel-boundary
-   parity with the decoded oracle, and allocation flatness of the
+   parity with the reference oracle, and allocation flatness of the
    threaded-code retire loop. *)
 
 let test_compile_memoizes_on_identity () =
@@ -488,8 +475,8 @@ let observe_stream run =
   in
   (List.rev !log, ending)
 
-(* Every backend must feed its observers the decoded interpreter's
-   exact stream: the compiled one reports a retirement run per block
+(* The compiled backend must feed its observers the reference
+   interpreter's exact stream: it reports a retirement run per block
    and [Emulator] expands it, so a fault inside a block, a fuel cut
    inside a block and a not-taken unresolved branch each exercise a
    different edge of that expansion. *)
@@ -498,32 +485,28 @@ let check_stream_parity name ?fuel img =
     observe_stream (fun ~on_branch ~on_retire ->
         Emulator.run_backend ~backend ?fuel ~on_branch ~on_retire img)
   in
-  let want, want_end = stream Emulator.Decoded in
-  List.iter
-    (fun backend ->
-      let got, got_end = stream backend in
-      let tag what =
-        Printf.sprintf "%s [%s]: %s" name (Emulator.backend_name backend) what
-      in
-      Alcotest.(check bool) (tag "same ending") true (want_end = got_end);
-      Alcotest.(check int) (tag "stream length") (List.length want)
-        (List.length got);
-      Alcotest.(check bool) (tag "same stream") true (want = got))
-    [ Emulator.Reference; Emulator.Compiled ]
+  let want, want_end = stream Emulator.Reference in
+  let got, got_end = stream Emulator.Compiled in
+  let tag what = Printf.sprintf "%s: %s" name what in
+  Alcotest.(check bool) (tag "same ending") true (want_end = got_end);
+  Alcotest.(check int) (tag "stream length") (List.length want)
+    (List.length got);
+  Alcotest.(check bool) (tag "same stream") true (want = got)
 
 (* Every fuel value from 0 up past the program's full length: each one
    lands the cutoff somewhere else relative to the block boundaries, so
    this sweeps the per-block fast path, the boundary interpreter and
-   the exhaustion edge against the decoded core — outcomes and the
-   observation stream alike. *)
+   the exhaustion edge against the reference interpreter — outcomes
+   and the observation stream alike. *)
 let test_compiled_fuel_boundary_parity () =
   let img = Program.layout (Progs.factorial 8) in
-  let d = Decode.of_image img in
-  let c = Vp_exec.Compile.of_image img in
-  let full = (Emulator.run_decoded d).Emulator.instructions in
+  let reference ?fuel () =
+    Emulator.run_backend ~backend:Emulator.Reference ?fuel img
+  in
+  let full = (reference ()).Emulator.instructions in
   for fuel = 0 to full + 5 do
-    let a = Emulator.run_decoded ~fuel d in
-    let b = Emulator.run_compiled ~fuel c in
+    let a = reference ~fuel () in
+    let b = Emulator.run_backend ~backend:Emulator.Compiled ~fuel img in
     let tag what = Printf.sprintf "fuel %d: %s" fuel what in
     Alcotest.(check int) (tag "instructions") a.Emulator.instructions
       b.Emulator.instructions;
@@ -543,13 +526,13 @@ let test_compiled_fuel_boundary_parity () =
    and (for loads and stores) effective address. *)
 let test_slice_run_feed_parity () =
   let img = Program.layout (Progs.factorial 8) in
-  let d = Decode.of_image img in
+  let d = Vp_exec.Compile.(decode (of_image img)) in
   let want = ref [] in
   let (_ : Emulator.outcome) =
-    Emulator.run_decoded
+    Emulator.run_backend ~backend:Emulator.Reference
       ~on_retire:(fun ~pc ~taken:_ ~next_pc ~mem_addr ->
         want := (pc, next_pc, mem_addr) :: !want)
-      d
+      img
   in
   let want = List.rev !want in
   List.iter
@@ -676,26 +659,11 @@ let test_run_feed_unresolved_branch () =
     (unresolved_branch_image ~taken:false);
   check_stream_parity "unresolved, taken" (unresolved_branch_image ~taken:true)
 
-let test_compiled_unresolved_branch_parity () =
-  let o =
-    Emulator.run_backend ~backend:Emulator.Compiled
-      (unresolved_branch_image ~taken:false)
-  in
-  Alcotest.(check bool) "halted" true o.Emulator.halted;
-  Alcotest.(check int) "branch counted" 1 o.Emulator.cond_branches;
-  Alcotest.check_raises "taken unresolved branch"
-    (Vp_util.Error.Error
-       {
-         stage = "emulator";
-         what = "unresolved label nowhere";
-         pc = None;
-         label = Some "nowhere";
-         workload = None;
-       }) (fun () ->
-      ignore
-        (Emulator.run_backend ~backend:Emulator.Compiled
-           (unresolved_branch_image ~taken:true)))
-
+(* The hot loop must not allocate per retired instruction: minor-heap
+   allocation for a 10x longer run stays flat (the compiled form is
+   memoized, the memory array comes from the arena, and the loop's
+   scratch is unboxed).  90k extra instructions would show up as ~90k
+   words at even one boxed word each; the slack is generous. *)
 let test_compiled_allocation_flat () =
   let img =
     Program.layout (Progs.two_phase ~iters_per_phase:100_000 ~repeats:2)
@@ -772,6 +740,8 @@ let () =
         [
           Alcotest.test_case "fuel exhaustion" `Quick test_fuel_exhaustion;
           Alcotest.test_case "memory fault" `Quick test_memory_fault;
+          Alcotest.test_case "jump outside image" `Quick
+            test_jump_outside_image_faults;
           Alcotest.test_case "package accounting" `Quick test_package_instruction_accounting;
           Alcotest.test_case "checksum stability" `Quick test_checksum_stability;
         ] );
@@ -785,15 +755,11 @@ let () =
         [
           Alcotest.test_case "tables match Instr" `Quick
             test_decode_tables_match_instr;
-          Alcotest.test_case "memoized by identity" `Quick
-            test_decode_memoizes_on_identity;
           Alcotest.test_case "unresolved branch not taken" `Quick
             test_unresolved_branch_not_taken_runs;
           Alcotest.test_case "unresolved branch taken" `Quick
             test_unresolved_branch_taken_faults;
           Alcotest.test_case "unresolved jmp" `Quick test_unresolved_jmp_faults;
-          Alcotest.test_case "zero per-instruction allocation" `Quick
-            test_run_allocation_flat;
         ] );
       ( "compiled",
         [
@@ -805,8 +771,6 @@ let () =
             test_compiled_fuel_boundary_parity;
           Alcotest.test_case "slice run feed parity" `Quick
             test_slice_run_feed_parity;
-          Alcotest.test_case "unresolved branch parity" `Quick
-            test_compiled_unresolved_branch_parity;
           Alcotest.test_case "run feed: mid-block fault" `Quick
             test_run_feed_mid_block_fault;
           Alcotest.test_case "run feed: unresolved branch" `Quick

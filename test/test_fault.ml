@@ -258,8 +258,8 @@ let test_ladder_drop_package () =
   Alcotest.(check bool) "dropped some" true (count_rung Driver.Drop_package r > 0);
   Alcotest.(check bool) "kept some" true (List.length r.Driver.packages > 0);
   Alcotest.(check bool) "still verified" true (Verify.ok r.Driver.verification);
-  let o = Emulator.run (Driver.rewritten_image r) in
-  let b = Emulator.run img in
+  let o = Emulator.run_backend (Driver.rewritten_image r) in
+  let b = Emulator.run_backend img in
   Alcotest.(check int) "still equivalent" b.Emulator.checksum o.Emulator.checksum
 
 let test_ladder_drop_region () =
@@ -282,9 +282,9 @@ let test_ladder_fallback_image () =
   Alcotest.(check int) "fallback taken" 1 (count_rung Driver.Fallback_image r);
   Alcotest.(check int) "no package instructions" 0
     r.Driver.emitted.Emit.package_instructions;
-  let o = Emulator.run (Driver.rewritten_image r) in
+  let o = Emulator.run_backend (Driver.rewritten_image r) in
   Alcotest.(check int) "runs as the original" 0
-    (compare o.Emulator.checksum (Emulator.run img).Emulator.checksum)
+    (compare o.Emulator.checksum (Emulator.run_backend img).Emulator.checksum)
 
 let test_degrade_off_raises () =
   let img = Program.layout (Progs.two_phase ~iters_per_phase:3000 ~repeats:3) in

@@ -319,8 +319,8 @@ let test_campaign_render_deterministic () =
   let base = go 1 in
   Alcotest.(check string) "jobs 1 = jobs 2" base (go 2);
   Alcotest.(check string) "jobs 1 = jobs 4" base (go 4);
-  Alcotest.(check string) "compiled backend = decoded" base
-    (go ~config:(Config.with_backend Emulator.Compiled Campaign.default_config) 2)
+  Alcotest.(check string) "reference backend = compiled" base
+    (go ~config:(Config.with_backend Emulator.Reference Campaign.default_config) 2)
 
 let test_spec_of_index_schedule_free () =
   let a = Campaign.spec_of_index ~root_seed:0 5 in

@@ -275,7 +275,7 @@ let test_detector_cold_noise_no_detection () =
 let test_detector_on_emulated_two_phase () =
   let img = Program.layout (Progs.two_phase ~iters_per_phase:3000 ~repeats:3) in
   let d = Detector.create ~config:tiny () in
-  let o = Emulator.run ~on_branch:(fun ~pc ~taken -> Detector.on_branch d ~pc ~taken) img in
+  let o = Emulator.run_backend ~on_branch:(fun ~pc ~taken -> Detector.on_branch d ~pc ~taken) img in
   Alcotest.(check bool) "halted" true o.Emulator.halted;
   Alcotest.(check int) "branches counted" o.Emulator.cond_branches
     (Detector.branches_seen d);

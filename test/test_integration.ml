@@ -26,7 +26,7 @@ let check_seed ?(config = config) seed =
   (match Image.validate img with
   | Ok () -> ()
   | Error e -> Alcotest.failf "seed %d: invalid image: %s" seed e);
-  let original = Emulator.run img in
+  let original = Emulator.run_backend img in
   if not original.Emulator.halted then
     Alcotest.failf "seed %d: original did not halt" seed;
   let _, r, c = run_pipeline config img in

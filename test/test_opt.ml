@@ -391,7 +391,7 @@ let test_sink_end_to_end_equivalence () =
   let img = Program.layout (Progs.two_phase ~iters_per_phase:3000 ~repeats:3) in
   let d = Vp_hsd.Detector.create ~config:Vp_hsd.Config.tiny () in
   let orig =
-    Emulator.run
+    Emulator.run_backend
       ~on_branch:(fun ~pc ~taken -> Vp_hsd.Detector.on_branch d ~pc ~taken)
       img
   in
@@ -408,7 +408,7 @@ let test_sink_end_to_end_equivalence () =
   in
   let transform ~protected p = Opt.transform ~config:Opt.with_sinking ~protected p in
   let result = Vp_package.Emit.emit ~transform img pkgs in
-  let rewritten = Emulator.run result.Vp_package.Emit.image in
+  let rewritten = Emulator.run_backend result.Vp_package.Emit.image in
   Alcotest.(check int) "result" orig.Emulator.result rewritten.Emulator.result;
   Alcotest.(check int) "checksum" orig.Emulator.checksum rewritten.Emulator.checksum
 
@@ -539,7 +539,7 @@ let test_opt_transform_end_to_end_equivalence () =
   let img = Program.layout (Progs.two_phase ~iters_per_phase:3000 ~repeats:3) in
   let with_config opt_config =
     let d = Vp_hsd.Detector.create ~config:Vp_hsd.Config.tiny () in
-    let o = Emulator.run ~on_branch:(fun ~pc ~taken -> Vp_hsd.Detector.on_branch d ~pc ~taken) img in
+    let o = Emulator.run_backend ~on_branch:(fun ~pc ~taken -> Vp_hsd.Detector.on_branch d ~pc ~taken) img in
     let log = Vp_phase.Phase_log.build (Vp_hsd.Detector.snapshots d) in
     let pkgs =
       List.concat_map
@@ -551,7 +551,7 @@ let test_opt_transform_end_to_end_equivalence () =
     in
     let transform ~protected p = Opt.transform ~config:opt_config ~protected p in
     let result = Vp_package.Emit.emit ~transform img pkgs in
-    (o, Emulator.run result.Vp_package.Emit.image)
+    (o, Emulator.run_backend result.Vp_package.Emit.image)
   in
   let orig, optimized = with_config Opt.default in
   let _, plain = with_config Opt.none in

@@ -193,7 +193,7 @@ let test_halted_report_survives_recycling () =
    check per run, at its last instruction.  Against an independent
    per-instruction count (a [Call] retiring in package code adds one, a
    [Ret] from original code into package code removes one; fed by the
-   Decoded backend's runs of length 1), the depth
+   Reference backend's runs of length 1), the depth
    must agree after every epoch, for epochs of several lengths (each
    one a fuel cut), on every backend.  The session runs over a
    rewritten image (099.go/A, whose packages call out) as its original,
@@ -205,7 +205,7 @@ let test_depth_run_feed_parity () =
     Driver.rewritten_image
       (Driver.rewrite (Program.layout (w.Vp_workloads.Registry.program ())))
   in
-  let tag = (Vp_exec.Decode.of_image img).Vp_exec.Decode.tag in
+  let tag = (Vp_exec.Compile.(decode (of_image img))).Vp_exec.Decode.tag in
   let ol = img.Vp_prog.Image.orig_limit in
   let deepest = ref 0 in
   List.iter
@@ -220,7 +220,7 @@ let test_depth_run_feed_parity () =
           let s = Session.create ~config img in
           let state = Vp_exec.State.create ~mem_words:(Config.mem_words config) img in
           let depth = ref 0 in
-          (* Decoded reports runs of length 1: one call per instruction. *)
+          (* Reference reports runs of length 1: one call per instruction. *)
           let on_run ~addrs:_ ~start:pc ~len:_ ~taken:_ ~next_pc =
             if pc >= ol then begin
               if tag.(pc) = Vp_exec.Decode.tag_call then incr depth
@@ -234,7 +234,7 @@ let test_depth_run_feed_parity () =
             let r = Session.step s in
             let n = r.Session.slice.Emulator.instructions + r.Session.grace_used in
             ignore
-              (Emulator.run_slice ~backend:Emulator.Decoded ~state ~fuel:n ~on_run img);
+              (Emulator.run_slice ~backend:Emulator.Reference ~state ~fuel:n ~on_run img);
             retired := !retired + n;
             Alcotest.(check int)
               (Printf.sprintf "%s, epochs of %d, epoch %d"
@@ -253,9 +253,8 @@ let test_backends_byte_identical () =
     let config = session_config () |> Config.with_backend backend in
     render (Session.run (Session.create ~config img))
   in
-  let d = run Emulator.Decoded in
-  Alcotest.(check string) "compiled = decoded" d (run Emulator.Compiled);
-  Alcotest.(check string) "reference = decoded" d (run Emulator.Reference)
+  Alcotest.(check string) "compiled = reference" (run Emulator.Reference)
+    (run Emulator.Compiled)
 
 let test_resume_equals_straight_through () =
   let img = Lazy.force drifting_image in
@@ -457,10 +456,10 @@ let test_epoch_trace_byte_identical () =
     (fun backend ->
       let config = Config.with_backend backend config in
       Alcotest.(check string)
-        (Emulator.backend_name backend ^ " trace = decoded trace")
+        (Emulator.backend_name backend ^ " trace = default-backend trace")
         straight
         (trace_string (Session.run ~epochs:4 (Session.create ~config img))))
-    [ Emulator.Reference; Emulator.Compiled ];
+    Emulator.all_backends;
   (* jobs-invariant: the same sessions through the pool *)
   let specs = [ 1; 2; 3 ] in
   let run _ = trace_string (Session.run ~epochs:4 (Session.create ~config img)) in

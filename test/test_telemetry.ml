@@ -191,7 +191,7 @@ let test_detector_hooks_match_counters () =
     ~on_record:(fun ~branches ~id -> records := (branches, id) :: !records)
     ~on_rearm:(fun ~branches:_ ~rearms:_ -> incr rearms);
   let (_ : Emulator.outcome) =
-    Emulator.run
+    Emulator.run_backend
       ~on_branch:(fun ~pc ~taken -> Vp_hsd.Detector.on_branch d ~pc ~taken)
       img
   in
