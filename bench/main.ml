@@ -921,7 +921,7 @@ let json_escape s =
 let json_float f =
   if Float.is_finite f then Printf.sprintf "%.6g" f else "null"
 
-let write_json ~path ~jobs ~engine_metrics ~counters ~timeline =
+let write_json ~path ~jobs ~engine_metrics ~counters =
   let oc = open_out path in
   let out fmt = Printf.fprintf oc fmt in
   let backend_name = Emulator.backend_name !backend in
@@ -930,36 +930,6 @@ let write_json ~path ~jobs ~engine_metrics ~counters ~timeline =
   let meta () = Printf.sprintf "\"backend\": \"%s\", \"jobs\": %d" (json_escape backend_name) jobs in
   out "{\n  \"schema\": \"vacuum-bench/2\",\n";
   out "  \"backend\": \"%s\",\n  \"jobs\": %d,\n" (json_escape backend_name) jobs;
-  (match timeline with
-  | None -> ()
-  | Some (trace, tls) ->
-    out "  \"timeline\": {\n    \"trace\": \"%s\",\n" (json_escape trace);
-    out "    \"series\": [";
-    let first = ref true in
-    List.iter
-      (fun tl ->
-        List.iter
-          (fun (name, samples, min_v, max_v, total) ->
-            out "%s\n      {\"name\": \"%s\", \"samples\": %d, \"min\": %d, \
-                 \"max\": %d, \"total\": %d}"
-              (if !first then "" else ",")
-              (json_escape name) samples min_v max_v total;
-            first := false)
-          (Vp_telemetry.Sink.summary tl))
-      tls;
-    out "\n    ],\n    \"events\": [";
-    let first = ref true in
-    List.iter
-      (fun tl ->
-        List.iter
-          (fun (kind, count) ->
-            out "%s\n      {\"kind\": \"%s\", \"count\": %d}"
-              (if !first then "" else ",")
-              (json_escape kind) count;
-            first := false)
-          (Vp_telemetry.Sink.event_counts tl))
-      tls;
-    out "\n    ]\n  },\n");
   out "  \"aggregate\": [";
   List.iteri
     (fun i (name, snapshots, per_sec) ->
@@ -1054,9 +1024,6 @@ let cli =
            vacuum-bench/2) to FILE.";
         file "trace"
           "Record pipeline spans as a vp-perfetto-trace/1 timeline to FILE.";
-        file "timeline"
-          "Write the merged vp-timeline-trace/1 of one telemetry-enabled \
-           134.perl/A run to FILE, and its series summaries into --json.";
       ]
     (fun _ -> ())
 
@@ -1086,13 +1053,11 @@ let parse_args () =
     | None -> m)
 
 let () =
-  Logs.set_reporter (Logs.format_reporter ());
-  Logs.set_level (Some Logs.Warning);
+  Vp_cli.Vpack.setup_logs ();
   let m = parse_args () in
   backend := Vp_cli.Vpack.resolve_backend m;
   let json_path = Spec.value m "json" in
   let trace_path = Spec.value m "trace" in
-  let timeline_path = Spec.value m "timeline" in
   let jobs =
     Spec.int_value m "jobs" ~default:(Vp_util.Pool.default_jobs ())
   in
@@ -1155,35 +1120,6 @@ let () =
   (match trace_path with
   | Some path -> ignore (Vp_metrics.Perfetto.write_spans metrics ~path : int)
   | None -> ());
-  (* --timeline FILE: one telemetry-enabled run of the reference
-     workload (profile + rewritten run + timing model), written as a
-     merged vp-timeline-trace/1 file with its per-series summaries
-     folded into the --json export. *)
-  let timeline_tls =
-    match timeline_path with
-    | None -> None
-    | Some path ->
-      let w = Option.get (Registry.find ~bench:"134.perl" ~input:"A") in
-      let config =
-        Vacuum.Config.with_telemetry
-          (Vp_telemetry.on ())
-          (config_of ~inference:true ~linking:true)
-      in
-      let profile = Vacuum.Driver.profile ~config (image_of w) in
-      let r = Vacuum.Driver.rewrite_of_profile ~config profile in
-      let cov = Vacuum.Coverage.measure ~config r in
-      let tt = Vp_telemetry.create (Vacuum.Config.telemetry config) in
-      ignore
-        (Vp_cpu.Pipeline.simulate ~config:(Vacuum.Config.cpu config)
-           ~telemetry:tt
-           (Vacuum.Driver.rewritten_image r));
-      let tls =
-        [ profile.Vacuum.Driver.timeline; cov.Vacuum.Coverage.residency; tt ]
-      in
-      Vp_telemetry.Sink.write_trace ~path tls;
-      Printf.eprintf "timeline: %s -> %s\n" (Registry.name w) path;
-      Some (path, tls)
-  in
   (match json_path with
   | Some path ->
     write_json ~path ~jobs
@@ -1194,6 +1130,5 @@ let () =
              | name, Vp_metrics.Snapshot.Counter v -> Some (name, v)
              | _ -> None)
            (Vp_metrics.Snapshot.samples metrics))
-      ~timeline:timeline_tls
   | None -> ());
   Format.eprintf "@.%a" Engine.pp_summary !engine

@@ -2,7 +2,7 @@
    telemetry layer.  A telemetry-enabled profiling run samples the
    detector every interval (HDC value, BBB occupancy, candidate count)
    and stamps every detection/recording/re-arm event with its
-   retired-branch index; this example renders those series as
+   retired-instruction index; this example renders those series as
    sparklines, lists the first events, and then reruns the detector
    under the hardware snapshot history of [4] to show the recording
    traffic it saves.
@@ -20,11 +20,12 @@ let () =
   let w = Option.get (Registry.find ~bench:"mpeg2dec" ~input:"A") in
   let image = Program.layout (w.Registry.program ()) in
 
-  (* One profiling run with telemetry on: the driver owns the timeline
-     and installs the detector hooks for us. *)
+  (* One profiling run with timelines on — a metrics registry with a
+     sampling interval: the driver owns the timeline and installs the
+     detector hooks for us. *)
   let config =
-    Vacuum.Config.with_telemetry
-      (Vp_telemetry.on ~interval:10_000 ())
+    Vacuum.Config.with_metrics
+      (Vp_metrics.create ~interval:10_000 ())
       Vacuum.Config.default
   in
   let profile = Vacuum.Driver.profile ~config image in
@@ -48,10 +49,10 @@ let () =
   bar "profile.bbb_candidates";
   bar "profile.branches";
 
-  Printf.printf "\n=== first detector events (at = retired-branch index) ===\n";
+  Printf.printf "\n=== first detector events (at = retired-instruction index) ===\n";
   List.iteri
     (fun i (kind, at, value) ->
-      if i < 9 then Printf.printf "  %-8s at branch %8d (value %d)\n" kind at value)
+      if i < 9 then Printf.printf "  %-8s at instr %9d (value %d)\n" kind at value)
     (Vp_telemetry.Event.all tl);
   List.iter
     (fun kind ->

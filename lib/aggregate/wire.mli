@@ -6,7 +6,7 @@
     aggregation service.  The format is deliberately small — LEB128
     varints, delta-coded branch pcs — because a stream is mostly tiny
     integers, and versioned-plus-checksummed because it crosses
-    machine boundaries, mirroring the [vp-timeline-trace/1] and
+    machine boundaries, mirroring the [vp-perfetto-trace/1] and
     [vp-metrics-snapshot/1] pattern of a self-identifying header and a
     validator that rejects anything malformed before the pipeline sees
     it.

@@ -509,8 +509,8 @@ let timeline_cmd =
   in
   let tl_trace_flag =
     trace_flag
-      "Also write the merged vp-timeline-trace/1 JSON-lines trace (profile + \
-       rewritten-run + timing timelines) to FILE."
+      "Also write the profile, rewritten-run and timing timelines as \
+       Perfetto counter tracks (schema vp-perfetto-trace/1) to FILE."
   in
   Spec.cmd ~name:"timeline"
     ~doc:
@@ -533,7 +533,7 @@ let timeline_cmd =
       let img = Program.layout (w.Registry.program ()) in
       let config =
         Config.with_backend backend
-          (Config.with_telemetry (Vp_telemetry.on ~interval ()) (config_of m))
+          (Config.with_metrics (Vp_metrics.create ~interval ()) (config_of m))
       in
       let profile = Vacuum.Driver.profile ~config img in
       let tl = profile.Vacuum.Driver.timeline in
@@ -608,7 +608,7 @@ let timeline_cmd =
         (Vp_telemetry.Series.names res);
       let timelines = ref [ tl; res ] in
       if Spec.flag_set m "timing" then begin
-        let tt = Vp_telemetry.create (Config.telemetry config) in
+        let tt = Vp_telemetry.create (Config.metrics config) in
         let stats =
           Vp_cpu.Pipeline.simulate ~config:(Config.cpu config)
             ~fuel:(Config.fuel config)
@@ -637,7 +637,7 @@ let timeline_cmd =
       match Spec.value m "trace" with
       | None -> ()
       | Some path ->
-        Vp_telemetry.Sink.write_trace ~path !timelines;
+        Vp_telemetry.write_perfetto ~path !timelines;
         Printf.printf "\ntrace: %d timelines -> %s\n"
           (List.length !timelines)
           path)
@@ -706,16 +706,16 @@ let serve_cmd =
   let trace_dir_flag =
     Spec.flag ~kind:Spec.Value ~docv:"DIR"
       ~doc:
-        "Write one vp-timeline-trace/1 file per workload to DIR \
-         (session-WORKLOAD.jsonl), every epoch's series and events tagged \
-         with its epoch-K run label."
+        "Write one Perfetto trace (schema vp-perfetto-trace/1) per workload \
+         to DIR (session-WORKLOAD.json): one epoch-K process per epoch, its \
+         series as counter tracks and its events as instants."
       [ "trace-dir" ]
   in
   let interval_flag =
     Spec.flag ~kind:Spec.Value ~docv:"N"
       ~default:(string_of_int Vp_telemetry.default_interval)
       ~check:Spec.check_int
-      ~doc:"Telemetry sampling interval for --trace-dir, in retired \
+      ~doc:"Timeline sampling interval for --trace-dir, in retired \
             instructions."
       [ "interval" ]
   in
@@ -777,9 +777,17 @@ let serve_cmd =
       let perfetto_path = Spec.value m "perfetto" in
       let flight_dir = Spec.value m "flight-dir" in
       let metrics =
-        match (metrics_path, perfetto_path, flight_dir) with
-        | None, None, None -> Vp_metrics.disabled
-        | _ -> Vp_metrics.create ?flight_dir ()
+        match (metrics_path, perfetto_path, flight_dir, trace_dir) with
+        | None, None, None, None -> Vp_metrics.disabled
+        | _ ->
+          let interval =
+            Option.map
+              (fun _ ->
+                Spec.int_value m "interval"
+                  ~default:Vp_telemetry.default_interval)
+              trace_dir
+          in
+          Vp_metrics.create ?flight_dir ?interval ()
       in
       let config =
         Config.default
@@ -800,17 +808,6 @@ let serve_cmd =
                  oracle = not (Spec.flag_set m "no-oracle");
                })
         |> Config.with_metrics metrics
-        |> fun c ->
-        match trace_dir with
-        | None -> c
-        | Some _ ->
-          Config.with_telemetry
-            (Vp_telemetry.on
-               ~interval:
-                 (Spec.int_value m "interval"
-                    ~default:Vp_telemetry.default_interval)
-               ())
-            c
       in
       (* One session per workload, stepped in lock-step epoch rounds on
          the domain pool — equivalent to [Session.run] per workload
@@ -865,9 +862,9 @@ let serve_cmd =
           | Some dir ->
             let path =
               Filename.concat dir
-                (Printf.sprintf "session-%s.jsonl" (sanitize (Registry.name w)))
+                (Printf.sprintf "session-%s.json" (sanitize (Registry.name w)))
             in
-            Vp_telemetry.Sink.write_trace ~path
+            Vp_telemetry.write_perfetto ~path
               (List.map
                  (fun (e : Session.epoch_report) -> e.Session.timeline)
                  r.Session.epochs);
@@ -915,10 +912,10 @@ let serve_cmd =
 let trace_check_cmd =
   Spec.cmd ~name:"trace-check"
     ~doc:
-      "Validate a trace file against its schema (vp-timeline-trace/1, \
-       vp-profile-wire/1, vp-retire-trace/1, vp-metrics-snapshot/1 or \
-       vp-perfetto-trace/1, detected from the first line); failures name \
-       the schema and the offending line."
+      "Validate a trace file against its schema (vp-profile-wire/1, \
+       vp-retire-trace/1, vp-metrics-snapshot/1 or vp-perfetto-trace/1, \
+       detected from the first line); failures name the schema and the \
+       offending line."
     ~positional:
       {
         Spec.pos_docv = "FILE";
@@ -933,11 +930,6 @@ let trace_check_cmd =
          schemas. *)
       let validators =
         [
-          ( "vp-timeline-trace/1",
-            fun path ->
-              Result.map
-                (Printf.sprintf "%d lines")
-                (Vp_telemetry.Sink.validate_file ~path) );
           ( "vp-profile-wire/1",
             fun path ->
               Result.map
@@ -1482,9 +1474,31 @@ let tool =
       ];
   }
 
+(* Worker domains log too (coverage, linking, the demotion ladder), and
+   [Logs.format_reporter] shares one [Format] formatter between them,
+   whose queue is not domain-safe.  Here each message is formatted into
+   a string on its own domain and written in one locked call. *)
+let reporter ?(write = fun s -> output_string stderr s; flush stderr) () =
+  let lock = Mutex.create () in
+  let exec = Filename.basename Sys.executable_name in
+  let report _src level ~over k msgf =
+    msgf @@ fun ?header ?tags:_ fmt ->
+    Format.kasprintf
+      (fun line ->
+        Mutex.protect lock (fun () -> write line);
+        over ();
+        k ())
+      ("%s: %a @[" ^^ fmt ^^ "@]@.")
+      exec Logs.pp_header (level, header)
+  in
+  { Logs.report }
+
+let setup_logs () =
+  Logs.set_reporter (reporter ());
+  Logs.set_level (Some Logs.Warning)
+
 let main () =
-  Logs.set_reporter (Logs.format_reporter ());
-  Logs.set_level (Some Logs.Warning);
+  setup_logs ();
   (* Pipeline failures carry a structured payload; render it and exit
      cleanly instead of dumping a backtrace.  Usage errors — an unknown
      subcommand or bad flag (the Spec dispatcher's own exit 2) and an

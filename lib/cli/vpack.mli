@@ -16,6 +16,17 @@ val resolve_backend : Spec.matches -> Vp_exec.Emulator.backend
 (** The backend a successful parse selected, [Config.default]'s when
     the flag is absent. *)
 
+val reporter : ?write:(string -> unit) -> unit -> Logs.reporter
+(** A domain-safe [Logs] reporter: each message is formatted into one
+    line on the logging domain (["EXEC: [LEVEL] message"], the text
+    [Logs.format_reporter] prints),
+    then handed to [write] (default: stderr, flushed) under a lock, so
+    lines from concurrent domains never interleave. *)
+
+val setup_logs : unit -> unit
+(** Install {!reporter} at level [Warning]: the logging set-up of both
+    [vpack] and [bench]. *)
+
 val main : unit -> unit
 (** Parse [Sys.argv], dispatch, and exit: 0 success, 2 command-line
     error, 3 pipeline error, 4 verifier rejection (and [serve] epochs

@@ -29,7 +29,6 @@ type t = {
   mem_words : int;
   fuel : int;
   metrics : Vp_metrics.t;
-  telemetry : Vp_telemetry.config;
   fault : Vp_fault.Plan.t option;
   degrade : bool;
   session : session;
@@ -40,8 +39,8 @@ let v ?(detector = Vp_hsd.Config.default) ?(history_size = 0)
     ?(identify = Vp_region.Identify.default) ?(linking = true)
     ?(opt = Vp_opt.Opt.default) ?(cpu = Vp_cpu.Config.default)
     ?(backend = Vp_exec.Emulator.Compiled) ?(mem_words = 1 lsl 20)
-    ?(fuel = 200_000_000) ?(metrics = Vp_metrics.disabled)
-    ?(telemetry = Vp_telemetry.off) ?fault ?(degrade = true)
+    ?(fuel = 200_000_000) ?(metrics = Vp_metrics.disabled) ?fault
+    ?(degrade = true)
     ?(session = default_session) () =
   {
     detector;
@@ -55,7 +54,6 @@ let v ?(detector = Vp_hsd.Config.default) ?(history_size = 0)
     mem_words;
     fuel;
     metrics;
-    telemetry;
     fault;
     degrade;
     session;
@@ -91,7 +89,6 @@ let backend t = t.backend
 let mem_words t = t.mem_words
 let fuel t = t.fuel
 let metrics t = t.metrics
-let telemetry t = t.telemetry
 let fault t = t.fault
 let degrade t = t.degrade
 let session t = t.session
@@ -106,7 +103,6 @@ let with_backend backend t = { t with backend }
 let with_mem_words mem_words t = { t with mem_words }
 let with_fuel fuel t = { t with fuel }
 let with_metrics metrics t = { t with metrics }
-let with_telemetry telemetry t = { t with telemetry }
 let with_fault fault t = { t with fault = Some fault }
 let without_fault t = { t with fault = None }
 let with_degrade degrade t = { t with degrade }
@@ -214,12 +210,13 @@ let json_of_t t =
       ("backend", J_str (Vp_exec.Emulator.backend_name t.backend));
       ("mem_words", J_int t.mem_words);
       ("fuel", J_int t.fuel);
-      ("metrics", J_bool (Vp_metrics.enabled t.metrics));
-      ( "telemetry",
+      ( "metrics",
         J_obj
           [
-            ("enabled", J_bool t.telemetry.Vp_telemetry.enabled);
-            ("interval", J_int t.telemetry.Vp_telemetry.interval);
+            ("enabled", J_bool (Vp_metrics.enabled t.metrics));
+            (* 0: no per-run timelines *)
+            ( "interval",
+              J_int (Option.value ~default:0 (Vp_metrics.interval t.metrics)) );
           ] );
       ( "fault",
         match t.fault with

@@ -49,7 +49,6 @@ val v :
   ?mem_words:int ->
   ?fuel:int ->
   ?metrics:Vp_metrics.t ->
-  ?telemetry:Vp_telemetry.config ->
   ?fault:Vp_fault.Plan.t ->
   ?degrade:bool ->
   ?session:session ->
@@ -103,13 +102,10 @@ val metrics : t -> Vp_metrics.t
 (** The instrumentation registry (counters, gauges, histograms,
     spans) the pipeline reports through; {!Vp_metrics.disabled} by
     default.  This is a shared recorder; its {e stable} snapshot is
-    byte-identical across [--jobs], shards and backends. *)
-
-val telemetry : t -> Vp_telemetry.config
-(** The run-time telemetry sampling configuration ({!Vp_telemetry.off}
-    by default).  Unlike {!metrics} this is a {e configuration}, not a
-    shared recorder: each run (profiling, coverage, timing) creates
-    its own per-run {!Vp_telemetry.t} from it, so timelines stay
+    byte-identical across [--jobs], shards and backends.  A registry
+    created with an [interval] also switches on the per-run
+    timelines: each run (profiling, coverage, timing, session epoch)
+    creates its own {!Vp_telemetry.t} from it, so timelines stay
     deterministic under any [Vacuum.Engine] schedule. *)
 
 val fault : t -> Vp_fault.Plan.t option
@@ -140,7 +136,6 @@ val with_backend : Vp_exec.Emulator.backend -> t -> t
 val with_mem_words : int -> t -> t
 val with_fuel : int -> t -> t
 val with_metrics : Vp_metrics.t -> t -> t
-val with_telemetry : Vp_telemetry.config -> t -> t
 val with_fault : Vp_fault.Plan.t -> t -> t
 val without_fault : t -> t
 val with_degrade : bool -> t -> t

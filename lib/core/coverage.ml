@@ -37,7 +37,7 @@ let measure ?(config = Config.default) (r : Driver.rewrite) =
   (* Per-run residency timeline: which address range (original code or
      which emitted package) retired each interval's instructions, plus
      the migration events between them. *)
-  let tl = Vp_telemetry.create (Config.telemetry config) in
+  let tl = Vp_telemetry.create (Config.metrics config) in
   let on_retire, tail_flush =
     if not (Vp_telemetry.enabled tl) then (None, fun () -> ())
     else begin

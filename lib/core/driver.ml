@@ -136,7 +136,7 @@ let profile ?(config = Config.default) image =
      are deterministic regardless of how Engine schedules runs across
      domains.  When telemetry is off this is the shared [disabled]
      value and the emulator receives no [on_retire] sink at all. *)
-  let tl = Vp_telemetry.create (Config.telemetry config) in
+  let tl = Vp_telemetry.create (Config.metrics config) in
   let on_retire, tail_flush =
     if not (Vp_telemetry.enabled tl) then (None, fun () -> ())
     else begin
@@ -145,16 +145,21 @@ let profile ?(config = Config.default) image =
       let s_hdc = Vp_telemetry.Series.register tl "profile.hdc" in
       let s_occ = Vp_telemetry.Series.register tl "profile.bbb_occupancy" in
       let s_cand = Vp_telemetry.Series.register tl "profile.bbb_candidates" in
-      Detector.set_hooks detector
-        ~on_detect:(fun ~branches ~detections ->
-          Vp_telemetry.Event.emit tl ~kind:"detect" ~at:branches
-            ~value:detections)
-        ~on_record:(fun ~branches ~id ->
-          Vp_telemetry.Event.emit tl ~kind:"record" ~at:branches ~value:id)
-        ~on_rearm:(fun ~branches ~rearms ->
-          Vp_telemetry.Event.emit tl ~kind:"rearm" ~at:branches ~value:rearms);
       let interval = Vp_telemetry.interval_length tl in
       let countdown = ref interval in
+      let intervals_done = ref 0 in
+      (* Detector events fire on a branch, just before it retires:
+         stamp them with the retired-instruction count that includes
+         that branch, the clock the series are sampled on. *)
+      let at () = (!intervals_done * interval) + (interval - !countdown) + 1 in
+      Detector.set_hooks detector
+        ~on_detect:(fun ~branches:_ ~detections ->
+          Vp_telemetry.Event.emit tl ~kind:"detect" ~at:(at ())
+            ~value:detections)
+        ~on_record:(fun ~branches:_ ~id ->
+          Vp_telemetry.Event.emit tl ~kind:"record" ~at:(at ()) ~value:id)
+        ~on_rearm:(fun ~branches:_ ~rearms ->
+          Vp_telemetry.Event.emit tl ~kind:"rearm" ~at:(at ()) ~value:rearms);
       let last_branches = ref 0 in
       let flush n =
         Vp_telemetry.Series.push tl s_instr n;
@@ -170,6 +175,7 @@ let profile ?(config = Config.default) image =
             decr countdown;
             if !countdown = 0 then begin
               countdown := interval;
+              incr intervals_done;
               flush interval
             end),
         fun () ->
@@ -231,7 +237,7 @@ let profile_of_events ?(config = Config.default) ?(instructions = 0) image
     Detector.create ~config:(Config.detector config)
       ~history_size:(Config.history_size config) ~same ()
   in
-  let tl = Vp_telemetry.create (Config.telemetry config) in
+  let tl = Vp_telemetry.create (Config.metrics config) in
   let n = Vp_prog.Image.size image in
   let executed = Array.make n 0 in
   let takens = Array.make n 0 in

@@ -230,7 +230,7 @@ let step t =
   let tl =
     Vp_telemetry.create
       ~name:(Printf.sprintf "epoch-%d" epoch)
-      (Config.telemetry config)
+      ~origin:t.retired metrics
   in
   let same = Similarity.same ~config:(Config.similarity config) in
   let detector =

@@ -58,8 +58,9 @@ type epoch_report = {
       (** per-epoch interval series ([session.instructions],
           [session.branches], [session.package_instructions]) and
           [drift]/[evict]/[activate]/[defer] events, named ["epoch-K"]
-          so a multi-epoch vp-timeline-trace/1 file keeps epochs
-          distinguishable *)
+          so a multi-epoch Perfetto export keeps epochs apart; its
+          clock starts at the session's retired count when the epoch
+          began *)
 }
 
 type report = {

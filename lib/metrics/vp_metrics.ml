@@ -117,13 +117,19 @@ type reg = {
   mutable fl_total : int;
   fl_dumps : (string, int) Hashtbl.t;  (* per-label dump sequence *)
   mutable dump_total : int;
+  interval : int option;  (* timeline sampling, retired instructions *)
 }
 
 type t = Disabled | Enabled of reg
 
 let disabled = Disabled
 
-let create ?(flight_capacity = 64) ?flight_dir () =
+let create ?(flight_capacity = 64) ?flight_dir ?interval () =
+  (match interval with
+  | Some n when n <= 0 ->
+    Vp_util.Error.failf ~stage:"metrics"
+      "Vp_metrics.create: interval must be positive, got %d" n
+  | _ -> ());
   let cap = Stdlib.max 1 flight_capacity in
   Enabled
     {
@@ -140,9 +146,11 @@ let create ?(flight_capacity = 64) ?flight_dir () =
       fl_total = 0;
       fl_dumps = Hashtbl.create 8;
       dump_total = 0;
+      interval;
     }
 
 let enabled = function Disabled -> false | Enabled _ -> true
+let interval = function Disabled -> None | Enabled r -> r.interval
 
 let locked r f =
   Mutex.lock r.mutex;
@@ -649,6 +657,10 @@ module Perfetto = struct
     dur_us : float;
   }
 
+  type point =
+    | Counter of { pid : int; name : string; ts : int; value : int }
+    | Instant of { pid : int; name : string; ts : int; value : int }
+
   let schema = "vp-perfetto-trace/1"
 
   let of_spans ~pid ?tid ~cat spans =
@@ -679,7 +691,7 @@ module Perfetto = struct
       s;
     Buffer.contents buf
 
-  let write ?(processes = []) ~path events =
+  let write ?(processes = []) ?(points = []) ~path events =
     let t0 =
       List.fold_left (fun acc e -> Float.min acc e.ts_us) infinity events
     in
@@ -701,6 +713,19 @@ module Perfetto = struct
             (e.ts_us -. t0) e.dur_us)
         events
     in
+    let pts =
+      List.map
+        (function
+          | Counter { pid; name; ts; value } ->
+            Printf.sprintf
+              "{\"ph\":\"C\",\"name\":\"%s\",\"pid\":%d,\"ts\":%d,\"args\":{\"value\":%d}}"
+              (json_escape name) pid ts value
+          | Instant { pid; name; ts; value } ->
+            Printf.sprintf
+              "{\"ph\":\"i\",\"name\":\"%s\",\"pid\":%d,\"tid\":0,\"ts\":%d,\"args\":{\"value\":%d}}"
+              (json_escape name) pid ts value)
+        points
+    in
     let buf = Buffer.create 4096 in
     Buffer.add_string buf
       (Printf.sprintf "{\"schema\":\"%s\",\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n"
@@ -715,7 +740,7 @@ module Perfetto = struct
         Buffer.add_string buf ",\n";
         emit rest
     in
-    emit (meta @ evs);
+    emit (meta @ evs @ pts);
     Buffer.add_string buf "]}\n";
     Snapshot.write_file ~path (Buffer.contents buf)
 
@@ -764,6 +789,13 @@ module Perfetto = struct
               if List.for_all has [ "name"; "pid"; "tid"; "ts"; "dur" ] then
                 Ok ()
               else fail "complete event missing name/pid/tid/ts/dur"
+            else if contains line "\"ph\":\"C\"" then
+              if List.for_all has [ "name"; "pid"; "ts"; "args"; "value" ] then
+                Ok ()
+              else fail "counter event missing name/pid/ts/args.value"
+            else if contains line "\"ph\":\"i\"" then
+              if List.for_all has [ "name"; "pid"; "ts" ] then Ok ()
+              else fail "instant event missing name/pid/ts"
             else fail "unknown event phase"
           in
           let rec walk i = function

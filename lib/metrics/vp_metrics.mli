@@ -32,13 +32,21 @@ val disabled : t
 (** The shared no-op registry: every operation returns immediately
     and records nothing.  This is the default everywhere. *)
 
-val create : ?flight_capacity:int -> ?flight_dir:string -> unit -> t
+val create :
+  ?flight_capacity:int -> ?flight_dir:string -> ?interval:int -> unit -> t
 (** A fresh enabled registry.  [flight_capacity] (default [64])
     bounds the flight-recorder mark ring; [flight_dir], when given,
     enables {!Flight.dump} to write post-hoc diagnosis files there
-    (created on first dump). *)
+    (created on first dump).  [interval], when given, turns on the
+    per-run timelines ([Vp_telemetry]) sampled every [interval]
+    retired instructions; it must be positive ({!Vp_util.Error.Error}
+    otherwise). *)
 
 val enabled : t -> bool
+
+val interval : t -> int option
+(** The timeline sampling interval; [None] for {!disabled} and for a
+    registry created without one. *)
 
 (** Fixed-bucket log-scale histogram with exact count and sum.
 
@@ -197,9 +205,12 @@ module Snapshot : sig
 end
 
 (** Chrome trace-event / Perfetto JSON export (schema
-    [vp-perfetto-trace/1]): one complete event ([ph:"X"]) per line,
-    pid = component, tid = domain/lane, timestamps in microseconds
-    normalized to the earliest event. *)
+    [vp-perfetto-trace/1]): one event per line.  Complete events
+    ([ph:"X"]: pid = component, tid = domain/lane) carry microsecond
+    timestamps normalized to the earliest complete event; counter
+    samples ([ph:"C"], [args:{"value":N}]) and instant events
+    ([ph:"i"]) carry integer timestamps written as given, on whatever
+    clock their producer chose. *)
 module Perfetto : sig
   type event = {
     name : string;
@@ -210,13 +221,24 @@ module Perfetto : sig
     dur_us : float;
   }
 
+  (** A point on a process's track: a sample of the counter track
+      [name], or an instant event [name] carrying [value]. *)
+  type point =
+    | Counter of { pid : int; name : string; ts : int; value : int }
+    | Instant of { pid : int; name : string; ts : int; value : int }
+
   val of_spans : pid:int -> ?tid:int -> cat:string -> span list -> event list
   (** Ring spans as events; [tid] defaults to the span's nesting
       depth. *)
 
-  val write : ?processes:(int * string) list -> path:string -> event list -> unit
+  val write :
+    ?processes:(int * string) list ->
+    ?points:point list ->
+    path:string ->
+    event list ->
+    unit
   (** [processes] adds [process_name] metadata records
-      (pid, label). *)
+      (pid, label); [points] follow the complete events, in order. *)
 
   val write_spans : t -> path:string -> int
   (** The registry's span ring as one [driver] process (pid 1, a lane
@@ -224,7 +246,9 @@ module Perfetto : sig
 
   val validate_file : path:string -> (int, string) result
   (** Schema and syntax check; [Ok n] counts the event lines.  Every
-      event line but the last must end in a comma, the last must not. *)
+      event line but the last must end in a comma, the last must not.
+      Each line is a metadata ([M]), complete ([X]), counter ([C], with
+      [args.value]) or instant ([i]) event with its required keys. *)
 end
 
 (** Flight recorder: a bounded ring of recent marks (demotions,

@@ -4,11 +4,7 @@
    determinism across engine schedules follows from per-run ownership,
    not synchronisation. *)
 
-type config = { enabled : bool; interval : int }
-
 let default_interval = 10_000
-let off = { enabled = false; interval = default_interval }
-let on ?(interval = default_interval) () = { enabled = true; interval }
 
 type series = { sname : string; mutable data : int array; mutable len : int }
 
@@ -16,6 +12,7 @@ type t = {
   on : bool;
   interval : int;
   name : string option;
+  origin : int;
   mutable series : series array;
   mutable scount : int;
   sindex : (string, int) Hashtbl.t;
@@ -26,11 +23,12 @@ type t = {
   mutable ecount : int;
 }
 
-let make ?name ~on ~interval () =
+let make ?name ?(origin = 0) ~on ~interval () =
   {
     on;
     interval;
     name;
+    origin;
     series = [||];
     scount = 0;
     sindex = Hashtbl.create 16;
@@ -42,14 +40,10 @@ let make ?name ~on ~interval () =
 
 let disabled = make ~on:false ~interval:default_interval ()
 
-let create ?name (c : config) =
-  if not c.enabled then disabled
-  else begin
-    if c.interval <= 0 then
-      Vp_util.Error.failf ~stage:"telemetry"
-        "Telemetry.create: interval must be positive, got %d" c.interval;
-    make ?name ~on:true ~interval:c.interval ()
-  end
+let create ?name ?origin metrics =
+  match Vp_metrics.interval metrics with
+  | None -> disabled
+  | Some interval -> make ?name ?origin ~on:true ~interval ()
 
 let enabled t = t.on
 let interval_length t = t.interval
@@ -148,174 +142,60 @@ module Event = struct
     !n
 end
 
-module Sink = struct
-  let summary t =
-    if not t.on then []
-    else
-      List.init t.scount (fun i ->
-          let s = t.series.(i) in
-          let mn = ref max_int and mx = ref min_int and total = ref 0 in
-          for j = 0 to s.len - 1 do
-            let v = s.data.(j) in
-            if v < !mn then mn := v;
-            if v > !mx then mx := v;
-            total := !total + v
-          done;
-          if s.len = 0 then (s.sname, 0, 0, 0, 0)
-          else (s.sname, s.len, !mn, !mx, !total))
-      |> List.sort compare
+(* ---- Perfetto export ---- *)
 
-  let event_counts t =
-    let tbl = Hashtbl.create 8 in
-    for i = 0 to t.ecount - 1 do
-      let k = t.ekind.(i) in
-      Hashtbl.replace tbl k (1 + Option.value ~default:0 (Hashtbl.find_opt tbl k))
-    done;
-    Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [] |> List.sort compare
+(* The prefix of the first series: "profile", "run", "timing",
+   "session". *)
+let prefix t =
+  if t.scount = 0 then None
+  else
+    let s = t.series.(0).sname in
+    Some (match String.index_opt s '.' with Some i -> String.sub s 0 i | None -> s)
 
-  let json_escape s =
-    let b = Buffer.create (String.length s + 8) in
-    String.iter
-      (fun c ->
-        match c with
-        | '"' -> Buffer.add_string b "\\\""
-        | '\\' -> Buffer.add_string b "\\\\"
-        | '\n' -> Buffer.add_string b "\\n"
-        | '\t' -> Buffer.add_string b "\\t"
-        | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-        | c -> Buffer.add_char b c)
-      s;
-    Buffer.contents b
+let label t =
+  match (t.name, prefix t) with
+  | Some n, _ | None, Some n -> n
+  | None, None -> "timeline"
 
-  let write_trace ~path ts =
-    let live = List.filter (fun t -> t.on) ts in
-    let interval =
-      match live with t :: _ -> t.interval | [] -> default_interval
+(* The instruction clock at the end of each interval: [origin] plus the
+   running sum of the [<prefix>.instructions] series, or whole
+   intervals where that series has no sample. *)
+let clock t =
+  let instrs =
+    Option.bind (prefix t) (fun p -> Hashtbl.find_opt t.sindex (p ^ ".instructions"))
+  in
+  let acc = ref t.origin in
+  Array.init (intervals t) (fun i ->
+      (acc :=
+         !acc
+         +
+         match instrs with
+         | Some id when i < t.series.(id).len -> t.series.(id).data.(i)
+         | _ -> t.interval);
+      !acc)
+
+let write_perfetto ~path ts =
+  let live = List.filter (fun t -> t.on) ts in
+  let points pid t =
+    let ends = clock t in
+    let counters =
+      List.init t.scount (fun k ->
+          let s = t.series.(k) in
+          List.init s.len (fun j ->
+              Vp_metrics.Perfetto.Counter
+                { pid; name = s.sname; ts = ends.(j); value = s.data.(j) }))
     in
-    let total_intervals =
-      List.fold_left (fun acc t -> Stdlib.max acc (intervals t)) 0 live
+    let instants =
+      List.init t.ecount (fun i ->
+          Vp_metrics.Perfetto.Instant
+            { pid; name = t.ekind.(i); ts = t.eat.(i); value = t.evalue.(i) })
     in
-    let oc = open_out path in
-    Fun.protect
-      ~finally:(fun () -> close_out oc)
-      (fun () ->
-        Printf.fprintf oc
-          "{\"type\": \"meta\", \"schema\": \"vp-timeline-trace/1\", \
-           \"interval\": %d, \"intervals\": %d}\n"
-          interval total_intervals;
-        (* A named timeline (one session epoch, say) stamps every one
-           of its records with an extra ["run"] key; the validator only
-           checks required keys, so stamped and unstamped traces share
-           the vp-timeline-trace/1 schema. *)
-        let run_field t =
-          match t.name with
-          | None -> ""
-          | Some n -> Printf.sprintf "\"run\": \"%s\", " (json_escape n)
-        in
-        List.iter
-          (fun t ->
-            for i = 0 to t.scount - 1 do
-              let s = t.series.(i) in
-              Printf.fprintf oc "{\"type\": \"series\", %s\"name\": \"%s\", \"values\": ["
-                (run_field t) (json_escape s.sname);
-              for j = 0 to s.len - 1 do
-                if j > 0 then output_string oc ", ";
-                output_string oc (string_of_int s.data.(j))
-              done;
-              output_string oc "]}\n"
-            done)
-          live;
-        List.iter
-          (fun t ->
-            for i = 0 to t.ecount - 1 do
-              Printf.fprintf oc
-                "{\"type\": \"event\", %s\"kind\": \"%s\", \"at\": %d, \
-                 \"value\": %d}\n"
-                (run_field t) (json_escape t.ekind.(i))
-                t.eat.(i) t.evalue.(i)
-            done)
-          live)
-
-  (* ---- validation ---- *)
-
-  (* Pragmatic line checker matched to our own writer: one object per
-     line, a [type] tag, the schema's required keys present.  Not a
-     general JSON parser — the format is fully under this module's
-     control. *)
-
-  let required_keys = function
-    | "meta" -> Some [ "schema"; "interval"; "intervals" ]
-    | "series" -> Some [ "name"; "values" ]
-    | "event" -> Some [ "kind"; "at"; "value" ]
-    | _ -> None
-
-  let contains ~needle hay =
-    let n = String.length needle and h = String.length hay in
-    let rec go i = i + n <= h && (String.sub hay i n = needle || go (i + 1)) in
-    go 0
-
-  let type_of_line line =
-    let tag = "\"type\": \"" in
-    let tl = String.length tag in
-    let rec find i =
-      if i + tl > String.length line then None
-      else if String.sub line i tl = tag then
-        let rest = i + tl in
-        match String.index_from_opt line rest '"' with
-        | Some j -> Some (String.sub line rest (j - rest))
-        | None -> None
-      else find (i + 1)
-    in
-    find 0
-
-  let validate_line line =
-    let line = String.trim line in
-    let n = String.length line in
-    if n < 2 || line.[0] <> '{' || line.[n - 1] <> '}' then
-      Error "not a single-line JSON object"
-    else
-      match type_of_line line with
-      | None -> Error "missing \"type\" tag"
-      | Some ty -> (
-        match required_keys ty with
-        | None -> Error (Printf.sprintf "unknown record type %S" ty)
-        | Some keys -> (
-          match
-            List.find_opt
-              (fun k -> not (contains ~needle:(Printf.sprintf "\"%s\":" k) line))
-              keys
-          with
-          | Some missing ->
-            Error (Printf.sprintf "%s record lacks key %S" ty missing)
-          | None -> Ok ()))
-
-  let validate_file ~path =
-    let ic = open_in path in
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () ->
-        let rec go n =
-          match input_line ic with
-          | exception End_of_file -> Ok n
-          | line -> (
-            match validate_line line with
-            | Error e -> Error (Printf.sprintf "line %d: %s" (n + 1) e)
-            | Ok () ->
-              if n = 0 then
-                let l = String.trim line in
-                if type_of_line l <> Some "meta" then
-                  Error "line 1: expected the meta record first"
-                else if
-                  not (contains ~needle:"\"vp-timeline-trace/1\"" l)
-                then Error "line 1: not a vp-timeline-trace/1 meta record"
-                else go 1
-              else go (n + 1))
-        in
-        match go 0 with
-        | Ok 0 -> Error "empty trace"
-        | r -> r)
-end
+    List.concat counters @ instants
+  in
+  Vp_metrics.Perfetto.write
+    ~processes:(List.mapi (fun i t -> (i + 1, label t)) live)
+    ~points:(List.concat (List.mapi (fun i t -> points (i + 1) t) live))
+    ~path []
 
 module Render = struct
   let glyphs = " .:-=+*#"

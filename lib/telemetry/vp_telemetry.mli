@@ -7,7 +7,10 @@
     named integer series
     (HDC value, BBB occupancy, package residency, cache misses, …) and
     discrete events (detections, recordings, launches, side exits)
-    stamped with their position in the run.
+    stamped with their position in the run.  Timelines are switched
+    on by the configuration's metrics registry (its sampling
+    interval) and exported through {!Vp_metrics.Perfetto}, so both
+    planes share one registry and one trace format.
 
     {b Ownership.}  A timeline belongs to exactly one run: the driver
     creates one per profiling run, the coverage pass one per rewritten
@@ -24,20 +27,9 @@
     [Vacuum.Driver]), so the disabled path adds nothing to the
     compiled core. *)
 
-type config = {
-  enabled : bool;
-  interval : int;  (** retired instructions per sample *)
-}
-
-val off : config
-(** Telemetry disabled; the default everywhere. *)
-
-val on : ?interval:int -> unit -> config
-(** Enabled with the given sampling interval (default
-    {!default_interval} retired instructions). *)
-
 val default_interval : int
-(** 10_000 retired instructions. *)
+(** 10_000 retired instructions: the sampling interval the CLI offers
+    by default. *)
 
 type t
 (** A per-run timeline; either {!disabled} or created by {!create}. *)
@@ -45,14 +37,15 @@ type t
 val disabled : t
 (** The shared no-op timeline: every operation returns immediately. *)
 
-val create : ?name:string -> config -> t
-(** A fresh timeline for one run; returns {!disabled} when
-    [config.enabled] is false (so [create] composes with
+val create : ?name:string -> ?origin:int -> Vp_metrics.t -> t
+(** A fresh timeline for one run, sampled every
+    [Vp_metrics.interval metrics] retired instructions; {!disabled}
+    when the registry has no interval (so [create] composes with
     [Vacuum.Config] without an option).  [name] labels the run —
-    session epochs use ["epoch-K"] — and is written as an extra
-    ["run"] key on every series/event record the trace writer emits
-    for this timeline (schema-compatible: vp-timeline-trace/1 readers
-    only require the base keys). *)
+    session epochs use ["epoch-K"] — and names its process in
+    {!write_perfetto}.  [origin] (default [0]) is the instruction
+    clock at the run's start: a session epoch starts where the
+    previous one ended. *)
 
 val enabled : t -> bool
 val interval_length : t -> int
@@ -91,9 +84,9 @@ end
     allocate. *)
 module Event : sig
   val emit : t -> kind:string -> at:int -> value:int -> unit
-  (** [at] is the event's position in the run, in whatever unit the
-      recording pass samples (retired-branch index for detector
-      events, retired-instruction index for residency events). *)
+  (** [at] is the event's position on the run's instruction clock:
+      the retired-instruction count when it fired, counting the
+      instruction that fired it. *)
 
   val all : t -> (string * int * int) list
   (** [(kind, at, value)] in emission order. *)
@@ -101,32 +94,17 @@ module Event : sig
   val count : t -> kind:string -> int
 end
 
-(** Export: per-series summaries and [vp-timeline-trace/1] JSON-lines
-    files. *)
-module Sink : sig
-  val summary : t -> (string * int * int * int * int) list
-  (** Per series, sorted by name: (name, samples, min, max, total).
-      Empty for {!disabled}. *)
-
-  val event_counts : t -> (string * int) list
-  (** Events per kind, sorted by kind. *)
-
-  val write_trace : path:string -> t list -> unit
-  (** JSON-lines trace (schema [vp-timeline-trace/1], documented in
-      DESIGN.md): one meta line, then one [series] object per series
-      of each timeline in order, then one [event] object per event.
-      Passing several timelines merges the runs of one workload
-      (profile + rewritten + timing) into one file; disabled timelines
-      contribute nothing.  Contains no wall-clock readings, so the
-      file is byte-identical for identical runs. *)
-
-  val validate_line : string -> (unit, string) result
-
-  val validate_file : path:string -> (int, string) result
-  (** Validate every line; [Ok n] is the number of lines checked.
-      Fails on an empty file, a missing or foreign-schema meta line,
-      or any malformed line. *)
-end
+val write_perfetto : path:string -> t list -> unit
+(** Export timelines as one [vp-perfetto-trace/1] file: each enabled
+    timeline is one process (pid 1, 2, … in list order), named by its
+    run label or by its series prefix ([profile], [run], [timing]);
+    each series is one counter track and each event one instant,
+    both on the run's instruction clock.  A counter sample's [ts] is
+    the retired-instruction count at the end of its interval (the
+    running sum of the timeline's [<prefix>.instructions] series,
+    plus [origin]); an event's [ts] is its [at].  Disabled timelines
+    contribute nothing.  The file holds no wall-clock readings, so it
+    is byte-identical for identical runs. *)
 
 (** ASCII rendering primitives for Figure 5-style timelines; composed
     by [vpack timeline]. *)

@@ -158,7 +158,7 @@ commands:
   timeline     Render a workload's interval timeline: detector state and phase extents of the profiling run, package residency lanes of the rewritten run, and (with --timing) timing-model series.
   serve        Run the online re-optimization loop on one or more workloads: profile, package, hot-patch the running image at a verified safe launch point, keep profiling the rewritten image, and re-package on phase drift — the package cache bounded by --cache-pct.  Stdout is byte-identical for every --jobs value and backend.
   top          Dashboard over a `vpack serve --metrics` snapshot: counter and cache tables, per-histogram bucket sparklines with p50/p90/p99.  Renders one frame by default; --watch re-reads and redraws live.
-  trace-check  Validate a trace file against its schema (vp-timeline-trace/1, vp-profile-wire/1, vp-retire-trace/1, vp-metrics-snapshot/1 or vp-perfetto-trace/1, detected from the first line); failures name the schema and the offending line.
+  trace-check  Validate a trace file against its schema (vp-profile-wire/1, vp-retire-trace/1, vp-metrics-snapshot/1 or vp-perfetto-trace/1, detected from the first line); failures name the schema and the offending line.
   verify       Run the pipeline and the package soundness verifier on every emitted package; exit 4 if any check fails.
   chaos        Run the seed x fault-plan chaos matrix: every preset fault plan, asserting the differential oracle on each rewritten image; exit 5 on any cell failure.
   fuzz         Statistical chaos campaign over generated binaries: each case runs the full profile -> package -> verify -> rewrite pipeline under the fault-plan matrix with the differential oracle, plus vp-retire-trace/1 round-trip, ingestion-equivalence and corruption-totality checks; failures are shrunk to minimal repro files.  Reports are byte-identical across --jobs and backends.
@@ -183,8 +183,8 @@ options:
   --drift T                  Similarity threshold below which a detected phase counts as drift and is packaged anew. (default 0.5)
   --grace N                  Extra instructions an epoch may run while seeking a quiescent launch point before the swap is deferred. (default 50000)
   --no-oracle                Skip the per-epoch differential oracle (verifier-only gating of activations).
-  --trace-dir DIR            Write one vp-timeline-trace/1 file per workload to DIR (session-WORKLOAD.jsonl), every epoch's series and events tagged with its epoch-K run label.
-  --interval N               Telemetry sampling interval for --trace-dir, in retired instructions. (default 10000)
+  --trace-dir DIR            Write one Perfetto trace (schema vp-perfetto-trace/1) per workload to DIR (session-WORKLOAD.json): one epoch-K process per epoch, its series as counter tracks and its events as instants.
+  --interval N               Timeline sampling interval for --trace-dir, in retired instructions. (default 10000)
   --metrics FILE             Rewrite an OpenMetrics snapshot (schema vp-metrics-snapshot/1) of the stable metric registry to FILE after every epoch — a scrape-able live view, byte-identical for every --jobs value and backend.
   --perfetto FILE            Write a Chrome trace-event / Perfetto JSON timeline (schema vp-perfetto-trace/1) to FILE: pipeline spans on the driver lane, per-epoch session slices on one lane per workload.
   --flight-dir DIR           Flight recorder: on a fallback to the original image, a verifier rejection or an oracle failure, dump the metric registry with its recent mark ring, plus its span ring as a Perfetto trace, to DIR.
@@ -210,6 +210,55 @@ let test_golden_tool_help () =
 let test_golden_serve_help () =
   Alcotest.(check string) "serve help" (strip_lead golden_serve_help)
     (Spec.cmd_help tool (cmd "serve"))
+
+(* ---- logging ---- *)
+
+(* Worker domains warn concurrently: every message must come out as one
+   whole line, and formatting must never raise. *)
+let test_reporter_domain_safe () =
+  let buf = Buffer.create (1 lsl 20) in
+  let previous = Logs.reporter () and level = Logs.level () in
+  Logs.set_reporter (Vp_cli.Vpack.reporter ~write:(Buffer.add_string buf) ());
+  Logs.set_level (Some Logs.Warning);
+  let domains = 4 and per_domain = 20_000 in
+  let outcome =
+    Fun.protect
+      ~finally:(fun () ->
+        Logs.set_reporter previous;
+        Logs.set_level level)
+      (fun () ->
+        List.init domains (fun d ->
+            Domain.spawn (fun () ->
+                match
+                  for i = 0 to per_domain - 1 do
+                    Logs.warn (fun m -> m "domain %d message %d of %s" d i "run")
+                  done
+                with
+                | () -> None
+                | exception e -> Some (Printexc.to_string e)))
+        |> List.map Domain.join)
+  in
+  List.iteri
+    (fun d r ->
+      match r with
+      | None -> ()
+      | Some e -> Alcotest.failf "domain %d raised %s" d e)
+    outcome;
+  let lines =
+    List.filter (( <> ) "") (String.split_on_char '\n' (Buffer.contents buf))
+  in
+  Alcotest.(check int) "one line per message" (domains * per_domain)
+    (List.length lines);
+  let seen = Array.make (domains * per_domain) false in
+  List.iter
+    (fun l ->
+      match Scanf.sscanf l "%_[^:]: [WARNING] domain %d message %d of run%!" (fun d i -> (d, i)) with
+      | d, i when d >= 0 && d < domains && i >= 0 && i < per_domain ->
+        seen.((d * per_domain) + i) <- true
+      | _ | (exception _) -> Alcotest.failf "torn line %S" l)
+    lines;
+  Alcotest.(check bool) "every message whole, exactly once" true
+    (Array.for_all Fun.id seen)
 
 let () =
   Alcotest.run "cli"
@@ -245,5 +294,10 @@ let () =
             test_every_command_renders_help;
           Alcotest.test_case "golden tool help" `Quick test_golden_tool_help;
           Alcotest.test_case "golden serve help" `Quick test_golden_serve_help;
+        ] );
+      ( "logging",
+        [
+          Alcotest.test_case "reporter domain-safe" `Quick
+            test_reporter_domain_safe;
         ] );
     ]

@@ -202,8 +202,8 @@ let test_driver_profile_matches_reference () =
 let test_residency_consistency w () =
   let name = Registry.name w in
   let config =
-    Vacuum.Config.with_telemetry
-      (Vp_telemetry.on ())
+    Vacuum.Config.with_metrics
+      (Vp_metrics.create ~interval:Vp_telemetry.default_interval ())
       (Vacuum.Config.with_fuel fuel Vacuum.Config.default)
   in
   let image = Program.layout (w.Registry.program ()) in

@@ -603,6 +603,48 @@ let test_perfetto_export () =
       ("trailing comma", ev "a" ^ ",\n" ^ ev "b" ^ ",\n", "line 3");
     ]
 
+let test_perfetto_points () =
+  let path = temp ".json" in
+  M.Perfetto.write ~processes:[ (1, "profile") ]
+    ~points:
+      [
+        M.Perfetto.Counter { pid = 1; name = "profile.hdc"; ts = 100; value = 3 };
+        M.Perfetto.Instant { pid = 1; name = "detect"; ts = 42; value = 1 };
+      ]
+    ~path [];
+  (match M.Perfetto.validate_file ~path with
+  | Ok n -> Alcotest.(check int) "metadata + counter + instant" 3 n
+  | Error e -> Alcotest.fail ("counter/instant trace rejected: " ^ e));
+  let s = read_file path in
+  Alcotest.(check bool) "counter line" true
+    (contains s
+       {|{"ph":"C","name":"profile.hdc","pid":1,"ts":100,"args":{"value":3}}|});
+  Alcotest.(check bool) "instant line" true
+    (contains s
+       {|{"ph":"i","name":"detect","pid":1,"tid":0,"ts":42,"args":{"value":1}}|});
+  Sys.remove path;
+  let head =
+    "{\"schema\":\"vp-perfetto-trace/1\",\"displayTimeUnit\":\"ms\",\
+     \"traceEvents\":[\n"
+  in
+  List.iter
+    (fun (what, line) ->
+      let path = temp ".json" in
+      write_file path (head ^ line ^ "\n]}\n");
+      (match M.Perfetto.validate_file ~path with
+      | Ok _ -> Alcotest.failf "%s accepted" what
+      | Error e ->
+        Alcotest.(check bool) (what ^ " names line 2") true (contains e "line 2"));
+      Sys.remove path)
+    [
+      ("counter without args", {|{"ph":"C","name":"c","pid":1,"ts":5}|});
+      ( "counter without value",
+        {|{"ph":"C","name":"c","pid":1,"ts":5,"args":{}}|} );
+      ( "instant without ts",
+        {|{"ph":"i","name":"e","pid":1,"tid":0,"args":{"value":1}}|} );
+      ("unknown phase", {|{"ph":"Q","name":"e","pid":1,"tid":0,"ts":5}|});
+    ]
+
 let test_span_ring_roundtrip () =
   let t = M.create () in
   M.Span.record t "stage \"one\"" unit_task;
@@ -732,6 +774,8 @@ let () =
       ( "perfetto",
         [
           Alcotest.test_case "export and validate" `Quick test_perfetto_export;
+          Alcotest.test_case "counters and instants" `Quick
+            test_perfetto_points;
           Alcotest.test_case "span ring roundtrip" `Quick
             test_span_ring_roundtrip;
         ] );

@@ -406,14 +406,15 @@ let test_fault_jobs_invariant () =
 
 let telemetry_config ?epochs () =
   session_config ?epochs ()
-  |> Config.with_telemetry (Vp_telemetry.on ())
+  |> Config.with_metrics
+       (Vp_metrics.create ~interval:Vp_telemetry.default_interval ())
 
-(* The merged vp-timeline-trace/1 bytes of a report's epoch timelines —
-   the exact artifact `vpack serve --trace-dir` ships, so byte equality
-   here is byte equality of the shipped file. *)
+(* The Perfetto export of a report's epoch timelines — the exact
+   artifact `vpack serve --trace-dir` ships, so byte equality here is
+   byte equality of the shipped file. *)
 let trace_string (r : Session.report) =
-  let path = Filename.temp_file "vp-session-trace" ".jsonl" in
-  Vp_telemetry.Sink.write_trace ~path
+  let path = Filename.temp_file "vp-session-trace" ".json" in
+  Vp_telemetry.write_perfetto ~path
     (List.map (fun (e : Session.epoch_report) -> e.Session.timeline)
        r.Session.epochs);
   let ic = open_in_bin path in

@@ -1,9 +1,10 @@
 (* The runtime telemetry layer: series/event storage, disabled no-op
-   and allocation contracts, trace schema roundtrips, rendering, the
-   detector/driver/coverage wiring, and byte-identical traces across
-   engine schedules. *)
+   and allocation contracts, the Perfetto export and its validation,
+   rendering, the detector/driver/coverage wiring, and byte-identical
+   traces across engine schedules. *)
 
 module T = Vp_telemetry
+module M = Vp_metrics
 module Program = Vp_prog.Program
 module Emulator = Vp_exec.Emulator
 module Gen = Vp_test_support.Gen
@@ -12,8 +13,12 @@ module Engine = Vacuum.Engine
 
 (* --- series and events --- *)
 
+(* A fresh timeline sampled every [interval] retired instructions. *)
+let timeline ?name ?origin ?(interval = T.default_interval) () =
+  T.create ?name ?origin (M.create ~interval ())
+
 let test_series_basics () =
-  let t = T.create (T.on ~interval:100 ()) in
+  let t = timeline ~interval:100 () in
   Alcotest.(check bool) "enabled" true (T.enabled t);
   Alcotest.(check int) "interval" 100 (T.interval_length t);
   let a = T.Series.register t "a" in
@@ -35,7 +40,7 @@ let test_series_basics () =
   Alcotest.(check bool) "find missing" true (T.Series.find t "c" = None)
 
 let test_event_basics () =
-  let t = T.create (T.on ()) in
+  let t = timeline () in
   T.Event.emit t ~kind:"detect" ~at:10 ~value:1;
   T.Event.emit t ~kind:"record" ~at:10 ~value:0;
   T.Event.emit t ~kind:"detect" ~at:25 ~value:2;
@@ -43,21 +48,20 @@ let test_event_basics () =
   Alcotest.(check bool)
     "emission order" true
     (T.Event.all t
-    = [ ("detect", 10, 1); ("record", 10, 0); ("detect", 25, 2) ]);
-  Alcotest.(check bool)
-    "event_counts sorted" true
-    (T.Sink.event_counts t = [ ("detect", 2); ("record", 1) ])
+    = [ ("detect", 10, 1); ("record", 10, 0); ("detect", 25, 2) ])
 
 let test_disabled_noop () =
-  let t = T.create T.off in
-  Alcotest.(check bool) "create off = disabled" true (t == T.disabled);
+  let t = T.create M.disabled in
+  Alcotest.(check bool) "disabled registry = disabled" true (t == T.disabled);
+  Alcotest.(check bool)
+    "registry without interval = disabled" true
+    (T.create (M.create ()) == T.disabled);
   let id = T.Series.register t "ghost" in
   T.Series.push t id 1;
   T.Event.emit t ~kind:"ghost" ~at:0 ~value:0;
   Alcotest.(check int) "no length" 0 (T.Series.length t id);
   Alcotest.(check (list string)) "no names" [] (T.Series.names t);
   Alcotest.(check bool) "no events" true (T.Event.all t = []);
-  Alcotest.(check bool) "no summary" true (T.Sink.summary t = []);
   Alcotest.(check int) "no intervals" 0 (T.intervals t)
 
 let test_disabled_zero_allocation () =
@@ -75,76 +79,134 @@ let test_disabled_zero_allocation () =
     true (words < 256.)
 
 let test_bad_interval_rejected () =
-  match T.create { T.enabled = true; interval = 0 } with
-  | exception Vp_util.Error.Error _ -> ()
-  | _ -> Alcotest.fail "interval 0 accepted"
+  List.iter
+    (fun interval ->
+      match M.create ~interval () with
+      | exception Vp_util.Error.Error _ -> ()
+      | _ -> Alcotest.failf "interval %d accepted" interval)
+    [ 0; -5 ]
 
-let test_summary () =
-  let t = T.create (T.on ()) in
-  let a = T.Series.register t "a" in
-  List.iter (T.Series.push t a) [ 3; 1; 2 ];
-  Alcotest.(check bool)
-    "name, samples, min, max, total" true
-    (T.Sink.summary t = [ ("a", 3, 1, 3, 6) ])
-
-(* --- trace schema --- *)
+(* --- Perfetto export --- *)
 
 let in_temp name f =
   let path = Filename.temp_file "vp_telemetry" name in
   Fun.protect ~finally:(fun () -> Sys.remove path) (fun () -> f path)
 
-let test_trace_roundtrip () =
-  in_temp "trace.jsonl" @@ fun path ->
-  let t1 = T.create (T.on ~interval:50 ()) in
-  let a = T.Series.register t1 "profile.hdc" in
-  List.iter (T.Series.push t1 a) [ 4; 0; 9 ];
-  T.Event.emit t1 ~kind:"detect" ~at:120 ~value:1;
-  let t2 = T.create (T.on ~interval:50 ()) in
-  let b = T.Series.register t2 "run.orig.instructions" in
-  List.iter (T.Series.push t2 b) [ 50; 50 ];
-  (* Disabled timelines merge away silently. *)
-  T.Sink.write_trace ~path [ t1; T.disabled; t2 ];
-  (match T.Sink.validate_file ~path with
-  | Ok n -> Alcotest.(check int) "meta + 2 series + 1 event" 4 n
-  | Error e -> Alcotest.failf "trace invalid: %s" e);
-  let ic = open_in path in
-  let first = input_line ic in
+let read path =
+  let ic = open_in_bin path in
+  let s = really_input_string ic (in_channel_length ic) in
   close_in ic;
-  Alcotest.(check bool)
-    "meta carries the shared interval" true
-    (T.Sink.validate_line first = Ok ());
-  Alcotest.(check bool)
-    "meta first" true
-    (String.length first > 16 && String.sub first 0 16 = {|{"type": "meta",|})
+  s
+
+let write path s =
+  let oc = open_out_bin path in
+  output_string oc s;
+  close_out oc
+
+let lines path = String.split_on_char '\n' (read path)
+
+let contains hay needle =
+  let n = String.length needle and h = String.length hay in
+  let rec go i = i + n <= h && (String.sub hay i n = needle || go (i + 1)) in
+  go 0
+
+(* The [args.value] of every counter sample of track [name] in an
+   exported file, in file order. *)
+let counter_values path name =
+  List.filter_map
+    (fun l ->
+      match
+        Scanf.sscanf l {|{"ph":"C","name":%S,"pid":%_d,"ts":%_d,"args":{"value":%d}}|}
+          (fun n v -> (n, v))
+      with
+      | n, v when n = name -> Some v
+      | _ | (exception _) -> None)
+    (lines path)
+
+let test_trace_roundtrip () =
+  in_temp "trace.json" @@ fun path ->
+  let t1 = timeline ~interval:50 () in
+  let i1 = T.Series.register t1 "profile.instructions" in
+  let a = T.Series.register t1 "profile.hdc" in
+  List.iter (T.Series.push t1 i1) [ 50; 50; 20 ];
+  List.iter (T.Series.push t1 a) [ 4; 0; 9 ];
+  T.Event.emit t1 ~kind:"detect" ~at:77 ~value:1;
+  let t2 = timeline ~name:"epoch-1" ~origin:1000 ~interval:50 () in
+  let b = T.Series.register t2 "session.instructions" in
+  List.iter (T.Series.push t2 b) [ 50; 30 ];
+  T.Event.emit t2 ~kind:"activate" ~at:1080 ~value:1;
+  (* Disabled timelines merge away silently. *)
+  T.write_perfetto ~path [ t1; T.disabled; t2 ];
+  (match M.Perfetto.validate_file ~path with
+  | Ok n ->
+    Alcotest.(check int) "2 processes + 8 counter samples + 2 instants" 12 n
+  | Error e -> Alcotest.failf "trace invalid: %s" e);
+  let s = read path in
+  List.iter
+    (fun (what, line) -> Alcotest.(check bool) what true (contains s line))
+    [
+      ( "a timeline is a process named by its series prefix",
+        {|{"ph":"M","pid":1,"tid":0,"name":"process_name","args":{"name":"profile"}}|}
+      );
+      ( "or by its run label",
+        {|{"ph":"M","pid":2,"tid":0,"name":"process_name","args":{"name":"epoch-1"}}|}
+      );
+      ( "counter ts = retired instructions at the interval's end",
+        {|{"ph":"C","name":"profile.hdc","pid":1,"ts":120,"args":{"value":9}}|} );
+      ( "the clock starts at the origin",
+        {|{"ph":"C","name":"session.instructions","pid":2,"ts":1080,"args":{"value":30}}|}
+      );
+      ( "an event is an instant at its own stamp",
+        {|{"ph":"i","name":"detect","pid":1,"tid":0,"ts":77,"args":{"value":1}}|} );
+    ];
+  Alcotest.(check (list int))
+    "series values in order" [ 4; 0; 9 ] (counter_values path "profile.hdc");
+  Alcotest.(check bool) "no wall clock" false (contains s "\"dur\"")
 
 let test_validator_rejects_garbage () =
+  in_temp "good.json" @@ fun good ->
+  let t = timeline ~interval:10 () in
+  let i = T.Series.register t "run.instructions" in
+  T.Series.push t i 10;
+  T.Event.emit t ~kind:"launch" ~at:3 ~value:1;
+  T.write_perfetto ~path:good [ t ];
+  let valid = read good in
+  let swap ~sub ~by =
+    let n = String.length sub in
+    let rec go i =
+      if String.sub valid i n = sub then
+        String.sub valid 0 i ^ by
+        ^ String.sub valid (i + n) (String.length valid - i - n)
+      else go (i + 1)
+    in
+    go 0
+  in
   List.iter
-    (fun (line, why) ->
-      match T.Sink.validate_line line with
-      | Ok () -> Alcotest.failf "accepted %s" why
+    (fun (body, why) ->
+      in_temp "bad.json" @@ fun path ->
+      write path body;
+      match M.Perfetto.validate_file ~path with
+      | Ok _ -> Alcotest.failf "accepted %s" why
       | Error _ -> ())
     [
-      ("not json", "plain text");
-      ("{\"no\": \"type\"}", "an object without a type tag");
-      ("{\"type\": \"mystery\"}", "an unknown record type");
-      ("{\"type\": \"series\", \"name\": \"x\"}", "a series without values");
-      ("{\"type\": \"event\", \"kind\": \"k\", \"at\": 1}", "an event without value");
+      ("not json\n", "plain text");
+      (swap ~sub:{|,"args":{"value":10}|} ~by:"", "a counter without args");
+      (swap ~sub:{|"value":10|} ~by:{|"v":10|}, "a counter without a value");
+      (swap ~sub:{|"ts":3,|} ~by:"", "an instant without ts");
+      (swap ~sub:{|"ph":"i"|} ~by:{|"ph":"Z"|}, "an unknown event phase");
+      (swap ~sub:"]}" ~by:"", "a missing array closer");
     ]
 
 let test_validator_rejects_foreign_schema () =
-  in_temp "foreign.jsonl" @@ fun path ->
-  let oc = open_out path in
-  output_string oc
+  in_temp "foreign.json" @@ fun path ->
+  write path
     "{\"type\": \"meta\", \"schema\": \"vp-obs-trace/1\", \"interval\": 1, \
      \"intervals\": 0}\n";
-  close_out oc;
-  (match T.Sink.validate_file ~path with
+  (match M.Perfetto.validate_file ~path with
   | Ok _ -> Alcotest.fail "accepted a vp-obs-trace file"
   | Error _ -> ());
-  let oc = open_out path in
-  output_string oc "";
-  close_out oc;
-  match T.Sink.validate_file ~path with
+  write path "";
+  match M.Perfetto.validate_file ~path with
   | Ok _ -> Alcotest.fail "accepted an empty file"
   | Error _ -> ()
 
@@ -216,8 +278,8 @@ let test_detector_hooks_match_counters () =
 (* --- pipeline wiring --- *)
 
 let telemetry_config =
-  Vacuum.Config.with_telemetry
-    (T.on ~interval:1_000 ())
+  Vacuum.Config.with_metrics
+    (M.create ~interval:1_000 ())
     (Vacuum.Config.with_detector Vp_hsd.Config.tiny Vacuum.Config.default)
 
 let test_profile_timeline () =
@@ -246,6 +308,35 @@ let test_profile_timeline () =
     "record events = recordings"
     (List.length p.Vacuum.Driver.snapshots)
     (T.Event.count tl ~kind:"record")
+
+let test_detector_events_on_instruction_clock () =
+  (* A record event's stamp is the retired-instruction ordinal of the
+     branch that completed the snapshot: its [detected_at]-th branch,
+     counted by an independent observer of the same run. *)
+  let img = Program.layout (Gen.random_phased ~seed:7) in
+  let p = Vacuum.Driver.profile ~config:telemetry_config img in
+  let ordinal = Array.make (p.Vacuum.Driver.outcome.Emulator.cond_branches + 1) 0 in
+  let retired = ref 0 and branches = ref 0 in
+  let (_ : Emulator.outcome) =
+    Emulator.run_backend
+      ~on_branch:(fun ~pc:_ ~taken:_ ->
+        incr branches;
+        ordinal.(!branches) <- !retired + 1)
+      ~on_retire:(fun ~pc:_ ~taken:_ ~next_pc:_ ~mem_addr:_ -> incr retired)
+      img
+  in
+  let stamps =
+    List.filter_map
+      (fun (kind, at, _) -> if kind = "record" then Some at else None)
+      (T.Event.all p.Vacuum.Driver.timeline)
+  in
+  Alcotest.(check bool) "something recorded" true (stamps <> []);
+  Alcotest.(check (list int))
+    "record at = instruction ordinal of the detecting branch"
+    (List.map
+       (fun (s : Vp_hsd.Snapshot.t) -> ordinal.(s.Vp_hsd.Snapshot.detected_at))
+       p.Vacuum.Driver.snapshots)
+    stamps
 
 let test_profile_disabled_by_default () =
   let img = Program.layout (Gen.random_phased ~seed:7) in
@@ -304,9 +395,34 @@ let test_residency_integrates_to_coverage () =
     c.Vacuum.Coverage.outcome.Emulator.instructions
     (pkg_sum + total "run.orig.instructions")
 
+let test_exported_counters_integrate () =
+  (* The exported counter tracks carry the same numbers as the
+     in-memory series: a run's instruction track sums to its length,
+     and its last sample sits at that length on the instruction clock. *)
+  let img = Program.layout (Gen.random_phased ~seed:7) in
+  let config = telemetry_config in
+  let p = Vacuum.Driver.profile ~config img in
+  let c =
+    Vacuum.Coverage.measure ~config (Vacuum.Driver.rewrite_of_profile ~config p)
+  in
+  in_temp "export.json" @@ fun path ->
+  T.write_perfetto ~path [ p.Vacuum.Driver.timeline; c.Vacuum.Coverage.residency ];
+  let check track (o : Emulator.outcome) =
+    let values = counter_values path track in
+    Alcotest.(check int) (track ^ " sums to the run's instructions")
+      o.Emulator.instructions (List.fold_left ( + ) 0 values);
+    Alcotest.(check bool) (track ^ " ends at the run's length") true
+      (contains (read path)
+         (Printf.sprintf {|"name":"%s","pid":%d,"ts":%d,|} track
+            (if track = "run.instructions" then 2 else 1)
+            o.Emulator.instructions))
+  in
+  check "profile.instructions" p.Vacuum.Driver.outcome;
+  check "run.instructions" c.Vacuum.Coverage.outcome
+
 let test_timing_series () =
   let img = Program.layout (Progs.two_phase ~iters_per_phase:500 ~repeats:2) in
-  let tl = T.create (T.on ~interval:1_000 ()) in
+  let tl = timeline ~interval:1_000 () in
   let stats = Vp_cpu.Pipeline.simulate ~telemetry:tl img in
   let sum name =
     Array.fold_left ( + ) 0 (Option.get (T.Series.find tl name))
@@ -348,19 +464,12 @@ let test_traces_identical_across_jobs () =
           ])
         specs
     in
-    T.Sink.write_trace ~path tls
+    T.write_perfetto ~path tls
   in
-  in_temp "seq.jsonl" @@ fun seq ->
-  in_temp "par.jsonl" @@ fun par ->
+  in_temp "seq.json" @@ fun seq ->
+  in_temp "par.json" @@ fun par ->
   trace_of 1 seq;
   trace_of 4 par;
-  let read path =
-    let ic = open_in_bin path in
-    let n = in_channel_length ic in
-    let s = really_input_string ic n in
-    close_in ic;
-    s
-  in
   let a = read seq and b = read par in
   Alcotest.(check bool) "traces non-trivial" true (String.length a > 100);
   Alcotest.(check bool) "byte-identical across --jobs 1 and 4" true (a = b)
@@ -377,7 +486,6 @@ let () =
             test_disabled_zero_allocation;
           Alcotest.test_case "bad interval rejected" `Quick
             test_bad_interval_rejected;
-          Alcotest.test_case "summary" `Quick test_summary;
         ] );
       ( "trace",
         [
@@ -398,12 +506,16 @@ let () =
           Alcotest.test_case "detector hooks" `Quick
             test_detector_hooks_match_counters;
           Alcotest.test_case "profile timeline" `Quick test_profile_timeline;
+          Alcotest.test_case "detector events on the instruction clock" `Quick
+            test_detector_events_on_instruction_clock;
           Alcotest.test_case "disabled by default" `Quick
             test_profile_disabled_by_default;
           Alcotest.test_case "behaviour preserving" `Quick
             test_telemetry_is_behaviour_preserving;
           Alcotest.test_case "residency integrates to coverage" `Quick
             test_residency_integrates_to_coverage;
+          Alcotest.test_case "exported counters integrate" `Quick
+            test_exported_counters_integrate;
           Alcotest.test_case "timing series" `Quick test_timing_series;
         ] );
       ( "determinism",
