@@ -14,20 +14,22 @@
                                          # functional backend for all runs
      dune exec bench/main.exe -- --help  # flags and experiments
 
-   The workload x configuration matrix is executed up front by
-   Vacuum.Engine on a domain pool (--jobs N, default = the machine's
-   domain count); tables are then rendered from the engine's caches,
-   so stdout is byte-identical for every --jobs value.  The per-task
-   timing summary goes to stderr. *)
+   The workload x configuration matrix is computed up front, one
+   Vp_util.Pool.map task per workload on --jobs domains (default = the
+   machine's domain count); tables then render from those rows, so
+   stdout is byte-identical for every --jobs value.  The span table of
+   the run goes to stderr. *)
 
 module Registry = Vp_workloads.Registry
 module Program = Vp_prog.Program
 module Emulator = Vp_exec.Emulator
+module Pipeline = Vp_cpu.Pipeline
 module Tabular = Vp_util.Tabular
 module Stats = Vp_util.Stats
 module Phase_log = Vp_phase.Phase_log
 module Categorize = Vp_phase.Categorize
-module Engine = Vacuum.Engine
+module Driver = Vacuum.Driver
+module Coverage = Vacuum.Coverage
 
 (* The four configurations of Figures 8 and 10, in the paper's bar
    order: inference x linking. *)
@@ -39,35 +41,32 @@ let configurations =
     (true, true, "inf, link");
   ]
 
-(* ------------------------------------------------------------------ *)
-(* Pipeline artefacts — one profile per workload, one rewrite per
-   workload x configuration, shared by all experiments — live in the
-   engine's caches, populated in parallel before the tables render. *)
-
-let engine = ref (Engine.create ~jobs:1 ())
-
 (* Which functional emulator produces every retire stream this process
    runs (--backend); all backends are bit-identical, so tables do not
    change with the selection — only wall-clock does. *)
 let backend = ref (Vacuum.Config.backend Vacuum.Config.default)
 
-let spec_of w =
-  {
-    Engine.name = Registry.name w;
-    load = (fun () -> Program.layout (w.Registry.program ()));
-  }
+(* Domains for the matrix and the session warm-up (--jobs). *)
+let jobs = ref 1
+
+(* The run's one registry: every matrix task is a span in it, and its
+   span table is the stderr timing summary. *)
+let metrics = Vp_metrics.create ()
+
+let span name ?work f = Vp_metrics.Span.record metrics name ?work f
 
 let config_of ~inference ~linking =
   Vacuum.Config.with_backend !backend
     (Vacuum.Config.experiment ~inference ~linking)
 
-let cell_of ~inference ~linking =
-  {
-    Engine.key = Printf.sprintf "%b%b" inference linking;
-    config = config_of ~inference ~linking;
-  }
+(* The shared profiling runs report into the registry; the per-cell
+   configurations do not. *)
+let profile_config () =
+  Vacuum.Config.with_backend !backend
+    (Vacuum.Config.with_metrics metrics Vacuum.Config.default)
 
-let image_of w = Engine.image !engine (spec_of w)
+(* The machine model is uniform across the matrix. *)
+let cpu () = Vacuum.Config.cpu (config_of ~inference:true ~linking:true)
 
 (* A truncated profiling run would silently undercount coverage and
    speedup; fail loudly instead (the driver has already logged it). *)
@@ -78,16 +77,124 @@ let fail_truncated name =
     name;
   exit 2
 
-let profile_of w =
-  let p = Engine.profile !engine (spec_of w) in
-  if p.Vacuum.Driver.truncated then fail_truncated (Registry.name w);
+let layout w = Program.layout (w.Registry.program ())
+
+let profile_span name image =
+  span ("profile:" ^ name)
+    ~work:(fun p -> p.Driver.outcome.Emulator.instructions)
+    (fun () -> Driver.profile ~config:(profile_config ()) image)
+
+(* A lone sample outside the matrix. *)
+let profile_sample w =
+  let p = profile_span (Registry.name w) (layout w) in
+  if p.Driver.truncated then fail_truncated (Registry.name w);
   p
 
-let rewrite_of w ~inference ~linking =
-  Engine.rewrite !engine (spec_of w) (cell_of ~inference ~linking)
+(* ------------------------------------------------------------------ *)
+(* The workload x configuration matrix, one task per workload in two
+   Pool.map passes.  The first lays out each image and runs its one
+   shared profile.  The second, when a picked experiment reads them,
+   runs each configuration's rewrite and coverage run, the timing
+   simulation of each rewritten image and one shared baseline
+   simulation of the original.  Tasks share nothing but the registry,
+   so every row is independent of the schedule. *)
 
-let coverage_of w ~inference ~linking =
-  Engine.coverage !engine (spec_of w) (cell_of ~inference ~linking)
+type cell = {
+  rewrite : Driver.rewrite;
+  coverage : Coverage.t;
+  optimized : Pipeline.stats option;  (* with timing *)
+}
+
+type row = {
+  image : Vp_prog.Image.t;
+  profile : Driver.profile;
+  cells : ((bool * bool) * cell) list;  (* keyed (inference, linking) *)
+  baseline : Pipeline.stats option;  (* with timing *)
+}
+
+let rows : (string, row) Hashtbl.t = Hashtbl.create 32
+
+let complete_row ~rewrites ~timing (w, image, profile) =
+  let name = Registry.name w in
+  let simulate label config image =
+    span ("timing:" ^ name ^ " [" ^ label ^ "]")
+      ~work:(fun s -> s.Pipeline.instructions)
+      (fun () -> Pipeline.simulate ~config image)
+  in
+  let baseline =
+    if timing then Some (simulate "baseline" (cpu ()) image) else None
+  in
+  let cell (inference, linking, _) =
+    let key = Printf.sprintf "%b%b" inference linking in
+    let label = name ^ " [" ^ key ^ "]" in
+    let config = config_of ~inference ~linking in
+    let rewrite =
+      span ("rewrite:" ^ label) (fun () ->
+          Driver.rewrite_of_profile ~config profile)
+    in
+    let coverage =
+      span ("coverage:" ^ label)
+        ~work:(fun c -> c.Coverage.outcome.Emulator.instructions)
+        (fun () -> Coverage.measure ~config rewrite)
+    in
+    let optimized =
+      if timing then
+        Some
+          (simulate key (Vacuum.Config.cpu config)
+             (Driver.rewritten_image rewrite))
+      else None
+    in
+    ((inference, linking), { rewrite; coverage; optimized })
+  in
+  let cells = if rewrites then List.map cell configurations else [] in
+  { image; profile; cells; baseline }
+
+let compute_matrix ~rewrites ~timing workloads =
+  let map f items =
+    Vp_util.Pool.map ~jobs:!jobs ?hooks:(Vp_metrics.Sched.hooks metrics) f
+      items
+  in
+  let profiled =
+    map
+      (fun w ->
+        let image = span ("image:" ^ Registry.name w) (fun () -> layout w) in
+        (w, image, profile_span (Registry.name w) image))
+      workloads
+  in
+  List.iter
+    (fun (w, _, p) ->
+      if p.Driver.truncated then fail_truncated (Registry.name w))
+    profiled;
+  (* The rest of a chain costs about its profile's instruction count:
+     longest first, so the last task to finish is a short one. *)
+  let by_cost =
+    List.stable_sort
+      (fun (_, _, a) (_, _, b) ->
+        compare b.Driver.outcome.Emulator.instructions
+          a.Driver.outcome.Emulator.instructions)
+      profiled
+  in
+  List.iter2
+    (fun (w, _, _) row -> Hashtbl.replace rows (Registry.name w) row)
+    by_cost
+    (map (complete_row ~rewrites ~timing) by_cost)
+
+let row_of w = Hashtbl.find rows (Registry.name w)
+let profile_of w = (row_of w).profile
+let cell_of w ~inference ~linking = List.assoc (inference, linking) (row_of w).cells
+let rewrite_of w ~inference ~linking = (cell_of w ~inference ~linking).rewrite
+let coverage_of w ~inference ~linking = (cell_of w ~inference ~linking).coverage
+
+let optimized_of w ~inference ~linking =
+  Option.get (cell_of w ~inference ~linking).optimized
+
+(* When no picked experiment reads timing (ablation-sink alone), the
+   baseline is simulated on demand. *)
+let baseline_of w =
+  let row = row_of w in
+  match row.baseline with
+  | Some b -> b
+  | None -> Pipeline.simulate ~config:(cpu ()) row.image
 
 (* ------------------------------------------------------------------ *)
 
@@ -242,16 +349,11 @@ let fig10 workloads =
   let per_config = Array.make (List.length configurations) [] in
   List.iter
     (fun w ->
-      let config = config_of ~inference:true ~linking:true in
-      let baseline =
-        Engine.baseline !engine (spec_of w) ~cpu:(Vacuum.Config.cpu config)
-      in
+      let baseline = baseline_of w in
       let cells =
         List.mapi
           (fun i (inference, linking, _) ->
-            let optimized =
-              Engine.optimized !engine (spec_of w) (cell_of ~inference ~linking)
-            in
+            let optimized = optimized_of w ~inference ~linking in
             let s = Vp_cpu.Pipeline.speedup ~baseline ~optimized in
             per_config.(i) <- s :: per_config.(i);
             s)
@@ -296,7 +398,7 @@ let ablation_bbb workloads =
       let base_config =
         Vacuum.Config.with_detector small_bbb Vacuum.Config.default
       in
-      let profile = Vacuum.Driver.profile ~config:base_config (image_of w) in
+      let profile = Vacuum.Driver.profile ~config:base_config (layout w) in
       if profile.Vacuum.Driver.truncated then
         fail_truncated (Registry.name w ^ " [small-bbb]");
       let coverage inference =
@@ -397,9 +499,7 @@ let baseline_aggregate workloads =
       let agg = Vacuum.Aggregate.rewrite ~config profile in
       let agg_cov = Vacuum.Coverage.measure ~config agg in
       let phase_cov = coverage_of w ~inference:true ~linking:true in
-      let baseline =
-        Engine.baseline !engine (spec_of w) ~cpu:(Vacuum.Config.cpu config)
-      in
+      let baseline = baseline_of w in
       let time r =
         Vp_cpu.Pipeline.speedup ~baseline
           ~optimized:
@@ -409,9 +509,7 @@ let baseline_aggregate workloads =
       let agg_speed = time agg in
       let phase_speed =
         Vp_cpu.Pipeline.speedup ~baseline
-          ~optimized:
-            (Engine.optimized !engine (spec_of w)
-               (cell_of ~inference:true ~linking:true))
+          ~optimized:(optimized_of w ~inference:true ~linking:true)
       in
       agg_speeds := agg_speed :: !agg_speeds;
       phase_speeds := phase_speed :: !phase_speeds;
@@ -511,9 +609,7 @@ let ablation_superblock workloads =
       let profile = profile_of w in
       let paper_cfg = config_of ~inference:true ~linking:true in
       let sb_cfg = Vacuum.Config.with_opt Vp_opt.Opt.default paper_cfg in
-      let baseline =
-        Engine.baseline !engine (spec_of w) ~cpu:(Vacuum.Config.cpu paper_cfg)
-      in
+      let baseline = baseline_of w in
       let time config =
         let r = Vacuum.Driver.rewrite_of_profile ~config profile in
         Vp_cpu.Pipeline.speedup ~baseline
@@ -574,9 +670,7 @@ let ablation_sink workloads =
           deleted := !deleted + stats.Vp_opt.Sink.deleted)
         r_plain.Vacuum.Driver.packages;
       let r_sink = Vacuum.Driver.rewrite_of_profile ~config:sink_cfg profile in
-      let baseline =
-        Engine.baseline !engine (spec_of w) ~cpu:(Vacuum.Config.cpu base)
-      in
+      let baseline = baseline_of w in
       let time r =
         Vp_cpu.Pipeline.speedup ~baseline
           ~optimized:
@@ -603,13 +697,19 @@ let ablation_sink workloads =
 
 let session_exp workloads =
   heading "Session: online re-optimization loop vs single-shot rewrite";
-  let cell = cell_of ~inference:true ~linking:true in
-  (* The engine memoizes per (workload, cell); warm the session cache
-     in parallel, then render serially from the memo. *)
-  ignore
-    (Vp_util.Pool.map ~jobs:(Engine.jobs !engine)
-       (fun w -> ignore (Engine.session !engine (spec_of w) cell))
-       workloads);
+  let config = config_of ~inference:true ~linking:true in
+  let sessions =
+    Vp_util.Pool.map ~jobs:!jobs
+      ?hooks:(Vp_metrics.Sched.hooks metrics)
+      (fun w ->
+        span
+          ("session:" ^ Registry.name w ^ " [truetrue]")
+          ~work:(fun r -> r.Vacuum.Session.instructions)
+          (fun () ->
+            Vacuum.Session.run
+              (Vacuum.Session.create ~config (row_of w).image)))
+      workloads
+  in
   let t =
     Tabular.create
       ~header:
@@ -624,10 +724,9 @@ let session_exp workloads =
         ]
   in
   let single_sum = ref 0.0 and session_sum = ref 0.0 in
-  List.iter
-    (fun w ->
+  List.iter2
+    (fun w r ->
       let c = coverage_of w ~inference:true ~linking:true in
-      let r = Engine.session !engine (spec_of w) cell in
       single_sum := !single_sum +. c.Vacuum.Coverage.coverage_pct;
       session_sum := !session_sum +. r.Vacuum.Session.coverage_pct;
       Tabular.add_row t
@@ -643,7 +742,7 @@ let session_exp workloads =
           | Some false -> "NO"
           | None -> "-");
         ])
-    workloads;
+    workloads sessions;
   Tabular.add_separator t;
   let n = float_of_int (List.length workloads) in
   Tabular.add_row t
@@ -716,8 +815,8 @@ let micro ~quick =
   heading "Micro-benchmarks (Bechamel, monotonic clock)";
   let open Bechamel in
   let sample = Option.get (Registry.find ~bench:"134.perl" ~input:"B") in
-  let img = image_of sample in
-  let profile = profile_of sample in
+  let profile = profile_sample sample in
+  let img = profile.Vacuum.Driver.image in
   let snapshot =
     (List.hd (Phase_log.phases profile.Vacuum.Driver.log)).Phase_log.representative
   in
@@ -850,7 +949,7 @@ let overhead ~quick =
   heading "Overhead: metrics plane enabled vs disabled";
   let open Bechamel in
   let sample = Option.get (Registry.find ~bench:"134.perl" ~input:"B") in
-  let img = image_of sample in
+  let img = layout sample in
   let off = Vp_metrics.disabled in
   let on_ = Vp_metrics.create () in
   let bump_1k m =
@@ -888,10 +987,10 @@ let overhead ~quick =
 
 (* ------------------------------------------------------------------ *)
 
-(* What each experiment needs pre-computed by the engine: [None] when
-   it reads no profile at all (a lone sample is computed on demand
-   through the engine's memo), otherwise whether it also reads the
-   matrix rewrites/coverages and the timing simulations. *)
+(* What each experiment reads from the matrix: [None] when it reads
+   no matrix row at all (a lone sample is computed on demand), otherwise
+   whether it also reads the rewrites/coverages and the timing
+   simulations. *)
 let needs = function
   | "table2" | "ablation-bbb" | "micro" | "overhead" | "gen" -> None
   | "fig8" | "table3" | "ablation-sink" | "session" -> Some (true, false)
@@ -900,8 +999,8 @@ let needs = function
 
 (* ------------------------------------------------------------------ *)
 (* --json FILE: machine-readable export of the micro estimates and the
-   engine's per-task wall-clock timings (hand-rolled writer — the tree
-   is tiny and the build carries no JSON library). *)
+   registry's counters (hand-rolled writer — the tree is tiny and the
+   build carries no JSON library). *)
 
 let json_escape s =
   let b = Buffer.create (String.length s + 8) in
@@ -921,7 +1020,7 @@ let json_escape s =
 let json_float f =
   if Float.is_finite f then Printf.sprintf "%.6g" f else "null"
 
-let write_json ~path ~jobs ~engine_metrics ~counters =
+let write_json ~path ~jobs ~counters =
   let oc = open_out path in
   let out fmt = Printf.fprintf oc fmt in
   let backend_name = Emulator.backend_name !backend in
@@ -956,17 +1055,6 @@ let write_json ~path ~jobs ~engine_metrics ~counters =
   bechamel_array "micro" !micro_results;
   bechamel_array "overhead" !overhead_results;
   bechamel_array "gen" !gen_results;
-  out "  \"tasks\": [";
-  List.iteri
-    (fun i m ->
-      out
-        "%s\n    {\"kind\": \"%s\", \"label\": \"%s\", %s, \"wall_s\": %s, \
-         \"instructions\": %d}"
-        (if i = 0 then "" else ",")
-        (json_escape m.Engine.kind) (json_escape m.Engine.label) (meta ())
-        (json_float m.Engine.wall_s) m.Engine.instructions)
-    engine_metrics;
-  out "\n  ],\n";
   out "  \"counters\": [";
   List.iteri
     (fun i (name, value) ->
@@ -997,7 +1085,7 @@ let cli =
     ~doc:
       "Regenerate the paper's tables and figures on the Table 1 workloads \
        and run the micro-benchmarks.  Stdout is byte-identical for every \
-       --jobs value and backend; per-task timings go to stderr."
+       --jobs value and backend; the span timings go to stderr."
     ~positional:
       {
         Spec.pos_docv = "EXPERIMENT...";
@@ -1012,16 +1100,11 @@ let cli =
         Spec.flag ~kind:Spec.Bool
           ~doc:"A-input workloads only, and shorter micro-benchmark runs."
           [ "quick" ];
-        Spec.flag ~kind:Spec.Value ~docv:"N" ~check:Spec.check_int
-          ~doc:
-            "Evaluate the workload x configuration matrix on N domains \
-             (default: the machine's recommended domain count; 0 or less \
-             runs sequentially)."
-          [ "jobs" ];
+        Vp_cli.Vpack.jobs_flag;
         Vp_cli.Vpack.backend_flag;
         file "json"
-          "Write the micro estimates and per-task timings as JSON (schema \
-           vacuum-bench/2) to FILE.";
+          "Write the micro estimates and the registry's counters as JSON \
+           (schema vacuum-bench/2) to FILE.";
         file "trace"
           "Record pipeline spans as a vp-perfetto-trace/1 timeline to FILE.";
       ]
@@ -1031,8 +1114,8 @@ let cli_tool =
   { Spec.tool_name = "bench"; version = ""; tool_doc = ""; cmds = [ cli ] }
 
 (* Parse the command line, or print usage and exit 2 — an unknown flag,
-   a bad value and an unknown experiment alike, all before the engine
-   does minutes of profiling work. *)
+   a bad value and an unknown experiment alike, all before minutes of
+   profiling work. *)
 let parse_args () =
   let usage_error msg =
     Printf.eprintf "bench: %s\n\n%s" msg (Spec.cmd_help cli_tool cli);
@@ -1056,11 +1139,10 @@ let () =
   Vp_cli.Vpack.setup_logs ();
   let m = parse_args () in
   backend := Vp_cli.Vpack.resolve_backend m;
+  jobs := Vp_cli.Vpack.resolve_jobs m;
+  let jobs = !jobs in
   let json_path = Spec.value m "json" in
   let trace_path = Spec.value m "trace" in
-  let jobs =
-    Spec.int_value m "jobs" ~default:(Vp_util.Pool.default_jobs ())
-  in
   let quick = Spec.flag_set m "quick" in
   let workloads =
     if quick then List.filter (fun w -> w.Registry.input = "A") Registry.all
@@ -1088,34 +1170,15 @@ let () =
   let picks =
     match Spec.positional m with [] -> experiments | picks -> picks
   in
-  (* Populate the engine caches in parallel before any table renders;
-     the DAG covers the union of what the picked experiments read. *)
-  let metrics =
-    match trace_path with
-    | Some _ -> Vp_metrics.create ()
-    | None -> Vp_metrics.disabled
-  in
-  engine :=
-    Engine.create ~jobs
-      ~profile_config:
-        (Vacuum.Config.with_backend !backend
-           (Vacuum.Config.with_metrics metrics Vacuum.Config.default))
-      ();
+  let t0 = Unix.gettimeofday () in
+  (* Compute the matrix in parallel before any table renders: the union
+     of what the picked experiments read. *)
   let needed = List.filter_map needs picks in
   if needed <> [] then
-    Engine.run
+    compute_matrix
       ~rewrites:(List.exists fst needed)
       ~timing:(List.exists snd needed)
-      !engine
-      ~specs:(List.map spec_of workloads)
-      ~cells:
-        (List.map
-           (fun (inference, linking, _) -> cell_of ~inference ~linking)
-           configurations)
-      ();
-  (match Engine.truncated_profiles !engine with
-  | [] -> ()
-  | name :: _ -> fail_truncated name);
+      workloads;
   List.iter run picks;
   (match trace_path with
   | Some path -> ignore (Vp_metrics.Perfetto.write_spans metrics ~path : int)
@@ -1123,7 +1186,6 @@ let () =
   (match json_path with
   | Some path ->
     write_json ~path ~jobs
-      ~engine_metrics:(Engine.metrics !engine)
       ~counters:
         (List.filter_map
            (function
@@ -1131,4 +1193,6 @@ let () =
              | _ -> None)
            (Vp_metrics.Snapshot.samples metrics))
   | None -> ());
-  Format.eprintf "@.%a" Engine.pp_summary !engine
+  Printf.eprintf "\nspans (jobs=%d, %.3f s wall):\n%s" jobs
+    (Unix.gettimeofday () -. t0)
+    (Tabular.render (Vp_metrics.Span.table metrics))

@@ -16,6 +16,14 @@ val resolve_backend : Spec.matches -> Vp_exec.Emulator.backend
 (** The backend a successful parse selected, [Config.default]'s when
     the flag is absent. *)
 
+val jobs_flag : Spec.flag
+(** The shared [-j]/[--jobs N] flag; [0] (the default) selects the
+    machine's recommended domain count. *)
+
+val resolve_jobs : Spec.matches -> int
+(** The domain count a successful parse selected: {!Vp_util.Pool.default_jobs}
+    when the flag is absent or [<= 0]. *)
+
 val reporter : ?write:(string -> unit) -> unit -> Logs.reporter
 (** A domain-safe [Logs] reporter: each message is formatted into one
     line on the logging domain (["EXEC: [LEVEL] message"], the text

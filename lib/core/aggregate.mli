@@ -21,10 +21,6 @@ val snapshot_of_profile :
     0.001) of all retired conditional branches — the selection
     threshold a traditional profile-guided optimizer would apply. *)
 
-val as_single_phase : ?min_share:float -> Driver.profile -> Driver.profile
-(** The same profile with its phase log replaced by the single
-    aggregate pseudo-phase, ready for {!Driver.rewrite_of_profile}. *)
-
 val rewrite :
   ?config:Config.t -> ?min_share:float -> Driver.profile -> Driver.rewrite
 (** Package the aggregate pseudo-phase under the given configuration. *)

@@ -34,11 +34,7 @@ let run_cell ?(config = Config.default) ~baseline ~plan image =
      a fuel-starvation plan truncates the profile, never the check.
      Compare against the separately computed clean baseline — the
      profile outcome is the wrong reference once fuel is faulted. *)
-  let outcome =
-    Emulator.run_backend ~backend:(Config.backend config)
-      ~fuel:(Config.fuel config) ~mem_words:(Config.mem_words config)
-      (Driver.rewritten_image r)
-  in
+  let run = Coverage.measure ~config r in
   let count rung =
     List.length
       (List.filter (fun (d : Driver.demotion) -> d.Driver.rung = rung)
@@ -49,19 +45,14 @@ let run_cell ?(config = Config.default) ~baseline ~plan image =
     seed_index = plan.Plan.seed;
     snapshots = List.length r.Driver.source.Driver.snapshots;
     packages = List.length r.Driver.packages;
-    coverage_pct =
-      Vp_util.Stats.pct outcome.Emulator.package_instructions
-        outcome.Emulator.instructions;
+    coverage_pct = run.Coverage.coverage_pct;
     expansion_pct = (Expansion.measure r).Expansion.increase_pct;
     truncated = r.Driver.source.Driver.truncated;
     drop_package = count Driver.Drop_package;
     drop_region = count Driver.Drop_region;
     fallback_image = count Driver.Fallback_image;
     verified = Vp_package.Verify.ok r.Driver.verification;
-    equivalent =
-      outcome.Emulator.halted
-      && outcome.Emulator.checksum = baseline.Emulator.checksum
-      && outcome.Emulator.result = baseline.Emulator.result;
+    equivalent = Emulator.equivalent ~reference:baseline run.Coverage.outcome;
   }
 
 let matrix ?(config = Config.default) ?(plans = Plan.presets) ?(seeds = 5)

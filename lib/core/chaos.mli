@@ -35,15 +35,6 @@ type result = {
 val ok : result -> bool
 (** Every cell equivalent and verified. *)
 
-val run_cell :
-  ?config:Config.t ->
-  baseline:Vp_exec.Emulator.outcome ->
-  plan:Vp_fault.Plan.t ->
-  Vp_prog.Image.t ->
-  cell
-(** One cell; the plan already carries its derived seed.  Degradation
-    is forced on (chaos is the ladder's test harness). *)
-
 val matrix :
   ?config:Config.t ->
   ?plans:Vp_fault.Plan.t list ->

@@ -106,7 +106,7 @@ val metrics : t -> Vp_metrics.t
     created with an [interval] also switches on the per-run
     timelines: each run (profiling, coverage, timing, session epoch)
     creates its own {!Vp_telemetry.t} from it, so timelines stay
-    deterministic under any [Vacuum.Engine] schedule. *)
+    deterministic under any {!Vp_util.Pool.map} schedule. *)
 
 val fault : t -> Vp_fault.Plan.t option
 (** The fault plan injected at the hardware→software boundary; [None]

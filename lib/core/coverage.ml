@@ -104,9 +104,6 @@ let measure ?(config = Config.default) (r : Driver.rewrite) =
       Vp_util.Stats.pct outcome.Emulator.package_instructions
         outcome.Emulator.instructions;
     outcome;
-    equivalent =
-      outcome.Emulator.halted
-      && outcome.Emulator.checksum = original.Emulator.checksum
-      && outcome.Emulator.result = original.Emulator.result;
+    equivalent = Emulator.equivalent ~reference:original outcome;
     residency = tl;
   }

@@ -6,7 +6,8 @@
 type t = {
   coverage_pct : float;
   outcome : Vp_exec.Emulator.outcome;  (** the rewritten run *)
-  equivalent : bool;  (** checksum and result match the original *)
+  equivalent : bool;
+      (** {!Vp_exec.Emulator.equivalent} against the profiling run *)
   residency : Vp_telemetry.t;
       (** per-run address-range attribution of the rewritten run:
           series [run.instructions], [run.orig.instructions], and one

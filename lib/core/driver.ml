@@ -133,7 +133,7 @@ let profile ?(config = Config.default) image =
       ~history_size:(Config.history_size config) ~same ()
   in
   (* Per-run timeline: created fresh for this profile run so traces
-     are deterministic regardless of how Engine schedules runs across
+     are deterministic regardless of how runs are scheduled across
      domains.  When telemetry is off this is the shared [disabled]
      value and the emulator receives no [on_retire] sink at all. *)
   let tl = Vp_telemetry.create (Config.metrics config) in

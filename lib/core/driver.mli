@@ -41,7 +41,7 @@ type profile = {
           [detect]/[record]/[rearm] events, all in retired-branch
           stamps).  {!Vp_telemetry.disabled} unless the configuration
           enables telemetry; owned by this profile, so results stay
-          byte-identical under any [Engine] schedule. *)
+          byte-identical under any [--jobs] schedule. *)
   warnings : Error.t list;
       (** structured degradation warnings (truncation, an active fault
           plan) — the payloads [vpack stats] and {!Report} surface *)

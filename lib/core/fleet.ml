@@ -43,7 +43,10 @@ let emulate_runs ?(config = Config.default) ?(noise = default_noise)
       in
       { Wire.run_id = i; weight = 1; counter_max; snapshots })
 
-let classifier ?(config = Config.default) (base : Driver.profile) =
+(* Classify a snapshot against the base profile's phase-log
+   representatives: first match in ascending phase-id order, [None]
+   when no phase claims it.  Pure, so safe on worker domains. *)
+let classifier ~config (base : Driver.profile) =
   let same = Vp_phase.Similarity.same ~config:(Config.similarity config) in
   let reps =
     List.map
@@ -95,7 +98,9 @@ let aggregate ?(config = Config.default) ?shards ?jobs ~base wire_runs =
     digest = digest_classes classes;
   }
 
-let consensus_snapshots ?(config = Config.default) t =
+(* One synthetic snapshot per non-empty class, counts scaled back into
+   the hardware counter range. *)
+let consensus_snapshots ~config t =
   let counter_max = Config.counter_max config in
   List.filter_map
     (fun (id, p) ->
@@ -108,10 +113,3 @@ let profile_of_fleet ?(config = Config.default) ~base t =
     ~similarity:(Config.similarity config)
     base
     (consensus_snapshots ~config t)
-
-let rewrite ?(config = Config.default) ?noise ?seed ?shards ?jobs ~runs image
-    =
-  let base = Driver.profile ~config image in
-  let wire = emulate_runs ~config ?noise ?seed ~runs base in
-  let t = aggregate ~config ?shards ?jobs ~base wire in
-  (Driver.rewrite_of_profile ~config (profile_of_fleet ~config ~base t), t)

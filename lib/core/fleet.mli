@@ -48,13 +48,6 @@ val emulate_runs :
     42), so the fleet is a pure function of (profile, noise, seed,
     runs).  Raises a typed {!Error} if [runs <= 0]. *)
 
-val classifier :
-  ?config:Config.t -> Driver.profile -> Vp_hsd.Snapshot.t -> int option
-(** Classify a snapshot against the base profile's phase-log
-    representatives with {!Vp_phase.Similarity.same} — first match in
-    ascending phase-id order, [None] when no phase claims it.  Pure;
-    safe on worker domains. *)
-
 val aggregate :
   ?config:Config.t ->
   ?shards:int ->
@@ -65,24 +58,6 @@ val aggregate :
 (** Classify and aggregate a fleet's run streams against [base]'s
     phase log. *)
 
-val consensus_snapshots :
-  ?config:Config.t -> t -> Vp_hsd.Snapshot.t list
-(** One synthetic snapshot per non-empty class, counts scaled back
-    into the hardware counter range ({!Vp_aggregate.Profile.to_snapshot}
-    with the configuration's {!Config.counter_max}). *)
-
 val profile_of_fleet : ?config:Config.t -> base:Driver.profile -> t -> Driver.profile
 (** [base] with its snapshot stream and phase log replaced by the
     fleet consensus ({!Driver.with_snapshots}). *)
-
-val rewrite :
-  ?config:Config.t ->
-  ?noise:Vp_fault.Plan.t ->
-  ?seed:int ->
-  ?shards:int ->
-  ?jobs:int ->
-  runs:int ->
-  Vp_prog.Image.t ->
-  Driver.rewrite * t
-(** The end-to-end fleet pipeline: profile once, emulate [runs]
-    machines, aggregate, package from the consensus profile. *)

@@ -1,6 +1,6 @@
 (** One-stop evaluation of a workload: profile once, rewrite under a
-    configuration, and gather every paper metric.  The benchmark
-    harness and the CLI both render from this record. *)
+    configuration, and gather every paper metric.  [vpack report] and
+    [vpack stats] render from this record. *)
 
 type t = {
   name : string;

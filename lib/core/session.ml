@@ -96,8 +96,8 @@ type t = {
   mutable branches : int;
   mutable package_retired : int;
   mutable baseline : Emulator.outcome option;
-  mutable final : (int * int) option;
-      (* checksum and result register, read when the program halted;
+  mutable final : Emulator.outcome option;
+      (* the whole session's run, read when the program halted;
          [state] is released to the arena then and never read again *)
   mutable reports : epoch_report list;  (* reverse epoch order *)
 }
@@ -147,7 +147,6 @@ let halted t = t.halted
 let depth t = t.depth
 let epochs_run t = t.epoch
 let image t = t.image
-let cache_entries t = List.length t.cache
 
 (* A clean full run of the pristine original — the differential
    oracle's reference and the denominator of auto epoch fuel.  One per
@@ -505,11 +504,7 @@ let step t =
             ~mem_words:(Config.mem_words config)
             assembly.Driver.assembled.Emit.image
         in
-        let ok =
-          o.Emulator.checksum = b.Emulator.checksum
-          && o.Emulator.result = b.Emulator.result
-          && o.Emulator.halted = b.Emulator.halted
-        in
+        let ok = Emulator.equivalent ~reference:b o in
         oracle_ok := Some ok;
         if not ok then begin
           Vp_metrics.Counter.bump metrics "session.oracle_failures" 1;
@@ -560,7 +555,17 @@ let step t =
     if tail > 0 then flush tail
   end;
   if t.halted then begin
-    t.final <- Some (State.checksum t.state, State.reg t.state Vp_isa.Reg.ret_value);
+    t.final <-
+      Some
+        {
+          Emulator.instructions = t.retired;
+          package_instructions = t.package_retired;
+          cond_branches = t.branches;
+          halted = true;
+          checksum = State.checksum t.state;
+          result = State.reg t.state Vp_isa.Reg.ret_value;
+          final_pc = State.pc t.state;
+        };
     State.release t.state
   end;
   t.epoch <- epoch + 1;
@@ -618,14 +623,7 @@ let report t =
     else 100.0 *. float_of_int t.package_retired /. float_of_int t.retired
   in
   let equivalent =
-    match t.final with
-    | None -> None
-    | Some (checksum, result) ->
-      let b = baseline t in
-      Some
-        (b.Emulator.halted
-        && checksum = b.Emulator.checksum
-        && result = b.Emulator.result)
+    Option.map (Emulator.equivalent ~reference:(baseline t)) t.final
   in
   {
     epochs;

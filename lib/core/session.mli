@@ -111,8 +111,6 @@ val epochs_run : t -> int
 val image : t -> Vp_prog.Image.t
 (** The currently active (possibly hot-patched) image. *)
 
-val cache_entries : t -> int
-
 val depth : t -> int
 (** For tests only; not part of the session API.  Package-space return
     addresses live in the running machine: a [Call] retiring in package
@@ -121,5 +119,4 @@ val depth : t -> int
     code.  [Call] and [Ret] end every retirement run, so the session
     checks only the last instruction of each run. *)
 
-val pp_epoch : Format.formatter -> epoch_report -> unit
 val pp_report : Format.formatter -> report -> unit

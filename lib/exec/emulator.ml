@@ -13,6 +13,11 @@ type outcome = {
   final_pc : int;
 }
 
+let equivalent ~reference o =
+  reference.halted && o.halted
+  && o.checksum = reference.checksum
+  && o.result = reference.result
+
 type backend = Reference | Compiled
 
 let backend_name = function Reference -> "reference" | Compiled -> "compiled"

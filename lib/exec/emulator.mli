@@ -31,6 +31,11 @@ type outcome = {
   final_pc : int;
 }
 
+val equivalent : reference:outcome -> outcome -> bool
+(** The differential oracle's verdict: both runs halted, with the same
+    checksum and the same result.  A run that ran out of fuel is never
+    equivalent, whatever the other run did. *)
+
 type backend = Reference | Compiled
 (** Which execution core runs the workload: the boxed reference
     interpreter (the executable specification) or the block-compiled

@@ -188,20 +188,12 @@ let run_case ?(config = default_config) ?(chaos_seeds = 1) ~index spec =
           else begin
             let rw = Driver.rewrite_of_profile ~config ingested in
             let out =
-              Emulator.run_backend ~backend:(Config.backend config)
-                ~fuel:(Config.fuel config)
-                ~mem_words:(Config.mem_words config)
-                (Driver.rewritten_image rw)
+              (Vacuum.Coverage.measure ~config rw).Vacuum.Coverage.outcome
             in
             if not (Vp_package.Verify.ok rw.Driver.verification) then
               fail base "trace-ingest"
                 "rewrite of the ingested profile failed verification"
-            else if
-              not
-                (out.Emulator.halted
-                && out.Emulator.result = clean.Emulator.result
-                && out.Emulator.checksum = clean.Emulator.checksum)
-            then
+            else if not (Emulator.equivalent ~reference:clean out) then
               fail base "trace-ingest"
                 "image rewritten from the ingested trace diverges from the \
                  original"

@@ -151,8 +151,8 @@ module Span : sig
       [f] raises is recorded with work [-1]. *)
 
   val note : t -> string -> wall_s:float -> work:int -> unit
-  (** Record an already-measured span (depth 0) — the adapter for
-      externally timed work such as the engine's tasks. *)
+  (** Record an already-measured span (depth 0), for work timed
+      outside {!record}. *)
 
   val capacity : int
   (** Ring size, [4096]. *)

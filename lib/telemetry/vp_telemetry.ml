@@ -1,7 +1,7 @@
 (* Timeline internals.  Everything behind [on]: the disabled timeline
    has empty storage and every entry point tests [on] first.  A
    timeline is single-writer (one per run) so there is no locking;
-   determinism across engine schedules follows from per-run ownership,
+   determinism across --jobs schedules follows from per-run ownership,
    not synchronisation. *)
 
 let default_interval = 10_000

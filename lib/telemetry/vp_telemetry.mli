@@ -17,7 +17,7 @@
     run, the timing model one per simulation.  Single-writer by
     construction — no locking — and every recorded value is a
     deterministic function of the run, so series and trace files are
-    byte-identical across [Vacuum.Engine --jobs] schedules.
+    byte-identical across [--jobs] schedules.
 
     {b Cost.}  Series storage is preallocated and grows by doubling;
     pushes are array stores.  The {!disabled} timeline turns every

@@ -1,17 +1,10 @@
-(* A hand-rolled domain pool on Domain/Mutex/Condition (OCaml 5).
+(* A parallel map on OCaml 5 domains.
 
-   Two modes share one interface:
-
-   - [jobs <= 1]: no domains are spawned; [submit] runs the task
-     immediately on the calling domain, so a DAG drains depth-first in
-     submission order.  This is the reference sequential schedule.
-   - [jobs > 1]: [jobs] worker domains pull tasks from a FIFO queue.
-     Tasks may [submit] further tasks (DAG continuations); [wait]
-     blocks until the transitive closure has drained.
-
-   Determinism is the caller's contract: tasks must write to disjoint
-   slots and be pure up to their own isolated state, so the gather
-   (e.g. [map], which stores by index) is schedule-independent. *)
+   [jobs <= 1] runs the items in order on the calling domain: the
+   reference sequential schedule.  Otherwise up to [jobs] spawned
+   domains claim item indices from one atomic counter, so there is no
+   queue to lock and no worker to wake.  Results and exceptions land
+   in per-index slots, which makes the gather schedule-independent. *)
 
 type hooks = {
   on_submit : depth:int -> unit;
@@ -19,139 +12,45 @@ type hooks = {
   on_finish : domain:int -> unit;
 }
 
-type t = {
-  jobs : int;
-  mutex : Mutex.t;
-  work_available : Condition.t;
-  drained : Condition.t;
-  queue : (unit -> unit) Queue.t;
-  mutable pending : int;  (* queued + running *)
-  mutable stopped : bool;
-  mutable domains : unit Domain.t list;
-  hooks : hooks option;
-}
-
 let default_jobs () = Domain.recommended_domain_count ()
 
-(* Hooks run on the calling/worker domain, outside the pool mutex,
-   and must not raise.  [index] is the dense worker slot (0 in
-   sequential mode), not [Domain.self]. *)
-let worker t index =
-  let rec loop () =
-    Mutex.lock t.mutex;
-    while Queue.is_empty t.queue && not t.stopped do
-      Condition.wait t.work_available t.mutex
-    done;
-    if Queue.is_empty t.queue then (* stopped and drained *)
-      Mutex.unlock t.mutex
-    else begin
-      let task = Queue.pop t.queue in
-      let depth = Queue.length t.queue in
-      Mutex.unlock t.mutex;
-      (match t.hooks with
-      | Some h -> h.on_start ~domain:index ~depth
-      | None -> ());
-      task ();
-      (match t.hooks with Some h -> h.on_finish ~domain:index | None -> ());
-      Mutex.lock t.mutex;
-      t.pending <- t.pending - 1;
-      if t.pending = 0 then Condition.broadcast t.drained;
-      Mutex.unlock t.mutex;
-      loop ()
-    end
+let map ~jobs ?hooks f items =
+  let items = Array.of_list items in
+  let n = Array.length items in
+  let results = Array.make n None in
+  let errors = Array.make n None in
+  (* [domain] is the dense worker slot (0 in sequential mode), not
+     [Domain.self]. *)
+  let run ~domain ~depth i =
+    (match hooks with Some h -> h.on_start ~domain ~depth | None -> ());
+    (match f items.(i) with
+    | v -> results.(i) <- Some v
+    | exception e -> errors.(i) <- Some e);
+    match hooks with Some h -> h.on_finish ~domain | None -> ()
   in
-  loop ()
-
-let create ?(jobs = default_jobs ()) ?hooks () =
-  let t =
-    {
-      jobs = Stdlib.max 1 jobs;
-      mutex = Mutex.create ();
-      work_available = Condition.create ();
-      drained = Condition.create ();
-      queue = Queue.create ();
-      pending = 0;
-      stopped = false;
-      domains = [];
-      hooks;
-    }
-  in
-  if t.jobs > 1 then
-    t.domains <- List.init t.jobs (fun i -> Domain.spawn (fun () -> worker t i));
-  t
-
-let jobs t = t.jobs
-
-let submit t task =
-  (* A task must capture its own errors into a result slot; anything
-     that escapes is swallowed here so one task can neither kill a
-     worker domain nor wedge [wait]. *)
-  let guarded () = try task () with _ -> () in
-  if t.jobs <= 1 then begin
-    match t.hooks with
-    | None -> guarded ()
-    | Some h ->
-      h.on_submit ~depth:0;
-      h.on_start ~domain:0 ~depth:0;
-      guarded ();
-      h.on_finish ~domain:0
-  end
+  if jobs <= 1 then
+    for i = 0 to n - 1 do
+      (match hooks with Some h -> h.on_submit ~depth:0 | None -> ());
+      run ~domain:0 ~depth:0 i
+    done
   else begin
-    Mutex.lock t.mutex;
-    if t.stopped then begin
-      Mutex.unlock t.mutex;
-      invalid_arg "Pool.submit: pool is shut down"
-    end;
-    t.pending <- t.pending + 1;
-    Queue.push guarded t.queue;
-    let depth = Queue.length t.queue in
-    Condition.signal t.work_available;
-    Mutex.unlock t.mutex;
-    match t.hooks with Some h -> h.on_submit ~depth | None -> ()
-  end
-
-let wait t =
-  if t.jobs > 1 then begin
-    Mutex.lock t.mutex;
-    while t.pending > 0 do
-      Condition.wait t.drained t.mutex
-    done;
-    Mutex.unlock t.mutex
-  end
-
-let shutdown t =
-  if t.jobs > 1 then begin
-    Mutex.lock t.mutex;
-    t.stopped <- true;
-    Condition.broadcast t.work_available;
-    Mutex.unlock t.mutex;
-    List.iter Domain.join t.domains;
-    t.domains <- []
-  end
-
-let run ~jobs ?hooks tasks =
-  let tasks = Array.of_list tasks in
-  let n = Array.length tasks in
-  let results : _ option array = Array.make n None in
-  let errors : exn option array = Array.make n None in
-  let pool = create ~jobs ?hooks () in
-  Array.iteri
-    (fun i task ->
-      submit pool (fun () ->
-          match task () with
-          | v -> results.(i) <- Some v
-          | exception e -> errors.(i) <- Some e))
-    tasks;
-  wait pool;
-  shutdown pool;
-  (* Deterministic gather: results in submission order; the earliest
-     failed slot's exception is re-raised regardless of schedule. *)
+    (match hooks with
+    | Some h ->
+      for i = 1 to n do
+        h.on_submit ~depth:i
+      done
+    | None -> ());
+    let next = Atomic.make 0 in
+    let rec worker domain =
+      let i = Atomic.fetch_and_add next 1 in
+      if i < n then begin
+        run ~domain ~depth:(n - i - 1) i;
+        worker domain
+      end
+    in
+    List.iter Domain.join
+      (List.init (Stdlib.min jobs n) (fun d ->
+           Domain.spawn (fun () -> worker d)))
+  end;
   Array.iter (function Some e -> raise e | None -> ()) errors;
-  Array.to_list
-    (Array.mapi
-       (fun i -> function
-         | Some v -> v
-         | None -> invalid_arg (Printf.sprintf "Pool.run: task %d lost" i))
-       results)
-
-let map ~jobs ?hooks f items = run ~jobs ?hooks (List.map (fun x () -> f x) items)
+  Array.to_list (Array.map Option.get results)

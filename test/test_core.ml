@@ -186,78 +186,52 @@ let test_profile_truncation_flag () =
   Alcotest.(check bool) "fuel bounds instructions" true
     (starved.Driver.outcome.Emulator.instructions <= 500)
 
-let test_engine_reports_truncation () =
-  let config =
-    Config.with_fuel 500 (Config.with_detector Vp_hsd.Config.tiny Config.default)
-  in
-  let engine = Vacuum.Engine.create ~jobs:1 ~profile_config:config () in
-  let spec =
-    {
-      Vacuum.Engine.name = "starved";
-      load = (fun () -> Program.layout (Progs.two_phase ~iters_per_phase:3000 ~repeats:3));
-    }
-  in
-  ignore (Vacuum.Engine.profile engine spec);
-  Alcotest.(check (list string))
-    "starved spec reported" [ "starved" ]
-    (Vacuum.Engine.truncated_profiles engine)
-
-(* The engine's determinism contract: whatever the jobs count, every
-   cached artefact — coverage, architectural checksums, cycle-accurate
-   timing — is identical to the sequential reference schedule. *)
-let engine_fingerprint jobs =
-  let module Engine = Vacuum.Engine in
+(* The matrix determinism contract: whatever the jobs count, every
+   artefact of a workload's profile → rewrite → coverage → timing chain
+   — coverage, architectural checksums, cycle-accurate timing — is
+   identical to the sequential reference schedule. *)
+let matrix_fingerprint jobs =
   let detector = Vp_hsd.Config.tiny in
-  let engine =
-    Engine.create ~jobs
-      ~profile_config:(Config.with_detector detector Config.default)
-      ()
-  in
-  let specs =
-    [
-      {
-        Engine.name = "two-phase";
-        load = (fun () -> Program.layout (Progs.two_phase ~iters_per_phase:3000 ~repeats:3));
-      };
-      {
-        Engine.name = "two-phase-short";
-        load = (fun () -> Program.layout (Progs.two_phase ~iters_per_phase:2000 ~repeats:2));
-      };
-    ]
-  in
+  let profile_config = Config.with_detector detector Config.default in
   let cells =
     List.map
       (fun (inference, linking) ->
-        {
-          Engine.key = Printf.sprintf "%b%b" inference linking;
-          config = Config.with_detector detector (Config.experiment ~inference ~linking);
-        })
+        ( Printf.sprintf "%b%b" inference linking,
+          Config.with_detector detector (Config.experiment ~inference ~linking) ))
       [ (true, true); (true, false) ]
   in
-  Engine.run ~rewrites:true ~timing:true engine ~specs ~cells ();
-  List.concat_map
-    (fun spec ->
-      let b = Engine.baseline engine spec ~cpu:(Config.cpu (List.hd cells).Engine.config) in
-      Printf.sprintf "%s baseline %d cycles %d instrs" spec.Engine.name
-        b.Vp_cpu.Pipeline.cycles b.Vp_cpu.Pipeline.instructions
-      :: List.concat_map
-           (fun cell ->
-             let c = Engine.coverage engine spec cell in
-             let s = Engine.optimized engine spec cell in
-             [
-               Printf.sprintf "%s/%s coverage %.6f equivalent %b checksum %d"
-                 spec.Engine.name cell.Engine.key c.Coverage.coverage_pct
-                 c.Coverage.equivalent c.Coverage.outcome.Emulator.checksum;
-               Printf.sprintf "%s/%s optimized %d cycles %d instrs"
-                 spec.Engine.name cell.Engine.key s.Vp_cpu.Pipeline.cycles
-                 s.Vp_cpu.Pipeline.instructions;
-             ])
-           cells)
-    specs
+  let row (name, iters_per_phase, repeats) =
+    let image = Program.layout (Progs.two_phase ~iters_per_phase ~repeats) in
+    let p = Driver.profile ~config:profile_config image in
+    let b =
+      Vp_cpu.Pipeline.simulate ~config:(Config.cpu profile_config) image
+    in
+    Printf.sprintf "%s baseline %d cycles %d instrs" name
+      b.Vp_cpu.Pipeline.cycles b.Vp_cpu.Pipeline.instructions
+    :: List.concat_map
+         (fun (key, config) ->
+           let r = Driver.rewrite_of_profile ~config p in
+           let c = Coverage.measure ~config r in
+           let s =
+             Vp_cpu.Pipeline.simulate ~config:(Config.cpu config)
+               (Driver.rewritten_image r)
+           in
+           [
+             Printf.sprintf "%s/%s coverage %.6f equivalent %b checksum %d"
+               name key c.Coverage.coverage_pct c.Coverage.equivalent
+               c.Coverage.outcome.Emulator.checksum;
+             Printf.sprintf "%s/%s optimized %d cycles %d instrs" name key
+               s.Vp_cpu.Pipeline.cycles s.Vp_cpu.Pipeline.instructions;
+           ])
+         cells
+  in
+  List.concat
+    (Vp_util.Pool.map ~jobs row
+       [ ("two-phase", 3000, 3); ("two-phase-short", 2000, 2) ])
 
-let test_engine_parallel_matches_sequential () =
-  let sequential = engine_fingerprint 1 in
-  let parallel = engine_fingerprint 4 in
+let test_parallel_matches_sequential () =
+  let sequential = matrix_fingerprint 1 in
+  let parallel = matrix_fingerprint 4 in
   Alcotest.(check (list string)) "jobs=4 matches jobs=1" sequential parallel
 
 let test_driver_on_builder_program () =
@@ -283,11 +257,10 @@ let () =
           Alcotest.test_case "hardware history" `Slow test_hardware_history_reduces_recordings;
           Alcotest.test_case "truncation flag" `Quick test_profile_truncation_flag;
         ] );
-      ( "engine",
+      ( "matrix",
         [
-          Alcotest.test_case "reports truncation" `Quick test_engine_reports_truncation;
           Alcotest.test_case "parallel matches sequential" `Quick
-            test_engine_parallel_matches_sequential;
+            test_parallel_matches_sequential;
         ] );
       ( "metrics",
         [

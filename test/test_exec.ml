@@ -62,6 +62,26 @@ let test_fuel_exhaustion () =
   Alcotest.(check bool) "not halted" false o.Emulator.halted;
   Alcotest.(check int) "fuel consumed" 10_000 o.Emulator.instructions
 
+(* The differential oracle's verdict needs both runs to halt: two runs
+   that ran out of fuel prove nothing, even with matching state. *)
+let test_equivalent_requires_halting () =
+  let o = run (Progs.two_phase ~iters_per_phase:50 ~repeats:3) in
+  let cut = { o with Emulator.halted = false } in
+  Alcotest.(check bool) "halted runs agree" true
+    (Emulator.equivalent ~reference:o o);
+  Alcotest.(check bool) "non-halting pair" false
+    (Emulator.equivalent ~reference:cut cut);
+  Alcotest.(check bool) "non-halting candidate" false
+    (Emulator.equivalent ~reference:o cut);
+  Alcotest.(check bool) "non-halting reference" false
+    (Emulator.equivalent ~reference:cut o);
+  Alcotest.(check bool) "result differs" false
+    (Emulator.equivalent ~reference:o
+       { o with Emulator.result = o.Emulator.result + 1 });
+  Alcotest.(check bool) "checksum differs" false
+    (Emulator.equivalent ~reference:o
+       { o with Emulator.checksum = o.Emulator.checksum + 1 })
+
 let test_memory_fault () =
   let module B = Vp_prog.Builder in
   let b = B.create () in
@@ -744,6 +764,8 @@ let () =
             test_jump_outside_image_faults;
           Alcotest.test_case "package accounting" `Quick test_package_instruction_accounting;
           Alcotest.test_case "checksum stability" `Quick test_checksum_stability;
+          Alcotest.test_case "equivalence needs halting" `Quick
+            test_equivalent_requires_halting;
         ] );
       ( "builder-control",
         [

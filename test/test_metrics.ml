@@ -13,7 +13,6 @@ module Program = Vp_prog.Program
 module Emulator = Vp_exec.Emulator
 module Config = Vacuum.Config
 module Session = Vacuum.Session
-module Engine = Vacuum.Engine
 module Progs = Vp_test_support.Progs
 module Gen = Vp_test_support.Gen
 
@@ -179,7 +178,7 @@ let test_counter_disabled () =
     (List.length (M.Snapshot.samples ~volatile:true t))
 
 let test_counter_bump_is_parallel_safe () =
-  (* Engine tasks bump shared names from several domains at once: no
+  (* Pool tasks bump shared names from several domains at once: no
      update may be lost. *)
   let t = M.create () in
   let domains =
@@ -366,34 +365,41 @@ let test_observed_run_is_behaviour_preserving () =
   let on_ = run (M.create ()) in
   Alcotest.(check bool) "identical results" true (off = on_)
 
-(* The determinism contract: a registry shared by engine schedules at
-   --jobs 1 and --jobs 4 renders the same stable snapshot — span
-   completions and work included. *)
-let test_engine_determinism_across_jobs () =
-  let specs =
-    List.map
-      (fun seed ->
-        {
-          Engine.name = Printf.sprintf "gen%d" seed;
-          load = (fun () -> Program.layout (Gen.random_phased ~seed));
-        })
-      [ 1; 2; 3 ]
-  in
+(* The determinism contract: a registry shared by the tasks of a
+   profile → rewrite → coverage matrix at --jobs 1 and --jobs 4 renders
+   the same stable snapshot — span completions and work included. *)
+let test_stable_snapshot_across_schedules () =
   let cells =
     [
-      { Engine.key = "full"; config = tiny_config M.disabled };
-      {
-        Engine.key = "nolink";
-        config =
-          Config.with_detector Vp_hsd.Config.tiny
-            (Config.experiment ~inference:true ~linking:false);
-      };
+      ("full", tiny_config M.disabled);
+      ( "nolink",
+        Config.with_detector Vp_hsd.Config.tiny
+          (Config.experiment ~inference:true ~linking:false) );
     ]
   in
   let observe jobs =
     let t = M.create () in
-    let engine = Engine.create ~jobs ~profile_config:(tiny_config t) () in
-    Engine.run engine ~specs ~cells ();
+    let task seed =
+      let name = Printf.sprintf "gen%d" seed in
+      let image = Program.layout (Gen.random_phased ~seed) in
+      let p =
+        M.Span.record t ("profile:" ^ name)
+          ~work:(fun p -> p.Vacuum.Driver.outcome.Emulator.instructions)
+          (fun () -> Vacuum.Driver.profile ~config:(tiny_config t) image)
+      in
+      List.iter
+        (fun (key, config) ->
+          let label = name ^ " [" ^ key ^ "]" in
+          let r =
+            M.Span.record t ("rewrite:" ^ label) (fun () ->
+                Vacuum.Driver.rewrite_of_profile ~config p)
+          in
+          ignore
+            (M.Span.record t ("coverage:" ^ label) (fun () ->
+                 Vacuum.Coverage.measure ~config r)))
+        cells
+    in
+    ignore (Pool.map ~jobs ?hooks:(M.Sched.hooks t) task [ 1; 2; 3 ]);
     M.Snapshot.render t
   in
   let seq = observe 1 in
@@ -526,23 +532,33 @@ let test_stable_snapshot_backend_invariant () =
 (* ---- pool hooks ---- *)
 
 let test_pool_hooks_totals () =
-  let t = M.create () in
-  let n = 32 in
-  ignore
-    (Pool.map ~jobs:3
-       ?hooks:(M.Sched.hooks t)
-       (fun i -> i * i)
-       (List.init n Fun.id));
-  Alcotest.(check int) "every task counted" n (M.Counter.value t "pool.tasks");
-  let per_domain = ref 0 in
-  for d = 0 to 7 do
-    per_domain :=
-      !per_domain + M.Counter.value t (Printf.sprintf "pool.tasks.d%d" d)
-  done;
-  Alcotest.(check int) "per-domain counts partition the total" n !per_domain;
-  match M.Histogram.get t "pool.queue_depth" with
-  | None -> Alcotest.fail "queue depth recorded"
-  | Some h -> Alcotest.(check int) "one depth sample per submit" n (Hist.count h)
+  List.iter
+    (fun (jobs, n) ->
+      let t = M.create () in
+      let label what = Printf.sprintf "jobs=%d n=%d: %s" jobs n what in
+      ignore
+        (Pool.map ~jobs
+           ?hooks:(M.Sched.hooks t)
+           (fun i -> i * i)
+           (List.init n Fun.id));
+      Alcotest.(check int)
+        (label "every task counted")
+        n
+        (M.Counter.value t "pool.tasks");
+      let per_domain = ref 0 in
+      for d = 0 to jobs - 1 do
+        per_domain :=
+          !per_domain + M.Counter.value t (Printf.sprintf "pool.tasks.d%d" d)
+      done;
+      Alcotest.(check int)
+        (label "per-domain counts partition the total")
+        n !per_domain;
+      match M.Histogram.get t "pool.queue_depth" with
+      | None -> Alcotest.fail (label "queue depth recorded")
+      | Some h ->
+        Alcotest.(check int) (label "one depth sample per submit") n
+          (Hist.count h))
+    [ (1, 2); (1, 32); (3, 2); (3, 32); (8, 2); (8, 32) ]
 
 (* ---- perfetto ---- *)
 
@@ -743,8 +759,8 @@ let () =
             test_driver_span_coverage;
           Alcotest.test_case "observation preserves behaviour" `Quick
             test_observed_run_is_behaviour_preserving;
-          Alcotest.test_case "engine determinism across --jobs" `Slow
-            test_engine_determinism_across_jobs;
+          Alcotest.test_case "snapshot identical across --jobs" `Slow
+            test_stable_snapshot_across_schedules;
         ] );
       ( "alloc",
         [

@@ -1,7 +1,7 @@
 (* The runtime telemetry layer: series/event storage, disabled no-op
    and allocation contracts, the Perfetto export and its validation,
    rendering, the detector/driver/coverage wiring, and byte-identical
-   traces across engine schedules. *)
+   traces across --jobs schedules. *)
 
 module T = Vp_telemetry
 module M = Vp_metrics
@@ -9,7 +9,6 @@ module Program = Vp_prog.Program
 module Emulator = Vp_exec.Emulator
 module Gen = Vp_test_support.Gen
 module Progs = Vp_test_support.Progs
-module Engine = Vacuum.Engine
 
 (* --- series and events --- *)
 
@@ -438,33 +437,22 @@ let test_timing_series () =
     stats.Vp_cpu.Pipeline.branch_mispredicts
     (sum "timing.mispredicts")
 
-(* --- determinism across engine schedules --- *)
+(* --- determinism across schedules --- *)
 
 let test_traces_identical_across_jobs () =
-  let specs =
-    List.map
-      (fun seed ->
-        {
-          Engine.name = Printf.sprintf "gen%d" seed;
-          load = (fun () -> Program.layout (Gen.random_phased ~seed));
-        })
-      [ 1; 2; 3; 4 ]
+  let timelines seed =
+    let image = Program.layout (Gen.random_phased ~seed) in
+    let p = Vacuum.Driver.profile ~config:telemetry_config image in
+    let r = Vacuum.Driver.rewrite_of_profile ~config:telemetry_config p in
+    [
+      p.Vacuum.Driver.timeline;
+      (Vacuum.Coverage.measure ~config:telemetry_config r)
+        .Vacuum.Coverage.residency;
+    ]
   in
-  let cells = [ { Engine.key = "full"; config = telemetry_config } ] in
   let trace_of jobs path =
-    let engine = Engine.create ~jobs ~profile_config:telemetry_config () in
-    Engine.run engine ~specs ~cells ();
-    let tls =
-      List.concat_map
-        (fun spec ->
-          [
-            (Engine.profile engine spec).Vacuum.Driver.timeline;
-            (Engine.coverage engine spec (List.hd cells))
-              .Vacuum.Coverage.residency;
-          ])
-        specs
-    in
-    T.write_perfetto ~path tls
+    T.write_perfetto ~path
+      (List.concat (Vp_util.Pool.map ~jobs timelines [ 1; 2; 3; 4 ]))
   in
   in_temp "seq.json" @@ fun seq ->
   in_temp "par.json" @@ fun par ->

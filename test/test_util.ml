@@ -199,9 +199,9 @@ let test_pool_map_ordered_gather () =
         (Pool.map ~jobs (fun x -> x * x) xs))
     [ 1; 2; 4; 8 ]
 
-let test_pool_run_empty () =
-  Alcotest.(check (list int)) "no tasks" [] (Pool.run ~jobs:4 []);
-  Alcotest.(check (list int)) "no tasks seq" [] (Pool.run ~jobs:1 [])
+let test_pool_map_empty () =
+  Alcotest.(check (list int)) "no tasks" [] (Pool.map ~jobs:4 Fun.id []);
+  Alcotest.(check (list int)) "no tasks seq" [] (Pool.map ~jobs:1 Fun.id [])
 
 let test_pool_earliest_exception_wins () =
   (* Tasks at indices 3 and 5 fail; whatever the schedule, the index-3
@@ -220,41 +220,18 @@ let test_pool_earliest_exception_wins () =
                (List.init 8 (fun i -> i)))))
     [ 1; 4 ]
 
-let test_pool_dag_submission () =
-  (* Tasks submitting continuation tasks: wait covers the transitive
-     closure. *)
-  List.iter
-    (fun jobs ->
-      let pool = Pool.create ~jobs () in
-      let hits = Atomic.make 0 in
-      for _ = 1 to 10 do
-        Pool.submit pool (fun () ->
-            Atomic.incr hits;
-            Pool.submit pool (fun () -> Atomic.incr hits))
-      done;
-      Pool.wait pool;
-      Pool.shutdown pool;
-      Alcotest.(check int)
-        (Printf.sprintf "jobs=%d all tasks ran" jobs)
-        20 (Atomic.get hits))
-    [ 1; 3 ]
-
 let test_pool_parallel_actually_concurrent () =
   (* With 2 workers, two tasks that each wait for the other's side
      effect can only finish if they really run concurrently. *)
-  let pool = Pool.create ~jobs:2 () in
   let a = Atomic.make false in
   let b = Atomic.make false in
-  let spin mine other =
+  let spin (mine, other) =
     Atomic.set mine true;
     while not (Atomic.get other) do
       Domain.cpu_relax ()
     done
   in
-  Pool.submit pool (fun () -> spin a b);
-  Pool.submit pool (fun () -> spin b a);
-  Pool.wait pool;
-  Pool.shutdown pool;
+  ignore (Pool.map ~jobs:2 spin [ (a, b); (b, a) ]);
   Alcotest.(check bool) "both ran" true (Atomic.get a && Atomic.get b)
 
 (* Property tests. *)
@@ -327,10 +304,9 @@ let () =
       ( "pool",
         [
           Alcotest.test_case "ordered gather" `Quick test_pool_map_ordered_gather;
-          Alcotest.test_case "empty run" `Quick test_pool_run_empty;
+          Alcotest.test_case "empty run" `Quick test_pool_map_empty;
           Alcotest.test_case "earliest exception" `Quick
             test_pool_earliest_exception_wins;
-          Alcotest.test_case "dag submission" `Quick test_pool_dag_submission;
           Alcotest.test_case "concurrent workers" `Quick
             test_pool_parallel_actually_concurrent;
           QCheck_alcotest.to_alcotest prop_pool_map_equals_list_map;
