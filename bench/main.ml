@@ -26,6 +26,7 @@ module Emulator = Vp_exec.Emulator
 module Pipeline = Vp_cpu.Pipeline
 module Tabular = Vp_util.Tabular
 module Stats = Vp_util.Stats
+module Io = Vp_util.Io
 module Phase_log = Vp_phase.Phase_log
 module Categorize = Vp_phase.Categorize
 module Driver = Vacuum.Driver
@@ -1002,21 +1003,6 @@ let needs = function
    registry's counters (hand-rolled writer — the tree is tiny and the
    build carries no JSON library). *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let json_float f =
   if Float.is_finite f then Printf.sprintf "%.6g" f else "null"
 
@@ -1026,9 +1012,9 @@ let write_json ~path ~jobs ~counters =
   let backend_name = Emulator.backend_name !backend in
   (* Every experiment record repeats the run metadata, so records stay
      self-describing when jq slices one array out of the file. *)
-  let meta () = Printf.sprintf "\"backend\": \"%s\", \"jobs\": %d" (json_escape backend_name) jobs in
+  let meta () = Printf.sprintf "\"backend\": \"%s\", \"jobs\": %d" (Io.json_escape backend_name) jobs in
   out "{\n  \"schema\": \"vacuum-bench/2\",\n";
-  out "  \"backend\": \"%s\",\n  \"jobs\": %d,\n" (json_escape backend_name) jobs;
+  out "  \"backend\": \"%s\",\n  \"jobs\": %d,\n" (Io.json_escape backend_name) jobs;
   out "  \"aggregate\": [";
   List.iteri
     (fun i (name, snapshots, per_sec) ->
@@ -1036,7 +1022,7 @@ let write_json ~path ~jobs ~counters =
         "%s\n    {\"name\": \"%s\", %s, \"snapshots\": %d, \
          \"snapshots_per_sec\": %s}"
         (if i = 0 then "" else ",")
-        (json_escape name) (meta ()) snapshots (json_float per_sec))
+        (Io.json_escape name) (meta ()) snapshots (json_float per_sec))
     !aggregate_results;
   out "\n  ],\n";
   let bechamel_array key rows =
@@ -1047,7 +1033,7 @@ let write_json ~path ~jobs ~counters =
           "%s\n    {\"name\": \"%s\", %s, \"ns_per_run\": %s, \
            \"r_square\": %s}"
           (if i = 0 then "" else ",")
-          (json_escape name) (meta ()) (json_float nanos)
+          (Io.json_escape name) (meta ()) (json_float nanos)
           (match r2 with Some r -> json_float r | None -> "null"))
       rows;
     out "\n  ],\n"
@@ -1060,7 +1046,7 @@ let write_json ~path ~jobs ~counters =
     (fun i (name, value) ->
       out "%s\n    {\"name\": \"%s\", %s, \"value\": %d}"
         (if i = 0 then "" else ",")
-        (json_escape name) (meta ()) value)
+        (Io.json_escape name) (meta ()) value)
     counters;
   out "\n  ]\n}\n";
   close_out oc

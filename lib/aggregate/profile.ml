@@ -23,8 +23,6 @@ let empty ~counter_max =
       counter_max;
   { counter_max; weight = 0; runs = 0; snapshots = 0; entries = [] }
 
-let is_empty t = t.runs = 0 && t.entries = []
-
 (* One snapshot entry becomes one observation.  Counts outside the
    hardware's range (wire files, faulted streams) clamp through the
    shared saturating-add primitive; clamping at the cap is itself a
@@ -109,16 +107,7 @@ let merge a b =
     entries = merge_entries a.entries b.entries;
   }
 
-let merge_all ~counter_max ts = List.fold_left merge (empty ~counter_max) ts
-
 let estimated_executed t e = e.executed + (e.censored * t.counter_max)
-
-let estimated_taken t e =
-  if e.executed = 0 then 0
-  else
-    (* Preserve the observed taken fraction under the censoring
-       correction; exact integer scaling, rounded down. *)
-    e.taken * estimated_executed t e / e.executed
 
 let taken_fraction e =
   if e.executed = 0 then 0.0
@@ -177,16 +166,3 @@ let digest t =
       mix e.censored)
     t.entries;
   !h land max_int
-
-let pp fmt t =
-  Format.fprintf fmt
-    "@[<v>fleet profile: %d runs (weight %d), %d snapshots, %d branches@,"
-    t.runs t.weight t.snapshots (branch_count t);
-  List.iter
-    (fun e ->
-      Format.fprintf fmt "  %6x obs %5d exec %8d (est %8d) taken %8d%s@," e.pc
-        e.obs e.executed (estimated_executed t e) e.taken
-        (if e.censored > 0 then Printf.sprintf " [%d censored]" e.censored
-         else ""))
-    t.entries;
-  Format.fprintf fmt "@]"

@@ -45,8 +45,6 @@ type t = {
 val empty : counter_max:int -> t
 (** The merge identity: zero weight, no entries. *)
 
-val is_empty : t -> bool
-
 val of_snapshots : ?weight:int -> counter_max:int -> Vp_hsd.Snapshot.t list -> t
 (** Ingest one run's snapshot stream as a profile of [runs = 1] and
     the given [weight] (default 1).  Counts are clamped into
@@ -61,23 +59,11 @@ val merge : t -> t -> t
     [Vp_util.Error] when the two profiles disagree on [counter_max] —
     profiles from different counter geometries do not mix. *)
 
-val merge_all : counter_max:int -> t list -> t
-(** Left fold of {!merge} over {!empty}. *)
-
 val estimated_executed : t -> entry -> int
 (** The censoring-corrected executed count: [executed + censored *
     counter_max].  Monotone in every component — in particular, adding
     a censored observation raises the estimate by at least the cap,
     never lowers it. *)
-
-val estimated_taken : t -> entry -> int
-(** [taken] scaled by the same correction factor, preserving the
-    observed taken fraction (the one thing hardware halving keeps
-    exact). *)
-
-val taken_fraction : entry -> float
-(** [taken / executed] over the exact sums; 0 when nothing was
-    observed. *)
 
 val branch_count : t -> int
 
@@ -100,5 +86,3 @@ val digest : t -> int
     every entry component), as a non-negative int.  Equal profiles —
     and only equal profiles, up to hash collision — share a digest;
     the CLI uses it to assert shard-count invariance. *)
-
-val pp : Format.formatter -> t -> unit

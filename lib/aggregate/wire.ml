@@ -195,18 +195,8 @@ let read_file ~path =
   | s -> decode s
   | exception Sys_error e -> Error e
 
-let validate s =
-  match decode s with
-  | Error e -> Error e
-  | Ok runs ->
-    Ok
-      ( List.length runs,
-        List.fold_left (fun acc r -> acc + List.length r.snapshots) 0 runs )
+let counts runs =
+  (List.length runs, List.fold_left (fun acc r -> acc + List.length r.snapshots) 0 runs)
 
-let validate_file ~path =
-  match read_file ~path with
-  | Error e -> Error e
-  | Ok runs ->
-    Ok
-      ( List.length runs,
-        List.fold_left (fun acc r -> acc + List.length r.snapshots) 0 runs )
+let validate s = Result.map counts (decode s)
+let validate_file ~path = Result.map counts (read_file ~path)

@@ -140,18 +140,3 @@ let recover image (s : Image.sym) =
   done;
   let back = compute_back_edges starts succs in
   { sym = s; image; starts; lens; succs; preds; calls = List.rev !calls; back }
-
-let pp fmt t =
-  Format.fprintf fmt "@[<v>cfg %s (%d blocks)@," t.sym.Image.name (num_blocks t);
-  for b = 0 to num_blocks t - 1 do
-    let succ_str =
-      String.concat ", "
-        (List.map
-           (fun a ->
-             Printf.sprintf "%d%s" a.dst
-               (match a.kind with Taken -> "t" | Fallthrough -> "f"))
-           t.succs.(b))
-    in
-    Format.fprintf fmt "  B%d @@%x len %d -> [%s]@," b t.starts.(b) t.lens.(b) succ_str
-  done;
-  Format.fprintf fmt "@]"

@@ -59,5 +59,3 @@ val back_edges : t -> (int * int) list
     Unreachable blocks contribute none. *)
 
 val preds_ignoring_back_edges : t -> int -> arc list
-
-val pp : Format.formatter -> t -> unit

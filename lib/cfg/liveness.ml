@@ -2,7 +2,7 @@ module Instr = Vp_isa.Instr
 module Reg = Vp_isa.Reg
 
 (* Register sets as int bitmasks; 32 registers fit one word. *)
-type t = { live_in : int array; live_out : int array }
+type t = { live_in : int array }
 
 let mask_of regs = List.fold_left (fun m r -> m lor (1 lsl Reg.to_int r)) 0 regs
 
@@ -44,8 +44,7 @@ let compute cfg =
       end
     done
   done;
-  { live_in; live_out }
+  { live_in }
 
 let live_in t b = regs_of t.live_in.(b)
-let live_out t b = regs_of t.live_out.(b)
 let live_across t (a : Cfg.arc) = regs_of t.live_in.(a.dst)

@@ -16,7 +16,5 @@ val compute : Cfg.t -> t
 val live_in : t -> int -> Vp_isa.Reg.t list
 (** Ascending register order. *)
 
-val live_out : t -> int -> Vp_isa.Reg.t list
-
 val live_across : t -> Cfg.arc -> Vp_isa.Reg.t list
 (** Registers live along an arc = live-in of the destination. *)

@@ -82,11 +82,6 @@ val parse : cmd -> string list -> (matches, string) result
     validator.  [Error] carries the message the dispatcher prints
     before the usage. *)
 
-val usage_line : tool -> cmd -> string
-(** ["usage: TOOL CMD [OPTION]..."]; a command named [""] — a tool
-    without subcommands, parsed with {!parse} directly — drops the
-    [CMD] word. *)
-
 val cmd_help : tool -> cmd -> string
 val tool_help : tool -> string
 (** Help text is generated from the spec table — there is no

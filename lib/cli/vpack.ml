@@ -773,6 +773,7 @@ let serve_cmd =
           ~default:Config.default_session.Config.epochs
       in
       let trace_dir = Spec.value m "trace-dir" in
+      Option.iter Vp_util.Io.mkdir_p trace_dir;
       let metrics_path = Spec.value m "metrics" in
       let perfetto_path = Spec.value m "perfetto" in
       let flight_dir = Spec.value m "flight-dir" in
@@ -965,15 +966,12 @@ let trace_check_cmd =
         Printf.eprintf "%s: invalid trace: empty trace (0 bytes)\n" file;
         exit 1
       end;
-      let contains hay needle =
-        let nh = String.length hay and nn = String.length needle in
-        let rec go i =
-          i + nn <= nh && (String.sub hay i nn = needle || go (i + 1))
-        in
-        go 0
-      in
       let schema, validate =
-        match List.find_opt (fun (tag, _) -> contains first tag) validators with
+        match
+          List.find_opt
+            (fun (tag, _) -> Option.is_some (Vp_util.Io.find_sub first tag))
+            validators
+        with
         | Some v -> v
         | None ->
           Printf.eprintf
@@ -1500,7 +1498,9 @@ let setup_logs () =
 let main () =
   setup_logs ();
   (* Pipeline failures carry a structured payload; render it and exit
-     cleanly instead of dumping a backtrace.  Usage errors — an unknown
+     cleanly instead of dumping a backtrace.  An I/O failure (a file
+     that cannot be opened or written) exits the same way: the command
+     line was fine, the file system was not.  Usage errors — an unknown
      subcommand or bad flag (the Spec dispatcher's own exit 2) and an
      unknown or ambiguous workload (the [cli] stage) — all land on exit
      2 with a pointer at the usage. *)
@@ -1512,4 +1512,7 @@ let main () =
     exit 2
   | exception Vacuum.Error.Error e ->
     Format.eprintf "vpack: %a@." Vacuum.Error.pp e;
+    exit 3
+  | exception Sys_error msg ->
+    Format.eprintf "vpack: %s@." msg;
     exit 3

@@ -5,8 +5,8 @@
 
 val tool : Spec.tool
 (** The full command table: list, run, phases, extract, aggregate,
-    report, stats, timeline, serve, trace-check, verify, chaos, fuzz,
-    diag, asm, disasm, machine. *)
+    report, stats, timeline, serve, trace-check, top, verify, chaos,
+    fuzz, diag, asm, disasm, machine. *)
 
 val backend_flag : Spec.flag
 (** The shared [--backend reference|compiled] flag; an unknown name is a
@@ -37,7 +37,8 @@ val setup_logs : unit -> unit
 
 val main : unit -> unit
 (** Parse [Sys.argv], dispatch, and exit: 0 success, 2 command-line
-    error, 3 pipeline error, 4 verifier rejection (and [serve] epochs
+    error, 3 pipeline error or I/O error ([Sys_error], reported as
+    [vpack: MESSAGE]), 4 verifier rejection (and [serve] epochs
     falling back or failing the oracle), 5 chaos-matrix failure, 6
     fuzz-campaign failure (a generated case crashed or failed an
     oracle). *)

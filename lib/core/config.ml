@@ -94,19 +94,12 @@ let degrade t = t.degrade
 let session t = t.session
 let with_detector detector t = { t with detector }
 let with_history_size history_size t = { t with history_size }
-let with_similarity similarity t = { t with similarity }
-let with_identify identify t = { t with identify }
-let with_linking linking t = { t with linking }
 let with_opt opt t = { t with opt }
-let with_cpu cpu t = { t with cpu }
 let with_backend backend t = { t with backend }
-let with_mem_words mem_words t = { t with mem_words }
 let with_fuel fuel t = { t with fuel }
 let with_metrics metrics t = { t with metrics }
 let with_fault fault t = { t with fault = Some fault }
-let without_fault t = { t with fault = None }
 let with_degrade degrade t = { t with degrade }
-let with_session session t = { t with session }
 let map_session f t = { t with session = f t.session }
 
 let map_identify f t = { t with identify = f t.identify }
@@ -235,17 +228,6 @@ let json_of_t t =
           ] );
     ]
 
-let escape s =
-  let b = Buffer.create (String.length s + 2) in
-  String.iter
-    (function
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | ch -> Buffer.add_char b ch)
-    s;
-  Buffer.contents b
-
 let float_lit f =
   let s = Printf.sprintf "%g" f in
   (* keep JSON numbers that happen to be integral parseable as floats *)
@@ -257,7 +239,7 @@ let rec render_compact b = function
   | J_float f -> Buffer.add_string b (float_lit f)
   | J_str s ->
     Buffer.add_char b '"';
-    Buffer.add_string b (escape s);
+    Buffer.add_string b (Vp_util.Io.json_escape s);
     Buffer.add_char b '"'
   | J_obj fields ->
     Buffer.add_char b '{';
@@ -265,7 +247,7 @@ let rec render_compact b = function
       (fun k (name, v) ->
         if k > 0 then Buffer.add_char b ',';
         Buffer.add_char b '"';
-        Buffer.add_string b (escape name);
+        Buffer.add_string b (Vp_util.Io.json_escape name);
         Buffer.add_string b "\":";
         render_compact b v)
       fields;
@@ -285,7 +267,7 @@ let rec render_indented b indent = function
         if k > 0 then Buffer.add_string b ",\n";
         Buffer.add_string b pad;
         Buffer.add_string b "  \"";
-        Buffer.add_string b (escape name);
+        Buffer.add_string b (Vp_util.Io.json_escape name);
         Buffer.add_string b "\": ";
         render_indented b (indent + 2) v)
       fields;

@@ -127,20 +127,13 @@ val with_detector : Vp_hsd.Config.t -> t -> t
 (** Replace the detector model (tests use the tiny configuration). *)
 
 val with_history_size : int -> t -> t
-val with_similarity : Vp_phase.Similarity.config -> t -> t
-val with_identify : Vp_region.Identify.config -> t -> t
-val with_linking : bool -> t -> t
 val with_opt : Vp_opt.Opt.config -> t -> t
-val with_cpu : Vp_cpu.Config.t -> t -> t
 val with_backend : Vp_exec.Emulator.backend -> t -> t
-val with_mem_words : int -> t -> t
 val with_fuel : int -> t -> t
 val with_metrics : Vp_metrics.t -> t -> t
 val with_fault : Vp_fault.Plan.t -> t -> t
-val without_fault : t -> t
 val with_degrade : bool -> t -> t
 
-val with_session : session -> t -> t
 val map_session : (session -> session) -> t -> t
 
 val map_identify : (Vp_region.Identify.config -> Vp_region.Identify.config) -> t -> t

@@ -71,7 +71,6 @@ type rewrite = {
           degradation is on — rejected packages were demoted away *)
 }
 
-val rung_name : rung -> string
 val pp_demotion : Format.formatter -> demotion -> unit
 
 val profile : ?config:Config.t -> Vp_prog.Image.t -> profile

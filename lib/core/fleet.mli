@@ -31,11 +31,6 @@ type t = {
           them *)
 }
 
-val default_noise : Vp_fault.Plan.t
-(** The per-machine perturbation plan [fleet-noise]: a few percent of
-    snapshots dropped, duplicated or reordered, a few percent of
-    counters saturated or zeroed. *)
-
 val emulate_runs :
   ?config:Config.t ->
   ?noise:Vp_fault.Plan.t ->

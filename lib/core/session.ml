@@ -31,8 +31,6 @@ type entry = {
   mutable residency : int;
   mutable rejected : bool;
   mutable hits : int;
-  mutable last_seen : int;
-  born : int;
 }
 
 let entry_size e = List.fold_left (fun a p -> a + Pkg.size p) 0 e.packages
@@ -335,7 +333,6 @@ let step t =
       match classify t phase with
       | Some e ->
         e.hits <- e.hits + 1;
-        e.last_seen <- epoch;
         Vp_metrics.Counter.bump metrics "session.cache.hits" 1;
         if not (List.mem e.id !matched) then matched := e.id :: !matched;
         Hashtbl.replace extent_credit e.id
@@ -377,8 +374,6 @@ let step t =
             residency = Phase_log.extent phase;
             rejected = packages = [];
             hits = 1;
-            last_seen = epoch;
-            born = epoch;
           }
         in
         if e.rejected then

@@ -108,11 +108,3 @@ let line_index t addr =
 
 let accesses t = t.access_count
 let misses t = t.miss_count
-
-let miss_rate t =
-  if t.access_count = 0 then 0.0
-  else float_of_int t.miss_count /. float_of_int t.access_count
-
-let reset_stats t =
-  t.access_count <- 0;
-  t.miss_count <- 0

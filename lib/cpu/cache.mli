@@ -19,9 +19,6 @@ val line_index : t -> int -> int
 
 val accesses : t -> int
 val misses : t -> int
-val miss_rate : t -> float
-
-val reset_stats : t -> unit
 
 val reset : t -> unit
 (** Back to the post-{!create} state: every line invalid, stats

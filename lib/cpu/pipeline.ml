@@ -528,13 +528,3 @@ let simulate_phases ?config ?fuel ?mem_words ~timeline image =
 let speedup ~baseline ~optimized =
   if optimized.cycles = 0 then 0.0
   else float_of_int baseline.cycles /. float_of_int optimized.cycles
-
-let pp fmt s =
-  Format.fprintf fmt
-    "@[<v>cycles %d, instructions %d, IPC %.3f@,\
-     mispredicts %d (ras %d), taken redirects %d@,\
-     misses: L1I %d, L1D %d, L2 %d@,\
-     stalls: fetch %d, data %d@]"
-    s.cycles s.instructions s.ipc s.branch_mispredicts s.ras_mispredicts
-    s.taken_redirects s.icache_misses s.dcache_misses s.l2_misses
-    s.fetch_stall_cycles s.data_stall_cycles

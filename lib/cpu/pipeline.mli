@@ -71,5 +71,3 @@ val simulate_phases :
 
 val speedup : baseline:stats -> optimized:stats -> float
 (** [baseline.cycles / optimized.cycles]. *)
-
-val pp : Format.formatter -> stats -> unit

@@ -18,16 +18,12 @@ let of_counts ~executed ~takens =
     executed;
   { executed; takens; branches = !branches; total_executed = !total }
 
-let empty = of_counts ~executed:[||] ~takens:[||]
 let branches t = t.branches
 let total_executed t = t.total_executed
 
 let find t pc =
   if pc < 0 || pc >= Array.length t.executed || t.executed.(pc) = 0 then None
   else Some (t.executed.(pc), t.takens.(pc))
-
-let executed t pc =
-  if pc < 0 || pc >= Array.length t.executed then 0 else t.executed.(pc)
 
 let iter f t =
   Array.iteri

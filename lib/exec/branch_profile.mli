@@ -14,8 +14,6 @@ val of_counts : executed:int array -> takens:int array -> t
     the profile — do not mutate them afterwards).  Raises
     [Invalid_argument] on length mismatch. *)
 
-val empty : t
-
 val branches : t -> int
 (** Static conditional branches with at least one execution. *)
 
@@ -25,9 +23,6 @@ val total_executed : t -> int
 val find : t -> int -> (int * int) option
 (** [(executed, taken)] for the branch at a pc; [None] when that pc
     never executed a conditional branch. *)
-
-val executed : t -> int -> int
-(** Executions at a pc; [0] when absent. *)
 
 val iter : (pc:int -> executed:int -> taken:int -> unit) -> t -> unit
 (** Visit profiled branches in ascending pc order. *)

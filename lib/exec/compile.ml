@@ -67,10 +67,7 @@ type ctx = {
   on_run : on_run;
 }
 
-type variant = {
-  blocks : (ctx -> unit) array;
-  enter : ctx -> int -> unit;  (* the boundary interpreter *)
-}
+type variant = { enter : ctx -> int -> unit (* the boundary interpreter *) }
 
 type t = {
   decode : Decode.t;
@@ -681,7 +678,7 @@ let make_variant (d : Decode.t) ~block_idx ~block_start ~block_len ~nb
              body ctx
            end)
   done;
-  { blocks; enter = interp }
+  { enter = interp }
 
 let compile (d : Decode.t) =
   let block_idx, block_start, block_len, nb = partition d in

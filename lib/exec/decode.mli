@@ -39,14 +39,8 @@ type t = {
 (** {2 Instruction tags}
 
     Grouped so that resolved control flow is contiguous
-    ([tag_br .. tag_halt]) and every unresolved-label variant sits at
-    or above [tag_la_unresolved]. *)
-
-val tag_alu_reg : int  (** [Alu] with a register second operand *)
-
-val tag_alu_imm : int  (** [Alu] with an immediate second operand *)
-
-val tag_li : int
+    ([tag_br .. tag_halt]) and every unresolved-label variant sits
+    above [tag_halt]. *)
 
 val tag_la : int
 
@@ -62,11 +56,7 @@ val tag_call : int
 
 val tag_ret : int
 
-val tag_nop : int
-
 val tag_halt : int
-
-val tag_la_unresolved : int
 
 val tag_br_unresolved : int
 

@@ -131,11 +131,7 @@ let set_mem t addr v =
     t.memory.!(addr) <- v
   end
 
-let mem_words t = Array.length t.memory
-
 let mix h v = (h * 31) + v
-
-let store_digest t = t.digest
 
 let bump_store_digest t addr v =
   if addr < t.stack_floor then t.digest <- mix (mix t.digest addr) v

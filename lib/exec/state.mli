@@ -45,22 +45,19 @@ exception Fault of string
 val mem : t -> int -> int
 val set_mem : t -> int -> int -> unit
 
-val mem_words : t -> int
-
-val store_digest : t -> int
-(** Running hash over the (address, value) store stream — divergence
-    between an original and a rewritten binary shows up here.  Stores
-    into the stack region (the top quarter of memory, capped at 64K
-    words) are excluded: spills and frame locals are private scratch,
-    and dead callee-save traffic legitimately differs once the
-    optimizer deletes computations whose results the program never
-    consumes. *)
-
 val bump_store_digest : t -> int -> int -> unit
-(** No-op for stack-region addresses (see {!store_digest}). *)
+(** [bump_store_digest t addr v] folds one store into the running
+    store digest, a hash over the (address, value) store stream —
+    divergence between an original and a rewritten binary shows up
+    there.  Stores into the stack region (the top quarter of memory,
+    capped at 64K words) are excluded: spills and frame locals are
+    private scratch, and dead callee-save traffic legitimately differs
+    once the optimizer deletes computations whose results the program
+    never consumes. *)
 
 val checksum : t -> int
-(** Final architectural checksum: the store digest folded with the
-    result register.  Dead register values at halt are deliberately
-    excluded so semantics-preserving optimizations (dead-code sinking)
-    remain checksum-equal. *)
+(** Final architectural checksum: the store digest (see
+    {!bump_store_digest}) folded with the result register.  Dead
+    register values at halt are deliberately excluded so
+    semantics-preserving optimizations (dead-code sinking) remain
+    checksum-equal. *)

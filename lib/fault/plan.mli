@@ -45,9 +45,6 @@ type t = {
   resource : resource_faults;
 }
 
-val no_snapshot_faults : snapshot_faults
-val no_resource_faults : resource_faults
-
 val v :
   ?seed:int ->
   ?drop:float ->

@@ -396,7 +396,7 @@ let repro_of_string s =
   | _ -> Error (Printf.sprintf "missing %s header" repro_schema)
 
 let save_repros ~dir r =
-  (try Sys.mkdir dir 0o755 with Sys_error _ -> ());
+  Vp_util.Io.mkdir_p dir;
   List.map
     (fun (rp : repro) ->
       let path = Filename.concat dir (Printf.sprintf "seed-%d.repro" rp.spec.seed) in

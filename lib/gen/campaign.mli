@@ -125,9 +125,6 @@ val render : report -> string
 
 (** {1 Repro files} *)
 
-val repro_schema : string
-(** ["vp-fuzz-repro/1"]. *)
-
 val repro_to_string : repro -> string
 
 val repro_of_string : string -> (repro, string) result

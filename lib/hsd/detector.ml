@@ -48,8 +48,6 @@ let create ?(config = Config.default) ?(history_size = 0) ?(same = fun _ _ -> fa
     hook_rearm = None;
   }
 
-let config t = t.cfg
-
 let set_hooks ?on_detect ?on_record ?on_rearm t =
   (match on_detect with Some _ -> t.hook_detect <- on_detect | None -> ());
   (match on_record with Some _ -> t.hook_record <- on_record | None -> ());

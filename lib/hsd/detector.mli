@@ -34,8 +34,6 @@ val create :
     match).  [same] defaults to never-equal, so by default every
     detection is recorded. *)
 
-val config : t -> Config.t
-
 val set_hooks :
   ?on_detect:(branches:int -> detections:int -> unit) ->
   ?on_record:(branches:int -> id:int -> unit) ->

@@ -22,18 +22,4 @@ let branch_pcs t = List.map (fun e -> e.pc) t.branches
 
 let find t pc = List.find_opt (fun e -> e.pc = pc) t.branches
 
-let max_executed t = List.fold_left (fun acc e -> max acc e.executed) 0 t.branches
-
-let total_executed t = List.fold_left (fun acc e -> acc + e.executed) 0 t.branches
-
 let extent t = t.ended_at - t.detected_at
-
-let pp fmt t =
-  Format.fprintf fmt "@[<v>hotspot %d [%d, %d) %d branches@," t.id t.detected_at
-    t.ended_at (List.length t.branches);
-  List.iter
-    (fun e ->
-      Format.fprintf fmt "  %6x exec %4d taken %4d (%.2f)@," e.pc e.executed e.taken
-        (taken_fraction e))
-    t.branches;
-  Format.fprintf fmt "@]"

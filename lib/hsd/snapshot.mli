@@ -29,13 +29,5 @@ val branch_pcs : t -> int list
 
 val find : t -> int -> entry option
 
-val max_executed : t -> int
-(** Largest executed count among entries; the region-marking pass uses
-    it to scale the hot/cold arc rule. *)
-
-val total_executed : t -> int
-
 val extent : t -> int
 (** [ended_at - detected_at]: dynamic branches spent in the phase. *)
-
-val pp : Format.formatter -> t -> unit

@@ -15,19 +15,12 @@ type t =
   | Nop
   | Halt
 
-let is_cond_branch = function Br _ -> true | _ -> false
-
 let is_control = function
   | Br _ | Jmp _ | Call _ | Ret | Halt -> true
   | Alu _ | Li _ | La _ | Load _ | Store _ | Nop -> false
 
-let is_terminator = is_control
-
-let is_call = function Call _ -> true | _ -> false
-let is_return = function Ret -> true | _ -> false
 let is_load = function Load _ -> true | _ -> false
 let is_store = function Store _ -> true | _ -> false
-let is_mem i = is_load i || is_store i
 
 let target = function
   | Br { target; _ } | Jmp { target } | Call { target } | La { target; _ } ->

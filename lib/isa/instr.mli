@@ -33,22 +33,11 @@ type t =
 
 (** {1 Classification} *)
 
-val is_cond_branch : t -> bool
-(** Conditional branches are the only instructions profiled by the
-    Branch Behavior Buffer. *)
-
 val is_control : t -> bool
 (** Any instruction that can redirect the pc. *)
 
-val is_terminator : t -> bool
-(** Ends a basic block: [Br], [Jmp], [Call], [Ret], [Halt].  Per the
-    paper, a block contains at most one branch or call, always last. *)
-
-val is_call : t -> bool
-val is_return : t -> bool
 val is_load : t -> bool
 val is_store : t -> bool
-val is_mem : t -> bool
 
 (** {1 Targets} *)
 
@@ -87,6 +76,5 @@ val latency : t -> int
 
 (** {1 Printing} *)
 
-val pp_target : Format.formatter -> target -> unit
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

@@ -88,13 +88,6 @@ let cond_name = function
   | Gt -> "gt"
   | Ge -> "ge"
 
-let fu_name = function
-  | Ialu -> "ialu"
-  | Fp -> "fp"
-  | Long_fp -> "long_fp"
-  | Mem -> "mem"
-  | Control -> "control"
-
 let all_alu = [ Add; Sub; Mul; Div; Rem; And; Or; Xor; Shl; Shr; Slt; Fadd; Fmul; Fdiv ]
 let all_cond = [ Eq; Ne; Lt; Le; Gt; Ge ]
 

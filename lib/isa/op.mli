@@ -45,7 +45,6 @@ val negate_cond : cond -> cond
 
 val alu_name : alu -> string
 val cond_name : cond -> string
-val fu_name : fu -> string
 
 val all_alu : alu list
 val all_cond : cond list

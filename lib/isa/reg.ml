@@ -22,8 +22,6 @@ let first_temp = 8
 
 let temps = List.init (count - first_temp) (fun i -> first_temp + i)
 
-let is_temp r = r >= first_temp
-
 let name r =
   if r = zero then "zero"
   else if r = sp then "sp"
@@ -34,4 +32,3 @@ let name r =
 let pp fmt r = Format.pp_print_string fmt (name r)
 
 let equal = Int.equal
-let compare = Int.compare

@@ -37,8 +37,6 @@ val first_temp : int
 val temps : t list
 (** All allocatable temporaries in ascending order. *)
 
-val is_temp : t -> bool
-
 val name : t -> string
 (** Conventional name: ["zero"], ["sp"], ["ra"], ["a0"].. ["a4"],
     ["t0"].. ["t23"]. *)
@@ -46,4 +44,3 @@ val name : t -> string
 val pp : Format.formatter -> t -> unit
 
 val equal : t -> t -> bool
-val compare : t -> t -> int

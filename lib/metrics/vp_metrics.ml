@@ -4,13 +4,15 @@
    once-per-stage or once-per-epoch event (the hot execution loops are
    never instrumented directly), so contention is irrelevant and the
    single lock buys the deterministic-merge discipline for free —
-   counters are plain additions and histograms merge additively, so
-   any interleaving of writers yields the same stable readings.
+   counters are plain additions and histogram observations commute,
+   so any interleaving of writers yields the same stable readings.
 
    Volatility: each metric is tagged at first registration.  Stable
    metrics (schedule-independent values) form the default snapshot;
    volatile metrics (wall clock, scheduler occupancy, every gauge)
    render only on request, after a `# volatile` marker. *)
+
+module Io = Vp_util.Io
 
 (* ------------------------------------------------------------------ *)
 (* Histogram: 64 log2 buckets, exact count and sum.                    *)
@@ -70,13 +72,6 @@ module Hist = struct
        with Exit -> ());
       !result
     end
-
-  let merge_into ~dst src =
-    for i = 0 to buckets - 1 do
-      dst.counts.(i) <- dst.counts.(i) + src.counts.(i)
-    done;
-    dst.count <- dst.count + src.count;
-    dst.sum <- dst.sum + src.sum
 
   let copy h = { counts = Array.copy h.counts; count = h.count; sum = h.sum }
 end
@@ -491,11 +486,11 @@ module Snapshot = struct
      with End_of_file -> close_in ic);
     List.rev !lines
 
-  let starts_with ~prefix s =
-    String.length s >= String.length prefix
-    && String.sub s 0 (String.length prefix) = prefix
-
-  let validate_lines lines =
+  (* One walk over an exposition file checks every line and collects
+     the samples as it goes, reconstructing histograms from their
+     cumulative bucket lines.  Names come back in sanitized (rendered)
+     form, in file order; [Ok (n, samples)] also counts the lines. *)
+  let parse_lines lines =
     let n = List.length lines in
     if n = 0 then Error "empty snapshot"
     else if List.nth lines 0 <> schema then
@@ -503,14 +498,43 @@ module Snapshot = struct
     else if List.nth lines (n - 1) <> "# EOF" then
       Error (Printf.sprintf "line %d: missing \"# EOF\" trailer" n)
     else begin
+      let order = ref [] in
+      let vals : (string, int) Hashtbl.t = Hashtbl.create 64 in
+      let bucks : (string, (int * int) list ref) Hashtbl.t = Hashtbl.create 16 in
+      let collect name v =
+        match Io.find_sub name "_bucket{le=\"" with
+        | Some i -> (
+          let base = String.sub name 0 i in
+          let j = i + String.length "_bucket{le=\"" in
+          match String.index_from_opt name j '"' with
+          | None -> ()
+          | Some k ->
+            let le = String.sub name j (k - j) in
+            if le <> "+Inf" then begin
+              let cell =
+                match Hashtbl.find_opt bucks base with
+                | Some l -> l
+                | None ->
+                  let l = ref [] in
+                  Hashtbl.replace bucks base l;
+                  l
+              in
+              match int_of_string_opt le with
+              | Some b -> cell := (b, v) :: !cell
+              | None -> ()
+            end)
+        | None -> Hashtbl.replace vals name v
+      in
       let check i line =
         if i = 0 || i = n - 1 then Ok ()
         else if line = "" then Error (Printf.sprintf "line %d: empty line" (i + 1))
         else if line = "# EOF" then
           Error (Printf.sprintf "line %d: unexpected \"# EOF\"" (i + 1))
-        else if starts_with ~prefix:"# TYPE " line then begin
+        else if String.starts_with ~prefix:"# TYPE " line then begin
           match String.split_on_char ' ' line with
-          | [ _; _; _; ("counter" | "gauge" | "histogram") ] -> Ok ()
+          | [ _; _; name; (("counter" | "gauge" | "histogram") as kind) ] ->
+            order := (name, kind) :: !order;
+            Ok ()
           | _ ->
             Error
               (Printf.sprintf
@@ -536,112 +560,57 @@ module Snapshot = struct
             then Error (Printf.sprintf "line %d: bad metric name %S" (i + 1) name)
             else begin
               match int_of_string_opt v with
-              | Some _ -> Ok ()
+              | Some v ->
+                collect name v;
+                Ok ()
               | None ->
                 Error (Printf.sprintf "line %d: malformed value %S" (i + 1) v)
             end
         end
       in
       let rec walk i = function
-        | [] -> Ok n
+        | [] -> Ok ()
         | line :: rest -> (
           match check i line with Ok () -> walk (i + 1) rest | Error e -> Error e)
       in
-      walk 0 lines
+      match walk 0 lines with
+      | Error e -> Error e
+      | Ok () ->
+        let lookup name = Stdlib.Option.value ~default:0 (Hashtbl.find_opt vals name) in
+        let sample_of (name, kind) =
+          match kind with
+          | "counter" -> Some (name, Counter (lookup (name ^ "_total")))
+          | "gauge" -> Some (name, Gauge (lookup name))
+          | "histogram" ->
+            let h = Hist.create () in
+            let cum =
+              match Hashtbl.find_opt bucks name with
+              | Some l -> List.sort compare !l
+              | None -> []
+            in
+            let prev = ref 0 in
+            List.iter
+              (fun (le, c) ->
+                let inc = c - !prev in
+                prev := c;
+                let i = Hist.index le in
+                h.Hist.counts.(i) <- h.Hist.counts.(i) + inc)
+              cum;
+            h.Hist.count <- lookup (name ^ "_count");
+            h.Hist.sum <- lookup (name ^ "_sum");
+            Some (name, Hist h)
+          | _ -> None
+        in
+        Ok (n, List.filter_map sample_of (List.rev !order))
     end
 
-  let validate_file ~path =
+  let parse_file ~path =
     match read_lines path with
     | exception Sys_error e -> Error e
-    | lines -> validate_lines lines
+    | lines -> parse_lines lines
 
-  (* Parse an exposition file back into samples, reconstructing
-     histograms from their cumulative bucket lines.  Names come back
-     in sanitized (rendered) form, in file order. *)
-  let find_sub hay needle =
-    let hn = String.length hay and nn = String.length needle in
-    let rec go i =
-      if i + nn > hn then None
-      else if String.sub hay i nn = needle then Some i
-      else go (i + 1)
-    in
-    go 0
-
-  let read ~path =
-    match validate_file ~path with
-    | Error e -> Error e
-    | Ok _ ->
-      let lines = read_lines path in
-      let order = ref [] in
-      let vals : (string, int) Hashtbl.t = Hashtbl.create 64 in
-      let bucks : (string, (int * int) list ref) Hashtbl.t = Hashtbl.create 16 in
-      List.iter
-        (fun line ->
-          if starts_with ~prefix:"# TYPE " line then begin
-            match String.split_on_char ' ' line with
-            | [ _; _; name; kind ] -> order := (name, kind) :: !order
-            | _ -> ()
-          end
-          else if line <> "" && line.[0] <> '#' then begin
-            match String.rindex_opt line ' ' with
-            | None -> ()
-            | Some sp ->
-              let name = String.sub line 0 sp in
-              let v =
-                Stdlib.Option.value ~default:0
-                  (int_of_string_opt
-                     (String.sub line (sp + 1) (String.length line - sp - 1)))
-              in
-              (match find_sub name "_bucket{le=\"" with
-              | Some i -> (
-                let base = String.sub name 0 i in
-                let j = i + String.length "_bucket{le=\"" in
-                match String.index_from_opt name j '"' with
-                | None -> ()
-                | Some k ->
-                  let le = String.sub name j (k - j) in
-                  if le <> "+Inf" then begin
-                    let cell =
-                      match Hashtbl.find_opt bucks base with
-                      | Some l -> l
-                      | None ->
-                        let l = ref [] in
-                        Hashtbl.replace bucks base l;
-                        l
-                    in
-                    match int_of_string_opt le with
-                    | Some b -> cell := (b, v) :: !cell
-                    | None -> ()
-                  end)
-              | None -> Hashtbl.replace vals name v)
-          end)
-        lines;
-      let lookup name = Stdlib.Option.value ~default:0 (Hashtbl.find_opt vals name) in
-      let sample_of (name, kind) =
-        match kind with
-        | "counter" -> Some (name, Counter (lookup (name ^ "_total")))
-        | "gauge" -> Some (name, Gauge (lookup name))
-        | "histogram" ->
-          let h = Hist.create () in
-          let cum =
-            match Hashtbl.find_opt bucks name with
-            | Some l -> List.sort compare !l
-            | None -> []
-          in
-          let prev = ref 0 in
-          List.iter
-            (fun (le, c) ->
-              let inc = c - !prev in
-              prev := c;
-              let i = Hist.index le in
-              h.Hist.counts.(i) <- h.Hist.counts.(i) + inc)
-            cum;
-          h.Hist.count <- lookup (name ^ "_count");
-          h.Hist.sum <- lookup (name ^ "_sum");
-          Some (name, Hist h)
-        | _ -> None
-      in
-      Ok (List.filter_map sample_of (List.rev !order))
+  let validate_file ~path = Result.map fst (parse_file ~path)
+  let read ~path = Result.map snd (parse_file ~path)
 end
 
 (* ------------------------------------------------------------------ *)
@@ -676,21 +645,6 @@ module Perfetto = struct
         })
       spans
 
-  let json_escape s =
-    let buf = Buffer.create (String.length s + 8) in
-    String.iter
-      (fun c ->
-        match c with
-        | '"' -> Buffer.add_string buf "\\\""
-        | '\\' -> Buffer.add_string buf "\\\\"
-        | '\n' -> Buffer.add_string buf "\\n"
-        | '\t' -> Buffer.add_string buf "\\t"
-        | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-        | c -> Buffer.add_char buf c)
-      s;
-    Buffer.contents buf
-
   let write ?(processes = []) ?(points = []) ~path events =
     let t0 =
       List.fold_left (fun acc e -> Float.min acc e.ts_us) infinity events
@@ -701,7 +655,7 @@ module Perfetto = struct
         (fun (pid, label) ->
           Printf.sprintf
             "{\"ph\":\"M\",\"pid\":%d,\"tid\":0,\"name\":\"process_name\",\"args\":{\"name\":\"%s\"}}"
-            pid (json_escape label))
+            pid (Io.json_escape label))
         processes
     in
     let evs =
@@ -709,7 +663,7 @@ module Perfetto = struct
         (fun e ->
           Printf.sprintf
             "{\"ph\":\"X\",\"name\":\"%s\",\"cat\":\"%s\",\"pid\":%d,\"tid\":%d,\"ts\":%.3f,\"dur\":%.3f}"
-            (json_escape e.name) (json_escape e.cat) e.pid e.tid
+            (Io.json_escape e.name) (Io.json_escape e.cat) e.pid e.tid
             (e.ts_us -. t0) e.dur_us)
         events
     in
@@ -719,11 +673,11 @@ module Perfetto = struct
           | Counter { pid; name; ts; value } ->
             Printf.sprintf
               "{\"ph\":\"C\",\"name\":\"%s\",\"pid\":%d,\"ts\":%d,\"args\":{\"value\":%d}}"
-              (json_escape name) pid ts value
+              (Io.json_escape name) pid ts value
           | Instant { pid; name; ts; value } ->
             Printf.sprintf
               "{\"ph\":\"i\",\"name\":\"%s\",\"pid\":%d,\"tid\":0,\"ts\":%d,\"args\":{\"value\":%d}}"
-              (json_escape name) pid ts value)
+              (Io.json_escape name) pid ts value)
         points
     in
     let buf = Buffer.create 4096 in
@@ -750,8 +704,7 @@ module Perfetto = struct
       (of_spans ~pid:1 ~cat:"driver" spans);
     List.length spans
 
-  let contains hay needle =
-    match Snapshot.find_sub hay needle with Some _ -> true | None -> false
+  let contains hay needle = Stdlib.Option.is_some (Io.find_sub hay needle)
 
   let validate_file ~path =
     match Snapshot.read_lines path with
@@ -813,12 +766,6 @@ end
 (* ------------------------------------------------------------------ *)
 (* Flight recorder.                                                    *)
 
-let rec mkdir_p dir =
-  if dir <> "" && dir <> "." && dir <> "/" && not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
-
 module Flight = struct
   let note t ~kind ~label =
     match t with
@@ -860,7 +807,7 @@ module Flight = struct
               r.dump_total <- r.dump_total + 1;
               n)
         in
-        mkdir_p dir;
+        Io.mkdir_p dir;
         let base = Printf.sprintf "flight-%s-%d" (file_label label) seq in
         (* Splice the reason and the mark ring in as comment lines
            right after the schema line, so the dump stays a valid

@@ -55,10 +55,7 @@ val interval : t -> int option
     last bucket absorbing everything larger.  Quantiles are read as
     the upper bound of the bucket where the cumulative count first
     reaches [ceil (q * count)] — an upper bound with at most 2x
-    relative error, which is what a log-scale histogram promises.
-    [merge_into] adds bucket vectors, counts and sums, and is
-    associative and commutative, so parallel shards fold to the
-    same reading in any order. *)
+    relative error, which is what a log-scale histogram promises. *)
 module Hist : sig
   type h
 
@@ -81,9 +78,6 @@ module Hist : sig
 
   val quantile : h -> float -> int
   (** [quantile h q] for [q] in [0, 1]; [0] on an empty histogram. *)
-
-  val merge_into : dst:h -> h -> unit
-  val copy : h -> h
 end
 
 (** Named monotone counters.  [~volatile:true] marks a counter

@@ -17,9 +17,6 @@ type machine = {
   branch : int;
 }
 
-val epic_default : machine
-(** 8-issue, 5 integer ALUs, 3 FP, 3 memory, 3 branch. *)
-
 val schedule_body :
   ?machine:machine -> Vp_isa.Instr.t list -> Vp_isa.Instr.t list
 (** Reorder one straight-line body.  The result is a permutation of

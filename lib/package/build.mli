@@ -17,7 +17,3 @@
 val build : Vp_region.Region.t -> prefix:string -> Pkg.t list
 (** One package per root, in region insertion order.  [prefix] seeds
     package ids (e.g. ["pkg$p3"]). *)
-
-val build_one :
-  Vp_region.Region.t -> Roots.t -> prefix:string -> string -> Pkg.t
-(** Build the package rooted at the given function. *)

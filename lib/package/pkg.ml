@@ -72,11 +72,6 @@ let block_size b = List.length b.body + term_size b.term
 
 let size t = List.fold_left (fun acc b -> acc + block_size b) 0 t.blocks
 
-let static_instructions t =
-  List.fold_left
-    (fun acc b -> if b.is_exit then acc else acc + block_size b)
-    0 t.blocks
-
 let map_blocks f t = { t with blocks = List.map f t.blocks }
 
 let validate t =

@@ -84,10 +84,6 @@ val branch_count : t -> int
 val size : t -> int
 (** Static instructions, terminators included (exit blocks count 1). *)
 
-val static_instructions : t -> int
-(** Instructions attributable to selected original code: like {!size}
-    but without synthetic exit blocks. *)
-
 val map_blocks : (block -> block) -> t -> t
 
 val validate : t -> (unit, string) result

@@ -28,11 +28,6 @@ val reachable_from_prologue : view -> int list
 (** Hot blocks reachable from the function entry through internal
     arcs; inlining copies exactly these. *)
 
-val has_prologue : view -> bool
-(** The function's entry block is hot. *)
-
-val ret_blocks : view -> int list
-
 val inlinable : view -> bool
 (** Prologue present, and some hot return block is reachable from it
     through hot code — the paper's partial-inlining precondition. *)

@@ -5,9 +5,7 @@ module Region = Vp_region.Region
 type reason = No_callers | Not_inlinable | Self_recursive
 
 type t = {
-  region : Region.t;
   views : (string * Prune.view) list;
-  calls : (string * (int * string) list) list;  (* caller -> sites *)
   root_list : (string * reason list) list;
 }
 
@@ -96,13 +94,9 @@ let compute region =
         if reasons = [] then None else Some (name, reasons))
       funcs
   in
-  { region; views; calls; root_list }
+  { views; root_list }
 
 let roots t = t.root_list
-
-let is_root t name = List.mem_assoc name t.root_list
-
-let region_callees t name = Option.value ~default:[] (List.assoc_opt name t.calls)
 
 let view t name = List.assoc name t.views
 

@@ -18,12 +18,6 @@ val roots : t -> (string * reason list) list
 (** Root functions in region insertion order with every reason that
     applies. *)
 
-val is_root : t -> string -> bool
-
-val region_callees : t -> string -> (int * string) list
-(** Hot call sites of a function into region functions:
-    [(site_address, callee_name)]. *)
-
 val view : t -> string -> Prune.view
 (** The pruned view of a region function (cached). *)
 

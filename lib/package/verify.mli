@@ -48,5 +48,4 @@ val check : original:Vp_prog.Image.t -> Emit.result -> report
     from (launch patches overwrite it in [r.image], so obligations are
     recomputed from the clean copy). *)
 
-val pp_violation : Format.formatter -> violation -> unit
 val pp_report : Format.formatter -> report -> unit

@@ -82,10 +82,3 @@ let weighted ?bias_threshold log ~dynamic =
       let n = Option.value ~default:0 (Hashtbl.find_opt totals c) in
       (c, Vp_util.Stats.pct n !grand))
     all_categories
-
-let pp_weights fmt ws =
-  Format.fprintf fmt "@[<v>";
-  List.iter
-    (fun (c, pct) -> Format.fprintf fmt "%-16s %5.1f%%@," (category_name c) pct)
-    ws;
-  Format.fprintf fmt "@]"

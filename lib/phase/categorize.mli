@@ -43,5 +43,3 @@ val weighted :
 (** [dynamic] is the whole-run (executed, taken) profile — from
     {!Vp_exec.Emulator.aggregate_branch_profile} or
     [Driver.profile.aggregate]. *)
-
-val pp_weights : Format.formatter -> weights -> unit

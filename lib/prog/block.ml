@@ -22,19 +22,3 @@ let v label body =
 let label t = t.label
 let body t = t.body
 let size t = List.length t.body
-
-let terminator t =
-  match List.rev t.body with
-  | last :: _ when Instr.is_control last -> Some last
-  | _ -> None
-
-let falls_through t =
-  match terminator t with
-  | None -> true
-  | Some (Instr.Br _) | Some (Instr.Call _) -> true
-  | Some (Instr.Jmp _) | Some Instr.Ret | Some Instr.Halt -> false
-  | Some _ -> true
-
-let pp fmt t =
-  Format.fprintf fmt "%s:" t.label;
-  List.iter (fun i -> Format.fprintf fmt "@\n  %a" Instr.pp i) t.body

@@ -15,12 +15,3 @@ val v : string -> Vp_isa.Instr.t list -> t
 val label : t -> string
 val body : t -> Vp_isa.Instr.t list
 val size : t -> int
-
-val terminator : t -> Vp_isa.Instr.t option
-(** The trailing control instruction, if any. *)
-
-val falls_through : t -> bool
-(** True when execution can continue into the next block: no
-    terminator, or a conditional branch or call terminator. *)
-
-val pp : Format.formatter -> t -> unit

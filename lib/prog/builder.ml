@@ -105,11 +105,6 @@ let li fb v imm =
   emit fb (Instr.Li { dst = rd; imm });
   commit ()
 
-let la fb v label =
-  let rd, commit = def_reg fb v in
-  emit fb (Instr.La { dst = rd; target = Instr.Label label });
-  commit ()
-
 let alu fb op dst a b =
   let r1 = reg_of_v fb ~scratch:scratch1 a in
   let src2 =

@@ -61,7 +61,6 @@ val vreg : fb -> vreg
 (** Fresh virtual register (initial value unspecified). *)
 
 val li : fb -> vreg -> int -> unit
-val la : fb -> vreg -> string -> unit
 val mov : fb -> vreg -> vreg -> unit
 
 val alu : fb -> Vp_isa.Op.alu -> vreg -> vreg -> operand -> unit

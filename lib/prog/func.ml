@@ -16,15 +16,4 @@ let v name blocks =
 let name t = t.name
 let blocks t = t.blocks
 
-let entry_label t =
-  match t.blocks with
-  | b :: _ -> Block.label b
-  | [] -> assert false
-
 let size t = List.fold_left (fun acc b -> acc + Block.size b) 0 t.blocks
-
-let find_block t label = List.find_opt (fun b -> Block.label b = label) t.blocks
-
-let pp fmt t =
-  Format.fprintf fmt "func %s:" t.name;
-  List.iter (fun b -> Format.fprintf fmt "@\n%a" Block.pp b) t.blocks

@@ -10,9 +10,4 @@ val v : string -> Block.t list -> t
 
 val name : t -> string
 val blocks : t -> Block.t list
-val entry_label : t -> string
 val size : t -> int
-
-val find_block : t -> string -> Block.t option
-
-val pp : Format.formatter -> t -> unit

@@ -18,10 +18,6 @@ let fetch t addr =
     Vp_util.Error.failf ~stage:"image" ~pc:addr "fetch: address 0x%x out of range" addr
   else t.code.(addr)
 
-let in_range t addr = addr >= 0 && addr < size t
-
-let in_package t addr = addr >= t.orig_limit && addr < size t
-
 let sym_at t addr =
   List.find_opt (fun s -> addr >= s.start && addr < s.start + s.len) t.syms
 

@@ -25,11 +25,6 @@ val size : t -> int
 val fetch : t -> int -> Vp_isa.Instr.t
 (** Raises [Invalid_argument] outside [0, size). *)
 
-val in_range : t -> int -> bool
-
-val in_package : t -> int -> bool
-(** True when the address belongs to appended (package) code. *)
-
 val sym_at : t -> int -> sym option
 (** The symbol whose range contains the address. *)
 

@@ -76,8 +76,3 @@ let layout t =
     data_init = t.data_init;
     data_break = t.data_break;
   }
-
-let pp fmt t =
-  Format.fprintf fmt "@[<v>program (entry %s)@," t.entry;
-  List.iter (fun f -> Format.fprintf fmt "%a@," Func.pp f) t.funcs;
-  Format.fprintf fmt "@]"

@@ -23,5 +23,3 @@ val layout : t -> Image.t
     every label to an absolute address.  Function-name labels resolve
     to entry addresses, so calls may target function names directly.
     Raises [Invalid_argument] on an undefined label. *)
-
-val pp : Format.formatter -> t -> unit

@@ -23,8 +23,6 @@ type stats = {
   skipped_not_terminator : int;  (** pc is not its block's branch *)
 }
 
-val no_stats : stats
-
 val mark_with_stats : ?config:config -> Region.t -> stats
 (** Superimpose the snapshot; entries that do not map onto the program
     (hardware noise: BBB aliasing, stale or perturbed entries) are

@@ -114,14 +114,6 @@ let hot_blocks mf =
     (fun b -> Temperature.is_hot mf.block_temp.(b))
     (List.init (Cfg.num_blocks mf.cfg) Fun.id)
 
-let hot_arcs mf =
-  List.filter
-    (fun (a : Cfg.arc) ->
-      Temperature.is_hot (arc_temp mf a)
-      && Temperature.is_hot mf.block_temp.(a.Cfg.src)
-      && Temperature.is_hot mf.block_temp.(a.Cfg.dst))
-    (Cfg.arcs mf.cfg)
-
 let exit_arcs mf =
   List.filter
     (fun (a : Cfg.arc) ->
@@ -141,13 +133,3 @@ let selected_instructions t =
     0 (funcs t)
 
 let conflicts t = !(t.conflict_count)
-
-let pp fmt t =
-  Format.fprintf fmt "@[<v>region for hotspot %d:@," t.snapshot.Vp_hsd.Snapshot.id;
-  List.iter
-    (fun (name, mf) ->
-      Format.fprintf fmt "  %s: %d/%d hot blocks@," name
-        (List.length (hot_blocks mf))
-        (Cfg.num_blocks mf.cfg))
-    (funcs t);
-  Format.fprintf fmt "@]"

@@ -59,8 +59,6 @@ val set_arc_weight : mf -> Vp_cfg.Cfg.arc -> int -> unit
 (** {1 Derived views} *)
 
 val hot_blocks : mf -> int list
-val hot_arcs : mf -> Vp_cfg.Cfg.arc list
-(** Arcs with [Hot] temperature whose endpoints are both [Hot]. *)
 
 val exit_arcs : mf -> Vp_cfg.Cfg.arc list
 (** Arcs leaving the selected code: [Hot] source block, but the arc or
@@ -74,5 +72,3 @@ val selected_instructions : t -> int
 
 val conflicts : t -> int
 (** Hot/Cold double-assignment count (diagnostics). *)
-
-val pp : Format.formatter -> t -> unit

@@ -2,11 +2,8 @@ type t = Hot | Cold | Unknown
 
 let is_hot = function Hot -> true | Cold | Unknown -> false
 let is_cold = function Cold -> true | Hot | Unknown -> false
-let is_known = function Hot | Cold -> true | Unknown -> false
 
 let name = function Hot -> "hot" | Cold -> "cold" | Unknown -> "unknown"
-
-let pp fmt t = Format.pp_print_string fmt (name t)
 
 let equal a b =
   match (a, b) with

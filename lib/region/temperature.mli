@@ -8,8 +8,6 @@ type t = Hot | Cold | Unknown
 
 val is_hot : t -> bool
 val is_cold : t -> bool
-val is_known : t -> bool
 
 val name : t -> string
-val pp : Format.formatter -> t -> unit
 val equal : t -> t -> bool

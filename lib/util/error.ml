@@ -3,23 +3,15 @@ type t = {
   what : string;
   pc : int option;
   label : string option;
-  workload : string option;
 }
 
 exception Error of t
 
-let v ?pc ?label ?workload ~stage fmt =
-  Printf.ksprintf (fun what -> { stage; what; pc; label; workload }) fmt
+let v ?pc ?label ~stage fmt =
+  Printf.ksprintf (fun what -> { stage; what; pc; label }) fmt
 
-let failf ?pc ?label ?workload ~stage fmt =
-  Printf.ksprintf
-    (fun what -> raise (Error { stage; what; pc; label; workload }))
-    fmt
-
-let in_workload workload f =
-  try f () with
-  | Error ({ workload = None; _ } as e) ->
-    raise (Error { e with workload = Some workload })
+let failf ?pc ?label ~stage fmt =
+  Printf.ksprintf (fun what -> raise (Error { stage; what; pc; label })) fmt
 
 let pp ppf e =
   Format.fprintf ppf "%s: %s" e.stage e.what;
@@ -28,9 +20,6 @@ let pp ppf e =
       [
         Option.map (Printf.sprintf "pc 0x%x") e.pc;
         Option.map (Printf.sprintf "label %s") e.label;
-        Option.map (Printf.sprintf "workload %s") e.workload;
       ]
   in
   if ctx <> [] then Format.fprintf ppf " (%s)" (String.concat ", " ctx)
-
-let to_string e = Format.asprintf "%a" pp e

@@ -2,8 +2,8 @@
 
     Stages raise {!Error} with a structured payload instead of bare
     [Failure]/[Invalid_argument], so callers (the CLI in particular)
-    can report which stage failed, at which pc or label, on which
-    workload — and exit cleanly instead of printing a backtrace.
+    can report which stage failed, at which pc or label — and exit
+    cleanly instead of printing a backtrace.
 
     Programmer-API misuse (bad [Reg.of_int] index, builder DSL abuse,
     [Tabular] row overflow) stays on [Invalid_argument]: those are
@@ -14,7 +14,6 @@ type t = {
   what : string;  (** human-readable description *)
   pc : int option;  (** faulting address, when known *)
   label : string option;  (** faulting label/symbol, when known *)
-  workload : string option;  (** workload context, added by {!in_workload} *)
 }
 
 exception Error of t
@@ -22,7 +21,6 @@ exception Error of t
 val v :
   ?pc:int ->
   ?label:string ->
-  ?workload:string ->
   stage:string ->
   ('a, unit, string, t) format4 ->
   'a
@@ -32,18 +30,11 @@ val v :
 val failf :
   ?pc:int ->
   ?label:string ->
-  ?workload:string ->
   stage:string ->
   ('a, unit, string, 'b) format4 ->
   'a
 (** [failf ~stage fmt ...] raises {!Error} with the formatted
     description and the given context fields. *)
 
-val in_workload : string -> (unit -> 'a) -> 'a
-(** Run a thunk, stamping any escaping {!Error} that lacks workload
-    context with the given workload name. *)
-
 val pp : Format.formatter -> t -> unit
-(** [stage: what (pc 0x..., label ..., workload ...)]. *)
-
-val to_string : t -> string
+(** [stage: what (pc 0x..., label ...)]. *)

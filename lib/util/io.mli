@@ -1,0 +1,18 @@
+(** String and file-system helpers shared by the writers and readers
+    of the repo's text formats (metrics snapshots, Perfetto traces,
+    JSON configs and reports, fuzz repros). *)
+
+val json_escape : string -> string
+(** The body of a JSON string literal for [s] (without the quotes):
+    ['"'] and ['\\'] are backslash-escaped, newline and tab become
+    [\n] and [\t], and every other control character becomes
+    [\u00XX]. *)
+
+val find_sub : string -> string -> int option
+(** [find_sub hay needle] is the index of the first occurrence of
+    [needle] in [hay]. *)
+
+val mkdir_p : string -> unit
+(** Create a directory and any missing parents ([mkdir -p]); an
+    existing directory, including one created concurrently, is not an
+    error.  Raises [Sys_error] when a component cannot be created. *)

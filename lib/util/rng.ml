@@ -31,15 +31,6 @@ let float t = Stdlib.float_of_int (next t) /. 4611686018427387904.0
 
 let bool t p = float t < p
 
-let shuffle t a =
-  let n = Array.length a in
-  for i = n - 1 downto 1 do
-    let j = int t (i + 1) in
-    let tmp = a.(i) in
-    a.(i) <- a.(j);
-    a.(j) <- tmp
-  done
-
 let split t =
   let seed = next t in
   create ~seed

@@ -32,9 +32,6 @@ val float : t -> float
 val bool : t -> float -> bool
 (** [bool t p] is true with probability [p]. *)
 
-val shuffle : t -> 'a array -> unit
-(** In-place Fisher-Yates shuffle. *)
-
 val split : t -> t
 (** Derive an independent generator; advances the parent. *)
 

@@ -2,12 +2,6 @@ let mean = function
   | [] -> 0.0
   | xs -> List.fold_left ( +. ) 0.0 xs /. float_of_int (List.length xs)
 
-let geomean = function
-  | [] -> 0.0
-  | xs ->
-    let logsum = List.fold_left (fun acc x -> acc +. log x) 0.0 xs in
-    exp (logsum /. float_of_int (List.length xs))
-
 let percentile xs p =
   match xs with
   | [] -> 0.0
@@ -18,14 +12,6 @@ let percentile xs p =
     let rank = int_of_float (ceil (p /. 100.0 *. float_of_int n)) in
     let idx = max 0 (min (n - 1) (rank - 1)) in
     arr.(idx)
-
-let stddev xs =
-  match xs with
-  | [] | [ _ ] -> 0.0
-  | xs ->
-    let m = mean xs in
-    let var = mean (List.map (fun x -> (x -. m) ** 2.0) xs) in
-    sqrt var
 
 let ratio num den = if den = 0 then 0.0 else float_of_int num /. float_of_int den
 

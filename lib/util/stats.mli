@@ -3,15 +3,9 @@
 val mean : float list -> float
 (** Arithmetic mean; 0 on the empty list. *)
 
-val geomean : float list -> float
-(** Geometric mean of positive values; 0 on the empty list. *)
-
 val percentile : float list -> float -> float
 (** [percentile xs p] with [p] in [0, 100], nearest-rank on the sorted
     list; 0 on the empty list. *)
-
-val stddev : float list -> float
-(** Population standard deviation; 0 on fewer than two samples. *)
 
 val ratio : int -> int -> float
 (** [ratio num den] as a float; 0 when [den] is 0. *)

@@ -10,26 +10,6 @@ let lcg_draw fb ~dst ~state ~bound =
   lcg_step fb state;
   B.alu fb Op.Rem dst state (B.K bound)
 
-let fill_array fb ~base ~len ~seed =
-  let x = B.vreg fb in
-  let i = B.vreg fb in
-  let addr = B.vreg fb in
-  B.li fb x seed;
-  B.for_ fb i ~from:(B.K 0) ~below:(B.K len) (fun () ->
-      lcg_step fb x;
-      B.alu fb Op.Add addr i (B.K base);
-      B.store fb x ~base:addr ~off:0)
-
-let sum_array fb ~dst ~base ~len =
-  let i = B.vreg fb in
-  let addr = B.vreg fb in
-  let v = B.vreg fb in
-  B.li fb dst 0;
-  B.for_ fb i ~from:(B.K 0) ~below:(B.K len) (fun () ->
-      B.alu fb Op.Add addr i (B.K base);
-      B.load fb v ~base:addr ~off:0;
-      B.alu fb Op.Add dst dst (B.V v))
-
 let checksum_mix fb ~acc ~value =
   B.alu fb Op.Mul acc acc (B.K 31);
   B.alu fb Op.Add acc acc (B.V value);

@@ -15,12 +15,6 @@ val lcg_draw : B.fb -> dst:B.vreg -> state:B.vreg -> bound:int -> unit
 (** Advance the state and put a pseudo-uniform draw from [0, bound)
     in [dst]. *)
 
-val fill_array : B.fb -> base:int -> len:int -> seed:int -> unit
-(** Emit a loop filling a global array with LCG values. *)
-
-val sum_array : B.fb -> dst:B.vreg -> base:int -> len:int -> unit
-(** Emit a loop summing a global array into [dst]. *)
-
 val checksum_mix : B.fb -> acc:B.vreg -> value:B.vreg -> unit
 (** [acc := (acc * 31 + value) land 0xFFFFFF] — cheap in-program
     digest so results are data-dependent end to end. *)

@@ -50,8 +50,6 @@ let all =
 let find ~bench ~input =
   List.find_opt (fun t -> t.bench = bench && t.input = input) all
 
-let find_bench bench = List.filter (fun t -> t.bench = bench) all
-
 let name t = t.bench ^ "/" ^ t.input
 
 let benches =

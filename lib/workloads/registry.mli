@@ -13,9 +13,6 @@ val all : t list
 
 val find : bench:string -> input:string -> t option
 
-val find_bench : string -> t list
-(** All inputs of one benchmark. *)
-
 val name : t -> string
 (** ["124.m88ksim/A"]. *)
 

@@ -71,7 +71,7 @@ module S = Vp_hsd.Snapshot
 let real_branch_pcs image =
   let acc = ref [] in
   Array.iteri
-    (fun pc i -> if Vp_isa.Instr.is_cond_branch i then acc := pc :: !acc)
+    (fun pc i -> match i with Vp_isa.Instr.Br _ -> acc := pc :: !acc | _ -> ())
     image.Vp_prog.Image.code;
   List.rev !acc
 

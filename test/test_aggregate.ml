@@ -52,7 +52,6 @@ let test_merge_mismatched_caps () =
          what = "cannot merge profiles with counter caps 511 and 31";
          pc = None;
          label = None;
-         workload = None;
        })
     (fun () -> ignore (Profile.merge a b))
 
@@ -86,7 +85,8 @@ let test_to_snapshot_scaling () =
 
 let test_empty_identity_units () =
   let e = Profile.empty ~counter_max in
-  Alcotest.(check bool) "empty is empty" true (Profile.is_empty e);
+  Alcotest.(check bool) "empty is empty" true
+    (e.Profile.runs = 0 && e.Profile.entries = []);
   Alcotest.(check int) "no estimate" 0 (Profile.total_estimated e);
   Alcotest.(check (list pass)) "no synthetic branches" []
     (Profile.to_snapshot e).Snapshot.branches
@@ -127,8 +127,7 @@ let prop_censoring_monotone =
         (fun e ->
           let est = Profile.estimated_executed m e in
           est >= e.Profile.executed
-          && est = e.Profile.executed + (e.Profile.censored * m.Profile.counter_max)
-          && Profile.estimated_taken m e >= e.Profile.taken)
+          && est = e.Profile.executed + (e.Profile.censored * m.Profile.counter_max))
         m.Profile.entries)
 
 (* --- wire format --- *)
@@ -197,7 +196,6 @@ let test_wire_rejects_descending_pcs () =
          what = "snapshot 0: branch pcs not strictly ascending";
          pc = Some 10;
          label = None;
-         workload = None;
        })
     (fun () -> ignore (Wire.encode bad))
 

@@ -1,5 +1,4 @@
-(* Tests for vp_cfg: CFG recovery from images, dominators, natural
-   loops, liveness and the call graph. *)
+(* Tests for vp_cfg: CFG recovery from images and liveness. *)
 
 module Instr = Vp_isa.Instr
 module Op = Vp_isa.Op
@@ -7,10 +6,7 @@ module Reg = Vp_isa.Reg
 module Program = Vp_prog.Program
 module Image = Vp_prog.Image
 module Cfg = Vp_cfg.Cfg
-module Dom = Vp_cfg.Dom
-module Loops = Vp_cfg.Loops
 module Liveness = Vp_cfg.Liveness
-module Callgraph = Vp_cfg.Callgraph
 module Progs = Vp_test_support.Progs
 module B = Vp_prog.Builder
 
@@ -91,58 +87,6 @@ let test_call_sites () =
   | Some s -> Alcotest.(check string) "calls gamma" "gamma" s.Image.name
   | None -> Alcotest.fail "callee not found"
 
-let test_dominators_linear () =
-  let cfg = cfg_of (Progs.call_chain 1) "gamma" in
-  let dom = Dom.compute cfg in
-  (* Straight-line function: every block dominated by entry. *)
-  for b = 0 to Cfg.num_blocks cfg - 1 do
-    if Dom.reachable dom b then
-      Alcotest.(check bool) "entry dominates" true (Dom.dominates dom 0 b)
-  done;
-  Alcotest.(check (option int)) "entry idom" None (Dom.idom dom 0)
-
-let test_dominators_loop () =
-  let cfg = cfg_of (Progs.sum_to_n 10) "main" in
-  let dom = Dom.compute cfg in
-  let back = Cfg.back_edges cfg in
-  List.iter
-    (fun (src, dst) ->
-      Alcotest.(check bool) "loop header dominates latch" true (Dom.dominates dom dst src))
-    back
-
-let test_natural_loops () =
-  let cfg = cfg_of (Progs.sum_to_n 10) "main" in
-  let loops = Loops.compute cfg in
-  Alcotest.(check int) "one loop" 1 (List.length (Loops.loops loops));
-  let l = List.hd (Loops.loops loops) in
-  Alcotest.(check bool) "body nonempty" true (List.length l.Loops.body >= 2);
-  Alcotest.(check bool) "header in body" true (List.mem l.Loops.header l.Loops.body);
-  (* Depth is 1 inside, 0 at entry. *)
-  Alcotest.(check int) "entry depth" 0 (Loops.depth loops 0);
-  List.iter
-    (fun b -> Alcotest.(check bool) "body depth >= 1" true (Loops.depth loops b >= 1))
-    l.Loops.body
-
-let test_nested_loops_depth () =
-  let b = B.create () in
-  B.func b "main" ~nargs:0 (fun fb _ ->
-      let i = B.vreg fb in
-      let j = B.vreg fb in
-      let acc = B.vreg fb in
-      B.li fb acc 0;
-      B.for_ fb i ~from:(B.K 0) ~below:(B.K 10) (fun () ->
-          B.for_ fb j ~from:(B.K 0) ~below:(B.K 10) (fun () ->
-              B.alu fb Op.Add acc acc (B.V j)));
-      B.ret fb (Some acc);
-      B.halt fb);
-  let cfg = cfg_of (B.program b ~entry:"main") "main" in
-  let loops = Loops.compute cfg in
-  Alcotest.(check int) "two loops" 2 (List.length (Loops.loops loops));
-  let max_depth =
-    List.init (Cfg.num_blocks cfg) (Loops.depth loops) |> List.fold_left max 0
-  in
-  Alcotest.(check int) "max depth two" 2 max_depth
-
 let test_liveness_straightline () =
   let cfg = cfg_of (Progs.call_chain 1) "gamma" in
   let live = Liveness.compute cfg in
@@ -186,25 +130,6 @@ let test_live_across_arc () =
         (List.map Reg.to_int (Liveness.live_across live a)))
     (Cfg.arcs cfg)
 
-let test_callgraph_structure () =
-  let img = Program.layout (Progs.call_chain 1) in
-  let cg = Callgraph.of_image img in
-  Alcotest.(check int) "four functions" 4 (List.length (Callgraph.functions cg));
-  let callees = List.map (fun e -> e.Callgraph.callee) (Callgraph.callees cg "main") in
-  Alcotest.(check (list string)) "main calls alpha" [ "alpha" ] callees;
-  Alcotest.(check int) "gamma has one caller" 1 (List.length (Callgraph.callers cg "gamma"));
-  Alcotest.(check bool) "no recursion" false (Callgraph.is_self_recursive cg "beta");
-  Alcotest.(check (list (pair string string))) "no back edges" []
-    (Callgraph.back_edges cg ~entry:"main")
-
-let test_callgraph_recursion () =
-  let img = Program.layout (Progs.factorial 5) in
-  let cg = Callgraph.of_image img in
-  Alcotest.(check bool) "fact self-recursive" true (Callgraph.is_self_recursive cg "fact");
-  Alcotest.(check (list (pair string string))) "back edge fact->fact"
-    [ ("fact", "fact") ]
-    (Callgraph.back_edges cg ~entry:"main")
-
 (* Property: recovered blocks always tile the function and arcs stay
    in-bounds, over random programs. *)
 let prop_recovery_tiles =
@@ -235,26 +160,11 @@ let () =
           Alcotest.test_case "call sites" `Quick test_call_sites;
           QCheck_alcotest.to_alcotest prop_recovery_tiles;
         ] );
-      ( "dominators",
-        [
-          Alcotest.test_case "linear" `Quick test_dominators_linear;
-          Alcotest.test_case "loop" `Quick test_dominators_loop;
-        ] );
-      ( "loops",
-        [
-          Alcotest.test_case "natural loops" `Quick test_natural_loops;
-          Alcotest.test_case "nested depth" `Quick test_nested_loops_depth;
-        ] );
       ( "liveness",
         [
           Alcotest.test_case "straight line" `Quick test_liveness_straightline;
           Alcotest.test_case "arg flows" `Quick test_liveness_arg_flows_to_use;
           Alcotest.test_case "dead value" `Quick test_liveness_dead_value;
           Alcotest.test_case "live across arc" `Quick test_live_across_arc;
-        ] );
-      ( "callgraph",
-        [
-          Alcotest.test_case "structure" `Quick test_callgraph_structure;
-          Alcotest.test_case "recursion" `Quick test_callgraph_recursion;
         ] );
     ]

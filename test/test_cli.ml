@@ -121,6 +121,27 @@ let test_main_exit_codes () =
   Alcotest.(check int) "cmd --help" 0
     (Spec.main tool [| "vpack"; "serve"; "--help" |])
 
+(* [serve --trace-dir] creates a missing directory, two levels deep,
+   before the first session runs, and writes a valid trace into it. *)
+let test_serve_creates_trace_dir () =
+  let root = Filename.temp_file "vp-cli-serve" "" in
+  Sys.remove root;
+  let dir = Filename.concat (Filename.concat root "a") "b" in
+  Alcotest.(check int) "exit" 0
+    (Spec.main tool
+       [| "vpack"; "serve"; "-w"; "li"; "--epochs"; "1"; "--trace-dir"; dir |]);
+  match Sys.readdir dir with
+  | [| file |] ->
+    let path = Filename.concat dir file in
+    (match Vp_metrics.Perfetto.validate_file ~path with
+    | Ok _ -> ()
+    | Error e -> Alcotest.failf "%s: %s" file e);
+    Sys.remove path;
+    Sys.rmdir dir;
+    Sys.rmdir (Filename.dirname dir);
+    Sys.rmdir root
+  | files -> Alcotest.failf "expected one trace, got %d files" (Array.length files)
+
 (* ---- generated help ---- *)
 
 let test_every_command_renders_help () =
@@ -287,7 +308,11 @@ let () =
             test_help_short_circuits_arity;
         ] );
       ( "dispatch",
-        [ Alcotest.test_case "exit codes" `Quick test_main_exit_codes ] );
+        [
+          Alcotest.test_case "exit codes" `Quick test_main_exit_codes;
+          Alcotest.test_case "serve creates trace dir" `Quick
+            test_serve_creates_trace_dir;
+        ] );
       ( "help",
         [
           Alcotest.test_case "every command renders" `Quick

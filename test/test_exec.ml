@@ -313,7 +313,7 @@ let test_unresolved_branch_not_taken_runs () =
 
 let emulator_error ?pc ?label what =
   Vp_util.Error.Error
-    { stage = "emulator"; what; pc; label; workload = None }
+    { stage = "emulator"; what; pc; label }
 
 let test_unresolved_branch_taken_faults () =
   on_every_backend (fun name backend ->

@@ -402,8 +402,10 @@ let test_repro_parser_total () =
     ]
 
 let test_save_and_replay () =
-  let dir = Filename.temp_file "vp-gen-corpus" "" in
-  Sys.remove dir;
+  let root = Filename.temp_file "vp-gen-corpus" "" in
+  Sys.remove root;
+  (* Two missing levels: save_repros creates the whole path. *)
+  let dir = Filename.concat root "corpus" in
   let repro =
     {
       Campaign.spec = Campaign.spec_of_index ~root_seed:0 1;
@@ -425,7 +427,10 @@ let test_save_and_replay () =
   Fun.protect
     ~finally:(fun () ->
       List.iter Sys.remove paths;
-      try Sys.rmdir dir with Sys_error _ -> ())
+      try
+        Sys.rmdir dir;
+        Sys.rmdir root
+      with Sys_error _ -> ())
     (fun () ->
       match paths with
       | [ path ] -> (

@@ -29,10 +29,7 @@ let write_file path s =
 
 let temp suffix = Filename.temp_file "vp-metrics" suffix
 
-let contains hay needle =
-  let nh = String.length hay and nn = String.length needle in
-  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-  go 0
+let contains hay needle = Option.is_some (Vp_util.Io.find_sub hay needle)
 
 (* ---- Hist ---- *)
 
@@ -98,29 +95,6 @@ let test_hist_quantiles () =
     [ (0.5, 50); (0.9, 90); (0.99, 99) ];
   Alcotest.(check int) "p100 = last bucket bound" (Hist.bound (Hist.index 100))
     (Hist.quantile h 1.0)
-
-let test_hist_merge () =
-  let observe_all h vs = List.iter (Hist.observe h) vs in
-  let a = [ 1; 5; 5; 700 ] and b = [ 0; 2; 900_000; 3 ] in
-  let whole = Hist.create () in
-  observe_all whole (a @ b);
-  let ha = Hist.create () and hb = Hist.create () in
-  observe_all ha a;
-  observe_all hb b;
-  (* merge in both orders: additive, so both equal the straight run *)
-  let ab = Hist.copy ha and ba = Hist.copy hb in
-  Hist.merge_into ~dst:ab hb;
-  Hist.merge_into ~dst:ba ha;
-  List.iter
-    (fun (name, m) ->
-      Alcotest.(check int) (name ^ " count") (Hist.count whole) (Hist.count m);
-      Alcotest.(check int) (name ^ " sum") (Hist.sum whole) (Hist.sum m);
-      for i = 0 to Hist.buckets - 1 do
-        Alcotest.(check int)
-          (Printf.sprintf "%s bucket %d" name i)
-          (Hist.bucket_count whole i) (Hist.bucket_count m i)
-      done)
-    [ ("a+b", ab); ("b+a", ba) ]
 
 (* ---- registry ---- *)
 
@@ -725,7 +699,6 @@ let () =
           Alcotest.test_case "exact count and sum" `Quick
             test_hist_exact_count_sum;
           Alcotest.test_case "quantiles" `Quick test_hist_quantiles;
-          Alcotest.test_case "merge additive" `Quick test_hist_merge;
         ] );
       ( "registry",
         [

@@ -232,12 +232,13 @@ let prop_schedule_keeps_dependences =
       let orig = Array.of_list body in
       let regs f i = List.filter (fun r -> not (Reg.equal r Reg.zero)) (f orig.(i)) in
       let meets a b = List.exists (fun r -> List.mem r b) a in
+      let is_mem = function Instr.Load _ | Instr.Store _ -> true | _ -> false in
       let dependent i j =
         meets (regs Instr.defs i) (regs Instr.uses j) (* RAW *)
         || meets (regs Instr.defs i) (regs Instr.defs j) (* WAW *)
         || meets (regs Instr.uses i) (regs Instr.defs j) (* WAR *)
-        || (Instr.is_store orig.(i) && Instr.is_mem orig.(j))
-        || (Instr.is_mem orig.(i) && Instr.is_store orig.(j))
+        || (Instr.is_store orig.(i) && is_mem orig.(j))
+        || (is_mem orig.(i) && Instr.is_store orig.(j))
       in
       let ok = ref true in
       for j = 0 to len - 1 do

@@ -12,7 +12,6 @@ module B = Vp_prog.Builder
 module Progs = Vp_test_support.Progs
 
 let t0 = Reg.of_int 8
-let t1 = Reg.of_int 9
 
 let test_block_terminator_invariant () =
   let ok =
@@ -27,20 +26,6 @@ let test_block_terminator_invariant () =
             [ Instr.Jmp { target = Instr.Label "x" }; Instr.Li { dst = t0; imm = 1 } ]);
        false
      with Invalid_argument _ -> true)
-
-let test_block_falls_through () =
-  let plain = Block.v "p" [ Instr.Li { dst = t0; imm = 1 } ] in
-  let jmp = Block.v "j" [ Instr.Jmp { target = Instr.Label "x" } ] in
-  let br =
-    Block.v "b" [ Instr.Br { cond = Op.Eq; src1 = t0; src2 = t1; target = Instr.Label "x" } ]
-  in
-  let call = Block.v "c" [ Instr.Call { target = Instr.Label "x" } ] in
-  let ret = Block.v "r" [ Instr.Ret ] in
-  Alcotest.(check bool) "plain" true (Block.falls_through plain);
-  Alcotest.(check bool) "jmp" false (Block.falls_through jmp);
-  Alcotest.(check bool) "br" true (Block.falls_through br);
-  Alcotest.(check bool) "call" true (Block.falls_through call);
-  Alcotest.(check bool) "ret" false (Block.falls_through ret)
 
 let test_func_invariants () =
   Alcotest.(check bool) "empty rejected" true
@@ -110,8 +95,6 @@ let test_image_append_and_patch () =
   in
   Alcotest.(check int) "base at old end" before base;
   Alcotest.(check int) "grown" (before + 2) (Image.size img2);
-  Alcotest.(check bool) "package range" true (Image.in_package img2 base);
-  Alcotest.(check bool) "orig range" false (Image.in_package img2 0);
   (match Image.sym_at img2 base with
   | Some s -> Alcotest.(check string) "sym name" "pkg$0" s.Image.name
   | None -> Alcotest.fail "no symbol for appended code");
@@ -237,7 +220,6 @@ let () =
       ( "block",
         [
           Alcotest.test_case "terminator invariant" `Quick test_block_terminator_invariant;
-          Alcotest.test_case "falls through" `Quick test_block_falls_through;
         ] );
       ( "func/program",
         [

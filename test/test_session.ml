@@ -496,10 +496,7 @@ let test_branch_map_targets () =
 
 (* ---- config rendering (satellite) ---- *)
 
-let contains hay needle =
-  let nh = String.length hay and nn = String.length needle in
-  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-  go 0
+let contains hay needle = Option.is_some (Vp_util.Io.find_sub hay needle)
 
 let test_config_to_json () =
   let j = Config.to_json Config.default in
@@ -514,6 +511,15 @@ let test_config_to_json () =
       "\"backend\"";
       "\"detector\"";
     ]
+
+(* A fault-plan name is user text: control characters in it must come
+   out escaped, or [to_json] is not valid JSON. *)
+let test_config_to_json_escapes () =
+  let j =
+    Config.to_json (Config.with_fault (Vp_fault.Plan.v "a\tb") Config.default)
+  in
+  Alcotest.(check bool) "tab escaped" true (contains j "\"fault\":\"a\\tb\"");
+  Alcotest.(check bool) "no raw tab" false (String.contains j '\t')
 
 let () =
   Alcotest.run "vacuum_session"
@@ -561,6 +567,10 @@ let () =
       ( "branch map",
         [ Alcotest.test_case "targets are branches" `Quick test_branch_map_targets ] );
       ( "config",
-        [ Alcotest.test_case "to_json covers session" `Quick test_config_to_json ]
+        [
+          Alcotest.test_case "to_json covers session" `Quick test_config_to_json;
+          Alcotest.test_case "to_json escapes control characters" `Quick
+            test_config_to_json_escapes;
+        ]
       );
     ]

@@ -104,10 +104,7 @@ let write path s =
 
 let lines path = String.split_on_char '\n' (read path)
 
-let contains hay needle =
-  let n = String.length needle and h = String.length hay in
-  let rec go i = i + n <= h && (String.sub hay i n = needle || go (i + 1)) in
-  go 0
+let contains hay needle = Option.is_some (Vp_util.Io.find_sub hay needle)
 
 (* The [args.value] of every counter sample of track [name] in an
    exported file, in file order. *)
