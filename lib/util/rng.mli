@@ -12,9 +12,6 @@ val create : seed:int -> t
 (** [create ~seed] makes a fresh generator.  Equal seeds yield equal
     streams. *)
 
-val copy : t -> t
-(** Independent copy of the current state. *)
-
 val next : t -> int
 (** Next raw 62-bit non-negative value. *)
 

@@ -2,8 +2,8 @@
    pipeline timing model. *)
 
 module Config = Vp_cpu.Config
-module Cache = Vp_cpu.Cache
-module Predictor = Vp_cpu.Predictor
+module Cache = Vp_cpu.Pipeline.Cache
+module Predictor = Vp_cpu.Pipeline.Predictor
 module Pipeline = Vp_cpu.Pipeline
 module Program = Vp_prog.Program
 module Progs = Vp_test_support.Progs
@@ -41,6 +41,49 @@ let test_cache_miss_rate () =
   Alcotest.(check bool) "spatial locality" true (Cache.misses c < 20);
   Cache.reset c;
   Alcotest.(check int) "stats reset" 0 (Cache.accesses c)
+
+(* The cache against a list-based true-LRU reference: each set holds
+   its lines most recent first and keeps [assoc] of them.  Line streams
+   are drawn from twice the capacity, so there are hits, repeat hits in
+   the most-recent slot, and evictions; one set count is a power of two
+   and one is not. *)
+let prop_cache_true_lru =
+  let gen =
+    QCheck.Gen.(
+      oneofl [ 1; 2; 4; 8 ] >>= fun assoc ->
+      oneofl [ 4; 3 ] >>= fun sets ->
+      list_size (int_range 1 300) (int_bound ((2 * sets * assoc) - 1))
+      >|= fun lines -> (assoc, sets, lines))
+  in
+  let print (assoc, sets, lines) =
+    Printf.sprintf "assoc %d, sets %d, lines [%s]" assoc sets
+      (String.concat "; " (List.map string_of_int lines))
+  in
+  QCheck.Test.make ~name:"true LRU reference" ~count:300
+    (QCheck.make ~print gen)
+    (fun (assoc, sets, lines) ->
+      let line_bytes = 64 in
+      let c =
+        Cache.create
+          { Config.size_bytes = sets * assoc * line_bytes; line_bytes; assoc }
+      in
+      let model = Array.make sets [] in
+      let misses = ref 0 in
+      let same =
+        List.for_all
+          (fun line ->
+            let set = line mod sets in
+            let hit = List.mem line model.(set) in
+            if not hit then incr misses;
+            model.(set) <-
+              List.filteri
+                (fun i _ -> i < assoc)
+                (line :: List.filter (( <> ) line) model.(set));
+            Cache.access c ~addr:(line * line_bytes) = hit)
+          lines
+      in
+      same && Cache.misses c = !misses
+      && Cache.accesses c = List.length lines)
 
 let test_gshare_learns_loop () =
   let p = Predictor.create Config.default in
@@ -244,6 +287,27 @@ let test_simulate_allocation_flat () =
   in
   let short = words (fun () -> ignore (Pipeline.simulate ~fuel:10_000 img)) in
   let long = words (fun () -> ignore (Pipeline.simulate ~fuel:100_000 img)) in
+  Alcotest.(check bool)
+    (Printf.sprintf "allocation flat (short %.0f, long %.0f)" short long)
+    true
+    (long -. short < 10_000.)
+
+(* Per-phase attribution accumulates into arrays, not per-branch
+   boxes: a 10x longer run allocates the same. *)
+let test_simulate_phases_allocation_flat () =
+  let img =
+    Program.layout (Progs.two_phase ~iters_per_phase:100_000 ~repeats:2)
+  in
+  let timeline = [ (0, 1_000, 0); (1_000, 5_000, 1); (5_000, max_int, 2) ] in
+  let run fuel = ignore (Pipeline.simulate_phases ~fuel ~timeline img) in
+  run 1_000;
+  let words f =
+    let before = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. before
+  in
+  let short = words (fun () -> run 10_000) in
+  let long = words (fun () -> run 100_000) in
   Alcotest.(check bool)
     (Printf.sprintf "allocation flat (short %.0f, long %.0f)" short long)
     true
@@ -482,20 +546,368 @@ let check_stats name (want : Pipeline.stats) (got : Pipeline.stats) =
   field (fun s -> s.Pipeline.fetch_line_buffer_hits) "fetch line buffer hits";
   field (fun s -> s.Pipeline.data_line_buffer_hits) "data line buffer hits"
 
+let experiment = Vacuum.Config.experiment ~inference:true ~linking:true
+
+(* The original and rewritten image of one paper-A workload, built once
+   for every group that times them. *)
+let paper_images =
+  let built = Hashtbl.create 12 in
+  fun name ->
+    match Hashtbl.find_opt built name with
+    | Some images -> images
+    | None ->
+      let module Registry = Vp_workloads.Registry in
+      let w = List.find (fun w -> Registry.name w = name) Registry.all in
+      let image = Program.layout (w.Registry.program ()) in
+      let rw = Vacuum.Driver.rewrite ~config:experiment image in
+      let images = (image, Vacuum.Driver.rewritten_image rw) in
+      Hashtbl.replace built name images;
+      images
+
+let simulate_paper ?(cpu = Vacuum.Config.cpu experiment) ?telemetry img =
+  Pipeline.simulate ~config:cpu ~fuel:(Vacuum.Config.fuel experiment)
+    ~mem_words:(Vacuum.Config.mem_words experiment) ?telemetry img
+
 let test_golden_stats (name, baseline, optimized) () =
-  let module Registry = Vp_workloads.Registry in
-  let config = Vacuum.Config.experiment ~inference:true ~linking:true in
-  let w = List.find (fun w -> Registry.name w = name) Registry.all in
-  let image = Program.layout (w.Registry.program ()) in
-  let rw = Vacuum.Driver.rewrite ~config image in
-  let simulate img =
-    Pipeline.simulate ~config:(Vacuum.Config.cpu config)
-      ~fuel:(Vacuum.Config.fuel config)
-      ~mem_words:(Vacuum.Config.mem_words config) img
-  in
-  check_stats (name ^ " baseline") baseline (simulate image);
+  let image, rewritten = paper_images name in
+  check_stats (name ^ " baseline") baseline (simulate_paper image);
+  check_stats (name ^ " optimized") optimized (simulate_paper rewritten)
+
+(* A machine that misses everywhere and issues one instruction a cycle:
+   1 KB L1s and an 8 KB L2, so runs fall back from the block memo and
+   the memo keys see deep stalls. *)
+let tiny_cpu =
+  let c = Config.default in
+  {
+    c with
+    Config.issue_width = 1;
+    l1i = { c.Config.l1i with Config.size_bytes = 1024 };
+    l1d = { c.Config.l1d with Config.size_bytes = 1024 };
+    l2 = { c.Config.l2 with Config.size_bytes = 8 * 1024 };
+  }
+
+(* The 24 paper-A images on [tiny_cpu], recorded with a walker that
+   times every instruction, the reference the block memo must match. *)
+let tiny_golden_stats =
+  [
+    ( "099.go/A",
+      {
+        Pipeline.cycles = 8388390; instructions = 7725376;
+        ipc = 0x1.d7882313dbbddp-1; branch_mispredicts = 48695;
+        ras_mispredicts = 1; taken_redirects = 73567; icache_misses = 299;
+        dcache_misses = 40590; l2_misses = 211; fetch_stall_cycles = 1649068;
+        data_stall_cycles = 2494686; fetch_line_buffer_hits = 6171961;
+        data_line_buffer_hits = 1790380;
+      },
+      {
+        Pipeline.cycles = 11060448; instructions = 7965508;
+        ipc = 0x1.70bb5e5512c7ep-1; branch_mispredicts = 48496;
+        ras_mispredicts = 1; taken_redirects = 14570; icache_misses = 404732;
+        dcache_misses = 40590; l2_misses = 441; fetch_stall_cycles = 4401993;
+        data_stall_cycles = 1437098; fetch_line_buffer_hits = 6830359;
+        data_line_buffer_hits = 1790380;
+      } );
+    ( "124.m88ksim/A",
+      {
+        Pipeline.cycles = 7023495; instructions = 4435549;
+        ipc = 0x1.4357ec2fc2d06p-1; branch_mispredicts = 40330;
+        ras_mispredicts = 54; taken_redirects = 152190; icache_misses = 838;
+        dcache_misses = 169479; l2_misses = 104100; fetch_stall_cycles = 1047142;
+        data_stall_cycles = 4164370; fetch_line_buffer_hits = 3240215;
+        data_line_buffer_hits = 251502;
+      },
+      {
+        Pipeline.cycles = 6870364; instructions = 4480770;
+        ipc = 0x1.4deb9afe72af2p-1; branch_mispredicts = 38580;
+        ras_mispredicts = 54; taken_redirects = 29560; icache_misses = 851;
+        dcache_misses = 169479; l2_misses = 104108; fetch_stall_cycles = 970411;
+        data_stall_cycles = 3413862; fetch_line_buffer_hits = 3508791;
+        data_line_buffer_hits = 251502;
+      } );
+    ( "130.li/A",
+      {
+        Pipeline.cycles = 16017872; instructions = 13208756;
+        ipc = 0x1.a63565d3c6b81p-1; branch_mispredicts = 107965;
+        ras_mispredicts = 1; taken_redirects = 880070; icache_misses = 31411;
+        dcache_misses = 148504; l2_misses = 368; fetch_stall_cycles = 3190041;
+        data_stall_cycles = 6454171; fetch_line_buffer_hits = 10318077;
+        data_line_buffer_hits = 3076541;
+      },
+      {
+        Pipeline.cycles = 20679799; instructions = 13428451;
+        ipc = 0x1.4c77c094bca8dp-1; branch_mispredicts = 83384;
+        ras_mispredicts = 1; taken_redirects = 25896; icache_misses = 900959;
+        dcache_misses = 148504; l2_misses = 1030; fetch_stall_cycles = 7542577;
+        data_stall_cycles = 5045317; fetch_line_buffer_hits = 10660029;
+        data_line_buffer_hits = 3076541;
+      } );
+    ( "132.ijpeg/A",
+      {
+        Pipeline.cycles = 2311349; instructions = 1195707;
+        ipc = 0x1.08de29d2c1722p-1; branch_mispredicts = 1120;
+        ras_mispredicts = 41; taken_redirects = 6530; icache_misses = 761;
+        dcache_misses = 13617; l2_misses = 13133; fetch_stall_cycles = 184541;
+        data_stall_cycles = 1696444; fetch_line_buffer_hits = 967858;
+        data_line_buffer_hits = 106548;
+      },
+      {
+        Pipeline.cycles = 2266271; instructions = 1198801;
+        ipc = 0x1.0ed5d41378a6dp-1; branch_mispredicts = 1114;
+        ras_mispredicts = 41; taken_redirects = 6528; icache_misses = 782;
+        dcache_misses = 13617; l2_misses = 13154; fetch_stall_cycles = 189013;
+        data_stall_cycles = 1547813; fetch_line_buffer_hits = 961333;
+        data_line_buffer_hits = 106548;
+      } );
+    ( "164.gzip/A",
+      {
+        Pipeline.cycles = 7977337; instructions = 6047012;
+        ipc = 0x1.841bb4f7ce0a8p-1; branch_mispredicts = 147745;
+        ras_mispredicts = 26; taken_redirects = 329556; icache_misses = 605;
+        dcache_misses = 35546; l2_misses = 11707; fetch_stall_cycles = 2039897;
+        data_stall_cycles = 3322543; fetch_line_buffer_hits = 4719142;
+        data_line_buffer_hits = 346967;
+      },
+      {
+        Pipeline.cycles = 7982213; instructions = 6111536;
+        ipc = 0x1.88028815ab706p-1; branch_mispredicts = 134075;
+        ras_mispredicts = 26; taken_redirects = 77033; icache_misses = 618;
+        dcache_misses = 35546; l2_misses = 11720; fetch_stall_cycles = 1724795;
+        data_stall_cycles = 3314717; fetch_line_buffer_hits = 4912057;
+        data_line_buffer_hits = 346967;
+      } );
+    ( "175.vpr/A",
+      {
+        Pipeline.cycles = 15309026; instructions = 9117517;
+        ipc = 0x1.30edde90df95dp-1; branch_mispredicts = 56726;
+        ras_mispredicts = 106; taken_redirects = 153319; icache_misses = 1348;
+        dcache_misses = 401109; l2_misses = 107362; fetch_stall_cycles = 1443590;
+        data_stall_cycles = 9029631; fetch_line_buffer_hits = 7546260;
+        data_line_buffer_hits = 2505808;
+      },
+      {
+        Pipeline.cycles = 18893370; instructions = 9322989;
+        ipc = 0x1.f94bba563453p-2; branch_mispredicts = 68316;
+        ras_mispredicts = 106; taken_redirects = 149539; icache_misses = 501356;
+        dcache_misses = 401109; l2_misses = 125335; fetch_stall_cycles = 4912565;
+        data_stall_cycles = 8586281; fetch_line_buffer_hits = 7821379;
+        data_line_buffer_hits = 2505808;
+      } );
+    ( "181.mcf/A",
+      {
+        Pipeline.cycles = 12398688; instructions = 6335868;
+        ipc = 0x1.05a3416394bbfp-1; branch_mispredicts = 6105;
+        ras_mispredicts = 1; taken_redirects = 321735; icache_misses = 288;
+        dcache_misses = 369011; l2_misses = 83891; fetch_stall_cycles = 884404;
+        data_stall_cycles = 9786327; fetch_line_buffer_hits = 5007030;
+        data_line_buffer_hits = 328625;
+      },
+      {
+        Pipeline.cycles = 12986720; instructions = 6335897;
+        ipc = 0x1.f395861690f0ep-2; branch_mispredicts = 6081;
+        ras_mispredicts = 1; taken_redirects = 6; icache_misses = 371;
+        dcache_misses = 369011; l2_misses = 84018; fetch_stall_cycles = 568071;
+        data_stall_cycles = 9770678; fetch_line_buffer_hits = 5163361;
+        data_line_buffer_hits = 328625;
+      } );
+    ( "134.perl/A",
+      {
+        Pipeline.cycles = 7210312; instructions = 5724045;
+        ipc = 0x1.967607dc46f39p-1; branch_mispredicts = 9859;
+        ras_mispredicts = 174; taken_redirects = 260572; icache_misses = 1996;
+        dcache_misses = 1711; l2_misses = 2370; fetch_stall_cycles = 1271661;
+        data_stall_cycles = 3486315; fetch_line_buffer_hits = 4609406;
+        data_line_buffer_hits = 509747;
+      },
+      {
+        Pipeline.cycles = 7370694; instructions = 5890231;
+        ipc = 0x1.9929233d42e5cp-1; branch_mispredicts = 9740;
+        ras_mispredicts = 174; taken_redirects = 256050; icache_misses = 2197;
+        dcache_misses = 1711; l2_misses = 2382; fetch_stall_cycles = 1434387;
+        data_stall_cycles = 3013595; fetch_line_buffer_hits = 4254297;
+        data_line_buffer_hits = 509747;
+      } );
+    ( "255.vortex/A",
+      {
+        Pipeline.cycles = 21985341; instructions = 12517737;
+        ipc = 0x1.2384208e55397p-1; branch_mispredicts = 38677;
+        ras_mispredicts = 76; taken_redirects = 1335206; icache_misses = 1057;
+        dcache_misses = 151480; l2_misses = 122761; fetch_stall_cycles = 2931127;
+        data_stall_cycles = 14336659; fetch_line_buffer_hits = 9174224;
+        data_line_buffer_hits = 1515256;
+      },
+      {
+        Pipeline.cycles = 22548017; instructions = 12623026;
+        ipc = 0x1.1ea1dc7dbcf6cp-1; branch_mispredicts = 36077;
+        ras_mispredicts = 77; taken_redirects = 2714; icache_misses = 1078;
+        dcache_misses = 151480; l2_misses = 122782; fetch_stall_cycles = 1648355;
+        data_stall_cycles = 14111874; fetch_line_buffer_hits = 10234454;
+        data_line_buffer_hits = 1515256;
+      } );
+    ( "197.parser/A",
+      {
+        Pipeline.cycles = 13880773; instructions = 8884217;
+        ipc = 0x1.47b3030104b2ep-1; branch_mispredicts = 81796;
+        ras_mispredicts = 59; taken_redirects = 1231494; icache_misses = 942;
+        dcache_misses = 319492; l2_misses = 29568; fetch_stall_cycles = 2849313;
+        data_stall_cycles = 7935829; fetch_line_buffer_hits = 6446003;
+        data_line_buffer_hits = 1008146;
+      },
+      {
+        Pipeline.cycles = 14310833; instructions = 8994310;
+        ipc = 0x1.41ca4eb31f231p-1; branch_mispredicts = 136140;
+        ras_mispredicts = 59; taken_redirects = 58352; icache_misses = 1024;
+        dcache_misses = 319492; l2_misses = 29581; fetch_stall_cycles = 2112825;
+        data_stall_cycles = 7744792; fetch_line_buffer_hits = 6969769;
+        data_line_buffer_hits = 1008146;
+      } );
+    ( "300.twolf/A",
+      {
+        Pipeline.cycles = 6817295; instructions = 4062185;
+        ipc = 0x1.31152b644a1cp-1; branch_mispredicts = 63056;
+        ras_mispredicts = 26; taken_redirects = 38514; icache_misses = 565;
+        dcache_misses = 150824; l2_misses = 19568; fetch_stall_cycles = 884191;
+        data_stall_cycles = 4143783; fetch_line_buffer_hits = 3320602;
+        data_line_buffer_hits = 111485;
+      },
+      {
+        Pipeline.cycles = 6940320; instructions = 4062217;
+        ipc = 0x1.2bad57af4132fp-1; branch_mispredicts = 63996;
+        ras_mispredicts = 26; taken_redirects = 22553; icache_misses = 615;
+        dcache_misses = 150824; l2_misses = 19612; fetch_stall_cycles = 877775;
+        data_stall_cycles = 3767226; fetch_line_buffer_hits = 3205906;
+        data_line_buffer_hits = 111485;
+      } );
+    ( "mpeg2dec/A",
+      {
+        Pipeline.cycles = 15821490; instructions = 7895516;
+        ipc = 0x1.ff03ac41fcb62p-2; branch_mispredicts = 2890;
+        ras_mispredicts = 49; taken_redirects = 13; icache_misses = 839;
+        dcache_misses = 179075; l2_misses = 179891; fetch_stall_cycles = 752728;
+        data_stall_cycles = 11942560; fetch_line_buffer_hits = 6290809;
+        data_line_buffer_hits = 149335;
+      },
+      {
+        Pipeline.cycles = 15384504; instructions = 7897088;
+        ipc = 0x1.06d12659c683bp-1; branch_mispredicts = 2888;
+        ras_mispredicts = 49; taken_redirects = 13; icache_misses = 1169;
+        dcache_misses = 179075; l2_misses = 180221; fetch_stall_cycles = 776220;
+        data_stall_cycles = 10135260; fetch_line_buffer_hits = 6292068;
+        data_line_buffer_hits = 149335;
+      } );
+  ]
+
+let test_tiny_golden_stats (name, baseline, optimized) () =
+  let image, rewritten = paper_images name in
+  check_stats (name ^ " baseline") baseline (simulate_paper ~cpu:tiny_cpu image);
   check_stats (name ^ " optimized") optimized
-    (simulate (Vacuum.Driver.rewritten_image rw))
+    (simulate_paper ~cpu:tiny_cpu rewritten)
+
+(* The memo-off oracle: a sampling timeline walks every run one
+   instruction at a time, so it must report what the memoized default
+   reports; and a second simulation starts from an empty memo, so it
+   must repeat the first. *)
+let test_memo_parity (name, baseline, optimized) () =
+  let image, rewritten = paper_images name in
+  let telemetry () =
+    Vp_telemetry.create
+      (Vp_metrics.create ~interval:Vp_telemetry.default_interval ())
+  in
+  List.iter
+    (fun (label, img, want) ->
+      check_stats (name ^ " " ^ label ^ " timeline") want
+        (simulate_paper ~telemetry:(telemetry ()) img);
+      check_stats (name ^ " " ^ label ^ " first") want (simulate_paper img);
+      check_stats (name ^ " " ^ label ^ " second") want (simulate_paper img))
+    [ ("baseline", image, baseline); ("optimized", rewritten, optimized) ]
+
+(* Per-phase attribution of 134.perl/A over its detected phases (the
+   [vpack phases -w perl --ipc] table), recorded with a walker that
+   times every instruction: [on_branch_progress] must see each branch's
+   exact cycle and instruction count on the memo path too. *)
+let test_golden_phases () =
+  let module Registry = Vp_workloads.Registry in
+  let w = List.find (fun w -> Registry.name w = "134.perl/A") Registry.all in
+  let img = Program.layout (w.Registry.program ()) in
+  let profile = Vacuum.Driver.profile img in
+  let timeline = Vp_phase.Phase_log.timeline profile.Vacuum.Driver.log in
+  let got =
+    List.map
+      (fun (p : Pipeline.phase_stats) ->
+        (p.phase, p.branches, p.seg_instructions, p.seg_cycles))
+      (Pipeline.simulate_phases ~timeline img)
+  in
+  Alcotest.(check (list (pair int (triple int int int))))
+    "phase, branches, instructions, cycles"
+    (List.map (fun (p, b, i, c) -> (p, (b, i, c)))
+       [
+         (-1, 9473, 63580, 155284);
+         (0, 8311, 47506, 34298);
+         (1, 450368, 2489265, 1989025);
+         (2, 290847, 1561035, 1354382);
+         (3, 293776, 1562629, 1390176);
+       ])
+    (List.map (fun (p, b, i, c) -> (p, (b, i, c))) got)
+
+(* One FU of each class under the default issue width: a block's timing
+   then depends on which units its entry cycle already used, so a
+   memo key must carry the FU counters. *)
+let narrow_cpu =
+  {
+    Config.default with
+    Config.ialu_units = 1;
+    fp_units = 1;
+    mem_units = 1;
+    branch_units = 1;
+  }
+
+let stats_line (s : Pipeline.stats) =
+  Printf.sprintf "%d %d %h %d %d %d %d %d %d %d %d %d %d" s.cycles
+    s.instructions s.ipc s.branch_mispredicts s.ras_mispredicts
+    s.taken_redirects s.icache_misses s.dcache_misses s.l2_misses
+    s.fetch_stall_cycles s.data_stall_cycles s.fetch_line_buffer_hits
+    s.data_line_buffer_hits
+
+(* Digest of every [Pipeline.stats] field of the 24 paper-A images on
+   [narrow_cpu], recorded with a walker that times every instruction. *)
+let test_narrow_digest () =
+  let b = Buffer.create 4096 in
+  List.iter
+    (fun (name, _, _) ->
+      let image, rewritten = paper_images name in
+      List.iter
+        (fun img ->
+          Buffer.add_string b (stats_line (simulate_paper ~cpu:narrow_cpu img));
+          Buffer.add_char b '\n')
+        [ image; rewritten ])
+    golden_stats;
+  Alcotest.(check string)
+    "stats digest" "ee60da772786df4183f9fe3757c08ea1"
+    (Digest.to_hex (Digest.string (Buffer.contents b)))
+
+(* Digest of every [Pipeline.stats] field over the first 200 campaign
+   programs, recorded with a walker that times every instruction. *)
+let campaign_digest cpu =
+  let module Campaign = Vp_gen.Campaign in
+  let config = Campaign.default_config in
+  let b = Buffer.create 16_384 in
+  for i = 0 to 199 do
+    let spec = Campaign.spec_of_index ~root_seed:0 i in
+    let image =
+      Program.layout
+        (Vp_gen.Gen.program ~seed:spec.Campaign.seed spec.Campaign.params)
+    in
+    (match
+       Pipeline.simulate ~config:cpu ~fuel:(Vacuum.Config.fuel config)
+         ~mem_words:(Vacuum.Config.mem_words config) image
+     with
+    | s -> Buffer.add_string b (stats_line s)
+    | exception e -> Buffer.add_string b (Printexc.to_string e));
+    Buffer.add_char b '\n'
+  done;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let test_campaign_digest (cpu, want) () =
+  Alcotest.(check string) "stats digest" want (campaign_digest cpu)
 
 let prop_pipeline_cycles_at_least_instructions_over_width =
   QCheck.Test.make ~name:"cycles bounded below by width limit" ~count:20
@@ -513,6 +925,7 @@ let () =
           Alcotest.test_case "cold miss then hit" `Quick test_cache_cold_miss_then_hit;
           Alcotest.test_case "lru eviction" `Quick test_cache_lru_eviction;
           Alcotest.test_case "miss rate" `Quick test_cache_miss_rate;
+          QCheck_alcotest.to_alcotest prop_cache_true_lru;
         ] );
       ( "predictor",
         [
@@ -537,6 +950,8 @@ let () =
             test_pipeline_rejects_unresolved_branch;
           Alcotest.test_case "zero per-instruction allocation" `Quick
             test_simulate_allocation_flat;
+          Alcotest.test_case "per-phase attribution allocation" `Quick
+            test_simulate_phases_allocation_flat;
           QCheck_alcotest.to_alcotest prop_pipeline_cycles_at_least_instructions_over_width;
         ] );
       ( "golden stats",
@@ -544,4 +959,29 @@ let () =
           (fun ((name, _, _) as g) ->
             Alcotest.test_case name `Slow (test_golden_stats g))
           golden_stats );
+      ( "tiny stats",
+        List.map
+          (fun ((name, _, _) as g) ->
+            Alcotest.test_case name `Slow (test_tiny_golden_stats g))
+          tiny_golden_stats );
+      ( "memo parity",
+        List.map
+          (fun ((name, _, _) as g) ->
+            Alcotest.test_case name `Slow (test_memo_parity g))
+          golden_stats );
+      ( "narrow FU",
+        [ Alcotest.test_case "paper-A digest" `Slow test_narrow_digest ] );
+      ( "phase stats",
+        [ Alcotest.test_case "134.perl/A" `Slow test_golden_phases ] );
+      ( "campaign",
+        [
+          Alcotest.test_case "default" `Slow
+            (test_campaign_digest
+               (Config.default, "b883ae9a4e40856e13e838ef45a87702"));
+          Alcotest.test_case "tiny" `Slow
+            (test_campaign_digest (tiny_cpu, "2381fd30934b955c471dc8b743581cbf"));
+          Alcotest.test_case "narrow FU" `Slow
+            (test_campaign_digest
+               (narrow_cpu, "9ea488667276a37fb5f665c3807b2f8a"));
+        ] );
     ]
