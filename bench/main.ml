@@ -151,10 +151,7 @@ let complete_row ~rewrites ~timing (w, image, profile) =
   { image; profile; cells; baseline }
 
 let compute_matrix ~rewrites ~timing workloads =
-  let map f items =
-    Vp_util.Pool.map ~jobs:!jobs ?hooks:(Vp_metrics.Sched.hooks metrics) f
-      items
-  in
+  let map f items = Vp_util.Pool.map ~jobs:!jobs f items in
   let profiled =
     map
       (fun w ->
@@ -701,7 +698,6 @@ let session_exp workloads =
   let config = config_of ~inference:true ~linking:true in
   let sessions =
     Vp_util.Pool.map ~jobs:!jobs
-      ?hooks:(Vp_metrics.Sched.hooks metrics)
       (fun w ->
         span
           ("session:" ^ Registry.name w ^ " [truetrue]")

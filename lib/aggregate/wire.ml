@@ -12,27 +12,14 @@ type run = {
 
 (* ---- primitives ---- *)
 
-(* Unsigned LEB128 over non-negative OCaml ints (62 value bits). *)
+open Vp_util.Codec
+
+(* A negative field is the caller's bug, reported as a typed
+   [wire]-stage error rather than the codec's [Invalid_argument]. *)
 let put_varint buf v =
   if v < 0 then
     Vp_util.Error.failf ~stage:"wire" "cannot encode negative integer %d" v;
-  let rec go v =
-    if v < 0x80 then Buffer.add_char buf (Char.chr v)
-    else begin
-      Buffer.add_char buf (Char.chr (0x80 lor (v land 0x7f)));
-      go (v lsr 7)
-    end
-  in
-  go v
-
-(* FNV-1a over a substring, masked non-negative so it round-trips
-   through the varint encoding. *)
-let fnv1a s ~pos ~len =
-  let h = ref 0xbf29ce484222325 in
-  for i = pos to pos + len - 1 do
-    h := (!h lxor Char.code s.[i]) * 0x100000001b3
-  done;
-  !h land max_int
+  put_varint buf v
 
 (* ---- encoding ---- *)
 
@@ -77,30 +64,6 @@ let encode runs =
   Buffer.contents out
 
 (* ---- decoding ---- *)
-
-exception Malformed of string
-
-let malformed fmt = Printf.ksprintf (fun s -> raise (Malformed s)) fmt
-
-let get_varint s pos =
-  let n = String.length s in
-  let acc = ref 0 and shift = ref 0 and p = ref !pos and fin = ref false in
-  while not !fin do
-    if !p >= n then malformed "truncated varint at byte %d" !p;
-    if !shift > 56 then malformed "varint overflow at byte %d" !pos;
-    let b = Char.code s.[!p] in
-    let bits = b land 0x7f in
-    (* The 9th byte sits at shift 56 and may only carry the 6 value
-       bits 56..61: anything above wraps into the native int's sign
-       bit and would decode as an accepted negative value. *)
-    if !shift = 56 && bits > 0x3f then
-      malformed "varint overflow at byte %d" !pos;
-    acc := !acc lor (bits lsl !shift);
-    incr p;
-    if b < 0x80 then fin := true else shift := !shift + 7
-  done;
-  pos := !p;
-  !acc
 
 let decode_snapshot s pos ~counter_max =
   let id = get_varint s pos in
@@ -179,19 +142,10 @@ let decode s =
   | Malformed e -> Error e
   | exn -> Error ("decoder failure: " ^ Printexc.to_string exn)
 
-let write_file ~path runs =
-  let oc = open_out_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (encode runs))
+let write_file ~path runs = Vp_util.Io.write_file path (encode runs)
 
 let read_file ~path =
-  match
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  with
+  match Vp_util.Io.read_file path with
   | s -> decode s
   | exception Sys_error e -> Error e
 

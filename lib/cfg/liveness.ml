@@ -10,40 +10,47 @@ let regs_of mask =
   List.filter (fun r -> mask land (1 lsl Reg.to_int r) <> 0)
     (List.init Reg.count Reg.of_int)
 
-(* Transfer over one block, backwards: live_in = gen U (live_out - kill). *)
-let block_transfer instrs live_out =
-  List.fold_left
-    (fun live i ->
-      let def = mask_of (Instr.defs i) in
-      let use = mask_of (Instr.uses i) in
-      (live land lnot def) lor use)
-    live_out (List.rev instrs)
-
-let compute cfg =
-  let n = Cfg.num_blocks cfg in
+let solve ~gen ~kill ~terminal ~succs =
+  let n = Array.length gen in
   let live_in = Array.make n 0 in
-  let live_out = Array.make n 0 in
-  let bodies = Array.init n (Cfg.instrs cfg) in
-  (* Seed: blocks without successors keep their terminator's uses
-     visible (the transfer function includes them via gen, so no extra
-     seeding needed beyond an empty out-set). *)
   let changed = ref true in
   while !changed do
     changed := false;
-    for b = n - 1 downto 0 do
+    for i = n - 1 downto 0 do
       let out =
-        List.fold_left
-          (fun acc (a : Cfg.arc) -> acc lor live_in.(a.dst))
-          0 (Cfg.succs cfg b)
+        List.fold_left (fun acc j -> acc lor live_in.(j)) terminal.(i) succs.(i)
       in
-      let inn = block_transfer bodies.(b) out in
-      if out <> live_out.(b) || inn <> live_in.(b) then begin
-        live_out.(b) <- out;
-        live_in.(b) <- inn;
+      let inn = gen.(i) lor (out land lnot kill.(i)) in
+      if inn <> live_in.(i) then begin
+        live_in.(i) <- inn;
         changed := true
       end
     done
   done;
+  live_in
+
+(* A block's (gen, kill) pair: registers read before any write in the
+   block, and registers it writes.  Each instruction's masks are built
+   once, not once per fixpoint round. *)
+let summary instrs =
+  List.fold_left
+    (fun (gen, kill) i ->
+      ( gen lor (mask_of (Instr.uses i) land lnot kill),
+        kill lor mask_of (Instr.defs i) ))
+    (0, 0) instrs
+
+(* Blocks without successors keep their terminator's uses visible
+   through gen, so the terminal contribution is empty. *)
+let compute cfg =
+  let n = Cfg.num_blocks cfg in
+  let summaries = Array.init n (fun b -> summary (Cfg.instrs cfg b)) in
+  let live_in =
+    solve ~gen:(Array.map fst summaries) ~kill:(Array.map snd summaries)
+      ~terminal:(Array.make n 0)
+      ~succs:
+        (Array.init n (fun b ->
+             List.map (fun (a : Cfg.arc) -> a.dst) (Cfg.succs cfg b)))
+  in
   { live_in }
 
 let live_in t b = regs_of t.live_in.(b)

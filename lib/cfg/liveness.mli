@@ -11,6 +11,21 @@
 
 type t
 
+val solve :
+  gen:int array ->
+  kill:int array ->
+  terminal:int array ->
+  succs:int list array ->
+  int array
+(** The backward mask fixpoint every liveness client shares.  Blocks
+    are indices [0 .. n-1]; registers are bits of an int mask.  Block
+    [i] reads [gen.(i)] before writing, writes [kill.(i)], has
+    successor blocks [succs.(i)], and sees [terminal.(i)] live at its
+    exit on top of its successors' live-in.  Returns the least
+    solution of [live_in.(i) = gen.(i) lor (out land lnot kill.(i))],
+    [out] being [terminal.(i)] joined with every successor's
+    [live_in]. *)
+
 val compute : Cfg.t -> t
 
 val live_in : t -> int -> Vp_isa.Reg.t list

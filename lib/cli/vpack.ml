@@ -349,7 +349,14 @@ let aggregate_cmd =
       let backend = resolve_backend m in
       let w = workload_of_pos m in
       let img = Program.layout (w.Registry.program ()) in
-      let config = Config.with_backend backend Config.default in
+      (* An enabled registry for the [aggregate] span, whose wall time
+         is the stderr throughput line's. *)
+      let metrics = Vp_metrics.create () in
+      let config =
+        Config.default
+        |> Config.with_backend backend
+        |> Config.with_metrics metrics
+      in
       let base = Vacuum.Driver.profile ~config img in
       let ingest = Spec.values m "ingest" in
       let wire_runs =
@@ -371,13 +378,16 @@ let aggregate_cmd =
       | Some path ->
         Vp_aggregate.Wire.write_file ~path wire_runs;
         Printf.eprintf "wire: %d runs -> %s\n" (List.length wire_runs) path);
-      let t0 = Unix.gettimeofday () in
       let fleet =
         Vacuum.Fleet.aggregate ~config
           ~shards:(Spec.int_value m "shards" ~default:8)
           ~jobs:(resolve_jobs m) ~base wire_runs
       in
-      let dt = Unix.gettimeofday () -. t0 in
+      let dt =
+        match Vp_metrics.Histogram.get metrics "span.aggregate.wall_us" with
+        | Some h -> float_of_int (Vp_metrics.Hist.sum h) /. 1e6
+        | None -> 0.0
+      in
       let stats = fleet.Vacuum.Fleet.stats in
       (* Everything on stdout is a pure function of the ingested fleet:
          CI asserts shard/job invariance by diffing stdout across
@@ -731,9 +741,10 @@ let serve_cmd =
   let perfetto_flag =
     Spec.flag ~kind:Spec.Value ~docv:"FILE"
       ~doc:
-        "Write a Chrome trace-event / Perfetto JSON timeline (schema \
-         vp-perfetto-trace/1) to FILE: pipeline spans on the driver lane, \
-         per-epoch session slices on one lane per workload."
+        "Write the span ring as a Chrome trace-event / Perfetto JSON \
+         timeline (schema vp-perfetto-trace/1) to FILE: one track per \
+         domain, each epoch a session:WORKLOAD span over its pipeline \
+         spans."
       [ "perfetto" ]
   in
   let flight_dir_flag =
@@ -817,35 +828,30 @@ let serve_cmd =
          request order, so stdout is independent of the schedule. *)
       let jobs = resolve_jobs m in
       let sessions =
-        List.mapi
-          (fun i w ->
-            (i, w, Session.create ~config (Program.layout (w.Registry.program ()))))
+        List.map
+          (fun w ->
+            (w, Session.create ~config (Program.layout (w.Registry.program ()))))
           ws
       in
-      let perfetto_on = perfetto_path <> None in
-      let ev_lock = Mutex.create () in
-      let epoch_events = ref [] in
-      for epoch = 0 to epochs - 1 do
+      for _ = 1 to epochs do
         ignore
           (Vp_util.Pool.map ~jobs
-             ?hooks:(Vp_metrics.Sched.hooks metrics)
-             (fun (i, _w, s) ->
-               if not (Session.halted s) then begin
-                 let t0 = if perfetto_on then Unix.gettimeofday () else 0.0 in
-                 ignore (Session.step s);
-                 if perfetto_on then begin
-                   let dur = Unix.gettimeofday () -. t0 in
-                   Mutex.lock ev_lock;
-                   epoch_events := (i, epoch, t0, dur) :: !epoch_events;
-                   Mutex.unlock ev_lock
-                 end
-               end)
+             (fun (w, s) ->
+               if not (Session.halted s) then
+                 ignore
+                   (Vp_metrics.Span.record metrics
+                      ("session:" ^ Registry.name w)
+                      ~work:(fun (r : Session.epoch_report) ->
+                        r.Session.slice.Emulator.instructions
+                        + r.Session.grace_used)
+                      (fun () -> Session.step s)
+                     : Session.epoch_report))
              sessions);
         match metrics_path with
         | Some path -> Vp_metrics.Snapshot.write metrics ~path
         | None -> ()
       done;
-      let results = List.map (fun (_, w, s) -> (w, Session.report s)) sessions in
+      let results = List.map (fun (w, s) -> (w, Session.report s)) sessions in
       let bad = ref false in
       List.iter
         (fun (w, (r : Session.report)) ->
@@ -883,28 +889,8 @@ let serve_cmd =
       | None -> ());
       (match perfetto_path with
       | Some path ->
-        let session_events =
-          List.rev_map
-            (fun (i, epoch, t0, dur) ->
-              {
-                Vp_metrics.Perfetto.name = Printf.sprintf "epoch-%d" epoch;
-                cat = "session";
-                pid = 3;
-                tid = i;
-                ts_us = t0 *. 1e6;
-                dur_us = dur *. 1e6;
-              })
-            !epoch_events
-        in
-        let events =
-          Vp_metrics.Perfetto.of_spans ~pid:1 ~cat:"driver"
-            (Vp_metrics.Span.ring metrics)
-          @ session_events
-        in
-        Vp_metrics.Perfetto.write
-          ~processes:[ (1, "driver"); (3, "session") ]
-          ~path events;
-        Printf.eprintf "perfetto: %d events -> %s\n%!" (List.length events) path
+        let n = Vp_metrics.Perfetto.write_spans metrics ~path in
+        Printf.eprintf "perfetto: %d spans -> %s\n%!" n path
       | None -> ());
       if !bad then exit 4)
 
@@ -1039,18 +1025,14 @@ let top_cmd =
           exit 1
         | Ok samples ->
           Printf.printf "vpack top — %s\n" file;
-          let counters, gauges, hists =
-            List.fold_left
-              (fun (cs, gs, hs) (name, sample) ->
+          let counters, hists =
+            List.partition_map
+              (fun (name, sample) ->
                 match sample with
-                | Vp_metrics.Snapshot.Counter v -> ((name, v) :: cs, gs, hs)
-                | Vp_metrics.Snapshot.Gauge v -> (cs, (name, v) :: gs, hs)
-                | Vp_metrics.Snapshot.Hist h -> (cs, gs, (name, h) :: hs))
-              ([], [], []) samples
+                | Vp_metrics.Snapshot.Counter v -> Either.Left (name, v)
+                | Vp_metrics.Snapshot.Hist h -> Either.Right (name, h))
+              samples
           in
-          let counters = List.rev counters
-          and gauges = List.rev gauges
-          and hists = List.rev hists in
           let table title rows =
             if rows <> [] then begin
               Printf.printf "\n%s:\n" title;
@@ -1068,12 +1050,9 @@ let top_cmd =
               Vp_util.Tabular.print t
             end
           in
-          table "cache"
-            (List.filter (fun (n, _) -> is_cache n) (counters @ gauges));
-          table "counters"
-            (List.filter (fun (n, _) -> not (is_cache n)) counters);
-          table "gauges"
-            (List.filter (fun (n, _) -> not (is_cache n)) gauges);
+          let cache, counters = List.partition (fun (n, _) -> is_cache n) counters in
+          table "cache" cache;
+          table "counters" counters;
           if hists <> [] then begin
             Printf.printf "\nhistograms (log2 buckets):\n";
             List.iter
@@ -1115,11 +1094,7 @@ let asm_cmd =
     (fun m ->
       let backend = resolve_backend m in
       let file = List.hd (Spec.positional m) in
-      let ic = open_in file in
-      let n = in_channel_length ic in
-      let source = really_input_string ic n in
-      close_in ic;
-      match Vp_prog.Asm.parse_program source with
+      match Vp_prog.Asm.parse_program (Vp_util.Io.read_file file) with
       | Error e ->
         Format.eprintf "%s: %a@." file Vp_prog.Asm.pp_error e;
         exit 1
@@ -1428,9 +1403,7 @@ let fuzz_cmd =
         (match Spec.value m "report" with
         | None -> ()
         | Some path ->
-          let oc = open_out path in
-          output_string oc text;
-          close_out oc;
+          Vp_util.Io.write_file path text;
           Printf.printf "report -> %s\n" path);
         (match Spec.value m "corpus" with
         | Some dir when report.Vp_gen.Campaign.repros <> [] ->

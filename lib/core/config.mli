@@ -99,7 +99,7 @@ val mem_words : t -> int
 val fuel : t -> int
 
 val metrics : t -> Vp_metrics.t
-(** The instrumentation registry (counters, gauges, histograms,
+(** The instrumentation registry (counters, histograms,
     spans) the pipeline reports through; {!Vp_metrics.disabled} by
     default.  This is a shared recorder; its {e stable} snapshot is
     byte-identical across [--jobs], shards and backends.  A registry

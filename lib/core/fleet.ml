@@ -73,20 +73,17 @@ let aggregate ?(config = Config.default) ?shards ?jobs ~base wire_runs =
   let counter_max = Config.counter_max config in
   let classify = classifier ~config base in
   let metrics = Config.metrics config in
-  let wall0 = if Vp_metrics.enabled metrics then Unix.gettimeofday () else 0.0 in
+  (* Stable merge totals are shard/job-invariant; the merge's wall
+     time is the [aggregate] span's. *)
   let classes, stats =
-    Shard.aggregate_classes ?shards ?jobs ~counter_max ~classify wire_runs
+    Vp_metrics.Span.record metrics "aggregate"
+      ~work:(fun (_, stats) -> stats.Shard.snapshots)
+      (fun () ->
+        Shard.aggregate_classes ?shards ?jobs ~counter_max ~classify wire_runs)
   in
-  (* Stable merge totals are shard/job-invariant; throughput is wall
-     clock, hence a (volatile) gauge. *)
   Vp_metrics.Counter.bump metrics "aggregate.runs" stats.Shard.runs;
   Vp_metrics.Counter.bump metrics "aggregate.snapshots" stats.Shard.snapshots;
   Vp_metrics.Counter.bump metrics "aggregate.classified" stats.Shard.classified;
-  if Vp_metrics.enabled metrics then begin
-    let dt = Unix.gettimeofday () -. wall0 in
-    Vp_metrics.Gauge.set metrics "aggregate.snapshots_per_sec"
-      (int_of_float (float_of_int stats.Shard.snapshots /. Float.max dt 1e-9))
-  end;
   Log.debug (fun m ->
       m "aggregated %d runs (%d snapshots, %d dropped) into %d classes"
         stats.Shard.runs stats.Shard.snapshots stats.Shard.dropped

@@ -51,7 +51,8 @@ val aggregate :
   Vp_aggregate.Wire.run list ->
   t
 (** Classify and aggregate a fleet's run streams against [base]'s
-    phase log. *)
+    phase log.  The shard merge is one [aggregate] span of the
+    config's registry, its work the snapshot count. *)
 
 val profile_of_fleet : ?config:Config.t -> base:Driver.profile -> t -> Driver.profile
 (** [base] with its snapshot stream and phase log replaced by the

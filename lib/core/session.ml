@@ -219,11 +219,6 @@ let step t =
   let backend = Config.backend config in
   let fuel = epoch_fuel t in
   let epoch = t.epoch in
-  (* Wall clock is volatile-only; never read when metrics are off so
-     the disabled path stays branch-and-return. *)
-  let wall0 =
-    if Vp_metrics.enabled metrics then Unix.gettimeofday () else 0.0
-  in
   let tl =
     Vp_telemetry.create
       ~name:(Printf.sprintf "epoch-%d" epoch)
@@ -579,10 +574,6 @@ let step t =
     (List.length t.cache);
   Vp_metrics.Histogram.observe metrics "session.cache.instructions"
     (total_cache_size t.cache);
-  if Vp_metrics.enabled metrics then
-    Vp_metrics.Histogram.observe ~volatile:true metrics
-      "session.epoch.wall_us"
-      (int_of_float ((Unix.gettimeofday () -. wall0) *. 1e6));
   let r =
     {
       epoch;

@@ -400,20 +400,12 @@ let save_repros ~dir r =
   List.map
     (fun (rp : repro) ->
       let path = Filename.concat dir (Printf.sprintf "seed-%d.repro" rp.spec.seed) in
-      let oc = open_out path in
-      Fun.protect
-        ~finally:(fun () -> close_out oc)
-        (fun () -> output_string oc (repro_to_string rp));
+      Vp_util.Io.write_file path (repro_to_string rp);
       path)
     r.repros
 
 let load_repro_file ~path =
-  match
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  with
+  match Vp_util.Io.read_file path with
   | s -> repro_of_string s
   | exception Sys_error e -> Error e
 

@@ -55,53 +55,9 @@ let equal a b =
   && a.instructions = b.instructions
   && a.pcs = b.pcs && a.takens = b.takens
 
-(* ---- primitives (see Vp_aggregate.Wire for the shared idiom) ---- *)
-
-let put_varint buf v =
-  if v < 0 then invalid_arg "Trace.put_varint: negative";
-  let rec go v =
-    if v < 0x80 then Buffer.add_char buf (Char.chr v)
-    else begin
-      Buffer.add_char buf (Char.chr (0x80 lor (v land 0x7f)));
-      go (v lsr 7)
-    end
-  in
-  go v
-
-let fnv1a s ~pos ~len =
-  let h = ref 0xbf29ce484222325 in
-  for i = pos to pos + len - 1 do
-    h := (!h lxor Char.code s.[i]) * 0x100000001b3
-  done;
-  !h land max_int
-
-(* Zigzag over 62-bit native ints: deltas between branch pcs go both
-   ways, varints only carry non-negative values. *)
-let zigzag v = (v lsl 1) lxor (v asr 62)
-let unzigzag z = (z lsr 1) lxor (-(z land 1))
-
-exception Malformed of string
-
-let malformed fmt = Printf.ksprintf (fun s -> raise (Malformed s)) fmt
-
-let get_varint s pos =
-  let n = String.length s in
-  let acc = ref 0 and shift = ref 0 and p = ref !pos and fin = ref false in
-  while not !fin do
-    if !p >= n then malformed "truncated varint at byte %d" !p;
-    if !shift > 56 then malformed "varint overflow at byte %d" !pos;
-    let b = Char.code s.[!p] in
-    let bits = b land 0x7f in
-    (* A 9th byte may only carry value bits 56..61; more wraps into
-       the sign bit and would decode as an accepted negative value. *)
-    if !shift = 56 && bits > 0x3f then
-      malformed "varint overflow at byte %d" !pos;
-    acc := !acc lor (bits lsl !shift);
-    incr p;
-    if b < 0x80 then fin := true else shift := !shift + 7
-  done;
-  pos := !p;
-  !acc
+(* Varints only carry non-negative values and deltas between branch
+   pcs go both ways, so each delta is zigzagged first. *)
+open Vp_util.Codec
 
 (* ---- encoding ---- *)
 
@@ -212,19 +168,10 @@ let decode s =
 
 let validate s = Result.map length (decode s)
 
-let write_file ~path t =
-  let oc = open_out_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (encode t))
+let write_file ~path t = Vp_util.Io.write_file path (encode t)
 
 let read_file ~path =
-  match
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  with
+  match Vp_util.Io.read_file path with
   | s -> decode s
   | exception Sys_error e -> Error e
 

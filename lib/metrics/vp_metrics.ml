@@ -9,8 +9,11 @@
 
    Volatility: each metric is tagged at first registration.  Stable
    metrics (schedule-independent values) form the default snapshot;
-   volatile metrics (wall clock, scheduler occupancy, every gauge)
-   render only on request, after a `# volatile` marker. *)
+   volatile metrics (wall-clock readings) render only on request,
+   after a `# volatile` marker.
+
+   The span clock below is the only wall-clock reading in the
+   library: every other layer that wants a duration records a span. *)
 
 module Io = Vp_util.Io
 
@@ -79,7 +82,7 @@ end
 (* ------------------------------------------------------------------ *)
 (* Registry.                                                           *)
 
-type metric = M_counter of int ref | M_gauge of int ref | M_hist of Hist.h
+type metric = M_counter of int ref | M_hist of Hist.h
 type entry = { volatile : bool; metric : metric }
 
 let span_capacity = 4096
@@ -87,6 +90,7 @@ let span_capacity = 4096
 type span = {
   name : string;
   depth : int;
+  domain : int;
   start_s : float;
   wall_s : float;
   work : int;
@@ -169,15 +173,6 @@ let counter_cell r ~volatile name =
     Hashtbl.replace r.table name { volatile; metric = M_counter c };
     Some c
 
-let gauge_cell r name =
-  match Hashtbl.find_opt r.table name with
-  | Some { metric = M_gauge c; _ } -> Some c
-  | Some _ -> None
-  | None ->
-    let c = ref 0 in
-    Hashtbl.replace r.table name { volatile = true; metric = M_gauge c };
-    Some c
-
 let hist_cell r ~volatile name =
   match Hashtbl.find_opt r.table name with
   | Some { metric = M_hist h; _ } -> Some h
@@ -204,24 +199,6 @@ module Counter = struct
       locked r (fun () ->
           match Hashtbl.find_opt r.table name with
           | Some { metric = M_counter c; _ } -> !c
-          | _ -> 0)
-end
-
-module Gauge = struct
-  let set t name v =
-    match t with
-    | Disabled -> ()
-    | Enabled r ->
-      locked r (fun () ->
-          match gauge_cell r name with Some c -> c := v | None -> ())
-
-  let value t name =
-    match t with
-    | Disabled -> 0
-    | Enabled r ->
-      locked r (fun () ->
-          match Hashtbl.find_opt r.table name with
-          | Some { metric = M_gauge c; _ } -> !c
           | _ -> 0)
 end
 
@@ -282,8 +259,16 @@ module Span = struct
       let major_words = (Gc.quick_stat ()).Gc.major_words in
       let start_s = Unix.gettimeofday () in
       st :=
-        { name; depth; start_s; wall_s = 0.0; work = 0; minor_words;
-          major_words }
+        {
+          name;
+          depth;
+          domain = (Domain.self () :> int);
+          start_s;
+          wall_s = 0.0;
+          work = 0;
+          minor_words;
+          major_words;
+        }
         :: !st;
       depth + 1
 
@@ -327,21 +312,6 @@ module Span = struct
       | exception e ->
         exit ~work:(-1) t token;
         raise e)
-
-  let note t name ~wall_s ~work =
-    match t with
-    | Disabled -> ()
-    | Enabled r ->
-      complete r
-        {
-          name;
-          depth = 0;
-          start_s = Unix.gettimeofday () -. wall_s;
-          wall_s;
-          work;
-          minor_words = 0.0;
-          major_words = 0.0;
-        }
 
   let ring t =
     match t with
@@ -391,7 +361,7 @@ end
 (* OpenMetrics-style text exposition: vp-metrics-snapshot/1.           *)
 
 module Snapshot = struct
-  type sample = Counter of int | Gauge of int | Hist of Hist.h
+  type sample = Counter of int | Hist of Hist.h
 
   let schema = "# vp-metrics-snapshot/1"
 
@@ -413,7 +383,6 @@ module Snapshot = struct
                 let sample =
                   match e.metric with
                   | M_counter c -> Counter !c
-                  | M_gauge g -> Gauge !g
                   | M_hist h -> Hist (Hist.copy h)
                 in
                 if e.volatile then (s, (name, sample) :: v)
@@ -433,9 +402,6 @@ module Snapshot = struct
     | Counter v ->
       Buffer.add_string buf (Printf.sprintf "# TYPE %s counter\n" n);
       Buffer.add_string buf (Printf.sprintf "%s_total %d\n" n v)
-    | Gauge v ->
-      Buffer.add_string buf (Printf.sprintf "# TYPE %s gauge\n" n);
-      Buffer.add_string buf (Printf.sprintf "%s %d\n" n v)
     | Hist h ->
       Buffer.add_string buf (Printf.sprintf "# TYPE %s histogram\n" n);
       let cum = ref 0 in
@@ -532,14 +498,19 @@ module Snapshot = struct
           Error (Printf.sprintf "line %d: unexpected \"# EOF\"" (i + 1))
         else if String.starts_with ~prefix:"# TYPE " line then begin
           match String.split_on_char ' ' line with
-          | [ _; _; name; (("counter" | "gauge" | "histogram") as kind) ] ->
+          | [ _; _; name; (("counter" | "histogram") as kind) ] ->
             order := (name, kind) :: !order;
             Ok ()
+          | [ _; _; _; kind ] ->
+            Error
+              (Printf.sprintf
+                 "line %d: unknown metric kind %S (want counter|histogram)"
+                 (i + 1) kind)
           | _ ->
             Error
               (Printf.sprintf
                  "line %d: malformed TYPE line (want \"# TYPE name \
-                  counter|gauge|histogram\")"
+                  counter|histogram\")"
                  (i + 1))
         end
         else if line.[0] = '#' then Ok () (* comment: # volatile, # mark, ... *)
@@ -580,7 +551,6 @@ module Snapshot = struct
         let sample_of (name, kind) =
           match kind with
           | "counter" -> Some (name, Counter (lookup (name ^ "_total")))
-          | "gauge" -> Some (name, Gauge (lookup name))
           | "histogram" ->
             let h = Hist.create () in
             let cum =
@@ -631,19 +601,6 @@ module Perfetto = struct
     | Instant of { pid : int; name : string; ts : int; value : int }
 
   let schema = "vp-perfetto-trace/1"
-
-  let of_spans ~pid ?tid ~cat spans =
-    List.map
-      (fun (s : span) ->
-        {
-          name = s.name;
-          cat;
-          pid;
-          tid = (match tid with Some t -> t | None -> s.depth);
-          ts_us = s.start_s *. 1e6;
-          dur_us = s.wall_s *. 1e6;
-        })
-      spans
 
   let write ?(processes = []) ?(points = []) ~path events =
     let t0 =
@@ -698,10 +655,29 @@ module Perfetto = struct
     Buffer.add_string buf "]}\n";
     Snapshot.write_file ~path (Buffer.contents buf)
 
+  (* One track per domain: spans on one domain nest by construction,
+     so every track nests.  Starts are taken relative to the earliest
+     span in seconds before scaling, which keeps a child's end from
+     rounding past its parent's (an absolute microsecond timestamp
+     carries a quarter-microsecond of float error). *)
   let write_spans t ~path =
     let spans = Span.ring t in
+    let t0 =
+      List.fold_left (fun acc (s : span) -> Float.min acc s.start_s) infinity
+        spans
+    in
     write ~processes:[ (1, "driver") ] ~path
-      (of_spans ~pid:1 ~cat:"driver" spans);
+      (List.map
+         (fun (s : span) ->
+           {
+             name = s.name;
+             cat = "driver";
+             pid = 1;
+             tid = s.domain;
+             ts_us = (s.start_s -. t0) *. 1e6;
+             dur_us = s.wall_s *. 1e6;
+           })
+         spans);
     List.length spans
 
   let contains hay needle = Stdlib.Option.is_some (Io.find_sub hay needle)
@@ -833,40 +809,4 @@ module Flight = struct
 
   let dumps t =
     match t with Disabled -> 0 | Enabled r -> locked r (fun () -> r.dump_total)
-end
-
-(* ------------------------------------------------------------------ *)
-(* Pool scheduler hooks.                                               *)
-
-module Sched = struct
-  (* Worker indices are dense (0 .. jobs-1); 256 slots is far beyond
-     any plausible pool and the mask keeps a stray index safe. *)
-  let slots = 256
-
-  let hooks t =
-    match t with
-    | Disabled -> None
-    | Enabled _ ->
-      let starts = Array.make slots 0.0 in
-      Some
-        {
-          Vp_util.Pool.on_submit =
-            (fun ~depth ->
-              Histogram.observe ~volatile:true t "pool.queue_depth" depth);
-          on_start =
-            (fun ~domain ~depth ->
-              ignore depth;
-              starts.(domain land (slots - 1)) <- Unix.gettimeofday ();
-              Counter.bump ~volatile:true t "pool.tasks" 1;
-              Counter.bump ~volatile:true t
-                (Printf.sprintf "pool.tasks.d%d" domain)
-                1);
-          on_finish =
-            (fun ~domain ->
-              let i = domain land (slots - 1) in
-              let busy = Unix.gettimeofday () -. starts.(i) in
-              Counter.bump ~volatile:true t
-                (Printf.sprintf "pool.busy_us.d%d" domain)
-                (int_of_float (busy *. 1e6)));
-        }
 end

@@ -1,8 +1,8 @@
 (** The instrumentation plane: one registry for every counter,
-    gauge, histogram and span the pipeline records.
+    histogram and span the pipeline records.
 
-    A {!t} is a {e registry} of named counters, gauges, fixed-bucket
-    log-scale {!Hist}ograms and nestable {!Span}s, threaded through
+    A {!t} is a {e registry} of named counters, fixed-bucket log-scale
+    {!Hist}ograms and nestable {!Span}s, threaded through
     [Vacuum.Config].  The {!disabled} registry turns every operation
     into an early-out on one constructor match, so instrumented paths
     cost nothing — and allocate nothing — when metrics are off.
@@ -14,10 +14,14 @@
     work.  Their rendered snapshot is byte-identical for any
     [--jobs]/[--shards] and across execution backends, the same
     discipline as [Vp_aggregate.Profile].  {e Volatile} metrics
-    (wall-clock readings, scheduler occupancy; every gauge) are
-    excluded from the default snapshot and only appear under a
-    [# volatile] marker when explicitly requested — so CI can diff
-    the stable exposition while humans still see latency quantiles.
+    (wall-clock readings) are excluded from the default snapshot and
+    only appear under a [# volatile] marker when explicitly requested
+    — so CI can diff the stable exposition while humans still see
+    latency quantiles.
+
+    {b One clock.}  {!Span} is the only reader of the wall clock in
+    the library: a layer that wants a duration records a span, and
+    reads it back from [span.<name>.wall_us].
 
     {b Domains.}  All registry updates take the registry mutex;
     histograms merge additively (bucket vectors, exact count and
@@ -88,16 +92,6 @@ module Counter : sig
   val value : t -> string -> int
 end
 
-(** Named last-writer-wins cells.  Gauges are {e always} volatile:
-    under concurrent writers the surviving value is
-    schedule-dependent, so no gauge may appear in the stable
-    snapshot.  Use a histogram observed once per epoch for stable
-    size readings. *)
-module Gauge : sig
-  val set : t -> string -> int -> unit
-  val value : t -> string -> int
-end
-
 (** Named histograms (see {!Hist}).  [~volatile:true] for wall-clock
     series; instruction-count series default stable. *)
 module Histogram : sig
@@ -110,6 +104,7 @@ end
 type span = {
   name : string;
   depth : int;  (** nesting level at entry, 0 = top *)
+  domain : int;  (** [Domain.self] of the recording domain *)
   start_s : float;  (** [Unix.gettimeofday] at entry *)
   wall_s : float;
   work : int;  (** caller-defined; retired instructions for run spans *)
@@ -123,7 +118,7 @@ type span = {
     [span.<name>.count] and [span.<name>.work] (the schedule-independent
     per-name summary), the volatile histogram [span.<name>.wall_us],
     and an entry in a ring of the last {!capacity} spans, which feeds
-    {!table} and {!Perfetto.of_spans}.  Older spans are dropped from
+    {!table} and {!Perfetto.write_spans}.  Older spans are dropped from
     the ring (never from the counters) and counted by {!dropped}. *)
 module Span : sig
   type token
@@ -144,10 +139,6 @@ module Span : sig
       [work] maps the result to the span's work figure.  A span whose
       [f] raises is recorded with work [-1]. *)
 
-  val note : t -> string -> wall_s:float -> work:int -> unit
-  (** Record an already-measured span (depth 0), for work timed
-      outside {!record}. *)
-
   val capacity : int
   (** Ring size, [4096]. *)
 
@@ -166,8 +157,8 @@ end
 
     The file is line-oriented: [# vp-metrics-snapshot/1] first,
     [# EOF] last; metric names have [.]/[-] mapped to [_];
-    counters render as [# TYPE n counter] + [n_total V]; gauges as
-    [# TYPE n gauge] + [n V]; histograms as cumulative
+    counters render as [# TYPE n counter] + [n_total V]; histograms
+    as cumulative
     [n_bucket{le="B"} C] lines (non-empty buckets plus
     [le="+Inf"]), [n_sum]/[n_count], and [n_p50]/[n_p90]/[n_p99]
     readouts.  Stable metrics sorted by name come first; with
@@ -176,7 +167,6 @@ end
 module Snapshot : sig
   type sample =
     | Counter of int
-    | Gauge of int
     | Hist of Hist.h
 
   val samples : ?volatile:bool -> t -> (string * sample) list
@@ -191,7 +181,8 @@ module Snapshot : sig
 
   val validate_file : path:string -> (int, string) result
   (** Schema check; [Ok n] is the number of lines.  Errors name the
-      offending line: ["line 12: ..."]. *)
+      offending line: ["line 12: ..."].  A [TYPE] line of any kind but
+      [counter] or [histogram] is rejected. *)
 
   val read : path:string -> ((string * sample) list, string) result
   (** Parse an exposition file back into samples (names in rendered,
@@ -221,10 +212,6 @@ module Perfetto : sig
     | Counter of { pid : int; name : string; ts : int; value : int }
     | Instant of { pid : int; name : string; ts : int; value : int }
 
-  val of_spans : pid:int -> ?tid:int -> cat:string -> span list -> event list
-  (** Ring spans as events; [tid] defaults to the span's nesting
-      depth. *)
-
   val write :
     ?processes:(int * string) list ->
     ?points:point list ->
@@ -235,8 +222,10 @@ module Perfetto : sig
       (pid, label); [points] follow the complete events, in order. *)
 
   val write_spans : t -> path:string -> int
-  (** The registry's span ring as one [driver] process (pid 1, a lane
-      per nesting depth); returns the number of spans written. *)
+  (** The registry's span ring as one [driver] process (pid 1) with
+      one track per recording domain ([tid] = the span's [domain]), so
+      the spans on every track nest; returns the number of spans
+      written. *)
 
   val validate_file : path:string -> (int, string) result
   (** Schema and syntax check; [Ok n] counts the event lines.  Every
@@ -263,15 +252,4 @@ module Flight : sig
 
   val dumps : t -> int
   (** Total dumps written so far. *)
-end
-
-(** Pool scheduler telemetry: {!hooks} adapts a registry to
-    {!Vp_util.Pool.hooks}, recording per-domain task counts
-    ([pool.tasks.dK]), queue depth at submit ([pool.queue_depth])
-    and per-domain busy time ([pool.busy_us.dK]) — all volatile,
-    since scheduling is inherently schedule-dependent. *)
-module Sched : sig
-  val hooks : t -> Vp_util.Pool.hooks option
-  (** [None] when the registry is disabled, so the pool's no-hook
-      fast path is taken. *)
 end

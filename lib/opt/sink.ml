@@ -8,10 +8,9 @@ let succ_labels = Pkg_flow.succ_labels
 
 (* Backward liveness over the package graph.  Each block is summarised
    once as a (gen, kill) mask pair — registers read before any write in
-   the block, registers the block writes — so a sweep costs one
-   [live_in = gen lor (live_out land lnot kill)] per block.  Exit
-   blocks' terminal contribution is their recorded dummy-consumer
-   set. *)
+   the block, registers the block writes — for the shared fixpoint
+   [Vp_cfg.Liveness.solve].  Exit blocks' terminal contribution is
+   their recorded dummy-consumer set. *)
 let liveness (pkg : Pkg.t) =
   let blocks = Array.of_list pkg.Pkg.blocks in
   let n = Array.length blocks in
@@ -44,20 +43,7 @@ let liveness (pkg : Pkg.t) =
         List.filter_map (Hashtbl.find_opt index) (succ_labels b.Pkg.term))
       blocks
   in
-  let live_in = Array.make n 0 in
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    for i = n - 1 downto 0 do
-      let out = List.fold_left (fun acc j -> acc lor live_in.(j)) terminal.(i) succs.(i) in
-      let inn = gen.(i) lor (out land lnot kill.(i)) in
-      if inn <> live_in.(i) then begin
-        live_in.(i) <- inn;
-        changed := true
-      end
-    done
-  done;
-  (blocks, index, live_in)
+  (blocks, index, Vp_cfg.Liveness.solve ~gen ~kill ~terminal ~succs)
 
 let live_in pkg =
   let blocks, _, live_in = liveness pkg in

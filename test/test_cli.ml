@@ -207,7 +207,7 @@ options:
   --trace-dir DIR            Write one Perfetto trace (schema vp-perfetto-trace/1) per workload to DIR (session-WORKLOAD.json): one epoch-K process per epoch, its series as counter tracks and its events as instants.
   --interval N               Timeline sampling interval for --trace-dir, in retired instructions. (default 10000)
   --metrics FILE             Rewrite an OpenMetrics snapshot (schema vp-metrics-snapshot/1) of the stable metric registry to FILE after every epoch — a scrape-able live view, byte-identical for every --jobs value and backend.
-  --perfetto FILE            Write a Chrome trace-event / Perfetto JSON timeline (schema vp-perfetto-trace/1) to FILE: pipeline spans on the driver lane, per-epoch session slices on one lane per workload.
+  --perfetto FILE            Write the span ring as a Chrome trace-event / Perfetto JSON timeline (schema vp-perfetto-trace/1) to FILE: one track per domain, each epoch a session:WORKLOAD span over its pipeline spans.
   --flight-dir DIR           Flight recorder: on a fallback to the original image, a verifier rejection or an oracle failure, dump the metric registry with its recent mark ring, plus its span ring as a Perfetto trace, to DIR.
   -j, --jobs N               Evaluate up to N workloads in parallel on separate domains (0 = the machine's recommended domain count). (default 0)
   --backend BACKEND          Functional emulator backend: reference or compiled.  Both backends produce bit-identical results; the choice only affects simulation speed. (default compiled)

@@ -1,7 +1,7 @@
 (* The instrumentation plane: log-scale histograms, the registry and
    its volatility classes, spans and their ring, snapshot exposition
-   and round-trip, Perfetto export, the flight recorder, pool scheduler
-   hooks, pipeline span coverage — and the two contracts everything
+   and round-trip, Perfetto export and its per-domain tracks, the
+   flight recorder, pipeline span coverage — and the two contracts everything
    hangs on: stable snapshots are byte-identical across schedules and
    backends, and the disabled registry allocates nothing on hot
    paths. *)
@@ -103,9 +103,9 @@ let test_registry_ops () =
   M.Counter.bump t "c" 2;
   M.Counter.bump t "c" 3;
   Alcotest.(check int) "counter" 5 (M.Counter.value t "c");
-  M.Gauge.set t "g" 7;
-  M.Gauge.set t "g" 9;
-  Alcotest.(check int) "gauge last-writer-wins" 9 (M.Gauge.value t "g");
+  M.Counter.bump ~volatile:true t "v" 7;
+  M.Counter.bump ~volatile:true t "v" 9;
+  Alcotest.(check int) "volatile counter" 16 (M.Counter.value t "v");
   M.Histogram.observe t "h" 10;
   M.Histogram.observe t "h" 20;
   match M.Histogram.get t "h" with
@@ -118,13 +118,12 @@ let test_disabled_registry_inert () =
   let t = M.disabled in
   Alcotest.(check bool) "disabled" false (M.enabled t);
   M.Counter.bump t "c" 5;
-  M.Gauge.set t "g" 5;
+  M.Counter.bump ~volatile:true t "v" 5;
   M.Histogram.observe t "h" 5;
   M.Flight.note t ~kind:"k" ~label:"l";
   Alcotest.(check int) "counter silent" 0 (M.Counter.value t "c");
-  Alcotest.(check int) "gauge silent" 0 (M.Gauge.value t "g");
+  Alcotest.(check int) "volatile counter silent" 0 (M.Counter.value t "v");
   Alcotest.(check bool) "hist silent" true (M.Histogram.get t "h" = None);
-  Alcotest.(check bool) "no sched hooks" true (M.Sched.hooks t = None);
   Alcotest.(check int) "no dumps" 0 (M.Flight.dumps t);
   Alcotest.(check string) "empty render" "# vp-metrics-snapshot/1\n# EOF\n"
     (M.Snapshot.render t)
@@ -170,10 +169,16 @@ let test_first_registration_wins () =
   M.Counter.bump t "x" 4;
   (* a later op of a different kind under the same name is dropped, not
      a crash and not a silent re-type *)
-  M.Gauge.set t "x" 99;
   M.Histogram.observe t "x" 99;
   Alcotest.(check int) "still the counter" 4 (M.Counter.value t "x");
-  Alcotest.(check int) "no gauge grafted" 0 (M.Gauge.value t "x")
+  Alcotest.(check bool) "no histogram grafted" true
+    (M.Histogram.get t "x" = None);
+  M.Histogram.observe t "y" 3;
+  M.Counter.bump t "y" 99;
+  Alcotest.(check int) "no counter grafted" 0 (M.Counter.value t "y");
+  match M.Histogram.get t "y" with
+  | Some h -> Alcotest.(check int) "still the histogram" 3 (Hist.sum h)
+  | None -> Alcotest.fail "histogram lost"
 
 (* ---- alloc (the CI gate group: disabled path allocates nothing) ---- *)
 
@@ -261,22 +266,11 @@ let test_span_record_exception_safe () =
   | [ _; s ] -> Alcotest.(check int) "depth reset" 0 s.M.depth
   | _ -> Alcotest.fail "expected two spans"
 
-let test_span_note () =
-  let t = M.create () in
-  M.Span.note t "ext" ~wall_s:1.5 ~work:99;
-  match M.Span.ring t with
-  | [ s ] ->
-    Alcotest.(check string) "name" "ext" s.M.name;
-    Alcotest.(check (float 1e-9)) "wall" 1.5 s.M.wall_s;
-    Alcotest.(check int) "work" 99 s.M.work;
-    Alcotest.(check int) "depth 0" 0 s.M.depth
-  | _ -> Alcotest.fail "expected one span"
-
 let test_ring_wraparound () =
   let t = M.create () in
   let n = M.Span.capacity + 6 in
   for i = 0 to n - 1 do
-    M.Span.note t "s" ~wall_s:0.0 ~work:i
+    M.Span.record t "s" ~work:(fun () -> i) unit_task
   done;
   Alcotest.(check int) "dropped count" 6 (M.Span.dropped t);
   let works = List.map (fun s -> s.M.work) (M.Span.ring t) in
@@ -290,7 +284,7 @@ let test_ring_wraparound () =
 let test_disabled_spans_are_free () =
   let t = M.disabled in
   M.Span.exit t (M.Span.enter t "never");
-  M.Span.note t "never" ~wall_s:1.0 ~work:1;
+  M.Span.record t "never" ~work:(fun () -> 1) unit_task;
   Alcotest.(check int) "nothing in the ring" 0 (List.length (M.Span.ring t));
   Alcotest.(check int) "no counters" 0 (List.length (M.Snapshot.samples t))
 
@@ -373,7 +367,7 @@ let test_stable_snapshot_across_schedules () =
                  Vacuum.Coverage.measure ~config r)))
         cells
     in
-    ignore (Pool.map ~jobs ?hooks:(M.Sched.hooks t) task [ 1; 2; 3 ]);
+    ignore (Pool.map ~jobs task [ 1; 2; 3 ]);
     M.Snapshot.render t
   in
   let seq = observe 1 in
@@ -392,9 +386,9 @@ let populated () =
   M.Histogram.observe t "session.epoch.instructions" 51_000;
   M.Histogram.observe t "session.epoch.instructions" 1;
   (* volatile metrics must stay out of the stable exposition *)
-  M.Gauge.set t "aggregate.snapshots_per_sec" 123_456;
+  M.Counter.bump ~volatile:true t "clock.ticks" 123_456;
   M.Counter.bump ~volatile:true t "pool.tasks" 9;
-  M.Histogram.observe ~volatile:true t "session.epoch.wall_us" 777;
+  M.Histogram.observe ~volatile:true t "span.epoch.wall_us" 777;
   t
 
 let test_render_volatility_classes () =
@@ -407,15 +401,15 @@ let test_render_volatility_classes () =
     (contains stable "session_epoch_instructions_count 3");
   Alcotest.(check bool) "no volatile marker in stable" false
     (contains stable "# volatile");
-  Alcotest.(check bool) "no gauge in stable" false
-    (contains stable "aggregate_snapshots_per_sec");
+  Alcotest.(check bool) "no volatile counter in stable" false
+    (contains stable "clock_ticks");
   Alcotest.(check bool) "no wall hist in stable" false
     (contains stable "wall_us");
   Alcotest.(check bool) "volatile marker in full" true
     (contains full "# volatile");
-  Alcotest.(check bool) "gauge in full" true
-    (contains full "aggregate_snapshots_per_sec 123456");
   Alcotest.(check bool) "volatile counter in full" true
+    (contains full "clock_ticks_total 123456");
+  Alcotest.(check bool) "second volatile counter in full" true
     (contains full "pool_tasks_total 9");
   (* the full render still begins with the stable section *)
   Alcotest.(check bool) "stable is a prefix modulo EOF" true
@@ -440,7 +434,7 @@ let test_snapshot_write_validate_roundtrip () =
       Alcotest.(check int) "hist sum back" 101_001 (Hist.sum h)
     | _ -> Alcotest.fail "histogram lost");
     Alcotest.(check bool) "volatile excluded from default write" true
-      (List.assoc_opt "aggregate_snapshots_per_sec" samples = None));
+      (List.assoc_opt "clock_ticks" samples = None));
   Sys.remove path
 
 let test_validator_rejections () =
@@ -469,7 +463,6 @@ let test_stable_snapshot_jobs_invariant () =
     let t = M.create () in
     ignore
       (Pool.map ~jobs
-         ?hooks:(M.Sched.hooks t)
          (fun i ->
            M.Counter.bump t "work.items" 1;
            M.Histogram.observe t "work.size" (100 * (i + 1)))
@@ -503,55 +496,18 @@ let test_stable_snapshot_backend_invariant () =
   Alcotest.(check string) "compiled = reference" r
     (render_under Emulator.Compiled)
 
-(* ---- pool hooks ---- *)
-
-let test_pool_hooks_totals () =
-  List.iter
-    (fun (jobs, n) ->
-      let t = M.create () in
-      let label what = Printf.sprintf "jobs=%d n=%d: %s" jobs n what in
-      ignore
-        (Pool.map ~jobs
-           ?hooks:(M.Sched.hooks t)
-           (fun i -> i * i)
-           (List.init n Fun.id));
-      Alcotest.(check int)
-        (label "every task counted")
-        n
-        (M.Counter.value t "pool.tasks");
-      let per_domain = ref 0 in
-      for d = 0 to jobs - 1 do
-        per_domain :=
-          !per_domain + M.Counter.value t (Printf.sprintf "pool.tasks.d%d" d)
-      done;
-      Alcotest.(check int)
-        (label "per-domain counts partition the total")
-        n !per_domain;
-      match M.Histogram.get t "pool.queue_depth" with
-      | None -> Alcotest.fail (label "queue depth recorded")
-      | Some h ->
-        Alcotest.(check int) (label "one depth sample per submit") n
-          (Hist.count h))
-    [ (1, 2); (1, 32); (3, 2); (3, 32); (8, 2); (8, 32) ]
-
 (* ---- perfetto ---- *)
 
 let test_perfetto_export () =
-  let t = M.create () in
-  M.Span.note t "profile:w" ~wall_s:0.25 ~work:1000;
-  M.Span.note t "rewrite:w" ~wall_s:0.5 ~work:0;
+  let event name cat pid ts_us dur_us =
+    { M.Perfetto.name; cat; pid; tid = 0; ts_us; dur_us }
+  in
   let events =
-    M.Perfetto.of_spans ~pid:1 ~cat:"driver" (M.Span.ring t)
-    @ [
-        {
-          M.Perfetto.name = "epoch-0";
-          cat = "session";
-          pid = 3;
-          tid = 0;
-          ts_us = 10.0;
-          dur_us = 5.0;
-        };
-      ]
+    [
+      event "profile:w" "driver" 1 0.0 250_000.0;
+      event "rewrite:w" "driver" 1 250_000.0 500_000.0;
+      event "epoch-0" "session" 3 10.0 5.0;
+    ]
   in
   let path = temp ".json" in
   M.Perfetto.write ~processes:[ (1, "driver"); (3, "session") ] ~path events;
@@ -638,7 +594,7 @@ let test_perfetto_points () =
 let test_span_ring_roundtrip () =
   let t = M.create () in
   M.Span.record t "stage \"one\"" unit_task;
-  M.Span.note t "stage2" ~wall_s:0.5 ~work:123;
+  M.Span.record t "stage2" ~work:(fun () -> 123) unit_task;
   let path = temp ".json" in
   Alcotest.(check int) "spans written" 2 (M.Perfetto.write_spans t ~path);
   (match M.Perfetto.validate_file ~path with
@@ -648,6 +604,105 @@ let test_span_ring_roundtrip () =
     (contains (read_file path) "stage \\\"one\\\"");
   Sys.remove path
 
+(* The complete events of a vp-perfetto-trace/1 file, as
+   ((pid, tid), (ts, dur)). *)
+let read_x_events path =
+  let num line key =
+    let k = Printf.sprintf "\"%s\":" key in
+    match Vp_util.Io.find_sub line k with
+    | None -> Alcotest.failf "no %s in %s" key line
+    | Some i ->
+      let j = i + String.length k in
+      let e = ref j in
+      while !e < String.length line && not (String.contains ",}" line.[!e]) do
+        incr e
+      done;
+      float_of_string (String.sub line j (!e - j))
+  in
+  String.split_on_char '\n' (read_file path)
+  |> List.filter (fun l -> contains l {|"ph":"X"|})
+  |> List.map (fun l ->
+         ( (int_of_float (num l "pid"), int_of_float (num l "tid")),
+           (num l "ts", num l "dur") ))
+
+(* Pool tasks each record an outer span over two inner ones.  The first
+   three hold their first inner span open until all three are open,
+   open in ticket order and close in ticket order, so on a shared track
+   those spans would overlap without nesting.  Every (pid, tid) track
+   must nest — any two events disjoint or one inside the other, with
+   0.002 us of slack for the writer's %.3f rounding — and the top-level
+   spans over all tracks must be the six tasks. *)
+let test_tracks_nest_under_jobs () =
+  let t = M.create () in
+  let tickets = Atomic.make 0 and opened = Atomic.make 0
+  and closed = Atomic.make 0 in
+  let rec wait_until cond =
+    if not (cond ()) then begin
+      Domain.cpu_relax ();
+      wait_until cond
+    end
+  in
+  (* Keeps consecutive clock readings of different tasks apart. *)
+  let burn () =
+    let r = ref 0 in
+    for i = 1 to 200_000 do
+      r := !r + i
+    done;
+    ignore (Sys.opaque_identity !r)
+  in
+  let task _ =
+    let k = Atomic.fetch_and_add tickets 1 in
+    let held = k < 3 in
+    if held then wait_until (fun () -> Atomic.get opened = k);
+    M.Span.record t "outer" (fun () ->
+        M.Span.record t "inner" (fun () ->
+            burn ();
+            if held then begin
+              Atomic.incr opened;
+              wait_until (fun () -> Atomic.get opened >= 3);
+              wait_until (fun () -> Atomic.get closed = k);
+              burn ()
+            end);
+        if held then Atomic.incr closed;
+        M.Span.record t "inner" burn)
+  in
+  ignore (Pool.map ~jobs:3 task (List.init 6 Fun.id));
+  let path = temp ".json" in
+  Alcotest.(check int) "18 spans written" 18 (M.Perfetto.write_spans t ~path);
+  let events = read_x_events path in
+  Sys.remove path;
+  let slack = 0.002 in
+  let inside (ts, dur) (ts', dur') =
+    ts' <= ts +. slack && ts +. dur <= ts' +. dur' +. slack
+  in
+  let disjoint (ts, dur) (ts', dur') =
+    ts +. dur <= ts' +. slack || ts' +. dur' <= ts +. slack
+  in
+  let tracks = List.sort_uniq compare (List.map fst events) in
+  let misnested = ref 0 and top = ref 0 in
+  List.iter
+    (fun track ->
+      let evs =
+        Array.of_list
+          (List.filter_map
+             (fun (k, e) -> if k = track then Some e else None)
+             events)
+      in
+      Array.iteri
+        (fun i a ->
+          Array.iteri
+            (fun j b ->
+              if i < j && not (disjoint a b || inside a b || inside b a) then
+                incr misnested)
+            evs;
+          (* top level: inside no strictly longer event of the track *)
+          if not (Array.exists (fun b -> snd b > snd a && inside a b) evs) then
+            incr top)
+        evs)
+    tracks;
+  Alcotest.(check int) "mis-nested pairs" 0 !misnested;
+  Alcotest.(check int) "top-level spans over all tracks" 6 !top
+
 (* ---- flight recorder ---- *)
 
 let test_flight_dump () =
@@ -655,12 +710,12 @@ let test_flight_dump () =
   Sys.remove dir;
   let t = M.create ~flight_capacity:4 ~flight_dir:dir () in
   M.Counter.bump t "session.drifts" 3;
-  M.Gauge.set t "aggregate.snapshots_per_sec" 42;
+  M.Counter.bump ~volatile:true t "clock.ticks" 42;
   (* overflow the ring: only the 4 most recent marks survive *)
   for i = 1 to 6 do
     M.Flight.note t ~kind:"drift" ~label:(string_of_int i)
   done;
-  M.Span.note t "profile:w" ~wall_s:0.1 ~work:10;
+  M.Span.record t "profile:w" ~work:(fun () -> 10) unit_task;
   M.Flight.dump t ~reason:"oracle-failure" ~label:"epoch-2" ();
   Alcotest.(check int) "one dump" 1 (M.Flight.dumps t);
   let metrics_file = Filename.concat dir "flight-epoch-2-0.metrics" in
@@ -702,7 +757,7 @@ let () =
         ] );
       ( "registry",
         [
-          Alcotest.test_case "counter gauge histogram" `Quick test_registry_ops;
+          Alcotest.test_case "counter histogram" `Quick test_registry_ops;
           Alcotest.test_case "disabled registry inert" `Quick
             test_disabled_registry_inert;
           Alcotest.test_case "first registration wins" `Quick
@@ -721,7 +776,6 @@ let () =
           Alcotest.test_case "record" `Quick test_span_record;
           Alcotest.test_case "record exception safety" `Quick
             test_span_record_exception_safe;
-          Alcotest.test_case "note" `Quick test_span_note;
           Alcotest.test_case "ring wraparound" `Quick test_ring_wraparound;
           Alcotest.test_case "disabled no-op" `Quick
             test_disabled_spans_are_free;
@@ -758,8 +812,6 @@ let () =
           Alcotest.test_case "stable snapshot backend-invariant" `Slow
             test_stable_snapshot_backend_invariant;
         ] );
-      ( "sched",
-        [ Alcotest.test_case "pool hook totals" `Quick test_pool_hooks_totals ] );
       ( "perfetto",
         [
           Alcotest.test_case "export and validate" `Quick test_perfetto_export;
@@ -767,6 +819,8 @@ let () =
             test_perfetto_points;
           Alcotest.test_case "span ring roundtrip" `Quick
             test_span_ring_roundtrip;
+          Alcotest.test_case "tracks nest under --jobs" `Quick
+            test_tracks_nest_under_jobs;
         ] );
       ( "flight",
         [
