@@ -15,15 +15,15 @@ type flag = {
   kind : kind;
   repeatable : bool;
   required : bool;
-  default : string option;  (* for help only; absent flags read as None *)
+  default : string option;  (* shown in help; read when absent *)
   check : string -> string option;  (* value validator: Some = error *)
 }
 
 type pos = { pos_docv : string; pos_doc : string; pos_required : bool }
 
 type matches = {
-  present : (string list * string list ref) list;
-      (* one slot per spec flag: (names, values in parse order); a bare
+  present : (flag * string list ref) list;
+      (* one slot per spec flag: (flag, values in parse order); a bare
          boolean occurrence pushes "" *)
   mutable positional : string list;  (* reverse order while parsing *)
 }
@@ -65,18 +65,22 @@ let help_flag =
 (* ---- match accessors ---- *)
 
 let slot (m : matches) name =
-  List.find_opt (fun (names, _) -> List.mem name names) m.present
+  List.find_opt (fun (f, _) -> List.mem name f.names) m.present
 
 let values m name = match slot m name with Some (_, r) -> List.rev !r | None -> []
 let flag_set m name = values m name <> []
 let value m name = match values m name with [] -> None | v :: _ -> Some v
 let positional (m : matches) = List.rev m.positional
 
-let int_value m name ~default =
-  match value m name with None -> default | Some v -> int_of_string v
+(* The given value, else the one declared default that help renders. *)
+let value_or_default m name =
+  match (value m name, slot m name) with
+  | Some v, _ -> v
+  | None, Some ({ default = Some d; _ }, _) -> d
+  | None, _ -> invalid_arg ("Spec: flag --" ^ name ^ " has no default")
 
-let float_value m name ~default =
-  match value m name with None -> default | Some v -> float_of_string v
+let int_value m name = int_of_string (value_or_default m name)
+let float_value m name = float_of_string (value_or_default m name)
 
 (* ---- parsing ---- *)
 
@@ -87,12 +91,12 @@ let parse cmd args =
   let m =
     {
       present =
-        List.map (fun f -> (f.names, ref [])) (help_flag :: cmd.flags);
+        List.map (fun f -> (f, ref [])) (help_flag :: cmd.flags);
       positional = [];
     }
   in
   let record f v =
-    match List.find_opt (fun (names, _) -> names == f.names) m.present with
+    match List.find_opt (fun (g, _) -> g == f) m.present with
     | Some (_, r) -> r := v :: !r
     | None -> ()
   in

@@ -30,7 +30,8 @@ val flag :
     as [-x], longer ones as [--name]; [--name=v], [--name v], [-x v]
     and [-xv] all work).  [check] validates each value at parse time
     and returns an error message on rejection; [default] is rendered in
-    the generated help (absent flags simply read back as [None]). *)
+    the generated help and is what {!int_value}/{!float_value} read
+    when the flag is absent ({!value} still reads [None]). *)
 
 val check_int : string -> string option
 val check_float : string -> string option
@@ -46,11 +47,14 @@ val values : matches -> string -> string list
 
 val positional : matches -> string list
 
-val int_value : matches -> string -> default:int -> int
-(** The flag's value as an integer, [default] when absent.  Safe after
-    a successful {!parse} of a flag declared with {!check_int}. *)
+val int_value : matches -> string -> int
+(** The flag's value as an integer, its declared [default] when
+    absent.  Safe after a successful {!parse} of a flag declared with
+    {!check_int} and an integer default; raises [Invalid_argument] for
+    an absent flag declared without a default. *)
 
-val float_value : matches -> string -> default:float -> float
+val float_value : matches -> string -> float
+(** {!int_value} for a flag declared with {!check_float}. *)
 
 type pos = { pos_docv : string; pos_doc : string; pos_required : bool }
 

@@ -156,7 +156,7 @@ let profile_or_ingest m ~config img =
       p)
 
 let resolve_jobs m =
-  let n = Spec.int_value m "jobs" ~default:0 in
+  let n = Spec.int_value m "jobs" in
   if n <= 0 then Vp_util.Pool.default_jobs () else n
 
 let resolve_backend m =
@@ -369,8 +369,8 @@ let aggregate_cmd =
             ingest
         else
           Vacuum.Fleet.emulate_runs ~config
-            ~seed:(Spec.int_value m "seed" ~default:42)
-            ~runs:(Spec.int_value m "runs" ~default:256)
+            ~seed:(Spec.int_value m "seed")
+            ~runs:(Spec.int_value m "runs")
             base
       in
       (match Spec.value m "wire" with
@@ -380,7 +380,7 @@ let aggregate_cmd =
         Printf.eprintf "wire: %d runs -> %s\n" (List.length wire_runs) path);
       let fleet =
         Vacuum.Fleet.aggregate ~config
-          ~shards:(Spec.int_value m "shards" ~default:8)
+          ~shards:(Spec.int_value m "shards")
           ~jobs:(resolve_jobs m) ~base wire_runs
       in
       let dt =
@@ -536,10 +536,8 @@ let timeline_cmd =
     (fun m ->
       let backend = resolve_backend m in
       let w = workload_of_pos m in
-      let interval =
-        Spec.int_value m "interval" ~default:Vp_telemetry.default_interval
-      in
-      let width = Spec.int_value m "width" ~default:72 in
+      let interval = Spec.int_value m "interval" in
+      let width = Spec.int_value m "width" in
       let img = Program.layout (w.Registry.program ()) in
       let config =
         Config.with_backend backend
@@ -779,10 +777,7 @@ let serve_cmd =
     (fun m ->
       let backend = resolve_backend m in
       let ws = List.map find_workload (Spec.values m "workload") in
-      let epochs =
-        Spec.int_value m "epochs"
-          ~default:Config.default_session.Config.epochs
-      in
+      let epochs = Spec.int_value m "epochs" in
       let trace_dir = Spec.value m "trace-dir" in
       Option.iter Vp_util.Io.mkdir_p trace_dir;
       let metrics_path = Spec.value m "metrics" in
@@ -793,11 +788,7 @@ let serve_cmd =
         | None, None, None, None -> Vp_metrics.disabled
         | _ ->
           let interval =
-            Option.map
-              (fun _ ->
-                Spec.int_value m "interval"
-                  ~default:Vp_telemetry.default_interval)
-              trace_dir
+            Option.map (fun _ -> Spec.int_value m "interval") trace_dir
           in
           Vp_metrics.create ?flight_dir ?interval ()
       in
@@ -807,16 +798,10 @@ let serve_cmd =
         |> Config.map_session (fun _ ->
                {
                  Config.epochs;
-                 epoch_fuel = Spec.int_value m "epoch-fuel" ~default:0;
-                 cache_pct =
-                   Spec.float_value m "cache-pct"
-                     ~default:Config.default_session.Config.cache_pct;
-                 drift_threshold =
-                   Spec.float_value m "drift"
-                     ~default:Config.default_session.Config.drift_threshold;
-                 patch_grace =
-                   Spec.int_value m "grace"
-                     ~default:Config.default_session.Config.patch_grace;
+                 epoch_fuel = Spec.int_value m "epoch-fuel";
+                 cache_pct = Spec.float_value m "cache-pct";
+                 drift_threshold = Spec.float_value m "drift";
+                 patch_grace = Spec.int_value m "grace";
                  oracle = not (Spec.flag_set m "no-oracle");
                })
         |> Config.with_metrics metrics
@@ -899,19 +884,19 @@ let serve_cmd =
 let trace_check_cmd =
   Spec.cmd ~name:"trace-check"
     ~doc:
-      "Validate a trace file against its schema (vp-profile-wire/1, \
+      "Validate each trace file against its schema (vp-profile-wire/1, \
        vp-retire-trace/1, vp-metrics-snapshot/1 or vp-perfetto-trace/1, \
        detected from the first line); failures name the schema and the \
        offending line."
     ~positional:
       {
-        Spec.pos_docv = "FILE";
-        pos_doc = "Trace file to validate.";
+        Spec.pos_docv = "FILE...";
+        pos_doc = "Trace files to validate, in order.";
         pos_required = true;
       }
+    ~exits:[ (0, "every file valid"); (1, "an invalid file") ]
     ~flags:[]
     (fun m ->
-      let file = List.hd (Spec.positional m) in
       (* One dispatch table over every schema vpack emits, sniffed from
          the meta line.  Success and failure messages are uniform across
          schemas. *)
@@ -940,38 +925,45 @@ let trace_check_cmd =
                 (Vp_metrics.Perfetto.validate_file ~path) );
         ]
       in
-      (* A zero-byte file matches no schema; report it for what it is. *)
-      let size, first =
-        let ic = open_in_bin file in
-        let n = in_channel_length ic in
-        let l = try input_line ic with End_of_file -> "" in
-        close_in ic;
-        (n, l)
+      let check file =
+        (* A zero-byte file matches no schema; report it for what it is. *)
+        let size, first =
+          let ic = open_in_bin file in
+          let n = in_channel_length ic in
+          let l = try input_line ic with End_of_file -> "" in
+          close_in ic;
+          (n, l)
+        in
+        if size = 0 then begin
+          Printf.eprintf "%s: invalid trace: empty trace (0 bytes)\n%!" file;
+          false
+        end
+        else
+          match
+            List.find_opt
+              (fun (tag, _) -> Option.is_some (Vp_util.Io.find_sub first tag))
+              validators
+          with
+          | None ->
+            Printf.eprintf
+              "%s: invalid trace: unknown schema (the first line names none \
+               of %s)\n%!"
+              file
+              (String.concat ", " (List.map fst validators));
+            false
+          | Some (schema, validate) -> (
+            match validate file with
+            | Ok detail ->
+              Printf.printf "%s: valid %s, %s\n%!" file schema detail;
+              true
+            | Error e ->
+              Printf.eprintf "%s: invalid %s: %s\n%!" file schema e;
+              false)
       in
-      if size = 0 then begin
-        Printf.eprintf "%s: invalid trace: empty trace (0 bytes)\n" file;
-        exit 1
-      end;
-      let schema, validate =
-        match
-          List.find_opt
-            (fun (tag, _) -> Option.is_some (Vp_util.Io.find_sub first tag))
-            validators
-        with
-        | Some v -> v
-        | None ->
-          Printf.eprintf
-            "%s: invalid trace: unknown schema (the first line names none of \
-             %s)\n"
-            file
-            (String.concat ", " (List.map fst validators));
-          exit 1
-      in
-      match validate file with
-      | Ok detail -> Printf.printf "%s: valid %s, %s\n" file schema detail
-      | Error e ->
-        Printf.eprintf "%s: invalid %s: %s\n" file schema e;
-        exit 1)
+      (* Check every file before judging, so one bad file does not hide
+         the verdict on the rest. *)
+      let verdicts = List.map check (Spec.positional m) in
+      if not (List.for_all Fun.id verdicts) then exit 1)
 
 (* --- top --- *)
 
@@ -1014,7 +1006,7 @@ let top_cmd =
     ~flags:[ watch_flag; top_interval_flag; width_flag ]
     (fun m ->
       let file = List.hd (Spec.positional m) in
-      let width = Spec.int_value m "width" ~default:48 in
+      let width = Spec.int_value m "width" in
       let is_cache name =
         String.length name >= 13 && String.sub name 0 13 = "session_cache"
       in
@@ -1072,7 +1064,7 @@ let top_cmd =
       in
       if not (Spec.flag_set m "watch") then frame ()
       else
-        let pause = float_of_int (Spec.int_value m "interval" ~default:1000) /. 1000. in
+        let pause = float_of_int (Spec.int_value m "interval") /. 1000. in
         while true do
           print_string "\027[2J\027[H";
           frame ();
@@ -1202,17 +1194,21 @@ let verify_cmd =
       let backend = resolve_backend m in
       let w = workload_of_pos m in
       let img = Program.layout (w.Registry.program ()) in
-      (* Degradation off: the point of this subcommand is to see the
-         verdict on everything the pipeline wanted to emit, not on what
-         survived the demotion ladder. *)
-      let config =
-        Config.with_backend backend (Config.with_degrade false (config_of m))
-      in
+      let config = Config.with_backend backend (config_of m) in
       let r = Vacuum.Driver.rewrite ~config img in
-      let report = r.Vacuum.Driver.verification in
       Format.printf "%s: %a@." (Registry.name w) Vp_package.Verify.pp_report
-        report;
-      if not (Vp_package.Verify.ok report) then exit 4)
+        r.Vacuum.Driver.verification;
+      (* The shipped image is sound by construction — rejected packages
+         were demoted away — so the verdict is the ladder's record of
+         what the pipeline wanted to emit and could not. *)
+      let stages =
+        List.map
+          (fun (d : Vacuum.Driver.demotion) ->
+            Format.printf "  demoted: %a@." Vacuum.Driver.pp_demotion d;
+            d.Vacuum.Driver.error.Vacuum.Error.stage)
+          r.Vacuum.Driver.demotions
+      in
+      if List.mem "verify" stages then exit 4 else if stages <> [] then exit 3)
 
 (* --- chaos --- *)
 
@@ -1241,8 +1237,8 @@ let chaos_cmd =
     (fun m ->
       let backend = resolve_backend m in
       let w = workload_of_pos m in
-      let seeds = Spec.int_value m "seeds" ~default:5 in
-      let seed = Spec.int_value m "seed" ~default:0 in
+      let seeds = Spec.int_value m "seeds" in
+      let seed = Spec.int_value m "seed" in
       let img = Program.layout (w.Registry.program ()) in
       let result =
         Vacuum.Chaos.matrix
@@ -1253,12 +1249,7 @@ let chaos_cmd =
       Printf.printf "%s: %d fault plans x %d seeds\n%s\n" (Registry.name w)
         (List.length Vp_fault.Plan.presets)
         seeds table;
-      let failed =
-        List.filter
-          (fun (c : Vacuum.Chaos.cell) ->
-            not (c.Vacuum.Chaos.equivalent && c.Vacuum.Chaos.verified))
-          result.Vacuum.Chaos.cells
-      in
+      let failed = Vacuum.Chaos.failures result in
       (match Spec.value m "report" with
       | None -> ()
       | Some path ->
@@ -1354,7 +1345,7 @@ let fuzz_cmd =
     (fun m ->
       let backend = resolve_backend m in
       let config = Config.with_backend backend Vp_gen.Campaign.default_config in
-      let chaos_seeds = Spec.int_value m "seeds" ~default:1 in
+      let chaos_seeds = Spec.int_value m "seeds" in
       match Spec.values m "replay" with
       | _ :: _ as files ->
         let failed =
@@ -1386,16 +1377,16 @@ let fuzz_cmd =
         let bounds =
           {
             Vp_gen.Gen.default_bounds with
-            Vp_gen.Gen.max_phases = Spec.int_value m "max-phases" ~default:4;
-            max_hot_funcs = Spec.int_value m "max-hot" ~default:5;
-            max_phase_iters = Spec.int_value m "max-iters" ~default:60;
+            Vp_gen.Gen.max_phases = Spec.int_value m "max-phases";
+            max_hot_funcs = Spec.int_value m "max-hot";
+            max_phase_iters = Spec.int_value m "max-iters";
           }
         in
         let report =
           Vp_gen.Campaign.run ~config ~bounds ~chaos_seeds
             ~jobs:(resolve_jobs m)
-            ~root_seed:(Spec.int_value m "seed" ~default:0)
-            ~count:(Spec.int_value m "count" ~default:50)
+            ~root_seed:(Spec.int_value m "seed")
+            ~count:(Spec.int_value m "count")
             ()
         in
         let text = Vp_gen.Campaign.render report in

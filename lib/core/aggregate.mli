@@ -14,13 +14,12 @@
     packing against phase packing on every workload
     ([baseline-aggregate]). *)
 
-val snapshot_of_profile :
-  ?min_share:float -> Driver.profile -> Vp_hsd.Snapshot.t
+val snapshot_of_profile : Driver.profile -> Vp_hsd.Snapshot.t
 (** Collapse the whole-run branch profile into one snapshot.  A branch
-    qualifies when its executions are at least [min_share] (default
-    0.001) of all retired conditional branches — the selection
-    threshold a traditional profile-guided optimizer would apply. *)
+    qualifies when its executions are at least 0.1% of all retired
+    conditional branches — the selection threshold a traditional
+    profile-guided optimizer would apply. *)
 
-val rewrite :
-  ?config:Config.t -> ?min_share:float -> Driver.profile -> Driver.rewrite
-(** Package the aggregate pseudo-phase under the given configuration. *)
+val rewrite : ?config:Config.t -> Driver.profile -> Driver.rewrite
+(** Package the aggregate pseudo-phase under the given configuration;
+    the hot-arc threshold is the same 0.1% floor, in branches. *)

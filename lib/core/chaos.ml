@@ -23,13 +23,10 @@ type result = {
   cells : cell list;
 }
 
-let ok r = List.for_all (fun c -> c.equivalent && c.verified) r.cells
+let failures r = List.filter (fun c -> not (c.verified && c.equivalent)) r.cells
 
-let run_cell ?(config = Config.default) ~baseline ~plan image =
-  let cell_config =
-    config |> Config.with_fault plan |> Config.with_degrade true
-  in
-  let r = Driver.rewrite ~config:cell_config image in
+let run_cell ~config ~baseline ~plan image =
+  let r = Driver.rewrite ~config:(Config.with_fault plan config) image in
   (* The oracle runs the rewritten image under the CLEAN fuel budget:
      a fuel-starvation plan truncates the profile, never the check.
      Compare against the separately computed clean baseline — the
@@ -55,8 +52,8 @@ let run_cell ?(config = Config.default) ~baseline ~plan image =
     equivalent = Emulator.equivalent ~reference:baseline run.Coverage.outcome;
   }
 
-let matrix ?(config = Config.default) ?(plans = Plan.presets) ?(seeds = 5)
-    ?(seed = 0) ?(jobs = 1) image =
+let matrix ?(config = Config.default) ?(seeds = 5) ?(seed = 0) ?(jobs = 1)
+    image =
   let baseline =
     Emulator.run_backend ~backend:(Config.backend config)
       ~fuel:(Config.fuel config) ~mem_words:(Config.mem_words config) image
@@ -72,7 +69,7 @@ let matrix ?(config = Config.default) ?(plans = Plan.presets) ?(seeds = 5)
                  Plan.with_seed plan (Rng.stream_seed plan_stream si)
                in
                (plan, si)))
-         plans)
+         Plan.presets)
   in
   let cells =
     Vp_util.Pool.map ~jobs

@@ -32,19 +32,19 @@ type result = {
   cells : cell list;  (** plan-major, then seed order *)
 }
 
-val ok : result -> bool
-(** Every cell equivalent and verified. *)
+val failures : result -> cell list
+(** The cells that the verifier rejected or the oracle failed, in
+    matrix order; [[]] when the pipeline held under every plan. *)
 
 val matrix :
   ?config:Config.t ->
-  ?plans:Vp_fault.Plan.t list ->
   ?seeds:int ->
   ?seed:int ->
   ?jobs:int ->
   Vp_prog.Image.t ->
   result
-(** Run [plans] (default {!Vp_fault.Plan.presets}) × [seeds] (default
-    5) cells on a {!Vp_util.Pool} of [jobs] workers (default 1).
+(** Run every {!Vp_fault.Plan.presets} plan × [seeds] (default 5)
+    cells on a {!Vp_util.Pool} of [jobs] workers (default 1).
     [seed] (default 0) roots the stream derivation. *)
 
 val table : result -> string

@@ -30,7 +30,6 @@ type t = {
   fuel : int;
   metrics : Vp_metrics.t;
   fault : Vp_fault.Plan.t option;
-  degrade : bool;
   session : session;
 }
 
@@ -40,7 +39,6 @@ let v ?(detector = Vp_hsd.Config.default) ?(history_size = 0)
     ?(opt = Vp_opt.Opt.default) ?(cpu = Vp_cpu.Config.default)
     ?(backend = Vp_exec.Emulator.Compiled) ?(mem_words = 1 lsl 20)
     ?(fuel = 200_000_000) ?(metrics = Vp_metrics.disabled) ?fault
-    ?(degrade = true)
     ?(session = default_session) () =
   {
     detector;
@@ -55,7 +53,6 @@ let v ?(detector = Vp_hsd.Config.default) ?(history_size = 0)
     fuel;
     metrics;
     fault;
-    degrade;
     session;
   }
 
@@ -90,7 +87,6 @@ let mem_words t = t.mem_words
 let fuel t = t.fuel
 let metrics t = t.metrics
 let fault t = t.fault
-let degrade t = t.degrade
 let session t = t.session
 let with_detector detector t = { t with detector }
 let with_history_size history_size t = { t with history_size }
@@ -99,7 +95,6 @@ let with_backend backend t = { t with backend }
 let with_fuel fuel t = { t with fuel }
 let with_metrics metrics t = { t with metrics }
 let with_fault fault t = { t with fault = Some fault }
-let with_degrade degrade t = { t with degrade }
 let map_session f t = { t with session = f t.session }
 
 let map_identify f t = { t with identify = f t.identify }
@@ -215,7 +210,6 @@ let json_of_t t =
         match t.fault with
         | None -> J_str "none"
         | Some p -> J_str p.Vp_fault.Plan.name );
-      ("degrade", J_bool t.degrade);
       ( "session",
         J_obj
           [

@@ -50,7 +50,6 @@ val v :
   ?fuel:int ->
   ?metrics:Vp_metrics.t ->
   ?fault:Vp_fault.Plan.t ->
-  ?degrade:bool ->
   ?session:session ->
   unit ->
   t
@@ -110,12 +109,9 @@ val metrics : t -> Vp_metrics.t
 
 val fault : t -> Vp_fault.Plan.t option
 (** The fault plan injected at the hardware→software boundary; [None]
-    (the default) leaves the pipeline untouched. *)
-
-val degrade : t -> bool
-(** Graceful degradation (default [true]): stage failures and verifier
-    rejections demote — drop the package, then the region, then fall
-    back to the unmodified image — instead of raising. *)
+    (the default) leaves the pipeline untouched.  Whatever a plan
+    breaks, the pipeline walks the demotion ladder of [Driver]
+    instead of raising. *)
 
 val session : t -> session
 (** The online re-optimization loop's knobs ({!default_session} by
@@ -132,7 +128,6 @@ val with_backend : Vp_exec.Emulator.backend -> t -> t
 val with_fuel : int -> t -> t
 val with_metrics : Vp_metrics.t -> t -> t
 val with_fault : Vp_fault.Plan.t -> t -> t
-val with_degrade : bool -> t -> t
 
 val map_session : (session -> session) -> t -> t
 

@@ -299,13 +299,12 @@ let make_demoter metrics =
   in
   (demotions, demote)
 
-(* In degraded mode any stage failure becomes a payload; typed
-   pipeline errors keep their context, anything else is wrapped. *)
-let wrap_stage ~degrade stage f =
+(* Any stage failure becomes a payload; typed pipeline errors keep
+   their context, anything else is wrapped. *)
+let wrap_stage stage f =
   try Ok (f ()) with
   | Error.Error e -> Result.Error e
-  | exn when degrade ->
-    Result.Error (Error.v ~stage "%s" (Printexc.to_string exn))
+  | exn -> Result.Error (Error.v ~stage "%s" (Printexc.to_string exn))
 
 (* The packaging back half — screening, linking, emission,
    verification, and the demotion ladder over all of them — factored
@@ -316,7 +315,6 @@ let wrap_stage ~degrade stage f =
    driver injects its per-region bookkeeping there). *)
 let assemble_parts ~config ~demote ~on_screened ~original packages =
   let metrics = Config.metrics config in
-  let degrade = Config.degrade config in
   let plan = Config.fault config in
   (* Package screening: structural validity plus the plan's resource
      budgets.  Per-package overruns drop that package; the expansion
@@ -325,6 +323,10 @@ let assemble_parts ~config ~demote ~on_screened ~original packages =
     let pkgs =
       List.filter
         (fun (p : Pkg.t) ->
+          let drop e =
+            demote Drop_package e;
+            false
+          in
           match Pkg.validate p with
           | Ok () -> (
             match plan with
@@ -335,25 +337,14 @@ let assemble_parts ~config ~demote ~on_screened ~original packages =
                   _;
                 }
               when Pkg.size p > budget ->
-              let e =
-                Error.v ~stage:"build" ~label:p.Pkg.id
-                  "package size %d exceeds budget %d" (Pkg.size p) budget
-              in
-              if degrade then begin
-                demote Drop_package e;
-                false
-              end
-              else raise (Error.Error e)
+              drop
+                (Error.v ~stage:"build" ~label:p.Pkg.id
+                   "package size %d exceeds budget %d" (Pkg.size p) budget)
             | _ -> true)
           | Result.Error msg ->
-            let e =
-              Error.v ~stage:"build" ~label:p.Pkg.id "invalid package: %s" msg
-            in
-            if degrade then begin
-              demote Drop_package e;
-              false
-            end
-            else raise (Error.Error e))
+            drop
+              (Error.v ~stage:"build" ~label:p.Pkg.id "invalid package: %s"
+                 msg))
         pkgs
     in
     match plan with
@@ -376,29 +367,20 @@ let assemble_parts ~config ~demote ~on_screened ~original packages =
                 (fun acc p -> if Pkg.size p > Pkg.size acc then p else acc)
                 (List.hd ps) ps
             in
-            let e =
-              Error.v ~stage:"build" ~label:largest.Pkg.id
-                "expansion budget %.1f%% exhausted (total %d > %d)" pct
-                (total ps) budget
-            in
-            if degrade then begin
-              demote Drop_package e;
-              trim (List.filter (fun p -> p != largest) ps)
-            end
-            else raise (Error.Error e)
+            demote Drop_package
+              (Error.v ~stage:"build" ~label:largest.Pkg.id
+                 "expansion budget %.1f%% exhausted (total %d > %d)" pct
+                 (total ps) budget);
+            trim (List.filter (fun p -> p != largest) ps)
       in
       (* A budget with no room at all is not a sequence of package
          drops, it is the bottom rung: keep the image unmodified. *)
-      if budget <= 0 && pkgs <> [] then
-        let e =
-          Error.v ~stage:"build"
-            "expansion budget %.1f%% leaves no room for packages" pct
-        in
-        if degrade then begin
-          demote Fallback_image e;
-          []
-        end
-        else raise (Error.Error e)
+      if budget <= 0 && pkgs <> [] then begin
+        demote Fallback_image
+          (Error.v ~stage:"build"
+             "expansion budget %.1f%% leaves no room for packages" pct);
+        []
+      end
       else trim pkgs
     | _ -> pkgs
   in
@@ -440,12 +422,15 @@ let assemble_parts ~config ~demote ~on_screened ~original packages =
     let emitted = link_and_emit [] in
     (emitted, verify emitted)
   in
+  (* A verifier-attributed drop names the package's first violation,
+     so the ladder's record says what was unsound, not only that. *)
+  let rejection ?label (vs : Verify.violation list) =
+    let first = List.hd vs in
+    Error.v ~stage:"verify" ?label ?pc:first.Verify.addr "%d violation(s): %s"
+      (List.length vs) first.Verify.what
+  in
   let rec emit_verified pkgs budget =
-    let attempt =
-      if degrade then wrap_stage ~degrade "emit" (fun () -> link_and_emit pkgs)
-      else Ok (link_and_emit pkgs)
-    in
-    match attempt with
+    match wrap_stage "emit" (fun () -> link_and_emit pkgs) with
     | Result.Error e when budget <= 0 -> fallback e
     | Result.Error e -> (
       match owner_of pkgs e with
@@ -465,34 +450,22 @@ let assemble_parts ~config ~demote ~on_screened ~original packages =
         Vp_metrics.Flight.note metrics ~kind:"verify" ~label:"rejection";
         Vp_metrics.Flight.dump metrics ~reason:"verifier-rejection"
           ~label:"driver" ();
-        let first = List.hd report.Verify.violations in
-        let e =
-          Error.v ~stage:"verify" ?label:first.Verify.label
-            ?pc:first.Verify.addr "%d violation(s): %s"
-            (List.length report.Verify.violations)
-            first.Verify.what
+        let violations = report.Verify.violations in
+        let of_pkg (p : Pkg.t) =
+          List.filter (fun v -> v.Verify.pkg = Some p.Pkg.id) violations
         in
-        if not degrade then raise (Error.Error e)
+        let offending = List.filter (fun p -> of_pkg p <> []) pkgs in
+        if offending = [] || budget <= 0 then
+          fallback
+            (rejection ?label:(List.hd violations).Verify.label violations)
         else begin
-          let bad =
-            List.filter_map (fun v -> v.Verify.pkg) report.Verify.violations
-            |> List.sort_uniq compare
-          in
-          let offending =
-            List.filter (fun (p : Pkg.t) -> List.mem p.Pkg.id bad) pkgs
-          in
-          if offending = [] || budget <= 0 then fallback e
-          else begin
-            List.iter
-              (fun (p : Pkg.t) ->
-                demote Drop_package
-                  (Error.v ~stage:"verify" ~label:p.Pkg.id
-                     "package rejected by the soundness verifier"))
-              offending;
-            emit_verified
-              (List.filter (fun p -> not (List.memq p offending)) pkgs)
-              (budget - 1)
-          end
+          List.iter
+            (fun (p : Pkg.t) ->
+              demote Drop_package (rejection ~label:p.Pkg.id (of_pkg p)))
+            offending;
+          emit_verified
+            (List.filter (fun p -> not (List.memq p offending)) pkgs)
+            (budget - 1)
         end
       end
   in
@@ -519,24 +492,26 @@ let assemble ?(config = Config.default) ~original packages =
 
 let rewrite_of_profile ?(config = Config.default) source =
   let metrics = Config.metrics config in
-  let degrade = Config.degrade config in
   let demotions, demote = make_demoter metrics in
-  let wrap stage f = wrap_stage ~degrade stage f in
+  (* A phase whose region cannot be identified or built is dropped
+     whole. *)
+  let or_drop_region stage ~dropped f =
+    match wrap_stage stage f with
+    | Ok v -> v
+    | Result.Error e ->
+      demote Drop_region e;
+      dropped
+  in
   let regions =
     Span.record metrics "regions" ~work:(List.length) @@ fun () ->
     List.filter_map
       (fun (phase : Phase_log.phase) ->
-        match
-          wrap "identify" (fun () ->
+        or_drop_region "identify" ~dropped:None (fun () ->
+            let region, stats =
               Identify.identify_with_stats ~config:(Config.identify config)
-                source.image
-                phase.Phase_log.representative)
-        with
-        | Ok (region, stats) -> Some { phase; region; stats }
-        | Result.Error e when degrade ->
-          demote Drop_region e;
-          None
-        | Result.Error e -> raise (Error.Error e))
+                source.image phase.Phase_log.representative
+            in
+            Some { phase; region; stats }))
       (Phase_log.phases source.log)
   in
   List.iter
@@ -551,16 +526,9 @@ let rewrite_of_profile ?(config = Config.default) source =
     Span.record metrics "packages" ~work:(List.length) @@ fun () ->
     List.concat_map
       (fun info ->
-        match
-          wrap "build" (fun () ->
-              Build.build info.region
-                ~prefix:(Printf.sprintf "pkg$p%d" info.phase.Phase_log.id))
-        with
-        | Ok pkgs -> pkgs
-        | Result.Error e when degrade ->
-          demote Drop_region e;
-          []
-        | Result.Error e -> raise (Error.Error e))
+        or_drop_region "build" ~dropped:[] (fun () ->
+            Build.build info.region
+              ~prefix:(Printf.sprintf "pkg$p%d" info.phase.Phase_log.id)))
       regions
   in
   List.iter

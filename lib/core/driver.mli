@@ -11,14 +11,15 @@
     When the configuration carries a {!Config.fault} plan, the plan is
     injected at the hardware→software boundary: resource faults scale
     the profiling fuel before the run, snapshot faults perturb the
-    detector's output after it.  When {!Config.degrade} is on (the
-    default), stage failures and verifier rejections never escape as
-    exceptions — the pipeline walks the demotion ladder instead
-    ({!Drop_package} → {!Drop_region} → {!Fallback_image}), and every
-    step taken is recorded in {!rewrite.demotions} and the
-    [demote.*] counters of {!Config.metrics}.  Every emitted image is
-    checked by {!Vp_package.Verify} before it is handed to anything
-    that simulates it. *)
+    detector's output after it.  Stage failures and verifier
+    rejections never escape as exceptions: the pipeline walks the
+    demotion ladder ({!Drop_package} → {!Drop_region} →
+    {!Fallback_image}), and every step taken is recorded in
+    {!rewrite.demotions} and the [demote.*] counters of
+    {!Config.metrics}.  A verifier-attributed drop names its package's
+    first violation.  Every emitted image is checked by
+    {!Vp_package.Verify} before it is handed to anything that
+    simulates it. *)
 
 type profile = {
   image : Vp_prog.Image.t;
@@ -67,8 +68,9 @@ type rewrite = {
   emitted : Vp_package.Emit.result;
   demotions : demotion list;  (** ladder steps taken, in order *)
   verification : Vp_package.Verify.report;
-      (** soundness report for [emitted.image]; always [ok] when
-          degradation is on — rejected packages were demoted away *)
+      (** soundness report for [emitted.image]; [ok] unless the
+          fallback image itself fails — rejected packages were demoted
+          away, so the rejections are in [demotions] *)
 }
 
 val pp_demotion : Format.formatter -> demotion -> unit

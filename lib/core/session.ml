@@ -340,26 +340,23 @@ let step t =
         Vp_metrics.Flight.note metrics ~kind:"drift"
           ~label:(string_of_int id);
         Vp_telemetry.Event.emit tl ~kind:"drift" ~at:t.retired ~value:id;
-        let build_packages () =
-          let region, _stats =
-            Identify.identify_with_stats ~config:(Config.identify config)
-              t.original phase.Phase_log.representative
-          in
-          Build.build region ~prefix:(Printf.sprintf "pkg$s%d" id)
-        in
         let packages =
-          if not (Config.degrade config) then build_packages ()
-          else
-            try build_packages () with
-            | Error.Error e ->
-              Log.warn (fun m ->
-                  m "session: dropping drifted phase %d: %a" id Error.pp e);
-              []
-            | exn ->
-              Log.warn (fun m ->
-                  m "session: dropping drifted phase %d: %s" id
-                    (Printexc.to_string exn));
-              []
+          try
+            let region, _stats =
+              Identify.identify_with_stats ~config:(Config.identify config)
+                t.original phase.Phase_log.representative
+            in
+            Build.build region ~prefix:(Printf.sprintf "pkg$s%d" id)
+          with
+          | Error.Error e ->
+            Log.warn (fun m ->
+                m "session: dropping drifted phase %d: %a" id Error.pp e);
+            []
+          | exn ->
+            Log.warn (fun m ->
+                m "session: dropping drifted phase %d: %s" id
+                  (Printexc.to_string exn));
+            []
         in
         let e =
           {

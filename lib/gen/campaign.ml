@@ -135,11 +135,7 @@ let run_case ?(config = default_config) ?(chaos_seeds = 1) ~index spec =
         Chaos.matrix ~config ~seeds:chaos_seeds ~seed:spec.seed ~jobs:1 image
       in
       let base = { base with cells = List.length matrix.Chaos.cells } in
-      let bad =
-        List.filter
-          (fun (c : Chaos.cell) -> not (c.Chaos.verified && c.Chaos.equivalent))
-          matrix.Chaos.cells
-      in
+      let bad = Chaos.failures matrix in
       if bad <> [] then
         fail base "chaos"
           (Printf.sprintf "%d cell(s) violated the oracle: %s"
@@ -210,7 +206,10 @@ let run_case ?(config = default_config) ?(chaos_seeds = 1) ~index spec =
 
 let is_trace_stage stage = String.length stage >= 5 && String.sub stage 0 5 = "trace"
 
-let shrink ?config ?chaos_seeds ?(max_attempts = 48) spec0 (failure0 : failure) =
+(* Case runs one failure's shrink may spend. *)
+let max_attempts = 48
+
+let shrink ?config ?chaos_seeds spec0 (failure0 : failure) =
   let attempts = ref 0 in
   let reproduces spec stage =
     if !attempts >= max_attempts then None
@@ -245,8 +244,7 @@ let shrink ?config ?chaos_seeds ?(max_attempts = 48) spec0 (failure0 : failure) 
   (repro, !attempts)
 
 let run ?(config = default_config) ?(bounds = Gen.default_bounds)
-    ?(chaos_seeds = 1) ?(jobs = 1) ?(root_seed = 0) ?(shrink_budget = 48)
-    ~count () =
+    ?(chaos_seeds = 1) ?(jobs = 1) ?(root_seed = 0) ~count () =
   let specs = List.init count (fun i -> (i, spec_of_index ~bounds ~root_seed i)) in
   let outcomes =
     Vp_util.Pool.map ~jobs
@@ -262,9 +260,7 @@ let run ?(config = default_config) ?(bounds = Gen.default_bounds)
         match o.failure with
         | None -> None
         | Some f ->
-          let r, n =
-            shrink ~config ~chaos_seeds ~max_attempts:shrink_budget o.spec f
-          in
+          let r, n = shrink ~config ~chaos_seeds o.spec f in
           shrink_attempts := !shrink_attempts + n;
           Some r)
       outcomes

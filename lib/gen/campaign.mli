@@ -91,15 +91,14 @@ val run_case :
 val shrink :
   ?config:Vacuum.Config.t ->
   ?chaos_seeds:int ->
-  ?max_attempts:int ->
   spec ->
   failure ->
   repro * int
 (** Greedy descent over {!Gen.shrinks} (plus trace-prefix halving for
     trace-stage failures): take the first candidate that still fails
     at the same stage, repeat from there, stop at a fixpoint or after
-    [max_attempts] (default 48) case runs.  Returns the minimal repro
-    and the number of runs spent. *)
+    48 case runs.  Returns the minimal repro and the number of runs
+    spent. *)
 
 val run :
   ?config:Vacuum.Config.t ->
@@ -107,12 +106,12 @@ val run :
   ?chaos_seeds:int ->
   ?jobs:int ->
   ?root_seed:int ->
-  ?shrink_budget:int ->
   count:int ->
   unit ->
   report
 (** The campaign: [count] cases on a {!Vp_util.Pool} of [jobs]
-    workers (default 1), then sequential shrinking of any failures.
+    workers (default 1), then sequential shrinking of any failures
+    (at most 48 case runs each, see {!shrink}).
     [chaos_seeds] (default 1) seeds per fault plan per case. *)
 
 val ok : report -> bool

@@ -31,12 +31,29 @@ let test_flag_forms () =
   in
   Alcotest.(check (list string)) "workloads" [ "li" ] (Spec.values m "workload");
   Alcotest.(check (option string)) "epochs" (Some "3") (Spec.value m "epochs");
-  Alcotest.(check int) "jobs" 4 (Spec.int_value m "jobs" ~default:0);
+  Alcotest.(check int) "jobs" 4 (Spec.int_value m "jobs");
   Alcotest.(check (option string))
     "backend" (Some "compiled") (Spec.value m "backend");
   Alcotest.(check bool) "no-oracle" true (Spec.flag_set m "no-oracle");
   Alcotest.(check bool) "absent flag" false (Spec.flag_set m "trace-dir");
   Alcotest.(check (option string)) "absent value" None (Spec.value m "trace-dir")
+
+(* An absent flag reads back as the default its spec declares — the
+   one copy, the same one help renders. *)
+let test_declared_defaults () =
+  let session = Vacuum.Config.default_session in
+  let m = parse_ok (cmd "serve") [ "-w"; "li" ] in
+  Alcotest.(check int) "epochs" session.Vacuum.Config.epochs
+    (Spec.int_value m "epochs");
+  Alcotest.(check (float 0.)) "cache-pct" session.Vacuum.Config.cache_pct
+    (Spec.float_value m "cache-pct");
+  Alcotest.(check (float 0.)) "drift" session.Vacuum.Config.drift_threshold
+    (Spec.float_value m "drift");
+  Alcotest.check_raises "no declared default"
+    (Invalid_argument "Spec: flag --trace-dir has no default") (fun () ->
+      ignore (Spec.int_value m "trace-dir"));
+  let m = parse_ok (cmd "fuzz") [] in
+  Alcotest.(check int) "max-iters" 60 (Spec.int_value m "max-iters")
 
 let test_repeatable_order () =
   (* every spelling of the same flag lands in one slot, in command-line
@@ -179,7 +196,7 @@ commands:
   timeline     Render a workload's interval timeline: detector state and phase extents of the profiling run, package residency lanes of the rewritten run, and (with --timing) timing-model series.
   serve        Run the online re-optimization loop on one or more workloads: profile, package, hot-patch the running image at a verified safe launch point, keep profiling the rewritten image, and re-package on phase drift — the package cache bounded by --cache-pct.  Stdout is byte-identical for every --jobs value and backend.
   top          Dashboard over a `vpack serve --metrics` snapshot: counter and cache tables, per-histogram bucket sparklines with p50/p90/p99.  Renders one frame by default; --watch re-reads and redraws live.
-  trace-check  Validate a trace file against its schema (vp-profile-wire/1, vp-retire-trace/1, vp-metrics-snapshot/1 or vp-perfetto-trace/1, detected from the first line); failures name the schema and the offending line.
+  trace-check  Validate each trace file against its schema (vp-profile-wire/1, vp-retire-trace/1, vp-metrics-snapshot/1 or vp-perfetto-trace/1, detected from the first line); failures name the schema and the offending line.
   verify       Run the pipeline and the package soundness verifier on every emitted package; exit 4 if any check fails.
   chaos        Run the seed x fault-plan chaos matrix: every preset fault plan, asserting the differential oracle on each rewritten image; exit 5 on any cell failure.
   fuzz         Statistical chaos campaign over generated binaries: each case runs the full profile -> package -> verify -> rewrite pipeline under the fault-plan matrix with the differential oracle, plus vp-retire-trace/1 round-trip, ingestion-equivalence and corruption-totality checks; failures are shrunk to minimal repro files.  Reports are byte-identical across --jobs and backends.
@@ -287,6 +304,7 @@ let () =
       ( "parse",
         [
           Alcotest.test_case "flag forms" `Quick test_flag_forms;
+          Alcotest.test_case "declared defaults" `Quick test_declared_defaults;
           Alcotest.test_case "repeatable order" `Quick test_repeatable_order;
           Alcotest.test_case "unknown flag" `Quick test_unknown_flag;
           Alcotest.test_case "missing required" `Quick test_missing_required;

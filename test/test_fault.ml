@@ -270,6 +270,12 @@ let test_ladder_drop_region () =
   let r = Driver.rewrite ~config img in
   Alcotest.(check int) "nothing survives" 0 (List.length r.Driver.packages);
   Alcotest.(check bool) "regions demoted" true (count_rung Driver.Drop_region r > 0);
+  List.iter
+    (fun (d : Driver.demotion) ->
+      Alcotest.(check string)
+        (Format.asprintf "%a: stage" Driver.pp_demotion d)
+        "build" d.Driver.error.Vacuum.Error.stage)
+    r.Driver.demotions;
   Alcotest.(check int) "image unmodified" (Image.size img)
     (Image.size (Driver.rewritten_image r))
 
@@ -286,16 +292,31 @@ let test_ladder_fallback_image () =
   Alcotest.(check int) "runs as the original" 0
     (compare o.Emulator.checksum (Emulator.run_backend img).Emulator.checksum)
 
-let test_degrade_off_raises () =
-  let img = Program.layout (Progs.two_phase ~iters_per_phase:3000 ~repeats:3) in
-  let config =
-    Config.with_degrade false
-      (Config.with_fault (Plan.v ~max_package_instrs:1 "collapse") Config.default)
+let test_verifier_rejection () =
+  (* Packages whose exit blocks lost their dummy consumers reach
+     emission intact; the verifier rejects them and each drop names
+     the package's violation, not only that it was rejected. *)
+  let img, r = Lazy.force rewrite_fixture in
+  let strip (p : Pkg.t) =
+    Pkg.map_blocks
+      (fun b -> if b.Pkg.is_exit then { b with Pkg.live_out = [] } else b)
+      p
   in
-  match Driver.rewrite ~config img with
-  | _ -> Alcotest.fail "expected a typed error with degradation off"
-  | exception Vacuum.Error.Error e ->
-    Alcotest.(check string) "budget error stage" "build" e.Vacuum.Error.stage
+  let a =
+    Driver.assemble ~original:img (List.map strip r.Driver.packages)
+  in
+  Alcotest.(check bool) "drops taken" true (a.Driver.drops <> []);
+  List.iter
+    (fun (d : Driver.demotion) ->
+      let e = d.Driver.error in
+      let shown = Format.asprintf "%a" Driver.pp_demotion d in
+      Alcotest.(check string) (shown ^ ": stage") "verify" e.Vacuum.Error.stage;
+      Alcotest.(check bool) (shown ^ ": names a side exit") true
+        (Option.is_some (Vp_util.Io.find_sub e.Vacuum.Error.what "side exit")))
+    a.Driver.drops;
+  Alcotest.(check bool)
+    (Format.asprintf "assembled image sound: %a" Verify.pp_report a.Driver.checks)
+    true (Verify.ok a.Driver.checks)
 
 (* --- truncation warning + counters --- *)
 
@@ -335,7 +356,7 @@ let test_chaos_matrix_oracle () =
   Alcotest.(check bool)
     (Printf.sprintf "every cell equivalent and verified\n%s"
        (Chaos.table result))
-    true (Chaos.ok result);
+    true (Chaos.failures result = []);
   (* The matrix exercises every rung of the demotion ladder. *)
   let total f = List.fold_left (fun a c -> a + f c) 0 result.Chaos.cells in
   Alcotest.(check bool) "drop-package exercised" true
@@ -448,7 +469,7 @@ let () =
           Alcotest.test_case "drop package" `Quick test_ladder_drop_package;
           Alcotest.test_case "drop region" `Quick test_ladder_drop_region;
           Alcotest.test_case "fallback image" `Quick test_ladder_fallback_image;
-          Alcotest.test_case "degrade off raises" `Quick test_degrade_off_raises;
+          Alcotest.test_case "verifier rejection" `Quick test_verifier_rejection;
           Alcotest.test_case "truncation surfaces" `Quick test_truncation_surfaces;
           Alcotest.test_case "fault counters" `Quick test_fault_counters;
         ] );
