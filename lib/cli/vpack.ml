@@ -887,14 +887,19 @@ let trace_check_cmd =
       "Validate each trace file against its schema (vp-profile-wire/1, \
        vp-retire-trace/1, vp-metrics-snapshot/1 or vp-perfetto-trace/1, \
        detected from the first line); failures name the schema and the \
-       offending line."
+       offending line, and an unreadable file does not stop the check."
     ~positional:
       {
         Spec.pos_docv = "FILE...";
         pos_doc = "Trace files to validate, in order.";
         pos_required = true;
       }
-    ~exits:[ (0, "every file valid"); (1, "an invalid file") ]
+    ~exits:
+      [
+        (0, "every file valid");
+        (1, "an invalid file");
+        (3, "an unreadable file");
+      ]
     ~flags:[]
     (fun m ->
       (* One dispatch table over every schema vpack emits, sniffed from
@@ -925,7 +930,7 @@ let trace_check_cmd =
                 (Vp_metrics.Perfetto.validate_file ~path) );
         ]
       in
-      let check file =
+      let judge file =
         (* A zero-byte file matches no schema; report it for what it is. *)
         let size, first =
           let ic = open_in_bin file in
@@ -960,10 +965,16 @@ let trace_check_cmd =
               Printf.eprintf "%s: invalid %s: %s\n%!" file schema e;
               false)
       in
-      (* Check every file before judging, so one bad file does not hide
-         the verdict on the rest. *)
-      let verdicts = List.map check (Spec.positional m) in
-      if not (List.for_all Fun.id verdicts) then exit 1)
+      (* Every file gets a verdict, an unreadable one included, before
+         the exit code (the worst verdict) is chosen. *)
+      let check file =
+        try if judge file then 0 else 1
+        with Sys_error e ->
+          Printf.eprintf "%s: cannot read: %s\n%!" file e;
+          3
+      in
+      let worst = List.fold_left max 0 (List.map check (Spec.positional m)) in
+      if worst > 0 then exit worst)
 
 (* --- top --- *)
 
@@ -1130,15 +1141,21 @@ let diag_cmd =
         Hashtbl.replace tbl k
           (1 + Option.value ~default:0 (Hashtbl.find_opt tbl k))
       in
-      let on_retire ~pc ~taken:_ ~next_pc ~mem_addr:_ =
+      (* Crossings are counted once per retirement run.  Inside a run
+         control falls through pc -> pc + 1, so the only crossing there
+         is an entry [limit - 1 -> limit]; the run's last instruction
+         crosses to [next_pc]. *)
+      let on_run ~addrs:_ ~start ~len ~taken:_ ~next_pc =
+        let last = start + len - 1 in
+        if start < limit && limit <= last then bump entries (limit - 1, limit);
         if next_pc >= 0 then begin
-          let from_pkg = pc >= limit in
+          let from_pkg = last >= limit in
           let to_pkg = next_pc >= limit in
-          if from_pkg && not to_pkg then bump exits (pc, next_pc);
-          if (not from_pkg) && to_pkg then bump entries (pc, next_pc)
+          if from_pkg && not to_pkg then bump exits (last, next_pc);
+          if (not from_pkg) && to_pkg then bump entries (last, next_pc)
         end
       in
-      let o = Emulator.run_backend ~backend ~on_retire rimg in
+      let o = Emulator.run_backend ~backend ~on_run rimg in
       Printf.printf "coverage %.1f%% (%d/%d instructions in packages)\n"
         (Vp_util.Stats.pct o.Emulator.package_instructions
            o.Emulator.instructions)

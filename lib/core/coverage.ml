@@ -38,60 +38,54 @@ let measure ?(config = Config.default) (r : Driver.rewrite) =
      which emitted package) retired each interval's instructions, plus
      the migration events between them. *)
   let tl = Vp_telemetry.create (Config.metrics config) in
-  let on_retire, tail_flush =
-    if not (Vp_telemetry.enabled tl) then (None, fun () -> ())
-    else begin
-      let lane_of, lane_names = lanes_of_image image in
-      let lanes = Array.length lane_names in
-      let series =
-        Array.init lanes (fun k ->
-            Vp_telemetry.Series.register tl
-              (Printf.sprintf "run.%s.instructions" lane_names.(k)))
-      in
-      let s_instr = Vp_telemetry.Series.register tl "run.instructions" in
-      let counts = Array.make lanes 0 in
-      let interval = Vp_telemetry.interval_length tl in
-      let countdown = ref interval in
-      let retired = ref 0 in
-      let cur_lane = ref 0 in
-      let flush n =
+  let lane_of, lane_names = lanes_of_image image in
+  let lanes = Array.length lane_names in
+  let series =
+    Array.map
+      (fun name ->
+        Vp_telemetry.Series.register tl
+          (Printf.sprintf "run.%s.instructions" name))
+      lane_names
+  in
+  let s_instr = Vp_telemetry.Series.register tl "run.instructions" in
+  let counts = Array.make lanes 0 in
+  let cur_lane = ref 0 in
+  let sampler =
+    Vp_telemetry.Sampler.create tl ~flush:(fun n ->
         Vp_telemetry.Series.push tl s_instr n;
         for k = 0 to lanes - 1 do
           Vp_telemetry.Series.push tl series.(k) counts.(k);
           counts.(k) <- 0
-        done
-      in
-      ( Some
-          (fun ~pc ~taken:_ ~next_pc:_ ~mem_addr:_ ->
-            let lane = lane_of.(pc) in
-            counts.(lane) <- counts.(lane) + 1;
-            incr retired;
-            if lane <> !cur_lane then begin
-              let kind =
-                if !cur_lane = 0 then "launch"
-                else if lane = 0 then "side_exit"
-                else "migrate"
-              in
-              let value = if lane = 0 then !cur_lane else lane in
-              Vp_telemetry.Event.emit tl ~kind ~at:!retired ~value;
-              cur_lane := lane
-            end;
-            decr countdown;
-            if !countdown = 0 then begin
-              countdown := interval;
-              flush interval
-            end),
-        fun () ->
-          let tail = interval - !countdown in
-          if tail > 0 then flush tail )
-    end
+        done)
+  in
+  (* A run may cross a lane boundary, so lanes are attributed (and
+     intervals counted) one instruction at a time.  With telemetry off
+     the run gets no observer and executes the fast compiled variant. *)
+  let on_run ~addrs:_ ~start ~len ~taken:_ ~next_pc:_ =
+    for pc = start to start + len - 1 do
+      let lane = lane_of.(pc) in
+      counts.(lane) <- counts.(lane) + 1;
+      if lane <> !cur_lane then begin
+        let kind =
+          if !cur_lane = 0 then "launch"
+          else if lane = 0 then "side_exit"
+          else "migrate"
+        in
+        let value = if lane = 0 then !cur_lane else lane in
+        Vp_telemetry.Event.emit tl ~kind ~at:(Vp_telemetry.Sampler.at sampler)
+          ~value;
+        cur_lane := lane
+      end;
+      Vp_telemetry.Sampler.advance sampler 1
+    done
   in
   let outcome =
     Emulator.run_backend ~backend:(Config.backend config)
       ~fuel:(Config.fuel config) ~mem_words:(Config.mem_words config)
-      ?on_retire image
+      ?on_run:(if Vp_telemetry.enabled tl then Some on_run else None)
+      image
   in
-  tail_flush ();
+  Vp_telemetry.Sampler.finish sampler;
   if not outcome.Emulator.halted then
     Logs.warn (fun m ->
         m

@@ -1,4 +1,6 @@
 module Emulator = Vp_exec.Emulator
+module Compile = Vp_exec.Compile
+module Decode = Vp_exec.Decode
 module Detector = Vp_hsd.Detector
 module Phase_log = Vp_phase.Phase_log
 module Identify = Vp_region.Identify
@@ -135,72 +137,65 @@ let profile ?(config = Config.default) image =
   (* Per-run timeline: created fresh for this profile run so traces
      are deterministic regardless of how runs are scheduled across
      domains.  When telemetry is off this is the shared [disabled]
-     value and the emulator receives no [on_retire] sink at all. *)
+     value, and the run observer never touches the sampler. *)
   let tl = Vp_telemetry.create (Config.metrics config) in
-  let on_retire, tail_flush =
-    if not (Vp_telemetry.enabled tl) then (None, fun () -> ())
-    else begin
-      let s_instr = Vp_telemetry.Series.register tl "profile.instructions" in
-      let s_branch = Vp_telemetry.Series.register tl "profile.branches" in
-      let s_hdc = Vp_telemetry.Series.register tl "profile.hdc" in
-      let s_occ = Vp_telemetry.Series.register tl "profile.bbb_occupancy" in
-      let s_cand = Vp_telemetry.Series.register tl "profile.bbb_candidates" in
-      let interval = Vp_telemetry.interval_length tl in
-      let countdown = ref interval in
-      let intervals_done = ref 0 in
-      (* Detector events fire on a branch, just before it retires:
-         stamp them with the retired-instruction count that includes
-         that branch, the clock the series are sampled on. *)
-      let at () = (!intervals_done * interval) + (interval - !countdown) + 1 in
-      Detector.set_hooks detector
-        ~on_detect:(fun ~branches:_ ~detections ->
-          Vp_telemetry.Event.emit tl ~kind:"detect" ~at:(at ())
-            ~value:detections)
-        ~on_record:(fun ~branches:_ ~id ->
-          Vp_telemetry.Event.emit tl ~kind:"record" ~at:(at ()) ~value:id)
-        ~on_rearm:(fun ~branches:_ ~rearms ->
-          Vp_telemetry.Event.emit tl ~kind:"rearm" ~at:(at ()) ~value:rearms);
-      let last_branches = ref 0 in
-      let flush n =
+  let telemetry_on = Vp_telemetry.enabled tl in
+  let s_instr = Vp_telemetry.Series.register tl "profile.instructions" in
+  let s_branch = Vp_telemetry.Series.register tl "profile.branches" in
+  let s_hdc = Vp_telemetry.Series.register tl "profile.hdc" in
+  let s_occ = Vp_telemetry.Series.register tl "profile.bbb_occupancy" in
+  let s_cand = Vp_telemetry.Series.register tl "profile.bbb_candidates" in
+  let last_branches = ref 0 in
+  let sampler =
+    Vp_telemetry.Sampler.create tl ~flush:(fun n ->
         Vp_telemetry.Series.push tl s_instr n;
         let b = Detector.branches_seen detector in
         Vp_telemetry.Series.push tl s_branch (b - !last_branches);
         last_branches := b;
         Vp_telemetry.Series.push tl s_hdc (Detector.hdc_value detector);
         Vp_telemetry.Series.push tl s_occ (Detector.bbb_occupancy detector);
-        Vp_telemetry.Series.push tl s_cand (Detector.bbb_candidates detector)
-      in
-      ( Some
-          (fun ~pc:_ ~taken:_ ~next_pc:_ ~mem_addr:_ ->
-            decr countdown;
-            if !countdown = 0 then begin
-              countdown := interval;
-              incr intervals_done;
-              flush interval
-            end),
-        fun () ->
-          let tail = interval - !countdown in
-          if tail > 0 then flush tail )
-    end
+        Vp_telemetry.Series.push tl s_cand (Detector.bbb_candidates detector))
   in
-  (* pc-indexed counters sized by the image: the per-branch profiling
-     cost is two array bumps and the detector call — no hashing, no
-     tuple allocation.  The same arrays back the aggregate-profile
-     consumers (fig9, the aggregate baseline) via
-     {!Vp_exec.Branch_profile}. *)
+  (* Detector events fire on a branch, just before it retires: stamp
+     them with the retired-instruction count that includes that
+     branch, the clock the series are sampled on. *)
+  if telemetry_on then begin
+    let at () = Vp_telemetry.Sampler.at sampler in
+    Detector.set_hooks detector
+      ~on_detect:(fun ~branches:_ ~detections ->
+        Vp_telemetry.Event.emit tl ~kind:"detect" ~at:(at ()) ~value:detections)
+      ~on_record:(fun ~branches:_ ~id ->
+        Vp_telemetry.Event.emit tl ~kind:"record" ~at:(at ()) ~value:id)
+      ~on_rearm:(fun ~branches:_ ~rearms ->
+        Vp_telemetry.Event.emit tl ~kind:"rearm" ~at:(at ()) ~value:rearms)
+  end;
+  (* The profiler observes retirement runs: a run ending in a
+     conditional branch feeds the detector and the pc-indexed counters
+     once — two array bumps and the detector call, no hashing, no tuple
+     allocation.  The same arrays back the aggregate-profile consumers
+     (fig9, the aggregate baseline) via {!Vp_exec.Branch_profile}.  The
+     detector state is constant over a run's prefix, so the prefix's
+     interval boundaries flush before the branch is fed. *)
+  let tag = (Compile.decode (Compile.of_image image)).Decode.tag in
   let n = Vp_prog.Image.size image in
   let executed = Array.make n 0 in
   let takens = Array.make n 0 in
-  let on_branch ~pc ~taken =
-    Detector.on_branch detector ~pc ~taken;
-    executed.(pc) <- executed.(pc) + 1;
-    if taken then takens.(pc) <- takens.(pc) + 1
+  let on_run ~addrs:_ ~start ~len ~taken ~next_pc:_ =
+    let pc = start + len - 1 in
+    let t = tag.(pc) in
+    if t = Decode.tag_br || t = Decode.tag_br_unresolved then begin
+      if telemetry_on then Vp_telemetry.Sampler.advance sampler (len - 1);
+      Detector.on_branch detector ~pc ~taken;
+      executed.(pc) <- executed.(pc) + 1;
+      if taken then takens.(pc) <- takens.(pc) + 1;
+      if telemetry_on then Vp_telemetry.Sampler.advance sampler 1
+    end
+    else if telemetry_on then Vp_telemetry.Sampler.advance sampler len
   in
   (* Resource faults scale the fuel budget before the run; snapshot
      faults perturb the detector's output after it.  Both happen at
-     the hardware→software boundary — the emulator and detector
-     internals never see the plan, which is why the retire path stays
-     closure-free when no plan is configured. *)
+     the hardware→software boundary — the emulator, the detector and
+     the run observer never see the plan. *)
   let plan = Config.fault config in
   let fuel =
     match plan with
@@ -209,9 +204,9 @@ let profile ?(config = Config.default) image =
   in
   let outcome =
     Emulator.run_backend ~backend:(Config.backend config) ~fuel
-      ~mem_words:(Config.mem_words config) ~on_branch ?on_retire image
+      ~mem_words:(Config.mem_words config) ~on_run image
   in
-  tail_flush ();
+  Vp_telemetry.Sampler.finish sampler;
   finish_profile ~config ~image ~fuel ~outcome ~detector ~executed ~takens
     ~timeline:tl ~extra_warnings:[]
 

@@ -233,61 +233,49 @@ let step t =
   let { fold; lane_of; lane_names } = t.view in
   let lane_branches = Array.make (Array.length lane_names) 0 in
   let tag = (Compile.decode (Compile.of_image t.image)).Decode.tag in
-  let on_branch ~pc ~taken =
-    lane_branches.(lane_of.(pc)) <- lane_branches.(lane_of.(pc)) + 1;
-    let opc = fold.(pc) in
-    if opc >= 0 then Detector.on_branch detector ~pc:opc ~taken
-  in
-  let need_depth = ol < Image.size t.image in
-  let telemetry_on = Vp_telemetry.enabled tl in
   let s_instr = Vp_telemetry.Series.register tl "session.instructions" in
   let s_branch = Vp_telemetry.Series.register tl "session.branches" in
   let s_pkg = Vp_telemetry.Series.register tl "session.package_instructions" in
-  let interval = Vp_telemetry.interval_length tl in
-  let countdown = ref interval in
   let epoch_branches = ref 0 in
   let last_branches = ref 0 in
   let pkg_now = ref 0 in
   let last_pkg = ref 0 in
-  let flush n =
-    Vp_telemetry.Series.push tl s_instr n;
-    Vp_telemetry.Series.push tl s_branch (!epoch_branches - !last_branches);
-    last_branches := !epoch_branches;
-    Vp_telemetry.Series.push tl s_pkg (!pkg_now - !last_pkg);
-    last_pkg := !pkg_now
+  let sampler =
+    Vp_telemetry.Sampler.create tl ~flush:(fun n ->
+        Vp_telemetry.Series.push tl s_instr n;
+        Vp_telemetry.Series.push tl s_branch (!epoch_branches - !last_branches);
+        last_branches := !epoch_branches;
+        Vp_telemetry.Series.push tl s_pkg (!pkg_now - !last_pkg);
+        last_pkg := !pkg_now)
   in
   (* The session observes retirement runs.  [Call] and [Ret] end every
-     run, so the depth moves only at a run's last instruction: with
-     telemetry off a run costs one call, whatever its length.  The
-     interval samplers walk the run's instructions, counting a
-     run-ending conditional branch before its own retirement as the
-     per-instruction stream would. *)
-  let on_run =
-    if not (need_depth || telemetry_on) then None
-    else
-      Some
-        (fun ~addrs:_ ~start ~len ~taken:_ ~next_pc ->
-          let last = start + len - 1 in
-          if need_depth then
-            t.depth <-
-              t.depth + depth_step ~tag ~orig_limit:ol ~pc:last ~next_pc;
-          if telemetry_on then
-            for pc = start to last do
-              if pc >= ol then incr pkg_now;
-              if
-                pc = last
-                && (tag.(pc) = Decode.tag_br || tag.(pc) = Decode.tag_br_unresolved)
-              then incr epoch_branches;
-              decr countdown;
-              if !countdown = 0 then begin
-                countdown := interval;
-                flush interval
-              end
-            done)
+     run, so the depth moves only at a run's last instruction, and a
+     conditional branch can only end one: with telemetry off a run
+     costs one call, whatever its length.  The interval sampler walks
+     the run's instructions, counting a run-ending conditional branch
+     before its own retirement as the per-instruction stream would. *)
+  let need_depth = ol < Image.size t.image in
+  let telemetry_on = Vp_telemetry.enabled tl in
+  let on_run ~addrs:_ ~start ~len ~taken ~next_pc =
+    let last = start + len - 1 in
+    let tg = tag.(last) in
+    let is_branch = tg = Decode.tag_br || tg = Decode.tag_br_unresolved in
+    if is_branch then begin
+      lane_branches.(lane_of.(last)) <- lane_branches.(lane_of.(last)) + 1;
+      let opc = fold.(last) in
+      if opc >= 0 then Detector.on_branch detector ~pc:opc ~taken
+    end;
+    if need_depth then
+      t.depth <- t.depth + depth_step ~tag ~orig_limit:ol ~pc:last ~next_pc;
+    if telemetry_on then
+      for pc = start to last do
+        if pc >= ol then incr pkg_now;
+        if pc = last && is_branch then incr epoch_branches;
+        Vp_telemetry.Sampler.advance sampler 1
+      done
   in
   let run_chunk n =
-    Emulator.run_slice ~backend ~state:t.state ~fuel:n ~on_branch ?on_run
-      t.image
+    Emulator.run_slice ~backend ~state:t.state ~fuel:n ~on_run t.image
   in
   let slice = run_chunk fuel in
   t.retired <- t.retired + slice.Emulator.instructions;
@@ -537,10 +525,7 @@ let step t =
       end
     end
   end;
-  if telemetry_on then begin
-    let tail = interval - !countdown in
-    if tail > 0 then flush tail
-  end;
+  Vp_telemetry.Sampler.finish sampler;
   if t.halted then begin
     t.final <-
       Some

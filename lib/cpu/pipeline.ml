@@ -437,7 +437,6 @@ type model = {
   mutable data_line : int;
   mutable fetch_lb_hits : int;
   mutable data_lb_hits : int;
-  mutable tl_next : int;  (* next telemetry flush, max_int when off *)
   (* The facts of [image], built by [load_facts] into arrays that grow
      but are never given back, so a pooled model times image after
      image without allocating: [info] has one fact per pc, [desc] the
@@ -492,7 +491,6 @@ let create_model (config : Config.t) =
     data_line = -1;
     fetch_lb_hits = 0;
     data_lb_hits = 0;
-    tl_next = max_int;
     image = None;
     info = [||];
     desc = [||];
@@ -521,8 +519,7 @@ let reset_model m =
   m.fetch_line <- -1;
   m.data_line <- -1;
   m.fetch_lb_hits <- 0;
-  m.data_lb_hits <- 0;
-  m.tl_next <- max_int
+  m.data_lb_hits <- 0
 
 (* Domain-local pool of models.  Their cache tag/LRU and predictor
    arrays are ~160 KB per simulation and live on the major heap;
@@ -684,12 +681,11 @@ let simulate_internal ?(config = Config.default) ?(fuel = 200_000_000)
   let memory_latency = config.Config.memory_latency in
   let branch_resolution = config.Config.branch_resolution in
   (* Telemetry: per-interval deltas of the timing-model series, flushed
-     when the retired count reaches [m.tl_next] ([max_int] on the
-     disabled timeline, so the walker pays one compare).  All
+     by the sampler when the retired count reaches its [due] ([max_int]
+     on the disabled timeline, so the walker pays one compare).  All
      registration and last-value state exists only when the timeline is
      enabled (the registers are no-ops on the disabled timeline). *)
   let tl = telemetry in
-  let tl_interval = Vp_telemetry.interval_length tl in
   let s_instr = Vp_telemetry.Series.register tl "timing.instructions" in
   let s_cycles = Vp_telemetry.Series.register tl "timing.cycles" in
   let s_icache = Vp_telemetry.Series.register tl "timing.icache_misses" in
@@ -698,24 +694,24 @@ let simulate_internal ?(config = Config.default) ?(fuel = 200_000_000)
   let s_mispred = Vp_telemetry.Series.register tl "timing.mispredicts" in
   let s_fstall = Vp_telemetry.Series.register tl "timing.fetch_stalls" in
   let s_dstall = Vp_telemetry.Series.register tl "timing.data_stalls" in
-  if Vp_telemetry.enabled tl then m.tl_next <- tl_interval;
   let tl_last = Array.make 7 0 in
-  let tl_flush n =
-    Vp_telemetry.Series.push tl s_instr n;
-    let delta i s cur =
-      Vp_telemetry.Series.push tl s (cur - tl_last.(i));
-      tl_last.(i) <- cur
-    in
-    (* [m.cycle + 1] is the cycle-count convention of [stats.cycles]
-       (index of the last cycle -> number of cycles), so the interval
-       deltas telescope to exactly the reported total. *)
-    delta 0 s_cycles (m.cycle + 1);
-    delta 1 s_icache (Cache.misses l1i);
-    delta 2 s_dcache (Cache.misses l1d);
-    delta 3 s_l2 (Cache.misses l2);
-    delta 4 s_mispred (Predictor.stats pred).Predictor.mispredictions;
-    delta 5 s_fstall m.fetch_stalls;
-    delta 6 s_dstall m.data_stalls
+  let sampler =
+    Vp_telemetry.Sampler.create tl ~flush:(fun n ->
+        Vp_telemetry.Series.push tl s_instr n;
+        let delta i s cur =
+          Vp_telemetry.Series.push tl s (cur - tl_last.(i));
+          tl_last.(i) <- cur
+        in
+        (* [m.cycle + 1] is the cycle-count convention of [stats.cycles]
+           (index of the last cycle -> number of cycles), so the interval
+           deltas telescope to exactly the reported total. *)
+        delta 0 s_cycles (m.cycle + 1);
+        delta 1 s_icache (Cache.misses l1i);
+        delta 2 s_dcache (Cache.misses l1d);
+        delta 3 s_l2 (Cache.misses l2);
+        delta 4 s_mispred (Predictor.stats pred).Predictor.mispredictions;
+        delta 5 s_fstall m.fetch_stalls;
+        delta 6 s_dstall m.data_stalls)
   in
   (* Block memos serve whole runs only when no timeline is sampling
      (its flushes need exact instruction counts) and the FU counters
@@ -868,10 +864,8 @@ let simulate_internal ?(config = Config.default) ?(fuel = 200_000_000)
         reg_ready.!((defs.!(i) :> int)) <- ready
       done;
       if kind >= kind_br then terminator pc kind ~taken ~next_pc;
-      if m.instructions = m.tl_next then begin
-        m.tl_next <- m.tl_next + tl_interval;
-        tl_flush tl_interval
-      end
+      if m.instructions = sampler.Vp_telemetry.Sampler.due then
+        Vp_telemetry.Sampler.reach sampler m.instructions
     done
   in
   (* The entry signature of a whole block: everything its issue timing
@@ -1016,8 +1010,8 @@ let simulate_internal ?(config = Config.default) ?(fuel = 200_000_000)
   let st = State.create ~mem_words image in
   let (_ : Compile.result) = Compile.exec compiled st ~fuel ~on_run () in
   State.release st;
-  let tail = m.instructions - (m.tl_next - tl_interval) in
-  if Vp_telemetry.enabled tl && tail > 0 then tl_flush tail;
+  Vp_telemetry.Sampler.reach sampler m.instructions;
+  Vp_telemetry.Sampler.finish sampler;
   let pstats = Predictor.stats pred in
   let total_cycles = m.cycle + 1 in
   let result =

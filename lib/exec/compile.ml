@@ -63,7 +63,6 @@ type ctx = {
   mutable halted : bool;
   mutable run_start : int;
   addrs : int array;
-  on_branch : pc:int -> taken:bool -> unit;
   on_run : on_run;
 }
 
@@ -192,8 +191,7 @@ let make_variant (d : Decode.t) ~block_idx ~block_start ~block_len ~nb
     State.set_pc st pc;
     let taken = ref false in
     let next = ref (pc + 1) in
-    let tg = tag.!(pc) in
-    (match tg with
+    (match tag.!(pc) with
     | 0 (* Alu, register operand *) ->
       State.set_reg st dst.!(pc)
         (Op.eval_alu alu_op.!(pc) (State.reg st src1.!(pc))
@@ -250,8 +248,6 @@ let make_variant (d : Decode.t) ~block_idx ~block_start ~block_len ~nb
       if t then unres ctx pc
     | _ (* La/Jmp/Call with an unresolved label *) -> unres ctx pc);
     ctx.on_run ~addrs:ctx.addrs ~start:pc ~len:1 ~taken:!taken ~next_pc:!next;
-    if tg = Decode.tag_br || tg = Decode.tag_br_unresolved then
-      ctx.on_branch ~pc ~taken:!taken;
     if not ctx.halted then interp ctx !next
   in
   (* Compile-time dispatch to a target address.  In-range targets are
@@ -274,17 +270,16 @@ let make_variant (d : Decode.t) ~block_idx ~block_start ~block_len ~nb
             tgt
         else State.set_pc ctx.st tgt
   in
-  (* The fall-through end of a block that has no terminator: in the
-     observed variant it reports the block's run, in the fast variant
-     it is the continuation itself. *)
-  let fall_through start len k =
-    if observed then begin
-      let np = start + len in
+  (* A block's end with a static outcome (a fall-through, [Jmp],
+     [Call], [Halt], a not-taken unresolved branch): in the observed
+     variant it reports the block's run, then continues with [k]; in
+     the fast variant it is [k] itself. *)
+  let report start len ~taken ~next_pc k =
+    if observed then
       fun ctx ->
         ctx.run_start <- -1;
-        ctx.on_run ~addrs:ctx.addrs ~start ~len ~taken:false ~next_pc:np;
+        ctx.on_run ~addrs:ctx.addrs ~start ~len ~taken ~next_pc;
         k ctx
-    end
     else k
   in
   (* One straight-line (non-terminator) instruction, specialized per
@@ -479,8 +474,8 @@ let make_variant (d : Decode.t) ~block_idx ~block_start ~block_len ~nb
   in
   (* A block's terminator: control transfer baked at compile time.  In
      the observed variant it reports the block's run [start, start +
-     len) before transferring, then fires [on_branch] for a conditional
-     branch; a taken unresolved branch faults before either. *)
+     len) before transferring; a taken unresolved branch faults before
+     reporting. *)
   let compile_term start len pc =
     match tag.(pc) with
     | 6 ->
@@ -490,16 +485,9 @@ let make_variant (d : Decode.t) ~block_idx ~block_start ~block_len ~nb
       if observed then begin
         let br ctx t =
           ctx.run_start <- -1;
-          if t then begin
-            ctx.on_run ~addrs:ctx.addrs ~start ~len ~taken:true ~next_pc:tpc;
-            ctx.on_branch ~pc ~taken:true;
-            gt ctx
-          end
-          else begin
-            ctx.on_run ~addrs:ctx.addrs ~start ~len ~taken:false ~next_pc:np;
-            ctx.on_branch ~pc ~taken:false;
-            gf ctx
-          end
+          ctx.on_run ~addrs:ctx.addrs ~start ~len ~taken:t
+            ~next_pc:(if t then tpc else np);
+          if t then gt ctx else gf ctx
         in
         match cond.(pc) with
         | Op.Eq ->
@@ -556,27 +544,13 @@ let make_variant (d : Decode.t) ~block_idx ~block_start ~block_len ~nb
       end
     | 7 ->
       let tpc = target.(pc) in
-      let g = goto tpc in
-      if observed then
-        fun ctx ->
-          ctx.run_start <- -1;
-          ctx.on_run ~addrs:ctx.addrs ~start ~len ~taken:true ~next_pc:tpc;
-          g ctx
-      else g
+      report start len ~taken:true ~next_pc:tpc (goto tpc)
     | 8 ->
-      let tpc = target.(pc) in
-      let g = goto tpc in
-      let link = pc + 1 in
-      if observed then
-        fun ctx ->
-          ctx.regs.!(ra_slot) <- link;
-          ctx.run_start <- -1;
-          ctx.on_run ~addrs:ctx.addrs ~start ~len ~taken:true ~next_pc:tpc;
-          g ctx
-      else
-        fun ctx ->
-          ctx.regs.!(ra_slot) <- link;
-          g ctx
+      let tpc = target.(pc) and link = pc + 1 in
+      let k = report start len ~taken:true ~next_pc:tpc (goto tpc) in
+      fun ctx ->
+        ctx.regs.!(ra_slot) <- link;
+        k ctx
     | 9 ->
       (* The return target is dynamic; the interpreter's leader check
          re-enters compiled code immediately (call successors are
@@ -585,16 +559,12 @@ let make_variant (d : Decode.t) ~block_idx ~block_start ~block_len ~nb
         fun ctx ->
           let ra = ctx.regs.!(ra_slot) in
           ctx.run_start <- -1;
+          ctx.on_run ~addrs:ctx.addrs ~start ~len ~taken:true ~next_pc:ra;
           if ra = State.halt_address then begin
             ctx.halted <- true;
-            State.set_pc ctx.st pc;
-            ctx.on_run ~addrs:ctx.addrs ~start ~len ~taken:true
-              ~next_pc:State.halt_address
+            State.set_pc ctx.st pc
           end
-          else begin
-            ctx.on_run ~addrs:ctx.addrs ~start ~len ~taken:true ~next_pc:ra;
-            interp ctx ra
-          end
+          else interp ctx ra
       else
         fun ctx ->
           let ra = ctx.regs.!(ra_slot) in
@@ -604,35 +574,20 @@ let make_variant (d : Decode.t) ~block_idx ~block_start ~block_len ~nb
           end
           else interp ctx ra
     | 11 ->
-      if observed then
-        fun ctx ->
-          ctx.halted <- true;
-          State.set_pc ctx.st pc;
-          ctx.run_start <- -1;
-          ctx.on_run ~addrs:ctx.addrs ~start ~len ~taken:false
-            ~next_pc:State.halt_address
-      else
-        fun ctx ->
-          ctx.halted <- true;
-          State.set_pc ctx.st pc
+      let k = report start len ~taken:false ~next_pc:State.halt_address ignore in
+      fun ctx ->
+        ctx.halted <- true;
+        State.set_pc ctx.st pc;
+        k ctx
     | 13 ->
       let a = reg_of src1 pc and b = reg_of src2 pc in
       let test = Op.eval_cond cond.(pc) in
       let np = pc + 1 in
-      let g = goto np in
-      if observed then
-        fun ctx ->
-          ctx.branches <- ctx.branches + 1;
-          if test (ctx.regs.!(a)) (ctx.regs.!(b)) then unres ctx pc;
-          ctx.run_start <- -1;
-          ctx.on_run ~addrs:ctx.addrs ~start ~len ~taken:false ~next_pc:np;
-          ctx.on_branch ~pc ~taken:false;
-          g ctx
-      else
-        fun ctx ->
-          ctx.branches <- ctx.branches + 1;
-          if test (ctx.regs.!(a)) (ctx.regs.!(b)) then unres ctx pc;
-          g ctx
+      let k = report start len ~taken:false ~next_pc:np (goto np) in
+      fun ctx ->
+        ctx.branches <- ctx.branches + 1;
+        if test (ctx.regs.!(a)) (ctx.regs.!(b)) then unres ctx pc;
+        k ctx
     | 14 | 15 -> fun ctx -> unres ctx pc
     | _ -> assert false
   in
@@ -640,7 +595,9 @@ let make_variant (d : Decode.t) ~block_idx ~block_start ~block_len ~nb
     let slot = pc - start in
     if slot = len - 1 then begin
       if is_terminator tag.(pc) then compile_term start len pc
-      else compile_straight pc slot (fall_through start len (goto (pc + 1)))
+      else
+        compile_straight pc slot
+          (report start len ~taken:false ~next_pc:(pc + 1) (goto (pc + 1)))
     end
     else compile_straight pc slot (compile_from start len (pc + 1))
   in
@@ -720,11 +677,10 @@ let block_count t = t.n_blocks
 let block_of_pc t pc = t.block_idx.(pc)
 let block_bounds t b = (t.block_start.(b), t.block_len.(b))
 
-let noop_branch ~pc:_ ~taken:_ = ()
 let noop_run ~addrs:_ ~start:_ ~len:_ ~taken:_ ~next_pc:_ = ()
 
-let exec t st ~fuel ?on_branch ?on_run () =
-  let observed = Option.is_some on_branch || Option.is_some on_run in
+let exec t st ~fuel ?on_run () =
+  let observed = Option.is_some on_run in
   let ctx =
     {
       st;
@@ -735,7 +691,6 @@ let exec t st ~fuel ?on_branch ?on_run () =
       halted = false;
       run_start = -1;
       addrs = Array.make (if observed then t.max_len else 1) 0;
-      on_branch = Option.value on_branch ~default:noop_branch;
       on_run = Option.value on_run ~default:noop_run;
     }
   in

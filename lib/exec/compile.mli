@@ -13,9 +13,9 @@
 
     Two specialized variants of every block exist, each compiled on
     first use: a fast one with no observation code at all, and a
-    run-observed one that reports retirement {e runs} (see {!on_run})
-    and conditional-branch outcomes.  {!exec} picks the variant from
-    the observers it is given; outcomes and checksums are
+    run-observed one that reports retirement {e runs} (see {!on_run}),
+    its one observation channel.  {!exec} picks the variant from
+    whether an observer is given; outcomes and checksums are
     bit-identical to the reference interpreter's
     ([Emulator.run_backend ~backend:Reference]), the differential
     oracle, and so is the per-instruction stream a run expands to. *)
@@ -62,22 +62,22 @@ type on_run =
     stale values.  [addrs] belongs to the executing run and is
     overwritten by the next one.  Blocks report one run each (their
     terminator or fall-through end makes the call); the boundary
-    interpreter reports runs of length 1, so fuel cuts stay exact. *)
+    interpreter reports runs of length 1, so fuel cuts stay exact.  A
+    conditional branch is a run whose last instruction is tagged
+    {!Decode.tag_br} or {!Decode.tag_br_unresolved}. *)
 
 val exec :
   t ->
   State.t ->
   fuel:int ->
-  ?on_branch:(pc:int -> taken:bool -> unit) ->
   ?on_run:on_run ->
   unit ->
   result
 (** Run compiled code from the state's current pc until halt, a return
     to {!State.halt_address}, or fuel exhaustion, leaving the final pc
     in the state exactly as the reference interpreter would.
-    Observer-present runs use the run-observed variant, observer-free
-    runs the fast one.  A conditional branch's [on_branch] fires right
-    after the run it ends.  An exception escaping mid-block (a
+    A run with [on_run] uses the run-observed variant, one without it
+    the fast one.  An exception escaping mid-block (a
     {!State.Fault}, an executed unresolved label) first reports the
     block's retired prefix — the instructions before the faulting one —
     as a run, so the observers see exactly the retirements the reference

@@ -132,40 +132,49 @@ external ( .!() ) : 'a array -> int -> 'a = "%array_unsafe_get"
 
 let noop_branch ~pc:_ ~taken:_ = ()
 
-(* Expand the compiled backend's retirement runs into the reference
-   interpreter's per-instruction stream, in its exact order: every
-   instruction of the run retires in turn, and a run-ending
-   conditional branch fires [on_branch] just before its own
-   retirement.  [Compile.exec] then gets no [on_branch] of its own. *)
-let expand_runs (d : Decode.t) ~on_branch ~on_retire =
-  let tag = d.Decode.tag in
-  fun ~addrs ~start ~len ~taken ~next_pc ->
-    let last = start + len - 1 in
-    for pc = start to last do
+(* The reference interpreter's per-branch and per-instruction streams,
+   derived from the compiled backend's retirement runs in its exact
+   order: every instruction of a run retires in turn, and a run whose
+   last instruction is a conditional branch fires [on_branch] just
+   before that branch retires.  Without [on_retire] a run costs one tag
+   test.  A caller's own [on_run] sees each run first. *)
+let observe_runs (d : Decode.t) ?on_branch ?on_retire ?on_run () =
+  if Option.is_none on_branch && Option.is_none on_retire then on_run
+  else begin
+    let tag = d.Decode.tag in
+    let on_branch = Option.value on_branch ~default:noop_branch in
+    let mem_addr ~addrs ~start pc =
       let t = tag.!(pc) in
-      let mem_addr =
-        if t = Decode.tag_load || t = Decode.tag_store then addrs.!(pc - start)
-        else -1
-      in
-      if pc < last then
-        on_retire ~pc ~taken:false ~next_pc:(pc + 1) ~mem_addr
-      else begin
+      if t = Decode.tag_load || t = Decode.tag_store then addrs.!(pc - start)
+      else -1
+    in
+    Some
+      (fun ~addrs ~start ~len ~taken ~next_pc ->
+        (match on_run with
+        | Some f -> f ~addrs ~start ~len ~taken ~next_pc
+        | None -> ());
+        let last = start + len - 1 in
+        (match on_retire with
+        | Some f ->
+          for pc = start to last - 1 do
+            f ~pc ~taken:false ~next_pc:(pc + 1)
+              ~mem_addr:(mem_addr ~addrs ~start pc)
+          done
+        | None -> ());
+        let t = tag.!(last) in
         if t = Decode.tag_br || t = Decode.tag_br_unresolved then
-          on_branch ~pc ~taken;
-        on_retire ~pc ~taken ~next_pc ~mem_addr
-      end
-    done
+          on_branch ~pc:last ~taken;
+        match on_retire with
+        | Some f ->
+          f ~pc:last ~taken ~next_pc ~mem_addr:(mem_addr ~addrs ~start last)
+        | None -> ())
+  end
 
 let compiled_slice st ~fuel ?on_branch ?on_retire ?on_run (c : Compile.t) =
-  let r =
-    match on_retire with
-    | None -> Compile.exec c st ~fuel ?on_branch ?on_run ()
-    | Some on_retire ->
-      let on_branch = Option.value on_branch ~default:noop_branch in
-      Compile.exec c st ~fuel
-        ~on_run:(expand_runs (Compile.decode c) ~on_branch ~on_retire)
-        ()
+  let on_run =
+    observe_runs (Compile.decode c) ?on_branch ?on_retire ?on_run ()
   in
+  let r = Compile.exec c st ~fuel ?on_run () in
   {
     instructions = r.Compile.instructions;
     package_instructions = r.Compile.package_instructions;
@@ -187,22 +196,9 @@ let run_slice ?(backend = Compiled) ~state ~fuel ?on_branch ?on_run image =
   slice backend state ~fuel ?on_branch ?on_run image
 
 let run_backend ?(backend = Compiled) ?(fuel = 200_000_000)
-    ?(mem_words = 1 lsl 20) ?on_branch ?on_retire image =
+    ?(mem_words = 1 lsl 20) ?on_branch ?on_retire ?on_run image =
   let st = State.create ~mem_words image in
-  let outcome = slice backend st ~fuel ?on_branch ?on_retire image in
+  let outcome = slice backend st ~fuel ?on_branch ?on_retire ?on_run image in
   (* The state never escapes this function; recycle its memory array. *)
   State.release st;
   outcome
-
-let aggregate_branch_profile ?fuel ?mem_words image =
-  (* pc-indexed counters instead of a hashtable: the per-branch cost
-     is two array bumps, and the table shape is recovered once at the
-     end for the callers that want it. *)
-  let executed = Array.make (Image.size image) 0 in
-  let takens = Array.make (Image.size image) 0 in
-  let on_branch ~pc ~taken =
-    executed.(pc) <- executed.(pc) + 1;
-    if taken then takens.(pc) <- takens.(pc) + 1
-  in
-  let (_ : outcome) = run_backend ?fuel ?mem_words ~on_branch image in
-  Branch_profile.of_counts ~executed ~takens

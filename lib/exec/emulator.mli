@@ -4,7 +4,9 @@
     closures of {!Compile} (the default), and [Reference], the boxed
     interpreter over [Instr.t] that retires one instruction at a time —
     the executable specification the differential tests hold [Compiled]
-    to.  Either exposes two observation channels:
+    to.  A run has one observation channel, its retirement runs
+    ({!Compile.on_run}), which every library stage observes.  This
+    module also derives two older streams from them:
 
     - [on_branch] fires at every conditional-branch retirement with
       the branch's static address and its outcome — exactly the event
@@ -16,10 +18,11 @@
       load or store, [-1] for every other instruction — no address in
       this machine is negative).
 
-    Both are optional; on [Compiled] neither allocates per retired
-    instruction.  A conditional branch fires [on_branch] before its
-    [on_retire].  Outcomes, checksums and both streams are
-    bit-identical across backends. *)
+    The reference interpreter fires both natively: it is the oracle
+    the derived streams are held to.  A conditional branch fires
+    [on_branch] before its [on_retire].  Outcomes, checksums and both
+    streams are bit-identical across backends, and on [Compiled] no
+    stream allocates per retired instruction. *)
 
 type outcome = {
   instructions : int;  (** dynamic instructions retired *)
@@ -55,6 +58,7 @@ val run_backend :
   ?mem_words:int ->
   ?on_branch:(pc:int -> taken:bool -> unit) ->
   ?on_retire:(pc:int -> taken:bool -> next_pc:int -> mem_addr:int -> unit) ->
+  ?on_run:Compile.on_run ->
   Vp_prog.Image.t ->
   outcome
 (** Execute from the image entry on the chosen backend (default
@@ -62,11 +66,8 @@ val run_backend :
     fuel exhaustion (default fuel 200M), over a fresh state of
     [mem_words] words (default 1M) taken from and returned to the
     {!State} arena.  [Compiled] goes through the {!Compile.of_image}
-    memo, so running the same image again compiles nothing.  It reports
-    one retirement run per block ({!Compile.on_run}), expanded here into
-    the per-instruction [on_retire] stream; with only [on_branch]
-    attached no expansion happens, and a run with no observers at all
-    executes the observer-free compiled variant.  Raises {!State.Fault}
+    memo, so running the same image again compiles nothing; with no
+    observer at all it runs the observer-free compiled variant.  Raises {!State.Fault}
     on out-of-range memory access, and [Vp_util.Error.Error] with stage
     ["emulator"] on a jump outside the image or an executed unresolved
     label. *)
@@ -94,12 +95,7 @@ val run_slice :
     [on_run] observes retirement runs ({!Compile.on_run}): natively,
     one per block, on [Compiled] (no per-instruction call); runs of
     length 1 on [Reference].  The instructions the runs cover are the
-    same on both backends, but not how they are grouped, nor whether a
+    same on both backends, but not how they are grouped (a sampler
+    that flushed at run boundaries would see it), nor whether a
     run-ending branch's [on_branch] fires before or after its run: an
     observer must depend on neither. *)
-
-val aggregate_branch_profile :
-  ?fuel:int -> ?mem_words:int -> Vp_prog.Image.t -> Branch_profile.t
-(** Whole-run (executed, taken) counts per static conditional branch —
-    the traditional aggregate profile the paper contrasts against.
-    Accumulated in pc-indexed arrays, not a per-branch hashtable. *)

@@ -40,6 +40,5 @@ val weighted :
   Phase_log.t ->
   dynamic:Vp_exec.Branch_profile.t ->
   weights
-(** [dynamic] is the whole-run (executed, taken) profile — from
-    {!Vp_exec.Emulator.aggregate_branch_profile} or
+(** [dynamic] is the whole-run (executed, taken) profile —
     [Driver.profile.aggregate]. *)

@@ -142,6 +142,35 @@ module Event = struct
     !n
 end
 
+module Sampler = struct
+  (* [due] is the clock of the next interval boundary, [max_int] on the
+     disabled timeline so no clock ever reaches it. *)
+  type t = {
+    interval : int;
+    flush : int -> unit;
+    mutable clock : int;
+    mutable due : int;
+  }
+
+  let create tl ~flush =
+    let interval = interval_length tl in
+    let due = if enabled tl then interval else max_int in
+    { interval; flush; clock = 0; due }
+
+  let reach s c =
+    while c >= s.due do
+      s.due <- s.due + s.interval;
+      s.flush s.interval
+    done;
+    s.clock <- c
+
+  let advance s n = reach s (s.clock + n)
+  let at s = s.clock + 1
+  let finish s =
+    let tail = s.clock - (s.due - s.interval) in
+    if s.due < max_int && tail > 0 then s.flush tail
+end
+
 (* ---- Perfetto export ---- *)
 
 (* The prefix of the first series: "profile", "run", "timing",

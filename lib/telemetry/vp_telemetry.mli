@@ -21,11 +21,11 @@
 
     {b Cost.}  Series storage is preallocated and grows by doubling;
     pushes are array stores.  The {!disabled} timeline turns every
-    entry point into an early-out on one immutable boolean, and
-    callers on the emulator's hot loop are expected to not install
-    their sampling callback at all when telemetry is off (see
-    [Vacuum.Driver]), so the disabled path adds nothing to the
-    compiled core. *)
+    entry point into an early-out on one immutable boolean.  Each
+    sampling run observer counts its intervals through one {!Sampler};
+    with telemetry off none touches it (the timing walker pays one
+    compare against its [due]), so the disabled path adds no sampler
+    work to the compiled core. *)
 
 val default_interval : int
 (** 10_000 retired instructions: the sampling interval the CLI offers
@@ -92,6 +92,42 @@ module Event : sig
   (** [(kind, at, value)] in emission order. *)
 
   val count : t -> kind:string -> int
+end
+
+(** The interval sampler of one run: it owns the run's instruction
+    clock, calls [flush] at every interval boundary the clock reaches
+    and once more for the partial tail at {!finish}.  A sampling
+    observer keeps only its series registration and its flush body. *)
+module Sampler : sig
+  type timeline := t
+
+  type t = private {
+    interval : int;
+    flush : int -> unit;
+    mutable clock : int;  (** instructions retired so far *)
+    mutable due : int;
+        (** the next boundary; [max_int] on {!disabled}, so a caller
+            counting instructions itself pays one compare *)
+  }
+
+  val create : timeline -> flush:(int -> unit) -> t
+  (** [flush n] gets the interval length at a boundary, the tail's at
+      {!finish}. *)
+
+  val reach : t -> int -> unit
+  (** Move the clock to a later count, flushing once per boundary
+      crossed — with the observer state of the call, so advance in
+      steps over which that state is constant. *)
+
+  val advance : t -> int -> unit
+  (** [advance s n] is [reach s (s.clock + n)]. *)
+
+  val at : t -> int
+  (** [clock + 1]: the {!Event.emit} stamp of an event fired by the
+      instruction retiring now. *)
+
+  val finish : t -> unit
+  (** Flush the partial interval since the last boundary, if any. *)
 end
 
 val write_perfetto : path:string -> t list -> unit

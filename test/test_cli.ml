@@ -196,7 +196,7 @@ commands:
   timeline     Render a workload's interval timeline: detector state and phase extents of the profiling run, package residency lanes of the rewritten run, and (with --timing) timing-model series.
   serve        Run the online re-optimization loop on one or more workloads: profile, package, hot-patch the running image at a verified safe launch point, keep profiling the rewritten image, and re-package on phase drift — the package cache bounded by --cache-pct.  Stdout is byte-identical for every --jobs value and backend.
   top          Dashboard over a `vpack serve --metrics` snapshot: counter and cache tables, per-histogram bucket sparklines with p50/p90/p99.  Renders one frame by default; --watch re-reads and redraws live.
-  trace-check  Validate each trace file against its schema (vp-profile-wire/1, vp-retire-trace/1, vp-metrics-snapshot/1 or vp-perfetto-trace/1, detected from the first line); failures name the schema and the offending line.
+  trace-check  Validate each trace file against its schema (vp-profile-wire/1, vp-retire-trace/1, vp-metrics-snapshot/1 or vp-perfetto-trace/1, detected from the first line); failures name the schema and the offending line, and an unreadable file does not stop the check.
   verify       Run the pipeline and the package soundness verifier on every emitted package; exit 4 if any check fails.
   chaos        Run the seed x fault-plan chaos matrix: every preset fault plan, asserting the differential oracle on each rewritten image; exit 5 on any cell failure.
   fuzz         Statistical chaos campaign over generated binaries: each case runs the full profile -> package -> verify -> rewrite pipeline under the fault-plan matrix with the differential oracle, plus vp-retire-trace/1 round-trip, ingestion-equivalence and corruption-totality checks; failures are shrunk to minimal repro files.  Reports are byte-identical across --jobs and backends.

@@ -3,10 +3,11 @@
    registry A-input workload runs through both the [Reference] backend
    (the original instruction-at-a-time interpreter, kept as the
    executable specification) and the default [Compiled] one with only a
-   branch observer attached — the compiled code's native branch feed,
-   no run expansion; the two must agree on every outcome field, on the
-   hot-spot detector's snapshot stream, and on the whole-run aggregate
-   branch profile. *)
+   branch observer attached — the branch feed [Emulator] derives from
+   the compiled code's retirement runs, no per-instruction expansion;
+   the two must agree on every outcome field, on the hot-spot
+   detector's snapshot stream, and on the whole-run aggregate branch
+   profile. *)
 
 module Registry = Vp_workloads.Registry
 module Program = Vp_prog.Program
@@ -78,9 +79,14 @@ let test_workload w () =
     (name ^ ": aggregate profiles identical")
     true
     (sorted_bindings ref_agg = sorted_bindings dec_agg);
-  (* The pc-indexed Branch_profile agrees with the classic hashtable
-     aggregate on the same run. *)
-  let bp = Emulator.aggregate_branch_profile ~fuel image in
+  (* The profiler's pc-indexed Branch_profile agrees with the classic
+     hashtable aggregate on the same run. *)
+  let bp =
+    (Vacuum.Driver.profile
+       ~config:(Vacuum.Config.with_fuel fuel Vacuum.Config.default)
+       image)
+      .Vacuum.Driver.aggregate
+  in
   Alcotest.(check bool)
     (name ^ ": Branch_profile matches hashtable")
     true

@@ -190,7 +190,7 @@ let test_branch_observation () =
 
 let test_aggregate_profile_bias () =
   let img = Program.layout (Progs.biased_branch ~iters:1000 ~bias_mod:10) in
-  let profile = Emulator.aggregate_branch_profile img in
+  let profile = (Vacuum.Driver.profile img).Vacuum.Driver.aggregate in
   (* Find the if-branch: it executes 1000 times, taken 900 (the 'else'
      arm is the common direction). *)
   let found = ref false in
@@ -543,18 +543,23 @@ let test_compiled_fuel_boundary_parity () =
 (* [run_slice]'s run observer: cut into slices of every size from 1 to
    24, the runs of each backend must cover exactly the retirements of
    one uncut per-instruction run, in order, each with its pc, next pc
-   and (for loads and stores) effective address. *)
+   and (for loads and stores) effective address.  The branch stream
+   [run_slice] derives from those runs (native on the reference
+   interpreter) must equal the reference's uncut [on_branch] stream at
+   every cut too. *)
 let test_slice_run_feed_parity () =
   let img = Program.layout (Progs.factorial 8) in
   let d = Vp_exec.Compile.(decode (of_image img)) in
-  let want = ref [] in
+  let want = ref [] and want_branches = ref [] in
   let (_ : Emulator.outcome) =
     Emulator.run_backend ~backend:Emulator.Reference
+      ~on_branch:(fun ~pc ~taken -> want_branches := (pc, taken) :: !want_branches)
       ~on_retire:(fun ~pc ~taken:_ ~next_pc ~mem_addr ->
         want := (pc, next_pc, mem_addr) :: !want)
       img
   in
-  let want = List.rev !want in
+  let want = List.rev !want and want_branches = List.rev !want_branches in
+  Alcotest.(check bool) "branches observed" true (want_branches <> []);
   List.iter
     (fun backend ->
       for cut = 1 to 24 do
@@ -571,16 +576,25 @@ let test_slice_run_feed_parity () =
             got := (pc, np, mem_addr) :: !got
           done
         in
+        let branches = ref [] in
+        let on_branch ~pc ~taken = branches := (pc, taken) :: !branches in
         let state = State.create ~mem_words:(1 lsl 20) img in
         let halted = ref false in
         while not !halted do
-          let o = Emulator.run_slice ~backend ~state ~fuel:cut ~on_run img in
+          let o =
+            Emulator.run_slice ~backend ~state ~fuel:cut ~on_branch ~on_run img
+          in
           halted := o.Emulator.halted
         done;
+        let name = Emulator.backend_name backend in
         Alcotest.(check bool)
-          (Printf.sprintf "%s, slices of %d" (Emulator.backend_name backend) cut)
+          (Printf.sprintf "%s, slices of %d" name cut)
           true
-          (want = List.rev !got)
+          (want = List.rev !got);
+        Alcotest.(check bool)
+          (Printf.sprintf "%s, branches in slices of %d" name cut)
+          true
+          (want_branches = List.rev !branches)
       done)
     Emulator.all_backends
 
@@ -718,7 +732,7 @@ let test_compiled_observed_allocation_flat () =
   in
   let run_runs fuel =
     let st = State.create ~mem_words:(1 lsl 20) img in
-    ignore (Vp_exec.Compile.exec c st ~fuel ~on_branch ~on_run ());
+    ignore (Vp_exec.Compile.exec c st ~fuel ~on_run ());
     State.release st
   in
   let on_retire ~pc:_ ~taken:_ ~next_pc:_ ~mem_addr:_ = incr retired in

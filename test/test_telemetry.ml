@@ -436,28 +436,44 @@ let test_timing_series () =
 
 (* --- determinism across schedules --- *)
 
+(* The backend is one more input that must not show: the reference
+   interpreter reports runs of length 1 and the compiled core one run
+   per block, so a sampler that flushed at run boundaries instead of
+   instruction boundaries would split the traces. *)
 let test_traces_identical_across_jobs () =
-  let timelines seed =
+  let timelines backend seed =
+    let config = Vacuum.Config.with_backend backend telemetry_config in
     let image = Program.layout (Gen.random_phased ~seed) in
-    let p = Vacuum.Driver.profile ~config:telemetry_config image in
-    let r = Vacuum.Driver.rewrite_of_profile ~config:telemetry_config p in
+    let p = Vacuum.Driver.profile ~config image in
+    let r = Vacuum.Driver.rewrite_of_profile ~config p in
+    let epoch = Vacuum.Session.step (Vacuum.Session.create ~config image) in
     [
       p.Vacuum.Driver.timeline;
-      (Vacuum.Coverage.measure ~config:telemetry_config r)
-        .Vacuum.Coverage.residency;
+      (Vacuum.Coverage.measure ~config r).Vacuum.Coverage.residency;
+      epoch.Vacuum.Session.timeline;
     ]
   in
-  let trace_of jobs path =
+  let trace_of ~backend jobs path =
     T.write_perfetto ~path
-      (List.concat (Vp_util.Pool.map ~jobs timelines [ 1; 2; 3; 4 ]))
+      (List.concat (Vp_util.Pool.map ~jobs (timelines backend) [ 1; 2; 3; 4 ]))
   in
   in_temp "seq.json" @@ fun seq ->
   in_temp "par.json" @@ fun par ->
-  trace_of 1 seq;
-  trace_of 4 par;
-  let a = read seq and b = read par in
+  in_temp "ref.json" @@ fun ref_ ->
+  trace_of ~backend:Emulator.Compiled 1 seq;
+  trace_of ~backend:Emulator.Compiled 4 par;
+  trace_of ~backend:Emulator.Reference 4 ref_;
+  let a = read seq and b = read par and c = read ref_ in
   Alcotest.(check bool) "traces non-trivial" true (String.length a > 100);
-  Alcotest.(check bool) "byte-identical across --jobs 1 and 4" true (a = b)
+  Alcotest.(check bool) "byte-identical across --jobs 1 and 4" true (a = b);
+  Alcotest.(check bool) "byte-identical across backends" true (a = c);
+  List.iter
+    (fun prefix ->
+      Alcotest.(check bool)
+        (prefix ^ " counters present")
+        true
+        (Vp_util.Io.find_sub a (Printf.sprintf "\"%s." prefix) <> None))
+    [ "profile"; "run"; "session" ]
 
 let () =
   Alcotest.run "vp_telemetry"
