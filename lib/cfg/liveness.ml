@@ -6,9 +6,10 @@ type t = { live_in : int array }
 
 let mask_of regs = List.fold_left (fun m r -> m lor (1 lsl Reg.to_int r)) 0 regs
 
+let all_regs = List.init Reg.count Reg.of_int
+
 let regs_of mask =
-  List.filter (fun r -> mask land (1 lsl Reg.to_int r) <> 0)
-    (List.init Reg.count Reg.of_int)
+  List.filter (fun r -> mask land (1 lsl Reg.to_int r) <> 0) all_regs
 
 let solve ~gen ~kill ~terminal ~succs =
   let n = Array.length gen in

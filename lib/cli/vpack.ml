@@ -931,13 +931,18 @@ let trace_check_cmd =
         ]
       in
       let judge file =
-        (* A zero-byte file matches no schema; report it for what it is. *)
+        (* A zero-byte file matches no schema; report it for what it is.
+           A directory opens but has no length: name it instead. *)
         let size, first =
+          if Sys.file_exists file && Sys.is_directory file then
+            raise (Sys_error "is a directory");
           let ic = open_in_bin file in
-          let n = in_channel_length ic in
-          let l = try input_line ic with End_of_file -> "" in
-          close_in ic;
-          (n, l)
+          Fun.protect
+            ~finally:(fun () -> close_in_noerr ic)
+            (fun () ->
+              let n = in_channel_length ic in
+              let l = try input_line ic with End_of_file -> "" in
+              (n, l))
         in
         if size = 0 then begin
           Printf.eprintf "%s: invalid trace: empty trace (0 bytes)\n%!" file;

@@ -10,26 +10,46 @@ type state = {
   roots : Roots.t;
   mutable blocks_rev : Pkg.block list;
   mutable sites_rev : Pkg.site list;
-  contexts : (Pkg.context, int) Hashtbl.t;
+  contexts : (Pkg.context, string) Hashtbl.t;
   mutable next_ctx : int;
   mutable next_exit : int;
 }
 
-let ctx_id st ctx =
+(* The label prefix ["<pkg_id>$c<n>$"] of a calling context, [n]
+   numbering contexts in order of first use. *)
+let ctx_prefix st ctx =
   match Hashtbl.find_opt st.contexts ctx with
-  | Some id -> id
+  | Some prefix -> prefix
   | None ->
     let id = st.next_ctx in
     st.next_ctx <- id + 1;
-    Hashtbl.replace st.contexts ctx id;
-    id
+    let prefix = st.pkg_id ^ "$c" ^ string_of_int id ^ "$" in
+    Hashtbl.replace st.contexts ctx prefix;
+    prefix
 
-let label st ctx addr = Printf.sprintf "%s$c%d$%x" st.pkg_id (ctx_id st ctx) addr
+(* [Printf.sprintf "%s$c%d$%x" pkg_id ctx_id addr], without the format
+   interpreter: a label is built for every copied block and every
+   branch target, and formatting them dominated package building. *)
+let label st ctx addr =
+  let prefix = ctx_prefix st ctx in
+  (* [%x] prints the 63-bit pattern, at most 16 digits; [lsr] matches
+     it for negative values too. *)
+  let digits = ref 1 in
+  while !digits < 16 && addr lsr (4 * !digits) > 0 do
+    incr digits
+  done;
+  let n = String.length prefix in
+  let b = Bytes.create (n + !digits) in
+  Bytes.blit_string prefix 0 b 0 n;
+  for i = 0 to !digits - 1 do
+    Bytes.set b (n + i) "0123456789abcdef".[(addr lsr (4 * (!digits - 1 - i))) land 15]
+  done;
+  Bytes.unsafe_to_string b
 
 let fresh_exit st =
   let n = st.next_exit in
   st.next_exit <- n + 1;
-  Printf.sprintf "%s$x%d" st.pkg_id n
+  st.pkg_id ^ "$x" ^ string_of_int n
 
 (* An exit block leaving the package along [arc]; carries the live
    registers across the arc as dummy consumers for the optimizer. *)
@@ -106,7 +126,7 @@ let rec copy_function st ~ctx ~path ~fname ~is_root ~ret_term =
       let terminator = Cfg.terminator cfg b in
       let body =
         match terminator with
-        | Some _ -> List.filteri (fun i _ -> i < List.length instrs - 1) instrs
+        | Some _ -> List.filteri (fun i _ -> i < Cfg.len cfg b - 1) instrs
         | None -> instrs
       in
       let block_start = Cfg.start cfg b in

@@ -11,20 +11,17 @@ type t = {
 
 (* Hot call sites of [mf] whose callee is a region function, with the
    call instruction's address. *)
-let call_sites_of region name mf =
+let call_sites_of region mf =
   let cfg = Region.cfg mf in
-  List.filter_map
-    (fun (b, callee_addr) ->
-      match Image.sym_at (Region.image region) callee_addr with
-      | Some sym when Region.find_func region sym.Image.name <> None ->
-        let site = Cfg.start cfg b + Cfg.len cfg b - 1 in
-        Some (site, sym.Image.name)
-      | Some _ | None -> None)
-    (Region.hot_call_sites mf)
+  Array.fold_right
+    (fun (b, (sym : Image.sym)) acc ->
+      if
+        Vp_region.Temperature.is_hot (Region.temp mf b)
+        && Region.find_func region sym.Image.name <> None
+      then (Cfg.start cfg b + Cfg.len cfg b - 1, sym.Image.name) :: acc
+      else acc)
+    (Cfg.callees cfg) []
   |> List.sort compare
-  |> fun sites ->
-  ignore name;
-  sites
 
 (* DFS back edges over the region call graph, starting from functions
    with no in-region callers, then any unvisited ones. *)
@@ -61,7 +58,7 @@ let compute region =
   in
   let calls =
     List.map
-      (fun (name, mf) -> (name, call_sites_of region name mf))
+      (fun (name, mf) -> (name, call_sites_of region mf))
       (Region.funcs region)
   in
   let back = callgraph_back_edges funcs calls in

@@ -43,25 +43,15 @@ let pp_report ppf r =
      else Printf.sprintf "%d violation(s)" (List.length r.violations));
   List.iter (fun v -> Format.fprintf ppf "@.  - %a" pp_violation v) r.violations
 
-(* Function CFGs and liveness of the ORIGINAL image, recovered on
-   demand.  The rewritten image is useless here: launch patches have
-   already overwritten block terminators in it. *)
-type oracle = {
-  original : Image.t;
-  cache : (string, Cfg.t * Liveness.t) Hashtbl.t;
-}
-
-let oracle_at o addr =
-  match Image.sym_at o.original addr with
+(* Function CFGs and liveness of the ORIGINAL image, from the
+   per-image memo.  The rewritten image is useless here: launch patches
+   have already overwritten block terminators in it. *)
+let oracle_at original addr =
+  match Image.sym_at original addr with
   | None -> None
   | Some sym ->
-    (match Hashtbl.find_opt o.cache sym.Image.name with
-    | Some cl -> Some cl
-    | None ->
-      let cfg = Cfg.recover o.original sym in
-      let live = Liveness.compute cfg in
-      Hashtbl.replace o.cache sym.Image.name (cfg, live);
-      Some (cfg, live))
+    let cfg = Vp_cfg.Cfg_memo.cfg original sym in
+    Some (cfg, Vp_cfg.Cfg_memo.liveness cfg)
 
 let subset xs ys = List.for_all (fun x -> List.mem x ys) xs
 
@@ -94,7 +84,6 @@ let check ~original (r : Emit.result) =
   if image.Image.orig_limit <> limit then
     push "rewritten image moved orig_limit (%d -> %d)" limit
       image.Image.orig_limit;
-  let oracle = { original; cache = Hashtbl.create 8 } in
 
   (* 1. Per-package structural validity. *)
   List.iter
@@ -140,7 +129,7 @@ let check ~original (r : Emit.result) =
               push ~pkg:p.Pkg.id ~label:b.Pkg.label ~addr:target
                 "side exit leaves the original program"
             else (
-              match oracle_at oracle target with
+              match oracle_at original target with
               | None ->
                 push ~pkg:p.Pkg.id ~label:b.Pkg.label ~addr:target
                   "side exit targets no original function"

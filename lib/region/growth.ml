@@ -3,53 +3,68 @@ module T = Temperature
 
 let adopt_unknown_arcs mf =
   let cfg = Region.cfg mf in
-  List.iter
-    (fun (a : Cfg.arc) ->
-      if
-        T.equal (Region.arc_temp mf a) T.Unknown
-        && T.is_hot (Region.temp mf a.Cfg.src)
-        && T.is_hot (Region.temp mf a.Cfg.dst)
-      then ignore (Region.set_arc_temp mf a T.Hot))
-    (Cfg.arcs cfg)
+  for id = 0 to Cfg.num_arcs cfg - 1 do
+    let a = Cfg.arc cfg id in
+    if
+      T.equal (Region.arc_temp mf a) T.Unknown
+      && T.is_hot (Region.temp mf a.Cfg.src)
+      && T.is_hot (Region.temp mf a.Cfg.dst)
+    then ignore (Region.set_arc_temp mf a T.Hot)
+  done
+
+(* Some non-back-edge in-arc of [b] is Hot and comes from a Hot
+   block. *)
+let has_hot_forward_pred mf cfg b =
+  let found = ref false in
+  for k = 0 to Cfg.in_degree cfg b - 1 do
+    let a = Cfg.pred cfg b k in
+    if
+      (not a.Cfg.back)
+      && T.is_hot (Region.arc_temp mf a)
+      && T.is_hot (Region.temp mf a.Cfg.src)
+    then found := true
+  done;
+  !found
 
 (* A Hot block is an entry when no non-back-edge predecessor arc both
-   is Hot and comes from a Hot block. *)
+   is Hot and comes from a Hot block.  Ascending block order. *)
 let entry_blocks mf =
   let cfg = Region.cfg mf in
-  List.filter
-    (fun b ->
-      T.is_hot (Region.temp mf b)
-      && not
-           (List.exists
-              (fun (a : Cfg.arc) ->
-                T.is_hot (Region.arc_temp mf a) && T.is_hot (Region.temp mf a.Cfg.src))
-              (Cfg.preds_ignoring_back_edges cfg b)))
-    (List.init (Cfg.num_blocks cfg) Fun.id)
+  let acc = ref [] in
+  for b = Cfg.num_blocks cfg - 1 downto 0 do
+    if T.is_hot (Region.temp mf b) && not (has_hot_forward_pred mf cfg b) then
+      acc := b :: !acc
+  done;
+  !acc
 
 let grow_entry mf ~max_blocks entry =
   let cfg = Region.cfg mf in
   let adopted = ref 0 in
-  (* Walk backwards breadth-first through non-Cold predecessors. *)
+  (* Walk backwards breadth-first through non-Cold predecessors, back
+     edges ignored. *)
   let queue = Queue.create () in
   Queue.add entry queue;
   while (not (Queue.is_empty queue)) && !adopted < max_blocks do
     let b = Queue.take queue in
-    List.iter
-      (fun (a : Cfg.arc) ->
-        if !adopted < max_blocks && not (T.is_cold (Region.arc_temp mf a)) then begin
-          let p = a.Cfg.src in
-          match Region.temp mf p with
-          | T.Hot ->
-            (* Reached existing hot code: connect and stop this path. *)
-            ignore (Region.set_arc_temp mf a T.Hot)
-          | T.Unknown ->
-            ignore (Region.set_temp mf p T.Hot);
-            ignore (Region.set_arc_temp mf a T.Hot);
-            incr adopted;
-            Queue.add p queue
-          | T.Cold -> ()
-        end)
-      (Cfg.preds_ignoring_back_edges cfg b)
+    for k = 0 to Cfg.in_degree cfg b - 1 do
+      let a = Cfg.pred cfg b k in
+      if
+        (not a.Cfg.back) && !adopted < max_blocks
+        && not (T.is_cold (Region.arc_temp mf a))
+      then begin
+        let p = a.Cfg.src in
+        match Region.temp mf p with
+        | T.Hot ->
+          (* Reached existing hot code: connect and stop this path. *)
+          ignore (Region.set_arc_temp mf a T.Hot)
+        | T.Unknown ->
+          ignore (Region.set_temp mf p T.Hot);
+          ignore (Region.set_arc_temp mf a T.Hot);
+          incr adopted;
+          Queue.add p queue
+        | T.Cold -> ()
+      end
+    done
   done;
   !adopted
 
@@ -57,9 +72,35 @@ let grow_entry mf ~max_blocks entry =
    the function: only straight-line code ending in a fall-through or
    an unconditional jump. *)
 let connector_block cfg b =
-  match Cfg.terminator cfg b with
-  | None | Some (Vp_isa.Instr.Jmp _) -> true
-  | Some _ -> false
+  match Cfg.ending cfg b with
+  | Cfg.Straight | Cfg.Jump -> true
+  | Cfg.Branch | Cfg.Call | Cfg.Return | Cfg.Halt -> false
+
+(* The connector chain from block [b]: while [b] is not Hot, it must be
+   a connector within the instruction [budget] with a single
+   successor, which the chain follows.  Returns the chain's length in
+   blocks when it reaches a Hot block, -1 when it stops short. *)
+let rec chain_length mf cfg b budget =
+  if T.is_hot (Region.temp mf b) then 0
+  else if budget < Cfg.len cfg b || not (connector_block cfg b) then -1
+  else if Cfg.out_degree cfg b <> 1 then -1
+  else
+    let rest = chain_length mf cfg (Cfg.succ cfg b 0).Cfg.dst (budget - Cfg.len cfg b) in
+    if rest < 0 then -1 else rest + 1
+
+(* The arc that closes a chain of [len] blocks entered along [arc]:
+   [arc] itself for an empty chain, else the last block's out-arc. *)
+let rec closing_arc cfg (arc : Cfg.arc) len =
+  if len = 0 then arc else closing_arc cfg (Cfg.succ cfg arc.Cfg.dst 0) (len - 1)
+
+(* Make the chain of [len] blocks entered along [arc] Hot, with its
+   arcs. *)
+let rec force_chain mf cfg (arc : Cfg.arc) len =
+  Region.force_hot_arc mf arc;
+  if len > 0 then begin
+    Region.force_hot mf arc.Cfg.dst;
+    force_chain mf cfg (Cfg.succ cfg arc.Cfg.dst 0) (len - 1)
+  end
 
 (* Try to adopt the exit chain starting along [arc]: walk single-
    successor, branch-free, call-free blocks within the instruction
@@ -71,7 +112,6 @@ let connector_block cfg b =
    specialisation. *)
 let adopt_connector mf ~max_connector (arc : Cfg.arc) =
   let cfg = Region.cfg mf in
-  let back = Cfg.back_edges cfg in
   (* A traversed direction may rejoin anywhere; an untraversed one
      only qualifies when the chain closes a loop (back-edge rejoin),
      so phase-defining biased arms stay excluded. *)
@@ -84,31 +124,17 @@ let adopt_connector mf ~max_connector (arc : Cfg.arc) =
   match Region.arc_temp mf arc with
   | T.Hot -> 0
   | T.Unknown | T.Cold ->
-    let rec walk b budget chain_rev arcs_rev =
-      if T.is_hot (Region.temp mf b) then begin
-        let closing_arc =
-          match arcs_rev with (a : Cfg.arc) :: _ -> a | [] -> arc
-        in
-        let closes_loop = List.mem (closing_arc.Cfg.src, closing_arc.Cfg.dst) back in
-        if traversed || closes_loop then begin
-          List.iter (Region.force_hot mf) chain_rev;
-          List.iter (Region.force_hot_arc mf) (arc :: arcs_rev);
-          (* Count even zero-length chains as progress so the formation
-             loop reruns inference over the newly hot arc. *)
-          1 + List.length chain_rev
-        end
-        else 0
-      end
-      else if budget < Cfg.len cfg b || not (connector_block cfg b) then 0
-      else
-        match Cfg.succs cfg b with
-        | [ next ] ->
-          walk next.Cfg.dst (budget - Cfg.len cfg b) (b :: chain_rev)
-            (next :: arcs_rev)
-        | [] | _ :: _ :: _ -> 0
-    in
-    walk arc.Cfg.dst max_connector [] []
+    let len = chain_length mf cfg arc.Cfg.dst max_connector in
+    if len >= 0 && (traversed || (closing_arc cfg arc len).Cfg.back) then begin
+      force_chain mf cfg arc len;
+      (* Count even zero-length chains as progress so the formation
+         loop reruns inference over the newly hot arc. *)
+      1 + len
+    end
+    else 0
 
+(* The exit arcs are listed before any adoption: a chain made Hot
+   does not add exits to this pass. *)
 let adopt_loop_connectors mf ~max_connector =
   if max_connector <= 0 then 0
   else
@@ -118,14 +144,18 @@ let adopt_loop_connectors mf ~max_connector =
 
 let grow ?(max_blocks = 1) ?(max_connector = 6) region =
   let total = ref 0 in
-  List.iter (fun (_, mf) -> adopt_unknown_arcs mf) (Region.funcs region);
-  List.iter
-    (fun (_, mf) -> total := !total + adopt_loop_connectors mf ~max_connector)
-    (Region.funcs region);
-  List.iter
-    (fun (_, mf) ->
-      List.iter
-        (fun entry -> total := !total + grow_entry mf ~max_blocks entry)
-        (entry_blocks mf))
-    (Region.funcs region);
+  let n = Region.num_funcs region in
+  for i = 0 to n - 1 do
+    adopt_unknown_arcs (Region.func region i)
+  done;
+  for i = 0 to n - 1 do
+    total := !total + adopt_loop_connectors (Region.func region i) ~max_connector
+  done;
+  for i = 0 to n - 1 do
+    let mf = Region.func region i in
+    (* Every entry is found before any grows. *)
+    List.iter
+      (fun entry -> total := !total + grow_entry mf ~max_blocks entry)
+      (entry_blocks mf)
+  done;
   !total

@@ -40,18 +40,17 @@ let identify_with_stats ?(config = default) image snapshot =
     grown := !grown + g;
     continue_ := g > 0
   done;
-  let rounds = !rounds and grown = !grown in
-  let rounds' = 0 in
+  let hot_blocks = ref 0 in
+  for i = 0 to Region.num_funcs region - 1 do
+    hot_blocks := !hot_blocks + List.length (Region.hot_blocks (Region.func region i))
+  done;
   let stats =
     {
-      functions = List.length (Region.funcs region);
-      hot_blocks =
-        List.fold_left
-          (fun acc (_, mf) -> acc + List.length (Region.hot_blocks mf))
-          0 (Region.funcs region);
+      functions = Region.num_funcs region;
+      hot_blocks = !hot_blocks;
       selected_instructions = Region.selected_instructions region;
-      inference_rounds = rounds + rounds';
-      grown_blocks = grown;
+      inference_rounds = !rounds;
+      grown_blocks = !grown;
     }
   in
   (region, stats)

@@ -16,10 +16,6 @@ type stats = {
   skipped_not_terminator : int;
 }
 
-let no_stats =
-  { marked = 0; skipped_no_symbol = 0; skipped_no_block = 0;
-    skipped_not_terminator = 0 }
-
 let classify_direction config ~executed ~weight =
   let fraction =
     if executed = 0 then 0.0 else float_of_int weight /. float_of_int executed
@@ -40,41 +36,55 @@ let mark_entry config region (e : Snapshot.entry) =
   match Image.sym_at image e.Snapshot.pc with
   | None -> No_symbol
   | Some sym ->
-    let mf = Region.add_func region sym.Image.name in
+    let mf = Region.add_func region sym in
     let cfg = Region.cfg mf in
     (match Cfg.block_at cfg e.Snapshot.pc with
     | None -> No_block
     | Some b ->
-      if Cfg.branch_addr cfg b <> Some e.Snapshot.pc then Not_terminator
+      let is_its_branch =
+        match Cfg.ending cfg b with
+        | Cfg.Branch -> Cfg.start cfg b + Cfg.len cfg b - 1 = e.Snapshot.pc
+        | Cfg.Straight | Cfg.Jump | Cfg.Call | Cfg.Return | Cfg.Halt -> false
+      in
+      if not is_its_branch then Not_terminator
       else begin
         let _ = Region.set_temp mf b Temperature.Hot in
         Region.add_weight mf b e.Snapshot.executed;
         Region.set_taken_prob mf b (Snapshot.taken_fraction e);
-        List.iter
-          (fun (a : Cfg.arc) ->
-            let weight =
-              match a.Cfg.kind with
-              | Cfg.Taken -> e.Snapshot.taken
-              | Cfg.Fallthrough -> e.Snapshot.executed - e.Snapshot.taken
-            in
-            Region.set_arc_weight mf a weight;
-            let t = classify_direction config ~executed:e.Snapshot.executed ~weight in
-            let _ = Region.set_arc_temp mf a t in
-            ())
-          (Cfg.succs cfg b);
+        for k = 0 to Cfg.out_degree cfg b - 1 do
+          let a = Cfg.succ cfg b k in
+          let weight =
+            match a.Cfg.kind with
+            | Cfg.Taken -> e.Snapshot.taken
+            | Cfg.Fallthrough -> e.Snapshot.executed - e.Snapshot.taken
+          in
+          Region.set_arc_weight mf a weight;
+          let t = classify_direction config ~executed:e.Snapshot.executed ~weight in
+          let _ = Region.set_arc_temp mf a t in
+          ()
+        done;
         Marked
       end)
 
 let mark_with_stats ?(config = default) region =
-  let snapshot = Region.snapshot region in
-  List.fold_left
-    (fun acc e ->
-      match mark_entry config region e with
-      | Marked -> { acc with marked = acc.marked + 1 }
-      | No_symbol -> { acc with skipped_no_symbol = acc.skipped_no_symbol + 1 }
-      | No_block -> { acc with skipped_no_block = acc.skipped_no_block + 1 }
-      | Not_terminator ->
-        { acc with skipped_not_terminator = acc.skipped_not_terminator + 1 })
-    no_stats snapshot.Snapshot.branches
+  let marked = ref 0
+  and no_symbol = ref 0
+  and no_block = ref 0
+  and not_terminator = ref 0 in
+  List.iter
+    (fun e ->
+      incr
+        (match mark_entry config region e with
+        | Marked -> marked
+        | No_symbol -> no_symbol
+        | No_block -> no_block
+        | Not_terminator -> not_terminator))
+    (Region.snapshot region).Snapshot.branches;
+  {
+    marked = !marked;
+    skipped_no_symbol = !no_symbol;
+    skipped_no_block = !no_block;
+    skipped_not_terminator = !not_terminator;
+  }
 
 let mark ?config region = ignore (mark_with_stats ?config region)

@@ -1,88 +1,106 @@
 module Cfg = Vp_cfg.Cfg
 module Image = Vp_prog.Image
 
-type arc_key = int * int * Cfg.arc_kind
-
-let key_of (a : Cfg.arc) : arc_key = (a.Cfg.src, a.Cfg.dst, a.Cfg.kind)
-
+(* Per-arc facts are arrays indexed by [Cfg.arc.id].  [version] counts
+   temperature changes; [quiet] is {!Inference}'s stamp. *)
 type mf = {
+  name : string;
   cfg : Cfg.t;
   block_temp : Temperature.t array;
   block_weight : int array;
   block_taken_prob : float option array;
-  arc_temps : (arc_key, Temperature.t) Hashtbl.t;
-  arc_weights : (arc_key, int) Hashtbl.t;
+  arc_temps : Temperature.t array;
+  arc_weights : int array;
   region_conflicts : int ref;
+  mutable version : int;
+  mutable quiet : int;
 }
 
 type t = {
   image : Image.t;
   snapshot : Vp_hsd.Snapshot.t;
-  mutable order : string list;  (* reversed insertion order *)
+  mutable order : mf array;  (* insertion order, [count] used *)
+  mutable count : int;
   table : (string, mf) Hashtbl.t;
   conflict_count : int ref;
 }
 
 let create image snapshot =
-  { image; snapshot; order = []; table = Hashtbl.create 16; conflict_count = ref 0 }
+  { image; snapshot; order = [||]; count = 0; table = Hashtbl.create 16;
+    conflict_count = ref 0 }
 
 let image t = t.image
 let snapshot t = t.snapshot
 
-let add_func t name =
-  match Hashtbl.find_opt t.table name with
-  | Some mf -> mf
-  | None ->
-    let sym =
-      match Image.find_sym t.image name with
-      | Some s -> s
-      | None -> Vp_util.Error.failf ~stage:"region" ~label:name "add_func: unknown symbol %s" name
-    in
-    let cfg = Cfg.recover t.image sym in
+let append t mf =
+  if t.count = Array.length t.order then begin
+    let order = Array.make (max 8 (2 * t.count)) mf in
+    Array.blit t.order 0 order 0 t.count;
+    t.order <- order
+  end;
+  t.order.(t.count) <- mf;
+  t.count <- t.count + 1
+
+let add_func t (sym : Image.sym) =
+  match Hashtbl.find t.table sym.Image.name with
+  | mf -> mf
+  | exception Not_found ->
+    let cfg = Vp_cfg.Cfg_memo.cfg t.image sym in
     let n = Cfg.num_blocks cfg in
+    let m = Cfg.num_arcs cfg in
     let mf =
       {
+        name = sym.Image.name;
         cfg;
         block_temp = Array.make n Temperature.Unknown;
         block_weight = Array.make n 0;
         block_taken_prob = Array.make n None;
-        arc_temps = Hashtbl.create 32;
-        arc_weights = Hashtbl.create 32;
+        arc_temps = Array.make m Temperature.Unknown;
+        arc_weights = Array.make m 0;
         region_conflicts = t.conflict_count;
+        version = 0;
+        quiet = -1;
       }
     in
-    Hashtbl.replace t.table name mf;
-    t.order <- name :: t.order;
+    Hashtbl.replace t.table sym.Image.name mf;
+    append t mf;
     mf
 
 let find_func t name = Hashtbl.find_opt t.table name
 
-let funcs t =
-  List.rev_map (fun name -> (name, Hashtbl.find t.table name)) t.order
+let num_funcs t = t.count
+let func t i = t.order.(i)
+
+let funcs t = List.init t.count (fun i -> (t.order.(i).name, t.order.(i)))
 
 let cfg mf = mf.cfg
 
 let temp mf b = mf.block_temp.(b)
 
+(* The refined temperature: [Unknown] never overwrites a known value,
+   and on a Hot/Cold conflict [Hot] wins and the conflict counts.  A
+   change is exactly a refined value different from the current one. *)
 let refine current proposed conflicts =
   match (current, proposed) with
-  | _, Temperature.Unknown -> (current, false)
-  | Temperature.Unknown, t -> (t, true)
+  | _, Temperature.Unknown -> current
+  | Temperature.Unknown, t -> t
   | Temperature.Hot, Temperature.Hot | Temperature.Cold, Temperature.Cold ->
-    (current, false)
-  | Temperature.Hot, Temperature.Cold ->
+    current
+  | Temperature.Hot, Temperature.Cold | Temperature.Cold, Temperature.Hot ->
     incr conflicts;
-    (Temperature.Hot, false)
-  | Temperature.Cold, Temperature.Hot ->
-    incr conflicts;
-    (Temperature.Hot, true)
+    Temperature.Hot
 
 let set_temp mf b proposed =
-  let updated, changed = refine mf.block_temp.(b) proposed mf.region_conflicts in
+  let current = mf.block_temp.(b) in
+  let updated = refine current proposed mf.region_conflicts in
   mf.block_temp.(b) <- updated;
+  let changed = not (Temperature.equal current updated) in
+  if changed then mf.version <- mf.version + 1;
   changed
 
-let force_hot mf b = mf.block_temp.(b) <- Temperature.Hot
+let force_hot mf b =
+  mf.block_temp.(b) <- Temperature.Hot;
+  mf.version <- mf.version + 1
 
 let weight mf b = mf.block_weight.(b)
 
@@ -92,44 +110,56 @@ let taken_prob mf b = mf.block_taken_prob.(b)
 
 let set_taken_prob mf b p = mf.block_taken_prob.(b) <- Some p
 
-let arc_temp mf a =
-  Option.value ~default:Temperature.Unknown (Hashtbl.find_opt mf.arc_temps (key_of a))
+let arc_temp mf (a : Cfg.arc) = mf.arc_temps.(a.Cfg.id)
 
-let set_arc_temp mf a proposed =
-  let current = arc_temp mf a in
-  let updated, changed = refine current proposed mf.region_conflicts in
-  if changed || not (Temperature.equal current updated) then
-    Hashtbl.replace mf.arc_temps (key_of a) updated;
+let set_arc_temp mf (a : Cfg.arc) proposed =
+  let current = mf.arc_temps.(a.Cfg.id) in
+  let updated = refine current proposed mf.region_conflicts in
+  mf.arc_temps.(a.Cfg.id) <- updated;
+  let changed = not (Temperature.equal current updated) in
+  if changed then mf.version <- mf.version + 1;
   changed
 
-let force_hot_arc mf a = Hashtbl.replace mf.arc_temps (key_of a) Temperature.Hot
+let force_hot_arc mf (a : Cfg.arc) =
+  mf.arc_temps.(a.Cfg.id) <- Temperature.Hot;
+  mf.version <- mf.version + 1
 
-let arc_weight mf a =
-  Option.value ~default:0 (Hashtbl.find_opt mf.arc_weights (key_of a))
+let version mf = mf.version
+let quiet mf = mf.quiet
+let set_quiet mf stamp = mf.quiet <- stamp
 
-let set_arc_weight mf a w = Hashtbl.replace mf.arc_weights (key_of a) w
+let arc_weight mf (a : Cfg.arc) = mf.arc_weights.(a.Cfg.id)
+
+let set_arc_weight mf (a : Cfg.arc) w = mf.arc_weights.(a.Cfg.id) <- w
 
 let hot_blocks mf =
-  List.filter
-    (fun b -> Temperature.is_hot mf.block_temp.(b))
-    (List.init (Cfg.num_blocks mf.cfg) Fun.id)
+  let acc = ref [] in
+  for b = Array.length mf.block_temp - 1 downto 0 do
+    if Temperature.is_hot mf.block_temp.(b) then acc := b :: !acc
+  done;
+  !acc
 
 let exit_arcs mf =
-  List.filter
-    (fun (a : Cfg.arc) ->
+  let acc = ref [] in
+  for id = Cfg.num_arcs mf.cfg - 1 downto 0 do
+    let a = Cfg.arc mf.cfg id in
+    if
       Temperature.is_hot mf.block_temp.(a.Cfg.src)
       && not
-           (Temperature.is_hot (arc_temp mf a)
-           && Temperature.is_hot mf.block_temp.(a.Cfg.dst)))
-    (Cfg.arcs mf.cfg)
-
-let hot_call_sites mf =
-  List.filter (fun (b, _) -> Temperature.is_hot mf.block_temp.(b)) (Cfg.call_sites mf.cfg)
+           (Temperature.is_hot mf.arc_temps.(id)
+           && Temperature.is_hot mf.block_temp.(a.Cfg.dst))
+    then acc := a :: !acc
+  done;
+  !acc
 
 let selected_instructions t =
-  List.fold_left
-    (fun acc (_, mf) ->
-      List.fold_left (fun acc b -> acc + Cfg.len mf.cfg b) acc (hot_blocks mf))
-    0 (funcs t)
+  let total = ref 0 in
+  for i = 0 to t.count - 1 do
+    let mf = t.order.(i) in
+    for b = 0 to Cfg.num_blocks mf.cfg - 1 do
+      if Temperature.is_hot mf.block_temp.(b) then total := !total + Cfg.len mf.cfg b
+    done
+  done;
+  !total
 
 let conflicts t = !(t.conflict_count)

@@ -7,7 +7,8 @@
     interprocedural call rule pulls a callee in. *)
 
 type mf
-(** A marked function. *)
+(** A marked function.  Block facts are arrays indexed by block, arc
+    facts arrays indexed by {!Vp_cfg.Cfg.arc} id. *)
 
 type t
 
@@ -16,14 +17,19 @@ val create : Vp_prog.Image.t -> Vp_hsd.Snapshot.t -> t
 val image : t -> Vp_prog.Image.t
 val snapshot : t -> Vp_hsd.Snapshot.t
 
-val add_func : t -> string -> mf
-(** Recover and add the function's CFG if not present (all blocks
-    [Unknown]); return its marked function either way.  Raises
-    [Invalid_argument] on an unknown symbol. *)
+val add_func : t -> Vp_prog.Image.sym -> mf
+(** Add the symbol's function if not present (all blocks and arcs
+    [Unknown]), its CFG from {!Vp_cfg.Cfg_memo}; return its marked
+    function either way. *)
 
 val find_func : t -> string -> mf option
 val funcs : t -> (string * mf) list
 (** Insertion order. *)
+
+val num_funcs : t -> int
+val func : t -> int -> mf
+(** [func t i] is the [i]-th function of {!funcs}, without building
+    the list. *)
 
 (** {1 Marked-function accessors} *)
 
@@ -53,6 +59,17 @@ val arc_temp : mf -> Vp_cfg.Cfg.arc -> Temperature.t
 val set_arc_temp : mf -> Vp_cfg.Cfg.arc -> Temperature.t -> bool
 
 val force_hot_arc : mf -> Vp_cfg.Cfg.arc -> unit
+
+val version : mf -> int
+(** Counts the temperature changes made to the function (block or
+    arc, by any setter): while it stays the same, so does every
+    temperature of the function. *)
+
+val quiet : mf -> int
+val set_quiet : mf -> int -> unit
+(** A stamp {!Inference} keeps with the function (initially [-1]): the
+    state in which a sweep last found nothing to change. *)
+
 val arc_weight : mf -> Vp_cfg.Cfg.arc -> int
 val set_arc_weight : mf -> Vp_cfg.Cfg.arc -> int -> unit
 
@@ -63,9 +80,6 @@ val hot_blocks : mf -> int list
 val exit_arcs : mf -> Vp_cfg.Cfg.arc list
 (** Arcs leaving the selected code: [Hot] source block, but the arc or
     its destination is not [Hot]. *)
-
-val hot_call_sites : mf -> (int * int) list
-(** [(block, callee_entry)] for [Hot] blocks ending in a call. *)
 
 val selected_instructions : t -> int
 (** Static instructions in all [Hot] blocks of the region. *)

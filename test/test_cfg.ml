@@ -148,6 +148,86 @@ let prop_recovery_tiles =
                (Cfg.arcs cfg))
         (Image.functions img))
 
+(* Property: arc ids, back flags and the index views agree with the
+   list views, over every function of every registry workload and of
+   the first 200 campaign programs. *)
+let arc_table_consistent cfg =
+  let m = Cfg.num_arcs cfg in
+  let arcs = Cfg.arcs cfg in
+  let back = Cfg.back_edges cfg in
+  let count p l = List.length (List.filter p l) in
+  let ids_dense =
+    List.map (fun (a : Cfg.arc) -> a.Cfg.id) arcs = List.init m Fun.id
+    && List.for_all (fun (a : Cfg.arc) -> Cfg.arc cfg a.Cfg.id == a) arcs
+  in
+  let each_once =
+    List.for_all
+      (fun (a : Cfg.arc) ->
+        let same (x : Cfg.arc) = x.Cfg.id = a.Cfg.id in
+        count same (Cfg.succs cfg a.Cfg.src) = 1
+        && count same (Cfg.preds cfg a.Cfg.dst) = 1
+        && List.find same (Cfg.succs cfg a.Cfg.src) = a
+        && List.find same (Cfg.preds cfg a.Cfg.dst) = a)
+      arcs
+  in
+  let flags =
+    List.for_all
+      (fun (a : Cfg.arc) -> a.Cfg.back = List.mem (a.Cfg.src, a.Cfg.dst) back)
+      arcs
+  in
+  let views =
+    List.for_all
+      (fun b ->
+        let old_filter =
+          List.filter
+            (fun (a : Cfg.arc) -> not (List.mem (a.Cfg.src, a.Cfg.dst) back))
+            (Cfg.preds cfg b)
+        in
+        Cfg.preds_ignoring_back_edges cfg b = old_filter
+        && List.init (Cfg.out_degree cfg b) (Cfg.succ cfg b) = Cfg.succs cfg b
+        && List.init (Cfg.in_degree cfg b) (Cfg.pred cfg b) = Cfg.preds cfg b)
+      (List.init (Cfg.num_blocks cfg) Fun.id)
+  in
+  let sum f = List.fold_left ( + ) 0 (List.init (Cfg.num_blocks cfg) f) in
+  ids_dense && each_once && flags && views
+  && sum (fun b -> List.length (Cfg.succs cfg b)) = m
+  && sum (fun b -> List.length (Cfg.preds cfg b)) = m
+
+(* Checks every function of [img]; returns its back-flagged arcs. *)
+let check_image what img =
+  List.fold_left
+    (fun acc (sym : Image.sym) ->
+      let cfg = Cfg.recover img sym in
+      if not (arc_table_consistent cfg) then
+        Alcotest.failf "%s: %s: arc table inconsistent" what sym.Image.name;
+      acc + List.length (List.filter (fun (a : Cfg.arc) -> a.Cfg.back) (Cfg.arcs cfg)))
+    0 (Image.functions img)
+
+let test_arc_ids_registry () =
+  let back =
+    List.fold_left
+      (fun acc (w : Vp_workloads.Registry.t) ->
+        acc
+        + check_image (Vp_workloads.Registry.name w)
+            (Program.layout (w.Vp_workloads.Registry.program ())))
+      0 Vp_workloads.Registry.all
+  in
+  Alcotest.(check bool) "some back arcs" true (back > 0)
+
+let test_arc_ids_campaign () =
+  let module Campaign = Vp_gen.Campaign in
+  let back = ref 0 in
+  for i = 0 to 199 do
+    let spec = Campaign.spec_of_index ~root_seed:0 i in
+    back :=
+      !back
+      + check_image
+          (Printf.sprintf "campaign %d" i)
+          (Program.layout
+             (Vp_gen.Gen.program ~seed:spec.Campaign.seed spec.Campaign.params))
+  done;
+  Alcotest.(check bool) "some back arcs" true (!back > 0)
+
 let () =
   Alcotest.run "vp_cfg"
     [
@@ -159,6 +239,11 @@ let () =
           Alcotest.test_case "arc consistency" `Quick test_arcs_consistency;
           Alcotest.test_case "call sites" `Quick test_call_sites;
           QCheck_alcotest.to_alcotest prop_recovery_tiles;
+        ] );
+      ( "arc ids",
+        [
+          Alcotest.test_case "registry" `Quick test_arc_ids_registry;
+          Alcotest.test_case "campaign" `Quick test_arc_ids_campaign;
         ] );
       ( "liveness",
         [

@@ -282,6 +282,161 @@ let test_marking_skips_alien_branches () =
   Alcotest.(check int) "non-terminator skipped" 1
     (stats.Marking.skipped_not_terminator + stats.Marking.skipped_no_block)
 
+(* A Hot/Cold double assignment keeps (or makes) the temperature Hot
+   and counts one conflict each time it is attempted; Unknown never
+   overwrites, and only a real change reports true. *)
+let test_conflict_counting () =
+  let img = loop_with_rare_arm () in
+  let region = Region.create img (snap []) in
+  let mf = Region.add_func region (Option.get (Image.find_sym img "main")) in
+  let a = List.hd (Cfg.arcs (Region.cfg mf)) in
+  let set t = Region.set_arc_temp mf a t in
+  Alcotest.(check bool) "unknown -> cold changes" true (set T.Cold);
+  Alcotest.(check bool) "unknown proposal ignored" false (set T.Unknown);
+  Alcotest.(check bool) "cold -> hot changes" true (set T.Hot);
+  Alcotest.(check int) "one conflict" 1 (Region.conflicts region);
+  Alcotest.(check bool) "hot -> cold stays hot" false (set T.Cold);
+  Alcotest.(check string) "still hot" "hot" (T.name (Region.arc_temp mf a));
+  Alcotest.(check int) "two conflicts" 2 (Region.conflicts region);
+  Alcotest.(check bool) "block unknown -> cold" true (Region.set_temp mf 0 T.Cold);
+  Alcotest.(check bool) "block cold -> hot" true (Region.set_temp mf 0 T.Hot);
+  Alcotest.(check bool) "block hot -> hot" false (Region.set_temp mf 0 T.Hot);
+  Alcotest.(check int) "three conflicts" 3 (Region.conflicts region)
+
+(* Once a region has converged, one more inference run only reads,
+   and allocates nothing beyond a small constant per function.  Under
+   the rules it converged with, every function's last sweep was quiet,
+   so the run skips them all; under block inference off (a subset of
+   the rules, so the region is a fix-point of it too) the run sweeps
+   every block and arc of every function through the index views.
+   The regions are every phase of 134.perl/A and of the first 40
+   campaign programs. *)
+let test_converged_inference_allocation () =
+  let minor_words f =
+    let before = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. before
+  in
+  let overhead = minor_words ignore in
+  let check_run region ~block_inference =
+    let rounds = ref 0 in
+    let words =
+      minor_words (fun () -> rounds := Inference.run ~block_inference region)
+      -. overhead
+    in
+    let funcs = Region.num_funcs region in
+    Alcotest.(check int) "converged" 1 !rounds;
+    if words > float_of_int (4 * funcs) then
+      Alcotest.failf "%.0f minor words for one converged run over %d functions"
+        words funcs
+  in
+  let check_regions config image =
+    let profile = Vacuum.Driver.profile ~config image in
+    Alcotest.(check bool) "block inference on" true
+      (Vacuum.Config.identify config).Identify.block_inference;
+    List.fold_left
+      (fun checked (phase : Vp_phase.Phase_log.phase) ->
+        let region =
+          Identify.identify ~config:(Vacuum.Config.identify config) image
+            phase.Vp_phase.Phase_log.representative
+        in
+        ignore (Inference.run region);
+        check_run region ~block_inference:true;
+        check_run region ~block_inference:false;
+        checked + 1)
+      0 (Vp_phase.Phase_log.phases profile.Vacuum.Driver.log)
+  in
+  let perl =
+    List.find (fun w -> Vp_workloads.Registry.name w = "134.perl/A")
+      Vp_workloads.Registry.all
+  in
+  let checked =
+    check_regions Vacuum.Config.default
+      (Program.layout (perl.Vp_workloads.Registry.program ()))
+  in
+  let module Campaign = Vp_gen.Campaign in
+  let checked = ref checked in
+  for i = 0 to 39 do
+    let spec = Campaign.spec_of_index ~root_seed:0 i in
+    checked :=
+      !checked
+      + check_regions Campaign.default_config
+          (Program.layout
+             (Vp_gen.Gen.program ~seed:spec.Campaign.seed spec.Campaign.params))
+  done;
+  Alcotest.(check bool) "regions checked" true (!checked > 40)
+
+(* Golden region formation: every phase of the first 200 campaign
+   programs (campaign configuration) and of the twelve A programs
+   (inference and linking on) is identified, and each region is
+   written out — its {!Identify.stats} and conflict count, then per
+   function, in [Region.funcs] order, every block's temperature,
+   weight and taken probability and every arc's temperature and
+   weight.  The digests pin region formation byte for byte. *)
+let region_text b (region, (stats : Identify.stats)) =
+  Printf.bprintf b "stats %d %d %d %d %d conflicts %d\n" stats.Identify.functions
+    stats.Identify.hot_blocks stats.Identify.selected_instructions
+    stats.Identify.inference_rounds stats.Identify.grown_blocks
+    (Region.conflicts region);
+  List.iter
+    (fun (name, mf) ->
+      let cfg = Region.cfg mf in
+      Printf.bprintf b "func %s\n" name;
+      for blk = 0 to Cfg.num_blocks cfg - 1 do
+        Printf.bprintf b " b%d %s %d %s\n" blk
+          (T.name (Region.temp mf blk))
+          (Region.weight mf blk)
+          (match Region.taken_prob mf blk with
+          | Some p -> Printf.sprintf "%h" p
+          | None -> "-")
+      done;
+      List.iter
+        (fun (a : Cfg.arc) ->
+          Printf.bprintf b " a%d>%d%s %s %d\n" a.Cfg.src a.Cfg.dst
+            (match a.Cfg.kind with Cfg.Taken -> "t" | Cfg.Fallthrough -> "f")
+            (T.name (Region.arc_temp mf a))
+            (Region.arc_weight mf a))
+        (Cfg.arcs cfg))
+    (Region.funcs region)
+
+let regions_digest config images =
+  let b = Buffer.create (1 lsl 20) in
+  List.iter
+    (fun image ->
+      let profile = Vacuum.Driver.profile ~config image in
+      List.iter
+        (fun (phase : Vp_phase.Phase_log.phase) ->
+          region_text b
+            (Identify.identify_with_stats ~config:(Vacuum.Config.identify config)
+               image phase.Vp_phase.Phase_log.representative))
+        (Vp_phase.Phase_log.phases profile.Vacuum.Driver.log))
+    images;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let test_golden_campaign_regions () =
+  let module Campaign = Vp_gen.Campaign in
+  let images =
+    List.init 200 (fun i ->
+        let spec = Campaign.spec_of_index ~root_seed:0 i in
+        Program.layout
+          (Vp_gen.Gen.program ~seed:spec.Campaign.seed spec.Campaign.params))
+  in
+  Alcotest.(check string) "regions digest" "d0efd94a30a8f23bf2b012ebbb813199"
+    (regions_digest Campaign.default_config images)
+
+let test_golden_paper_regions () =
+  let module Registry = Vp_workloads.Registry in
+  let images =
+    List.filter_map
+      (fun (w : Registry.t) ->
+        if w.Registry.input = "A" then Some (Program.layout (w.Registry.program ()))
+        else None)
+      Registry.all
+  in
+  Alcotest.(check int) "twelve A programs" 12 (List.length images);
+  Alcotest.(check string) "regions digest" "88f862efd870a31277e00a28e9e7d7a7"
+    (regions_digest (Vacuum.Config.experiment ~inference:true ~linking:true) images)
+
 let () =
   Alcotest.run "vp_region"
     [
@@ -301,6 +456,9 @@ let () =
           Alcotest.test_case "off skips branch blocks" `Quick
             test_inference_off_skips_branch_blocks;
           Alcotest.test_case "call rule" `Quick test_call_rule_pulls_callee;
+          Alcotest.test_case "converged run allocation-free" `Quick
+            test_converged_inference_allocation;
+          Alcotest.test_case "conflict counting" `Quick test_conflict_counting;
           QCheck_alcotest.to_alcotest prop_inference_no_conflicts;
         ] );
       ( "growth",
@@ -312,5 +470,10 @@ let () =
       ( "identify",
         [
           Alcotest.test_case "end to end" `Quick test_identify_end_to_end;
+        ] );
+      ( "golden",
+        [
+          Alcotest.test_case "campaign regions" `Slow test_golden_campaign_regions;
+          Alcotest.test_case "paper-A regions" `Slow test_golden_paper_regions;
         ] );
     ]
