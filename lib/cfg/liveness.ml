@@ -4,8 +4,6 @@ module Reg = Vp_isa.Reg
 (* Register sets as int bitmasks; 32 registers fit one word. *)
 type t = { live_in : int array }
 
-let mask_of regs = List.fold_left (fun m r -> m lor (1 lsl Reg.to_int r)) 0 regs
-
 let all_regs = List.init Reg.count Reg.of_int
 
 let regs_of mask =
@@ -30,24 +28,28 @@ let solve ~gen ~kill ~terminal ~succs =
   done;
   live_in
 
-(* A block's (gen, kill) pair: registers read before any write in the
-   block, and registers it writes.  Each instruction's masks are built
-   once, not once per fixpoint round. *)
-let summary instrs =
-  List.fold_left
-    (fun (gen, kill) i ->
-      ( gen lor (mask_of (Instr.uses i) land lnot kill),
-        kill lor mask_of (Instr.defs i) ))
-    (0, 0) instrs
-
 (* Blocks without successors keep their terminator's uses visible
-   through gen, so the terminal contribution is empty. *)
+   through gen, so the terminal contribution is empty.  A block's
+   (gen, kill) pair — registers read before any write in the block,
+   and registers it writes — is folded over its pcs from each
+   instruction's masks. *)
 let compute cfg =
   let n = Cfg.num_blocks cfg in
-  let summaries = Array.init n (fun b -> summary (Cfg.instrs cfg b)) in
+  let image = Cfg.image cfg in
+  let gen = Array.make n 0 and kill = Array.make n 0 in
+  for b = 0 to n - 1 do
+    let start = Cfg.start cfg b in
+    let g = ref 0 and k = ref 0 in
+    for pc = start to start + Cfg.len cfg b - 1 do
+      let i = Vp_prog.Image.fetch image pc in
+      g := !g lor (Instr.use_mask i land lnot !k);
+      k := !k lor Instr.def_mask i
+    done;
+    gen.(b) <- !g;
+    kill.(b) <- !k
+  done;
   let live_in =
-    solve ~gen:(Array.map fst summaries) ~kill:(Array.map snd summaries)
-      ~terminal:(Array.make n 0)
+    solve ~gen ~kill ~terminal:(Array.make n 0)
       ~succs:
         (Array.init n (fun b ->
              List.map (fun (a : Cfg.arc) -> a.dst) (Cfg.succs cfg b)))

@@ -9,11 +9,15 @@
    {!State} arena: operands, immediates, ALU ops and branch conditions
    are baked into the closure environments, each instruction closure
    tail-calls its compile-time continuation, and block terminators
-   dispatch directly into the successor block's closure through a
-   block-indexed array (threaded code).  Fuel is checked once per
-   block; a block that no longer fits in the remaining fuel falls back
-   to a per-instruction interpreter at the boundary, so instruction
-   accounting stays exact.
+   enter the successor block's body directly through a block-indexed
+   array (threaded code).  The entry ({!enter} below) is inlined into
+   every transfer: it checks fuel once per block, charges the block's
+   length and package count, and calls the body.  A block that no
+   longer fits in the remaining fuel falls back to a per-instruction
+   interpreter at the boundary, so instruction accounting stays exact.
+   Registers, memory and the store digest are read and written in the
+   state's own arrays and fields, without a call per access; the pc is
+   published only on a fault path.
 
    Two variants of every block exist, each compiled on first use: a
    [fast] one with no observation calls at all, and an [observed] one
@@ -41,6 +45,18 @@ module Image = Vp_prog.Image
 external ( .!() ) : 'a array -> int -> 'a = "%array_unsafe_get"
 external ( .!()<- ) : 'a array -> int -> 'a -> unit = "%array_unsafe_set"
 
+(* A store of [v] to an in-range [addr] of the state's memory [mem], in
+   place: the dirty-word journal on a zero-to-nonzero transition (the
+   {!State.t} invariant), the word, then — for a tracked store below
+   the stack floor — the store digest, folded exactly as
+   [State.bump_store_digest] folds it. *)
+let store (st : State.t) mem addr v ~track =
+  if mem.!(addr) = 0 && v <> 0 then State.journal st addr;
+  mem.!(addr) <- v;
+  if track && addr < st.State.stack_floor then
+    st.State.digest <- (((st.State.digest * 31) + addr) * 31) + v
+[@@inline]
+
 type on_run =
   addrs:int array -> start:int -> len:int -> taken:bool -> next_pc:int -> unit
 
@@ -50,13 +66,16 @@ type on_run =
    check is one compare; retired instructions are recovered as
    [fuel - fuel_left].  [run_start] is the first pc of the run not yet
    reported (-1 when none is open): an exception escaping mid-block
-   flushes the retired prefix from it (see {!exec}).  [regs] is the
-   state's register file, which compiled code reads and writes without
-   a call per access (a cross-module call is an indirect one when
-   modules are compiled without cross-module inlining). *)
+   flushes the retired prefix from it (see {!exec}).  [regs] and [mem]
+   are the state's register file and memory, which compiled code reads
+   and writes without a call per access (a cross-module call is an
+   indirect one when modules are compiled without cross-module
+   inlining).  [bodies] and [boundary] are the executing variant's
+   block bodies and boundary interpreter, which {!enter} reads. *)
 type ctx = {
   st : State.t;
   regs : int array;
+  mem : int array;
   mutable fuel_left : int;
   mutable pkg : int;
   mutable branches : int;
@@ -64,9 +83,34 @@ type ctx = {
   mutable run_start : int;
   addrs : int array;
   on_run : on_run;
+  bodies : (ctx -> unit) array;
+  boundary : ctx -> int -> unit;
 }
 
-type variant = { enter : ctx -> int -> unit (* the boundary interpreter *) }
+(* The block entry, inlined into every transfer: the fuel fit test,
+   the block's fuel and package charge, the run's start, then the
+   body.  A block that does not fit goes to the boundary interpreter.
+   Both variants open the run (one store): the fast variant's observer
+   is a no-op, so its fault flush reports nothing. *)
+let enter ctx b start len pkg =
+  if ctx.fuel_left < len then ctx.boundary ctx start
+  else begin
+    ctx.fuel_left <- ctx.fuel_left - len;
+    ctx.pkg <- ctx.pkg + pkg;
+    ctx.run_start <- start;
+    ctx.bodies.!(b) ctx
+  end
+[@@inline]
+
+(* A compiled variant: its block bodies (indexed by block id; a body
+   runs the block's instructions and its terminator, with fuel already
+   charged), its boundary interpreter, and [dispatch], where a run
+   starts at the state's pc. *)
+type variant = {
+  bodies : (ctx -> unit) array;
+  interp : ctx -> int -> unit;
+  dispatch : ctx -> int -> unit;
+}
 
 type t = {
   decode : Decode.t;
@@ -74,6 +118,7 @@ type t = {
   block_idx : int array;  (* pc -> block id at leaders, -1 mid-block *)
   block_start : int array;
   block_len : int array;
+  block_pkg : int array;  (* the block's pcs at or above [orig_limit] *)
   max_len : int;
   (* Built on first use: a run pays only for the variant it executes. *)
   mutable fast : variant option;
@@ -136,8 +181,11 @@ let partition (d : Decode.t) =
   done;
   (block_idx, block_start, block_len, nb)
 
-let make_variant (d : Decode.t) ~block_idx ~block_start ~block_len ~nb
-    ~observed =
+let make_variant t ~observed =
+  let d = t.decode in
+  let block_idx = t.block_idx in
+  let block_len = t.block_len in
+  let block_pkg = t.block_pkg in
   let tag = d.Decode.tag in
   let dst = d.Decode.dst in
   let src1 = d.Decode.src1 in
@@ -153,10 +201,12 @@ let make_variant (d : Decode.t) ~block_idx ~block_start ~block_len ~nb
      [ctx.regs]); register operands are baked in as slot numbers. *)
   let reg_of regs pc = (regs.(pc) : Reg.t :> int) in
   let ra_slot = (Reg.ra :> int) in
-  (* Cold path: an unresolved-label instruction actually executed;
-     rebuild the reference interpreter's exact message lazily.  The pc
-     is published first, like a faulting load's, so the fault flush in
-     {!exec} knows where the retired prefix ends. *)
+  (* Cold paths publish the faulting pc, then raise the reference
+     interpreter's exact error: the fault flush in {!exec} reads the pc
+     to know where the retired prefix ends.  [unres]: an
+     unresolved-label instruction actually executed, its message
+     rebuilt lazily; [load_fault]/[store_fault]: an out-of-range
+     address. *)
   let unres (ctx : ctx) pc =
     State.set_pc ctx.st pc;
     match Instr.target code.(pc) with
@@ -164,25 +214,37 @@ let make_variant (d : Decode.t) ~block_idx ~block_start ~block_len ~nb
       Vp_util.Error.failf ~stage:"emulator" ~label:l "unresolved label %s" l
     | _ -> assert false
   in
-  let blocks = Array.make nb (fun (_ : ctx) -> assert false) in
-  (* The boundary interpreter: entered at the run's start, on dynamic
-     [Ret] targets, and whenever a block no longer fits in the
-     remaining fuel.  It retires one instruction at a time with the
-     reference interpreter's exact semantics, reports each as a run of
-     length 1 (the observers are no-ops in the fast variant), and
-     re-enters compiled blocks as soon as a leader with sufficient
-     fuel comes up.  No run is open while it runs ([run_start] is -1),
-     so a fault here flushes nothing.  All calls are tail calls. *)
-  let rec interp (ctx : ctx) pc =
+  let load_fault (ctx : ctx) pc addr =
+    State.set_pc ctx.st pc;
+    State.load_fault ctx.st addr
+  in
+  let store_fault (ctx : ctx) pc addr =
+    State.set_pc ctx.st pc;
+    State.store_fault ctx.st addr
+  in
+  let bodies = Array.make t.n_blocks (fun (_ : ctx) -> assert false) in
+  (* A transfer to a dynamic pc: a run's start, a [Ret] target, the
+     boundary interpreter's successor.  A leader enters its block; any
+     other pc goes to the boundary interpreter (a computed return into
+     mid-block, an out-of-range pc).  All calls are tail calls. *)
+  let rec dispatch ctx pc =
+    let b = if pc >= 0 && pc < n then block_idx.!(pc) else -1 in
+    if b >= 0 then enter ctx b pc block_len.!(b) block_pkg.!(b)
+    else interp ctx pc
+  (* The boundary interpreter: entered at non-leader pcs and whenever
+     a block no longer fits in the remaining fuel.  It retires one
+     instruction with the reference interpreter's exact semantics,
+     reports it as a run of length 1 (the observers are no-ops in the
+     fast variant), and dispatches its successor, which re-enters
+     compiled code as soon as a leader with sufficient fuel comes up.
+     In the observed variant no run is open while it runs ([run_start]
+     is -1), so a fault here flushes nothing. *)
+  and interp (ctx : ctx) pc =
     if not ctx.halted then begin
       if ctx.fuel_left <= 0 then State.set_pc ctx.st pc
       else if pc < 0 || pc >= n then
         Vp_util.Error.failf ~stage:"emulator" ~pc "pc 0x%x outside image" pc
-      else begin
-        let b = block_idx.!(pc) in
-        if b >= 0 && ctx.fuel_left >= block_len.!(b) then blocks.!(b) ctx
-        else step ctx pc
-      end
+      else step ctx pc
     end
   and step ctx pc =
     let st = ctx.st in
@@ -248,47 +310,47 @@ let make_variant (d : Decode.t) ~block_idx ~block_start ~block_len ~nb
       if t then unres ctx pc
     | _ (* La/Jmp/Call with an unresolved label *) -> unres ctx pc);
     ctx.on_run ~addrs:ctx.addrs ~start:pc ~len:1 ~taken:!taken ~next_pc:!next;
-    if not ctx.halted then interp ctx !next
+    if not ctx.halted then dispatch ctx !next
   in
-  (* Compile-time dispatch to a target address.  In-range targets are
-     leaders by construction (branch/jump/call targets and fallthrough
-     successors are all marked), so this is a direct jump into the
-     target block's closure; its prologue re-checks fuel.  Out-of-range
-     targets replicate the reference interpreter exactly: the bounds
-     fault only fires while fuel remains, otherwise the run ends with
-     the bad pc as [final_pc]. *)
-  let goto tgt =
-    if tgt >= 0 && tgt < n then begin
-      let b = block_idx.(tgt) in
-      if b >= 0 then fun ctx -> blocks.!(b) ctx
-      else fun ctx -> interp ctx tgt
-    end
-    else
-      fun ctx ->
-        if ctx.fuel_left > 0 then
-          Vp_util.Error.failf ~stage:"emulator" ~pc:tgt "pc 0x%x outside image"
-            tgt
-        else State.set_pc ctx.st tgt
+  (* A static transfer target's entry operands, resolved at compile
+     time: block, length, package count.  In-range targets are leaders
+     by construction (branch/jump/call targets and fall-through
+     successors are all marked).  A target outside the image gets
+     length [max_int], which no remaining fuel fits (a static transfer
+     follows at least one retirement, so [fuel_left < max_int]): the
+     entry hands it to the boundary interpreter, whose bounds fault
+     only fires while fuel remains — otherwise the run ends with the
+     bad pc as [final_pc], exactly as in the reference interpreter. *)
+  let entry_of tgt =
+    let b = if tgt >= 0 && tgt < n then block_idx.(tgt) else -1 in
+    if b >= 0 then (b, block_len.(b), block_pkg.(b)) else (0, max_int, 0)
   in
-  (* A block's end with a static outcome (a fall-through, [Jmp],
-     [Call], [Halt], a not-taken unresolved branch): in the observed
-     variant it reports the block's run, then continues with [k]; in
-     the fast variant it is [k] itself. *)
-  let report start len ~taken ~next_pc k =
+  (* The observed variant's report at a block's end: close the run and
+     hand it to the observer. *)
+  let report ctx start len ~taken ~next_pc =
+    ctx.run_start <- -1;
+    ctx.on_run ~addrs:ctx.addrs ~start ~len ~taken ~next_pc
+  [@@inline]
+  in
+  (* The end of a block without a terminator: fall through into the
+     next block. *)
+  let fall_through start len =
+    let np = start + len in
+    let b, l, p = entry_of np in
     if observed then
       fun ctx ->
-        ctx.run_start <- -1;
-        ctx.on_run ~addrs:ctx.addrs ~start ~len ~taken ~next_pc;
-        k ctx
-    else k
+        report ctx start len ~taken:false ~next_pc:np;
+        enter ctx b np l p
+    else fun ctx -> enter ctx b np l p
   in
   (* One straight-line (non-terminator) instruction, specialized per
      tag and — for ALU ops — per operation, with operands and folded
-     immediates in the closure environment.  Loads and stores publish
-     the pc first so an out-of-range [State.Fault] carries the same pc
-     context as the reference interpreter's; in the observed variant
-     they also record their address at their static [slot] of the
-     run's [addrs] buffer. *)
+     immediates in the closure environment.  Loads and stores index
+     the state's memory array in place; an out-of-range address takes
+     the fault path, which publishes the pc so the [State.Fault]
+     carries the same pc context as the reference interpreter's.  In
+     the observed variant they also record their address at their
+     static [slot] of the run's [addrs] buffer. *)
   let compile_straight pc slot k =
     match tag.(pc) with
     | 0 -> (
@@ -422,21 +484,23 @@ let make_variant (d : Decode.t) ~block_idx ~block_start ~block_len ~nb
       let d0 = reg_of dst pc and b = reg_of src1 pc and off = imm.(pc) in
       if observed then
         fun ctx ->
-          let st = ctx.st in
-          State.set_pc st pc;
           let addr = ctx.regs.!(b) + off in
           ctx.addrs.!(slot) <- addr;
-          let v = State.mem st addr in
-          if d0 <> 0 then ctx.regs.!(d0) <- v;
-          k ctx
+          let mem = ctx.mem in
+          if addr < 0 || addr >= Array.length mem then load_fault ctx pc addr
+          else begin
+            if d0 <> 0 then ctx.regs.!(d0) <- mem.!(addr);
+            k ctx
+          end
       else
         fun ctx ->
-          let st = ctx.st in
-          State.set_pc st pc;
           let addr = ctx.regs.!(b) + off in
-          let v = State.mem st addr in
-          if d0 <> 0 then ctx.regs.!(d0) <- v;
-          k ctx
+          let mem = ctx.mem in
+          if addr < 0 || addr >= Array.length mem then load_fault ctx pc addr
+          else begin
+            if d0 <> 0 then ctx.regs.!(d0) <- mem.!(addr);
+            k ctx
+          end
     | 5 ->
       let s0 = reg_of dst pc and b = reg_of src1 pc and off = imm.(pc) in
       (* ra spills hold code addresses; keep them out of the digest so
@@ -444,50 +508,56 @@ let make_variant (d : Decode.t) ~block_idx ~block_start ~block_len ~nb
       let track = s0 <> ra_slot in
       if observed then
         fun ctx ->
-          let st = ctx.st in
-          State.set_pc st pc;
           let addr = ctx.regs.!(b) + off in
           ctx.addrs.!(slot) <- addr;
-          let v = ctx.regs.!(s0) in
-          State.set_mem st addr v;
-          if track then State.bump_store_digest st addr v;
-          k ctx
+          let mem = ctx.mem in
+          if addr < 0 || addr >= Array.length mem then store_fault ctx pc addr
+          else begin
+            store ctx.st mem addr ctx.regs.!(s0) ~track;
+            k ctx
+          end
       else if track then
         fun ctx ->
-          let st = ctx.st in
-          State.set_pc st pc;
           let addr = ctx.regs.!(b) + off in
-          let v = ctx.regs.!(s0) in
-          State.set_mem st addr v;
-          State.bump_store_digest st addr v;
-          k ctx
+          let mem = ctx.mem in
+          if addr < 0 || addr >= Array.length mem then store_fault ctx pc addr
+          else begin
+            store ctx.st mem addr ctx.regs.!(s0) ~track:true;
+            k ctx
+          end
       else
         fun ctx ->
-          let st = ctx.st in
-          State.set_pc st pc;
           let addr = ctx.regs.!(b) + off in
-          State.set_mem st addr (ctx.regs.!(s0));
-          k ctx
+          let mem = ctx.mem in
+          if addr < 0 || addr >= Array.length mem then store_fault ctx pc addr
+          else begin
+            store ctx.st mem addr ctx.regs.!(s0) ~track:false;
+            k ctx
+          end
     | 10 -> k (* Nop compiles to nothing *)
     | 12 -> fun ctx -> unres ctx pc
     | _ -> assert false (* terminators are compiled by compile_term *)
   in
-  (* A block's terminator: control transfer baked at compile time.  In
-     the observed variant it reports the block's run [start, start +
-     len) before transferring; a taken unresolved branch faults before
+  (* A block's terminator: control transfer baked at compile time, each
+     static successor entered through the inlined {!enter}.  In the
+     observed variant it reports the block's run [start, start + len)
+     before transferring; a taken unresolved branch faults before
      reporting. *)
   let compile_term start len pc =
     match tag.(pc) with
     | 6 ->
       let a = reg_of src1 pc and b = reg_of src2 pc in
       let tpc = target.(pc) and np = pc + 1 in
-      let gt = goto tpc and gf = goto np in
+      let tb, tl, tp = entry_of tpc and fb, fl, fp = entry_of np in
+      let go ctx t =
+        if t then enter ctx tb tpc tl tp else enter ctx fb np fl fp
+      [@@inline]
+      in
       if observed then begin
         let br ctx t =
-          ctx.run_start <- -1;
-          ctx.on_run ~addrs:ctx.addrs ~start ~len ~taken:t
-            ~next_pc:(if t then tpc else np);
-          if t then gt ctx else gf ctx
+          report ctx start len ~taken:t ~next_pc:(if t then tpc else np);
+          go ctx t
+        [@@inline]
         in
         match cond.(pc) with
         | Op.Eq ->
@@ -520,51 +590,60 @@ let make_variant (d : Decode.t) ~block_idx ~block_start ~block_len ~nb
         | Op.Eq ->
           fun ctx ->
             ctx.branches <- ctx.branches + 1;
-            if ctx.regs.!(a) = ctx.regs.!(b) then gt ctx else gf ctx
+            go ctx (ctx.regs.!(a) = ctx.regs.!(b))
         | Op.Ne ->
           fun ctx ->
             ctx.branches <- ctx.branches + 1;
-            if ctx.regs.!(a) <> ctx.regs.!(b) then gt ctx else gf ctx
+            go ctx (ctx.regs.!(a) <> ctx.regs.!(b))
         | Op.Lt ->
           fun ctx ->
             ctx.branches <- ctx.branches + 1;
-            if ctx.regs.!(a) < ctx.regs.!(b) then gt ctx else gf ctx
+            go ctx (ctx.regs.!(a) < ctx.regs.!(b))
         | Op.Le ->
           fun ctx ->
             ctx.branches <- ctx.branches + 1;
-            if ctx.regs.!(a) <= ctx.regs.!(b) then gt ctx else gf ctx
+            go ctx (ctx.regs.!(a) <= ctx.regs.!(b))
         | Op.Gt ->
           fun ctx ->
             ctx.branches <- ctx.branches + 1;
-            if ctx.regs.!(a) > ctx.regs.!(b) then gt ctx else gf ctx
+            go ctx (ctx.regs.!(a) > ctx.regs.!(b))
         | Op.Ge ->
           fun ctx ->
             ctx.branches <- ctx.branches + 1;
-            if ctx.regs.!(a) >= ctx.regs.!(b) then gt ctx else gf ctx
+            go ctx (ctx.regs.!(a) >= ctx.regs.!(b))
       end
     | 7 ->
       let tpc = target.(pc) in
-      report start len ~taken:true ~next_pc:tpc (goto tpc)
+      let b, l, p = entry_of tpc in
+      if observed then
+        fun ctx ->
+          report ctx start len ~taken:true ~next_pc:tpc;
+          enter ctx b tpc l p
+      else fun ctx -> enter ctx b tpc l p
     | 8 ->
       let tpc = target.(pc) and link = pc + 1 in
-      let k = report start len ~taken:true ~next_pc:tpc (goto tpc) in
-      fun ctx ->
-        ctx.regs.!(ra_slot) <- link;
-        k ctx
+      let b, l, p = entry_of tpc in
+      if observed then
+        fun ctx ->
+          ctx.regs.!(ra_slot) <- link;
+          report ctx start len ~taken:true ~next_pc:tpc;
+          enter ctx b tpc l p
+      else
+        fun ctx ->
+          ctx.regs.!(ra_slot) <- link;
+          enter ctx b tpc l p
     | 9 ->
-      (* The return target is dynamic; the interpreter's leader check
-         re-enters compiled code immediately (call successors are
-         leaders by construction). *)
+      (* The return target is dynamic: [dispatch] looks its block up
+         (call successors are leaders by construction). *)
       if observed then
         fun ctx ->
           let ra = ctx.regs.!(ra_slot) in
-          ctx.run_start <- -1;
-          ctx.on_run ~addrs:ctx.addrs ~start ~len ~taken:true ~next_pc:ra;
+          report ctx start len ~taken:true ~next_pc:ra;
           if ra = State.halt_address then begin
             ctx.halted <- true;
             State.set_pc ctx.st pc
           end
-          else interp ctx ra
+          else dispatch ctx ra
       else
         fun ctx ->
           let ra = ctx.regs.!(ra_slot) in
@@ -572,22 +651,33 @@ let make_variant (d : Decode.t) ~block_idx ~block_start ~block_len ~nb
             ctx.halted <- true;
             State.set_pc ctx.st pc
           end
-          else interp ctx ra
+          else dispatch ctx ra
     | 11 ->
-      let k = report start len ~taken:false ~next_pc:State.halt_address ignore in
-      fun ctx ->
-        ctx.halted <- true;
-        State.set_pc ctx.st pc;
-        k ctx
+      if observed then
+        fun ctx ->
+          ctx.halted <- true;
+          State.set_pc ctx.st pc;
+          report ctx start len ~taken:false ~next_pc:State.halt_address
+      else
+        fun ctx ->
+          ctx.halted <- true;
+          State.set_pc ctx.st pc
     | 13 ->
       let a = reg_of src1 pc and b = reg_of src2 pc in
       let test = Op.eval_cond cond.(pc) in
       let np = pc + 1 in
-      let k = report start len ~taken:false ~next_pc:np (goto np) in
-      fun ctx ->
-        ctx.branches <- ctx.branches + 1;
-        if test (ctx.regs.!(a)) (ctx.regs.!(b)) then unres ctx pc;
-        k ctx
+      let fb, fl, fp = entry_of np in
+      if observed then
+        fun ctx ->
+          ctx.branches <- ctx.branches + 1;
+          if test ctx.regs.!(a) ctx.regs.!(b) then unres ctx pc;
+          report ctx start len ~taken:false ~next_pc:np;
+          enter ctx fb np fl fp
+      else
+        fun ctx ->
+          ctx.branches <- ctx.branches + 1;
+          if test ctx.regs.!(a) ctx.regs.!(b) then unres ctx pc;
+          enter ctx fb np fl fp
     | 14 | 15 -> fun ctx -> unres ctx pc
     | _ -> assert false
   in
@@ -595,56 +685,34 @@ let make_variant (d : Decode.t) ~block_idx ~block_start ~block_len ~nb
     let slot = pc - start in
     if slot = len - 1 then begin
       if is_terminator tag.(pc) then compile_term start len pc
-      else
-        compile_straight pc slot
-          (report start len ~taken:false ~next_pc:(pc + 1) (goto (pc + 1)))
+      else compile_straight pc slot (fall_through start len)
     end
     else compile_straight pc slot (compile_from start len (pc + 1))
   in
-  for b = 0 to nb - 1 do
-    let start = block_start.(b) in
-    let len = block_len.(b) in
-    let stop = start + len - 1 in
-    (* Whole-block package accounting: the block's pcs at or above
-       [orig_limit], added in one bump. *)
-    let pkg = if stop >= orig_limit then stop - max start orig_limit + 1 else 0 in
-    let body = compile_from start len start in
-    blocks.(b) <-
-      (if observed then
-         fun ctx ->
-           if ctx.fuel_left < len then interp ctx start
-           else begin
-             ctx.fuel_left <- ctx.fuel_left - len;
-             ctx.pkg <- ctx.pkg + pkg;
-             ctx.run_start <- start;
-             body ctx
-           end
-       else if pkg = 0 then
-         fun ctx ->
-           if ctx.fuel_left < len then interp ctx start
-           else begin
-             ctx.fuel_left <- ctx.fuel_left - len;
-             body ctx
-           end
-       else
-         fun ctx ->
-           if ctx.fuel_left < len then interp ctx start
-           else begin
-             ctx.fuel_left <- ctx.fuel_left - len;
-             ctx.pkg <- ctx.pkg + pkg;
-             body ctx
-           end)
+  for b = 0 to t.n_blocks - 1 do
+    let start = t.block_start.(b) in
+    bodies.(b) <- compile_from start t.block_len.(b) start
   done;
-  { enter = interp }
+  { bodies; interp; dispatch }
 
 let compile (d : Decode.t) =
   let block_idx, block_start, block_len, nb = partition d in
+  let orig_limit = d.Decode.image.Image.orig_limit in
+  (* Whole-block package accounting: each block's pcs at or above
+     [orig_limit], charged in one bump on entry. *)
+  let block_pkg =
+    Array.init nb (fun b ->
+        let start = block_start.(b) in
+        let stop = start + block_len.(b) - 1 in
+        if stop >= orig_limit then stop - max start orig_limit + 1 else 0)
+  in
   {
     decode = d;
     n_blocks = nb;
     block_idx;
     block_start;
     block_len;
+    block_pkg;
     max_len = Array.fold_left max 1 block_len;
     fast = None;
     observed = None;
@@ -654,10 +722,7 @@ let variant t ~observed =
   match if observed then t.observed else t.fast with
   | Some v -> v
   | None ->
-    let v =
-      make_variant t.decode ~block_idx:t.block_idx ~block_start:t.block_start
-        ~block_len:t.block_len ~nb:t.n_blocks ~observed
-    in
+    let v = make_variant t ~observed in
     if observed then t.observed <- Some v else t.fast <- Some v;
     v
 
@@ -681,10 +746,12 @@ let noop_run ~addrs:_ ~start:_ ~len:_ ~taken:_ ~next_pc:_ = ()
 
 let exec t st ~fuel ?on_run () =
   let observed = Option.is_some on_run in
+  let v = variant t ~observed in
   let ctx =
     {
       st;
-      regs = State.regs st;
+      regs = st.State.regs;
+      mem = st.State.memory;
       fuel_left = fuel;
       pkg = 0;
       branches = 0;
@@ -692,14 +759,16 @@ let exec t st ~fuel ?on_run () =
       run_start = -1;
       addrs = Array.make (if observed then t.max_len else 1) 0;
       on_run = Option.value on_run ~default:noop_run;
+      bodies = v.bodies;
+      boundary = v.interp;
     }
   in
-  (try (variant t ~observed).enter ctx (State.pc st)
+  (try v.dispatch ctx (State.pc st)
    with e ->
      (* An exception escaping mid-block (a memory fault, an executed
         unresolved label) leaves the block's retired prefix unreported:
-        the faulting instruction published its pc, so the prefix is
-        [run_start, pc).  A try per block would break the tail calls;
+        the faulting instruction published its pc on its fault path, so
+        the prefix is [run_start, pc).  A try per block would break the tail calls;
         this one handler covers the whole run. *)
      let bt = Printexc.get_raw_backtrace () in
      let start = ctx.run_start in

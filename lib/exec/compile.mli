@@ -4,12 +4,15 @@
     each block into one OCaml closure that executes the whole block
     straight-line over the {!State} arena: operands, immediates, ALU
     ops and branch conditions are baked into the closure environments
-    at compile time, and block terminators dispatch directly into the
-    successor block's closure through a block-indexed array (threaded
+    at compile time, and block terminators enter the successor
+    block's body directly through a block-indexed array (threaded
     code — every transfer is a tail call, so the OCaml stack stays
-    flat).  Fuel is checked once per block; a block that no longer
-    fits in the remaining fuel falls back to a boundary interpreter
-    with per-instruction accounting, so outcomes are exact.
+    flat).  Fuel is checked once per block, by a block entry inlined
+    into every transfer; a block that no longer fits in the remaining
+    fuel falls back to a boundary interpreter with per-instruction
+    accounting, so outcomes are exact.  Registers and memory are read
+    and written in the state's own arrays ({!State.t}), without a call
+    per access.
 
     Two specialized variants of every block exist, each compiled on
     first use: a fast one with no observation code at all, and a

@@ -29,8 +29,9 @@ let stack_floor_of mem_words = mem_words - min (mem_words / 4) (1 lsl 16)
 (* Dirty-word journal: while it has not overflowed, every memory word
    that is currently nonzero has its address recorded in
    [dirty.(0 .. n_dirty - 1)].  Words only become nonzero through
-   {!set_mem} (or the data initialisers in {!create}), both of which
-   append to the journal on a zero-to-nonzero transition.  Reusing a
+   {!set_mem}, the compiled backend's inline stores or the data
+   initialisers in {!create}, all of which append to the journal on a
+   zero-to-nonzero transition.  Reusing a
    released memory array then only has to re-zero the journaled words
    instead of memsetting the whole multi-megabyte array. *)
 let dirty_cap = 1 lsl 16
@@ -102,7 +103,6 @@ let create ~mem_words image =
     image.Image.data_init;
   t
 
-let regs t = t.regs
 let pc t = t.program_counter
 let set_pc t v = t.program_counter <- v
 
@@ -114,14 +114,24 @@ let set_reg t r v =
   let i = Reg.to_int r in
   if i <> 0 then t.regs.!(i) <- v
 
+let load_fault t addr =
+  raise
+    (Fault
+       (Printf.sprintf "load from %d out of range (pc=0x%x)" addr
+          t.program_counter))
+
+let store_fault t addr =
+  raise
+    (Fault
+       (Printf.sprintf "store to %d out of range (pc=0x%x)" addr
+          t.program_counter))
+
 let mem t addr =
-  if addr < 0 || addr >= Array.length t.memory then
-    raise (Fault (Printf.sprintf "load from %d out of range (pc=0x%x)" addr t.program_counter))
+  if addr < 0 || addr >= Array.length t.memory then load_fault t addr
   else t.memory.!(addr)
 
 let set_mem t addr v =
-  if addr < 0 || addr >= Array.length t.memory then
-    raise (Fault (Printf.sprintf "store to %d out of range (pc=0x%x)" addr t.program_counter))
+  if addr < 0 || addr >= Array.length t.memory then store_fault t addr
   else begin
     (* Zero-to-nonzero transition: this word must be journaled so the
        arena can scrub it.  Already-nonzero words are in the journal

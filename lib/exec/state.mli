@@ -4,7 +4,36 @@
     stops the machine, which is how the entry function terminates
     without a [Halt]. *)
 
-type t
+type t = {
+  regs : int array;
+      (** The register file, indexed by register number.  Slot 0 holds
+          0 and a writer must never store into it: that keeps {!reg}'s
+          zero-register rule. *)
+  memory : int array;
+      (** The word memory, [mem_words] long.  Addresses outside
+          [0 .. mem_words - 1] fault ({!load_fault}, {!store_fault}). *)
+  stack_floor : int;
+      (** Addresses at or above it are stack, outside the store digest
+          (see {!bump_store_digest}). *)
+  mutable program_counter : int;
+      (** The published pc ({!pc}): exact between runs; during a
+          compiled run it is only written on a fault path, just before
+          the fault is raised, so the fault message names it. *)
+  mutable digest : int;  (** The running store digest. *)
+  dirty : int array;
+  mutable n_dirty : int;
+      (** The dirty-word journal: while [n_dirty >= 0], the address of
+          every nonzero word of [memory] is in [dirty.(0 .. n_dirty -
+          1)] (-1 once it overflowed), so the arena scrubs only those
+          words.  Any writer that turns a zero word nonzero must call
+          {!journal} on it. *)
+}
+(** The record is visible for code that runs loads and stores without
+    a call per access (the compiled backend): it must keep the
+    invariants above, and fold each store into [digest] exactly as
+    {!bump_store_digest} does.  The differential tests pin its
+    outcomes to the reference interpreter's, which goes through
+    {!mem}, {!set_mem} and {!bump_store_digest}. *)
 
 val halt_address : int
 (** Sentinel return address (-1). *)
@@ -30,12 +59,6 @@ val release : t -> unit
 val pc : t -> int
 val set_pc : t -> int -> unit
 
-val regs : t -> int array
-(** The register file itself, indexed by register number, for code
-    that reads and writes registers without a call per access (the
-    compiled backend).  Slot 0 holds 0 and a writer must never store
-    into it: that keeps {!reg}'s zero-register rule. *)
-
 val reg : t -> Vp_isa.Reg.t -> int
 val set_reg : t -> Vp_isa.Reg.t -> int -> unit
 
@@ -44,6 +67,16 @@ exception Fault of string
 
 val mem : t -> int -> int
 val set_mem : t -> int -> int -> unit
+
+val load_fault : t -> int -> 'a
+val store_fault : t -> int -> 'a
+(** [load_fault t addr] raises the {!Fault} of an out-of-range load
+    from [addr] ([store_fault] of a store), naming the published pc:
+    the exact message {!mem} and {!set_mem} raise. *)
+
+val journal : t -> int -> unit
+(** [journal t addr] records a zero-to-nonzero transition of the word
+    at [addr] in the dirty-word journal. *)
 
 val bump_store_digest : t -> int -> int -> unit
 (** [bump_store_digest t addr v] folds one store into the running

@@ -75,6 +75,27 @@ let uses = function
   | Call _ -> Reg.sp :: arg_regs
   | Ret -> [ Reg.ra; Reg.sp; Reg.ret_value ]
 
+let bit r = 1 lsl Reg.to_int r
+let arg_mask = List.fold_left (fun m r -> m lor bit r) 0 arg_regs
+let call_def_mask = bit Reg.ra lor arg_mask
+let call_use_mask = bit Reg.sp lor arg_mask
+let ret_use_mask = bit Reg.ra lor bit Reg.sp lor bit Reg.ret_value
+
+let def_mask = function
+  | Alu { dst; _ } | Li { dst; _ } | La { dst; _ } | Load { dst; _ } -> bit dst
+  | Call _ -> call_def_mask
+  | Store _ | Br _ | Jmp _ | Ret | Nop | Halt -> 0
+
+let use_mask = function
+  | Alu { src1; src2 = Reg r; _ } -> bit src1 lor bit r
+  | Alu { src1; src2 = Imm _; _ } -> bit src1
+  | Li _ | La _ | Jmp _ | Nop | Halt -> 0
+  | Load { base; _ } -> bit base
+  | Store { src; base; _ } -> bit src lor bit base
+  | Br { src1; src2; _ } -> bit src1 lor bit src2
+  | Call _ -> call_use_mask
+  | Ret -> ret_use_mask
+
 let fu = function
   | Alu { op; _ } -> Op.alu_fu op
   | Li _ | La _ -> Op.Ialu

@@ -68,6 +68,11 @@ val uses : t -> Reg.t list
     (conservative interprocedural summary); [Ret] uses [ra], [sp] and
     the return-value register. *)
 
+val def_mask : t -> int
+val use_mask : t -> int
+(** {!defs} and {!uses} as register bitmasks (bit [i] for register
+    [i]), built without a list. *)
+
 (** {1 Machine mapping} *)
 
 val fu : t -> Op.fu

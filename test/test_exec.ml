@@ -82,20 +82,6 @@ let test_equivalent_requires_halting () =
     (Emulator.equivalent ~reference:o
        { o with Emulator.checksum = o.Emulator.checksum + 1 })
 
-let test_memory_fault () =
-  let module B = Vp_prog.Builder in
-  let b = B.create () in
-  B.func b "main" ~nargs:0 (fun fb _ ->
-      let v = B.vreg fb in
-      B.load_abs fb v 999_999_999;
-      B.halt fb);
-  let img = Program.layout (B.program b ~entry:"main") in
-  Alcotest.(check bool) "fault raised" true
-    (try
-       ignore (Emulator.run_backend img);
-       false
-     with State.Fault _ -> true)
-
 (* Builder control-flow surface not exercised by the shared programs:
    break/continue, raw labels and frame locals. *)
 let test_builder_break_continue () =
@@ -487,6 +473,7 @@ let observe_stream run =
     | o ->
       Ok
         ( o.Emulator.instructions,
+          o.Emulator.package_instructions,
           o.Emulator.cond_branches,
           o.Emulator.halted,
           o.Emulator.checksum,
@@ -515,11 +502,11 @@ let check_stream_parity name ?fuel img =
 
 (* Every fuel value from 0 up past the program's full length: each one
    lands the cutoff somewhere else relative to the block boundaries, so
-   this sweeps the per-block fast path, the boundary interpreter and
-   the exhaustion edge against the reference interpreter — outcomes
-   and the observation stream alike. *)
-let test_compiled_fuel_boundary_parity () =
-  let img = Program.layout (Progs.factorial 8) in
+   this sweeps the block entry, the boundary interpreter and the
+   exhaustion edge against the reference interpreter — outcomes
+   (package instructions included, since every entry charges its
+   block's package count) and the observation stream alike. *)
+let check_fuel_sweep name img =
   let reference ?fuel () =
     Emulator.run_backend ~backend:Emulator.Reference ?fuel img
   in
@@ -527,9 +514,11 @@ let test_compiled_fuel_boundary_parity () =
   for fuel = 0 to full + 5 do
     let a = reference ~fuel () in
     let b = Emulator.run_backend ~backend:Emulator.Compiled ~fuel img in
-    let tag what = Printf.sprintf "fuel %d: %s" fuel what in
+    let tag what = Printf.sprintf "%s, fuel %d: %s" name fuel what in
     Alcotest.(check int) (tag "instructions") a.Emulator.instructions
       b.Emulator.instructions;
+    Alcotest.(check int) (tag "package instructions")
+      a.Emulator.package_instructions b.Emulator.package_instructions;
     Alcotest.(check int) (tag "cond branches") a.Emulator.cond_branches
       b.Emulator.cond_branches;
     Alcotest.(check bool) (tag "halted") a.Emulator.halted b.Emulator.halted;
@@ -539,6 +528,37 @@ let test_compiled_fuel_boundary_parity () =
       b.Emulator.final_pc;
     check_stream_parity (tag "stream") ~fuel img
   done
+
+(* A small rewritten image: the entry jumps into appended package code
+   that replicates the entry instruction, falls through into a second
+   package block (a leader only because an unreachable jump targets
+   it), and jumps back.  Block entries in package space charge package
+   instructions, so the sweep cuts fuel inside and around them. *)
+let package_chain_image () =
+  let img = Program.layout (Progs.sum_to_n 5) in
+  let entry = img.Image.entry in
+  let base = Array.length img.Image.code in
+  let addr a = Instr.Addr a in
+  let img2, base' =
+    Image.append img ~name:"pkg"
+      [|
+        Image.fetch img entry;
+        Instr.Nop;
+        Instr.Jmp { target = addr (entry + 1) };
+        Instr.Jmp { target = addr (base + 1) };
+      |]
+  in
+  assert (base' = base);
+  Image.patch img2 [ (entry, Instr.Jmp { target = addr base }) ]
+
+let test_compiled_fuel_boundary_parity () =
+  check_fuel_sweep "factorial" (Program.layout (Progs.factorial 8));
+  let img = package_chain_image () in
+  let o = Emulator.run_backend ~backend:Emulator.Reference img in
+  Alcotest.(check bool) "package chain halts" true o.Emulator.halted;
+  Alcotest.(check int) "package chain package instructions" 3
+    o.Emulator.package_instructions;
+  check_fuel_sweep "package chain" img
 
 (* [run_slice]'s run observer: cut into slices of every size from 1 to
    24, the runs of each backend must cover exactly the retirements of
@@ -633,6 +653,90 @@ let test_run_feed_mid_block_fault () =
     check_stream_parity (Printf.sprintf "mid-block fault, fuel %d" fuel) ~fuel
       img
   done
+
+(* Out-of-range loads and stores fault with the reference
+   interpreter's exact message, pc context included, on every backend:
+   the reference interpreter, the fast compiled variant, and the
+   run-observed one, which must also report the retired prefix of the
+   faulting block (the run [3, 4) after the run [0, 3)).  An address
+   far out of range from a builder program faults too. *)
+let test_memory_fault () =
+  let module B = Vp_prog.Builder in
+  let b = B.create () in
+  B.func b "main" ~nargs:0 (fun fb _ ->
+      let v = B.vreg fb in
+      B.load_abs fb v 999_999_999;
+      B.halt fb);
+  let img = Program.layout (B.program b ~entry:"main") in
+  Alcotest.(check bool) "fault raised" true
+    (try
+       ignore (Emulator.run_backend img);
+       false
+     with State.Fault _ -> true);
+  let mem_words = 1 lsl 12 in
+  let r n = Reg.of_int n in
+  let image ~store addr =
+    {
+      Image.code =
+        [|
+          Instr.Li { dst = r 8; imm = 7 };
+          Instr.Li { dst = r 9; imm = addr };
+          Instr.Jmp { target = Instr.Addr 3 };
+          Instr.Alu
+            {
+              op = Vp_isa.Op.Add;
+              dst = r 10;
+              src1 = r 8;
+              src2 = Instr.Reg (r 8);
+            };
+          (if store then Instr.Store { src = r 8; base = r 9; offset = 0 }
+           else Instr.Load { dst = r 11; base = r 9; offset = 0 });
+          Instr.Halt;
+        |];
+      syms = [ { Image.name = "main"; start = 0; len = 6 } ];
+      entry = 0;
+      orig_limit = 6;
+      data_init = [];
+      data_break = 0;
+    }
+  in
+  List.iter
+    (fun (store, addr) ->
+      let img = image ~store addr in
+      let want =
+        Printf.sprintf "%s %d out of range (pc=0x4)"
+          (if store then "store to" else "load from")
+          addr
+      in
+      let fault name run =
+        match run () with
+        | (_ : Emulator.outcome) -> Alcotest.failf "%s: no fault" name
+        | exception State.Fault msg ->
+          Alcotest.(check string) (name ^ ": message") want msg
+      in
+      let runs = ref [] in
+      let on_run ~addrs:_ ~start ~len ~taken:_ ~next_pc:_ =
+        runs := (start, len) :: !runs
+      in
+      let case what = Printf.sprintf "%s at %d, %s" (if store then "store" else "load") addr what in
+      fault (case "reference") (fun () ->
+          Emulator.run_backend ~backend:Emulator.Reference ~mem_words ~on_run
+            img);
+      Alcotest.(check (list (pair int int)))
+        (case "reference retirements")
+        [ (0, 1); (1, 1); (2, 1); (3, 1) ]
+        (List.rev !runs);
+      fault (case "compiled, fast") (fun () ->
+          Emulator.run_backend ~backend:Emulator.Compiled ~mem_words img);
+      runs := [];
+      fault (case "compiled, observed") (fun () ->
+          Emulator.run_backend ~backend:Emulator.Compiled ~mem_words ~on_run
+            img);
+      Alcotest.(check (list (pair int int)))
+        (case "observed runs")
+        [ (0, 3); (3, 1) ]
+        (List.rev !runs))
+    [ (false, -1); (false, mem_words); (true, -1); (true, mem_words) ]
 
 (* Compiled code writes the register file in place, so a write to r0
    must compile to nothing: every backend must still read r0 as zero

@@ -131,6 +131,34 @@ let test_instr_defs_uses () =
   let store = Instr.Store { src = t0; base = t1; offset = 4 } in
   Alcotest.(check int) "store defs nothing" 0 (List.length (Instr.defs store))
 
+(* The list-free masks the liveness analysis folds must be exactly the
+   lists' masks, for every instruction form and operand shape. *)
+let test_instr_masks () =
+  let mask = List.fold_left (fun m r -> m lor (1 lsl Reg.to_int r)) 0 in
+  let a = Instr.Addr 3 in
+  List.iter
+    (fun i ->
+      let name what = Format.asprintf "%s of %a" what Instr.pp i in
+      Alcotest.(check int) (name "def mask") (mask (Instr.defs i))
+        (Instr.def_mask i);
+      Alcotest.(check int) (name "use mask") (mask (Instr.uses i))
+        (Instr.use_mask i))
+    [
+      Instr.Alu { op = Op.Add; dst = t0; src1 = t1; src2 = Instr.Reg Reg.sp };
+      Instr.Alu { op = Op.Sub; dst = t0; src1 = t0; src2 = Instr.Reg t0 };
+      Instr.Alu { op = Op.Mul; dst = Reg.zero; src1 = t1; src2 = Instr.Imm 2 };
+      Instr.Li { dst = t1; imm = 7 };
+      Instr.La { dst = Reg.ra; target = a };
+      Instr.Load { dst = t0; base = Reg.sp; offset = 1 };
+      Instr.Store { src = Reg.ra; base = Reg.sp; offset = 0 };
+      Instr.Br { cond = Op.Lt; src1 = t0; src2 = t1; target = a };
+      Instr.Jmp { target = a };
+      Instr.Call { target = a };
+      Instr.Ret;
+      Instr.Nop;
+      Instr.Halt;
+    ]
+
 let test_instr_printing () =
   let i = Instr.Alu { op = Op.Add; dst = t0; src1 = t1; src2 = Instr.Imm 5 } in
   Alcotest.(check string) "alu text" "add t0, t1, #5" (Instr.to_string i);
@@ -169,6 +197,7 @@ let () =
           Alcotest.test_case "target rewriting" `Quick test_instr_target_rewriting;
           Alcotest.test_case "with_target invalid" `Quick test_instr_with_target_invalid;
           Alcotest.test_case "defs/uses" `Quick test_instr_defs_uses;
+          Alcotest.test_case "def/use masks" `Quick test_instr_masks;
           Alcotest.test_case "printing" `Quick test_instr_printing;
         ] );
     ]
