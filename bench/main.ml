@@ -95,7 +95,7 @@ let profile_sample w =
 (* The workload x configuration matrix, one task per workload in two
    Pool.map passes.  The first lays out each image and runs its one
    shared profile.  The second, when a picked experiment reads them,
-   runs each configuration's rewrite and coverage run, the timing
+   runs each configuration's rewrite and coverage run, then the timing
    simulation of each rewritten image and one shared baseline
    simulation of the original.  Tasks share nothing but the registry,
    so every row is independent of the schedule. *)
@@ -117,15 +117,7 @@ let rows : (string, row) Hashtbl.t = Hashtbl.create 32
 
 let complete_row ~rewrites ~timing (w, image, profile) =
   let name = Registry.name w in
-  let simulate label config image =
-    span ("timing:" ^ name ^ " [" ^ label ^ "]")
-      ~work:(fun s -> s.Pipeline.instructions)
-      (fun () -> Pipeline.simulate ~config image)
-  in
-  let baseline =
-    if timing then Some (simulate "baseline" (cpu ()) image) else None
-  in
-  let cell (inference, linking, _) =
+  let build (inference, linking, _) =
     let key = Printf.sprintf "%b%b" inference linking in
     let label = name ^ " [" ^ key ^ "]" in
     let config = config_of ~inference ~linking in
@@ -138,16 +130,39 @@ let complete_row ~rewrites ~timing (w, image, profile) =
         ~work:(fun c -> c.Coverage.outcome.Emulator.instructions)
         (fun () -> Coverage.measure ~config rewrite)
     in
-    let optimized =
-      if timing then
-        Some
-          (simulate key (Vacuum.Config.cpu config)
-             (Driver.rewritten_image rewrite))
-      else None
-    in
-    ((inference, linking), { rewrite; coverage; optimized })
+    ((inference, linking), key, config, rewrite, coverage)
   in
-  let cells = if rewrites then List.map cell configurations else [] in
+  let built = if rewrites then List.map build configurations else [] in
+  (* The original and every packaged image are timed in one map: on
+     the machine's domains when the row runs on the main domain, in
+     turn when it is a task of a parallel matrix pass (Pool's nesting
+     rule). *)
+  let simulate (label, config, image) =
+    span ("timing:" ^ name ^ " [" ^ label ^ "]")
+      ~work:(fun s -> s.Pipeline.instructions)
+      (fun () -> Pipeline.simulate ~config image)
+  in
+  let timings =
+    if not timing then []
+    else
+      Vp_util.Pool.map ~jobs:(Vp_util.Pool.default_jobs ()) simulate
+        (("baseline", cpu (), image)
+        :: List.map
+             (fun (_, key, config, rewrite, _) ->
+               (key, Vacuum.Config.cpu config, Driver.rewritten_image rewrite))
+             built)
+  in
+  let baseline, optimized =
+    match timings with
+    | b :: os -> (Some b, List.map Option.some os)
+    | [] -> (None, List.map (fun _ -> None) built)
+  in
+  let cells =
+    List.map2
+      (fun (ik, _, _, rewrite, coverage) optimized ->
+        (ik, { rewrite; coverage; optimized }))
+      built optimized
+  in
   { image; profile; cells; baseline }
 
 let compute_matrix ~rewrites ~timing workloads =

@@ -45,18 +45,6 @@ module Image = Vp_prog.Image
 external ( .!() ) : 'a array -> int -> 'a = "%array_unsafe_get"
 external ( .!()<- ) : 'a array -> int -> 'a -> unit = "%array_unsafe_set"
 
-(* A store of [v] to an in-range [addr] of the state's memory [mem], in
-   place: the dirty-word journal on a zero-to-nonzero transition (the
-   {!State.t} invariant), the word, then — for a tracked store below
-   the stack floor — the store digest, folded exactly as
-   [State.bump_store_digest] folds it. *)
-let store (st : State.t) mem addr v ~track =
-  if mem.!(addr) = 0 && v <> 0 then State.journal st addr;
-  mem.!(addr) <- v;
-  if track && addr < st.State.stack_floor then
-    st.State.digest <- (((st.State.digest * 31) + addr) * 31) + v
-[@@inline]
-
 type on_run =
   addrs:int array -> start:int -> len:int -> taken:bool -> next_pc:int -> unit
 
@@ -66,16 +54,21 @@ type on_run =
    check is one compare; retired instructions are recovered as
    [fuel - fuel_left].  [run_start] is the first pc of the run not yet
    reported (-1 when none is open): an exception escaping mid-block
-   flushes the retired prefix from it (see {!exec}).  [regs] and [mem]
-   are the state's register file and memory, which compiled code reads
-   and writes without a call per access (a cross-module call is an
+   flushes the retired prefix from it (see {!exec}).  [regs] is the
+   state's register file; [data], [stack] and [stack_base] mirror its
+   memory regions ({!sync} refreshes them after [State.set_mem], the
+   only writer that replaces a region).  Compiled code reads and
+   writes them without a call per access (a cross-module call is an
    indirect one when modules are compiled without cross-module
    inlining).  [bodies] and [boundary] are the executing variant's
    block bodies and boundary interpreter, which {!enter} reads. *)
 type ctx = {
   st : State.t;
   regs : int array;
-  mem : int array;
+  mutable data : int array;
+  mutable stack : int array;
+  mutable stack_base : int;
+  mem_words : int;
   mutable fuel_left : int;
   mutable pkg : int;
   mutable branches : int;
@@ -86,6 +79,95 @@ type ctx = {
   bodies : (ctx -> unit) array;
   boundary : ctx -> int -> unit;
 }
+
+let sync ctx =
+  ctx.data <- ctx.st.State.data;
+  ctx.stack <- ctx.st.State.stack;
+  ctx.stack_base <- ctx.st.State.stack_base
+
+(* Loads and stores, in place.  They are closed, so they inline into
+   the compiled closures, and they end by calling the continuation [k],
+   so every path out of them is a tail call and a load's closure needs
+   no stack frame.  The data region is tested first, then the stack
+   region.  Between the regions, the cold paths run: a load reads 0,
+   and a store goes to [State.set_mem], which grows the nearer region,
+   after which {!sync} mirrors the new one.  Out of range, the cold
+   paths publish the faulting pc, then raise the reference
+   interpreter's exact error (the fault flush in {!exec} reads the pc
+   to know where the retired prefix ends). *)
+let load_fault ctx pc addr =
+  State.set_pc ctx.st pc;
+  State.load_fault ctx.st addr
+
+let store_fault ctx pc addr =
+  State.set_pc ctx.st pc;
+  State.store_fault ctx.st addr
+
+(* The fold of one tracked store below the stack floor into the store
+   digest, exactly as [State.bump_store_digest] folds it. *)
+let digest (st : State.t) addr v ~track =
+  if track && addr < st.State.stack_floor then
+    st.State.digest <- (((st.State.digest * 31) + addr) * 31) + v
+[@@inline]
+
+let load_cold ctx pc addr d0 k =
+  if addr >= 0 && addr < ctx.mem_words then begin
+    if d0 <> 0 then ctx.regs.!(d0) <- 0;
+    k ctx
+  end
+  else load_fault ctx pc addr
+
+(* Load the word at [addr] into register slot [d0] (discarded for
+   r0), then continue. *)
+let load ctx pc addr d0 k =
+  let data = ctx.data in
+  if addr >= 0 && addr < Array.length data then begin
+    if d0 <> 0 then ctx.regs.!(d0) <- data.!(addr);
+    k ctx
+  end
+  else
+    let sb = ctx.stack_base in
+    if addr >= sb && addr < ctx.mem_words then begin
+      if d0 <> 0 then ctx.regs.!(d0) <- ctx.stack.!(addr - sb);
+      k ctx
+    end
+    else load_cold ctx pc addr d0 k
+[@@inline]
+
+(* Word [i] of the memory region [region], at address [addr], in place:
+   the dirty-word journal on a zero-to-nonzero transition (the
+   {!State.t} invariant), then the word. *)
+let put (st : State.t) region i addr v =
+  if region.!(i) = 0 && v <> 0 then State.journal st addr;
+  region.!(i) <- v
+[@@inline]
+
+let store_cold ctx pc addr v ~track k =
+  if addr >= 0 && addr < ctx.mem_words then begin
+    State.set_mem ctx.st addr v;
+    sync ctx;
+    digest ctx.st addr v ~track;
+    k ctx
+  end
+  else store_fault ctx pc addr
+
+(* Store [v] at [addr], fold it into the digest, then continue. *)
+let store ctx pc addr v ~track k =
+  let data = ctx.data in
+  if addr >= 0 && addr < Array.length data then begin
+    put ctx.st data addr addr v;
+    digest ctx.st addr v ~track;
+    k ctx
+  end
+  else
+    let sb = ctx.stack_base in
+    if addr >= sb && addr < ctx.mem_words then begin
+      put ctx.st ctx.stack (addr - sb) addr v;
+      digest ctx.st addr v ~track;
+      k ctx
+    end
+    else store_cold ctx pc addr v ~track k
+[@@inline]
 
 (* The block entry, inlined into every transfer: the fuel fit test,
    the block's fuel and package charge, the run's start, then the
@@ -205,22 +287,13 @@ let make_variant t ~observed =
      interpreter's exact error: the fault flush in {!exec} reads the pc
      to know where the retired prefix ends.  [unres]: an
      unresolved-label instruction actually executed, its message
-     rebuilt lazily; [load_fault]/[store_fault]: an out-of-range
-     address. *)
+     rebuilt lazily. *)
   let unres (ctx : ctx) pc =
     State.set_pc ctx.st pc;
     match Instr.target code.(pc) with
     | Some (Instr.Label l) ->
       Vp_util.Error.failf ~stage:"emulator" ~label:l "unresolved label %s" l
     | _ -> assert false
-  in
-  let load_fault (ctx : ctx) pc addr =
-    State.set_pc ctx.st pc;
-    State.load_fault ctx.st addr
-  in
-  let store_fault (ctx : ctx) pc addr =
-    State.set_pc ctx.st pc;
-    State.store_fault ctx.st addr
   in
   let bodies = Array.make t.n_blocks (fun (_ : ctx) -> assert false) in
   (* A transfer to a dynamic pc: a run's start, a [Ret] target, the
@@ -272,6 +345,7 @@ let make_variant t ~observed =
       ctx.addrs.!(0) <- addr;
       let v = State.reg st dst.!(pc) in
       State.set_mem st addr v;
+      sync ctx;
       if not (Reg.equal dst.!(pc) Reg.ra) then State.bump_store_digest st addr v
     | 6 (* Br *) ->
       ctx.branches <- ctx.branches + 1;
@@ -346,11 +420,11 @@ let make_variant t ~observed =
   (* One straight-line (non-terminator) instruction, specialized per
      tag and — for ALU ops — per operation, with operands and folded
      immediates in the closure environment.  Loads and stores index
-     the state's memory array in place; an out-of-range address takes
-     the fault path, which publishes the pc so the [State.Fault]
-     carries the same pc context as the reference interpreter's.  In
-     the observed variant they also record their address at their
-     static [slot] of the run's [addrs] buffer. *)
+     the state's memory regions in place ([load], [store]); an
+     out-of-range address takes the fault path, which publishes the pc
+     so the [State.Fault] carries the same pc context as the reference
+     interpreter's.  In the observed variant they also record their
+     address at their static [slot] of the run's [addrs] buffer. *)
   let compile_straight pc slot k =
     match tag.(pc) with
     | 0 -> (
@@ -486,21 +560,8 @@ let make_variant t ~observed =
         fun ctx ->
           let addr = ctx.regs.!(b) + off in
           ctx.addrs.!(slot) <- addr;
-          let mem = ctx.mem in
-          if addr < 0 || addr >= Array.length mem then load_fault ctx pc addr
-          else begin
-            if d0 <> 0 then ctx.regs.!(d0) <- mem.!(addr);
-            k ctx
-          end
-      else
-        fun ctx ->
-          let addr = ctx.regs.!(b) + off in
-          let mem = ctx.mem in
-          if addr < 0 || addr >= Array.length mem then load_fault ctx pc addr
-          else begin
-            if d0 <> 0 then ctx.regs.!(d0) <- mem.!(addr);
-            k ctx
-          end
+          load ctx pc addr d0 k
+      else fun ctx -> load ctx pc (ctx.regs.!(b) + off) d0 k
     | 5 ->
       let s0 = reg_of dst pc and b = reg_of src1 pc and off = imm.(pc) in
       (* ra spills hold code addresses; keep them out of the digest so
@@ -510,30 +571,13 @@ let make_variant t ~observed =
         fun ctx ->
           let addr = ctx.regs.!(b) + off in
           ctx.addrs.!(slot) <- addr;
-          let mem = ctx.mem in
-          if addr < 0 || addr >= Array.length mem then store_fault ctx pc addr
-          else begin
-            store ctx.st mem addr ctx.regs.!(s0) ~track;
-            k ctx
-          end
+          store ctx pc addr ctx.regs.!(s0) ~track k
       else if track then
         fun ctx ->
-          let addr = ctx.regs.!(b) + off in
-          let mem = ctx.mem in
-          if addr < 0 || addr >= Array.length mem then store_fault ctx pc addr
-          else begin
-            store ctx.st mem addr ctx.regs.!(s0) ~track:true;
-            k ctx
-          end
+          store ctx pc (ctx.regs.!(b) + off) ctx.regs.!(s0) ~track:true k
       else
         fun ctx ->
-          let addr = ctx.regs.!(b) + off in
-          let mem = ctx.mem in
-          if addr < 0 || addr >= Array.length mem then store_fault ctx pc addr
-          else begin
-            store ctx.st mem addr ctx.regs.!(s0) ~track:false;
-            k ctx
-          end
+          store ctx pc (ctx.regs.!(b) + off) ctx.regs.!(s0) ~track:false k
     | 10 -> k (* Nop compiles to nothing *)
     | 12 -> fun ctx -> unres ctx pc
     | _ -> assert false (* terminators are compiled by compile_term *)
@@ -751,7 +795,10 @@ let exec t st ~fuel ?on_run () =
     {
       st;
       regs = st.State.regs;
-      mem = st.State.memory;
+      data = st.State.data;
+      stack = st.State.stack;
+      stack_base = st.State.stack_base;
+      mem_words = st.State.mem_words;
       fuel_left = fuel;
       pkg = 0;
       branches = 0;

@@ -199,6 +199,6 @@ let run_backend ?(backend = Compiled) ?(fuel = 200_000_000)
     ?(mem_words = 1 lsl 20) ?on_branch ?on_retire ?on_run image =
   let st = State.create ~mem_words image in
   let outcome = slice backend st ~fuel ?on_branch ?on_retire ?on_run image in
-  (* The state never escapes this function; recycle its memory array. *)
+  (* The state never escapes this function; recycle its memory. *)
   State.release st;
   outcome

@@ -5,11 +5,14 @@ exception Fault of string
 
 type t = {
   regs : int array;
-  memory : int array;
+  mutable data : int array;
+  mutable stack : int array;
+  mutable stack_base : int;
+  mem_words : int;
   stack_floor : int;
   mutable program_counter : int;
   mutable digest : int;
-  dirty : int array;
+  mutable dirty : int array;
   mutable n_dirty : int;  (* -1 once the journal overflows *)
 }
 
@@ -22,8 +25,20 @@ let halt_address = -1
 external ( .!() ) : 'a array -> int -> 'a = "%array_unsafe_get"
 external ( .!()<- ) : 'a array -> int -> 'a -> unit = "%array_unsafe_set"
 
+(* Demand-sized memory: the programs the pipeline runs touch their
+   globals at the bottom of memory and a few thousand words of stack at
+   its top, out of [mem_words] (1M words by default).  So memory is two
+   arrays: the data region [0, length data), sized from the image's
+   [data_break], and the stack region [stack_base, mem_words), starting
+   at [stack_init] words.  Words between them read 0; a nonzero store
+   there grows the nearer region ({!grow}).  A hit in the data region
+   costs one bounds test and one load. *)
+let stack_init = 4096
+let grow_min = 1024
+
 (* Addresses at or above the floor are stack: private scratch whose
-   stores (spills, frame locals) are not part of observable behaviour. *)
+   stores (spills, frame locals) are not part of observable behaviour.
+   The floor is architectural; [stack_base] is not. *)
 let stack_floor_of mem_words = mem_words - min (mem_words / 4) (1 lsl 16)
 
 (* Dirty-word journal: while it has not overflowed, every memory word
@@ -31,77 +46,101 @@ let stack_floor_of mem_words = mem_words - min (mem_words / 4) (1 lsl 16)
    [dirty.(0 .. n_dirty - 1)].  Words only become nonzero through
    {!set_mem}, the compiled backend's inline stores or the data
    initialisers in {!create}, all of which append to the journal on a
-   zero-to-nonzero transition.  Reusing a
-   released memory array then only has to re-zero the journaled words
-   instead of memsetting the whole multi-megabyte array. *)
+   zero-to-nonzero transition.  Reusing a released state's regions
+   then only has to re-zero the journaled words.  A word that turns
+   nonzero again after a zero store is journaled again, so the journal
+   can outgrow the memory it covers: it starts small and doubles only
+   while it is shorter than both [dirty_cap] and the two regions
+   together, and overflows after that, when scrubbing the regions
+   whole costs no more than replaying it. *)
 let dirty_cap = 1 lsl 16
+let dirty_init = 256
 
-(* Domain-local arena: the memory array is megabytes per state and
-   every emulation run used to allocate a fresh one, making the
-   allocator and major GC the dominant cost of short runs.  A state
-   that provably dies (the emulator's own states, a halted session's)
-   is handed back via {!release}; the next {!create} on this domain
-   steals its memory array and scrubs it via the journal.  The arena
-   keeps the [arena_slots] most recently released states, so a live
-   session and the clean runs it checks against can both recycle.
-   Steal-on-create removes the state from the arena first, so two live
-   states can never alias one array, even if a callback starts a
-   nested run. *)
+(* Domain-local arena: every emulation run used to allocate its memory
+   afresh, making the allocator and major GC the dominant cost of
+   short runs.  A state that provably dies (the emulator's own states,
+   a halted session's) is handed back via {!release}; the next {!create}
+   on this domain steals its regions and journal and scrubs them via
+   the journal.  The arena keeps the [arena_slots] most recently
+   released states, so a live session and the clean runs it checks
+   against can both recycle.  Steal-on-create removes the state from
+   the arena first, so two live states can never alias one region, even
+   if a callback starts a nested run. *)
 let arena_slots = 2
 
 let arena : t list ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref [])
 
-let take_arena mem_words =
+let take_arena mem_words ~data_words =
   let slot = Domain.DLS.get arena in
-  match List.find_opt (fun s -> Array.length s.memory = mem_words) !slot with
+  let fresh () =
+    ( Array.make data_words 0,
+      Array.make (min stack_init (max 0 mem_words - data_words)) 0,
+      Array.make dirty_init 0 )
+  in
+  match List.find_opt (fun s -> s.mem_words = mem_words) !slot with
   | Some old ->
     slot := List.filter (fun s -> s != old) !slot;
-    let m = old.memory in
-    if old.n_dirty < 0 then Array.fill m 0 mem_words 0
+    if old.n_dirty < 0 then begin
+      Array.fill old.data 0 (Array.length old.data) 0;
+      Array.fill old.stack 0 (Array.length old.stack) 0
+    end
     else
       for i = 0 to old.n_dirty - 1 do
-        m.!(old.dirty.!(i)) <- 0
+        let a = old.dirty.!(i) in
+        if a < Array.length old.data then old.data.!(a) <- 0
+        else old.stack.!(a - old.stack_base) <- 0
       done;
-    (m, old.dirty)
-  | None -> (Array.make mem_words 0, Array.make dirty_cap 0)
+    if data_words > old.stack_base then fresh ()
+    else
+      ( (if Array.length old.data >= data_words then old.data
+         else Array.make data_words 0),
+        old.stack,
+        old.dirty )
+  | None -> fresh ()
 
 let release t =
   let slot = Domain.DLS.get arena in
   slot := List.filteri (fun i _ -> i < arena_slots) (t :: !slot)
 
 let journal t addr =
-  if t.n_dirty >= 0 then begin
-    if t.n_dirty < dirty_cap then begin
-      t.dirty.!(t.n_dirty) <- addr;
-      t.n_dirty <- t.n_dirty + 1
+  let n = t.n_dirty in
+  if n >= 0 then begin
+    if
+      n = Array.length t.dirty && n < dirty_cap
+      && n < Array.length t.data + Array.length t.stack
+    then begin
+      let bigger = Array.make (2 * n) 0 in
+      Array.blit t.dirty 0 bigger 0 n;
+      t.dirty <- bigger
+    end;
+    if n < Array.length t.dirty then begin
+      t.dirty.!(n) <- addr;
+      t.n_dirty <- n + 1
     end
     else t.n_dirty <- -1
   end
 
-let create ~mem_words image =
-  let regs = Array.make Reg.count 0 in
-  regs.(Reg.to_int Reg.sp) <- mem_words;
-  regs.(Reg.to_int Reg.ra) <- halt_address;
-  let memory, dirty = take_arena mem_words in
-  let t =
-    {
-      regs;
-      memory;
-      stack_floor = stack_floor_of mem_words;
-      program_counter = image.Image.entry;
-      digest = 0;
-      dirty;
-      n_dirty = 0;
-    }
-  in
-  List.iter
-    (fun (addr, v) ->
-      if addr < 0 || addr >= mem_words then
-        raise (Fault (Printf.sprintf "data initialiser at %d out of range" addr));
-      if memory.(addr) = 0 && v <> 0 then journal t addr;
-      memory.(addr) <- v)
-    image.Image.data_init;
-  t
+(* Grow the region nearer to [addr], a word between the two, so that
+   it covers [addr]: at least doubling it (by [grow_min] words at
+   least), never into the other region. *)
+let grow t addr =
+  let d = Array.length t.data and sb = t.stack_base in
+  if addr - d < sb - addr then begin
+    let n = min sb (max (addr + 1) (max grow_min (2 * d))) in
+    let a = Array.make n 0 in
+    Array.blit t.data 0 a 0 d;
+    t.data <- a
+  end
+  else begin
+    let s = t.mem_words - sb in
+    let n =
+      min (t.mem_words - d) (max (t.mem_words - addr) (max grow_min (2 * s)))
+    in
+    let a = Array.make n 0 in
+    Array.blit t.stack 0 a (n - s) s;
+    t.stack <- a;
+    t.stack_base <- t.mem_words - n
+  end
 
 let pc t = t.program_counter
 let set_pc t v = t.program_counter <- v
@@ -127,19 +166,59 @@ let store_fault t addr =
           t.program_counter))
 
 let mem t addr =
-  if addr < 0 || addr >= Array.length t.memory then load_fault t addr
-  else t.memory.!(addr)
+  if addr >= 0 && addr < Array.length t.data then t.data.!(addr)
+  else if addr >= t.stack_base && addr < t.mem_words then
+    t.stack.!(addr - t.stack_base)
+  else if addr >= 0 && addr < t.mem_words then 0
+  else load_fault t addr
 
-let set_mem t addr v =
-  if addr < 0 || addr >= Array.length t.memory then store_fault t addr
-  else begin
-    (* Zero-to-nonzero transition: this word must be journaled so the
-       arena can scrub it.  Already-nonzero words are in the journal
-       by the invariant above, and writing zero leaves nothing to
-       scrub. *)
-    if t.memory.!(addr) = 0 && v <> 0 then journal t addr;
-    t.memory.!(addr) <- v
+(* Word [i] of [region], address [addr]: a zero-to-nonzero transition
+   must be journaled so the arena can scrub it.  Already-nonzero words
+   are in the journal by the invariant above, and writing zero leaves
+   nothing to scrub. *)
+let put t region i addr v =
+  if region.!(i) = 0 && v <> 0 then journal t addr;
+  region.!(i) <- v
+[@@inline]
+
+let rec set_mem t addr v =
+  if addr >= 0 && addr < Array.length t.data then put t t.data addr addr v
+  else if addr >= t.stack_base && addr < t.mem_words then
+    put t t.stack (addr - t.stack_base) addr v
+  else if addr < 0 || addr >= t.mem_words then store_fault t addr
+  else if v <> 0 then begin
+    (* Between the regions: zero over zero changes nothing. *)
+    grow t addr;
+    set_mem t addr v
   end
+
+let create ~mem_words image =
+  let regs = Array.make Reg.count 0 in
+  regs.(Reg.to_int Reg.sp) <- mem_words;
+  regs.(Reg.to_int Reg.ra) <- halt_address;
+  let data_words = max 0 (min mem_words image.Image.data_break) in
+  let data, stack, dirty = take_arena mem_words ~data_words in
+  let t =
+    {
+      regs;
+      data;
+      stack;
+      stack_base = mem_words - Array.length stack;
+      mem_words;
+      stack_floor = stack_floor_of mem_words;
+      program_counter = image.Image.entry;
+      digest = 0;
+      dirty;
+      n_dirty = 0;
+    }
+  in
+  List.iter
+    (fun (addr, v) ->
+      if addr < 0 || addr >= mem_words then
+        raise (Fault (Printf.sprintf "data initialiser at %d out of range" addr));
+      set_mem t addr v)
+    image.Image.data_init;
+  t
 
 let mix h v = (h * 31) + v
 

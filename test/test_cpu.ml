@@ -548,21 +548,24 @@ let check_stats name (want : Pipeline.stats) (got : Pipeline.stats) =
 
 let experiment = Vacuum.Config.experiment ~inference:true ~linking:true
 
-(* The original and rewritten image of one paper-A workload, built once
-   for every group that times them. *)
-let paper_images =
+(* The original image and the rewrite of one paper-A workload, built
+   once for every group that times them. *)
+let paper_rewrite =
   let built = Hashtbl.create 12 in
   fun name ->
     match Hashtbl.find_opt built name with
-    | Some images -> images
+    | Some rw -> rw
     | None ->
       let module Registry = Vp_workloads.Registry in
       let w = List.find (fun w -> Registry.name w = name) Registry.all in
       let image = Program.layout (w.Registry.program ()) in
       let rw = Vacuum.Driver.rewrite ~config:experiment image in
-      let images = (image, Vacuum.Driver.rewritten_image rw) in
-      Hashtbl.replace built name images;
-      images
+      Hashtbl.replace built name rw;
+      rw
+
+let paper_images name =
+  let rw = paper_rewrite name in
+  (rw.Vacuum.Driver.source.Vacuum.Driver.image, Vacuum.Driver.rewritten_image rw)
 
 let simulate_paper ?(cpu = Vacuum.Config.cpu experiment) ?telemetry img =
   Pipeline.simulate ~config:cpu ~fuel:(Vacuum.Config.fuel experiment)
@@ -572,6 +575,61 @@ let test_golden_stats (name, baseline, optimized) () =
   let image, rewritten = paper_images name in
   check_stats (name ^ " baseline") baseline (simulate_paper image);
   check_stats (name ^ " optimized") optimized (simulate_paper rewritten)
+
+(* [Speedup.measure] times the original and the rewrite on two domains
+   when the host has them.  Each field of both records must equal the
+   golden one, which the "golden stats" group pins to timing the two
+   images in turn. *)
+let test_speedup_concurrent (name, baseline, optimized) () =
+  let s = Vacuum.Speedup.measure ~config:experiment (paper_rewrite name) in
+  check_stats (name ^ " baseline") baseline s.Vacuum.Speedup.baseline;
+  check_stats (name ^ " optimized") optimized s.Vacuum.Speedup.optimized;
+  Alcotest.(check (float 0.))
+    (name ^ ": speedup")
+    (Pipeline.speedup ~baseline ~optimized)
+    s.Vacuum.Speedup.speedup
+
+(* When both images fail, the baseline's error is raised, even when the
+   optimized image fails first: here the baseline faults after a
+   200,000-iteration loop and the optimized image at its first
+   instruction. *)
+let test_speedup_baseline_error_wins () =
+  let r = Vp_isa.Reg.of_int in
+  let image code =
+    {
+      Vp_prog.Image.code;
+      syms = [ { Vp_prog.Image.name = "main"; start = 0; len = Array.length code } ];
+      entry = 0;
+      orig_limit = Array.length code;
+      data_init = [];
+      data_break = 0;
+    }
+  in
+  let module I = Vp_isa.Instr in
+  let slow_fault =
+    image
+      [|
+        I.Li { dst = r 8; imm = 0 };
+        I.Li { dst = r 9; imm = 200_000 };
+        I.Alu { op = Vp_isa.Op.Add; dst = r 8; src1 = r 8; src2 = I.Imm 1 };
+        I.Br { cond = Vp_isa.Op.Lt; src1 = r 8; src2 = r 9; target = I.Addr 2 };
+        I.Load { dst = r 10; base = r 0; offset = -1 };
+        I.Halt;
+      |]
+  and fast_fault =
+    image [| I.Store { src = r 8; base = r 0; offset = -2 }; I.Halt |]
+  in
+  let rw = paper_rewrite "099.go/A" in
+  let rw =
+    {
+      rw with
+      Vacuum.Driver.source = { rw.Vacuum.Driver.source with Vacuum.Driver.image = slow_fault };
+      emitted = { rw.Vacuum.Driver.emitted with Vp_package.Emit.image = fast_fault };
+    }
+  in
+  Alcotest.check_raises "baseline's fault"
+    (Vp_exec.State.Fault "load from -1 out of range (pc=0x4)") (fun () ->
+      ignore (Vacuum.Speedup.measure ~config:experiment rw))
 
 (* A machine that misses everywhere and issues one instruction a cycle:
    1 KB L1s and an 8 KB L2, so runs fall back from the block memo and
@@ -959,6 +1017,13 @@ let () =
           (fun ((name, _, _) as g) ->
             Alcotest.test_case name `Slow (test_golden_stats g))
           golden_stats );
+      ( "speedup",
+        Alcotest.test_case "baseline error wins" `Quick
+          test_speedup_baseline_error_wins
+        :: List.map
+             (fun ((name, _, _) as g) ->
+               Alcotest.test_case name `Slow (test_speedup_concurrent g))
+             golden_stats );
       ( "tiny stats",
         List.map
           (fun ((name, _, _) as g) ->

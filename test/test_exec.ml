@@ -346,7 +346,7 @@ let minor_words_during f =
 let arena_image = lazy (Program.layout (Progs.sum_to_n 10))
 
 (* However many states were released, the states live at one time
-   never share a memory array — a state released twice over included:
+   never share a memory region — a state released twice over included:
    taking it from the arena takes every copy. *)
 let test_arena_no_sharing () =
   let img = Lazy.force arena_image in
@@ -658,8 +658,9 @@ let test_run_feed_mid_block_fault () =
    interpreter's exact message, pc context included, on every backend:
    the reference interpreter, the fast compiled variant, and the
    run-observed one, which must also report the retired prefix of the
-   faulting block (the run [3, 4) after the run [0, 3)).  An address
-   far out of range from a builder program faults too. *)
+   faulting block (the run [3, 4) after the run [0, 3)).  The bounds
+   are exact whatever the memory's page layout.  An address far out of
+   range from a builder program faults too. *)
 let test_memory_fault () =
   let module B = Vp_prog.Builder in
   let b = B.create () in
@@ -673,7 +674,6 @@ let test_memory_fault () =
        ignore (Emulator.run_backend img);
        false
      with State.Fault _ -> true);
-  let mem_words = 1 lsl 12 in
   let r n = Reg.of_int n in
   let image ~store addr =
     {
@@ -701,7 +701,7 @@ let test_memory_fault () =
     }
   in
   List.iter
-    (fun (store, addr) ->
+    (fun (mem_words, store, addr) ->
       let img = image ~store addr in
       let want =
         Printf.sprintf "%s %d out of range (pc=0x4)"
@@ -718,7 +718,11 @@ let test_memory_fault () =
       let on_run ~addrs:_ ~start ~len ~taken:_ ~next_pc:_ =
         runs := (start, len) :: !runs
       in
-      let case what = Printf.sprintf "%s at %d, %s" (if store then "store" else "load") addr what in
+      let case what =
+        Printf.sprintf "%s at %d of %d, %s"
+          (if store then "store" else "load")
+          addr mem_words what
+      in
       fault (case "reference") (fun () ->
           Emulator.run_backend ~backend:Emulator.Reference ~mem_words ~on_run
             img);
@@ -736,7 +740,166 @@ let test_memory_fault () =
         (case "observed runs")
         [ (0, 3); (3, 1) ]
         (List.rev !runs))
-    [ (false, -1); (false, mem_words); (true, -1); (true, mem_words) ]
+    (List.concat_map
+       (fun mem_words ->
+         [
+           (mem_words, false, -1);
+           (mem_words, false, mem_words);
+           (mem_words, true, -1);
+           (mem_words, true, mem_words);
+         ])
+       (* one page, a partial last page, the default memory *)
+       [ 1 lsl 12; 5_000; 1 lsl 20 ])
+
+(* ---- demand-sized memory ---- *)
+
+(* A one-function image of raw instructions, no data. *)
+let raw_image code =
+  {
+    Image.code;
+    syms = [ { Image.name = "main"; start = 0; len = Array.length code } ];
+    entry = 0;
+    orig_limit = Array.length code;
+    data_init = [];
+    data_break = 0;
+  }
+
+(* The three cores every memory case runs on: the reference
+   interpreter, the fast compiled variant and the run-observed one.
+   Each case runs on a new domain, whose arena is empty, so every core
+   grows its own memory regions instead of reusing the ones an earlier
+   core grew. *)
+let in_new_domain f = Domain.join (Domain.spawn f)
+
+let three_cores =
+  let noop ~addrs:_ ~start:_ ~len:_ ~taken:_ ~next_pc:_ = () in
+  [
+    ("reference", fun ~mem_words img ->
+        Emulator.run_backend ~backend:Emulator.Reference ~mem_words img);
+    ("compiled, fast", fun ~mem_words img ->
+        Emulator.run_backend ~backend:Emulator.Compiled ~mem_words img);
+    ("compiled, observed", fun ~mem_words img ->
+        Emulator.run_backend ~backend:Emulator.Compiled ~mem_words
+          ~on_run:noop img);
+  ]
+
+let r = Reg.of_int
+let li d v = Instr.Li { dst = r d; imm = v }
+let add_imm d s v = Instr.Alu { op = Vp_isa.Op.Add; dst = r d; src1 = r s; src2 = Instr.Imm v }
+let load d base = Instr.Load { dst = r d; base = r base; offset = 0 }
+let store s base = Instr.Store { src = r s; base = r base; offset = 0 }
+let add_rv s = Instr.Alu { op = Vp_isa.Op.Add; dst = Reg.ret_value; src1 = Reg.ret_value; src2 = Instr.Reg (r s) }
+
+let mix h v = (h * 31) + v
+
+(* Words never stored read 0 anywhere in memory: in the data region
+   (beside a stored word, and across a page boundary), in the gap up to
+   the stack floor, and in the deep stack. *)
+let test_unstored_words_read_zero () =
+  let mem_words = 1 lsl 20 in
+  let floor = mem_words - (1 lsl 16) in
+  let addrs =
+    [ 0; 6; 4095; 4096; 100_000; mem_words / 2; floor - 1; floor; floor + 10; mem_words - 1 ]
+  in
+  let img =
+    raw_image
+      (Array.of_list
+         ([ li 8 77; li 9 5; store 8 9 ]
+         @ List.concat_map (fun a -> [ li 9 a; load 10 9; add_rv 10 ]) addrs
+         @ [ Instr.Halt ]))
+  in
+  List.iter
+    (fun (core, run) ->
+      let o = in_new_domain (fun () -> run ~mem_words img) in
+      Alcotest.(check bool) (core ^ ": halted") true o.Emulator.halted;
+      Alcotest.(check int) (core ^ ": loads read 0") 0 o.Emulator.result)
+    three_cores
+
+(* A store just below the stack floor and one at it both read back; only
+   the first enters the store digest, identically on every core. *)
+let test_stack_floor_stores () =
+  let mem_words = 1 lsl 20 in
+  let floor = mem_words - (1 lsl 16) in
+  let img =
+    raw_image
+      [|
+        li 8 11; li 9 (floor - 1); store 8 9;
+        li 8 13; li 9 floor; store 8 9;
+        li 9 (floor - 1); load 10 9; li 9 floor; load 11 9;
+        Instr.Alu { op = Vp_isa.Op.Mul; dst = Reg.ret_value; src1 = r 10; src2 = Instr.Imm 100 };
+        add_rv 11;
+        Instr.Halt;
+      |]
+  in
+  let checksum = mix (mix (mix 0 (floor - 1)) 11) 1113 in
+  List.iter
+    (fun (core, run) ->
+      let o = in_new_domain (fun () -> run ~mem_words img) in
+      Alcotest.(check int) (core ^ ": read back") 1113 o.Emulator.result;
+      Alcotest.(check int) (core ^ ": checksum") checksum o.Emulator.checksum)
+    three_cores
+
+(* [n] words from [base] on: the writer stores a nonzero word into each,
+   the reader sums them into the result register. *)
+let sweep_image ~write ~base ~n =
+  raw_image
+    [|
+      li 8 0;
+      li 9 n;
+      add_imm 11 8 base;
+      (if write then add_imm 12 8 1 else load 12 11);
+      (if write then store 12 11 else add_rv 12);
+      add_imm 8 8 1;
+      Instr.Br { cond = Vp_isa.Op.Lt; src1 = r 8; src2 = r 9; target = Instr.Addr 2 };
+      Instr.Halt;
+    |]
+
+(* A run that follows a run of another image which dirtied memory reads
+   only zeros, both when the dirty-word journal scrubs the recycled
+   pages word by word and after it overflowed (more than 65,536 dirty
+   words), in the data region and across the stack floor. *)
+let test_recycled_memory_reads_zero () =
+  let mem_words = 1 lsl 20 in
+  List.iter
+    (fun (base, n) ->
+      let writer = sweep_image ~write:true ~base ~n
+      and reader = sweep_image ~write:false ~base ~n in
+      List.iter
+        (fun (core, run) ->
+          let case = Printf.sprintf "%s, %d words from %d" core n base in
+          let w, o =
+            in_new_domain (fun () ->
+                let w = run ~mem_words writer in
+                (w, run ~mem_words reader))
+          in
+          Alcotest.(check bool) (case ^ ": writer halted") true w.Emulator.halted;
+          Alcotest.(check int) (case ^ ": reader sees zeros") 0 o.Emulator.result)
+        three_cores)
+    [
+      (0, 1_000);
+      (mem_words - 2_000, 2_000);
+      (0, 70_000);
+      (mem_words - 70_000, 70_000);
+    ]
+
+(* A fresh state is sized by what the image initialises, not by
+   [mem_words]: on an empty arena (a new domain), creating the state of
+   any A program reaches fewer than 64K words. *)
+let test_state_footprint () =
+  let mem_words = 1 lsl 20 in
+  List.iter
+    (fun (e : Vp_workloads.Registry.t) ->
+      if e.Vp_workloads.Registry.input = "A" then begin
+        let img = Program.layout (e.Vp_workloads.Registry.program ()) in
+        let words =
+          in_new_domain (fun () ->
+              Obj.reachable_words (Obj.repr (State.create ~mem_words img)))
+        in
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: %d words" (Vp_workloads.Registry.name e) words)
+          true (words < 65_536)
+      end)
+    Vp_workloads.Registry.all
 
 (* Compiled code writes the register file in place, so a write to r0
    must compile to nothing: every backend must still read r0 as zero
@@ -799,7 +962,7 @@ let test_run_feed_unresolved_branch () =
 
 (* The hot loop must not allocate per retired instruction: minor-heap
    allocation for a 10x longer run stays flat (the compiled form is
-   memoized, the memory array comes from the arena, and the loop's
+   memoized, the memory regions come from the arena, and the loop's
    scratch is unboxed).  90k extra instructions would show up as ~90k
    words at even one boxed word each; the slack is generous. *)
 let test_compiled_allocation_flat () =
@@ -921,6 +1084,15 @@ let () =
             test_compiled_allocation_flat;
           Alcotest.test_case "zero per-instruction allocation (observed)"
             `Quick test_compiled_observed_allocation_flat;
+        ] );
+      ( "memory",
+        [
+          Alcotest.test_case "unstored words read zero" `Quick
+            test_unstored_words_read_zero;
+          Alcotest.test_case "stack floor stores" `Quick test_stack_floor_stores;
+          Alcotest.test_case "recycled memory reads zero" `Quick
+            test_recycled_memory_reads_zero;
+          Alcotest.test_case "state footprint" `Quick test_state_footprint;
         ] );
       ( "arena",
         [

@@ -200,6 +200,46 @@ let test_pool_parallel_actually_concurrent () =
   ignore (Pool.map ~jobs:2 spin [ (a, b); (b, a) ]);
   Alcotest.(check bool) "both ran" true (Atomic.get a && Atomic.get b)
 
+(* A map inside a task of a parallel map runs inline on the task's
+   own worker domain: each nested item sees the domain its task ran
+   on, the results equal [List.map]'s, and the earliest failure of the
+   nested list is the one re-raised. *)
+let test_pool_nested_inline () =
+  let nested =
+    Pool.map ~jobs:2
+      (fun x ->
+        let inner =
+          Pool.map ~jobs:4
+            (fun y -> (y * y, (Domain.self () :> int)))
+            (List.init 6 (fun i -> i + x))
+        in
+        ((Domain.self () :> int), inner))
+      [ 0; 1; 2; 3 ]
+  in
+  List.iteri
+    (fun x (me, inner) ->
+      Alcotest.(check (list int))
+        (Printf.sprintf "task %d: equals List.map" x)
+        (List.init 6 (fun i -> (i + x) * (i + x)))
+        (List.map fst inner);
+      List.iter
+        (fun (_, d) ->
+          Alcotest.(check int)
+            (Printf.sprintf "task %d: nested item on the worker's domain" x)
+            me d)
+        inner)
+    nested;
+  Alcotest.check_raises "nested: earliest failure" (Failure "boom 1") (fun () ->
+      ignore
+        (Pool.map ~jobs:2
+           (fun () ->
+             Pool.map ~jobs:4
+               (fun y ->
+                 if y = 1 || y = 3 then failwith (Printf.sprintf "boom %d" y)
+                 else y)
+               (List.init 5 Fun.id))
+           [ () ]))
+
 (* Property tests. *)
 
 let prop_pool_map_equals_list_map =
@@ -259,6 +299,7 @@ let () =
           Alcotest.test_case "empty run" `Quick test_pool_map_empty;
           Alcotest.test_case "earliest exception" `Quick
             test_pool_earliest_exception_wins;
+          Alcotest.test_case "nested map inline" `Quick test_pool_nested_inline;
           Alcotest.test_case "concurrent workers" `Quick
             test_pool_parallel_actually_concurrent;
           QCheck_alcotest.to_alcotest prop_pool_map_equals_list_map;
