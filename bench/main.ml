@@ -1,16 +1,14 @@
 (* The benchmark harness: regenerates every table and figure of the
-   paper's evaluation section on the synthetic Table 1 workloads, and
-   runs Bechamel micro-benchmarks of the pipeline stages.
+   paper's evaluation section on the synthetic Table 1 workloads, with
+   the ablations, the online-session comparison and fleet aggregation.
 
      dune exec bench/main.exe            # everything
      dune exec bench/main.exe -- fig8    # one experiment
-     dune exec bench/main.exe -- --quick # A-inputs only, shorter micro runs
+     dune exec bench/main.exe -- --quick # A-inputs only
      dune exec bench/main.exe -- --jobs 4 fig8   # 4 domains
-     dune exec bench/main.exe -- --quick micro --json bench.json
-                                         # machine-readable estimates
      dune exec bench/main.exe -- --trace bench-trace.json fig8
                                          # vp-perfetto-trace/1 span timeline
-     dune exec bench/main.exe -- --backend reference --quick micro
+     dune exec bench/main.exe -- --backend reference --quick fig10
                                          # functional backend for all runs
      dune exec bench/main.exe -- --help  # flags and experiments
 
@@ -18,7 +16,8 @@
    Vp_util.Pool.map task per workload on --jobs domains (default = the
    machine's domain count); tables then render from those rows, so
    stdout is byte-identical for every --jobs value.  The span table of
-   the run goes to stderr. *)
+   the run goes to stderr.  The performance ledger is perfbench
+   (BENCHMARK.json), not this harness. *)
 
 module Registry = Vp_workloads.Registry
 module Program = Vp_prog.Program
@@ -26,8 +25,6 @@ module Emulator = Vp_exec.Emulator
 module Pipeline = Vp_cpu.Pipeline
 module Tabular = Vp_util.Tabular
 module Stats = Vp_util.Stats
-module Io = Vp_util.Io
-module Phase_log = Vp_phase.Phase_log
 module Categorize = Vp_phase.Categorize
 module Driver = Vacuum.Driver
 module Coverage = Vacuum.Coverage
@@ -84,12 +81,6 @@ let profile_span name image =
   span ("profile:" ^ name)
     ~work:(fun p -> p.Driver.outcome.Emulator.instructions)
     (fun () -> Driver.profile ~config:(profile_config ()) image)
-
-(* A lone sample outside the matrix. *)
-let profile_sample w =
-  let p = profile_span (Registry.name w) (layout w) in
-  if p.Driver.truncated then fail_truncated (Registry.name w);
-  p
 
 (* ------------------------------------------------------------------ *)
 (* The workload x configuration matrix, one task per workload in two
@@ -549,12 +540,9 @@ let baseline_aggregate workloads =
 (* Fleet-scale profile aggregation: each workload's profiling run seen
    through per-machine noise on N emulated user machines, aggregated
    into one consensus profile per binary.  The table is deterministic
-   (exact sums, order-fixed digests); the snapshots/sec throughput is
-   timing, so it goes to stderr and the --json export. *)
-
-(* (workload, snapshots ingested, snapshots/sec) rows from the last
-   [aggregate] run, kept for the --json export. *)
-let aggregate_results : (string * int * float) list ref = ref []
+   (exact sums, order-fixed digests); each merge is an
+   [aggregate:WORKLOAD] span whose work is its snapshot count, so its
+   throughput shows in the stderr span table and the --trace file. *)
 
 let fleet_aggregate workloads ~quick ~jobs =
   heading "Fleet aggregation: consensus profile per binary (emulated fleet)";
@@ -572,33 +560,27 @@ let fleet_aggregate workloads ~quick ~jobs =
           ("digest", Tabular.Right);
         ]
   in
-  aggregate_results := [];
   List.iter
     (fun w ->
       let base = profile_of w in
       let wire = Vacuum.Fleet.emulate_runs ~runs base in
-      let t0 = Unix.gettimeofday () in
-      let fleet = Vacuum.Fleet.aggregate ~jobs ~base wire in
-      let dt = Unix.gettimeofday () -. t0 in
+      let fleet =
+        span ("aggregate:" ^ Registry.name w)
+          ~work:(fun f -> f.Vacuum.Fleet.stats.Vp_aggregate.Shard.snapshots)
+          (fun () -> Vacuum.Fleet.aggregate ~jobs ~base wire)
+      in
       let stats = fleet.Vacuum.Fleet.stats in
-      let snaps = stats.Vp_aggregate.Shard.snapshots in
-      let per_sec = float_of_int snaps /. Float.max dt 1e-9 in
-      aggregate_results :=
-        (Registry.name w, snaps, per_sec) :: !aggregate_results;
       Tabular.add_row t
         [
           Registry.name w;
           string_of_int stats.Vp_aggregate.Shard.runs;
-          string_of_int snaps;
+          string_of_int stats.Vp_aggregate.Shard.snapshots;
           string_of_int stats.Vp_aggregate.Shard.classified;
           string_of_int stats.Vp_aggregate.Shard.dropped;
           string_of_int (List.length fleet.Vacuum.Fleet.classes);
           Printf.sprintf "%016x" fleet.Vacuum.Fleet.digest;
-        ];
-      Printf.eprintf "aggregate %s: %.0f snapshots/sec (%.3f s, %d jobs)\n"
-        (Registry.name w) per_sec dt jobs)
+        ])
     workloads;
-  aggregate_results := List.rev !aggregate_results;
   Tabular.print t
 
 (* Superblock formation: chain merging + speculative hoisting — this
@@ -767,300 +749,16 @@ let session_exp workloads =
   Tabular.print t
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks of the pipeline stages. *)
-
-(* (stage name, ns/run, r^2) rows from the last [micro] run, kept for
-   the --json export. *)
-let micro_results : (string * float * float option) list ref = ref []
-
-(* Ditto for the last [overhead] run. *)
-let overhead_results : (string * float * float option) list ref = ref []
-
-(* Run a Bechamel test tree and return its OLS estimates as sorted
-   (name, ns/run, r^2) rows.  Hashtbl.iter order depends on internal
-   hashing; sorting by stage name keeps the table (and the JSON
-   export) stable run to run. *)
-let bechamel_rows ~quick tests =
-  let open Bechamel in
-  let open Toolkit in
-  let quota = if quick then Time.second 0.25 else Time.second 1.0 in
-  let cfg = Benchmark.cfg ~limit:2000 ~quota ~stabilize:false ~kde:None () in
-  let raw = Benchmark.all cfg Instance.[ monotonic_clock ] tests in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  Hashtbl.fold
-    (fun name ols_result acc ->
-      let nanos =
-        match Analyze.OLS.estimates ols_result with
-        | Some (e :: _) -> e
-        | _ -> nan
-      in
-      let r2 = Analyze.OLS.r_square ols_result in
-      (name, nanos, r2) :: acc)
-    results []
-  |> List.sort (fun (a, _, _) (b, _, _) -> String.compare a b)
-
-let print_bechamel_rows rows =
-  let t =
-    Tabular.create
-      ~header:
-        [ ("stage", Tabular.Left); ("time/run", Tabular.Right); ("r^2", Tabular.Right) ]
-  in
-  List.iter
-    (fun (name, nanos, r2) ->
-      let pretty =
-        if nanos > 1e9 then Printf.sprintf "%.2f s" (nanos /. 1e9)
-        else if nanos > 1e6 then Printf.sprintf "%.2f ms" (nanos /. 1e6)
-        else if nanos > 1e3 then Printf.sprintf "%.2f us" (nanos /. 1e3)
-        else Printf.sprintf "%.0f ns" nanos
-      in
-      let r2 =
-        match r2 with Some r -> Printf.sprintf "%.4f" r | None -> "-"
-      in
-      Tabular.add_row t [ name; pretty; r2 ])
-    rows;
-  Tabular.print t
-
-let micro ~quick =
-  heading "Micro-benchmarks (Bechamel, monotonic clock)";
-  let open Bechamel in
-  let sample = Option.get (Registry.find ~bench:"134.perl" ~input:"B") in
-  let profile = profile_sample sample in
-  let img = profile.Vacuum.Driver.image in
-  let snapshot =
-    (List.hd (Phase_log.phases profile.Vacuum.Driver.log)).Phase_log.representative
-  in
-  let region = Vp_region.Identify.identify img snapshot in
-  let pkgs = Vp_package.Build.build region ~prefix:"bench$p0" in
-  let detector_stream =
-    Staged.stage (fun () ->
-        let d = Vp_hsd.Detector.create ~config:Vp_hsd.Config.default () in
-        for i = 0 to 9_999 do
-          Vp_hsd.Detector.on_branch d ~pc:(100 + (i mod 24)) ~taken:(i land 3 <> 0)
-        done)
-  in
-  let identify =
-    Staged.stage (fun () -> ignore (Vp_region.Identify.identify img snapshot))
-  in
-  let build =
-    Staged.stage (fun () ->
-        ignore (Vp_package.Build.build region ~prefix:"bench$p1"))
-  in
-  let emit =
-    Staged.stage (fun () -> ignore (Vp_package.Emit.emit img pkgs))
-  in
-  let optimize =
-    Staged.stage (fun () ->
-        List.iter (fun p -> ignore (Vp_opt.Opt.transform p)) pkgs)
-  in
-  let snaps = profile.Vacuum.Driver.snapshots in
-  let chaos_plan =
-    Option.get (Vp_fault.Plan.find_preset "duplicate-reorder")
-  in
-  (* Guard: a clean plan must be physically inert — the injector
-     returns its input list untouched, so this clocks at bare
-     call-dispatch cost.  The active plan row shows the (bounded,
-     per-snapshot) price actually paid under chaos testing. *)
-  let inject_clean =
-    Staged.stage (fun () ->
-        ignore
-          (Vp_fault.Inject.snapshots ~plan:Vp_fault.Plan.clean ~counter_max:511
-             snaps))
-  in
-  let inject_active =
-    Staged.stage (fun () ->
-        ignore
-          (Vp_fault.Inject.snapshots ~plan:chaos_plan ~counter_max:511 snaps))
-  in
-  let emulate_100k =
-    Staged.stage (fun () ->
-        ignore (Emulator.run_backend ~backend:!backend ~fuel:100_000 img))
-  in
-  let timing_100k =
-    Staged.stage (fun () ->
-        ignore (Vp_cpu.Pipeline.simulate ~fuel:100_000 img))
-  in
-  let tests =
-    Test.make_grouped ~name:"vacuum"
-      [
-        Test.make ~name:"hsd detector (10k branches)" detector_stream;
-        Test.make ~name:"region identify (134.perl phase)" identify;
-        Test.make ~name:"package build" build;
-        Test.make ~name:"package emit" emit;
-        Test.make ~name:"layout+schedule" optimize;
-        Test.make ~name:"fault inject (clean plan)" inject_clean;
-        Test.make ~name:"fault inject (duplicate-reorder)" inject_active;
-        Test.make ~name:"emulator (100k instrs)" emulate_100k;
-        Test.make ~name:"timing model (100k instrs)" timing_100k;
-      ]
-  in
-  let rows = bechamel_rows ~quick tests in
-  micro_results := rows;
-  print_bechamel_rows rows
-
-(* The generative corpus: program generation, trace record/codec
-   throughput, and the end-to-end campaign case rate — the budget that
-   sizes CI's fuzz-smoke sweep (cases/second x wall budget = corpus
-   size). *)
-let gen_results : (string * float * float option) list ref = ref []
-
-let gen_exp ~quick =
-  heading "Generative corpus: generation, trace codec and campaign case rates";
-  let open Bechamel in
-  let params = Vp_gen.Gen.default in
-  let image = Vp_prog.Program.layout (Vp_gen.Gen.program ~seed:1 params) in
-  let trace, _ = Vp_gen.Trace.record ~backend:!backend image in
-  let enc = Vp_gen.Trace.encode trace in
-  let spec = Vp_gen.Campaign.spec_of_index ~root_seed:1 0 in
-  let generate =
-    Staged.stage (fun () -> ignore (Vp_gen.Gen.program ~seed:1 params))
-  in
-  let layout =
-    Staged.stage (fun () ->
-        ignore (Vp_prog.Program.layout (Vp_gen.Gen.program ~seed:1 params)))
-  in
-  let record =
-    Staged.stage (fun () -> ignore (Vp_gen.Trace.record ~backend:!backend image))
-  in
-  let encode = Staged.stage (fun () -> ignore (Vp_gen.Trace.encode trace)) in
-  let decode = Staged.stage (fun () -> ignore (Vp_gen.Trace.decode enc)) in
-  let case =
-    Staged.stage (fun () ->
-        ignore
-          (Vp_gen.Campaign.run_case
-             ~config:
-               (Vacuum.Config.with_backend !backend
-                  Vp_gen.Campaign.default_config)
-             ~index:0 spec))
-  in
-  let tests =
-    Test.make_grouped ~name:"gen"
-      [
-        Test.make ~name:"generate (default params)" generate;
-        Test.make ~name:"generate + layout" layout;
-        Test.make ~name:(Printf.sprintf "trace record (%d events)" (Vp_gen.Trace.length trace)) record;
-        Test.make ~name:"trace encode" encode;
-        Test.make ~name:"trace decode + checksum" decode;
-        Test.make ~name:"campaign case (full pipeline)" case;
-      ]
-  in
-  let rows = bechamel_rows ~quick tests in
-  gen_results := rows;
-  print_bechamel_rows rows
-
-(* The cost of the metrics plane itself: registry operations on a
-   disabled vs enabled registry, and the emulator micro with a
-   disabled registry observed once per run — the instrumentation shape
-   of Driver.profile.  The disabled rows are the always-on price every
-   hot loop pays (they must clock at bare call-dispatch cost; the
-   alloc-flatness test in test_metrics pins the zero-allocation
-   half of that claim). *)
-let overhead ~quick =
-  heading "Overhead: metrics plane enabled vs disabled";
-  let open Bechamel in
-  let sample = Option.get (Registry.find ~bench:"134.perl" ~input:"B") in
-  let img = layout sample in
-  let off = Vp_metrics.disabled in
-  let on_ = Vp_metrics.create () in
-  let bump_1k m =
-    Staged.stage (fun () ->
-        for _ = 1 to 1_000 do
-          Vp_metrics.Counter.bump m "bench.counter" 1
-        done)
-  in
-  let observe_1k m =
-    Staged.stage (fun () ->
-        for i = 1 to 1_000 do
-          Vp_metrics.Histogram.observe m "bench.hist" i
-        done)
-  in
-  let emulate m =
-    Staged.stage (fun () ->
-        let o = Emulator.run_backend ~backend:!backend ~fuel:100_000 img in
-        Vp_metrics.Histogram.observe m "bench.emulator.instructions"
-          o.Emulator.instructions)
-  in
-  let tests =
-    Test.make_grouped ~name:"overhead"
-      [
-        Test.make ~name:"counter bump x1k (disabled)" (bump_1k off);
-        Test.make ~name:"counter bump x1k (enabled)" (bump_1k on_);
-        Test.make ~name:"hist observe x1k (disabled)" (observe_1k off);
-        Test.make ~name:"hist observe x1k (enabled)" (observe_1k on_);
-        Test.make ~name:"emulator (100k instrs, disabled)" (emulate off);
-        Test.make ~name:"emulator (100k instrs, enabled)" (emulate on_);
-      ]
-  in
-  let rows = bechamel_rows ~quick tests in
-  overhead_results := rows;
-  print_bechamel_rows rows
-
-(* ------------------------------------------------------------------ *)
 
 (* What each experiment reads from the matrix: [None] when it reads
-   no matrix row at all (a lone sample is computed on demand), otherwise
+   no matrix row at all, otherwise
    whether it also reads the rewrites/coverages and the timing
    simulations. *)
 let needs = function
-  | "table2" | "ablation-bbb" | "micro" | "overhead" | "gen" -> None
+  | "table2" | "ablation-bbb" -> None
   | "fig8" | "table3" | "ablation-sink" | "session" -> Some (true, false)
   | "fig10" | "baseline-aggregate" | "ablation-superblock" -> Some (true, true)
   | _ -> Some (false, false)
-
-(* ------------------------------------------------------------------ *)
-(* --json FILE: machine-readable export of the micro estimates and the
-   registry's counters (hand-rolled writer — the tree is tiny and the
-   build carries no JSON library). *)
-
-let json_float f =
-  if Float.is_finite f then Printf.sprintf "%.6g" f else "null"
-
-let write_json ~path ~jobs ~counters =
-  let oc = open_out path in
-  let out fmt = Printf.fprintf oc fmt in
-  let backend_name = Emulator.backend_name !backend in
-  (* Every experiment record repeats the run metadata, so records stay
-     self-describing when jq slices one array out of the file. *)
-  let meta () = Printf.sprintf "\"backend\": \"%s\", \"jobs\": %d" (Io.json_escape backend_name) jobs in
-  out "{\n  \"schema\": \"vacuum-bench/2\",\n";
-  out "  \"backend\": \"%s\",\n  \"jobs\": %d,\n" (Io.json_escape backend_name) jobs;
-  out "  \"aggregate\": [";
-  List.iteri
-    (fun i (name, snapshots, per_sec) ->
-      out
-        "%s\n    {\"name\": \"%s\", %s, \"snapshots\": %d, \
-         \"snapshots_per_sec\": %s}"
-        (if i = 0 then "" else ",")
-        (Io.json_escape name) (meta ()) snapshots (json_float per_sec))
-    !aggregate_results;
-  out "\n  ],\n";
-  let bechamel_array key rows =
-    out "  \"%s\": [" key;
-    List.iteri
-      (fun i (name, nanos, r2) ->
-        out
-          "%s\n    {\"name\": \"%s\", %s, \"ns_per_run\": %s, \
-           \"r_square\": %s}"
-          (if i = 0 then "" else ",")
-          (Io.json_escape name) (meta ()) (json_float nanos)
-          (match r2 with Some r -> json_float r | None -> "null"))
-      rows;
-    out "\n  ],\n"
-  in
-  bechamel_array "micro" !micro_results;
-  bechamel_array "overhead" !overhead_results;
-  bechamel_array "gen" !gen_results;
-  out "  \"counters\": [";
-  List.iteri
-    (fun i (name, value) ->
-      out "%s\n    {\"name\": \"%s\", %s, \"value\": %d}"
-        (if i = 0 then "" else ",")
-        (Io.json_escape name) (meta ()) value)
-    counters;
-  out "\n  ]\n}\n";
-  close_out oc
 
 (* ------------------------------------------------------------------ *)
 (* Command line: one Vp_cli.Spec flag table, the same parser and help
@@ -1072,17 +770,15 @@ let experiments =
   [
     "table1"; "table2"; "fig8"; "table3"; "fig9"; "fig10";
     "baseline-aggregate"; "aggregate"; "ablation-bbb"; "ablation-growth";
-    "ablation-sink"; "ablation-superblock"; "session"; "micro"; "overhead";
-    "gen";
+    "ablation-sink"; "ablation-superblock"; "session";
   ]
 
 let cli =
-  let file name doc = Spec.flag ~kind:Spec.Value ~docv:"FILE" ~doc [ name ] in
   Spec.cmd ~name:""
     ~doc:
-      "Regenerate the paper's tables and figures on the Table 1 workloads \
-       and run the micro-benchmarks.  Stdout is byte-identical for every \
-       --jobs value and backend; the span timings go to stderr."
+      "Regenerate the paper's tables and figures on the Table 1 workloads.  \
+       Stdout is byte-identical for every --jobs value and backend; the \
+       span timings go to stderr."
     ~positional:
       {
         Spec.pos_docv = "EXPERIMENT...";
@@ -1094,16 +790,12 @@ let cli =
     ~exits:[ (0, "success"); (2, "command-line error or a truncated profile") ]
     ~flags:
       [
-        Spec.flag ~kind:Spec.Bool
-          ~doc:"A-input workloads only, and shorter micro-benchmark runs."
-          [ "quick" ];
+        Spec.flag ~kind:Spec.Bool ~doc:"A-input workloads only." [ "quick" ];
         Vp_cli.Vpack.jobs_flag;
         Vp_cli.Vpack.backend_flag;
-        file "json"
-          "Write the micro estimates and the registry's counters as JSON \
-           (schema vacuum-bench/2) to FILE.";
-        file "trace"
-          "Record pipeline spans as a vp-perfetto-trace/1 timeline to FILE.";
+        Spec.flag ~kind:Spec.Value ~docv:"FILE"
+          ~doc:"Record pipeline spans as a vp-perfetto-trace/1 timeline to FILE."
+          [ "trace" ];
       ]
     (fun _ -> ())
 
@@ -1138,7 +830,6 @@ let () =
   backend := Vp_cli.Vpack.resolve_backend m;
   jobs := Vp_cli.Vpack.resolve_jobs m;
   let jobs = !jobs in
-  let json_path = Spec.value m "json" in
   let trace_path = Spec.value m "trace" in
   let quick = Spec.flag_set m "quick" in
   let workloads =
@@ -1159,9 +850,6 @@ let () =
     | "ablation-sink" -> ablation_sink workloads
     | "ablation-superblock" -> ablation_superblock workloads
     | "session" -> session_exp workloads
-    | "micro" -> micro ~quick
-    | "overhead" -> overhead ~quick
-    | "gen" -> gen_exp ~quick
     | other -> invalid_arg ("bench: no experiment " ^ other)
   in
   let picks =
@@ -1179,16 +867,6 @@ let () =
   List.iter run picks;
   (match trace_path with
   | Some path -> ignore (Vp_metrics.Perfetto.write_spans metrics ~path : int)
-  | None -> ());
-  (match json_path with
-  | Some path ->
-    write_json ~path ~jobs
-      ~counters:
-        (List.filter_map
-           (function
-             | name, Vp_metrics.Snapshot.Counter v -> Some (name, v)
-             | _ -> None)
-           (Vp_metrics.Snapshot.samples metrics))
   | None -> ());
   Printf.eprintf "\nspans (jobs=%d, %.3f s wall):\n%s" jobs
     (Unix.gettimeofday () -. t0)

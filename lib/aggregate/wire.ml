@@ -147,7 +147,7 @@ let write_file ~path runs = Vp_util.Io.write_file path (encode runs)
 let read_file ~path =
   match Vp_util.Io.read_file path with
   | s -> decode s
-  | exception Sys_error e -> Error e
+  | exception Sys_error e -> Error (Vp_util.Io.error_reason ~path e)
 
 let counts runs =
   (List.length runs, List.fold_left (fun acc r -> acc + List.length r.snapshots) 0 runs)

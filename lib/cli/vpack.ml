@@ -931,15 +931,9 @@ let trace_check_cmd =
         ]
       in
       let judge file =
-        (* A zero-byte file matches no schema; report it for what it is.
-           A directory opens but has no length: name it instead. *)
+        (* A zero-byte file matches no schema; report it for what it is. *)
         let size, first =
-          if Sys.file_exists file && Sys.is_directory file then
-            raise (Sys_error "is a directory");
-          let ic = open_in_bin file in
-          Fun.protect
-            ~finally:(fun () -> close_in_noerr ic)
-            (fun () ->
+          Vp_util.Io.with_in_file file (fun ic ->
               let n = in_channel_length ic in
               let l = try input_line ic with End_of_file -> "" in
               (n, l))
@@ -975,7 +969,8 @@ let trace_check_cmd =
       let check file =
         try if judge file then 0 else 1
         with Sys_error e ->
-          Printf.eprintf "%s: cannot read: %s\n%!" file e;
+          Printf.eprintf "%s: cannot read: %s\n%!" file
+            (Vp_util.Io.error_reason ~path:file e);
           3
       in
       let worst = List.fold_left max 0 (List.map check (Spec.positional m)) in
@@ -1275,14 +1270,14 @@ let chaos_cmd =
       (match Spec.value m "report" with
       | None -> ()
       | Some path ->
-        let oc = open_out path in
-        Printf.fprintf oc "%s: %d fault plans x %d seeds, root seed %d\n%s\n"
+        let buf = Buffer.create 4096 in
+        Printf.bprintf buf "%s: %d fault plans x %d seeds, root seed %d\n%s\n"
           (Registry.name w)
           (List.length Vp_fault.Plan.presets)
           seeds seed table;
         List.iter
           (fun (c : Vacuum.Chaos.cell) ->
-            Printf.fprintf oc "FAILED: %s\n"
+            Printf.bprintf buf "FAILED: %s\n"
               (Format.asprintf "%a seed-index %d%s%s" Vp_fault.Plan.pp
                  c.Vacuum.Chaos.plan c.Vacuum.Chaos.seed_index
                  (if c.Vacuum.Chaos.verified then ""
@@ -1290,7 +1285,7 @@ let chaos_cmd =
                  (if c.Vacuum.Chaos.equivalent then ""
                   else " [oracle mismatch]")))
           failed;
-        close_out oc;
+        Vp_util.Io.write_file path (Buffer.contents buf);
         Printf.printf "report -> %s\n" path);
       if failed <> [] then begin
         Printf.eprintf "chaos: %d of %d cells failed the oracle or verifier\n"

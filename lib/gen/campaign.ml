@@ -403,7 +403,7 @@ let save_repros ~dir r =
 let load_repro_file ~path =
   match Vp_util.Io.read_file path with
   | s -> repro_of_string s
-  | exception Sys_error e -> Error e
+  | exception Sys_error e -> Error (Vp_util.Io.error_reason ~path e)
 
 let replay ?config ?chaos_seeds (r : repro) =
   let o = run_case ?config ?chaos_seeds ~index:0 r.spec in

@@ -173,6 +173,6 @@ let write_file ~path t = Vp_util.Io.write_file path (encode t)
 let read_file ~path =
   match Vp_util.Io.read_file path with
   | s -> decode s
-  | exception Sys_error e -> Error e
+  | exception Sys_error e -> Error (Vp_util.Io.error_reason ~path e)
 
 let validate_file ~path = Result.map length (read_file ~path)

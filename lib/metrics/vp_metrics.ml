@@ -433,24 +433,25 @@ module Snapshot = struct
     Buffer.add_string buf "# EOF\n";
     Buffer.contents buf
 
+  (* Through a sibling temp file and a rename, so a reader never sees a
+     half-written snapshot.  A failure names [path], the file the
+     caller asked for, and leaves no temp file behind. *)
   let write_file ~path content =
     let tmp = path ^ ".tmp" in
-    let oc = open_out tmp in
-    output_string oc content;
-    close_out oc;
-    Sys.rename tmp path
+    match
+      Io.write_file tmp content;
+      Sys.rename tmp path
+    with
+    | () -> ()
+    | exception Sys_error e ->
+      (try Sys.remove tmp with Sys_error _ -> ());
+      raise (Sys_error (path ^ ": " ^ Io.error_reason ~path:tmp e))
 
   let write ?volatile t ~path = write_file ~path (render ?volatile t)
 
   let read_lines path =
-    let ic = open_in path in
-    let lines = ref [] in
-    (try
-       while true do
-         lines := input_line ic :: !lines
-       done
-     with End_of_file -> close_in ic);
-    List.rev !lines
+    let lines = String.split_on_char '\n' (Io.read_file path) in
+    match List.rev lines with "" :: rest -> List.rev rest | _ -> lines
 
   (* One walk over an exposition file checks every line and collects
      the samples as it goes, reconstructing histograms from their
@@ -576,7 +577,7 @@ module Snapshot = struct
 
   let parse_file ~path =
     match read_lines path with
-    | exception Sys_error e -> Error e
+    | exception Sys_error e -> Error (Io.error_reason ~path e)
     | lines -> parse_lines lines
 
   let validate_file ~path = Result.map fst (parse_file ~path)
@@ -684,7 +685,7 @@ module Perfetto = struct
 
   let validate_file ~path =
     match Snapshot.read_lines path with
-    | exception Sys_error e -> Error e
+    | exception Sys_error e -> Error (Io.error_reason ~path e)
     | [] -> Error "empty trace"
     | first :: rest ->
       if not (contains first ("\"" ^ schema ^ "\"")) then

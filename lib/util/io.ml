@@ -27,12 +27,30 @@ let rec mkdir_p dir =
     try Sys.mkdir dir 0o755 with Sys_error _ when Sys.file_exists dir -> ()
   end
 
-let read_file path =
+let error_reason ~path msg =
+  let prefix = path ^ ": " in
+  if String.starts_with ~prefix msg then
+    String.sub msg (String.length prefix) (String.length msg - String.length prefix)
+  else msg
+
+(* A directory opens for reading on Linux but has no length: name it
+   before [open_in_bin] can succeed on it. *)
+let with_in_file path f =
+  if Sys.file_exists path && Sys.is_directory path then
+    raise (Sys_error (path ^ ": is a directory"));
   let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
+  Fun.protect ~finally:(fun () -> close_in_noerr ic) (fun () -> f ic)
+
+let read_file path =
+  with_in_file path (fun ic -> really_input_string ic (in_channel_length ic))
 
 let write_file path s =
   let oc = open_out_bin path in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc s)
+  match
+    output_string oc s;
+    close_out oc
+  with
+  | () -> ()
+  | exception e ->
+    close_out_noerr oc;
+    raise e

@@ -17,9 +17,21 @@ val mkdir_p : string -> unit
     existing directory, including one created concurrently, is not an
     error.  Raises [Sys_error] when a component cannot be created. *)
 
+val with_in_file : string -> (in_channel -> 'a) -> 'a
+(** [with_in_file path f] applies [f] to [path] opened for binary
+    reading, and closes the channel on every path.  Raises [Sys_error]
+    with a message naming [path], as the Stdlib's does
+    (["PATH: REASON"]); a directory is refused as
+    ["PATH: is a directory"]. *)
+
 val read_file : string -> string
-(** The whole file, as bytes.  The channel is closed on every path;
-    raises [Sys_error] when the file cannot be opened or read. *)
+(** The whole file, as bytes, through {!with_in_file} (its errors). *)
+
+val error_reason : path:string -> string -> string
+(** The reason of a [Sys_error] message about [path]: the message
+    without its leading ["PATH: "], or the message as it is when it
+    does not start with one.  For a caller that names the path
+    itself. *)
 
 val write_file : string -> string -> unit
 (** [write_file path s] replaces [path]'s contents with [s], as bytes;

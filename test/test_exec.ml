@@ -1022,6 +1022,28 @@ let test_compiled_observed_allocation_flat () =
   Alcotest.(check bool) "observers fired" true
     (!branches > 0 && !runs > 0 && !retired > !runs)
 
+(* The compiled backend exists for speed: on a paper workload it must
+   run faster than the reference interpreter.  The best of five
+   CPU-time runs per backend keeps scheduling noise out; the first
+   compiled run also pays for compilation.  The margin is several-fold,
+   so the gate does not flake. *)
+let test_compiled_faster_than_reference () =
+  let w = Option.get (Vp_workloads.Registry.find ~bench:"134.perl" ~input:"A") in
+  let img = Program.layout (w.Vp_workloads.Registry.program ()) in
+  let best backend =
+    List.fold_left min infinity
+      (List.init 5 (fun _ ->
+           let t0 = Sys.time () in
+           ignore (Emulator.run_backend ~backend ~fuel:1_000_000 img : Emulator.outcome);
+           Sys.time () -. t0))
+  in
+  let reference = best Emulator.Reference in
+  let compiled = best Emulator.Compiled in
+  Alcotest.(check bool)
+    (Printf.sprintf "compiled %.1f ms < reference %.1f ms" (compiled *. 1e3)
+       (reference *. 1e3))
+    true (compiled < reference)
+
 let () =
   Alcotest.run "vp_exec"
     [
@@ -1084,6 +1106,8 @@ let () =
             test_compiled_allocation_flat;
           Alcotest.test_case "zero per-instruction allocation (observed)"
             `Quick test_compiled_observed_allocation_flat;
+          Alcotest.test_case "faster than reference" `Quick
+            test_compiled_faster_than_reference;
         ] );
       ( "memory",
         [

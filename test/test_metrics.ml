@@ -437,6 +437,18 @@ let test_snapshot_write_validate_roundtrip () =
       (List.assoc_opt "clock_ticks" samples = None));
   Sys.remove path
 
+(* An atomic write into a missing directory fails naming the file
+   the caller asked for, not its temp sibling. *)
+let test_snapshot_write_unwritable () =
+  let dir = temp ".missing" in
+  Sys.remove dir;
+  let path = Filename.concat dir "m.metrics" in
+  match M.Snapshot.write (populated ()) ~path with
+  | () -> Alcotest.fail "wrote into a missing directory"
+  | exception Sys_error e ->
+    Alcotest.(check bool) (e ^ " names the target") true
+      (String.starts_with ~prefix:(path ^ ": ") e && not (contains e ".tmp"))
+
 let test_validator_rejections () =
   let check_error name content expect =
     let path = temp ".metrics" in
@@ -804,6 +816,8 @@ let () =
             test_snapshot_write_validate_roundtrip;
           Alcotest.test_case "validator names the line" `Quick
             test_validator_rejections;
+          Alcotest.test_case "write into a missing dir" `Quick
+            test_snapshot_write_unwritable;
         ] );
       ( "determinism",
         [

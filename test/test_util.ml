@@ -240,6 +240,36 @@ let test_pool_nested_inline () =
                (List.init 5 Fun.id))
            [ () ]))
 
+(* A directory opens for reading but has no length; every reader
+   names it as a directory, under the directory's own path, and the
+   reason alone is what a caller that prints the path itself shows. *)
+let test_io_read_directory () =
+  let dir = Filename.get_temp_dir_name () in
+  let expect = dir ^ ": is a directory" in
+  Alcotest.check_raises "read_file" (Sys_error expect) (fun () ->
+      ignore (Vp_util.Io.read_file dir : string));
+  Alcotest.check_raises "with_in_file" (Sys_error expect) (fun () ->
+      Vp_util.Io.with_in_file dir (fun _ -> Alcotest.fail "opened"));
+  Alcotest.(check string) "reason" "is a directory"
+    (Vp_util.Io.error_reason ~path:dir expect);
+  Alcotest.(check string) "other path kept" expect
+    (Vp_util.Io.error_reason ~path:"elsewhere" expect)
+
+(* Bytes survive a write and a read; a missing file's error names it,
+   and its reason alone does not. *)
+let test_io_roundtrip () =
+  let path = Filename.temp_file "vp-util-io" ".bin" in
+  let bytes = "line\n\000\255tail" in
+  Vp_util.Io.write_file path bytes;
+  Alcotest.(check string) "bytes back" bytes (Vp_util.Io.read_file path);
+  Sys.remove path;
+  match Vp_util.Io.read_file path with
+  | _ -> Alcotest.fail "read a removed file"
+  | exception Sys_error e ->
+    Alcotest.(check bool) (e ^ " names the path once") true
+      (Vp_util.Io.error_reason ~path e <> e
+      && not (contains (Vp_util.Io.error_reason ~path e) path))
+
 (* Property tests. *)
 
 let prop_pool_map_equals_list_map =
@@ -292,6 +322,11 @@ let () =
           Alcotest.test_case "render" `Quick test_tabular_render;
           Alcotest.test_case "too many cells" `Quick test_tabular_too_many_cells;
           Alcotest.test_case "cells" `Quick test_tabular_cells;
+        ] );
+      ( "io",
+        [
+          Alcotest.test_case "read a directory" `Quick test_io_read_directory;
+          Alcotest.test_case "write read roundtrip" `Quick test_io_roundtrip;
         ] );
       ( "pool",
         [
