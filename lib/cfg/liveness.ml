@@ -1,13 +1,7 @@
 module Instr = Vp_isa.Instr
-module Reg = Vp_isa.Reg
 
-(* Register sets as int bitmasks; 32 registers fit one word. *)
+(* Register sets are [Reg.bit] masks; 32 registers fit one word. *)
 type t = { live_in : int array }
-
-let all_regs = List.init Reg.count Reg.of_int
-
-let regs_of mask =
-  List.filter (fun r -> mask land (1 lsl Reg.to_int r) <> 0) all_regs
 
 let solve ~gen ~kill ~terminal ~succs =
   let n = Array.length gen in
@@ -56,5 +50,5 @@ let compute cfg =
   in
   { live_in }
 
-let live_in t b = regs_of t.live_in.(b)
-let live_across t (a : Cfg.arc) = regs_of t.live_in.(a.dst)
+let live_in t b = t.live_in.(b)
+let live_across t (a : Cfg.arc) = t.live_in.(a.dst)

@@ -28,8 +28,8 @@ val solve :
 
 val compute : Cfg.t -> t
 
-val live_in : t -> int -> Vp_isa.Reg.t list
-(** Ascending register order. *)
+val live_in : t -> int -> int
+(** Registers live into a block, as a [Vp_isa.Reg.bit] mask. *)
 
-val live_across : t -> Cfg.arc -> Vp_isa.Reg.t list
+val live_across : t -> Cfg.arc -> int
 (** Registers live along an arc = live-in of the destination. *)

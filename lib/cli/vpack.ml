@@ -1369,7 +1369,7 @@ let fuzz_cmd =
           List.filter
             (fun path ->
               match Vp_gen.Campaign.load_repro_file ~path with
-              | Error e -> Vacuum.Error.failf ~stage:"trace" "%s: %s" path e
+              | Error e -> Vacuum.Error.failf ~stage:"fuzz" "%s: %s" path e
               | Ok r -> (
                 match Vp_gen.Campaign.replay ~config ~chaos_seeds r with
                 | Ok o ->

@@ -24,8 +24,8 @@ type stats = {
 (* Unchecked array access in the models and the run walker: cache and
    predictor indices are masked (or mod-reduced) into range; every pc
    of a run was validated by the compiled emulator before it retired,
-   the per-pc tables have one entry per pc ([uses_off]/[defs_off] have
-   [n + 1]), register numbers are in [0, Reg.count) by construction,
+   the per-pc tables have one entry per pc, register numbers are in
+   [0, Reg.count) by construction,
    FU indices are in [0, 4), a run's slots are in [0, len) and the
    per-slot penalty arrays cover the longest block. *)
 external ( .!() ) : 'a array -> int -> 'a = "%array_unsafe_get"
@@ -289,8 +289,9 @@ let fu_index = function
    descriptor (offset in [desc] plus 1; 0 = none), and the pc's I-cache
    line.  With the line precomputed, fetch needs no address arithmetic:
    the line buffer hits when the line equals the last one fetched.
-   [Reg.t] is a private int, so registers index [reg_ready] through a
-   free coercion rather than [Reg.to_int]. *)
+   Beside it, each pc's operand registers: its use and def masks
+   unpacked once into [operands] form, so the walk reads registers
+   without scanning mask bits. *)
 let kind_other = 0
 let kind_load = 1
 let kind_store = 2
@@ -307,6 +308,15 @@ let desc_shift = 13
 let desc_mask = (1 lsl 24) - 1
 let line_shift = 37
 
+(* A register mask as the walk reads it: each register [r] of the mask
+   as a 6-bit field [r + 1], lowest register in the lowest field; a 0
+   field ends the list.  No instruction reads or writes more than six
+   registers ([Call]), so 36 bits suffice. *)
+let operands mask =
+  List.fold_right
+    (fun (r : Reg.t) x -> (x lsl 6) lor ((r :> int) + 1))
+    (Reg.of_mask mask) 0
+
 (* Block descriptors, one flat int array for the image.  A block's
    descriptor is three header words, then its events: the
    stream-determined work of the whole block in program order, one int
@@ -314,9 +324,9 @@ let line_shift = 37
    from the previous slot's) or a load/store slot.  An I-line event
    sorts before the memory op of the same slot, the order in which the
    per-instruction walk accesses the caches.  Then its upward-exposed
-   live-in registers in program order (registers the image never
+   live-in registers in ascending order (registers the image never
    defines are left out: their ready time stays 0), and the registers
-   it defines, once each. *)
+   it defines, ascending. *)
 let hdr_len = 0 (* len | (len - I-line events) << 20 | last kind << 40
                    | live-ins << 43 | defs << 49 *)
 let hdr_last_line = 1
@@ -355,27 +365,16 @@ let kind_of_tag tg =
   else if tg = Decode.tag_br_unresolved then kind_br_unresolved
   else kind_other
 
-(* Pass the upward-exposed live-ins of the block [start, start + len)
-   to [live] in program order, and each register it defines once to
-   [def].  [stamp] is shared across calls: [mark] is "defined in this
-   block", [mark + 1] "already a live-in", and older marks are smaller. *)
-let scan_regs (d : Decode.t) ~defined ~stamp ~mark start len ~live ~def =
+(* The upward-exposed live-ins (registers read before any write) and
+   the defs of the block [start, start + len), as masks. *)
+let block_regs code start len =
+  let live = ref 0 and defs = ref 0 in
   for pc = start to start + len - 1 do
-    for i = d.Decode.uses_off.(pc) to d.Decode.uses_off.(pc + 1) - 1 do
-      let r = (d.Decode.uses.(i) :> int) in
-      if defined.(r) && stamp.(r) < mark then begin
-        stamp.(r) <- mark + 1;
-        live r
-      end
-    done;
-    for i = d.Decode.defs_off.(pc) to d.Decode.defs_off.(pc + 1) - 1 do
-      let r = (d.Decode.defs.(i) :> int) in
-      if stamp.(r) <> mark then begin
-        stamp.(r) <- mark;
-        def r
-      end
-    done
-  done
+    let i = code.(pc) in
+    live := !live lor (Instr.use_mask i land lnot !defs);
+    defs := !defs lor Instr.def_mask i
+  done;
+  (!live, !defs)
 
 (* Pass the block's events to [f] in program order; the number of
    I-line events. *)
@@ -439,10 +438,12 @@ type model = {
   mutable data_lb_hits : int;
   (* The facts of [image], built by [load_facts] into arrays that grow
      but are never given back, so a pooled model times image after
-     image without allocating: [info] has one fact per pc, [desc] the
-     block descriptors. *)
+     image without allocating: [info] has one fact per pc, [uses] and
+     [defs] its {!operands}, [desc] the block descriptors. *)
   mutable image : Vp_prog.Image.t option;
   mutable info : int array;
+  mutable uses : int array;
+  mutable defs : int array;
   mutable desc : int array;
   mutable blocks : int;
   mutable max_len : int;
@@ -493,6 +494,8 @@ let create_model (config : Config.t) =
     data_lb_hits = 0;
     image = None;
     info = [||];
+    uses = [||];
+    defs = [||];
     desc = [||];
     blocks = 0;
     max_len = 1;
@@ -541,29 +544,32 @@ let load_facts m (image : Vp_prog.Image.t) compiled =
   | _ ->
     m.image <- None;
     let d = Compile.decode compiled in
+    let code = d.Decode.code in
     let n = Decode.size d in
     let instr_bytes = m.config.Config.instr_bytes in
     let line_bytes = m.config.Config.l1i.Config.line_bytes in
-    if Array.length m.info < n then m.info <- Array.make n 0;
+    if Array.length m.info < n then begin
+      m.info <- Array.make n 0;
+      m.uses <- Array.make n 0;
+      m.defs <- Array.make n 0
+    end;
     let info = m.info in
+    let defined = ref 0 in
     for pc = 0 to n - 1 do
-      let latency = d.Decode.latency.(pc) in
+      let i = code.(pc) in
+      let latency = Instr.latency i in
       assert (latency >= 0 && latency <= latency_mask);
       info.(pc) <-
         kind_of_tag d.Decode.tag.(pc)
-        lor (fu_index d.Decode.fu.(pc) lsl fu_shift)
+        lor (fu_index (Instr.fu i) lsl fu_shift)
         lor (latency lsl latency_shift)
         (* [Cache.line_index] of the fetch address, which is
            non-negative: the shift and the division agree. *)
-        lor ((pc * instr_bytes / line_bytes) lsl line_shift)
+        lor ((pc * instr_bytes / line_bytes) lsl line_shift);
+      m.uses.(pc) <- operands (Instr.use_mask i);
+      m.defs.(pc) <- operands (Instr.def_mask i);
+      defined := !defined lor Instr.def_mask i
     done;
-    let defined = Array.make Reg.count false in
-    Array.iter (fun (r : Reg.t) -> defined.((r :> int)) <- true) d.Decode.defs;
-    let stamp = Array.make Reg.count 0 and mark = ref 0 in
-    let scan_regs start len ~live ~def =
-      mark := !mark + 2;
-      scan_regs d ~defined ~stamp ~mark:!mark start len ~live ~def
-    in
     let top = ref 0 in
     let put x =
       if !top = Array.length m.desc then begin
@@ -574,7 +580,7 @@ let load_facts m (image : Vp_prog.Image.t) compiled =
       m.desc.(!top) <- x;
       incr top
     in
-    let ignore_reg (_ : int) = () in
+    let put_regs mask = List.iter (fun (r : Reg.t) -> put (r :> int)) (Reg.of_mask mask) in
     let nb = Compile.block_count compiled in
     let max_len = ref 1 and max_key_words = ref 1 in
     for b = 0 to nb - 1 do
@@ -588,9 +594,10 @@ let load_facts m (image : Vp_prog.Image.t) compiled =
         let n_lines = scan_events info start len put in
         let live = !top in
         let n_events = live - (o + hdr_words) in
-        scan_regs start len ~live:put ~def:ignore_reg;
+        let live_in, block_defs = block_regs code start len in
+        put_regs (live_in land !defined);
         let defs = !top in
-        scan_regs start len ~live:ignore_reg ~def:put;
+        put_regs block_defs;
         let n_live = defs - live and n_defs = !top - defs in
         let last = start + len - 1 in
         m.desc.(o + hdr_len) <-
@@ -659,13 +666,9 @@ let simulate_internal ?(config = Config.default) ?(fuel = 200_000_000)
   let compiled = Compile.of_image image in
   let m = take_model config image compiled in
   let info = m.info and desc = m.desc in
-  (* The decoded use/def register slices (CSR), read in place. *)
+  let uses = m.uses and defs = m.defs in
   let d = Compile.decode compiled in
   let btarget = d.Decode.target in
-  let uses_off = d.Decode.uses_off in
-  let uses = d.Decode.uses in
-  let defs_off = d.Decode.defs_off in
-  let defs = d.Decode.defs in
   let l1i = m.l1i and l1d = m.l1d and l2 = m.l2 and pred = m.pred in
   let fu_limit = m.fu_limit and fu_bits = m.fu_bits in
   let fu_mask = (1 lsl fu_bits) - 1 in
@@ -820,11 +823,13 @@ let simulate_internal ?(config = Config.default) ?(fuel = 200_000_000)
         pen_fetch.!(slot) <- 0;
         m.fetch_ready <- imax m.fetch_ready (m.cycle + pf)
       end;
-      (* Earliest issue: fetch and operands (decoded use set). *)
+      (* Earliest issue: fetch and operands. *)
       let op_ready = ref 0 in
-      for i = uses_off.!(pc) to uses_off.!(pc + 1) - 1 do
-        let r = reg_ready.!((uses.!(i) :> int)) in
-        if r > !op_ready then op_ready := r
+      let u = ref uses.!(pc) in
+      while !u <> 0 do
+        let r = reg_ready.!((!u land 63) - 1) in
+        if r > !op_ready then op_ready := r;
+        u := !u lsr 6
       done;
       let op_ready = !op_ready in
       let fetch_ready = m.fetch_ready in
@@ -860,8 +865,10 @@ let simulate_internal ?(config = Config.default) ?(fuel = 200_000_000)
         else latency
       in
       let ready = m.cycle + latency in
-      for i = defs_off.!(pc) to defs_off.!(pc + 1) - 1 do
-        reg_ready.!((defs.!(i) :> int)) <- ready
+      let w = ref defs.!(pc) in
+      while !w <> 0 do
+        reg_ready.!((!w land 63) - 1) <- ready;
+        w := !w lsr 6
       done;
       if kind >= kind_br then terminator pc kind ~taken ~next_pc;
       if m.instructions = sampler.Vp_telemetry.Sampler.due then

@@ -14,12 +14,6 @@ type t = {
   alu_op : Op.alu array;
   cond : Op.cond array;
   target : int array;
-  fu : Op.fu array;
-  latency : int array;
-  uses_off : int array;
-  uses : Reg.t array;
-  defs_off : int array;
-  defs : Reg.t array;
 }
 
 let tag_alu_reg = 0
@@ -50,23 +44,8 @@ let of_image (image : Image.t) =
   let alu_op = Array.make n Op.Add in
   let cond = Array.make n Op.Eq in
   let target = Array.make n (-1) in
-  let fu = Array.make n Op.Ialu in
-  let latency = Array.make n 1 in
-  let uses_off = Array.make (n + 1) 0 in
-  let defs_off = Array.make (n + 1) 0 in
   for pc = 0 to n - 1 do
-    uses_off.(pc + 1) <- uses_off.(pc) + List.length (Instr.uses code.(pc));
-    defs_off.(pc + 1) <- defs_off.(pc) + List.length (Instr.defs code.(pc))
-  done;
-  let uses = Array.make uses_off.(n) Reg.zero in
-  let defs = Array.make defs_off.(n) Reg.zero in
-  for pc = 0 to n - 1 do
-    let i = code.(pc) in
-    List.iteri (fun k r -> uses.(uses_off.(pc) + k) <- r) (Instr.uses i);
-    List.iteri (fun k r -> defs.(defs_off.(pc) + k) <- r) (Instr.defs i);
-    fu.(pc) <- Instr.fu i;
-    latency.(pc) <- Instr.latency i;
-    match i with
+    match code.(pc) with
     | Instr.Alu { op; dst = d; src1 = s1; src2 = Instr.Reg s2 } ->
       tag.(pc) <- tag_alu_reg;
       alu_op.(pc) <- op;
@@ -132,19 +111,6 @@ let of_image (image : Image.t) =
     alu_op;
     cond;
     target;
-    fu;
-    latency;
-    uses_off;
-    uses;
-    defs_off;
-    defs;
   }
 
 let size t = Array.length t.tag
-
-let slice_pc off payload t pc =
-  if pc < 0 || pc >= size t then Vp_util.Error.failf ~stage:"decode" ~pc "pc 0x%x outside image" pc;
-  List.init (off.(pc + 1) - off.(pc)) (fun k -> payload.(off.(pc) + k))
-
-let uses_pc t pc = slice_pc t.uses_off t.uses t pc
-let defs_pc t pc = slice_pc t.defs_off t.defs t pc

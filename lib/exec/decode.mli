@@ -1,14 +1,14 @@
-(** Predecoded image: the flat lowering that [Compile] and the timing
-    model read.
+(** Predecoded image: the flat lowering that [Compile] executes.
 
     {!of_image} lowers an image's [Instr.t array] into parallel int
-    arrays once, at load time, so block compilation and the timing
-    model touch nothing but unboxed array cells.  Operands ([Reg.t] is
-    an immediate int), ALU opcodes and branch conditions (constant
-    constructors) all live in flat arrays; variable-length
-    per-instruction register sets ([Instr.uses]/[Instr.defs], which
-    allocate lists on every call) are frozen into CSR-style
-    offset+payload arrays.
+    arrays once, at load time, so block compilation touches nothing but
+    unboxed array cells.  Operands ([Reg.t] is an immediate int), ALU
+    opcodes and branch conditions (constant constructors) all live in
+    flat arrays.  It holds only what execution reads: the timing model
+    derives its own per-pc facts (FU class, latency, operand registers
+    from [Instr.use_mask]/[Instr.def_mask]) once per image and cpu
+    config, so a decode that never reaches the timing model pays for
+    none of them.
 
     Unresolved [Label] targets are NOT a decode-time error: the
     emulator only faults on them when the instruction actually
@@ -28,12 +28,6 @@ type t = {
   alu_op : Vp_isa.Op.alu array;
   cond : Vp_isa.Op.cond array;
   target : int array;  (** resolved control/[La] target address; -1 otherwise *)
-  fu : Vp_isa.Op.fu array;  (** functional-unit class, per pc *)
-  latency : int array;  (** base result latency, per pc *)
-  uses_off : int array;  (** length [size + 1]; pc's uses are [uses_off.(pc), uses_off.(pc+1)) *)
-  uses : Vp_isa.Reg.t array;
-  defs_off : int array;  (** length [size + 1]; same layout as [uses_off] *)
-  defs : Vp_isa.Reg.t array;
 }
 
 (** {2 Instruction tags}
@@ -71,9 +65,3 @@ val of_image : Vp_prog.Image.t -> t
     decoded form back with [Compile.decode (Compile.of_image image)]. *)
 
 val size : t -> int
-
-val uses_pc : t -> int -> Vp_isa.Reg.t list
-(** The decoded use set of one pc, as a list (test/debug helper; the
-    hot paths read the CSR arrays directly). *)
-
-val defs_pc : t -> int -> Vp_isa.Reg.t list

@@ -58,25 +58,8 @@ let retarget remap i =
   in
   map_target f i
 
-let arg_regs = List.init 5 Reg.arg
-
-let defs = function
-  | Alu { dst; _ } | Li { dst; _ } | La { dst; _ } | Load { dst; _ } -> [ dst ]
-  | Call _ -> Reg.ra :: arg_regs
-  | Store _ | Br _ | Jmp _ | Ret | Nop | Halt -> []
-
-let uses = function
-  | Alu { src1; src2 = Reg r; _ } -> [ src1; r ]
-  | Alu { src1; src2 = Imm _; _ } -> [ src1 ]
-  | Li _ | La _ | Jmp _ | Nop | Halt -> []
-  | Load { base; _ } -> [ base ]
-  | Store { src; base; _ } -> [ src; base ]
-  | Br { src1; src2; _ } -> [ src1; src2 ]
-  | Call _ -> Reg.sp :: arg_regs
-  | Ret -> [ Reg.ra; Reg.sp; Reg.ret_value ]
-
-let bit r = 1 lsl Reg.to_int r
-let arg_mask = List.fold_left (fun m r -> m lor bit r) 0 arg_regs
+let bit = Reg.bit
+let arg_mask = List.fold_left (fun m r -> m lor bit r) 0 (List.init 5 Reg.arg)
 let call_def_mask = bit Reg.ra lor arg_mask
 let call_use_mask = bit Reg.sp lor arg_mask
 let ret_use_mask = bit Reg.ra lor bit Reg.sp lor bit Reg.ret_value

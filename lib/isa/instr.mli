@@ -12,7 +12,11 @@
       jumps; there is no hardware stack, so functions that make calls
       spill [ra] in their prologue.
     - [Ret] jumps to the address held in [Reg.ra].
-    - [Halt] stops the machine (used only by the top-level driver). *)
+    - [Halt] stops the machine (used only by the top-level driver).
+
+    Register effects are {!use_mask} and {!def_mask}: int masks, the
+    one register-set form from here to the verifier and the timing
+    model.  Nothing allocates a register list per instruction. *)
 
 type target = Label of string | Addr of int
 
@@ -58,20 +62,15 @@ val retarget : (int -> int) -> t -> t
 
 (** {1 Dataflow} *)
 
-val defs : t -> Reg.t list
-(** Registers written.  [Call] defines [ra] and the argument registers
-    (the callee may overwrite them); writes to [Reg.zero] are
-    discarded by the machine but still reported here. *)
-
-val uses : t -> Reg.t list
-(** Registers read.  [Call] uses [sp] and all argument registers
-    (conservative interprocedural summary); [Ret] uses [ra], [sp] and
-    the return-value register. *)
-
 val def_mask : t -> int
+(** Registers written, as a {!Reg.bit} mask.  [Call] defines [ra] and
+    the argument registers (the callee may overwrite them); a write to
+    [Reg.zero] is discarded by the machine but still reported here. *)
+
 val use_mask : t -> int
-(** {!defs} and {!uses} as register bitmasks (bit [i] for register
-    [i]), built without a list. *)
+(** Registers read, as a {!Reg.bit} mask.  [Call] uses [sp] and all
+    argument registers (conservative interprocedural summary); [Ret]
+    uses [ra], [sp] and the return-value register. *)
 
 (** {1 Machine mapping} *)
 

@@ -32,3 +32,12 @@ let name r =
 let pp fmt r = Format.pp_print_string fmt (name r)
 
 let equal = Int.equal
+
+let bit r = 1 lsl r
+
+let of_mask mask =
+  let rec go r acc =
+    if r < 0 then acc
+    else go (r - 1) (if mask land (1 lsl r) <> 0 then r :: acc else acc)
+  in
+  go (count - 1) []

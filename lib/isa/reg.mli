@@ -44,3 +44,17 @@ val name : t -> string
 val pp : Format.formatter -> t -> unit
 
 val equal : t -> t -> bool
+
+(** {1 Register sets}
+
+    A set of registers is an int mask: bit [i] is register [i]
+    ({!count} registers fit one word).  Every register set in the
+    system — an instruction's uses and defs, a block's live-ins, an
+    exit's live-out — has this one form. *)
+
+val bit : t -> int
+(** [1 lsl r]: the set holding only [r]. *)
+
+val of_mask : int -> t list
+(** The registers of a mask in ascending order.  Bits at or above
+    {!count} are ignored. *)

@@ -603,11 +603,18 @@ module Perfetto = struct
 
   let schema = "vp-perfetto-trace/1"
 
-  let write ?(processes = []) ?(points = []) ~path events =
-    let t0 =
-      List.fold_left (fun acc e -> Float.min acc e.ts_us) infinity events
-    in
-    let t0 = if events = [] then 0.0 else t0 in
+  (* A complete event, [ts] taken relative to [t0]; [work], when
+     given, goes to its [args]. *)
+  let x_line ~t0 ?work e =
+    Printf.sprintf
+      "{\"ph\":\"X\",\"name\":\"%s\",\"cat\":\"%s\",\"pid\":%d,\"tid\":%d,\"ts\":%.3f,\"dur\":%.3f%s}"
+      (Io.json_escape e.name) (Io.json_escape e.cat) e.pid e.tid
+      (e.ts_us -. t0) e.dur_us
+      (match work with
+      | None -> ""
+      | Some w -> Printf.sprintf ",\"args\":{\"work\":%d}" w)
+
+  let write_lines ~processes ~points ~path evs =
     let meta =
       List.map
         (fun (pid, label) ->
@@ -615,15 +622,6 @@ module Perfetto = struct
             "{\"ph\":\"M\",\"pid\":%d,\"tid\":0,\"name\":\"process_name\",\"args\":{\"name\":\"%s\"}}"
             pid (Io.json_escape label))
         processes
-    in
-    let evs =
-      List.map
-        (fun e ->
-          Printf.sprintf
-            "{\"ph\":\"X\",\"name\":\"%s\",\"cat\":\"%s\",\"pid\":%d,\"tid\":%d,\"ts\":%.3f,\"dur\":%.3f}"
-            (Io.json_escape e.name) (Io.json_escape e.cat) e.pid e.tid
-            (e.ts_us -. t0) e.dur_us)
-        events
     in
     let pts =
       List.map
@@ -656,28 +654,37 @@ module Perfetto = struct
     Buffer.add_string buf "]}\n";
     Snapshot.write_file ~path (Buffer.contents buf)
 
+  let write ?(processes = []) ?(points = []) ~path events =
+    let t0 =
+      List.fold_left (fun acc e -> Float.min acc e.ts_us) infinity events
+    in
+    let t0 = if events = [] then 0.0 else t0 in
+    write_lines ~processes ~points ~path (List.map (x_line ~t0) events)
+
   (* One track per domain: spans on one domain nest by construction,
      so every track nests.  Starts are taken relative to the earliest
      span in seconds before scaling, which keeps a child's end from
      rounding past its parent's (an absolute microsecond timestamp
-     carries a quarter-microsecond of float error). *)
+     carries a quarter-microsecond of float error).  Each span's work
+     goes to its event's [args.work]. *)
   let write_spans t ~path =
     let spans = Span.ring t in
     let t0 =
       List.fold_left (fun acc (s : span) -> Float.min acc s.start_s) infinity
         spans
     in
-    write ~processes:[ (1, "driver") ] ~path
+    write_lines ~processes:[ (1, "driver") ] ~points:[] ~path
       (List.map
          (fun (s : span) ->
-           {
-             name = s.name;
-             cat = "driver";
-             pid = 1;
-             tid = s.domain;
-             ts_us = (s.start_s -. t0) *. 1e6;
-             dur_us = s.wall_s *. 1e6;
-           })
+           x_line ~t0:0.0 ~work:s.work
+             {
+               name = s.name;
+               cat = "driver";
+               pid = 1;
+               tid = s.domain;
+               ts_us = (s.start_s -. t0) *. 1e6;
+               dur_us = s.wall_s *. 1e6;
+             })
          spans);
     List.length spans
 

@@ -224,8 +224,8 @@ module Perfetto : sig
   val write_spans : t -> path:string -> int
   (** The registry's span ring as one [driver] process (pid 1) with
       one track per recording domain ([tid] = the span's [domain]), so
-      the spans on every track nest; returns the number of spans
-      written. *)
+      the spans on every track nest, each event carrying its span's
+      work as [args.work]; returns the number of spans written. *)
 
   val validate_file : path:string -> (int, string) result
   (** Schema and syntax check; [Ok n] counts the event lines.  Every

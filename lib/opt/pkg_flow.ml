@@ -9,31 +9,31 @@ let succ_labels = function
   | Pkg.Inlined_call { prologue; _ } -> [ prologue ]
   | Pkg.Return | Pkg.Exit_jump _ | Pkg.Stop -> []
 
+let call = Instr.Call { target = Instr.Addr 0 }
+
 let term_uses = function
-  | Pkg.Branch { src1; src2; _ } -> [ src1; src2 ]
-  | Pkg.Call_orig _ -> Instr.uses (Instr.Call { target = Instr.Addr 0 })
+  | Pkg.Branch { src1; src2; _ } -> Reg.bit src1 lor Reg.bit src2
+  | Pkg.Call_orig _ -> Instr.use_mask call
   | Pkg.Inlined_call _ ->
     (* Transfers into the inlined prologue: argument registers and the
        stack pointer flow in, like a call. *)
-    Instr.uses (Instr.Call { target = Instr.Addr 0 })
-  | Pkg.Return -> Instr.uses Instr.Ret
-  | Pkg.Exit_jump _ -> []
-  | Pkg.Stop -> [ Reg.ret_value ]
-  | Pkg.Fall _ | Pkg.Goto _ -> []
+    Instr.use_mask call
+  | Pkg.Return -> Instr.use_mask Instr.Ret
+  | Pkg.Exit_jump _ -> 0
+  | Pkg.Stop -> Reg.bit Reg.ret_value
+  | Pkg.Fall _ | Pkg.Goto _ -> 0
 
 let term_defs = function
-  | Pkg.Call_orig _ -> Instr.defs (Instr.Call { target = Instr.Addr 0 })
-  | Pkg.Inlined_call _ -> [ Reg.ra ]
+  | Pkg.Call_orig _ -> Instr.def_mask call
+  | Pkg.Inlined_call _ -> Reg.bit Reg.ra
   | Pkg.Branch _ | Pkg.Return | Pkg.Exit_jump _ | Pkg.Stop | Pkg.Fall _
   | Pkg.Goto _ ->
-    []
+    0
 
 let index blocks =
   let index = Hashtbl.create (max 16 (Array.length blocks)) in
   Array.iteri (fun i (b : Pkg.block) -> Hashtbl.replace index b.Pkg.label i) blocks;
   index
-
-let mask regs = List.fold_left (fun m r -> m lor (1 lsl Reg.to_int r)) 0 regs
 
 let pure = function
   | Instr.Alu _ | Instr.Li _ | Instr.La _ -> true

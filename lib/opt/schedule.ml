@@ -26,7 +26,7 @@ let capacities m = [| m.ialu; m.fp; m.mem; m.branch |]
 
 (* Register masks without the zero register: it is neither really
    written nor meaningfully read, so it creates no dependence. *)
-let dep_mask regs = Pkg_flow.mask regs land lnot (1 lsl Reg.to_int Reg.zero)
+let not_zero = lnot (Reg.bit Reg.zero)
 
 let no_mem = 0
 let load = 1
@@ -43,8 +43,8 @@ type body = {
 
 let summarise arr =
   {
-    defs = Array.map (fun i -> dep_mask (Instr.defs i)) arr;
-    uses = Array.map (fun i -> dep_mask (Instr.uses i)) arr;
+    defs = Array.map (fun i -> Instr.def_mask i land not_zero) arr;
+    uses = Array.map (fun i -> Instr.use_mask i land not_zero) arr;
     mem =
       Array.map
         (fun i -> if Instr.is_store i then store else if Instr.is_load i then load else no_mem)
@@ -163,7 +163,10 @@ let estimate_cycles ?(machine = epic_default) instrs =
   List.iter
     (fun i ->
       let operand_ready =
-        List.fold_left (fun acc r -> imax acc ready.(Reg.to_int r)) 0 (Instr.uses i)
+        List.fold_left
+          (fun acc r -> imax acc ready.(Reg.to_int r))
+          0
+          (Reg.of_mask (Instr.use_mask i))
       in
       let c = slot_class (Instr.fu i) in
       while !cycle < operand_ready || !width >= machine.issue_width || used.(c) >= cap.(c) do
@@ -174,9 +177,8 @@ let estimate_cycles ?(machine = epic_default) instrs =
       used.(c) <- used.(c) + 1;
       incr width;
       List.iter
-        (fun r ->
-          if not (Reg.equal r Reg.zero) then ready.(Reg.to_int r) <- !cycle + Instr.latency i)
-        (Instr.defs i))
+        (fun r -> ready.(Reg.to_int r) <- !cycle + Instr.latency i)
+        (Reg.of_mask (Instr.def_mask i land not_zero)))
     instrs;
   match instrs with [] -> 0 | _ -> !cycle + 1
 

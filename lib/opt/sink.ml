@@ -3,7 +3,6 @@ module Pkg = Vp_package.Pkg
 
 type stats = { sunk : int; deleted : int }
 
-let mask = Pkg_flow.mask
 let succ_labels = Pkg_flow.succ_labels
 
 (* Backward liveness over the package graph.  Each block is summarised
@@ -22,19 +21,19 @@ let liveness (pkg : Pkg.t) =
       let g = ref 0 and k = ref 0 in
       List.iter
         (fun ins ->
-          g := !g lor (mask (Instr.uses ins) land lnot !k);
-          k := !k lor mask (Instr.defs ins))
+          g := !g lor (Instr.use_mask ins land lnot !k);
+          k := !k lor Instr.def_mask ins)
         b.Pkg.body;
-      gen.(i) <- !g lor (mask (Pkg_flow.term_uses b.Pkg.term) land lnot !k);
-      kill.(i) <- !k lor mask (Pkg_flow.term_defs b.Pkg.term))
+      gen.(i) <- !g lor (Pkg_flow.term_uses b.Pkg.term land lnot !k);
+      kill.(i) <- !k lor Pkg_flow.term_defs b.Pkg.term)
     blocks;
   (* Exit blocks carry the live set across the exited arc even after
      linking retargets their terminator to another package. *)
   let terminal =
     Array.map
       (fun (b : Pkg.block) ->
-        if b.Pkg.is_exit then mask b.Pkg.live_out
-        else mask (Pkg_flow.term_uses b.Pkg.term))
+        if b.Pkg.is_exit then b.Pkg.live_out
+        else Pkg_flow.term_uses b.Pkg.term)
       blocks
   in
   let succs =
@@ -74,7 +73,7 @@ let run (pkg : Pkg.t) =
                 match Hashtbl.find_opt index l with
                 | Some j when not blocks.(j).Pkg.is_exit -> acc lor live_in.(j)
                 | _ -> acc)
-              (mask (Pkg_flow.term_uses b.Pkg.term))
+              (Pkg_flow.term_uses b.Pkg.term)
               (succ_labels b.Pkg.term)
           in
           (* Walk the body backwards, tracking (a) registers read later
@@ -92,8 +91,8 @@ let run (pkg : Pkg.t) =
           let exit_live j = live_in.(j) lor sunk_uses_of j in
           List.iter
             (fun i ->
-              let defs = mask (Instr.defs i) in
-              let uses = mask (Instr.uses i) in
+              let defs = Instr.def_mask i in
+              let uses = Instr.use_mask i in
               let needed_internally = defs land !live_later <> 0 in
               let sources_stable = uses land !redefined_below = 0 in
               let wanted_exits =

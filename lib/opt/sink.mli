@@ -25,7 +25,7 @@ val run : Vp_package.Pkg.t -> Vp_package.Pkg.t * stats
 
 val live_in : Vp_package.Pkg.t -> (string, int) Hashtbl.t
 (** Package-level live-in register mask per block label (bit [r] set
-    when register [r] is live, as {!Pkg_flow.mask}).  Exit blocks seed
+    when register [r] is live, as [Vp_isa.Reg.bit]).  Exit blocks seed
     their out-set with the recorded live registers across the exited
     arc; returns use the calling convention's registers; halts use the
     result register. *)

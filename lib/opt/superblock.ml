@@ -3,8 +3,6 @@ module Pkg = Vp_package.Pkg
 
 type stats = { merged : int; hoisted : int }
 
-let mask = Pkg_flow.mask
-
 (* Package-internal predecessor counts by block position. *)
 let pred_counts index (blocks : Pkg.block array) =
   let counts = Array.make (Array.length blocks) 0 in
@@ -100,11 +98,13 @@ let hoist ~protected ~max_hoist (pkg : Pkg.t) =
         match Hashtbl.find_opt index fall with
         | Some j when counts.(j) = 1 && not blocks.(j).Pkg.is_exit ->
           let live_taken = Option.value ~default:0 (Hashtbl.find_opt live taken) in
-          let forbidden = live_taken lor mask [ src1; src2 ] in
+          let forbidden =
+            live_taken lor Vp_isa.Reg.bit src1 lor Vp_isa.Reg.bit src2
+          in
           let rec prefix n acc = function
             | i :: rest
               when n < max_hoist && Pkg_flow.pure i
-                   && mask (Instr.defs i) land forbidden = 0 ->
+                   && Instr.def_mask i land forbidden = 0 ->
               prefix (n + 1) (i :: acc) rest
             | _ -> List.rev acc
           in

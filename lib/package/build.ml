@@ -240,7 +240,7 @@ let rec copy_function st ~ctx ~path ~fname ~is_root ~ret_term =
           term;
           weight = Region.weight (Prune.mf view) b;
           taken_prob = Region.taken_prob (Prune.mf view) b;
-          live_out = [];
+          live_out = 0;
           is_exit = false;
         }
         :: st.blocks_rev)

@@ -26,7 +26,7 @@ type block = {
   term : term;
   weight : int;
   taken_prob : float option;
-  live_out : Vp_isa.Reg.t list;
+  live_out : int;
   is_exit : bool;
 }
 

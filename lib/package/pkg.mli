@@ -43,9 +43,10 @@ type block = {
   term : term;
   weight : int;  (** region weight estimate (for layout) *)
   taken_prob : float option;  (** for [Branch] terminators *)
-  live_out : Vp_isa.Reg.t list;
-      (** exit blocks: registers live along the exited arc — the
-          paper's dummy consumers, constraining the optimizer *)
+  live_out : int;
+      (** exit blocks: registers live along the exited arc, as a
+          [Vp_isa.Reg.bit] mask — the paper's dummy consumers,
+          constraining the optimizer; 0 elsewhere *)
   is_exit : bool;
 }
 

@@ -32,4 +32,4 @@ val inlinable : view -> bool
 (** Prologue present, and some hot return block is reachable from it
     through hot code — the paper's partial-inlining precondition. *)
 
-val live_across : view -> Vp_cfg.Cfg.arc -> Vp_isa.Reg.t list
+val live_across : view -> Vp_cfg.Cfg.arc -> int

@@ -53,8 +53,6 @@ let oracle_at original addr =
     let cfg = Vp_cfg.Cfg_memo.cfg original sym in
     Some (cfg, Vp_cfg.Cfg_memo.liveness cfg)
 
-let subset xs ys = List.for_all (fun x -> List.mem x ys) xs
-
 (* The left-most package of each group claims each launch address
    first — the same rule Emit applies, recomputed independently. *)
 let expected_claims groups =
@@ -136,16 +134,14 @@ let check ~original (r : Emit.result) =
               | Some (cfg, live) ->
                 (match Cfg.block_at cfg target with
                 | Some blk when Cfg.start cfg blk = target ->
-                  let need = Liveness.live_in live blk in
-                  if not (subset need b.Pkg.live_out) then
+                  let dropped =
+                    Liveness.live_in live blk land lnot b.Pkg.live_out
+                  in
+                  if dropped <> 0 then
                     push ~pkg:p.Pkg.id ~label:b.Pkg.label ~addr:target
                       "side exit drops live registers [%s]"
                       (String.concat ","
-                         (List.filter_map
-                            (fun rg ->
-                              if List.mem rg b.Pkg.live_out then None
-                              else Some (Vp_isa.Reg.name rg))
-                            need))
+                         (List.map Vp_isa.Reg.name (Vp_isa.Reg.of_mask dropped)))
                 | _ ->
                   push ~pkg:p.Pkg.id ~label:b.Pkg.label ~addr:target
                     "side exit does not target a block leader"))

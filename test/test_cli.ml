@@ -159,6 +159,17 @@ let test_serve_creates_trace_dir () =
     Sys.rmdir root
   | files -> Alcotest.failf "expected one trace, got %d files" (Array.length files)
 
+(* An unreadable repro is a pipeline error of the [fuzz] stage (exit 3
+   in [Vpack.main], like every stage but [cli]), naming the path once. *)
+let test_fuzz_replay_directory () =
+  let dir = Filename.get_temp_dir_name () in
+  match Spec.main tool [| "vpack"; "fuzz"; "--replay"; dir |] with
+  | code -> Alcotest.failf "replay of a directory returned %d" code
+  | exception Vacuum.Error.Error e ->
+    Alcotest.(check string) "message"
+      (Printf.sprintf "fuzz: %s: is a directory" dir)
+      (Format.asprintf "%a" Vacuum.Error.pp e)
+
 (* ---- generated help ---- *)
 
 let test_every_command_renders_help () =
@@ -330,6 +341,8 @@ let () =
           Alcotest.test_case "exit codes" `Quick test_main_exit_codes;
           Alcotest.test_case "serve creates trace dir" `Quick
             test_serve_creates_trace_dir;
+          Alcotest.test_case "fuzz replay of a directory" `Quick
+            test_fuzz_replay_directory;
         ] );
       ( "help",
         [

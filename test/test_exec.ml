@@ -241,22 +241,10 @@ let test_decode_tables_match_instr () =
   Alcotest.(check int) "size" (Array.length img.Image.code) (Decode.size d);
   Array.iteri
     (fun pc i ->
-      let regs l = List.map Reg.to_int l in
-      Alcotest.(check (list int))
-        (Printf.sprintf "uses at pc %d" pc)
-        (regs (Instr.uses i))
-        (regs (Decode.uses_pc d pc));
-      Alcotest.(check (list int))
-        (Printf.sprintf "defs at pc %d" pc)
-        (regs (Instr.defs i))
-        (regs (Decode.defs_pc d pc));
       Alcotest.(check int)
-        (Printf.sprintf "latency at pc %d" pc)
-        (Instr.latency i) d.Decode.latency.(pc);
-      Alcotest.(check bool)
-        (Printf.sprintf "fu at pc %d" pc)
-        true
-        (Instr.fu i = d.Decode.fu.(pc)))
+        (Printf.sprintf "target at pc %d" pc)
+        (match Instr.target i with Some (Instr.Addr a) -> a | _ -> -1)
+        d.Decode.target.(pc))
     img.Image.code
 
 (* Unresolved [Label] targets must fault lazily — exactly when the

@@ -201,7 +201,7 @@ let test_verifier_rejects_dropped_live_out () =
      has live registers in this fixture, so the verifier must object. *)
   let strip (p : Pkg.t) =
     Pkg.map_blocks
-      (fun b -> if b.Pkg.is_exit then { b with Pkg.live_out = [] } else b)
+      (fun b -> if b.Pkg.is_exit then { b with Pkg.live_out = 0 } else b)
       p
   in
   let broken = { e with Emit.packages = List.map strip e.Emit.packages } in
@@ -213,6 +213,71 @@ let test_verifier_rejects_dropped_live_out () =
          String.length v.Verify.what >= 9
          && String.sub v.Verify.what 0 9 = "side exit")
        report.Verify.violations)
+
+(* The whole violation text, pinned: drop one live register from the
+   first side exit that still leaves to original code, then every live
+   register from it; the dropped registers are named in ascending
+   order, with the package, the exit's target and its label. *)
+let test_verifier_liveness_message () =
+  let img, r = Lazy.force rewrite_fixture in
+  let e = r.Driver.emitted in
+  let exits =
+    List.concat_map
+      (fun (p : Pkg.t) ->
+        List.filter_map
+          (fun (b : Pkg.block) ->
+            match b.Pkg.term with
+            | Pkg.Exit_jump target when b.Pkg.live_out <> 0 ->
+              Some (p.Pkg.id, b.Pkg.label, target, b.Pkg.live_out)
+            | _ -> None)
+          p.Pkg.blocks)
+      e.Emit.packages
+  in
+  let pkg, label, target, live =
+    match exits with
+    | x :: _ -> x
+    | [] -> Alcotest.fail "fixture has no side exit with live registers"
+  in
+  let regs = Vp_isa.Reg.of_mask live in
+  let drop dropped =
+    let keep (b : Pkg.block) =
+      if b.Pkg.label = label then
+        {
+          b with
+          Pkg.live_out =
+            List.fold_left
+              (fun m r -> m land lnot (Vp_isa.Reg.bit r))
+              b.Pkg.live_out dropped;
+        }
+      else b
+    in
+    let broken =
+      {
+        e with
+        Emit.packages =
+          List.map
+            (fun (p : Pkg.t) -> if p.Pkg.id = pkg then Pkg.map_blocks keep p else p)
+            e.Emit.packages;
+      }
+    in
+    List.map
+      (fun (v : Verify.violation) ->
+        Printf.sprintf "%s | %s | %s | %s" v.Verify.what
+          (Option.value ~default:"-" v.Verify.pkg)
+          (Option.fold ~none:"-" ~some:(Printf.sprintf "0x%x") v.Verify.addr)
+          (Option.value ~default:"-" v.Verify.label))
+      (Verify.check ~original:img broken).Verify.violations
+  in
+  let expected dropped =
+    [
+      Printf.sprintf "side exit drops live registers [%s] | %s | 0x%x | %s"
+        (String.concat "," (List.map Vp_isa.Reg.name dropped))
+        pkg target label;
+    ]
+  in
+  let last = [ List.nth regs (List.length regs - 1) ] in
+  Alcotest.(check (list string)) "one register" (expected last) (drop last);
+  Alcotest.(check (list string)) "every register" (expected regs) (drop regs)
 
 let test_verifier_rejects_missing_launch_patch () =
   let img, r = Lazy.force rewrite_fixture in
@@ -299,7 +364,7 @@ let test_verifier_rejection () =
   let img, r = Lazy.force rewrite_fixture in
   let strip (p : Pkg.t) =
     Pkg.map_blocks
-      (fun b -> if b.Pkg.is_exit then { b with Pkg.live_out = [] } else b)
+      (fun b -> if b.Pkg.is_exit then { b with Pkg.live_out = 0 } else b)
       p
   in
   let a =
@@ -461,6 +526,8 @@ let () =
             test_verifier_rejects_tampered_original_code;
           Alcotest.test_case "rejects dropped live-out" `Quick
             test_verifier_rejects_dropped_live_out;
+          Alcotest.test_case "liveness message" `Quick
+            test_verifier_liveness_message;
           Alcotest.test_case "rejects missing launch patch" `Quick
             test_verifier_rejects_missing_launch_patch;
         ] );

@@ -119,45 +119,73 @@ let test_instr_with_target_invalid () =
       ignore (Instr.with_target Instr.Ret (Instr.Addr 0)))
 
 let test_instr_defs_uses () =
+  let regs mask = List.map Reg.to_int (Reg.of_mask mask) in
   let alu = Instr.Alu { op = Op.Add; dst = t0; src1 = t1; src2 = Instr.Reg Reg.sp } in
-  Alcotest.(check (list int)) "alu defs" [ 8 ]
-    (List.map Reg.to_int (Instr.defs alu));
-  Alcotest.(check (list int)) "alu uses" [ 9; 1 ]
-    (List.map Reg.to_int (Instr.uses alu));
+  Alcotest.(check (list int)) "alu defs" [ 8 ] (regs (Instr.def_mask alu));
+  Alcotest.(check (list int)) "alu uses" [ 1; 9 ] (regs (Instr.use_mask alu));
   let call = Instr.Call { target = Instr.Addr 0 } in
-  Alcotest.(check bool) "call defs ra" true (List.mem Reg.ra (Instr.defs call));
-  Alcotest.(check bool) "call uses sp" true (List.mem Reg.sp (Instr.uses call));
-  Alcotest.(check bool) "ret uses ra" true (List.mem Reg.ra (Instr.uses Instr.Ret));
+  Alcotest.(check (list int)) "call defs ra and args" [ 2; 3; 4; 5; 6; 7 ]
+    (regs (Instr.def_mask call));
+  Alcotest.(check (list int)) "call uses sp and args" [ 1; 3; 4; 5; 6; 7 ]
+    (regs (Instr.use_mask call));
+  Alcotest.(check (list int)) "ret uses sp, ra, a0" [ 1; 2; 3 ]
+    (regs (Instr.use_mask Instr.Ret));
   let store = Instr.Store { src = t0; base = t1; offset = 4 } in
-  Alcotest.(check int) "store defs nothing" 0 (List.length (Instr.defs store))
+  Alcotest.(check int) "store defs nothing" 0 (Instr.def_mask store)
 
-(* The list-free masks the liveness analysis folds must be exactly the
-   lists' masks, for every instruction form and operand shape. *)
+(* The one definition of every instruction's register effects: the
+   expected (def, use) masks, written out bit by bit, for every
+   constructor and operand shape, [r0] as source and as destination.
+   sp = bit 1, ra = bit 2, a0..a4 = bits 3-7, t0 = bit 8, t1 = bit 9. *)
 let test_instr_masks () =
-  let mask = List.fold_left (fun m r -> m lor (1 lsl Reg.to_int r)) 0 in
   let a = Instr.Addr 3 in
+  let args = 0b1111_1000 in
   List.iter
-    (fun i ->
+    (fun (i, def, use) ->
       let name what = Format.asprintf "%s of %a" what Instr.pp i in
-      Alcotest.(check int) (name "def mask") (mask (Instr.defs i))
-        (Instr.def_mask i);
-      Alcotest.(check int) (name "use mask") (mask (Instr.uses i))
-        (Instr.use_mask i))
+      Alcotest.(check int) (name "def mask") def (Instr.def_mask i);
+      Alcotest.(check int) (name "use mask") use (Instr.use_mask i))
     [
-      Instr.Alu { op = Op.Add; dst = t0; src1 = t1; src2 = Instr.Reg Reg.sp };
-      Instr.Alu { op = Op.Sub; dst = t0; src1 = t0; src2 = Instr.Reg t0 };
-      Instr.Alu { op = Op.Mul; dst = Reg.zero; src1 = t1; src2 = Instr.Imm 2 };
-      Instr.Li { dst = t1; imm = 7 };
-      Instr.La { dst = Reg.ra; target = a };
-      Instr.Load { dst = t0; base = Reg.sp; offset = 1 };
-      Instr.Store { src = Reg.ra; base = Reg.sp; offset = 0 };
-      Instr.Br { cond = Op.Lt; src1 = t0; src2 = t1; target = a };
-      Instr.Jmp { target = a };
-      Instr.Call { target = a };
-      Instr.Ret;
-      Instr.Nop;
-      Instr.Halt;
+      (Instr.Alu { op = Op.Add; dst = t0; src1 = t1; src2 = Instr.Reg Reg.sp }, 0x100, 0x202);
+      (Instr.Alu { op = Op.Sub; dst = t0; src1 = t0; src2 = Instr.Reg t0 }, 0x100, 0x100);
+      (Instr.Alu { op = Op.Or; dst = t0; src1 = Reg.zero; src2 = Instr.Reg t1 }, 0x100, 0x201);
+      (Instr.Alu { op = Op.Add; dst = Reg.zero; src1 = t0; src2 = Instr.Reg Reg.zero }, 0x1, 0x101);
+      (Instr.Alu { op = Op.Mul; dst = t1; src1 = t0; src2 = Instr.Imm 2 }, 0x200, 0x100);
+      (Instr.Alu { op = Op.Mul; dst = Reg.zero; src1 = t1; src2 = Instr.Imm 2 }, 0x1, 0x200);
+      (Instr.Alu { op = Op.Add; dst = t0; src1 = Reg.zero; src2 = Instr.Imm 7 }, 0x100, 0x1);
+      (Instr.Li { dst = t1; imm = 7 }, 0x200, 0);
+      (Instr.Li { dst = Reg.zero; imm = 7 }, 0x1, 0);
+      (Instr.La { dst = Reg.ra; target = a }, 0x4, 0);
+      (Instr.La { dst = Reg.zero; target = Instr.Label "f" }, 0x1, 0);
+      (Instr.Load { dst = t0; base = Reg.sp; offset = 1 }, 0x100, 0x2);
+      (Instr.Load { dst = Reg.zero; base = Reg.zero; offset = 0 }, 0x1, 0x1);
+      (Instr.Store { src = Reg.ra; base = Reg.sp; offset = 0 }, 0, 0x6);
+      (Instr.Store { src = Reg.zero; base = t0; offset = 2 }, 0, 0x101);
+      (Instr.Br { cond = Op.Lt; src1 = t0; src2 = t1; target = a }, 0, 0x300);
+      (Instr.Br { cond = Op.Eq; src1 = Reg.zero; src2 = Reg.zero; target = a }, 0, 0x1);
+      (Instr.Jmp { target = a }, 0, 0);
+      (Instr.Call { target = a }, 0x4 lor args, 0x2 lor args);
+      (Instr.Ret, 0, 0x4 lor 0x2 lor 0x8);
+      (Instr.Nop, 0, 0);
+      (Instr.Halt, 0, 0);
     ]
+
+(* [Reg.of_mask] lists exactly the mask's registers, ascending, and
+   [Reg.bit] folds them back to the mask; a register list maps to its
+   sorted, duplicate-free self. *)
+let prop_reg_mask_roundtrip =
+  QCheck.Test.make ~name:"mask roundtrip" ~count:1000
+    QCheck.(pair (int_bound 0xFFFF_FFFF) (small_list (int_bound 31)))
+    (fun (mask, rs) ->
+      let regs = Reg.of_mask mask in
+      let ints = List.map Reg.to_int regs in
+      let back = List.fold_left (fun m r -> m lor Reg.bit r) 0 regs in
+      let from_list =
+        Reg.of_mask (List.fold_left (fun m r -> m lor Reg.bit (Reg.of_int r)) 0 rs)
+      in
+      back = mask
+      && ints = List.sort_uniq compare ints
+      && List.map Reg.to_int from_list = List.sort_uniq compare rs)
 
 let test_instr_printing () =
   let i = Instr.Alu { op = Op.Add; dst = t0; src1 = t1; src2 = Instr.Imm 5 } in
@@ -181,6 +209,7 @@ let () =
           Alcotest.test_case "conventions" `Quick test_reg_conventions;
           Alcotest.test_case "bounds" `Quick test_reg_bounds;
           Alcotest.test_case "names unique" `Quick test_reg_names_unique;
+          QCheck_alcotest.to_alcotest prop_reg_mask_roundtrip;
         ] );
       ( "op",
         [

@@ -612,8 +612,17 @@ let test_span_ring_roundtrip () =
   (match M.Perfetto.validate_file ~path with
   | Ok n -> Alcotest.(check int) "2 spans + process metadata" 3 n
   | Error e -> Alcotest.fail ("span trace rejected: " ^ e));
-  Alcotest.(check bool) "name escaped" true
-    (contains (read_file path) "stage \\\"one\\\"");
+  let text = read_file path in
+  Alcotest.(check bool) "name escaped" true (contains text "stage \\\"one\\\"");
+  let line name =
+    List.find
+      (fun l -> contains l (Printf.sprintf {|"name":"%s"|} name))
+      (String.split_on_char '\n' text)
+  in
+  Alcotest.(check bool) "work in args" true
+    (contains (line "stage2") {|"args":{"work":123}}|});
+  Alcotest.(check bool) "no work reads 0" true
+    (contains (line {|stage \"one\"|}) {|"args":{"work":0}}|});
   Sys.remove path
 
 (* The complete events of a vp-perfetto-trace/1 file, as

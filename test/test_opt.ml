@@ -32,7 +32,7 @@ let block ?(orig = -1) ?(weight = 0) ?taken_prob ?(body = []) ?(exit_ = false)
     term;
     weight;
     taken_prob;
-    live_out = live;
+    live_out = List.fold_left (fun m r -> m lor Reg.bit r) 0 live;
     is_exit = exit_;
   }
 
@@ -230,13 +230,13 @@ let prop_schedule_keeps_dependences =
       let body = random_straightline rng len in
       let pos = schedule_positions body (Schedule.schedule_body body) in
       let orig = Array.of_list body in
-      let regs f i = List.filter (fun r -> not (Reg.equal r Reg.zero)) (f orig.(i)) in
-      let meets a b = List.exists (fun r -> List.mem r b) a in
+      let regs f i = f orig.(i) land lnot (Reg.bit Reg.zero) in
+      let meets a b = a land b <> 0 in
       let is_mem = function Instr.Load _ | Instr.Store _ -> true | _ -> false in
       let dependent i j =
-        meets (regs Instr.defs i) (regs Instr.uses j) (* RAW *)
-        || meets (regs Instr.defs i) (regs Instr.defs j) (* WAW *)
-        || meets (regs Instr.uses i) (regs Instr.defs j) (* WAR *)
+        meets (regs Instr.def_mask i) (regs Instr.use_mask j) (* RAW *)
+        || meets (regs Instr.def_mask i) (regs Instr.def_mask j) (* WAW *)
+        || meets (regs Instr.use_mask i) (regs Instr.def_mask j) (* WAR *)
         || (Instr.is_store orig.(i) && is_mem orig.(j))
         || (is_mem orig.(i) && Instr.is_store orig.(j))
       in
@@ -656,7 +656,7 @@ let render_package buf (p : Pkg.t) =
     (fun (b : Pkg.block) ->
       Printf.bprintf buf "%s w=%d p=%s live=%s\n" b.Pkg.label b.Pkg.weight
         (match b.Pkg.taken_prob with Some p -> Printf.sprintf "%h" p | None -> "-")
-        (regs b.Pkg.live_out);
+        (regs (Reg.of_mask b.Pkg.live_out));
       (match b.Pkg.term with
       | Pkg.Branch { cond; src1; src2; _ } ->
         Printf.bprintf buf "  cond %s %s\n" (Op.cond_name cond) (regs [ src1; src2 ])

@@ -235,7 +235,7 @@ let mini_block ?(orig = -1) ?(exit_ = false) ?taken_prob label body term =
     term;
     weight = 0;
     taken_prob;
-    live_out = [];
+    live_out = 0;
     is_exit = exit_;
   }
 
