@@ -6,13 +6,12 @@ type t = { live_in : int array }
 let solve ~gen ~kill ~terminal ~succs =
   let n = Array.length gen in
   let live_in = Array.make n 0 in
+  let rec join acc = function [] -> acc | j :: rest -> join (acc lor live_in.(j)) rest in
   let changed = ref true in
   while !changed do
     changed := false;
     for i = n - 1 downto 0 do
-      let out =
-        List.fold_left (fun acc j -> acc lor live_in.(j)) terminal.(i) succs.(i)
-      in
+      let out = join terminal.(i) succs.(i) in
       let inn = gen.(i) lor (out land lnot kill.(i)) in
       if inn <> live_in.(i) then begin
         live_in.(i) <- inn;

@@ -381,9 +381,6 @@ let assemble_parts ~config ~demote ~on_screened ~original packages =
   in
   let screened = screen packages in
   on_screened screened;
-  let transform ~protected pkg =
-    Vp_opt.Opt.transform ~config:(Config.opt config) ~protected pkg
-  in
   let link_and_emit pkgs =
     let groups, link_stats =
       Span.record metrics "link"
@@ -398,6 +395,9 @@ let assemble_parts ~config ~demote ~on_screened ~original packages =
     Counter.bump metrics "link.greedy_fallbacks"
       link_stats.Linking.greedy_fallbacks;
     Counter.bump metrics "link.links" link_stats.Linking.links_resolved;
+    (* One transformer per emission: its packages share schedules, and
+       the sharing ends with the emission. *)
+    let transform = Vp_opt.Opt.transformer ~config:(Config.opt config) () in
     Emit.of_groups ~transform original groups
   in
   (* The package id is a prefix of every label it emits, so a label-

@@ -17,3 +17,7 @@ val order_blocks : Weights.t -> Vp_package.Pkg.t -> Vp_package.Pkg.t
 val run : Vp_package.Pkg.t -> Vp_package.Pkg.t
 (** [flip_branches] followed by [order_blocks] with freshly computed
     weights. *)
+
+val relayout : threshold:float -> Pkg_flow.t -> unit
+(** {!run} in place on an indexed package: it sets the index's block
+    order. *)

@@ -35,4 +35,12 @@ val transform :
   ?config:config -> ?protected:string list -> Vp_package.Pkg.t -> Vp_package.Pkg.t
 (** [protected] names blocks with predecessors outside this package
     (cross-package link targets); superblock formation never absorbs
-    them. *)
+    them.  The package is indexed once, every pass reads and edits that
+    index, and the result is built once at the end. *)
+
+val transformer :
+  ?config:config -> unit -> protected:string list -> Vp_package.Pkg.t -> Vp_package.Pkg.t
+(** [transform] for the packages of one rewrite, as
+    {!Vp_package.Emit.of_groups}' hook: the packages it transforms share
+    one schedule per distinct body (see {!Schedule.t}).  Make one per
+    rewrite; the output is [transform]'s. *)

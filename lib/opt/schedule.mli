@@ -20,11 +20,36 @@ type machine = {
 val schedule_body :
   ?machine:machine -> Vp_isa.Instr.t list -> Vp_isa.Instr.t list
 (** Reorder one straight-line body.  The result is a permutation of
-    the input that respects all dependences. *)
+    the input that respects all dependences: the order in which cycle
+    by cycle list scheduling issues it, taking the ready instruction of
+    greatest latency-weighted height first (lowest body index among
+    equals).  Dependences are summarised per register and per memory
+    kind, and instructions are placed in priority order, so a body costs
+    time linear in its length and its critical path, not quadratic in
+    its length.  Raises [Invalid_argument] naming the field when
+    [issue_width] or a unit class's capacity is below 1 — such a machine
+    could never issue what needs it — and on a control transfer, which
+    no body holds. *)
 
 val estimate_cycles : ?machine:machine -> Vp_isa.Instr.t list -> int
 (** Cycles the machine needs for this body in order (0 for an empty
-    body), used to report schedule compaction. *)
+    body), used to report schedule compaction.  Rejects a machine as
+    {!schedule_body} does. *)
 
 val run : ?machine:machine -> Vp_package.Pkg.t -> Vp_package.Pkg.t
-(** Schedule every block body of a package. *)
+(** Schedule every block body of a package.  Rejects a machine as
+    {!schedule_body} does. *)
+
+type t
+(** A scheduler: the machine and, when it shares schedules, one
+    schedule per distinct body summary (each instruction's registers,
+    memory kind, latency and unit class — all the schedule depends on),
+    reused by every later body with that summary.  A sharing scheduler
+    serves one rewrite and is dropped with it. *)
+
+val create : share:bool -> t
+(** A scheduler for the default machine, as {!run} and {!schedule_body}
+    use when given none. *)
+
+val schedule_blocks : t -> Pkg_flow.t -> unit
+(** Schedule the body of every live block in place. *)

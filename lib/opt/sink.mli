@@ -23,6 +23,9 @@ type stats = {
 
 val run : Vp_package.Pkg.t -> Vp_package.Pkg.t * stats
 
+val sink : Pkg_flow.t -> stats
+(** {!run} in place on an indexed package. *)
+
 val live_in : Vp_package.Pkg.t -> (string, int) Hashtbl.t
 (** Package-level live-in register mask per block label (bit [r] set
     when register [r] is live, as [Vp_isa.Reg.bit]).  Exit blocks seed

@@ -3,155 +3,122 @@ module Pkg = Vp_package.Pkg
 
 type stats = { merged : int; hoisted : int }
 
-(* Package-internal predecessor counts by block position. *)
-let pred_counts index (blocks : Pkg.block array) =
-  let counts = Array.make (Array.length blocks) 0 in
-  Array.iter
-    (fun (b : Pkg.block) ->
-      List.iter
-        (fun l ->
-          match Hashtbl.find_opt index l with
-          | Some j -> counts.(j) <- counts.(j) + 1
-          | None -> ())
-        (Pkg_flow.succ_labels b.Pkg.term))
-    blocks;
+(* Package-internal predecessor counts of the live blocks. *)
+let pred_counts (idx : Pkg_flow.t) =
+  let counts = Array.make (Pkg_flow.size idx) 0 in
+  let bump j = if j >= 0 then counts.(j) <- counts.(j) + 1 in
+  Array.iteri
+    (fun i alive ->
+      if alive then begin
+        bump idx.first.(i);
+        bump idx.second.(i)
+      end)
+    idx.alive;
   counts
 
-let set_of labels =
-  let set = Hashtbl.create 16 in
-  List.iter (fun l -> Hashtbl.replace set l ()) labels;
-  set
-
-(* Chain merging in one forward pass: each surviving block, in list
+(* Chain merging in one forward pass: each surviving block, in package
    order, absorbs the single-predecessor target of its unconditional
    transfer while it has one.  A merge leaves every other block's
    predecessor count and terminator unchanged, so this makes the same
-   merges as repeatedly merging the first eligible block in list order
-   until none is left.  Returns the surviving blocks, the merge count
-   and the absorbed -> absorber renames. *)
-let merge_chains ~protected (pkg : Pkg.t) =
-  let blocks = Array.of_list pkg.Pkg.blocks in
-  let index = Pkg_flow.index blocks in
-  let counts = pred_counts index blocks in
-  let absorbed = Array.make (Array.length blocks) false in
+   merges as repeatedly merging the first eligible block in package
+   order until none is left. *)
+let merge_chains ~protected ~counts (idx : Pkg_flow.t) =
   let merged = ref 0 in
-  let renames = Hashtbl.create 8 in
-  let target (a : Pkg.block) =
-    match a.Pkg.term with
-    | Pkg.Fall l | Pkg.Goto l -> (
-      match Hashtbl.find_opt index l with
-      | Some j
-        when (not blocks.(j).Pkg.is_exit)
-             && (not a.Pkg.is_exit)
-             && l <> a.Pkg.label
-             && counts.(j) = 1
-             && not (Hashtbl.mem protected l) ->
-        Some j
-      | _ -> None)
-    | _ -> None
+  let target i =
+    match idx.term.(i) with
+    | Pkg.Fall _ | Pkg.Goto _ ->
+      let j = idx.first.(i) in
+      if
+        j >= 0 && j <> i
+        && (not (Pkg_flow.is_exit idx j))
+        && (not (Pkg_flow.is_exit idx i))
+        && counts.(j) = 1
+        && not protected.(j)
+      then j
+      else -1
+    | _ -> -1
   in
-  Array.iteri
-    (fun i (head : Pkg.block) ->
-      if not absorbed.(i) then begin
-        (* Bodies are collected newest first and concatenated once. *)
-        let rec grow (a : Pkg.block) bodies =
-          match (target a, bodies) with
-          | None, [] -> a
-          | None, _ -> { a with Pkg.body = List.concat (a.Pkg.body :: List.rev bodies) }
-          | Some j, _ ->
-            let b = blocks.(j) in
-            absorbed.(j) <- true;
-            incr merged;
-            Hashtbl.replace renames b.Pkg.label head.Pkg.label;
-            grow
-              {
-                a with
-                Pkg.term = b.Pkg.term;
-                taken_prob = b.Pkg.taken_prob;
-                weight = max a.Pkg.weight b.Pkg.weight;
-              }
-              (b.Pkg.body :: bodies)
-        in
-        blocks.(i) <- grow head []
-      end)
-    blocks;
-  (List.filteri (fun i _ -> not absorbed.(i)) (Array.to_list blocks), !merged, renames)
+  for i = 0 to Pkg_flow.size idx - 1 do
+    if idx.alive.(i) then begin
+      (* Bodies are collected newest first and concatenated once. *)
+      let rec grow bodies =
+        let j = target i in
+        if j >= 0 then begin
+          idx.alive.(j) <- false;
+          idx.owner.(j) <- i;
+          incr merged;
+          idx.term.(i) <- idx.term.(j);
+          idx.first.(i) <- idx.first.(j);
+          idx.second.(i) <- idx.second.(j);
+          idx.taken_prob.(i) <- idx.taken_prob.(j);
+          idx.weight.(i) <- Int.max idx.weight.(i) idx.weight.(j);
+          grow (idx.body.(j) :: bodies)
+        end
+        else if bodies <> [] then
+          idx.body.(i) <- List.concat (idx.body.(i) :: List.rev bodies)
+      in
+      grow []
+    end
+  done;
+  !merged
 
 (* Hoist the eligible pure prefix of each branch's single-predecessor
-   fall-through successor above the branch. *)
-let hoist ~protected ~max_hoist (pkg : Pkg.t) =
-  let live = Sink.live_in pkg in
-  let blocks = Array.of_list pkg.Pkg.blocks in
-  let index = Pkg_flow.index blocks in
-  let counts = pred_counts index blocks in
+   fall-through successor above the branch.  Every choice reads the
+   bodies as merging left them; the moves apply afterwards. *)
+let hoist ~protected ~counts ~max_hoist (idx : Pkg_flow.t) =
+  let n = Pkg_flow.size idx in
+  let live = Pkg_flow.live_in idx in
   let hoisted = ref 0 in
-  (* Per-target prefix removals, applied in one rebuild pass. *)
-  let moved : (string, Instr.t list) Hashtbl.t = Hashtbl.create 8 in
-  let additions : (string, Instr.t list) Hashtbl.t = Hashtbl.create 8 in
-  Array.iter
-    (fun (a : Pkg.block) ->
-      match a.Pkg.term with
-      | Pkg.Branch { taken; fall; src1; src2; _ }
-        when taken <> fall
-             && (not (Hashtbl.mem protected fall))
-             && not (Hashtbl.mem moved fall) -> (
-        match Hashtbl.find_opt index fall with
-        | Some j when counts.(j) = 1 && not blocks.(j).Pkg.is_exit ->
-          let live_taken = Option.value ~default:0 (Hashtbl.find_opt live taken) in
-          let forbidden =
-            live_taken lor Vp_isa.Reg.bit src1 lor Vp_isa.Reg.bit src2
-          in
-          let rec prefix n acc = function
+  let moved = Array.make n 0 in
+  let additions = Array.make n [] in
+  for a = 0 to n - 1 do
+    if idx.alive.(a) then
+      match idx.term.(a) with
+      | Pkg.Branch { src1; src2; _ } ->
+        let taken = idx.first.(a) and j = idx.second.(a) in
+        if
+          j >= 0 && taken <> j
+          && (not protected.(j))
+          && moved.(j) = 0
+          && counts.(j) = 1
+          && not (Pkg_flow.is_exit idx j)
+        then begin
+          let live_taken = if taken >= 0 then live.(taken) else 0 in
+          let forbidden = live_taken lor Vp_isa.Reg.bit src1 lor Vp_isa.Reg.bit src2 in
+          let rec prefix k acc = function
             | i :: rest
-              when n < max_hoist && Pkg_flow.pure i
-                   && Instr.def_mask i land forbidden = 0 ->
-              prefix (n + 1) (i :: acc) rest
-            | _ -> List.rev acc
+              when k < max_hoist && Pkg_flow.pure i && Instr.def_mask i land forbidden = 0 ->
+              prefix (k + 1) (i :: acc) rest
+            | _ -> (k, List.rev acc)
           in
-          let p = prefix 0 [] blocks.(j).Pkg.body in
-          if p <> [] then begin
-            hoisted := !hoisted + List.length p;
-            Hashtbl.replace moved fall p;
-            Hashtbl.replace additions a.Pkg.label p
+          let k, p = prefix 0 [] idx.body.(j) in
+          if k > 0 then begin
+            hoisted := !hoisted + k;
+            moved.(j) <- k;
+            additions.(a) <- p
           end
-        | _ -> ())
-      | _ -> ())
-    blocks;
-  if !hoisted = 0 then (pkg, 0)
-  else
-    let blocks =
-      List.map
-        (fun (b : Pkg.block) ->
-          let body =
-            match Hashtbl.find_opt moved b.Pkg.label with
-            | Some p ->
-              let rec drop k l = if k = 0 then l else drop (k - 1) (List.tl l) in
-              drop (List.length p) b.Pkg.body
-            | None -> b.Pkg.body
-          in
-          let body =
-            match Hashtbl.find_opt additions b.Pkg.label with
-            | Some p -> body @ p
-            | None -> body
-          in
-          { b with Pkg.body })
-        pkg.Pkg.blocks
-    in
-    ({ pkg with Pkg.blocks }, !hoisted)
+        end
+      | _ -> ()
+  done;
+  if !hoisted > 0 then
+    for b = 0 to n - 1 do
+      let rec drop k l = if k = 0 then l else drop (k - 1) (List.tl l) in
+      if moved.(b) > 0 then idx.body.(b) <- drop moved.(b) idx.body.(b);
+      if additions.(b) <> [] then idx.body.(b) <- idx.body.(b) @ additions.(b)
+    done;
+  !hoisted
 
-let run ?(protected = []) ?(max_hoist = 4) (pkg : Pkg.t) =
-  let protected = set_of (List.map fst pkg.Pkg.entries @ protected) in
-  let blocks, merged, renames = merge_chains ~protected pkg in
-  (* An absorbed branch block's site now lives in its absorber; follow
-     rename chains so metadata stays resolvable. *)
-  let rec resolve l =
-    match Hashtbl.find_opt renames l with Some l' -> resolve l' | None -> l
-  in
-  let sites =
-    List.map
-      (fun (s : Pkg.site) -> { s with Pkg.block_label = resolve s.Pkg.block_label })
-      pkg.Pkg.sites
-  in
-  let pkg = { pkg with Pkg.blocks; sites } in
-  let pkg, hoisted = hoist ~protected ~max_hoist pkg in
-  (pkg, { merged; hoisted })
+let form ~protected ?(max_hoist = 4) (idx : Pkg_flow.t) =
+  let protected = Pkg_flow.marks idx (List.map fst idx.pkg.Pkg.entries @ protected) in
+  (* A merge moves the absorbed block's out-edges to its absorber and
+     drops the edge between them, so every surviving block keeps its
+     predecessor count. *)
+  let counts = pred_counts idx in
+  let merged = merge_chains ~protected ~counts idx in
+  let hoisted = hoist ~protected ~counts ~max_hoist idx in
+  { merged; hoisted }
+
+let run ?(protected = []) ?max_hoist (pkg : Pkg.t) =
+  let idx = Pkg_flow.of_pkg pkg in
+  let stats = form ~protected ?max_hoist idx in
+  (Pkg_flow.to_pkg idx, stats)

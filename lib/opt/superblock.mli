@@ -24,3 +24,7 @@ type stats = { merged : int; hoisted : int }
 val run : ?protected:string list -> ?max_hoist:int -> Vp_package.Pkg.t ->
   Vp_package.Pkg.t * stats
 (** [max_hoist] bounds instructions hoisted per branch (default 4). *)
+
+val form : protected:string list -> ?max_hoist:int -> Pkg_flow.t -> stats
+(** {!run} in place on an indexed package: absorbed blocks are marked
+    dead and owned by their absorber. *)

@@ -1,87 +1,202 @@
 module Pkg = Vp_package.Pkg
 
+(* The rounds index only arrays built here, with positions taken from
+   them: bounds checks there are dead weight. *)
+external ( .!() ) : 'a array -> int -> 'a = "%array_unsafe_get"
+external ( .!()<- ) : 'a array -> int -> 'a -> unit = "%array_unsafe_set"
+
 type t = {
-  index : (string, int) Hashtbl.t;  (** block label -> position *)
+  idx : Pkg_flow.t;
   weight : float array;
-  succs : (string * float) list array;
-      (** per block: successor labels with transfer probabilities *)
+  p_first : float array;  (** transfer probability along [Pkg_flow.first] *)
+  p_second : float array;  (** along [Pkg_flow.second]: a branch's fall-through *)
 }
 
-(* Internal successor edges of a block with transfer probabilities. *)
-let succ_probs ~clamp (b : Pkg.block) =
-  let p =
-    match b.Pkg.taken_prob with
-    | Some p -> min clamp (max (1.0 -. clamp) p)
-    | None -> 0.5
-  in
-  match b.Pkg.term with
-  | Pkg.Fall l | Pkg.Goto l -> [ (l, 1.0) ]
-  | Pkg.Branch { taken; fall; _ } -> [ (taken, p); (fall, 1.0 -. p) ]
-  | Pkg.Call_orig { next; _ } -> [ (next, 1.0) ]
-  | Pkg.Inlined_call { prologue; _ } -> [ (prologue, 1.0) ]
-  | Pkg.Return | Pkg.Exit_jump _ | Pkg.Stop -> []
-
-let compute ?(iterations = 64) ?(clamp = 0.99) (pkg : Pkg.t) =
-  let blocks = Array.of_list pkg.Pkg.blocks in
-  let n = Array.length blocks in
-  let index = Pkg_flow.index blocks in
-  let succs = Array.map (succ_probs ~clamp) blocks in
+let of_index ?(iterations = 64) ?(clamp = 0.99) (idx : Pkg_flow.t) =
+  let n = Pkg_flow.size idx in
+  let p_first = Array.make n 1.0 and p_second = Array.make n 0.0 in
+  for i = 0 to n - 1 do
+    match idx.term.(i) with
+    | Pkg.Branch _ ->
+      (* [min clamp (max (1.0 -. clamp) p)], with float comparisons. *)
+      let p =
+        match idx.taken_prob.(i) with
+        | Some p ->
+          let lo = 1.0 -. clamp in
+          let p = if lo >= p then lo else p in
+          if clamp <= p then clamp else p
+        | None -> 0.5
+      in
+      p_first.(i) <- p;
+      p_second.(i) <- 1.0 -. p
+    | _ -> ()
+  done;
   (* Entries inject unit flow.  Inlined-callee returns rejoin the
      caller; their targets need no injection — flow arrives through the
      Goto edges. *)
   let injection = Array.make n 0.0 in
   List.iter
     (fun (label, _) ->
-      match Hashtbl.find_opt index label with
-      | Some i -> injection.(i) <- 1.0
-      | None -> ())
-    pkg.Pkg.entries;
-  (* Flat edge arrays in block order, then terminator order: every
-     block's incoming flow is summed in the same order on every
-     iteration.  Edges leaving the package carry no flow. *)
-  let src = ref [] and dst = ref [] and prob = ref [] in
-  Array.iteri
-    (fun i ss ->
-      List.iter
-        (fun (l, p) ->
-          match Hashtbl.find_opt index l with
-          | Some j ->
-            src := i :: !src;
-            dst := j :: !dst;
-            prob := p :: !prob
-          | None -> ())
-        ss)
-    succs;
-  let src = Array.of_list (List.rev !src) in
-  let dst = Array.of_list (List.rev !dst) in
-  let prob = Array.of_list (List.rev !prob) in
-  let weight = Array.make n 0.0 in
-  let incoming = Array.make n 0.0 in
-  for _ = 1 to iterations do
-    Array.fill incoming 0 n 0.0;
-    for e = 0 to Array.length src - 1 do
-      let d = dst.(e) in
-      incoming.(d) <- incoming.(d) +. (weight.(src.(e)) *. prob.(e))
-    done;
-    for i = 0 to n - 1 do
-      weight.(i) <- injection.(i) +. incoming.(i)
-    done
+      let i = Pkg_flow.find idx label in
+      if i >= 0 && idx.alive.(i) then injection.(i) <- 1.0)
+    idx.pkg.Pkg.entries;
+  (* Every block's incoming flow is summed in the same order on every
+     round: block order, then terminator order (a branch's taken edge
+     before its fall-through).  The edges are grouped by destination in
+     that order.  Edges leaving the package carry no flow. *)
+  let start = Array.make (n + 1) 0 in
+  let count d = if d >= 0 then start.(d + 1) <- start.(d + 1) + 1 in
+  for i = 0 to n - 1 do
+    if idx.alive.(i) then begin
+      count idx.first.(i);
+      count idx.second.(i)
+    end
   done;
-  { index; weight; succs }
+  for d = 1 to n do
+    start.(d) <- start.(d) + start.(d - 1)
+  done;
+  let src = Array.make start.(n) 0 and prob = Array.make start.(n) 0.0 in
+  let next = Array.sub start 0 n in
+  let add i d p =
+    if d >= 0 then begin
+      src.(next.(d)) <- i;
+      prob.(next.(d)) <- p;
+      next.(d) <- next.(d) + 1
+    end
+  in
+  for i = 0 to n - 1 do
+    if idx.alive.(i) then begin
+      add i idx.first.(i) p_first.(i);
+      add i idx.second.(i) p_second.(i)
+    end
+  done;
+  (* A sink — a block no flow leaves — feeds no other block, so only the
+     last round computes it, from the weights of the round before, as
+     every round reads them.  The blocks flow leaves are grouped by
+     in-degree so that the rounds over the usual one and two incoming
+     edges run without an inner loop, from flat arrays of their edges.
+     Starting from 0.0 and adding non-negative terms, a block's incoming
+     flow is exactly [t1] for one edge and [t1 +. t2] for two. *)
+  let feeds i = idx.alive.(i) && (idx.first.(i) >= 0 || idx.second.(i) >= 0) in
+  let degree i = start.(i + 1) - start.(i) in
+  let ones = ref 0 and twos = ref 0 and others = ref 0 in
+  for i = 0 to n - 1 do
+    if feeds i then
+      match degree i with 1 -> incr ones | 2 -> incr twos | _ -> incr others
+  done;
+  let one = Array.make !ones 0 and one_src = Array.make !ones 0 and one_p = Array.make !ones 0.0 in
+  let two = Array.make !twos 0 and two_src = Array.make (2 * !twos) 0 in
+  let two_p = Array.make (2 * !twos) 0.0 in
+  let other = Array.make !others 0 in
+  ones := 0;
+  twos := 0;
+  others := 0;
+  for i = 0 to n - 1 do
+    if feeds i then begin
+      let e = start.(i) in
+      match degree i with
+      | 1 ->
+        one.(!ones) <- i;
+        one_src.(!ones) <- src.(e);
+        one_p.(!ones) <- prob.(e);
+        incr ones
+      | 2 ->
+        two.(!twos) <- i;
+        for k = 0 to 1 do
+          two_src.((2 * !twos) + k) <- src.(e + k);
+          two_p.((2 * !twos) + k) <- prob.(e + k)
+        done;
+        incr twos
+      | _ ->
+        other.(!others) <- i;
+        incr others
+    end
+  done;
+  (* Jacobi rounds from [old] into [young].  A round that changes no
+     weight is a fixed point: every later round would repeat it.
+     Weights are sums of non-negative products, never -0.0 or NaN, so
+     float equality is bit identity. *)
+  let old = ref (Array.make n 0.0) and young = ref (Array.make n 0.0) in
+  let round = ref 1 in
+  while !round < iterations do
+    let o = !old and y = !young in
+    let changed = ref false in
+    for k = 0 to Array.length one - 1 do
+      let d = one.!(k) in
+      let w = injection.!(d) +. (o.!(one_src.!(k)) *. one_p.!(k)) in
+      y.!(d) <- w;
+      if w <> o.!(d) then changed := true
+    done;
+    for k = 0 to Array.length two - 1 do
+      let d = two.!(k) and e = 2 * k in
+      let w =
+        injection.!(d)
+        +. ((o.!(two_src.!(e)) *. two_p.!(e)) +. (o.!(two_src.!(e + 1)) *. two_p.!(e + 1)))
+      in
+      y.!(d) <- w;
+      if w <> o.!(d) then changed := true
+    done;
+    for k = 0 to Array.length other - 1 do
+      let d = other.!(k) in
+      let acc = ref 0.0 in
+      for e = start.!(d) to start.!(d + 1) - 1 do
+        acc := !acc +. (o.!(src.!(e)) *. prob.!(e))
+      done;
+      let w = injection.!(d) +. !acc in
+      y.!(d) <- w;
+      if w <> o.!(d) then changed := true
+    done;
+    old := y;
+    young := o;
+    round := if !changed then !round + 1 else iterations
+  done;
+  let weight = !young in
+  if iterations > 0 then begin
+    let o = !old in
+    for d = 0 to n - 1 do
+      if idx.alive.(d) then begin
+        let acc = ref 0.0 in
+        for e = start.(d) to start.(d + 1) - 1 do
+          acc := !acc +. (o.(src.(e)) *. prob.(e))
+        done;
+        weight.(d) <- injection.(d) +. !acc
+      end
+    done
+  end;
+  { idx; weight; p_first; p_second }
 
-let block t label =
-  match Hashtbl.find_opt t.index label with Some i -> t.weight.(i) | None -> 0.0
+let compute ?iterations ?clamp pkg = of_index ?iterations ?clamp (Pkg_flow.of_pkg pkg)
 
-(* The flow along the block's last terminator edge to [dst]: a branch
+let weights t = t.weight
+
+(* The flow along the block's last terminator edge to [j]: a branch
    whose two directions name the same block reports the fall-through
    share. *)
+let arc_at t i j =
+  if t.idx.second.(i) = j then t.weight.(i) *. t.p_second.(i)
+  else if t.idx.first.(i) = j then t.weight.(i) *. t.p_first.(i)
+  else 0.0
+
+let live_block t label =
+  let i = Pkg_flow.find t.idx label in
+  if i >= 0 && t.idx.alive.(i) then i else -1
+
+let block t label =
+  let i = live_block t label in
+  if i >= 0 then t.weight.(i) else 0.0
+
 let arc t src dst =
-  match Hashtbl.find_opt t.index src with
-  | None -> 0.0
-  | Some i ->
-    List.fold_left
-      (fun acc (l, p) -> if String.equal l dst then t.weight.(i) *. p else acc)
-      0.0 t.succs.(i)
+  let i = live_block t src in
+  if i < 0 then 0.0
+  else
+    let via l p = if String.equal l dst then t.weight.(i) *. p else 0.0 in
+    match t.idx.term.(i) with
+    | Pkg.Fall l | Pkg.Goto l | Pkg.Call_orig { next = l; _ } | Pkg.Inlined_call { prologue = l; _ }
+      ->
+      via l t.p_first.(i)
+    | Pkg.Branch { taken; fall; _ } ->
+      if String.equal fall dst then via fall t.p_second.(i) else via taken t.p_first.(i)
+    | Pkg.Return | Pkg.Exit_jump _ | Pkg.Stop -> 0.0
 
 let hottest_first t (pkg : Pkg.t) =
   List.map (fun (b : Pkg.block) -> (block t b.Pkg.label, b)) pkg.Pkg.blocks

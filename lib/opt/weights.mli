@@ -9,7 +9,19 @@
 type t
 
 val compute : ?iterations:int -> ?clamp:float -> Vp_package.Pkg.t -> t
-(** Defaults: 64 iterations, clamp 0.99. *)
+(** Defaults: 64 iterations, clamp 0.99.  A round whose weights repeat
+    the previous round's bit for bit is a fixed point: the iteration
+    stops there, with the weights every later round would give. *)
+
+val of_index : ?iterations:int -> ?clamp:float -> Pkg_flow.t -> t
+(** {!compute} over the live blocks of an indexed package. *)
+
+val weights : t -> float array
+(** Weights by position of the index (0 for absorbed blocks); not to be
+    modified. *)
+
+val arc_at : t -> int -> int -> float
+(** {!arc} between positions of the index. *)
 
 val block : t -> string -> float
 (** Estimated relative execution weight of a labelled block (0 for

@@ -297,6 +297,240 @@ let test_schedule_store_load_order () =
   let scheduled = Schedule.schedule_body body in
   Alcotest.(check bool) "load result correct" true (eval body = eval scheduled)
 
+(* The quadratic list scheduler the per-register one replaced, kept
+   verbatim as the oracle: every pair of instructions is tested for a
+   dependence, for heights, for release and for ready times. *)
+module Reference = struct
+  type machine = Schedule.machine = {
+    issue_width : int;
+    ialu : int;
+    fp : int;
+    mem : int;
+    branch : int;
+  }
+
+  let epic_default = { issue_width = 8; ialu = 5; fp = 3; mem = 3; branch = 3 }
+
+  let imax (a : int) b = if a >= b then a else b
+
+  (* Functional-unit classes index the per-cycle slot table. *)
+  let slot_class = function
+    | Op.Ialu -> 0
+    | Op.Fp | Op.Long_fp -> 1
+    | Op.Mem -> 2
+    | Op.Control -> 3
+
+  let capacities m = [| m.ialu; m.fp; m.mem; m.branch |]
+
+  (* Register masks without the zero register: it is neither really
+     written nor meaningfully read, so it creates no dependence. *)
+  let not_zero = lnot (Reg.bit Reg.zero)
+
+  let no_mem = 0
+  let load = 1
+  let store = 2
+
+  (* One body as flat per-instruction arrays. *)
+  type body = {
+    defs : int array;
+    uses : int array;
+    mem : int array;  (** [no_mem], [load] or [store] *)
+    lat : int array;
+    cls : int array;  (** [slot_class] of the functional unit *)
+  }
+
+  let summarise arr =
+    {
+      defs = Array.map (fun i -> Instr.def_mask i land not_zero) arr;
+      uses = Array.map (fun i -> Instr.use_mask i land not_zero) arr;
+      mem =
+        Array.map
+          (fun i -> if Instr.is_store i then store else if Instr.is_load i then load else no_mem)
+          arr;
+      lat = Array.map Instr.latency arr;
+      cls = Array.map (fun i -> slot_class (Instr.fu i)) arr;
+    }
+
+  (* Minimum issue distance from [j] to a later [i], or -1 when [i] does
+     not depend on [j].  RAW: [j]'s full latency.  WAW: the next cycle is
+     enough on this machine.  WAR: registers are read at issue, so the
+     same cycle is fine but the order must hold (0).  Memory: stores are
+     barriers against every memory operation; loads may pass loads. *)
+  let edge b j i =
+    let e = if b.defs.(j) land b.uses.(i) <> 0 then b.lat.(j) else -1 in
+    let e = if b.defs.(j) land b.defs.(i) <> 0 then imax e 1 else e in
+    let e = if b.uses.(j) land b.defs.(i) <> 0 then imax e 0 else e in
+    let mj = b.mem.(j) and mi = b.mem.(i) in
+    if (mj = store && mi <> no_mem) || (mi = store && mj <> no_mem) then imax e 1 else e
+
+  let schedule_body ?(machine = epic_default) instrs =
+    match instrs with
+    | [] | [ _ ] -> instrs
+    | _ ->
+      let arr = Array.of_list instrs in
+      let n = Array.length arr in
+      let b = summarise arr in
+      let cap = capacities machine in
+      (* Latency-weighted height (longest path to any sink) and the
+         number of unissued predecessors of each instruction. *)
+      let height = Array.make n 0 in
+      let pending = Array.make n 0 in
+      for j = n - 1 downto 0 do
+        let h = ref b.lat.(j) in
+        for i = j + 1 to n - 1 do
+          let e = edge b j i in
+          if e >= 0 then begin
+            h := imax !h (height.(i) + imax 1 e);
+            pending.(i) <- pending.(i) + 1
+          end
+        done;
+        height.(j) <- !h
+      done;
+      (* List scheduling: each pick takes the ready instruction with a
+         free slot of the highest height, lowest index first, and the
+         scan repeats after every issue so a latency-0 successor can
+         still issue in the same cycle.  Only released instructions (no
+         unissued predecessor left) are scanned. *)
+      let ready_at = Array.make n 0 in
+      let released = Array.make n 0 in
+      let nreleased = ref 0 in
+      let release i =
+        released.(!nreleased) <- i;
+        incr nreleased
+      in
+      for i = 0 to n - 1 do
+        if pending.(i) = 0 then release i
+      done;
+      let order = Array.make n 0 in
+      let used = Array.make (Array.length cap) 0 in
+      let count = ref 0 in
+      let cycle = ref 0 in
+      while !count < n do
+        Array.fill used 0 (Array.length used) 0;
+        let width = ref 0 in
+        let progressed = ref true in
+        while !progressed && !width < machine.issue_width do
+          let best = ref (-1) in
+          let slot = ref 0 in
+          for k = 0 to !nreleased - 1 do
+            let i = released.(k) in
+            if
+              ready_at.(i) <= !cycle
+              && used.(b.cls.(i)) < cap.(b.cls.(i))
+              && (!best < 0
+                 || height.(i) > height.(!best)
+                 || (height.(i) = height.(!best) && i < !best))
+            then begin
+              best := i;
+              slot := k
+            end
+          done;
+          let j = !best in
+          if j < 0 then progressed := false
+          else begin
+            decr nreleased;
+            released.(!slot) <- released.(!nreleased);
+            order.(!count) <- j;
+            incr count;
+            incr width;
+            used.(b.cls.(j)) <- used.(b.cls.(j)) + 1;
+            for i = j + 1 to n - 1 do
+              let e = edge b j i in
+              if e >= 0 then begin
+                pending.(i) <- pending.(i) - 1;
+                ready_at.(i) <- imax ready_at.(i) (!cycle + e);
+                if pending.(i) = 0 then release i
+              end
+            done
+          end
+        done;
+        incr cycle
+      done;
+      let rec collect k acc = if k < 0 then acc else collect (k - 1) (arr.(order.(k)) :: acc) in
+      collect (n - 1) []
+end
+
+(* Bodies over every instruction a package body holds: all ALU
+   operations (latencies 1 to 12), load-immediate, load-address, nop,
+   and loads and stores with register bases, the zero register drawn as
+   a source and as a destination. *)
+let random_body rng len =
+  let module R = Vp_util.Rng in
+  let ops =
+    [| Op.Add; Op.Sub; Op.Mul; Op.Div; Op.Rem; Op.And; Op.Or; Op.Xor; Op.Shl; Op.Shr;
+       Op.Slt; Op.Fadd; Op.Fmul; Op.Fdiv |]
+  in
+  let regs = 1 + R.int rng 12 in
+  List.init len (fun _ ->
+      let reg () = if R.int rng 8 = 0 then Reg.zero else Reg.of_int (8 + R.int rng regs) in
+      match R.int rng 10 with
+      | 0 -> Instr.Li { dst = reg (); imm = R.int_in rng (-50) 50 }
+      | 1 -> Instr.La { dst = reg (); target = Instr.Addr (R.int rng 100) }
+      | 2 -> Instr.Nop
+      | 3 | 4 -> Instr.Load { dst = reg (); base = reg (); offset = R.int rng 60 }
+      | 5 -> Instr.Store { src = reg (); base = reg (); offset = R.int rng 60 }
+      | _ ->
+        Instr.Alu
+          {
+            op = ops.(R.int rng (Array.length ops));
+            dst = reg ();
+            src1 = reg ();
+            src2 = (if R.bool rng 0.5 then Instr.Reg (reg ()) else Instr.Imm (R.int rng 20));
+          })
+
+let prop_schedule_matches_reference =
+  QCheck.Test.make ~name:"schedule equals the quadratic reference" ~count:600
+    QCheck.(triple (int_range 0 1_000_000) (int_range 0 max_body) bool)
+    (fun (seed, len, narrow) ->
+      let rng = Vp_util.Rng.create ~seed in
+      let body = random_body rng len in
+      (* Half the cases also draw a narrow machine, where unit slots and
+         the issue width bind. *)
+      let machine =
+        if narrow then
+          let units () = 1 + Vp_util.Rng.int rng 3 in
+          {
+            Schedule.issue_width = 1 + Vp_util.Rng.int rng 4;
+            ialu = units ();
+            fp = units ();
+            mem = units ();
+            branch = units ();
+          }
+        else Reference.epic_default
+      in
+      Schedule.schedule_body ~machine body = Reference.schedule_body ~machine body)
+
+(* A machine without a unit of some class, or without issue slots,
+   could never issue what needs it: it is rejected, naming the field. *)
+let rejects field f =
+  match f () with
+  | _ -> Alcotest.failf "machine with %s 0 accepted" field
+  | exception Invalid_argument msg ->
+    let needle = "machine." ^ field in
+    let rec has k =
+      k + String.length needle <= String.length msg
+      && (String.sub msg k (String.length needle) = needle || has (k + 1))
+    in
+    if not (has 0) then Alcotest.failf "message %S does not name %s" msg field
+
+let test_schedule_rejects_empty_units () =
+  let m = Reference.epic_default in
+  let body =
+    [
+      Instr.Alu { op = Op.Fadd; dst = t0; src1 = t1; src2 = Instr.Reg t2 };
+      Instr.Li { dst = t3; imm = 1 };
+    ]
+  in
+  rejects "fp" (fun () -> Schedule.schedule_body ~machine:{ m with fp = 0 } body);
+  rejects "issue_width" (fun () ->
+      Schedule.schedule_body ~machine:{ m with issue_width = 0 } body);
+  rejects "ialu" (fun () -> Schedule.schedule_body ~machine:{ m with ialu = -1 } body);
+  rejects "fp" (fun () -> Schedule.estimate_cycles ~machine:{ m with fp = 0 } body);
+  rejects "issue_width" (fun () ->
+      Schedule.estimate_cycles ~machine:{ m with issue_width = 0 } body);
+  rejects "mem" (fun () -> Schedule.run ~machine:{ m with mem = 0 } loop_package);
+  rejects "branch" (fun () -> Schedule.run ~machine:{ m with branch = 0 } loop_package)
+
 (* --- exit sinking --- *)
 
 module Sink = Vp_opt.Sink
@@ -636,18 +870,21 @@ let test_superblock_long_chain () =
 module Campaign = Vp_gen.Campaign
 module Driver = Vacuum.Driver
 
-let golden_packages =
+let rewrite config image = Driver.rewrite_of_profile ~config (Driver.profile ~config image)
+
+let golden_rewrites =
   lazy
-    (List.concat_map
+    (List.map
        (fun i ->
          let spec = Campaign.spec_of_index ~root_seed:0 i in
          let image =
            Program.layout (Vp_gen.Gen.program ~seed:spec.Campaign.seed spec.Campaign.params)
          in
-         let config = Campaign.default_config in
-         let rw = Driver.rewrite_of_profile ~config (Driver.profile ~config image) in
-         rw.Driver.packages)
+         rewrite Campaign.default_config image)
        (List.init 200 Fun.id))
+
+let golden_packages =
+  lazy (List.concat_map (fun rw -> rw.Driver.packages) (Lazy.force golden_rewrites))
 
 let render_package buf (p : Pkg.t) =
   Buffer.add_string buf (Format.asprintf "%a@." Pkg.pp p);
@@ -677,6 +914,34 @@ let golden_digest config =
 let test_golden name config expected () =
   Alcotest.(check string) (name ^ " digest") expected (golden_digest config)
 
+(* The production call: [Driver]'s transform inside [Emit.of_groups],
+   with link-protected labels, over the packages it emitted — linked
+   groups, inlined calls and original-code calls included. *)
+let emitted_digest rewrites =
+  let buf = Buffer.create (1 lsl 20) in
+  List.iter
+    (fun rw -> List.iter (render_package buf) rw.Driver.emitted.Vp_package.Emit.packages)
+    rewrites;
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let test_golden_campaign_emitted () =
+  Alcotest.(check string) "campaign emitted digest" "9402a1142bb039b3d9a9c9ed72e63eee"
+    (emitted_digest (Lazy.force golden_rewrites))
+
+let test_golden_paper_emitted () =
+  let module Registry = Vp_workloads.Registry in
+  let config = Vacuum.Config.experiment ~inference:true ~linking:true in
+  let rewrites =
+    List.filter_map
+      (fun (w : Registry.t) ->
+        if w.Registry.input = "A" then
+          Some (rewrite config (Program.layout (w.Registry.program ())))
+        else None)
+      Registry.all
+  in
+  Alcotest.(check int) "twelve A programs" 12 (List.length rewrites);
+  Alcotest.(check string) "paper-A emitted digest" "18dcb06d41f947f20121bdd9f211f52b" (emitted_digest rewrites)
+
 let () =
   Alcotest.run "vp_opt"
     [
@@ -702,6 +967,8 @@ let () =
           Alcotest.test_case "empty body cycles" `Quick test_estimate_cycles_empty;
           Alcotest.test_case "hides latency" `Quick test_schedule_hides_latency;
           Alcotest.test_case "store/load order" `Quick test_schedule_store_load_order;
+          QCheck_alcotest.to_alcotest prop_schedule_matches_reference;
+          Alcotest.test_case "rejects empty units" `Quick test_schedule_rejects_empty_units;
           Alcotest.test_case "end-to-end equivalence" `Quick
             test_opt_transform_end_to_end_equivalence;
         ] );
@@ -728,6 +995,8 @@ let () =
           Alcotest.test_case "with_sinking" `Quick
             (test_golden "with_sinking" Opt.with_sinking
                "bafaa4fe435a4df1417e8f9d32b3f8d1");
+          Alcotest.test_case "campaign emitted" `Quick test_golden_campaign_emitted;
+          Alcotest.test_case "paper-A emitted" `Quick test_golden_paper_emitted;
         ] );
       ( "sink",
         [
