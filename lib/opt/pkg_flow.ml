@@ -29,23 +29,7 @@ let pure = function
   | Instr.Ret | Instr.Nop | Instr.Halt ->
     false
 
-(* The labels of one package share its id as a prefix and differ near
-   the end, so hashing their length and last eight bytes is as good as
-   hashing all of them, and cheaper. *)
-module Labels = Hashtbl.Make (struct
-  type t = string
-
-  let equal = String.equal
-
-  let hash s =
-    let n = String.length s in
-    let h = ref n in
-    for k = if n > 8 then n - 8 else 0 to n - 1 do
-      h := (!h * 31) + Char.code (String.unsafe_get s k)
-    done;
-    let h = !h * 0x5bd1e995 in
-    (h lxor (h lsr 29)) land max_int
-end)
+module Labels = Pkg.Labels
 
 type t = {
   pkg : Pkg.t;
@@ -64,17 +48,14 @@ type t = {
 
 let size t = Array.length t.src
 
-(* Position of a label, or -1; a hit allocates nothing. *)
-let lookup index label = match Labels.find index label with i -> i | exception Not_found -> -1
-
-let find t label = lookup t.index label
+let find t label = Pkg.position t.index label
 
 let of_pkg (pkg : Pkg.t) =
   let src = Array.of_list pkg.Pkg.blocks in
   let n = Array.length src in
   let index = Labels.create (Int.max 16 n) in
   Array.iteri (fun i (b : Pkg.block) -> Labels.replace index b.Pkg.label i) src;
-  let find l = lookup index l in
+  let find l = Pkg.position index l in
   let first = Array.make n (-1) and second = Array.make n (-1) in
   Array.iteri
     (fun i (b : Pkg.block) ->

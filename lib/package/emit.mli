@@ -3,9 +3,12 @@
 
     Linearisation walks blocks in package order, materialising a jump
     wherever a fall-through edge is not adjacent; inlined call sites
-    expand to a return-address materialisation plus a jump.  All
-    packages of a run share one label table, so cross-package links
-    resolve like any other target.
+    expand to a return-address materialisation plus a jump.  Every
+    block of a run is numbered once and placed from its size, so labels
+    resolve to (package, block position) addresses — cross-package
+    links like any other target — and resolved code is written straight
+    into the rewritten image, launch patches included, in one copy of
+    the original code.
 
     Launch points: every entry block's original address is patched
     with a jump to the entry's package copy.  When several packages of
@@ -39,7 +42,11 @@ val of_groups :
     [protected] names the package's blocks that are targets of
     cross-package links: they have unseen predecessors and must
     survive with their label and entry semantics intact.  Raises
-    [Vp_util.Error.Error] if the rewritten image fails validation. *)
+    [Vp_util.Error.Error] at stage ["emit"], carrying the label, on a
+    duplicate or undefined label; at stage ["image"] for a launch
+    address outside the image; and at stage ["emit"] if the appended
+    code or a patched word fails {!Vp_prog.Image.validate}'s target
+    checks. *)
 
 val emit :
   ?linking:bool ->
@@ -48,7 +55,3 @@ val emit :
   Pkg.t list ->
   result
 (** [Linking.group_packages] followed by {!of_groups}. *)
-
-val linearize : Pkg.t -> Vp_isa.Instr.t list
-(** The instruction stream of one package with still-symbolic internal
-    targets; exposed for tests. *)

@@ -15,143 +15,154 @@ type group = {
 let rank_of_ratios = function
   | [] -> 0.0
   | r :: rest ->
-    let acc = ref r in
-    let weight = ref r in
-    List.iter
-      (fun ri ->
-        weight := !weight *. ri;
-        acc := !acc +. !weight)
-      rest;
-    !acc
+    let step (acc, weight) ri = let weight = weight *. ri in (acc +. weight, weight) in
+    fst (List.fold_left step (r, r) rest)
 
 (* A site with a cold direction links to the first package rightward
    (wrapping, excluding the source) holding a copy of the cold target
    under the identical inline context.
 
    The ordering search re-ranks the same package set under many
-   candidate orders, so the [Pkg.copy_label] scans — the expensive,
-   order-independent part — are memoised once per group: for each
-   linkable site, [copies] records each package's copy label (indexed
-   by the package's position in the base array). *)
-type site_memo = {
-  site : Pkg.site;
-  copies : string option array;  (* by base index; [None] at the owner *)
+   candidate orders, so everything order-independent is resolved once
+   per group: one table keyed on (inline context, original address)
+   gives a row of each package's first copy of that block, indexed by
+   the package's position in the input order (its base index), and
+   every linkable site keeps its cold target's row.  A candidate
+   order is then an int array of base indices, and ranking it reads
+   the rows and one scratch count array. *)
+type memo = {
+  arr : Pkg.t array;
+  sites : (Pkg.site * string option array) array array;
+      (* per base index: linkable sites in declaration order, each with
+         its cold target's copy row *)
+  branches : int array;  (* per base index: the rank's denominator *)
+  incoming : int array;  (* scratch: links into each base index *)
 }
 
-(* Per base package index, its linkable sites in declaration order. *)
-let memoize_sites arr =
+let memoize arr =
   let n = Array.length arr in
-  Array.mapi
-    (fun i (p : Pkg.t) ->
-      List.filter_map
-        (fun (site : Pkg.site) ->
-          match (site.Pkg.cold_exit, site.Pkg.cold_target, site.Pkg.bias) with
-          | Some _, Some target, (Pkg.T | Pkg.F) ->
-            let copies =
-              Array.init n (fun j ->
-                  if j = i then None
-                  else Pkg.copy_label arr.(j) site.Pkg.site_context target)
-            in
-            Some { site; copies }
-          | _ -> None)
-        p.Pkg.sites)
-    arr
-
-(* Resolve links for one candidate order ([perm] maps position to base
-   index), walking packages in candidate order so the link list is
-   identical to a direct scan of the reordered list. *)
-let links_for_permutation arr site_memos perm =
-  let n = Array.length perm in
-  let links = ref [] in
+  let rows = Hashtbl.create 64 in
+  let copy j (b : Pkg.block) =
+    let key = (b.Pkg.context, b.Pkg.orig_addr) in
+    let row =
+      match Hashtbl.find_opt rows key with
+      | Some row -> row
+      | None ->
+        let row = Array.make n None in
+        Hashtbl.replace rows key row;
+        row
+    in
+    if row.(j) = None then row.(j) <- Some b.Pkg.label
+  in
   Array.iteri
-    (fun posn i ->
-      List.iter
-        (fun m ->
-          let rec scan k =
-            if k >= n - 1 then ()
-            else
-              let j = perm.((posn + 1 + k) mod n) in
-              match m.copies.(j) with
-              | Some to_label ->
-                links :=
-                  {
-                    from_pkg = arr.(i).Pkg.id;
-                    site = m.site;
-                    to_pkg = arr.(j).Pkg.id;
-                    to_label;
-                  }
-                  :: !links
-              | None -> scan (k + 1)
-          in
-          scan 0)
-        site_memos.(i))
-    perm;
-  List.rev !links
-
-let rank_of_links arr branch_counts perm links =
-  let n = Array.length arr in
-  let incoming = Array.make n 0 in
-  let index_of_id =
-    let tbl = Hashtbl.create n in
-    Array.iteri (fun i (p : Pkg.t) -> Hashtbl.replace tbl p.Pkg.id i) arr;
-    fun id -> Hashtbl.find tbl id
+    (fun j (p : Pkg.t) -> List.iter (fun b -> if not b.Pkg.is_exit then copy j b) p.Pkg.blocks)
+    arr;
+  let linkable (s : Pkg.site) =
+    match (s.Pkg.cold_exit, s.Pkg.cold_target, s.Pkg.bias) with
+    | Some _, Some target, (Pkg.T | Pkg.F) ->
+      Option.map (fun row -> (s, row)) (Hashtbl.find_opt rows (s.Pkg.site_context, target))
+    | _ -> None
   in
-  List.iter
-    (fun l -> let j = index_of_id l.to_pkg in incoming.(j) <- incoming.(j) + 1)
-    links;
-  let ratios =
-    Array.to_list
-      (Array.map
-         (fun i ->
-           if branch_counts.(i) = 0 then 0.0
-           else float_of_int incoming.(i) /. float_of_int branch_counts.(i))
-         perm)
-  in
-  rank_of_ratios ratios
+  {
+    arr;
+    sites = Array.map (fun (p : Pkg.t) -> Array.of_list (List.filter_map linkable p.Pkg.sites)) arr;
+    branches = Array.map Pkg.branch_count arr;
+    incoming = Array.make n 0;
+  }
 
-let identity_perm n = Array.init n (fun i -> i)
+(* Base index of the package a site at position [posn] of [perm] links
+   to, or -1: the first one rightward, wrapping, with a copy in [row].
+   The source's own position is never visited, so its own copy (if
+   any) never counts. *)
+let rec target perm row posn k =
+  let n = Array.length perm in
+  if k >= n - 1 then -1
+  else
+    let j = Array.unsafe_get perm ((posn + 1 + k) mod n) in
+    match Array.unsafe_get row j with Some _ -> j | None -> target perm row posn (k + 1)
+
+(* The rank of [perm] (Figure 7): the accumulator over ratios in
+   order, with the same float operations as [rank_of_ratios].  Inlined,
+   so the rank is never boxed: ranking an ordering allocates nothing. *)
+let[@inline] rank m perm =
+  let n = Array.length perm in
+  let incoming = m.incoming in
+  Array.fill incoming 0 n 0;
+  for posn = 0 to n - 1 do
+    let sites = m.sites.(perm.(posn)) in
+    for s = 0 to Array.length sites - 1 do
+      let j = target perm (snd sites.(s)) posn 0 in
+      if j >= 0 then incoming.(j) <- incoming.(j) + 1
+    done
+  done;
+  let acc = ref 0.0 and weight = ref 0.0 in
+  for posn = 0 to n - 1 do
+    let i = perm.(posn) in
+    let r =
+      if m.branches.(i) = 0 then 0.0
+      else float_of_int incoming.(i) /. float_of_int m.branches.(i)
+    in
+    if posn = 0 then begin
+      acc := r;
+      weight := r
+    end
+    else begin
+      weight := !weight *. r;
+      acc := !acc +. !weight
+    end
+  done;
+  !acc
+
+(* The links of [perm], in candidate order: positions left to right,
+   each package's sites in declaration order. *)
+let links_of m perm =
+  let links = ref [] in
+  for posn = Array.length perm - 1 downto 0 do
+    let i = perm.(posn) in
+    let sites = m.sites.(i) in
+    for s = Array.length sites - 1 downto 0 do
+      let site, row = sites.(s) in
+      let j = target perm row posn 0 in
+      if j >= 0 then
+        links :=
+          {
+            from_pkg = m.arr.(i).Pkg.id;
+            site;
+            to_pkg = m.arr.(j).Pkg.id;
+            to_label = Option.get row.(j);
+          }
+          :: !links
+    done
+  done;
+  !links
 
 let links_for_ordering ordered =
   let arr = Array.of_list ordered in
-  links_for_permutation arr (memoize_sites arr) (identity_perm (Array.length arr))
-
-(* Index permutations, leftmost element varying slowest; the head is
-   the identity, which makes the fold below keep input order on ties. *)
-let rec permutations = function
-  | [] -> [ [] ]
-  | l ->
-    List.concat_map
-      (fun x ->
-        let rest = List.filter (fun y -> y <> x) l in
-        List.map (fun p -> x :: p) (permutations rest))
-      l
+  links_of (memoize arr) (Array.init (Array.length arr) Fun.id)
 
 (* Beyond the exhaustive-search cap, build the order greedily: at each
    position try every remaining package (rest kept in input order) and
-   keep the one whose completed ordering ranks highest. *)
-let greedy_perm eval n =
-  let chosen_rev = ref [] in
-  let remaining = ref (List.init n (fun i -> i)) in
-  for _ = 1 to n do
-    let best =
-      List.fold_left
-        (fun best cand ->
-          let perm =
-            Array.of_list
-              (List.rev_append !chosen_rev
-                 (cand :: List.filter (fun j -> j <> cand) !remaining))
-          in
-          let rank, _ = eval perm in
-          match best with
-          | Some (best_rank, _) when best_rank >= rank -> best
-          | _ -> Some (rank, cand))
-        None !remaining
-    in
-    let cand = match best with Some (_, c) -> c | None -> assert false in
-    chosen_rev := cand :: !chosen_rev;
-    remaining := List.filter (fun j -> j <> cand) !remaining
+   keep the first whose completed ordering ranks highest.  [perm] holds
+   the chosen prefix, then the remaining packages in input order. *)
+let greedy_perm m n =
+  let perm = Array.init n Fun.id and cand = Array.make n 0 in
+  for t = 0 to n - 1 do
+    let best = ref t and best_rank = ref 0.0 in
+    for s = t to n - 1 do
+      Array.blit perm 0 cand 0 n;
+      cand.(t) <- perm.(s);
+      Array.blit perm t cand (t + 1) (s - t);
+      let r = rank m cand in
+      if s = t || not (!best_rank >= r) then begin
+        best := s;
+        best_rank := r
+      end
+    done;
+    let c = perm.(!best) in
+    Array.blit perm t perm (t + 1) (!best - t);
+    perm.(t) <- c
   done;
-  Array.of_list (List.rev !chosen_rev)
+  perm
 
 let max_exhaustive = 6
 
@@ -163,53 +174,49 @@ type stats = {
   links_resolved : int;
 }
 
-let empty_stats =
-  { groups = 0; linked_groups = 0; orderings_ranked = 0; greedy_fallbacks = 0; links_resolved = 0 }
-
+(* Candidates are ranked in order, identity first; a later one wins
+   only with a strictly higher rank.  Up to the cap that is every
+   order, lexicographically (the leftmost element varying slowest);
+   beyond it, the identity and the greedy order. *)
 let best_ordering pkgs =
   let arr = Array.of_list pkgs in
   let n = Array.length arr in
-  let site_memos = memoize_sites arr in
-  let branch_counts = Array.map Pkg.branch_count arr in
-  let eval perm =
-    let links = links_for_permutation arr site_memos perm in
-    (rank_of_links arr branch_counts perm links, links)
-  in
-  let greedy = n > max_exhaustive in
-  let candidates =
-    if not greedy then
-      List.map Array.of_list (permutations (List.init n (fun i -> i)))
-    else begin
-      Logs.warn (fun m ->
-          m
-            "Linking: %d packages share root %s; permutation search is capped \
-             at %d, falling back to greedy rank-based ordering"
-            n arr.(0).Pkg.root max_exhaustive);
-      [ identity_perm n; greedy_perm eval n ]
+  let m = memoize arr in
+  let best = Array.make n 0 and best_rank = ref 0.0 and ranked = ref 0 in
+  let consider perm =
+    incr ranked;
+    let r = rank m perm in
+    if !ranked = 1 || r > !best_rank then begin
+      best_rank := r;
+      Array.blit perm 0 best 0 n
     end
   in
-  let scored =
-    List.map
-      (fun perm ->
-        let rank, links = eval perm in
-        (rank, perm, links))
-      candidates
-  in
-  let best_rank, best_perm, best_links =
-    List.fold_left
-      (fun (best_rank, best_perm, best_links) (rank, perm, links) ->
-        if rank > best_rank then (rank, perm, links)
-        else (best_rank, best_perm, best_links))
-      (match scored with
-      | first :: _ -> first
-      | [] -> (0.0, identity_perm n, []))
-      scored
-  in
-  ( best_rank,
-    Array.to_list (Array.map (fun i -> arr.(i)) best_perm),
-    best_links,
-    List.length candidates,
-    greedy )
+  if n <= max_exhaustive then begin
+    let perm = Array.make n 0 and used = Array.make n false in
+    let rec fill k =
+      if k = n then consider perm
+      else
+        for x = 0 to n - 1 do
+          if not used.(x) then begin
+            used.(x) <- true;
+            perm.(k) <- x;
+            fill (k + 1);
+            used.(x) <- false
+          end
+        done
+    in
+    fill 0
+  end
+  else begin
+    Logs.warn (fun m ->
+        m
+          "Linking: %d packages share root %s; permutation search is capped \
+           at %d, falling back to greedy rank-based ordering"
+          n arr.(0).Pkg.root max_exhaustive);
+    consider (Array.init n Fun.id);
+    consider (greedy_perm m n)
+  end;
+  (!best_rank, Array.to_list (Array.map (fun i -> arr.(i)) best), links_of m best, !ranked)
 
 let group_packages_with_stats ?(linking = true) pkgs =
   let roots =
@@ -218,54 +225,51 @@ let group_packages_with_stats ?(linking = true) pkgs =
          (fun acc p -> if List.mem p.Pkg.root acc then acc else p.Pkg.root :: acc)
          [] pkgs)
   in
-  let stats = ref empty_stats in
+  let searched g = linking && List.length g.ordered > 1 in
+  let ranked = ref 0 in
   let groups =
     List.map
       (fun root ->
         let members = List.filter (fun p -> p.Pkg.root = root) pkgs in
-        let g =
-          if linking && List.length members > 1 then begin
-            let rank, ordered, links, ranked, greedy = best_ordering members in
-            stats :=
-              {
-                !stats with
-                linked_groups = !stats.linked_groups + 1;
-                orderings_ranked = !stats.orderings_ranked + ranked;
-                greedy_fallbacks =
-                  (!stats.greedy_fallbacks + if greedy then 1 else 0);
-              };
-            { root; ordered; links; rank }
-          end
-          else { root; ordered = members; links = []; rank = 0.0 }
-        in
-        stats :=
-          {
-            !stats with
-            groups = !stats.groups + 1;
-            links_resolved = !stats.links_resolved + List.length g.links;
-          };
-        g)
+        let g = { root; ordered = members; links = []; rank = 0.0 } in
+        if not (searched g) then g
+        else begin
+          let rank, ordered, links, n = best_ordering members in
+          ranked := !ranked + n;
+          { root; ordered; links; rank }
+        end)
       roots
   in
-  (groups, !stats)
+  let linked = List.filter searched groups in
+  ( groups,
+    {
+      groups = List.length groups;
+      linked_groups = List.length linked;
+      orderings_ranked = !ranked;
+      greedy_fallbacks =
+        List.length (List.filter (fun g -> List.length g.ordered > max_exhaustive) linked);
+      links_resolved = List.fold_left (fun acc g -> acc + List.length g.links) 0 groups;
+    } )
 
 let group_packages ?linking pkgs = fst (group_packages_with_stats ?linking pkgs)
 
-(* Retarget the exit blocks chosen by links. *)
+(* Retarget the exit blocks chosen by links; a package without
+   outgoing links is returned as it is. *)
 let apply groups =
-  let retarget links p =
-    let target_of label =
-      List.find_opt (fun l -> l.from_pkg = p.Pkg.id && l.site.Pkg.cold_exit = Some label) links
-    in
-    Pkg.map_blocks
-      (fun b ->
-        if not b.Pkg.is_exit then b
-        else
-          match target_of b.Pkg.label with
-          | Some l -> { b with Pkg.term = Pkg.Goto l.to_label }
-          | None -> b)
-      p
+  let retarget links (p : Pkg.t) =
+    match List.filter (fun l -> String.equal l.from_pkg p.Pkg.id) links with
+    | [] -> p
+    | mine ->
+      let linked_from label l =
+        match l.site.Pkg.cold_exit with Some x -> String.equal x label | None -> false
+      in
+      Pkg.map_blocks
+        (fun b ->
+          if not b.Pkg.is_exit then b
+          else
+            match List.find_opt (linked_from b.Pkg.label) mine with
+            | Some l -> { b with Pkg.term = Pkg.Goto l.to_label }
+            | None -> b)
+        p
   in
-  List.concat_map
-    (fun g -> List.map (retarget g.links) g.ordered)
-    groups
+  List.concat_map (fun g -> List.map (retarget g.links) g.ordered) groups

@@ -52,21 +52,33 @@ type t = {
 
 let find_block t label = List.find_opt (fun b -> b.label = label) t.blocks
 
-let copy_label t context addr =
-  List.find_opt
-    (fun b -> (not b.is_exit) && b.context = context && b.orig_addr = addr)
-    t.blocks
-  |> Option.map (fun b -> b.label)
+(* The labels of one package share its id as a prefix and differ near
+   the end, so hashing their length and last eight bytes is as good as
+   hashing all of them, and cheaper. *)
+module Labels = Hashtbl.Make (struct
+  type t = string
+
+  let equal = String.equal
+
+  let hash s =
+    let n = String.length s in
+    let h = ref n in
+    for k = if n > 8 then n - 8 else 0 to n - 1 do
+      h := (!h * 31) + Char.code (String.unsafe_get s k)
+    done;
+    let h = !h * 0x5bd1e995 in
+    (h lxor (h lsr 29)) land max_int
+end)
+
+let position index label =
+  match Labels.find index label with i -> i | exception Not_found -> -1
 
 let branch_count t = List.length t.sites
 
 (* Terminator footprint in emitted instructions.  [Fall] may still
    cost a jump after linearisation; we count the worst case so code-
    expansion numbers are conservative. *)
-let term_size = function
-  | Fall _ | Goto _ | Branch _ | Return | Exit_jump _ | Stop -> 1
-  | Call_orig _ -> 1
-  | Inlined_call _ -> 2
+let term_size = function Inlined_call _ -> 2 | _ -> 1
 
 let block_size b = List.length b.body + term_size b.term
 
@@ -74,70 +86,40 @@ let size t = List.fold_left (fun acc b -> acc + block_size b) 0 t.blocks
 
 let map_blocks f t = { t with blocks = List.map f t.blocks }
 
+exception Invalid of string
+
 let validate t =
-  let err fmt = Printf.ksprintf (fun s -> Error s) fmt in
-  let labels = Hashtbl.create 64 in
-  let rec check_dups = function
-    | [] -> Ok ()
-    | b :: rest ->
-      if Hashtbl.mem labels b.label then err "duplicate label %s" b.label
-      else begin
-        Hashtbl.replace labels b.label b;
-        check_dups rest
-      end
-  in
-  let resolves ~cross_ok l =
-    if Hashtbl.mem labels l then Ok ()
-    else if cross_ok then Ok ()
-    else err "dangling target %s" l
-  in
-  let ( let* ) = Result.bind in
-  let* () = check_dups t.blocks in
-  let rec check_blocks = function
-    | [] -> Ok ()
-    | b :: rest ->
-      let* () =
+  let fail fmt = Printf.ksprintf (fun s -> raise (Invalid s)) fmt in
+  let labels = Labels.create 64 in
+  let resolves l = if not (Labels.mem labels l) then fail "dangling target %s" l in
+  try
+    List.iter
+      (fun b ->
+        if Labels.mem labels b.label then fail "duplicate label %s" b.label;
+        Labels.replace labels b.label ())
+      t.blocks;
+    List.iter
+      (fun b ->
         if List.exists Instr.is_control b.body then
-          err "control instruction inside body of %s" b.label
-        else Ok ()
-      in
-      let targets =
-        match b.term with
-        | Fall l | Goto l -> [ l ]
-        | Branch { taken; fall; _ } -> [ taken; fall ]
-        | Call_orig { next; _ } -> [ next ]
-        | Inlined_call { prologue; _ } -> [ prologue ]
-        | Return | Exit_jump _ | Stop -> []
-      in
-      let rec check_targets = function
-        | [] -> check_blocks rest
-        | l :: more ->
-          (* Linked exit blocks may point into another package. *)
-          let* () = resolves ~cross_ok:b.is_exit l in
-          check_targets more
-      in
-      check_targets targets
-  in
-  let* () = check_blocks t.blocks in
-  let rec check_entries = function
-    | [] -> Ok ()
-    | (l, _) :: rest ->
-      let* () = resolves ~cross_ok:false l in
-      check_entries rest
-  in
-  let* () = check_entries t.entries in
-  let rec check_sites = function
-    | [] -> Ok ()
-    | s :: rest ->
-      let* () = resolves ~cross_ok:false s.block_label in
-      let* () =
-        match s.cold_exit with
-        | Some l -> resolves ~cross_ok:false l
-        | None -> Ok ()
-      in
-      check_sites rest
-  in
-  check_sites t.sites
+          fail "control instruction inside body of %s" b.label;
+        (* Linked exit blocks may point into another package. *)
+        if not b.is_exit then
+          match b.term with
+          | Fall l | Goto l | Call_orig { next = l; _ } | Inlined_call { prologue = l; _ } ->
+            resolves l
+          | Branch { taken; fall; _ } ->
+            resolves taken;
+            resolves fall
+          | Return | Exit_jump _ | Stop -> ())
+      t.blocks;
+    List.iter (fun (l, _) -> resolves l) t.entries;
+    List.iter
+      (fun s ->
+        resolves s.block_label;
+        Option.iter resolves s.cold_exit)
+      t.sites;
+    Ok ()
+  with Invalid e -> Error e
 
 let pp_term fmt = function
   | Fall l -> Format.fprintf fmt "fall %s" l

@@ -75,9 +75,12 @@ type t = {
 
 val find_block : t -> string -> block option
 
-val copy_label : t -> context -> int -> string option
-(** Label of this package's copy of the original block at the given
-    address under the given context, if present. *)
+module Labels : Hashtbl.S with type key = string
+(** Label tables, hashed on a label's length and last eight bytes
+    (labels of one package share its id as a prefix). *)
+
+val position : int Labels.t -> string -> int
+(** A label's position in a table, or -1; a hit allocates nothing. *)
 
 val branch_count : t -> int
 (** Conditional branch sites — the denominator of the linking rank. *)

@@ -46,8 +46,8 @@ let pp_report ppf r =
 (* Function CFGs and liveness of the ORIGINAL image, from the
    per-image memo.  The rewritten image is useless here: launch patches
    have already overwritten block terminators in it. *)
-let oracle_at original addr =
-  match Image.sym_at original addr with
+let oracle_at syms original addr =
+  match Image.sym_in syms addr with
   | None -> None
   | Some sym ->
     let cfg = Vp_cfg.Cfg_memo.cfg original sym in
@@ -93,22 +93,23 @@ let check ~original (r : Emit.result) =
 
   (* 2. Control-flow closure of the appended code. *)
   let size = Image.size image in
+  let syms = Image.sym_table image in
   let pkg_at addr =
-    Option.map (fun (s : Image.sym) -> s.Image.name) (Image.sym_at image addr)
+    Option.map (fun (s : Image.sym) -> s.Image.name) (Image.sym_in syms addr)
   in
-  let checked = ref 0 in
   for addr = limit to size - 1 do
-    incr checked;
-    let i = Image.fetch image addr in
-    match Instr.target i with
-    | None -> ()
-    | Some (Instr.Label l) ->
-      push ?pkg:(pkg_at addr) ~addr ~label:l "unresolved label in emitted code"
-    | Some (Instr.Addr a) ->
-      if a < 0 || a >= size then
-        push ?pkg:(pkg_at addr) ~addr "control target 0x%x out of range" a
-      else if Instr.is_control i && a >= limit && Image.sym_at image a = None
-      then push ?pkg:(pkg_at addr) ~addr "control target 0x%x in no package" a
+    match Image.fetch image addr with
+    | Instr.Br { target; _ } | Instr.Jmp { target } | Instr.Call { target } | Instr.La { target; _ }
+      as i -> (
+      match target with
+      | Instr.Label l ->
+        push ?pkg:(pkg_at addr) ~addr ~label:l "unresolved label in emitted code"
+      | Instr.Addr a ->
+        if a < 0 || a >= size then
+          push ?pkg:(pkg_at addr) ~addr "control target 0x%x out of range" a
+        else if Instr.is_control i && a >= limit && Image.sym_in syms a = None
+        then push ?pkg:(pkg_at addr) ~addr "control target 0x%x in no package" a)
+    | _ -> ()
   done;
 
   (* 3. Side-exit liveness.  Exit blocks that linking retargeted are
@@ -116,6 +117,7 @@ let check ~original (r : Emit.result) =
      the ones still leaving to original code carry the obligation that
      their recorded dummy consumers cover everything live there. *)
   let exits = ref 0 in
+  let original_syms = Image.sym_table original in
   List.iter
     (fun (p : Pkg.t) ->
       List.iter
@@ -127,7 +129,7 @@ let check ~original (r : Emit.result) =
               push ~pkg:p.Pkg.id ~label:b.Pkg.label ~addr:target
                 "side exit leaves the original program"
             else (
-              match oracle_at original target with
+              match oracle_at original_syms original target with
               | None ->
                 push ~pkg:p.Pkg.id ~label:b.Pkg.label ~addr:target
                   "side exit targets no original function"
@@ -168,7 +170,7 @@ let check ~original (r : Emit.result) =
       (match Hashtbl.find_opt claims orig with
       | None -> push ~addr:orig "launch patch at unclaimed address"
       | Some owner ->
-        (match Image.sym_at image target with
+        (match Image.sym_in syms target with
         | Some s when s.Image.name = owner && target >= limit -> ()
         | Some s ->
           push ~pkg:owner ~addr:orig
@@ -180,12 +182,13 @@ let check ~original (r : Emit.result) =
       else if Image.fetch image orig <> Instr.Jmp { target = Instr.Addr target }
       then push ~addr:orig "patched instruction is not the recorded jump")
     r.Emit.launch_patches;
-  (* Reversibility: the patch set is exactly the original-code delta. *)
+  (* Reversibility: the patch set is exactly the original-code delta.
+     Unpatched words are shared with the original, so physical
+     equality settles nearly all of them. *)
   for addr = 0 to limit - 1 do
-    if
-      (not (Hashtbl.mem patch_tbl addr))
-      && Image.fetch image addr <> Image.fetch original addr
-    then push ~addr "original code modified outside the launch-patch set"
+    let w = Image.fetch image addr and o = Image.fetch original addr in
+    if w != o && w <> o && not (Hashtbl.mem patch_tbl addr) then
+      push ~addr "original code modified outside the launch-patch set"
   done;
 
   (* 5. Link agreement: shared root, and each link lands on the copy
@@ -231,7 +234,7 @@ let check ~original (r : Emit.result) =
 
   {
     packages = List.length r.Emit.packages;
-    checked_instructions = !checked;
+    checked_instructions = Int.max 0 (size - limit);
     exits_checked = !exits;
     patches_checked = List.length r.Emit.launch_patches;
     links_checked = !links;

@@ -30,39 +30,15 @@ let resolved i =
   | Some (Instr.Label _) -> false
   | Some (Instr.Addr _) | None -> true
 
-let append_many t sections =
-  List.iter
-    (fun (_, code) ->
-      Array.iter
-        (fun i ->
-          if not (resolved i) then
-            Vp_util.Error.failf ~stage:"image" "append: unresolved label in appended code")
-        code)
-    sections;
-  (* One concatenation and one symbol-list extension for the whole
-     batch: appending n sections one by one is quadratic in both the
-     code array and the symbol list. *)
-  let starts_rev, syms_rev, _ =
-    List.fold_left
-      (fun (starts, syms, pos) (name, code) ->
-        ( pos :: starts,
-          { name; start = pos; len = Array.length code } :: syms,
-          pos + Array.length code ))
-      ([], [], size t) sections
-  in
-  let image =
-    {
-      t with
-      code = Array.concat (t.code :: List.map snd sections);
-      syms = t.syms @ List.rev syms_rev;
-    }
-  in
-  (image, List.rev starts_rev)
-
 let append t ~name code =
-  match append_many t [ (name, code) ] with
-  | image, [ start ] -> (image, start)
-  | _ -> assert false
+  Array.iter
+    (fun i ->
+      if not (resolved i) then
+        Vp_util.Error.failf ~stage:"image" "append: unresolved label in appended code")
+    code;
+  let start = size t in
+  let sym = { name; start; len = Array.length code } in
+  ({ t with code = Array.append t.code code; syms = t.syms @ [ sym ] }, start)
 
 let patch t patches =
   let code = Array.copy t.code in
@@ -73,6 +49,16 @@ let patch t patches =
       code.(addr) <- i)
     patches;
   { t with code }
+
+let target_error t addr =
+  match t.code.(addr) with
+  | Instr.Br { target; _ } | Instr.Jmp { target } | Instr.Call { target } | Instr.La { target; _ } -> (
+    match target with
+    | Instr.Label l -> Some (Printf.sprintf "unresolved label %s at 0x%x" l addr)
+    | Instr.Addr a when a < 0 || a >= size t ->
+      Some (Printf.sprintf "target 0x%x out of range at 0x%x" a addr)
+    | Instr.Addr _ -> None)
+  | Instr.Alu _ | Instr.Li _ | Instr.Load _ | Instr.Store _ | Instr.Ret | Instr.Nop | Instr.Halt -> None
 
 let validate t =
   let err fmt = Printf.ksprintf (fun s -> Error s) fmt in
@@ -86,21 +72,31 @@ let validate t =
         else if s.start + s.len > n then err "symbol %s exceeds image" s.name
         else check_syms (s.start + s.len) rest
     in
-    match check_syms 0 t.syms with
-    | Error _ as e -> e
-    | Ok () ->
-      let bad = ref None in
-      Array.iteri
-        (fun addr i ->
-          if !bad = None then
-            match Instr.target i with
-            | Some (Instr.Label l) ->
-              bad := Some (Printf.sprintf "unresolved label %s at 0x%x" l addr)
-            | Some (Instr.Addr a) when a < 0 || a >= n ->
-              bad := Some (Printf.sprintf "target 0x%x out of range at 0x%x" a addr)
-            | Some (Instr.Addr _) | None -> ())
-        t.code;
-      (match !bad with Some msg -> Error msg | None -> Ok ())
+    let rec check_code addr =
+      if addr >= n then Ok ()
+      else match target_error t addr with Some msg -> Error msg | None -> check_code (addr + 1)
+    in
+    match check_syms 0 t.syms with Error _ as e -> e | Ok () -> check_code 0
+
+type sym_table = { starts : int array; found : sym option array }
+
+let sym_table t =
+  let syms = Array.of_list t.syms in
+  Array.stable_sort (fun a b -> Int.compare a.start b.start) syms;
+  { starts = Array.map (fun s -> s.start) syms; found = Array.map Option.some syms }
+
+let sym_in table addr =
+  (* The last symbol starting at or before [addr]. *)
+  let lo = ref 0 and hi = ref (Array.length table.starts) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if table.starts.(mid) <= addr then lo := mid + 1 else hi := mid
+  done;
+  if !lo = 0 then None
+  else
+    match table.found.(!lo - 1) with
+    | Some s as found when addr < s.start + s.len -> found
+    | _ -> None
 
 let static_instruction_count t =
   Array.fold_left (fun acc i -> if i = Instr.Nop then acc else acc + 1) 0 t.code

@@ -38,12 +38,6 @@ val append : t -> name:string -> Vp_isa.Instr.t array -> t * int
     section's start address.  The code must contain only resolved
     ([Addr]) targets. *)
 
-val append_many : t -> (string * Vp_isa.Instr.t array) list -> t * int list
-(** Append a batch of named sections in order, with a single code
-    concatenation and symbol-table extension; returns the image and
-    each section's start address.  Appending one by one with {!append}
-    is quadratic in the batch size. *)
-
 val patch : t -> (int * Vp_isa.Instr.t) list -> t
 (** Replace the instructions at the given addresses. *)
 
@@ -51,6 +45,19 @@ val validate : t -> (unit, string) result
 (** Check structural soundness: all control targets resolved and in
     range, symbols non-overlapping and covering their code, entry in
     range. *)
+
+val target_error : t -> int -> string option
+(** The {!validate} complaint about the control target of the
+    instruction at an address, if any: an unresolved label or an
+    out-of-range address. *)
+
+type sym_table
+(** Symbols sorted by start, for repeated lookups. *)
+
+val sym_table : t -> sym_table
+
+val sym_in : sym_table -> int -> sym option
+(** {!sym_at} by binary search; allocates nothing. *)
 
 val static_instruction_count : t -> int
 (** Instructions excluding [Nop] padding — the denominator of the

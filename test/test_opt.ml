@@ -928,19 +928,56 @@ let test_golden_campaign_emitted () =
   Alcotest.(check string) "campaign emitted digest" "9402a1142bb039b3d9a9c9ed72e63eee"
     (emitted_digest (Lazy.force golden_rewrites))
 
+let paper_rewrites =
+  lazy
+    (let module Registry = Vp_workloads.Registry in
+     let config = Vacuum.Config.experiment ~inference:true ~linking:true in
+     List.filter_map
+       (fun (w : Registry.t) ->
+         if w.Registry.input = "A" then
+           Some (rewrite config (Program.layout (w.Registry.program ())))
+         else None)
+       Registry.all)
+
 let test_golden_paper_emitted () =
-  let module Registry = Vp_workloads.Registry in
-  let config = Vacuum.Config.experiment ~inference:true ~linking:true in
-  let rewrites =
-    List.filter_map
-      (fun (w : Registry.t) ->
-        if w.Registry.input = "A" then
-          Some (rewrite config (Program.layout (w.Registry.program ())))
-        else None)
-      Registry.all
-  in
+  let rewrites = Lazy.force paper_rewrites in
   Alcotest.(check int) "twelve A programs" 12 (List.length rewrites);
   Alcotest.(check string) "paper-A emitted digest" "18dcb06d41f947f20121bdd9f211f52b" (emitted_digest rewrites)
+
+(* What the emitter writes, not only the packages it was handed: the
+   whole rewritten code array and symbol table, the launch patches,
+   the branch map and the appended size. *)
+let image_digest rewrites =
+  let buf = Buffer.create (1 lsl 20) in
+  List.iter
+    (fun rw ->
+      let e = rw.Driver.emitted in
+      let image = e.Vp_package.Emit.image in
+      Array.iteri
+        (fun a i -> Printf.bprintf buf "%x %s\n" a (Instr.to_string i))
+        image.Vp_prog.Image.code;
+      List.iter
+        (fun (s : Vp_prog.Image.sym) ->
+          Printf.bprintf buf "sym %s %x %d\n" s.Vp_prog.Image.name s.Vp_prog.Image.start
+            s.Vp_prog.Image.len)
+        image.Vp_prog.Image.syms;
+      List.iter
+        (fun (o, t) -> Printf.bprintf buf "patch %x %x\n" o t)
+        e.Vp_package.Emit.launch_patches;
+      List.iter
+        (fun (a, pc) -> Printf.bprintf buf "br %x %x\n" a pc)
+        e.Vp_package.Emit.branch_map;
+      Printf.bprintf buf "size %d\n" e.Vp_package.Emit.package_instructions)
+    rewrites;
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let test_golden_campaign_image () =
+  Alcotest.(check string) "campaign image digest" "0232510eeaca4309f931fe9582371aa1"
+    (image_digest (Lazy.force golden_rewrites))
+
+let test_golden_paper_image () =
+  Alcotest.(check string) "paper-A image digest" "cafc9e159af02567a7d3a30a3fc2268c"
+    (image_digest (Lazy.force paper_rewrites))
 
 let () =
   Alcotest.run "vp_opt"
@@ -997,6 +1034,8 @@ let () =
                "bafaa4fe435a4df1417e8f9d32b3f8d1");
           Alcotest.test_case "campaign emitted" `Quick test_golden_campaign_emitted;
           Alcotest.test_case "paper-A emitted" `Quick test_golden_paper_emitted;
+          Alcotest.test_case "campaign image" `Quick test_golden_campaign_image;
+          Alcotest.test_case "paper-A image" `Quick test_golden_paper_image;
         ] );
       ( "sink",
         [

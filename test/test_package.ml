@@ -384,21 +384,74 @@ let test_rank_of_ratios_paper_example () =
   Alcotest.(check (float 1e-9)) "empty" 0.0 (Linking.rank_of_ratios []);
   Alcotest.(check (float 1e-9)) "single" 0.25 (Linking.rank_of_ratios [ 0.25 ])
 
+(* The emitted symbol of each package holds its blocks in package
+   order: every body verbatim, then its terminator, plus a jump wherever
+   the fall-through successor is not the next block; every transfer to
+   a block of the same package lands on that block's first word. *)
 let test_linearize_preserves_blocks () =
   let img = Program.layout (Progs.two_phase ~iters_per_phase:3000 ~repeats:3) in
-  let _, _, pkgs, _ = pipeline img in
+  let _, _, _, result = pipeline img in
+  let image = result.Emit.image in
+  Alcotest.(check bool) "packages emitted" true (result.Emit.packages <> []);
   List.iter
-    (fun p ->
-      let instrs = Emit.linearize p in
-      (* Every non-exit block's body instructions appear in the
-         stream. *)
-      let body_count =
-        List.fold_left (fun acc (b : Pkg.block) -> acc + List.length b.Pkg.body) 0
-          p.Pkg.blocks
+    (fun (p : Pkg.t) ->
+      let sym = Option.get (Image.find_sym image p.Pkg.id) in
+      let pc = ref sym.Image.start in
+      let starts = Hashtbl.create 16 and jumps = ref [] in
+      let take what ok =
+        let i = Image.fetch image !pc in
+        if not (ok i) then
+          Alcotest.failf "%s at 0x%x: expected %s, got %s" p.Pkg.id !pc what (Instr.to_string i);
+        incr pc;
+        i
       in
-      Alcotest.(check bool) "stream at least as long as bodies" true
-        (List.length instrs >= body_count))
-    pkgs
+      let to_label l i =
+        match Instr.target i with
+        | Some (Instr.Addr a) -> jumps := (l, a) :: !jumps
+        | _ -> Alcotest.failf "%s: unresolved transfer to %s" p.Pkg.id l
+      in
+      let is_jmp = function Instr.Jmp _ -> true | _ -> false in
+      let rec walk = function
+        | [] -> ()
+        | (b : Pkg.block) :: rest ->
+          Hashtbl.replace starts b.Pkg.label !pc;
+          List.iter (fun x -> ignore (take (Instr.to_string x) (( = ) x))) b.Pkg.body;
+          let fall l =
+            match rest with
+            | nxt :: _ when nxt.Pkg.label = l -> ()
+            | _ -> to_label l (take "jmp" is_jmp)
+          in
+          (match b.Pkg.term with
+          | Pkg.Fall l -> fall l
+          | Pkg.Goto l -> to_label l (take "jmp" is_jmp)
+          | Pkg.Exit_jump a ->
+            ignore (take "exit jump" (( = ) (Instr.Jmp { target = Instr.Addr a })))
+          | Pkg.Branch { cond; taken; fall = l; _ } ->
+            to_label taken
+              (take "br" (function Instr.Br { cond = c; _ } -> c = cond | _ -> false));
+            fall l
+          | Pkg.Call_orig { callee; next } ->
+            ignore (take "call" (( = ) (Instr.Call { target = Instr.Addr callee })));
+            fall next
+          | Pkg.Inlined_call { ra_value; prologue } ->
+            ignore
+              (take "la" (function
+                | Instr.La { target = Instr.Addr a; _ } -> a = ra_value
+                | _ -> false));
+            to_label prologue (take "jmp" is_jmp)
+          | Pkg.Return -> ignore (take "ret" (( = ) Instr.Ret))
+          | Pkg.Stop -> ignore (take "halt" (( = ) Instr.Halt)));
+          walk rest
+      in
+      walk p.Pkg.blocks;
+      Alcotest.(check int) (p.Pkg.id ^ " fills its symbol") (sym.Image.start + sym.Image.len) !pc;
+      List.iter
+        (fun (l, a) ->
+          match Hashtbl.find_opt starts l with
+          | Some start -> Alcotest.(check int) (p.Pkg.id ^ " transfer to " ^ l) start a
+          | None -> ())
+        !jumps)
+    result.Emit.packages
 
 let test_emit_image_validates () =
   let img = Program.layout (Progs.two_phase ~iters_per_phase:3000 ~repeats:3) in
@@ -418,36 +471,37 @@ let test_code_expansion_is_moderate () =
     (Printf.sprintf "expansion %.1f%% < 100%%" expansion)
     true (expansion < 100.0)
 
-let test_append_many_linear_time () =
-  (* Regression for the quadratic append path: growing an image by ~1k
-     package sections must stay cheap.  The old per-section [append]
-     recopied the whole code array and the whole symbol list each
-     time. *)
+(* Emission places every package in one pass over one array: growing
+   an image by 1k package sections stays cheap (appending section by
+   section once recopied the code array and symbol list each time). *)
+let test_emit_1k_packages_linear_time () =
   let img = Program.layout (Progs.sum_to_n 100) in
-  let sections =
+  let pkgs =
     List.init 1000 (fun i ->
-        (Printf.sprintf "sec%04d" i, Array.make 64 Instr.Halt))
+        let id = Printf.sprintf "pkg%04d" i in
+        {
+          Pkg.id;
+          region_id = i;
+          root = id;
+          blocks = [ mini_block (id ^ "$b") (List.init 63 (fun _ -> Instr.Nop)) Pkg.Return ];
+          entries = [];
+          sites = [];
+        })
   in
   let t0 = Sys.time () in
-  let grown, starts = Image.append_many img sections in
+  let result = Emit.emit img pkgs in
   let elapsed = Sys.time () -. t0 in
-  Alcotest.(check int) "all sections placed" 1000 (List.length starts);
-  (match Image.validate grown with
-  | Ok () -> ()
-  | Error e -> Alcotest.fail e);
+  let image = result.Emit.image in
+  Alcotest.(check int) "all sections placed" (Image.size img + (64 * 1000)) (Image.size image);
+  (match Image.validate image with Ok () -> () | Error e -> Alcotest.fail e);
   List.iteri
-    (fun i s ->
-      Alcotest.(check int)
-        (Printf.sprintf "section %d contiguous" i)
-        (Image.size img + (64 * i))
-        s)
-    starts;
-  (* Singleton batches agree with the one-at-a-time interface. *)
-  let one, start = Image.append img ~name:"solo" (Array.make 8 Instr.Halt) in
-  Alcotest.(check int) "append start" (Image.size img) start;
-  Alcotest.(check int) "append size" (Image.size img + 8) (Image.size one);
+    (fun i (p : Pkg.t) ->
+      match Image.find_sym image p.Pkg.id with
+      | Some s -> Alcotest.(check int) (p.Pkg.id ^ " contiguous") (Image.size img + (64 * i)) s.Image.start
+      | None -> Alcotest.failf "%s not emitted" p.Pkg.id)
+    pkgs;
   Alcotest.(check bool)
-    (Printf.sprintf "1000 sections appended in %.3f s" elapsed)
+    (Printf.sprintf "1000 sections emitted in %.3f s" elapsed)
     true (elapsed < 1.0)
 
 (* Eight packages sharing one root: past the exhaustive-search cap of
@@ -531,6 +585,345 @@ let test_large_group_greedy_fallback () =
       final
   | gs -> Alcotest.failf "expected one group, got %d" (List.length gs)
 
+(* The ordering search as it stood before linking ranked orderings in
+   place — list permutations, a link list and a package-id table per
+   candidate, and [copy_label] scans — copied verbatim as the oracle
+   the production search must match bit for bit. *)
+module Reference = struct
+  module Pkg = struct
+    include Pkg
+
+    let copy_label t context addr =
+      List.find_opt
+        (fun b -> (not b.is_exit) && b.context = context && b.orig_addr = addr)
+        t.blocks
+      |> Option.map (fun b -> b.label)
+  end
+
+  type link = Linking.link = {
+    from_pkg : string;
+    site : Pkg.site;
+    to_pkg : string;
+    to_label : string;
+  }
+
+  let rank_of_ratios = function
+    | [] -> 0.0
+    | r :: rest ->
+      let acc = ref r in
+      let weight = ref r in
+      List.iter
+        (fun ri ->
+          weight := !weight *. ri;
+          acc := !acc +. !weight)
+        rest;
+      !acc
+
+  (* A site with a cold direction links to the first package rightward
+     (wrapping, excluding the source) holding a copy of the cold target
+     under the identical inline context.
+
+     The ordering search re-ranks the same package set under many
+     candidate orders, so the [Pkg.copy_label] scans — the expensive,
+     order-independent part — are memoised once per group: for each
+     linkable site, [copies] records each package's copy label (indexed
+     by the package's position in the base array). *)
+  type site_memo = {
+    site : Pkg.site;
+    copies : string option array;  (* by base index; [None] at the owner *)
+  }
+
+  (* Per base package index, its linkable sites in declaration order. *)
+  let memoize_sites arr =
+    let n = Array.length arr in
+    Array.mapi
+      (fun i (p : Pkg.t) ->
+        List.filter_map
+          (fun (site : Pkg.site) ->
+            match (site.Pkg.cold_exit, site.Pkg.cold_target, site.Pkg.bias) with
+            | Some _, Some target, (Pkg.T | Pkg.F) ->
+              let copies =
+                Array.init n (fun j ->
+                    if j = i then None
+                    else Pkg.copy_label arr.(j) site.Pkg.site_context target)
+              in
+              Some { site; copies }
+            | _ -> None)
+          p.Pkg.sites)
+      arr
+
+  (* Resolve links for one candidate order ([perm] maps position to base
+     index), walking packages in candidate order so the link list is
+     identical to a direct scan of the reordered list. *)
+  let links_for_permutation arr site_memos perm =
+    let n = Array.length perm in
+    let links = ref [] in
+    Array.iteri
+      (fun posn i ->
+        List.iter
+          (fun m ->
+            let rec scan k =
+              if k >= n - 1 then ()
+              else
+                let j = perm.((posn + 1 + k) mod n) in
+                match m.copies.(j) with
+                | Some to_label ->
+                  links :=
+                    {
+                      from_pkg = arr.(i).Pkg.id;
+                      site = m.site;
+                      to_pkg = arr.(j).Pkg.id;
+                      to_label;
+                    }
+                    :: !links
+                | None -> scan (k + 1)
+            in
+            scan 0)
+          site_memos.(i))
+      perm;
+    List.rev !links
+
+  let rank_of_links arr branch_counts perm links =
+    let n = Array.length arr in
+    let incoming = Array.make n 0 in
+    let index_of_id =
+      let tbl = Hashtbl.create n in
+      Array.iteri (fun i (p : Pkg.t) -> Hashtbl.replace tbl p.Pkg.id i) arr;
+      fun id -> Hashtbl.find tbl id
+    in
+    List.iter
+      (fun l -> let j = index_of_id l.to_pkg in incoming.(j) <- incoming.(j) + 1)
+      links;
+    let ratios =
+      Array.to_list
+        (Array.map
+           (fun i ->
+             if branch_counts.(i) = 0 then 0.0
+             else float_of_int incoming.(i) /. float_of_int branch_counts.(i))
+           perm)
+    in
+    rank_of_ratios ratios
+
+  let identity_perm n = Array.init n (fun i -> i)
+
+  let links_for_ordering ordered =
+    let arr = Array.of_list ordered in
+    links_for_permutation arr (memoize_sites arr) (identity_perm (Array.length arr))
+
+  (* Index permutations, leftmost element varying slowest; the head is
+     the identity, which makes the fold below keep input order on ties. *)
+  let rec permutations = function
+    | [] -> [ [] ]
+    | l ->
+      List.concat_map
+        (fun x ->
+          let rest = List.filter (fun y -> y <> x) l in
+          List.map (fun p -> x :: p) (permutations rest))
+        l
+
+  (* Beyond the exhaustive-search cap, build the order greedily: at each
+     position try every remaining package (rest kept in input order) and
+     keep the one whose completed ordering ranks highest. *)
+  let greedy_perm eval n =
+    let chosen_rev = ref [] in
+    let remaining = ref (List.init n (fun i -> i)) in
+    for _ = 1 to n do
+      let best =
+        List.fold_left
+          (fun best cand ->
+            let perm =
+              Array.of_list
+                (List.rev_append !chosen_rev
+                   (cand :: List.filter (fun j -> j <> cand) !remaining))
+            in
+            let rank, _ = eval perm in
+            match best with
+            | Some (best_rank, _) when best_rank >= rank -> best
+            | _ -> Some (rank, cand))
+          None !remaining
+      in
+      let cand = match best with Some (_, c) -> c | None -> assert false in
+      chosen_rev := cand :: !chosen_rev;
+      remaining := List.filter (fun j -> j <> cand) !remaining
+    done;
+    Array.of_list (List.rev !chosen_rev)
+
+  let max_exhaustive = 6
+
+  let best_ordering pkgs =
+    let arr = Array.of_list pkgs in
+    let n = Array.length arr in
+    let site_memos = memoize_sites arr in
+    let branch_counts = Array.map Pkg.branch_count arr in
+    let eval perm =
+      let links = links_for_permutation arr site_memos perm in
+      (rank_of_links arr branch_counts perm links, links)
+    in
+    let greedy = n > max_exhaustive in
+    let candidates =
+      if not greedy then
+        List.map Array.of_list (permutations (List.init n (fun i -> i)))
+      else begin
+        Logs.warn (fun m ->
+            m
+              "Linking: %d packages share root %s; permutation search is capped \
+               at %d, falling back to greedy rank-based ordering"
+              n arr.(0).Pkg.root max_exhaustive);
+        [ identity_perm n; greedy_perm eval n ]
+      end
+    in
+    let scored =
+      List.map
+        (fun perm ->
+          let rank, links = eval perm in
+          (rank, perm, links))
+        candidates
+    in
+    let best_rank, best_perm, best_links =
+      List.fold_left
+        (fun (best_rank, best_perm, best_links) (rank, perm, links) ->
+          if rank > best_rank then (rank, perm, links)
+          else (best_rank, best_perm, best_links))
+        (match scored with
+        | first :: _ -> first
+        | [] -> (0.0, identity_perm n, []))
+        scored
+    in
+    ( best_rank,
+      Array.to_list (Array.map (fun i -> arr.(i)) best_perm),
+      best_links,
+      List.length candidates,
+      greedy )
+end
+
+(* A random group sharing one root: block copies drawn from few inline
+   contexts and addresses (so contexts repeat, packages share copies,
+   and one package may hold two copies of a block), exit blocks that
+   must never be link targets, sites of every bias, sites whose cold
+   target no package copies, and packages without sites (zero ratios,
+   so ties are common). *)
+let random_group rng n =
+  let pick l = List.nth l (Random.State.int rng (List.length l)) in
+  let contexts = [ []; [ 10 ]; [ 10; 20 ]; [ 30 ] ] and addrs = [ 100; 200; 300; 400 ] in
+  List.init n (fun i ->
+      let id = Printf.sprintf "pkg%d" i in
+      let blocks =
+        List.init
+          (1 + Random.State.int rng 6)
+          (fun k ->
+            mini_block ~exit_:(Random.State.int rng 5 = 0) ~orig:(pick addrs)
+              (Printf.sprintf "%s$%d" id k) [] Pkg.Return
+            |> fun b -> { b with Pkg.context = pick contexts })
+      in
+      let sites =
+        List.init (Random.State.int rng 4) (fun k ->
+            {
+              Pkg.orig_pc = 1000 + k;
+              site_context = pick contexts;
+              block_label = (List.hd blocks).Pkg.label;
+              bias = pick [ Pkg.T; Pkg.F; Pkg.U; Pkg.Neither ];
+              cold_exit = (if Random.State.int rng 6 = 0 then None else Some (id ^ "$x"));
+              cold_target =
+                (if Random.State.int rng 6 = 0 then None else Some (pick (999 :: addrs)));
+            })
+      in
+      { Pkg.id; region_id = i; root = "f"; blocks; entries = []; sites })
+
+let check_linking_parity pkgs =
+  let links_repr links =
+    List.map
+      (fun (l : Linking.link) ->
+        Printf.sprintf "%s@%x>%s:%s" l.Linking.from_pkg l.Linking.site.Pkg.orig_pc
+          l.Linking.to_pkg l.Linking.to_label)
+      links
+  in
+  let ids ps = List.map (fun (p : Pkg.t) -> p.Pkg.id) ps in
+  let rank, ordered, links, ranked, _ = Reference.best_ordering pkgs in
+  match Linking.group_packages_with_stats pkgs with
+  | [ g ], stats ->
+    Alcotest.(check (list string)) "order" (ids ordered) (ids g.Linking.ordered);
+    Alcotest.(check (list string)) "links" (links_repr links) (links_repr g.Linking.links);
+    Alcotest.(check int64) "rank bits" (Int64.bits_of_float rank)
+      (Int64.bits_of_float g.Linking.rank);
+    Alcotest.(check int) "orderings ranked" ranked stats.Linking.orderings_ranked;
+    Alcotest.(check int) "links resolved" (List.length links) stats.Linking.links_resolved;
+    Alcotest.(check (list string)) "links of the input order" (links_repr (Reference.links_for_ordering pkgs))
+      (links_repr (Linking.links_for_ordering pkgs));
+    true
+  | gs, _ -> Alcotest.failf "expected one group, got %d" (List.length gs)
+
+let prop_linking_matches_reference =
+  QCheck.Test.make ~name:"linking matches the reference search" ~count:300
+    QCheck.(pair (int_range 2 9) int)
+    (fun (n, seed) ->
+      let rng = Random.State.make [| seed |] in
+      let ratios = List.init n (fun _ -> Random.State.float rng 2.0) in
+      Alcotest.(check int64) "rank_of_ratios bits"
+        (Int64.bits_of_float (Reference.rank_of_ratios ratios))
+        (Int64.bits_of_float (Linking.rank_of_ratios ratios));
+      check_linking_parity (random_group rng n))
+
+let test_linking_parity_large_group () =
+  ignore (check_linking_parity (random_group (Random.State.make [| 63 |]) 64));
+  ignore (check_linking_parity (List.map mk_link_pkg [ 0; 2; 4; 6; 1; 3; 5; 7 ]))
+
+(* Emission errors carry the offending label, and the driver's ladder
+   walks that label back to its package (the id prefixes every label it
+   builds): exactly that package is dropped and the rest are emitted
+   and verified.  The corrupt blocks are extra exit blocks, which
+   screening lets name labels outside their package and which no site
+   links. *)
+module Driver = Vacuum.Driver
+
+let emission_fixture =
+  lazy
+    (let img = Program.layout (Progs.two_phase ~iters_per_phase:3000 ~repeats:3) in
+     let _, _, pkgs, _ = pipeline img in
+     (img, pkgs))
+
+let with_extra_exit (p : Pkg.t) ~label term =
+  let exit_block = List.find (fun (b : Pkg.block) -> b.Pkg.is_exit) p.Pkg.blocks in
+  { p with Pkg.blocks = p.Pkg.blocks @ [ { exit_block with Pkg.label; term } ] }
+
+let check_emit_error ~what ~label ~owner img pkgs =
+  (match Emit.emit img pkgs with
+  | _ -> Alcotest.failf "%s: emission succeeded" what
+  | exception Vp_util.Error.Error e ->
+    Alcotest.(check string) (what ^ ": stage") "emit" e.Vp_util.Error.stage;
+    Alcotest.(check (option string)) (what ^ ": label") (Some label) e.Vp_util.Error.label;
+    Alcotest.(check string) (what ^ ": message") (what ^ " " ^ label) e.Vp_util.Error.what);
+  let a = Driver.assemble ~original:img pkgs in
+  (match a.Driver.drops with
+  | [ { Driver.rung = Driver.Drop_package; error } ] ->
+    Alcotest.(check string) (what ^ ": dropped at") "emit" error.Vp_util.Error.stage;
+    Alcotest.(check (option string)) (what ^ ": drop label") (Some label) error.Vp_util.Error.label
+  | ds -> Alcotest.failf "%s: expected one package drop, got %d drops" what (List.length ds));
+  let ids ps = List.sort compare (List.map (fun (p : Pkg.t) -> p.Pkg.id) ps) in
+  Alcotest.(check (list string)) (what ^ ": emitted")
+    (ids (List.filter (fun (p : Pkg.t) -> p.Pkg.id <> owner) pkgs))
+    (ids a.Driver.assembled.Emit.packages);
+  Alcotest.(check bool) (what ^ ": emitted image verified") true (Vp_package.Verify.ok a.Driver.checks)
+
+let test_emit_duplicate_label () =
+  let img, pkgs = Lazy.force emission_fixture in
+  match pkgs with
+  | p :: q :: rest ->
+    let label = (List.hd p.Pkg.blocks).Pkg.label in
+    let q' = with_extra_exit q ~label (List.find (fun (b : Pkg.block) -> b.Pkg.is_exit) q.Pkg.blocks).Pkg.term in
+    Alcotest.(check int) "uncorrupted input is kept whole" 0
+      (List.length (Driver.assemble ~original:img pkgs).Driver.drops);
+    check_emit_error ~what:"duplicate label" ~label ~owner:p.Pkg.id img (p :: q' :: rest)
+  | _ -> Alcotest.fail "expected at least two packages"
+
+let test_emit_undefined_label () =
+  let img, pkgs = Lazy.force emission_fixture in
+  match pkgs with
+  | p :: rest ->
+    let label = p.Pkg.id ^ "$gone" in
+    check_emit_error ~what:"undefined label" ~label ~owner:p.Pkg.id img
+      (with_extra_exit p ~label:(p.Pkg.id ^ "$dangling") (Pkg.Goto label) :: rest)
+  | [] -> Alcotest.fail "expected packages"
+
 let prop_rewrite_equivalence_random =
   QCheck.Test.make ~name:"rewritten binaries compute identical results" ~count:10
     QCheck.(pair (int_range 500 2500) (int_range 2 4))
@@ -573,10 +966,13 @@ let () =
           Alcotest.test_case "leftmost claims launch" `Quick test_emit_leftmost_claims_launch;
           Alcotest.test_case "greedy fallback past cap" `Quick
             test_large_group_greedy_fallback;
+          QCheck_alcotest.to_alcotest prop_linking_matches_reference;
+          Alcotest.test_case "parity past 62 packages" `Quick test_linking_parity_large_group;
         ] );
       ( "emit",
         [
-          Alcotest.test_case "append 1k sections fast" `Quick
-            test_append_many_linear_time;
+          Alcotest.test_case "1k packages fast" `Quick test_emit_1k_packages_linear_time;
+          Alcotest.test_case "duplicate label" `Quick test_emit_duplicate_label;
+          Alcotest.test_case "undefined label" `Quick test_emit_undefined_label;
         ] );
     ]
