@@ -660,7 +660,7 @@ let ablation_sink workloads =
       let deleted = ref 0 in
       List.iter
         (fun p ->
-          let _, stats = Vp_opt.Sink.run p in
+          let _, stats = Vp_opt.Sink.sink p in
           sunk := !sunk + stats.Vp_opt.Sink.sunk;
           deleted := !deleted + stats.Vp_opt.Sink.deleted)
         r_plain.Vacuum.Driver.packages;

@@ -99,7 +99,7 @@ let () =
   List.iter
     (fun p ->
       Printf.printf "  %-22s %2d blocks rooted at %s\n" p.Vp_package.Pkg.id
-        (List.length p.Vp_package.Pkg.blocks)
+        (Array.length p.Vp_package.Pkg.blocks)
         p.Vp_package.Pkg.root)
     rewrite.Vacuum.Driver.packages;
 

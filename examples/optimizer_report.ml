@@ -22,28 +22,32 @@ let () =
   let pkg =
     List.fold_left
       (fun best p ->
-        if List.length p.Pkg.blocks > List.length best.Pkg.blocks then p else best)
+        if Array.length p.Pkg.blocks > Array.length best.Pkg.blocks then p else best)
       (List.hd rewrite.Vacuum.Driver.packages)
       rewrite.Vacuum.Driver.packages
   in
-  Printf.printf "package %s (%d blocks)\n\n" pkg.Pkg.id (List.length pkg.Pkg.blocks);
+  Printf.printf "package %s (%d blocks)\n\n" pkg.Pkg.id (Array.length pkg.Pkg.blocks);
 
   (* Layout: hottest chain first, exits pushed to the bottom. *)
-  let laid_out = Vp_opt.Layout_opt.run pkg in
-  let weights = Weights.compute laid_out in
+  let laid_out = Vp_opt.Layout_opt.relayout pkg in
+  let weights = Weights.weights (Weights.estimate laid_out) in
   Printf.printf "=== block layout after relayout (hot chains first, exits sink) ===\n";
-  List.iteri
-    (fun i (b : Pkg.block) ->
+  Array.iteri
+    (fun i j ->
+      let b = laid_out.Pkg.blocks.(j) in
       if i < 12 || b.Pkg.is_exit then
-        Printf.printf "  %2d. %-32s weight %10.1f%s\n" i b.Pkg.label
-          (Weights.block weights b.Pkg.label)
+        Printf.printf "  %2d. %-32s weight %10.1f%s\n" i b.Pkg.label weights.(j)
           (if b.Pkg.is_exit then "  [exit]" else ""))
-    laid_out.Pkg.blocks;
+    laid_out.Pkg.order;
 
   (* Scheduling: per-block cycle estimates before/after. *)
   Printf.printf "\n=== local schedule compaction (top blocks) ===\n";
   let interesting =
-    List.filter (fun (b : Pkg.block) -> List.length b.Pkg.body >= 4) pkg.Pkg.blocks
+    List.filter_map
+      (fun j ->
+        let b = pkg.Pkg.blocks.(j) in
+        if List.length b.Pkg.body >= 4 then Some b else None)
+      (Array.to_list pkg.Pkg.order)
   in
   List.iteri
     (fun i (b : Pkg.block) ->

@@ -38,6 +38,7 @@ let () =
   Printf.printf "\n=== linking groups (shared launch points) ===\n";
   List.iter
     (fun (g : Linking.group) ->
+      let id k = (List.nth g.Linking.ordered k).Pkg.id in
       Printf.printf "  root %-12s rank %.3f ordering [%s]\n" g.Linking.root
         g.Linking.rank
         (String.concat " -> "
@@ -45,13 +46,13 @@ let () =
       List.iter
         (fun (l : Linking.link) ->
           Printf.printf "    link: %s branch@0x%x (%s-biased) --> %s\n"
-            l.Linking.from_pkg l.Linking.site.Pkg.orig_pc
+            (id l.Linking.from_pkg) l.Linking.site.Pkg.orig_pc
             (match l.Linking.site.Pkg.bias with
             | Pkg.T -> "taken"
             | Pkg.F -> "fall-through"
             | Pkg.U -> "un"
             | Pkg.Neither -> "dead")
-            l.Linking.to_pkg)
+            (id l.Linking.to_pkg))
         g.Linking.links)
     rewrite.Vacuum.Driver.emitted.Vp_package.Emit.groups;
 

@@ -63,7 +63,7 @@ let () =
     (fun p ->
       Printf.printf "  package %-24s root=%-12s %3d blocks, %d entries\n"
         p.Vp_package.Pkg.id p.Vp_package.Pkg.root
-        (List.length p.Vp_package.Pkg.blocks)
+        (Array.length p.Vp_package.Pkg.blocks)
         (List.length p.Vp_package.Pkg.entries))
     rewrite.Vacuum.Driver.packages;
 

@@ -170,7 +170,15 @@ let config_of m =
     ~linking:(not (Spec.flag_set m "no-linking"))
 
 let workload_of m = find_workload (Option.get (Spec.value m "workload"))
-let workload_of_pos m = find_workload (List.hd (Spec.positional m))
+(* The commands with a WORKLOAD positional read exactly one: a second
+   is a usage error (exit 2), raised before the command prints
+   anything. *)
+let workload_of_pos m =
+  match Spec.positional m with
+  | [ w ] -> find_workload w
+  | _ :: extra :: _ ->
+    Vacuum.Error.failf ~stage:"cli" "one workload expected, got extra argument %s" extra
+  | [] -> Vacuum.Error.failf ~stage:"cli" "missing WORKLOAD argument"
 
 (* --- list --- *)
 
@@ -292,7 +300,7 @@ let extract_cmd =
           Printf.printf
             "package %s: root %s, %d blocks, %d entries, %d branch sites\n"
             p.Vp_package.Pkg.id p.Vp_package.Pkg.root
-            (List.length p.Vp_package.Pkg.blocks)
+            (Array.length p.Vp_package.Pkg.blocks)
             (List.length p.Vp_package.Pkg.entries)
             (Vp_package.Pkg.branch_count p))
         r.Vacuum.Driver.packages;

@@ -400,17 +400,6 @@ let assemble_parts ~config ~demote ~on_screened ~original packages =
     let transform = Vp_opt.Opt.transformer ~config:(Config.opt config) () in
     Emit.of_groups ~transform original groups
   in
-  (* The package id is a prefix of every label it emits, so a label-
-     carrying emission error can be walked back to its package. *)
-  let owner_of (pkgs : Pkg.t list) (e : Error.t) =
-    match e.Error.label with
-    | None -> None
-    | Some l ->
-      List.find_opt
-        (fun (p : Pkg.t) ->
-          p.Pkg.id = l || String.starts_with ~prefix:(p.Pkg.id ^ "$") l)
-        pkgs
-  in
   let verify emitted = Verify.check ~original emitted in
   let fallback e =
     demote Fallback_image e;
@@ -425,15 +414,16 @@ let assemble_parts ~config ~demote ~on_screened ~original packages =
       (List.length vs) first.Verify.what
   in
   let rec emit_verified pkgs budget =
-    match wrap_stage "emit" (fun () -> link_and_emit pkgs) with
-    | Result.Error e when budget <= 0 -> fallback e
-    | Result.Error e -> (
-      match owner_of pkgs e with
-      | Some p ->
-        demote Drop_package e;
-        emit_verified (List.filter (fun q -> q != p) pkgs) (budget - 1)
-      | None -> fallback e)
-    | Ok emitted ->
+    (* An emission error one package is to blame for carries it. *)
+    let attempt () =
+      try Ok (link_and_emit pkgs) with Emit.Rejected (p, e) -> Result.Error (p, e)
+    in
+    match wrap_stage "emit" attempt with
+    | Ok (Result.Error (p, e)) when budget > 0 ->
+      demote Drop_package e;
+      emit_verified (List.filter (fun q -> q != p) pkgs) (budget - 1)
+    | Ok (Result.Error (_, e)) | Result.Error e -> fallback e
+    | Ok (Ok emitted) ->
       let report =
         Span.record metrics "verify"
           ~work:(fun (r : Verify.report) -> r.Verify.checked_instructions)
@@ -528,10 +518,11 @@ let rewrite_of_profile ?(config = Config.default) source =
   in
   List.iter
     (fun (p : Pkg.t) ->
-      Counter.bump metrics "build.blocks" (List.length p.Pkg.blocks);
+      Counter.bump metrics "build.blocks" (Array.length p.Pkg.order);
       Counter.bump metrics "build.exit_blocks"
-        (List.length
-           (List.filter (fun (b : Pkg.block) -> b.Pkg.is_exit) p.Pkg.blocks)))
+        (Array.fold_left
+           (fun n (b : Pkg.block) -> if b.Pkg.is_exit then n + 1 else n)
+           0 p.Pkg.blocks))
     packages;
   let on_screened screened =
     (* A region whose every package was screened away is itself gone —

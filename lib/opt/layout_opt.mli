@@ -4,20 +4,11 @@
     the Hot-Cold-Optimization-style placement the package structure
     enables. *)
 
-val flip_branches : ?threshold:float -> Vp_package.Pkg.t -> Vp_package.Pkg.t
+val relayout : ?threshold:float -> Vp_package.Pkg.t -> Vp_package.Pkg.t
 (** Negate branch conditions whose taken probability exceeds
-    [threshold] (default 0.5) so the hot direction falls through;
-    taken probabilities are updated accordingly. *)
-
-val order_blocks : Weights.t -> Vp_package.Pkg.t -> Vp_package.Pkg.t
-(** Reorder blocks into hot chains: start from the hottest unplaced
-    block, repeatedly append the heaviest-flow unplaced successor;
-    exit blocks always sink to the end. *)
-
-val run : Vp_package.Pkg.t -> Vp_package.Pkg.t
-(** [flip_branches] followed by [order_blocks] with freshly computed
-    weights. *)
-
-val relayout : threshold:float -> Pkg_flow.t -> unit
-(** {!run} in place on an indexed package: it sets the index's block
-    order. *)
+    [threshold] (default 0.5) so the hot direction falls through,
+    updating their taken probabilities; then order the live blocks into
+    hot chains from weights estimated on the flipped package: start
+    from the hottest unplaced block (entries first), repeatedly append
+    the heaviest-flow unplaced successor; exit blocks sink to the end.
+    The input is left as it was. *)

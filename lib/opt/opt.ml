@@ -29,18 +29,15 @@ let none =
 let with_sinking = { default with sinking = true }
 
 let optimize config scheduler ~protected pkg =
-  if not (config.sinking || config.superblocks || config.layout || config.scheduling) then pkg
-  else begin
-    let idx = Pkg_flow.of_pkg pkg in
-    if config.sinking then ignore (Sink.sink idx);
-    if config.superblocks then ignore (Superblock.form ~protected idx);
-    if config.layout then Layout_opt.relayout ~threshold:config.flip_threshold idx;
-    if config.scheduling then Schedule.schedule_blocks (Lazy.force scheduler) idx;
-    Pkg_flow.to_pkg idx
-  end
+  let pkg = if config.sinking then fst (Sink.sink pkg) else pkg in
+  let pkg = if config.superblocks then fst (Superblock.form ~protected pkg) else pkg in
+  let pkg =
+    if config.layout then Layout_opt.relayout ~threshold:config.flip_threshold pkg else pkg
+  in
+  if config.scheduling then Schedule.schedule_blocks (Lazy.force scheduler) pkg else pkg
 
 let transformer ?(config = default) () =
-  optimize config (lazy (Schedule.create ~share:true))
+  optimize config (lazy (Schedule.create ~share:true ()))
 
 let transform ?(config = default) ?(protected = []) pkg =
-  optimize config (lazy (Schedule.create ~share:false)) ~protected pkg
+  optimize config (lazy (Schedule.create ~share:false ())) ~protected pkg

@@ -32,14 +32,15 @@ val with_sinking : config
 (** [default] plus exit-block sinking. *)
 
 val transform :
-  ?config:config -> ?protected:string list -> Vp_package.Pkg.t -> Vp_package.Pkg.t
-(** [protected] names blocks with predecessors outside this package
-    (cross-package link targets); superblock formation never absorbs
-    them.  The package is indexed once, every pass reads and edits that
-    index, and the result is built once at the end. *)
+  ?config:config -> ?protected:int list -> Vp_package.Pkg.t -> Vp_package.Pkg.t
+(** [protected] holds the positions of blocks with predecessors outside
+    this package (cross-package link targets); superblock formation
+    never absorbs them.  Every pass takes and returns a package; the
+    result is a new package, sharing every array no pass changed with
+    the input, which is left as it was. *)
 
 val transformer :
-  ?config:config -> unit -> protected:string list -> Vp_package.Pkg.t -> Vp_package.Pkg.t
+  ?config:config -> unit -> protected:int list -> Vp_package.Pkg.t -> Vp_package.Pkg.t
 (** [transform] for the packages of one rewrite, as
     {!Vp_package.Emit.of_groups}' hook: the packages it transforms share
     one schedule per distinct body (see {!Schedule.t}).  Make one per

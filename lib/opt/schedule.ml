@@ -463,15 +463,14 @@ let estimate_cycles ?(machine = epic_default) instrs =
     instrs;
   match instrs with [] -> 0 | _ -> !cycle + 1
 
-let create ~share = make ~share epic_default
+let create ?(machine = epic_default) ~share () = make ~share machine
 
-let schedule_blocks t (idx : Pkg_flow.t) =
-  Array.iteri (fun i alive -> if alive then idx.body.(i) <- schedule t idx.body.(i)) idx.alive
-
-let run ?(machine = epic_default) pkg =
-  let t = make ~share:false machine in
-  Pkg.map_blocks
-    (fun b ->
+let schedule_blocks t (p : Pkg.t) =
+  let blocks = Array.copy p.Pkg.blocks in
+  Array.iter
+    (fun i ->
+      let b = blocks.(i) in
       let body = schedule t b.Pkg.body in
-      if body == b.Pkg.body then b else { b with Pkg.body })
-    pkg
+      if body != b.Pkg.body then blocks.(i) <- { b with Pkg.body })
+    p.Pkg.order;
+  { p with Pkg.blocks }

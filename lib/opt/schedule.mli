@@ -36,10 +36,6 @@ val estimate_cycles : ?machine:machine -> Vp_isa.Instr.t list -> int
     body), used to report schedule compaction.  Rejects a machine as
     {!schedule_body} does. *)
 
-val run : ?machine:machine -> Vp_package.Pkg.t -> Vp_package.Pkg.t
-(** Schedule every block body of a package.  Rejects a machine as
-    {!schedule_body} does. *)
-
 type t
 (** A scheduler: the machine and, when it shares schedules, one
     schedule per distinct body summary (each instruction's registers,
@@ -47,9 +43,11 @@ type t
     reused by every later body with that summary.  A sharing scheduler
     serves one rewrite and is dropped with it. *)
 
-val create : share:bool -> t
-(** A scheduler for the default machine, as {!run} and {!schedule_body}
-    use when given none. *)
+val create : ?machine:machine -> share:bool -> unit -> t
+(** A scheduler for [machine] (default: the Table 2 machine, as
+    {!schedule_body} uses when given none).  Rejects a machine as
+    {!schedule_body} does. *)
 
-val schedule_blocks : t -> Pkg_flow.t -> unit
-(** Schedule the body of every live block in place. *)
+val schedule_blocks : t -> Vp_package.Pkg.t -> Vp_package.Pkg.t
+(** The package with the body of every live block scheduled; the input
+    is left as it was. *)

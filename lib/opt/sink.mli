@@ -21,14 +21,6 @@ type stats = {
   deleted : int;  (** fully dead instructions removed *)
 }
 
-val run : Vp_package.Pkg.t -> Vp_package.Pkg.t * stats
-
-val sink : Pkg_flow.t -> stats
-(** {!run} in place on an indexed package. *)
-
-val live_in : Vp_package.Pkg.t -> (string, int) Hashtbl.t
-(** Package-level live-in register mask per block label (bit [r] set
-    when register [r] is live, as [Vp_isa.Reg.bit]).  Exit blocks seed
-    their out-set with the recorded live registers across the exited
-    arc; returns use the calling convention's registers; halts use the
-    result register. *)
+val sink : Vp_package.Pkg.t -> Vp_package.Pkg.t * stats
+(** The package with its exit-only computations sunk and its dead ones
+    deleted; the input is left as it was. *)

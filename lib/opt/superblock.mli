@@ -15,16 +15,15 @@
       above the branch when their results are dead on the taken path —
       classic restricted speculation filling the branch's issue slots.
 
-    Blocks named in [protected] (package entries and cross-package
+    Blocks in [protected] (package entries and cross-package
     link targets, which have predecessors this pass cannot see) are
     never absorbed or shortened. *)
 
 type stats = { merged : int; hoisted : int }
 
-val run : ?protected:string list -> ?max_hoist:int -> Vp_package.Pkg.t ->
-  Vp_package.Pkg.t * stats
-(** [max_hoist] bounds instructions hoisted per branch (default 4). *)
-
-val form : protected:string list -> ?max_hoist:int -> Pkg_flow.t -> stats
-(** {!run} in place on an indexed package: absorbed blocks are marked
-    dead and owned by their absorber. *)
+val form :
+  ?protected:int list -> ?max_hoist:int -> Vp_package.Pkg.t -> Vp_package.Pkg.t * stats
+(** The package with its chains merged and its hoists made; the input
+    is left as it was.  [protected] holds block positions; absorbed
+    blocks leave the order, and their sites move to their absorber.
+    [max_hoist] bounds instructions hoisted per branch (default 4). *)

@@ -6,21 +6,26 @@ external ( .!() ) : 'a array -> int -> 'a = "%array_unsafe_get"
 external ( .!()<- ) : 'a array -> int -> 'a -> unit = "%array_unsafe_set"
 
 type t = {
-  idx : Pkg_flow.t;
+  first : int array;  (** successor position along [Pkg.first], or -1 *)
+  second : int array;  (** along [Pkg.second]: a branch's fall-through *)
   weight : float array;
-  p_first : float array;  (** transfer probability along [Pkg_flow.first] *)
-  p_second : float array;  (** along [Pkg_flow.second]: a branch's fall-through *)
+  p_first : float array;  (** transfer probability along [first] *)
+  p_second : float array;  (** along [second] *)
 }
 
-let of_index ?(iterations = 64) ?(clamp = 0.99) (idx : Pkg_flow.t) =
-  let n = Pkg_flow.size idx in
+let estimate ?(iterations = 64) ?(clamp = 0.99) (pkg : Pkg.t) =
+  let blocks = pkg.Pkg.blocks in
+  let n = Array.length blocks in
+  let alive = Pkg.live pkg in
+  let first = Array.map (fun (b : Pkg.block) -> Pkg.first b.Pkg.term) blocks in
+  let second = Array.map (fun (b : Pkg.block) -> Pkg.second b.Pkg.term) blocks in
   let p_first = Array.make n 1.0 and p_second = Array.make n 0.0 in
   for i = 0 to n - 1 do
-    match idx.term.(i) with
+    match blocks.(i).Pkg.term with
     | Pkg.Branch _ ->
       (* [min clamp (max (1.0 -. clamp) p)], with float comparisons. *)
       let p =
-        match idx.taken_prob.(i) with
+        match blocks.(i).Pkg.taken_prob with
         | Some p ->
           let lo = 1.0 -. clamp in
           let p = if lo >= p then lo else p in
@@ -36,22 +41,19 @@ let of_index ?(iterations = 64) ?(clamp = 0.99) (idx : Pkg_flow.t) =
      Goto edges. *)
   let injection = Array.make n 0.0 in
   List.iter
-    (fun (label, _) ->
-      let i = Pkg_flow.find idx label in
-      if i >= 0 && idx.alive.(i) then injection.(i) <- 1.0)
-    idx.pkg.Pkg.entries;
+    (fun (i, _) -> if i >= 0 && i < n && alive.(i) then injection.(i) <- 1.0)
+    pkg.Pkg.entries;
   (* Every block's incoming flow is summed in the same order on every
-     round: block order, then terminator order (a branch's taken edge
+     round: package order, then terminator order (a branch's taken edge
      before its fall-through).  The edges are grouped by destination in
      that order.  Edges leaving the package carry no flow. *)
   let start = Array.make (n + 1) 0 in
   let count d = if d >= 0 then start.(d + 1) <- start.(d + 1) + 1 in
-  for i = 0 to n - 1 do
-    if idx.alive.(i) then begin
-      count idx.first.(i);
-      count idx.second.(i)
-    end
-  done;
+  Array.iter
+    (fun i ->
+      count first.(i);
+      count second.(i))
+    pkg.Pkg.order;
   for d = 1 to n do
     start.(d) <- start.(d) + start.(d - 1)
   done;
@@ -64,12 +66,11 @@ let of_index ?(iterations = 64) ?(clamp = 0.99) (idx : Pkg_flow.t) =
       next.(d) <- next.(d) + 1
     end
   in
-  for i = 0 to n - 1 do
-    if idx.alive.(i) then begin
-      add i idx.first.(i) p_first.(i);
-      add i idx.second.(i) p_second.(i)
-    end
-  done;
+  Array.iter
+    (fun i ->
+      add i first.(i) p_first.(i);
+      add i second.(i) p_second.(i))
+    pkg.Pkg.order;
   (* A sink — a block no flow leaves — feeds no other block, so only the
      last round computes it, from the weights of the round before, as
      every round reads them.  The blocks flow leaves are grouped by
@@ -77,7 +78,7 @@ let of_index ?(iterations = 64) ?(clamp = 0.99) (idx : Pkg_flow.t) =
      edges run without an inner loop, from flat arrays of their edges.
      Starting from 0.0 and adding non-negative terms, a block's incoming
      flow is exactly [t1] for one edge and [t1 +. t2] for two. *)
-  let feeds i = idx.alive.(i) && (idx.first.(i) >= 0 || idx.second.(i) >= 0) in
+  let feeds i = alive.(i) && (first.(i) >= 0 || second.(i) >= 0) in
   let degree i = start.(i + 1) - start.(i) in
   let ones = ref 0 and twos = ref 0 and others = ref 0 in
   for i = 0 to n - 1 do
@@ -154,7 +155,7 @@ let of_index ?(iterations = 64) ?(clamp = 0.99) (idx : Pkg_flow.t) =
   if iterations > 0 then begin
     let o = !old in
     for d = 0 to n - 1 do
-      if idx.alive.(d) then begin
+      if alive.(d) then begin
         let acc = ref 0.0 in
         for e = start.(d) to start.(d + 1) - 1 do
           acc := !acc +. (o.(src.(e)) *. prob.(e))
@@ -163,9 +164,7 @@ let of_index ?(iterations = 64) ?(clamp = 0.99) (idx : Pkg_flow.t) =
       end
     done
   end;
-  { idx; weight; p_first; p_second }
-
-let compute ?iterations ?clamp pkg = of_index ?iterations ?clamp (Pkg_flow.of_pkg pkg)
+  { first; second; weight; p_first; p_second }
 
 let weights t = t.weight
 
@@ -173,32 +172,6 @@ let weights t = t.weight
    whose two directions name the same block reports the fall-through
    share. *)
 let arc_at t i j =
-  if t.idx.second.(i) = j then t.weight.(i) *. t.p_second.(i)
-  else if t.idx.first.(i) = j then t.weight.(i) *. t.p_first.(i)
+  if t.second.(i) = j then t.weight.(i) *. t.p_second.(i)
+  else if t.first.(i) = j then t.weight.(i) *. t.p_first.(i)
   else 0.0
-
-let live_block t label =
-  let i = Pkg_flow.find t.idx label in
-  if i >= 0 && t.idx.alive.(i) then i else -1
-
-let block t label =
-  let i = live_block t label in
-  if i >= 0 then t.weight.(i) else 0.0
-
-let arc t src dst =
-  let i = live_block t src in
-  if i < 0 then 0.0
-  else
-    let via l p = if String.equal l dst then t.weight.(i) *. p else 0.0 in
-    match t.idx.term.(i) with
-    | Pkg.Fall l | Pkg.Goto l | Pkg.Call_orig { next = l; _ } | Pkg.Inlined_call { prologue = l; _ }
-      ->
-      via l t.p_first.(i)
-    | Pkg.Branch { taken; fall; _ } ->
-      if String.equal fall dst then via fall t.p_second.(i) else via taken t.p_first.(i)
-    | Pkg.Return | Pkg.Exit_jump _ | Pkg.Stop -> 0.0
-
-let hottest_first t (pkg : Pkg.t) =
-  List.map (fun (b : Pkg.block) -> (block t b.Pkg.label, b)) pkg.Pkg.blocks
-  |> List.stable_sort (fun (wa, _) (wb, _) -> Float.compare wb wa)
-  |> List.map snd

@@ -8,28 +8,16 @@
 
 type t
 
-val compute : ?iterations:int -> ?clamp:float -> Vp_package.Pkg.t -> t
-(** Defaults: 64 iterations, clamp 0.99.  A round whose weights repeat
-    the previous round's bit for bit is a fixed point: the iteration
-    stops there, with the weights every later round would give. *)
-
-val of_index : ?iterations:int -> ?clamp:float -> Pkg_flow.t -> t
-(** {!compute} over the live blocks of an indexed package. *)
+val estimate : ?iterations:int -> ?clamp:float -> Vp_package.Pkg.t -> t
+(** Weights of the package's live blocks.  Defaults: 64 iterations,
+    clamp 0.99.  A round whose weights repeat the previous round's bit
+    for bit is a fixed point: the iteration stops there, with the
+    weights every later round would give. *)
 
 val weights : t -> float array
-(** Weights by position of the index (0 for absorbed blocks); not to be
+(** Weights by block position (0 for a block in no order); not to be
     modified. *)
 
 val arc_at : t -> int -> int -> float
-(** {!arc} between positions of the index. *)
-
-val block : t -> string -> float
-(** Estimated relative execution weight of a labelled block (0 for
-    unknown labels). *)
-
-val arc : t -> string -> string -> float
-(** Estimated flow from one block to another; 0 when there is no
-    direct terminator edge. *)
-
-val hottest_first : t -> Vp_package.Pkg.t -> Vp_package.Pkg.block list
-(** The package's blocks sorted by descending weight. *)
+(** Estimated flow from one block position to another; 0 when there is
+    no direct terminator edge. *)

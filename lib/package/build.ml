@@ -3,35 +3,61 @@ module Image = Vp_prog.Image
 module Instr = Vp_isa.Instr
 module Region = Vp_region.Region
 
-(* Mutable construction state for one package. *)
+(* Copies by (context number, original address). *)
+module Copies = Hashtbl.Make (struct
+  type t = int * int
+
+  let equal ((c, a) : t) (c', a') = c = c' && a = a'
+
+  (* The table takes the low bits, where addresses differ. *)
+  let hash ((c, a) : t) = ((a * 31) + c) land max_int
+end)
+
+(* Mutable construction state for one package.  A block's position is
+   its number in order of first mention — as a transfer's target or as
+   it is made — from one table keyed on (context, address); an exit
+   block is numbered as it is made.  The order is the copy order. *)
 type state = {
   pkg_id : string;
   region : Region.t;
   roots : Roots.t;
-  mutable blocks_rev : Pkg.block list;
+  contexts : (Pkg.context, int * string) Hashtbl.t;
+  copies : int Copies.t;
+  mutable made : (int * Pkg.block) list;  (* position and block, newest first *)
   mutable sites_rev : Pkg.site list;
-  contexts : (Pkg.context, string) Hashtbl.t;
-  mutable next_ctx : int;
+  mutable next_position : int;
   mutable next_exit : int;
 }
 
-(* The label prefix ["<pkg_id>$c<n>$"] of a calling context, [n]
-   numbering contexts in order of first use. *)
-let ctx_prefix st ctx =
+(* A calling context's number and label prefix ["<pkg_id>$c<n>$"],
+   [n] numbering contexts in order of first use. *)
+let context st ctx =
   match Hashtbl.find_opt st.contexts ctx with
-  | Some prefix -> prefix
+  | Some c -> c
   | None ->
-    let id = st.next_ctx in
-    st.next_ctx <- id + 1;
-    let prefix = st.pkg_id ^ "$c" ^ string_of_int id ^ "$" in
-    Hashtbl.replace st.contexts ctx prefix;
-    prefix
+    let id = Hashtbl.length st.contexts in
+    let c = (id, st.pkg_id ^ "$c" ^ string_of_int id ^ "$") in
+    Hashtbl.replace st.contexts ctx c;
+    c
 
-(* [Printf.sprintf "%s$c%d$%x" pkg_id ctx_id addr], without the format
-   interpreter: a label is built for every copied block and every
-   branch target, and formatting them dominated package building. *)
-let label st ctx addr =
-  let prefix = ctx_prefix st ctx in
+let fresh_position st =
+  let i = st.next_position in
+  st.next_position <- i + 1;
+  i
+
+(* The position of the copy of [addr] under a context numbered [c]. *)
+let position st (c, _) addr =
+  let key = (c, addr) in
+  match Copies.find st.copies key with
+  | i -> i
+  | exception Not_found ->
+    let i = fresh_position st in
+    Copies.replace st.copies key i;
+    i
+
+(* [Printf.sprintf "%s%x" prefix addr], without the format
+   interpreter. *)
+let label prefix addr =
   (* [%x] prints the 63-bit pattern, at most 16 digits; [lsr] matches
      it for negative values too. *)
   let digits = ref 1 in
@@ -46,31 +72,30 @@ let label st ctx addr =
   done;
   Bytes.unsafe_to_string b
 
-let fresh_exit st =
-  let n = st.next_exit in
-  st.next_exit <- n + 1;
-  st.pkg_id ^ "$x" ^ string_of_int n
-
 (* An exit block leaving the package along [arc]; carries the live
-   registers across the arc as dummy consumers for the optimizer. *)
+   registers across the arc as dummy consumers for the optimizer.
+   Returns its position and the original address it leaves to. *)
 let make_exit st view ctx (arc : Cfg.arc) =
   let cfg = Prune.cfg view in
   let target = Cfg.start cfg arc.Cfg.dst in
-  let lbl = fresh_exit st in
-  st.blocks_rev <-
-    {
-      Pkg.label = lbl;
-      orig_addr = -1;
-      context = ctx;
-      body = [];
-      term = Pkg.Exit_jump target;
-      weight = 0;
-      taken_prob = None;
-      live_out = Prune.live_across view arc;
-      is_exit = true;
-    }
-    :: st.blocks_rev;
-  (lbl, target)
+  let i = fresh_position st in
+  let n = st.next_exit in
+  st.next_exit <- n + 1;
+  st.made <-
+    ( i,
+      {
+        Pkg.label = st.pkg_id ^ "$x" ^ string_of_int n;
+        orig_addr = -1;
+        context = ctx;
+        body = [];
+        term = Pkg.Exit_jump target;
+        weight = 0;
+        taken_prob = None;
+        live_out = Prune.live_across view arc;
+        is_exit = true;
+      } )
+    :: st.made;
+  (i, target)
 
 let find_arc cfg b kind =
   List.find_opt (fun (a : Cfg.arc) -> a.Cfg.kind = kind) (Cfg.succs cfg b)
@@ -99,21 +124,24 @@ let rec copy_function st ~ctx ~path ~fname ~is_root ~ret_term =
   in
   let selected = Array.make (Cfg.num_blocks cfg) false in
   List.iter (fun b -> selected.(b) <- true) to_copy;
+  (* The context is numbered at its first use, as labels name it. *)
+  let here = lazy (context st ctx) in
+  let at addr = position st (Lazy.force here) addr in
   let internal (a : Cfg.arc) =
     selected.(a.Cfg.dst)
     && Vp_region.Temperature.is_hot (Region.arc_temp (Prune.mf view) a)
     && Vp_region.Temperature.is_hot (Region.temp (Prune.mf view) a.Cfg.dst)
   in
-  let target_label arc_opt ~fallback_exit =
-    (* Label for a control transfer along [arc_opt]: a package-internal
+  let transfer arc_opt ~fallback_exit =
+    (* Position of a control transfer along [arc_opt]: a package-internal
        copy when the arc stays inside, an exit block otherwise.
-       Returns (label, cold_target option): the cold target is the
+       Returns (position, cold_target option): the cold target is the
        original address when the direction leaves the package. *)
     match arc_opt with
-    | Some arc when internal arc -> (label st ctx (Cfg.start cfg arc.Cfg.dst), None)
+    | Some arc when internal arc -> (at (Cfg.start cfg arc.Cfg.dst), None)
     | Some arc ->
-      let lbl, target = fallback_exit arc in
-      (lbl, Some target)
+      let i, target = fallback_exit arc in
+      (i, Some target)
     | None ->
       (* A control transfer with no recovered arc (target outside the
          function): treat as an exit to nowhere; cannot happen on
@@ -137,31 +165,30 @@ let rec copy_function st ~ctx ~path ~fname ~is_root ~ret_term =
         | Some (Instr.Br { cond; src1; src2; target = Instr.Addr ta }) ->
           let taken_arc = find_arc cfg b Cfg.Taken in
           let fall_arc = find_arc cfg b Cfg.Fallthrough in
-          let taken_lbl, taken_cold = target_label taken_arc ~fallback_exit in
-          let fall_lbl, fall_cold = target_label fall_arc ~fallback_exit in
+          let taken, taken_cold = transfer taken_arc ~fallback_exit in
+          let fall, fall_cold = transfer fall_arc ~fallback_exit in
           ignore ta;
           let bias, cold_exit, cold_target =
             match (taken_cold, fall_cold) with
             | None, None -> (Pkg.U, None, None)
-            | None, Some t -> (Pkg.T, Some fall_lbl, Some t)
-            | Some t, None -> (Pkg.F, Some taken_lbl, Some t)
-            | Some t, Some _ -> (Pkg.Neither, Some taken_lbl, Some t)
+            | None, Some t -> (Pkg.T, Some fall, Some t)
+            | Some t, None -> (Pkg.F, Some taken, Some t)
+            | Some t, Some _ -> (Pkg.Neither, Some taken, Some t)
           in
           st.sites_rev <-
             {
               Pkg.orig_pc = block_end - 1;
               site_context = ctx;
-              block_label = label st ctx block_start;
+              block = at block_start;
               bias;
               cold_exit;
               cold_target;
             }
             :: st.sites_rev;
-          Pkg.Branch { cond; src1; src2; taken = taken_lbl; fall = fall_lbl }
+          Pkg.Branch { cond; src1; src2; taken; fall }
         | Some (Instr.Jmp { target = Instr.Addr _ }) ->
           let arc = find_arc cfg b Cfg.Taken in
-          let lbl, _ = target_label arc ~fallback_exit in
-          Pkg.Goto lbl
+          Pkg.Goto (fst (transfer arc ~fallback_exit))
         | Some (Instr.Call { target = Instr.Addr callee_entry }) -> (
           let call_site = block_end - 1 in
           let cont_arc = find_arc cfg b Cfg.Fallthrough in
@@ -187,8 +214,7 @@ let rec copy_function st ~ctx ~path ~fname ~is_root ~ret_term =
             let new_ctx = ctx @ [ call_site ] in
             let callee_ret_term =
               match cont_arc with
-              | Some arc when internal arc ->
-                Pkg.Goto (label st ctx (Cfg.start cfg arc.Cfg.dst))
+              | Some arc when internal arc -> Pkg.Goto (at (Cfg.start cfg arc.Cfg.dst))
               | Some _ | None ->
                 (* Cold continuation: the restored ra already points at
                    the original continuation. *)
@@ -200,20 +226,18 @@ let rec copy_function st ~ctx ~path ~fname ~is_root ~ret_term =
             Pkg.Inlined_call
               {
                 ra_value = call_site + 1;
-                prologue = label st new_ctx (Cfg.start callee_cfg (Cfg.entry callee_cfg));
+                prologue =
+                  position st (context st new_ctx) (Cfg.start callee_cfg (Cfg.entry callee_cfg));
               }
           end
           else
-            let next_lbl, _ =
+            let next =
               match cont_arc with
-              | Some arc when internal arc ->
-                (label st ctx (Cfg.start cfg arc.Cfg.dst), None)
-              | Some arc ->
-                let lbl, t = make_exit st view ctx arc in
-                (lbl, Some t)
+              | Some arc when internal arc -> at (Cfg.start cfg arc.Cfg.dst)
+              | Some arc -> fst (make_exit st view ctx arc)
               | None -> Vp_util.Error.failf ~stage:"build" "call without continuation"
             in
-            Pkg.Call_orig { callee = callee_entry; next = next_lbl })
+            Pkg.Call_orig { callee = callee_entry; next })
         | Some Instr.Ret -> ret_term
         | Some Instr.Halt -> Pkg.Stop
         | Some (Instr.Br { target = Instr.Label _; _ })
@@ -223,28 +247,55 @@ let rec copy_function st ~ctx ~path ~fname ~is_root ~ret_term =
         | Some _ | None -> (
           (* Straight-line block: fall through. *)
           match find_arc cfg b Cfg.Fallthrough with
-          | Some arc when internal arc ->
-            Pkg.Fall (label st ctx (Cfg.start cfg arc.Cfg.dst))
-          | Some arc ->
-            let lbl, _ = make_exit st view ctx arc in
-            Pkg.Goto lbl
+          | Some arc when internal arc -> Pkg.Fall (at (Cfg.start cfg arc.Cfg.dst))
+          | Some arc -> Pkg.Goto (fst (make_exit st view ctx arc))
           | None -> Vp_util.Error.failf ~stage:"build" "block without successor")
       in
       let term = mk_term () in
-      st.blocks_rev <-
-        {
-          Pkg.label = label st ctx block_start;
-          orig_addr = block_start;
-          context = ctx;
-          body;
-          term;
-          weight = Region.weight (Prune.mf view) b;
-          taken_prob = Region.taken_prob (Prune.mf view) b;
-          live_out = 0;
-          is_exit = false;
-        }
-        :: st.blocks_rev)
+      let i = at block_start in
+      st.made <-
+        ( i,
+          {
+            Pkg.label = label (snd (Lazy.force here)) block_start;
+            orig_addr = block_start;
+            context = ctx;
+            body;
+            term;
+            weight = Region.weight (Prune.mf view) b;
+            taken_prob = Region.taken_prob (Prune.mf view) b;
+            live_out = 0;
+            is_exit = false;
+          } )
+        :: st.made)
     to_copy
+
+(* The blocks by position and in copy order.  A position mentioned
+   but never made holds a placeholder in no order, so {!Pkg.validate}
+   rejects the package whose transfer names it. *)
+let place st =
+  let missing =
+    {
+      Pkg.label = st.pkg_id ^ "$missing";
+      orig_addr = -1;
+      context = [];
+      body = [];
+      term = Pkg.Stop;
+      weight = 0;
+      taken_prob = None;
+      live_out = 0;
+      is_exit = false;
+    }
+  in
+  let blocks = Array.make st.next_position missing in
+  let order = Array.make (List.length st.made) 0 in
+  List.iteri
+    (fun k (i, (b : Pkg.block)) ->
+      if blocks.(i) != missing then
+        Vp_util.Error.failf ~stage:"build" "block 0x%x copied twice" b.Pkg.orig_addr;
+      blocks.(i) <- b;
+      order.(Array.length order - 1 - k) <- i)
+    st.made;
+  (blocks, order)
 
 let build_one region roots ~prefix root =
   let st =
@@ -252,10 +303,11 @@ let build_one region roots ~prefix root =
       pkg_id = Printf.sprintf "%s$%s" prefix root;
       region;
       roots;
-      blocks_rev = [];
-      sites_rev = [];
       contexts = Hashtbl.create 8;
-      next_ctx = 0;
+      copies = Copies.create 64;
+      made = [];
+      sites_rev = [];
+      next_position = 0;
       next_exit = 0;
     }
   in
@@ -265,14 +317,16 @@ let build_one region roots ~prefix root =
   let cfg = Prune.cfg view in
   let entries =
     List.map
-      (fun b -> (label st [] (Cfg.start cfg b), Cfg.start cfg b))
+      (fun b -> (position st (context st []) (Cfg.start cfg b), Cfg.start cfg b))
       (Prune.entry_blocks view)
   in
+  let blocks, order = place st in
   {
     Pkg.id = st.pkg_id;
     region_id = (Region.snapshot region).Vp_hsd.Snapshot.id;
     root;
-    blocks = List.rev st.blocks_rev;
+    blocks;
+    order;
     entries;
     sites = List.rev st.sites_rev;
   }

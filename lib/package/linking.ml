@@ -1,8 +1,8 @@
 type link = {
-  from_pkg : string;
+  from_pkg : int;
   site : Pkg.site;
-  to_pkg : string;
-  to_label : string;
+  to_pkg : int;
+  to_block : int;
 }
 
 type group = {
@@ -25,14 +25,15 @@ let rank_of_ratios = function
    The ordering search re-ranks the same package set under many
    candidate orders, so everything order-independent is resolved once
    per group: one table keyed on (inline context, original address)
-   gives a row of each package's first copy of that block, indexed by
-   the package's position in the input order (its base index), and
+   gives a row of each package's first copy of that block (its
+   position, or -1), indexed by the package's position in the input
+   order (its base index), and
    every linkable site keeps its cold target's row.  A candidate
    order is then an int array of base indices, and ranking it reads
    the rows and one scratch count array. *)
 type memo = {
   arr : Pkg.t array;
-  sites : (Pkg.site * string option array) array array;
+  sites : (Pkg.site * int array) array array;
       (* per base index: linkable sites in declaration order, each with
          its cold target's copy row *)
   branches : int array;  (* per base index: the rank's denominator *)
@@ -42,21 +43,22 @@ type memo = {
 let memoize arr =
   let n = Array.length arr in
   let rows = Hashtbl.create 64 in
-  let copy j (b : Pkg.block) =
-    let key = (b.Pkg.context, b.Pkg.orig_addr) in
-    let row =
-      match Hashtbl.find_opt rows key with
-      | Some row -> row
-      | None ->
-        let row = Array.make n None in
-        Hashtbl.replace rows key row;
-        row
-    in
-    if row.(j) = None then row.(j) <- Some b.Pkg.label
+  let copy j k =
+    let b = arr.(j).Pkg.blocks.(k) in
+    if not b.Pkg.is_exit then begin
+      let key = (b.Pkg.context, b.Pkg.orig_addr) in
+      let row =
+        match Hashtbl.find_opt rows key with
+        | Some row -> row
+        | None ->
+          let row = Array.make n (-1) in
+          Hashtbl.replace rows key row;
+          row
+      in
+      if row.(j) < 0 then row.(j) <- k
+    end
   in
-  Array.iteri
-    (fun j (p : Pkg.t) -> List.iter (fun b -> if not b.Pkg.is_exit then copy j b) p.Pkg.blocks)
-    arr;
+  Array.iteri (fun j (p : Pkg.t) -> Array.iter (copy j) p.Pkg.order) arr;
   let linkable (s : Pkg.site) =
     match (s.Pkg.cold_exit, s.Pkg.cold_target, s.Pkg.bias) with
     | Some _, Some target, (Pkg.T | Pkg.F) ->
@@ -79,7 +81,7 @@ let rec target perm row posn k =
   if k >= n - 1 then -1
   else
     let j = Array.unsafe_get perm ((posn + 1 + k) mod n) in
-    match Array.unsafe_get row j with Some _ -> j | None -> target perm row posn (k + 1)
+    if Array.unsafe_get row j >= 0 then j else target perm row posn (k + 1)
 
 (* The rank of [perm] (Figure 7): the accumulator over ratios in
    order, with the same float operations as [rank_of_ratios].  Inlined,
@@ -114,8 +116,11 @@ let[@inline] rank m perm =
   !acc
 
 (* The links of [perm], in candidate order: positions left to right,
-   each package's sites in declaration order. *)
+   each package's sites in declaration order.  Links name packages by
+   their position in [perm]. *)
 let links_of m perm =
+  let posn_of = Array.make (Array.length perm) 0 in
+  Array.iteri (fun posn i -> posn_of.(i) <- posn) perm;
   let links = ref [] in
   for posn = Array.length perm - 1 downto 0 do
     let i = perm.(posn) in
@@ -124,14 +129,7 @@ let links_of m perm =
       let site, row = sites.(s) in
       let j = target perm row posn 0 in
       if j >= 0 then
-        links :=
-          {
-            from_pkg = m.arr.(i).Pkg.id;
-            site;
-            to_pkg = m.arr.(j).Pkg.id;
-            to_label = Option.get row.(j);
-          }
-          :: !links
+        links := { from_pkg = posn; site; to_pkg = posn_of.(j); to_block = row.(j) } :: !links
     done
   done;
   !links
@@ -253,23 +251,30 @@ let group_packages_with_stats ?(linking = true) pkgs =
 
 let group_packages ?linking pkgs = fst (group_packages_with_stats ?linking pkgs)
 
-(* Retarget the exit blocks chosen by links; a package without
-   outgoing links is returned as it is. *)
+(* Retarget the exit blocks chosen by links, the first link of an exit
+   winning, in a copy of the block array; a package without outgoing
+   links is returned as it is. *)
 let apply groups =
-  let retarget links (p : Pkg.t) =
-    match List.filter (fun l -> String.equal l.from_pkg p.Pkg.id) links with
+  let retarget ordered links posn (p : Pkg.t) =
+    match List.filter (fun l -> l.from_pkg = posn) links with
     | [] -> p
     | mine ->
-      let linked_from label l =
-        match l.site.Pkg.cold_exit with Some x -> String.equal x label | None -> false
-      in
-      Pkg.map_blocks
-        (fun b ->
-          if not b.Pkg.is_exit then b
-          else
-            match List.find_opt (linked_from b.Pkg.label) mine with
-            | Some l -> { b with Pkg.term = Pkg.Goto l.to_label }
-            | None -> b)
-        p
+      let blocks = Array.copy p.Pkg.blocks in
+      let linked = Array.make (Array.length blocks) false in
+      List.iter
+        (fun l ->
+          match l.site.Pkg.cold_exit with
+          | Some x when blocks.(x).Pkg.is_exit && not linked.(x) ->
+            linked.(x) <- true;
+            let label = ordered.(l.to_pkg).Pkg.blocks.(l.to_block).Pkg.label in
+            let term = Pkg.Link { pkg = l.to_pkg; block = l.to_block; label } in
+            blocks.(x) <- { (blocks.(x)) with Pkg.term }
+          | _ -> ())
+        mine;
+      { p with Pkg.blocks }
   in
-  List.concat_map (fun g -> List.map (retarget g.links) g.ordered) groups
+  List.concat_map
+    (fun g ->
+      let ordered = Array.of_list g.ordered in
+      List.mapi (retarget ordered g.links) g.ordered)
+    groups

@@ -12,10 +12,10 @@
     test. *)
 
 type link = {
-  from_pkg : string;
+  from_pkg : int;  (** position of the linking package in the ordering *)
   site : Pkg.site;
-  to_pkg : string;
-  to_label : string;  (** target block label in [to_pkg] *)
+  to_pkg : int;  (** position of the target package in the ordering *)
+  to_block : int;  (** target block position in [to_pkg] *)
 }
 
 type group = {
@@ -28,7 +28,8 @@ type group = {
 val rank_of_ratios : float list -> float
 
 val links_for_ordering : Pkg.t list -> link list
-(** Rightward-wrapping link resolution for one ordering. *)
+(** Rightward-wrapping link resolution for one ordering; links name
+    packages by their position in it. *)
 
 val group_packages : ?linking:bool -> Pkg.t list -> group list
 (** Group by root (insertion order preserved); with [linking] (default
@@ -51,4 +52,6 @@ val group_packages_with_stats :
 
 val apply : group list -> Pkg.t list
 (** Retarget each linked site's exit block to its cross-package
-    destination; returns all packages in emission order. *)
+    destination ({!Pkg.Link}); returns all packages in emission order.
+    A linked package is a new one sharing all but its block array with
+    its input, which is left as it was. *)

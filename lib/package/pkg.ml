@@ -3,19 +3,20 @@ module Instr = Vp_isa.Instr
 type context = int list
 
 type term =
-  | Fall of string
-  | Goto of string
+  | Fall of int
+  | Goto of int
   | Branch of {
       cond : Vp_isa.Op.cond;
       src1 : Vp_isa.Reg.t;
       src2 : Vp_isa.Reg.t;
-      taken : string;
-      fall : string;
+      taken : int;
+      fall : int;
     }
-  | Call_orig of { callee : int; next : string }
-  | Inlined_call of { ra_value : int; prologue : string }
+  | Call_orig of { callee : int; next : int }
+  | Inlined_call of { ra_value : int; prologue : int }
   | Return
   | Exit_jump of int
+  | Link of { pkg : int; block : int; label : string }
   | Stop
 
 type block = {
@@ -35,9 +36,9 @@ type bias = T | F | U | Neither
 type site = {
   orig_pc : int;
   site_context : context;
-  block_label : string;
+  block : int;
   bias : bias;
-  cold_exit : string option;
+  cold_exit : int option;
   cold_target : int option;
 }
 
@@ -45,33 +46,24 @@ type t = {
   id : string;
   region_id : int;
   root : string;
-  blocks : block list;
-  entries : (string * int) list;
+  blocks : block array;
+  order : int array;
+  entries : (int * int) list;
   sites : site list;
 }
 
-let find_block t label = List.find_opt (fun b -> b.label = label) t.blocks
+let first = function
+  | Fall j | Goto j | Call_orig { next = j; _ } | Inlined_call { prologue = j; _ }
+  | Branch { taken = j; _ } ->
+    j
+  | Return | Exit_jump _ | Link _ | Stop -> -1
 
-(* The labels of one package share its id as a prefix and differ near
-   the end, so hashing their length and last eight bytes is as good as
-   hashing all of them, and cheaper. *)
-module Labels = Hashtbl.Make (struct
-  type t = string
+let second = function Branch { fall; _ } -> fall | _ -> -1
 
-  let equal = String.equal
-
-  let hash s =
-    let n = String.length s in
-    let h = ref n in
-    for k = if n > 8 then n - 8 else 0 to n - 1 do
-      h := (!h * 31) + Char.code (String.unsafe_get s k)
-    done;
-    let h = !h * 0x5bd1e995 in
-    (h lxor (h lsr 29)) land max_int
-end)
-
-let position index label =
-  match Labels.find index label with i -> i | exception Not_found -> -1
+let live t =
+  let m = Array.make (Array.length t.blocks) false in
+  Array.iter (fun i -> m.(i) <- true) t.order;
+  m
 
 let branch_count t = List.length t.sites
 
@@ -80,64 +72,82 @@ let branch_count t = List.length t.sites
    expansion numbers are conservative. *)
 let term_size = function Inlined_call _ -> 2 | _ -> 1
 
-let block_size b = List.length b.body + term_size b.term
+let size t =
+  Array.fold_left
+    (fun acc i ->
+      let b = t.blocks.(i) in
+      acc + List.length b.body + term_size b.term)
+    0 t.order
 
-let size t = List.fold_left (fun acc b -> acc + block_size b) 0 t.blocks
-
-let map_blocks f t = { t with blocks = List.map f t.blocks }
+(* A block's label, or its position when it names no block. *)
+let name t i =
+  if i >= 0 && i < Array.length t.blocks then t.blocks.(i).label else Printf.sprintf "#%d" i
 
 exception Invalid of string
 
 let validate t =
   let fail fmt = Printf.ksprintf (fun s -> raise (Invalid s)) fmt in
-  let labels = Labels.create 64 in
-  let resolves l = if not (Labels.mem labels l) then fail "dangling target %s" l in
+  let n = Array.length t.blocks in
+  let live = Array.make n false in
+  let name = name t in
+  let check what i =
+    if i < 0 || i >= n then fail "%s %d out of range" what i
+    else if not live.(i) then fail "%s %s is not in the order" what (name i)
+  in
+  let succ b j =
+    if j < 0 || j >= n then fail "successor %d of %s out of range" j b.label
+    else if not live.(j) then fail "successor %s of %s is not in the order" (name j) b.label
+  in
   try
-    List.iter
-      (fun b ->
-        if Labels.mem labels b.label then fail "duplicate label %s" b.label;
-        Labels.replace labels b.label ())
-      t.blocks;
-    List.iter
-      (fun b ->
+    Array.iter
+      (fun i ->
+        if i < 0 || i >= n then fail "order names block %d out of range" i;
+        if live.(i) then fail "order names %s twice" (name i);
+        live.(i) <- true)
+      t.order;
+    Array.iter
+      (fun i ->
+        let b = t.blocks.(i) in
         if List.exists Instr.is_control b.body then
           fail "control instruction inside body of %s" b.label;
-        (* Linked exit blocks may point into another package. *)
-        if not b.is_exit then
-          match b.term with
-          | Fall l | Goto l | Call_orig { next = l; _ } | Inlined_call { prologue = l; _ } ->
-            resolves l
-          | Branch { taken; fall; _ } ->
-            resolves taken;
-            resolves fall
-          | Return | Exit_jump _ | Stop -> ())
-      t.blocks;
-    List.iter (fun (l, _) -> resolves l) t.entries;
+        match b.term with
+        | Fall j | Goto j | Call_orig { next = j; _ } | Inlined_call { prologue = j; _ } -> succ b j
+        | Branch { taken; fall; _ } ->
+          succ b taken;
+          succ b fall
+        | (Exit_jump _ | Link _) when not b.is_exit -> fail "%s leaves the package" b.label
+        | Return | Exit_jump _ | Link _ | Stop -> ())
+      t.order;
+    List.iter (fun (i, _) -> check "entry" i) t.entries;
     List.iter
       (fun s ->
-        resolves s.block_label;
-        Option.iter resolves s.cold_exit)
+        check "site block" s.block;
+        Option.iter (check "cold exit") s.cold_exit)
       t.sites;
     Ok ()
   with Invalid e -> Error e
 
-let pp_term fmt = function
-  | Fall l -> Format.fprintf fmt "fall %s" l
-  | Goto l -> Format.fprintf fmt "goto %s" l
-  | Branch { taken; fall; _ } -> Format.fprintf fmt "branch %s / %s" taken fall
-  | Call_orig { callee; next } -> Format.fprintf fmt "call 0x%x then %s" callee next
+let pp_term t fmt term =
+  let name = name t in
+  match term with
+  | Fall l -> Format.fprintf fmt "fall %s" (name l)
+  | Goto l -> Format.fprintf fmt "goto %s" (name l)
+  | Link { label; _ } -> Format.fprintf fmt "goto %s" label
+  | Branch { taken; fall; _ } -> Format.fprintf fmt "branch %s / %s" (name taken) (name fall)
+  | Call_orig { callee; next } -> Format.fprintf fmt "call 0x%x then %s" callee (name next)
   | Inlined_call { prologue; ra_value } ->
-    Format.fprintf fmt "inlined-call %s (ra 0x%x)" prologue ra_value
+    Format.fprintf fmt "inlined-call %s (ra 0x%x)" (name prologue) ra_value
   | Return -> Format.pp_print_string fmt "return"
   | Exit_jump a -> Format.fprintf fmt "exit 0x%x" a
   | Stop -> Format.pp_print_string fmt "stop"
 
 let pp fmt t =
   Format.fprintf fmt "@[<v>package %s (root %s, region %d)@," t.id t.root t.region_id;
-  List.iter
-    (fun b ->
+  Array.iter
+    (fun i ->
+      let b = t.blocks.(i) in
       Format.fprintf fmt "  %s%s @@%x: %d instrs, %a@," b.label
         (if b.is_exit then " [exit]" else "")
-        b.orig_addr (List.length b.body) pp_term b.term)
-    t.blocks;
+        b.orig_addr (List.length b.body) (pp_term t) b.term)
+    t.order;
   Format.fprintf fmt "@]"

@@ -4,8 +4,15 @@
     (Section 3.3): copies of hot blocks of the root function with hot
     callees partially inlined, explicit exit blocks on every path that
     leaves the hot code, and entry blocks reachable from original-code
-    launch points.  Blocks carry symbolic labels; {!Emit} linearises
-    and resolves them to image addresses.
+    launch points.
+
+    The package is a graph over block positions.  Blocks live in an
+    array and keep their position for the package's life; terminators,
+    sites and entries name blocks by position, and a linked cold exit
+    names its destination as (package, position).  [order] is the
+    emission order of the live blocks: a block another absorbed is in
+    no order.  Labels are kept only to render ({!pp}, the verifier's
+    violation text); nothing resolves them.
 
     Each block remembers its {e inline context} — the list of original
     call-site addresses from the root down to the copy — because
@@ -17,26 +24,30 @@ type context = int list
     blocks. *)
 
 type term =
-  | Fall of string  (** fall through to the labelled block *)
-  | Goto of string
+  | Fall of int  (** fall through to the block at this position *)
+  | Goto of int
   | Branch of {
       cond : Vp_isa.Op.cond;
       src1 : Vp_isa.Reg.t;
       src2 : Vp_isa.Reg.t;
-      taken : string;
-      fall : string;
+      taken : int;
+      fall : int;
     }
-  | Call_orig of { callee : int; next : string }
-      (** call original code at [callee], continue at [next] *)
-  | Inlined_call of { ra_value : int; prologue : string }
+  | Call_orig of { callee : int; next : int }
+      (** call original code at address [callee], continue at [next] *)
+  | Inlined_call of { ra_value : int; prologue : int }
       (** materialise the original continuation address into [ra] and
           jump to the inlined callee's prologue copy *)
   | Return
   | Exit_jump of int  (** leave the package to an original address *)
+  | Link of { pkg : int; block : int; label : string }
+      (** a linked cold exit: continue at position [block] of the
+          package at position [pkg] of its group's ordering; [label] is
+          that block's, to render *)
   | Stop  (** halt *)
 
 type block = {
-  label : string;
+  label : string;  (** to render only *)
   orig_addr : int;  (** original start address; -1 for synthetic blocks *)
   context : context;
   body : Vp_isa.Instr.t list;  (** straight-line, no control instructions *)
@@ -58,9 +69,9 @@ type bias = T | F | U | Neither
 type site = {
   orig_pc : int;  (** original address of the conditional branch *)
   site_context : context;
-  block_label : string;
+  block : int;  (** position of the block ending in the branch *)
   bias : bias;
-  cold_exit : string option;  (** the exit block of the cold direction *)
+  cold_exit : int option;  (** position of the cold direction's exit block *)
   cold_target : int option;  (** original address the cold direction reaches *)
 }
 
@@ -68,33 +79,41 @@ type t = {
   id : string;
   region_id : int;  (** unique hot-spot / phase id *)
   root : string;  (** root function name *)
-  blocks : block list;  (** copy order; entries first *)
-  entries : (string * int) list;  (** entry label, original address *)
+  blocks : block array;  (** by position *)
+  order : int array;
+      (** emission order of the live blocks; as built, the copy order.
+          Every pass that visits blocks one by one does so in this
+          order. *)
+  entries : (int * int) list;  (** entry position, original address *)
   sites : site list;
 }
 
-val find_block : t -> string -> block option
+val first : term -> int
+(** A terminator's first successor position: a branch's taken target,
+    the one target of other in-package transfers; -1 for none. *)
 
-module Labels : Hashtbl.S with type key = string
-(** Label tables, hashed on a label's length and last eight bytes
-    (labels of one package share its id as a prefix). *)
+val second : term -> int
+(** A branch's fall-through position; -1 for other terminators. *)
 
-val position : int Labels.t -> string -> int
-(** A label's position in a table, or -1; a hit allocates nothing. *)
+val name : t -> int -> string
+(** A block's label, or ["#<position>"] for a position that names no
+    block; to render. *)
+
+val live : t -> bool array
+(** Per position: whether the block is in the order. *)
 
 val branch_count : t -> int
 (** Conditional branch sites — the denominator of the linking rank. *)
 
 val size : t -> int
-(** Static instructions, terminators included (exit blocks count 1). *)
-
-val map_blocks : (block -> block) -> t -> t
+(** Static instructions of the live blocks, terminators included (exit
+    blocks count 1). *)
 
 val validate : t -> (unit, string) result
-(** Structural soundness: unique block labels; every internal
-    terminator target and entry label resolves to a block of this
-    package (exit blocks may also target other packages after
-    linking); bodies are straight-line; every site's block and cold
-    exit exist. *)
+(** Structural soundness: the order names each block at most once;
+    every successor of a live block, entry, site block and cold exit is
+    a live position of this package; only exit blocks leave the package
+    ([Exit_jump], [Link]); bodies are straight-line. *)
 
 val pp : Format.formatter -> t -> unit
+(** The live blocks in order, with labels. *)

@@ -62,7 +62,7 @@ let expected_claims groups =
       List.iter
         (fun (p : Pkg.t) ->
           List.iter
-            (fun (_label, orig) ->
+            (fun (_, orig) ->
               if not (Hashtbl.mem claimed orig) then
                 Hashtbl.replace claimed orig p.Pkg.id)
             p.Pkg.entries)
@@ -120,8 +120,9 @@ let check ~original (r : Emit.result) =
   let original_syms = Image.sym_table original in
   List.iter
     (fun (p : Pkg.t) ->
-      List.iter
-        (fun (b : Pkg.block) ->
+      Array.iter
+        (fun j ->
+          let b = p.Pkg.blocks.(j) in
           match b.Pkg.term with
           | Pkg.Exit_jump target ->
             incr exits;
@@ -148,7 +149,7 @@ let check ~original (r : Emit.result) =
                   push ~pkg:p.Pkg.id ~label:b.Pkg.label ~addr:target
                     "side exit does not target a block leader"))
           | _ -> ())
-        p.Pkg.blocks)
+        p.Pkg.order)
     r.Emit.packages;
 
   (* 4. Launch patches: equal to the recomputed claim set, each one a
@@ -191,44 +192,55 @@ let check ~original (r : Emit.result) =
       push ~addr "original code modified outside the launch-patch set"
   done;
 
-  (* 5. Link agreement: shared root, and each link lands on the copy
-     of the promised address under the promised inline context. *)
+  (* 5. Link agreement: shared root, and each link lands on a live
+     copy of the promised address under the promised inline context.
+     The final packages are the groups' packages in emission order. *)
   let links = ref 0 in
+  let rest = ref r.Emit.packages in
   List.iter
     (fun (g : Linking.group) ->
-      List.iter
+      let given = Array.of_list g.Linking.ordered in
+      Array.iter
         (fun (p : Pkg.t) ->
           if p.Pkg.root <> g.Linking.root then
             push ~pkg:p.Pkg.id "package root %s disagrees with group root %s"
               p.Pkg.root g.Linking.root)
-        g.Linking.ordered;
+        given;
+      let final =
+        Array.map
+          (fun _ ->
+            match !rest with
+            | p :: tl ->
+              rest := tl;
+              Some (p, Pkg.live p)
+            | [] -> None)
+          given
+      in
       List.iter
         (fun (l : Linking.link) ->
           incr links;
-          match
-            List.find_opt
-              (fun (p : Pkg.t) -> p.Pkg.id = l.Linking.to_pkg)
-              r.Emit.packages
-          with
-          | None ->
-            push ~pkg:l.Linking.from_pkg ~label:l.Linking.to_label
-              "link targets missing package %s" l.Linking.to_pkg
-          | Some dst ->
-            (match Pkg.find_block dst l.Linking.to_label with
-            | None ->
-              push ~pkg:l.Linking.to_pkg ~label:l.Linking.to_label
-                "link target block missing"
-            | Some b ->
+          let from =
+            if l.Linking.from_pkg >= 0 && l.Linking.from_pkg < Array.length given then
+              Some given.(l.Linking.from_pkg).Pkg.id
+            else None
+          in
+          let k = l.Linking.to_pkg and j = l.Linking.to_block in
+          match if k >= 0 && k < Array.length final then final.(k) else None with
+          | None -> push ?pkg:from "link targets missing package %d" k
+          | Some (dst, live) ->
+            if j < 0 || j >= Array.length live || not live.(j) then
+              push ~pkg:dst.Pkg.id ~label:(Pkg.name dst j) "link target block missing"
+            else begin
+              let b = dst.Pkg.blocks.(j) in
               let site = l.Linking.site in
               (match site.Pkg.cold_target with
               | Some cold when b.Pkg.orig_addr <> cold ->
-                push ~pkg:l.Linking.to_pkg ~label:l.Linking.to_label
-                  ~addr:b.Pkg.orig_addr
+                push ~pkg:dst.Pkg.id ~label:b.Pkg.label ~addr:b.Pkg.orig_addr
                   "link lands on 0x%x, promised 0x%x" b.Pkg.orig_addr cold
               | _ -> ());
               if b.Pkg.context <> site.Pkg.site_context then
-                push ~pkg:l.Linking.to_pkg ~label:l.Linking.to_label
-                  "link crosses inline contexts"))
+                push ~pkg:dst.Pkg.id ~label:b.Pkg.label "link crosses inline contexts"
+            end)
         g.Linking.links)
     r.Emit.groups;
 

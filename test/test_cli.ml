@@ -170,6 +170,17 @@ let test_fuzz_replay_directory () =
       (Printf.sprintf "fuzz: %s: is a directory" dir)
       (Format.asprintf "%a" Vacuum.Error.pp e)
 
+(* A command that reads one WORKLOAD refuses a second before it runs
+   or prints anything: a usage error (stage [cli], exit 2 in
+   [Vpack.main]) naming the extra argument. *)
+let test_one_workload name () =
+  match Spec.main tool [| "vpack"; name; "li"; "go" |] with
+  | code -> Alcotest.failf "%s with two workloads returned %d" name code
+  | exception Vacuum.Error.Error e ->
+    Alcotest.(check string) "stage" "cli" e.Vacuum.Error.stage;
+    Alcotest.(check string) "message" "one workload expected, got extra argument go"
+      e.Vacuum.Error.what
+
 (* ---- generated help ---- *)
 
 let test_every_command_renders_help () =
@@ -343,6 +354,12 @@ let () =
             test_serve_creates_trace_dir;
           Alcotest.test_case "fuzz replay of a directory" `Quick
             test_fuzz_replay_directory;
+          Alcotest.test_case "verify takes one workload" `Quick (test_one_workload "verify");
+          Alcotest.test_case "aggregate takes one workload" `Quick
+            (test_one_workload "aggregate");
+          Alcotest.test_case "timeline takes one workload" `Quick
+            (test_one_workload "timeline");
+          Alcotest.test_case "chaos takes one workload" `Quick (test_one_workload "chaos");
         ] );
       ( "help",
         [

@@ -200,9 +200,13 @@ let test_verifier_rejects_dropped_live_out () =
   (* Blank every exit block's dummy consumers; at least one side exit
      has live registers in this fixture, so the verifier must object. *)
   let strip (p : Pkg.t) =
-    Pkg.map_blocks
-      (fun b -> if b.Pkg.is_exit then { b with Pkg.live_out = 0 } else b)
-      p
+    {
+      p with
+      Pkg.blocks =
+        Array.map
+          (fun (b : Pkg.block) -> if b.Pkg.is_exit then { b with Pkg.live_out = 0 } else b)
+          p.Pkg.blocks;
+    }
   in
   let broken = { e with Emit.packages = List.map strip e.Emit.packages } in
   let report = Verify.check ~original:img broken in
@@ -225,12 +229,13 @@ let test_verifier_liveness_message () =
     List.concat_map
       (fun (p : Pkg.t) ->
         List.filter_map
-          (fun (b : Pkg.block) ->
+          (fun j ->
+            let b = p.Pkg.blocks.(j) in
             match b.Pkg.term with
             | Pkg.Exit_jump target when b.Pkg.live_out <> 0 ->
               Some (p.Pkg.id, b.Pkg.label, target, b.Pkg.live_out)
             | _ -> None)
-          p.Pkg.blocks)
+          (Array.to_list p.Pkg.order))
       e.Emit.packages
   in
   let pkg, label, target, live =
@@ -256,7 +261,8 @@ let test_verifier_liveness_message () =
         e with
         Emit.packages =
           List.map
-            (fun (p : Pkg.t) -> if p.Pkg.id = pkg then Pkg.map_blocks keep p else p)
+            (fun (p : Pkg.t) ->
+              if p.Pkg.id = pkg then { p with Pkg.blocks = Array.map keep p.Pkg.blocks } else p)
             e.Emit.packages;
       }
     in
@@ -363,9 +369,13 @@ let test_verifier_rejection () =
      the package's violation, not only that it was rejected. *)
   let img, r = Lazy.force rewrite_fixture in
   let strip (p : Pkg.t) =
-    Pkg.map_blocks
-      (fun b -> if b.Pkg.is_exit then { b with Pkg.live_out = 0 } else b)
-      p
+    {
+      p with
+      Pkg.blocks =
+        Array.map
+          (fun (b : Pkg.block) -> if b.Pkg.is_exit then { b with Pkg.live_out = 0 } else b)
+          p.Pkg.blocks;
+    }
   in
   let a =
     Driver.assemble ~original:img (List.map strip r.Driver.packages)

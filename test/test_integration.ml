@@ -76,13 +76,15 @@ let test_fuzz_structure () =
             Alcotest.(check bool) "entry in original range" true
               (addr < r.Vacuum.Driver.source.Vacuum.Driver.image.Image.orig_limit))
           p.Vp_package.Pkg.entries;
-        (* Sites' cold exits reference real blocks of the package. *)
+        (* Sites' cold exits name live exit blocks of the package. *)
+        let live = Vp_package.Pkg.live p in
         List.iter
           (fun (s : Vp_package.Pkg.site) ->
             match s.Vp_package.Pkg.cold_exit with
-            | Some label ->
+            | Some j ->
               Alcotest.(check bool) "cold exit exists" true
-                (Vp_package.Pkg.find_block p label <> None)
+                (j >= 0 && j < Array.length live && live.(j)
+                && p.Vp_package.Pkg.blocks.(j).Vp_package.Pkg.is_exit)
             | None -> ())
           p.Vp_package.Pkg.sites)
       r.Vacuum.Driver.packages

@@ -36,97 +36,103 @@ let block ?(orig = -1) ?(weight = 0) ?taken_prob ?(body = []) ?(exit_ = false)
     is_exit = exit_;
   }
 
-let loop_package =
+(* A package from blocks in position order, all live in that order. *)
+let package ?(id = "pkg$test") ?(entries = []) ?(sites = []) blocks =
+  let blocks = Array.of_list blocks in
   {
-    Pkg.id = "pkg$test";
+    Pkg.id;
     region_id = 0;
     root = "f";
-    blocks =
-      [
-        block "entry" ~orig:0 (Pkg.Fall "head");
-        block "head" ~orig:1 ~taken_prob:0.02
-          (Pkg.Branch
-             { cond = Op.Ge; src1 = t0; src2 = t1; taken = "exit0"; fall = "body" });
-        block "body" ~orig:2
-          ~body:[ Instr.Alu { op = Op.Add; dst = t2; src1 = t2; src2 = Instr.Reg t0 } ]
-          (Pkg.Goto "head");
-        block "exit0" ~exit_:true ~live:[ t2 ] (Pkg.Exit_jump 99);
-      ];
-    entries = [ ("entry", 0) ];
-    sites =
+    blocks;
+    order = Array.init (Array.length blocks) Fun.id;
+    entries;
+    sites;
+  }
+
+(* The live blocks in order, and one of them by label. *)
+let live_blocks (p : Pkg.t) = Array.to_list (Array.map (fun i -> p.Pkg.blocks.(i)) p.Pkg.order)
+
+let named p label = List.find (fun (b : Pkg.block) -> b.Pkg.label = label) (live_blocks p)
+
+let loop_package =
+  let entry = 0 and head = 1 and body = 2 and exit0 = 3 in
+  package ~entries:[ (entry, 0) ]
+    ~sites:
       [
         {
           Pkg.orig_pc = 1;
           site_context = [];
-          block_label = "head";
+          block = head;
           bias = Pkg.F;
-          cold_exit = Some "exit0";
+          cold_exit = Some exit0;
           cold_target = Some 99;
         };
-      ];
-  }
+      ]
+    [
+      block "entry" ~orig:0 (Pkg.Fall head);
+      block "head" ~orig:1 ~taken_prob:0.02
+        (Pkg.Branch { cond = Op.Ge; src1 = t0; src2 = t1; taken = exit0; fall = body });
+      block "body" ~orig:2
+        ~body:[ Instr.Alu { op = Op.Add; dst = t2; src1 = t2; src2 = Instr.Reg t0 } ]
+        (Pkg.Goto head);
+      block "exit0" ~exit_:true ~live:[ t2 ] (Pkg.Exit_jump 99);
+    ]
 
 let test_weights_entry_injection () =
-  let w = Weights.compute loop_package in
-  Alcotest.(check bool) "entry has weight" true (Weights.block w "entry" >= 1.0);
+  let w = Weights.weights (Weights.estimate loop_package) in
+  Alcotest.(check bool) "entry has weight" true (w.(0) >= 1.0);
   (* The loop amplifies: head weight far above entry. *)
-  Alcotest.(check bool) "loop amplified" true (Weights.block w "head" > 10.0);
-  Alcotest.(check bool) "body close to head" true
-    (Weights.block w "body" > 0.9 *. Weights.block w "head" *. 0.9)
+  Alcotest.(check bool) "loop amplified" true (w.(1) > 10.0);
+  Alcotest.(check bool) "body close to head" true (w.(2) > 0.9 *. w.(1) *. 0.9)
 
 let test_weights_arc_split () =
-  let w = Weights.compute loop_package in
-  let head = Weights.block w "head" in
-  let to_exit = Weights.arc w "head" "exit0" in
-  let to_body = Weights.arc w "head" "body" in
+  let w = Weights.estimate loop_package in
+  let head = (Weights.weights w).(1) in
+  let to_exit = Weights.arc_at w 1 3 in
+  let to_body = Weights.arc_at w 1 2 in
   Alcotest.(check (float 1e-6)) "split sums to head" head (to_exit +. to_body);
   Alcotest.(check bool) "cold exit lighter" true (to_exit < to_body)
 
+(* A block in no order — unknown to the package's flow — weighs
+   nothing, and no arc reaches it. *)
 let test_weights_unknown_label () =
-  let w = Weights.compute loop_package in
-  Alcotest.(check (float 1e-9)) "unknown is zero" 0.0 (Weights.block w "ghost")
+  let p = { loop_package with Pkg.order = [| 0; 1; 3 |] } in
+  let w = Weights.estimate p in
+  Alcotest.(check (float 1e-9)) "unknown is zero" 0.0 (Weights.weights w).(2);
+  Alcotest.(check (float 1e-9)) "no arc from it" 0.0 (Weights.arc_at w 2 1)
 
 let test_flip_branches () =
-  let biased =
-    {
-      loop_package with
-      Pkg.blocks =
-        List.map
-          (fun (b : Pkg.block) ->
-            if b.Pkg.label = "head" then { b with Pkg.taken_prob = Some 0.9 } else b)
-          loop_package.Pkg.blocks;
-    }
-  in
-  let flipped = Layout.flip_branches biased in
-  let head = Option.get (Pkg.find_block flipped "head") in
+  let blocks = Array.copy loop_package.Pkg.blocks in
+  blocks.(1) <- { (blocks.(1)) with Pkg.taken_prob = Some 0.9 };
+  let flipped = Layout.relayout { loop_package with Pkg.blocks } in
+  let head = named flipped "head" in
   (match head.Pkg.term with
   | Pkg.Branch { cond; taken; fall; _ } ->
     Alcotest.(check string) "condition negated" "lt" (Op.cond_name cond);
-    Alcotest.(check string) "taken now body" "body" taken;
-    Alcotest.(check string) "fall now exit" "exit0" fall
+    Alcotest.(check int) "taken now body" 2 taken;
+    Alcotest.(check int) "fall now exit" 3 fall
   | _ -> Alcotest.fail "head lost its branch");
   match head.Pkg.taken_prob with
   | Some p -> Alcotest.(check (float 1e-9)) "probability flipped" 0.1 p
   | None -> Alcotest.fail "taken_prob dropped"
 
 let test_flip_leaves_unbiased () =
-  let flipped = Layout.flip_branches loop_package in
-  let head = Option.get (Pkg.find_block flipped "head") in
-  match head.Pkg.term with
-  | Pkg.Branch { taken; _ } -> Alcotest.(check string) "unchanged" "exit0" taken
+  let flipped = Layout.relayout loop_package in
+  match (named flipped "head").Pkg.term with
+  | Pkg.Branch { taken; _ } -> Alcotest.(check int) "unchanged" 3 taken
   | _ -> Alcotest.fail "branch lost"
 
 let test_layout_exits_sink () =
-  let ordered = Layout.run loop_package in
-  let last = List.nth ordered.Pkg.blocks (List.length ordered.Pkg.blocks - 1) in
+  let ordered = Layout.relayout loop_package in
+  let last = ordered.Pkg.blocks.(ordered.Pkg.order.(Array.length ordered.Pkg.order - 1)) in
   Alcotest.(check bool) "exit block last" true last.Pkg.is_exit;
   (* Same blocks, just reordered. *)
-  Alcotest.(check int) "same count" (List.length loop_package.Pkg.blocks)
-    (List.length ordered.Pkg.blocks)
+  Alcotest.(check (list int)) "same blocks" [ 0; 1; 2; 3 ]
+    (List.sort compare (Array.to_list ordered.Pkg.order))
 
 let test_layout_hot_chain_adjacency () =
-  let ordered = Layout.run loop_package in
-  let labels = List.map (fun (b : Pkg.block) -> b.Pkg.label) ordered.Pkg.blocks in
+  let ordered = Layout.relayout loop_package in
+  let labels = List.map (fun (b : Pkg.block) -> b.Pkg.label) (live_blocks ordered) in
   (* After flipping (head is ft-biased already), body should directly
      follow head so the hot arc falls through. *)
   let rec adjacent = function
@@ -528,8 +534,8 @@ let test_schedule_rejects_empty_units () =
   rejects "fp" (fun () -> Schedule.estimate_cycles ~machine:{ m with fp = 0 } body);
   rejects "issue_width" (fun () ->
       Schedule.estimate_cycles ~machine:{ m with issue_width = 0 } body);
-  rejects "mem" (fun () -> Schedule.run ~machine:{ m with mem = 0 } loop_package);
-  rejects "branch" (fun () -> Schedule.run ~machine:{ m with branch = 0 } loop_package)
+  rejects "mem" (fun () -> Schedule.create ~machine:{ m with mem = 0 } ~share:false ());
+  rejects "branch" (fun () -> Schedule.create ~machine:{ m with branch = 0 } ~share:false ())
 
 (* --- exit sinking --- *)
 
@@ -538,30 +544,22 @@ module Sink = Vp_opt.Sink
 (* A block computing two values: one feeds the branch (kept), one is
    live only across the exit (sunk). *)
 let sink_package extra_body exit_live =
-  {
-    Pkg.id = "pkg$sink";
-    region_id = 0;
-    root = "f";
-    blocks =
-      [
-        block "b" ~orig:0
-          ~body:
-            (extra_body
-            @ [ Instr.Alu { op = Op.Add; dst = t3; src1 = t0; src2 = Instr.Imm 1 } ])
-          (Pkg.Branch
-             { cond = Op.Ge; src1 = t3; src2 = t0; taken = "ex"; fall = "next" });
-        block "next" ~orig:5 Pkg.Return;
-        block "ex" ~exit_:true ~live:exit_live (Pkg.Exit_jump 50);
-      ];
-    entries = [ ("b", 0) ];
-    sites = [];
-  }
+  let b = 0 and next = 1 and ex = 2 in
+  package ~id:"pkg$sink" ~entries:[ (b, 0) ]
+    [
+      block "b" ~orig:0
+        ~body:
+          (extra_body @ [ Instr.Alu { op = Op.Add; dst = t3; src1 = t0; src2 = Instr.Imm 1 } ])
+        (Pkg.Branch { cond = Op.Ge; src1 = t3; src2 = t0; taken = ex; fall = next });
+      block "next" ~orig:5 Pkg.Return;
+      block "ex" ~exit_:true ~live:exit_live (Pkg.Exit_jump 50);
+    ]
 
-let body_of p label = (Option.get (Pkg.find_block p label)).Pkg.body
+let body_of p label = (named p label).Pkg.body
 
 let test_sink_moves_exit_only_value () =
   let p = sink_package [ Instr.Li { dst = t2; imm = 42 } ] [ t2 ] in
-  let p', stats = Sink.run p in
+  let p', stats = Sink.sink p in
   Alcotest.(check int) "one sunk" 1 stats.Sink.sunk;
   Alcotest.(check int) "none deleted" 0 stats.Sink.deleted;
   Alcotest.(check int) "hot body shrank" 1 (List.length (body_of p' "b"));
@@ -575,7 +573,7 @@ let test_sink_moves_exit_only_value () =
 
 let test_sink_deletes_fully_dead () =
   let p = sink_package [ Instr.Li { dst = t2; imm = 7 } ] [] in
-  let _, stats = Sink.run p in
+  let _, stats = Sink.sink p in
   Alcotest.(check int) "deleted" 1 stats.Sink.deleted;
   Alcotest.(check int) "not sunk" 0 stats.Sink.sunk
 
@@ -588,7 +586,7 @@ let test_sink_dependency_chain () =
       ]
       [ t1 ]
   in
-  let p', stats = Sink.run p in
+  let p', stats = Sink.sink p in
   Alcotest.(check int) "both sunk" 2 stats.Sink.sunk;
   match body_of p' "ex" with
   | [ Instr.Li _; Instr.Alu _ ] -> ()
@@ -598,27 +596,14 @@ let test_sink_keeps_internally_live () =
   (* t2 is also consumed on the internal path (folded into the result
      register before a halt): it must not sink. *)
   let base = sink_package [ Instr.Li { dst = t2; imm = 9 } ] [ t2 ] in
-  let p =
+  let blocks = Array.copy base.Pkg.blocks in
+  blocks.(1) <-
     {
-      base with
-      Pkg.blocks =
-        List.map
-          (fun (b : Pkg.block) ->
-            if b.Pkg.label = "next" then
-              {
-                b with
-                Pkg.body =
-                  [
-                    Instr.Alu
-                      { op = Op.Add; dst = Reg.ret_value; src1 = t2; src2 = Instr.Imm 0 };
-                  ];
-                term = Pkg.Stop;
-              }
-            else b)
-          base.Pkg.blocks;
-    }
-  in
-  let _, stats = Sink.run p in
+      (blocks.(1)) with
+      Pkg.body = [ Instr.Alu { op = Op.Add; dst = Reg.ret_value; src1 = t2; src2 = Instr.Imm 0 } ];
+      term = Pkg.Stop;
+    };
+  let _, stats = Sink.sink { base with Pkg.blocks } in
   Alcotest.(check int) "nothing sunk" 0 stats.Sink.sunk;
   Alcotest.(check int) "nothing deleted" 0 stats.Sink.deleted
 
@@ -642,7 +627,7 @@ let test_sink_end_to_end_equivalence () =
       (Vp_phase.Phase_log.phases log)
   in
   let transform ~protected p = Opt.transform ~config:Opt.with_sinking ~protected p in
-  let result = Vp_package.Emit.emit ~transform img pkgs in
+  let result = Vp_package.Emit.of_groups ~transform img (Vp_package.Linking.group_packages pkgs) in
   let rewritten = Emulator.run_backend result.Vp_package.Emit.image in
   Alcotest.(check int) "result" orig.Emulator.result rewritten.Emulator.result;
   Alcotest.(check int) "checksum" orig.Emulator.checksum rewritten.Emulator.checksum
@@ -652,27 +637,21 @@ let test_sink_end_to_end_equivalence () =
 module Superblock = Vp_opt.Superblock
 
 let chain_package =
-  {
-    Pkg.id = "pkg$chain";
-    region_id = 0;
-    root = "f";
-    blocks =
-      [
-        block "a" ~orig:0 ~body:[ Instr.Li { dst = t0; imm = 1 } ] (Pkg.Goto "b");
-        block "b" ~orig:2 ~body:[ Instr.Li { dst = t1; imm = 2 } ] (Pkg.Fall "c");
-        block "c" ~orig:4
-          ~body:[ Instr.Alu { op = Op.Add; dst = t2; src1 = t0; src2 = Instr.Reg t1 } ]
-          Pkg.Return;
-      ];
-    entries = [ ("a", 0) ];
-    sites = [];
-  }
+  let a = 0 and b = 1 and c = 2 in
+  package ~id:"pkg$chain" ~entries:[ (a, 0) ]
+    [
+      block "a" ~orig:0 ~body:[ Instr.Li { dst = t0; imm = 1 } ] (Pkg.Goto b);
+      block "b" ~orig:2 ~body:[ Instr.Li { dst = t1; imm = 2 } ] (Pkg.Fall c);
+      block "c" ~orig:4
+        ~body:[ Instr.Alu { op = Op.Add; dst = t2; src1 = t0; src2 = Instr.Reg t1 } ]
+        Pkg.Return;
+    ]
 
 let test_superblock_merges_chain () =
-  let p, stats = Superblock.run chain_package in
+  let p, stats = Superblock.form chain_package in
   Alcotest.(check int) "two merges" 2 stats.Superblock.merged;
-  Alcotest.(check int) "single block" 1 (List.length p.Pkg.blocks);
-  let b = List.hd p.Pkg.blocks in
+  Alcotest.(check int) "single block" 1 (Array.length p.Pkg.order);
+  let b = List.hd (live_blocks p) in
   Alcotest.(check string) "entry label survives" "a" b.Pkg.label;
   Alcotest.(check int) "bodies concatenated" 3 (List.length b.Pkg.body);
   match b.Pkg.term with
@@ -680,92 +659,60 @@ let test_superblock_merges_chain () =
   | _ -> Alcotest.fail "terminator not inherited"
 
 let test_superblock_respects_protected () =
-  let p, stats = Superblock.run ~protected:[ "b" ] chain_package in
+  let p, stats = Superblock.form ~protected:[ 1 ] chain_package in
   Alcotest.(check int) "only c merged" 1 stats.Superblock.merged;
-  Alcotest.(check int) "two blocks" 2 (List.length p.Pkg.blocks)
+  Alcotest.(check int) "two blocks" 2 (Array.length p.Pkg.order)
 
 let test_superblock_no_merge_multiple_preds () =
   (* Two blocks jump to the same target: no merge. *)
   let p =
-    {
-      chain_package with
-      Pkg.blocks =
-        [
-          block "a" ~orig:0
-            (Pkg.Branch
-               { cond = Op.Eq; src1 = t0; src2 = t1; taken = "c"; fall = "b" });
-          block "b" ~orig:2 (Pkg.Goto "c");
-          block "c" ~orig:4 Pkg.Return;
-        ];
-    }
+    package ~entries:[ (0, 0) ]
+      [
+        block "a" ~orig:0 (Pkg.Branch { cond = Op.Eq; src1 = t0; src2 = t1; taken = 2; fall = 1 });
+        block "b" ~orig:2 (Pkg.Goto 2);
+        block "c" ~orig:4 Pkg.Return;
+      ]
   in
-  let _, stats = Superblock.run p in
+  let _, stats = Superblock.form p in
   Alcotest.(check int) "no merges" 0 stats.Superblock.merged
 
-let hoist_package ~taken_live =
-  (* a branches to exit (live set configurable) or falls into b, whose
-     prefix computes into t2/t3. *)
-  {
-    Pkg.id = "pkg$hoist";
-    region_id = 0;
-    root = "f";
-    blocks =
-      [
-        block "a" ~orig:0
-          ~body:[ Instr.Li { dst = t0; imm = 3 } ]
-          (Pkg.Branch
-             { cond = Op.Ge; src1 = t0; src2 = t1; taken = "ex"; fall = "b" });
-        block "b" ~orig:3
-          ~body:
-            [
-              Instr.Li { dst = t2; imm = 9 };
-              Instr.Alu { op = Op.Mul; dst = t3; src1 = t2; src2 = Instr.Imm 7 };
-              Instr.Store { src = t3; base = Reg.zero; offset = 5 };
-            ]
-          Pkg.Return;
-        block "ex" ~exit_:true ~live:taken_live (Pkg.Exit_jump 50);
-      ];
-    entries = [ ("a", 0) ];
-    sites = [];
-  }
+(* [a] branches to exit [ex] (live set configurable) or falls into [b],
+   whose prefix computes into t2/t3; [src1] is the branch's first
+   source. *)
+let hoist_package ?(src1 = t0) ~taken_live () =
+  let a = 0 and b = 1 and ex = 2 in
+  package ~id:"pkg$hoist" ~entries:[ (a, 0) ]
+    [
+      block "a" ~orig:0
+        ~body:[ Instr.Li { dst = t0; imm = 3 } ]
+        (Pkg.Branch { cond = Op.Ge; src1; src2 = t1; taken = ex; fall = b });
+      block "b" ~orig:3
+        ~body:
+          [
+            Instr.Li { dst = t2; imm = 9 };
+            Instr.Alu { op = Op.Mul; dst = t3; src1 = t2; src2 = Instr.Imm 7 };
+            Instr.Store { src = t3; base = Reg.zero; offset = 5 };
+          ]
+        Pkg.Return;
+      block "ex" ~exit_:true ~live:taken_live (Pkg.Exit_jump 50);
+    ]
 
 let test_superblock_hoists_speculatively () =
-  let p, stats = Superblock.run (hoist_package ~taken_live:[ t1 ]) in
+  let p, stats = Superblock.form (hoist_package ~taken_live:[ t1 ] ()) in
   Alcotest.(check int) "two hoisted" 2 stats.Superblock.hoisted;
-  let a = Option.get (Pkg.find_block p "a") in
-  let b = Option.get (Pkg.find_block p "b") in
-  Alcotest.(check int) "a grew" 3 (List.length a.Pkg.body);
+  Alcotest.(check int) "a grew" 3 (List.length (named p "a").Pkg.body);
   (* The store stays put: not pure. *)
-  Alcotest.(check int) "b keeps the store" 1 (List.length b.Pkg.body)
+  Alcotest.(check int) "b keeps the store" 1 (List.length (named p "b").Pkg.body)
 
 let test_superblock_hoist_blocked_by_taken_liveness () =
   (* t2 live on the taken path: the prefix must not be speculated. *)
-  let p, stats = Superblock.run (hoist_package ~taken_live:[ t2 ]) in
+  let p, stats = Superblock.form (hoist_package ~taken_live:[ t2 ] ()) in
   Alcotest.(check int) "nothing hoisted" 0 stats.Superblock.hoisted;
-  let a = Option.get (Pkg.find_block p "a") in
-  Alcotest.(check int) "a unchanged" 1 (List.length a.Pkg.body)
+  Alcotest.(check int) "a unchanged" 1 (List.length (named p "a").Pkg.body)
 
 let test_superblock_hoist_blocked_by_branch_sources () =
   (* The branch reads t2: a prefix defining t2 cannot move above it. *)
-  let base = hoist_package ~taken_live:[] in
-  let p =
-    {
-      base with
-      Pkg.blocks =
-        List.map
-          (fun (b : Pkg.block) ->
-            if b.Pkg.label = "a" then
-              {
-                b with
-                Pkg.term =
-                  Pkg.Branch
-                    { cond = Op.Ge; src1 = t2; src2 = t1; taken = "ex"; fall = "b" };
-              }
-            else b)
-          base.Pkg.blocks;
-    }
-  in
-  let _, stats = Superblock.run p in
+  let _, stats = Superblock.form (hoist_package ~src1:t2 ~taken_live:[] ()) in
   Alcotest.(check int) "t2 def not hoisted" 0 stats.Superblock.hoisted
 
 let test_opt_transform_end_to_end_equivalence () =
@@ -785,7 +732,7 @@ let test_opt_transform_end_to_end_equivalence () =
         (Vp_phase.Phase_log.phases log)
     in
     let transform ~protected p = Opt.transform ~config:opt_config ~protected p in
-    let result = Vp_package.Emit.emit ~transform img pkgs in
+    let result = Vp_package.Emit.of_groups ~transform img (Vp_package.Linking.group_packages pkgs) in
     (o, Emulator.run_backend result.Vp_package.Emit.image)
   in
   let orig, optimized = with_config Opt.default in
@@ -794,35 +741,25 @@ let test_opt_transform_end_to_end_equivalence () =
   Alcotest.(check int) "optimized checksum" orig.Emulator.checksum optimized.Emulator.checksum;
   Alcotest.(check int) "plain checksum" orig.Emulator.checksum plain.Emulator.checksum
 
-let site label pc =
-  {
-    Pkg.orig_pc = pc;
-    site_context = [];
-    block_label = label;
-    bias = Pkg.U;
-    cold_exit = None;
-    cold_target = None;
-  }
+let site block pc =
+  { Pkg.orig_pc = pc; site_context = []; block; bias = Pkg.U; cold_exit = None; cold_target = None }
 
-(* Chain merging when the absorbed block precedes its absorber in list
-   order: [b] first absorbs [c], then the entry [a] absorbs the merged
-   [b].  Sites on either absorbed block resolve to [a]. *)
+(* Chain merging when the absorbed block precedes its absorber in
+   package order: [b] first absorbs [c], then the entry [a] absorbs the
+   merged [b].  Sites on either absorbed block move to [a]. *)
 let test_superblock_absorbed_before_absorber () =
+  let b = 0 and c = 1 and a = 2 in
   let p =
-    {
-      chain_package with
-      Pkg.blocks =
-        [
-          block "b" ~orig:2 ~weight:7 ~body:[ Instr.Li { dst = t1; imm = 2 } ] (Pkg.Fall "c");
-          block "c" ~orig:4 ~weight:3 ~body:[ Instr.Li { dst = t2; imm = 3 } ] Pkg.Return;
-          block "a" ~orig:0 ~weight:5 ~body:[ Instr.Li { dst = t0; imm = 1 } ] (Pkg.Goto "b");
-        ];
-      sites = [ site "c" 4; site "b" 2 ];
-    }
+    package ~entries:[ (a, 0) ] ~sites:[ site c 4; site b 2 ]
+      [
+        block "b" ~orig:2 ~weight:7 ~body:[ Instr.Li { dst = t1; imm = 2 } ] (Pkg.Fall c);
+        block "c" ~orig:4 ~weight:3 ~body:[ Instr.Li { dst = t2; imm = 3 } ] Pkg.Return;
+        block "a" ~orig:0 ~weight:5 ~body:[ Instr.Li { dst = t0; imm = 1 } ] (Pkg.Goto b);
+      ]
   in
-  let p', stats = Superblock.run p in
+  let p', stats = Superblock.form p in
   Alcotest.(check int) "two merges" 2 stats.Superblock.merged;
-  (match p'.Pkg.blocks with
+  (match live_blocks p' with
   | [ b ] ->
     Alcotest.(check string) "absorber survives" "a" b.Pkg.label;
     Alcotest.(check (list string)) "bodies in chain order"
@@ -831,32 +768,30 @@ let test_superblock_absorbed_before_absorber () =
     Alcotest.(check int) "max weight" 7 b.Pkg.weight;
     Alcotest.(check bool) "terminator inherited" true (b.Pkg.term = Pkg.Return)
   | bs -> Alcotest.failf "expected one block, got %d" (List.length bs));
-  Alcotest.(check (list string)) "sites resolve to the absorber" [ "a"; "a" ]
-    (List.map (fun (s : Pkg.site) -> s.Pkg.block_label) p'.Pkg.sites)
+  Alcotest.(check (list int)) "sites resolve to the absorber" [ a; a ]
+    (List.map (fun (s : Pkg.site) -> s.Pkg.block) p'.Pkg.sites)
 
 (* A 200-block fall-through chain collapses into its head: 199 merges,
    bodies in order, every site resolves to the surviving head. *)
 let test_superblock_long_chain () =
   let n = 200 in
-  let label i = Printf.sprintf "c%d" i in
   let blocks =
     List.init n (fun i ->
-        block (label i) ~orig:(4 * i)
+        block (Printf.sprintf "c%d" i) ~orig:(4 * i)
           ~body:[ Instr.Li { dst = t0; imm = i } ]
-          (if i = n - 1 then Pkg.Return else Pkg.Fall (label (i + 1))))
+          (if i = n - 1 then Pkg.Return else Pkg.Fall (i + 1)))
   in
-  let sites = List.init n (fun i -> site (label i) (4 * i)) in
-  let p = { chain_package with Pkg.blocks; entries = [ ("c0", 0) ]; sites } in
-  let p', stats = Superblock.run p in
+  let sites = List.init n (fun i -> site i (4 * i)) in
+  let p', stats = Superblock.form (package ~entries:[ (0, 0) ] ~sites blocks) in
   Alcotest.(check int) "199 merges" (n - 1) stats.Superblock.merged;
-  (match p'.Pkg.blocks with
+  (match live_blocks p' with
   | [ b ] ->
     Alcotest.(check string) "head survives" "c0" b.Pkg.label;
     Alcotest.(check (list int)) "bodies in chain order" (List.init n Fun.id)
       (List.map (function Instr.Li { imm; _ } -> imm | _ -> -1) b.Pkg.body)
   | bs -> Alcotest.failf "expected one block, got %d" (List.length bs));
   List.iter
-    (fun (s : Pkg.site) -> Alcotest.(check string) "site resolves" "c0" s.Pkg.block_label)
+    (fun (s : Pkg.site) -> Alcotest.(check int) "site resolves" 0 s.Pkg.block)
     p'.Pkg.sites
 
 (* --- golden byte-identity --- *)
@@ -899,9 +834,10 @@ let render_package buf (p : Pkg.t) =
         Printf.bprintf buf "  cond %s %s\n" (Op.cond_name cond) (regs [ src1; src2 ])
       | _ -> ());
       List.iter (fun i -> Printf.bprintf buf "  %s\n" (Instr.to_string i)) b.Pkg.body)
-    p.Pkg.blocks;
+    (live_blocks p);
   List.iter
-    (fun (s : Pkg.site) -> Printf.bprintf buf "site %x %s\n" s.Pkg.orig_pc s.Pkg.block_label)
+    (fun (s : Pkg.site) ->
+      Printf.bprintf buf "site %x %s\n" s.Pkg.orig_pc p.Pkg.blocks.(s.Pkg.block).Pkg.label)
     p.Pkg.sites
 
 let golden_digest config =
@@ -979,6 +915,54 @@ let test_golden_paper_image () =
   Alcotest.(check string) "paper-A image digest" "cafc9e159af02567a7d3a30a3fc2268c"
     (image_digest (Lazy.force paper_rewrites))
 
+(* After a drop, [Driver.assemble] emits the surviving packages again,
+   and a rewrite keeps its packages as they were before the transform:
+   linking and the transform return new packages and leave their inputs
+   as they were.  The inputs are built afresh from each rewrite's
+   regions, so nothing but the calls below has touched them; a rewrite
+   without demotions keeps exactly those packages. *)
+let test_transform_leaves_input () =
+  let render p =
+    let buf = Buffer.create 4096 in
+    render_package buf p;
+    Buffer.contents buf
+  in
+  let config = Vacuum.Config.opt Campaign.default_config in
+  List.iter
+    (fun rw ->
+      let pkgs =
+        List.concat_map
+          (fun (info : Driver.region_info) ->
+            Vp_package.Build.build info.Driver.region
+              ~prefix:(Printf.sprintf "pkg$p%d" info.Driver.phase.Vp_phase.Phase_log.id))
+          rw.Driver.regions
+      in
+      let before = List.map render pkgs in
+      if rw.Driver.demotions = [] then
+        Alcotest.(check (list string)) "rewrite keeps its packages" before
+          (List.map render rw.Driver.packages);
+      let transform = Opt.transformer ~config () in
+      List.iter
+        (fun (g : Vp_package.Linking.group) ->
+          let linked = Vp_package.Linking.apply [ g ] in
+          let applied = List.map render linked in
+          List.iteri
+            (fun k p ->
+              let protected =
+                List.filter_map
+                  (fun (l : Vp_package.Linking.link) ->
+                    if l.Vp_package.Linking.to_pkg = k then Some l.Vp_package.Linking.to_block
+                    else None)
+                  g.Vp_package.Linking.links
+              in
+              ignore (transform ~protected p))
+            linked;
+          List.iter (fun p -> ignore (transform ~protected:[] p)) g.Vp_package.Linking.ordered;
+          Alcotest.(check (list string)) "linked packages unchanged" applied (List.map render linked))
+        (Vp_package.Linking.group_packages pkgs);
+      Alcotest.(check (list string)) "input packages unchanged" before (List.map render pkgs))
+    (Lazy.force golden_rewrites)
+
 let () =
   Alcotest.run "vp_opt"
     [
@@ -1036,6 +1020,8 @@ let () =
           Alcotest.test_case "paper-A emitted" `Quick test_golden_paper_emitted;
           Alcotest.test_case "campaign image" `Quick test_golden_campaign_image;
           Alcotest.test_case "paper-A image" `Quick test_golden_paper_image;
+          Alcotest.test_case "transform leaves its input unchanged" `Quick
+            test_transform_leaves_input;
         ] );
       ( "sink",
         [

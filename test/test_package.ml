@@ -40,7 +40,7 @@ let pipeline ?(linking = true) ?(block_inference = true) img =
         Build.build region ~prefix:(Printf.sprintf "pkg$p%d" p.Phase_log.id))
       (Phase_log.phases log)
   in
-  let result = Emit.emit ~linking img pkgs in
+  let result = Emit.of_groups img (Linking.group_packages ~linking pkgs) in
   (original, log, pkgs, result)
 
 (* A workload with a hot recursive function under a hot loop. *)
@@ -134,14 +134,14 @@ let test_package_structure () =
     (fun p ->
       Alcotest.(check bool) (p.Pkg.id ^ " has entries") true (p.Pkg.entries <> []);
       (* Exit blocks jump back into the original code range. *)
-      List.iter
+      Array.iter
         (fun (b : Pkg.block) ->
           if b.Pkg.is_exit then
             match b.Pkg.term with
             | Pkg.Exit_jump a ->
               Alcotest.(check bool) "exit targets original range" true
                 (a < img.Image.orig_limit)
-            | Pkg.Goto _ -> ()  (* linked exit *)
+            | Pkg.Link _ -> ()
             | _ -> Alcotest.fail "exit block with non-exit terminator")
         p.Pkg.blocks)
     pkgs;
@@ -159,7 +159,7 @@ let test_partial_inlining_happens () =
   (* Some package must contain an inlined call (fact into main's
      package, or fact into itself). *)
   let has_inline p =
-    List.exists
+    Array.exists
       (fun (b : Pkg.block) ->
         match b.Pkg.term with Pkg.Inlined_call _ -> true | _ -> false)
       p.Pkg.blocks
@@ -168,7 +168,7 @@ let test_partial_inlining_happens () =
   (* And the recursion must bottom out in a call back to original
      code. *)
   let has_call_orig p =
-    List.exists
+    Array.exists
       (fun (b : Pkg.block) ->
         match b.Pkg.term with Pkg.Call_orig _ -> true | _ -> false)
       p.Pkg.blocks
@@ -242,95 +242,110 @@ let mini_block ?(orig = -1) ?(exit_ = false) ?taken_prob label body term =
 let t0 = Vp_isa.Reg.of_int 8
 let t1 = Vp_isa.Reg.of_int 9
 
+(* A package of root [f] from blocks in position order, all live in
+   that order. *)
+let package ?(region_id = 0) ?(entries = []) ?(sites = []) id blocks =
+  let blocks = Array.of_list blocks in
+  {
+    Pkg.id;
+    region_id;
+    root = "f";
+    blocks;
+    order = Array.init (Array.length blocks) Fun.id;
+    entries;
+    sites;
+  }
+
+(* The one exit block of a package. *)
+let exit_of (p : Pkg.t) =
+  List.find (fun (b : Pkg.block) -> b.Pkg.is_exit) (Array.to_list p.Pkg.blocks)
+
 (* Package specialised to the fall-through direction of the branch at
    original pc 100: the taken direction (original 300) exits. *)
 let pkg_f =
-  {
-    Pkg.id = "pkgF";
-    region_id = 0;
-    root = "f";
-    blocks =
-      [
-        mini_block ~orig:99 "pkgF$b" []
-          (Pkg.Branch { cond = Op.Ge; src1 = t0; src2 = t1; taken = "pkgF$x"; fall = "pkgF$ft" });
-        mini_block ~orig:200 "pkgF$ft" [] Pkg.Return;
-        mini_block ~exit_:true "pkgF$x" [] (Pkg.Exit_jump 300);
-      ];
-    entries = [ ("pkgF$b", 99) ];
-    sites =
+  let b = 0 and ft = 1 and x = 2 in
+  package "pkgF" ~entries:[ (b, 99) ]
+    ~sites:
       [
         {
           Pkg.orig_pc = 100;
           site_context = [];
-          block_label = "pkgF$b";
+          block = b;
           bias = Pkg.F;
-          cold_exit = Some "pkgF$x";
+          cold_exit = Some x;
           cold_target = Some 300;
         };
-      ];
-  }
+      ]
+    [
+      mini_block ~orig:99 "pkgF$b" []
+        (Pkg.Branch { cond = Op.Ge; src1 = t0; src2 = t1; taken = x; fall = ft });
+      mini_block ~orig:200 "pkgF$ft" [] Pkg.Return;
+      mini_block ~exit_:true "pkgF$x" [] (Pkg.Exit_jump 300);
+    ]
 
 (* The opposite specialisation: taken internal, fall-through exits. *)
 let pkg_t =
-  {
-    Pkg.id = "pkgT";
-    region_id = 1;
-    root = "f";
-    blocks =
-      [
-        mini_block ~orig:99 "pkgT$b" []
-          (Pkg.Branch { cond = Op.Ge; src1 = t0; src2 = t1; taken = "pkgT$tk"; fall = "pkgT$x" });
-        mini_block ~orig:300 "pkgT$tk" [] Pkg.Return;
-        mini_block ~exit_:true "pkgT$x" [] (Pkg.Exit_jump 200);
-      ];
-    entries = [ ("pkgT$b", 99) ];
-    sites =
+  let b = 0 and tk = 1 and x = 2 in
+  package "pkgT" ~region_id:1 ~entries:[ (b, 99) ]
+    ~sites:
       [
         {
           Pkg.orig_pc = 100;
           site_context = [];
-          block_label = "pkgT$b";
+          block = b;
           bias = Pkg.T;
-          cold_exit = Some "pkgT$x";
+          cold_exit = Some x;
           cold_target = Some 200;
         };
-      ];
-  }
+      ]
+    [
+      mini_block ~orig:99 "pkgT$b" []
+        (Pkg.Branch { cond = Op.Ge; src1 = t0; src2 = t1; taken = tk; fall = x });
+      mini_block ~orig:300 "pkgT$tk" [] Pkg.Return;
+      mini_block ~exit_:true "pkgT$x" [] (Pkg.Exit_jump 200);
+    ]
 
 let test_links_cross_specialisations () =
   let links = Linking.links_for_ordering [ pkg_f; pkg_t ] in
   Alcotest.(check int) "two links" 2 (List.length links);
   let find from = List.find (fun (l : Linking.link) -> l.Linking.from_pkg = from) links in
-  let f_to = find "pkgF" in
-  Alcotest.(check string) "F links to T's copy of 300" "pkgT" f_to.Linking.to_pkg;
-  Alcotest.(check string) "target label" "pkgT$tk" f_to.Linking.to_label;
-  let t_to = find "pkgT" in
-  Alcotest.(check string) "T links to F's copy of 200" "pkgF" t_to.Linking.to_pkg;
-  Alcotest.(check string) "target label" "pkgF$ft" t_to.Linking.to_label
+  let f_to = find 0 in
+  Alcotest.(check int) "F links to T's copy of 300" 1 f_to.Linking.to_pkg;
+  Alcotest.(check string) "target block" "pkgT$tk"
+    pkg_t.Pkg.blocks.(f_to.Linking.to_block).Pkg.label;
+  let t_to = find 1 in
+  Alcotest.(check int) "T links to F's copy of 200" 0 t_to.Linking.to_pkg;
+  Alcotest.(check string) "target block" "pkgF$ft"
+    pkg_f.Pkg.blocks.(t_to.Linking.to_block).Pkg.label
+
+(* Every exit of a linked group links into another package of it. *)
+let check_exits_linked final =
+  List.iteri
+    (fun k (p : Pkg.t) ->
+      match (exit_of p).Pkg.term with
+      | Pkg.Link { pkg; _ } ->
+        Alcotest.(check bool) (p.Pkg.id ^ " exit retargeted across packages") true (pkg <> k)
+      | _ -> Alcotest.failf "%s exit not linked" p.Pkg.id)
+    final
 
 let test_group_rank_and_apply () =
   let groups = Linking.group_packages [ pkg_f; pkg_t ] in
-  (match groups with
+  match groups with
   | [ g ] ->
     Alcotest.(check string) "single group" "f" g.Linking.root;
     (* Each package: 1 incoming link / 1 branch -> ratios 1.0, 1.0 ->
        rank 1 + 1*1 = 2. *)
     Alcotest.(check (float 1e-9)) "rank" 2.0 g.Linking.rank;
     let final = Linking.apply groups in
+    check_exits_linked final;
+    (* Applying links leaves its input as it was. *)
     List.iter
-      (fun p ->
-        let exit_block =
-          List.find (fun (b : Pkg.block) -> b.Pkg.is_exit) p.Pkg.blocks
-        in
-        match exit_block.Pkg.term with
-        | Pkg.Goto l ->
-          Alcotest.(check bool)
-            (p.Pkg.id ^ " exit retargeted across packages")
-            true
-            (String.length l > 4 && String.sub l 0 4 <> String.sub p.Pkg.id 0 4)
-        | _ -> Alcotest.failf "%s exit not linked" p.Pkg.id)
-      final
-  | _ -> Alcotest.fail "expected one group")
+      (fun (p : Pkg.t) ->
+        match (exit_of p).Pkg.term with
+        | Pkg.Exit_jump _ -> ()
+        | _ -> Alcotest.failf "%s input retargeted" p.Pkg.id)
+      g.Linking.ordered
+  | _ -> Alcotest.fail "expected one group"
 
 let test_no_linking_keeps_exits () =
   let groups = Linking.group_packages ~linking:false [ pkg_f; pkg_t ] in
@@ -340,8 +355,7 @@ let test_no_linking_keeps_exits () =
   let final = Linking.apply groups in
   List.iter
     (fun p ->
-      let exit_block = List.find (fun (b : Pkg.block) -> b.Pkg.is_exit) p.Pkg.blocks in
-      match exit_block.Pkg.term with
+      match (exit_of p).Pkg.term with
       | Pkg.Exit_jump _ -> ()
       | _ -> Alcotest.fail "exit disturbed without linking")
     final
@@ -358,7 +372,7 @@ let test_emit_leftmost_claims_launch () =
       p with
       Pkg.entries = [ (fst (List.hd p.Pkg.entries), addr) ];
       blocks =
-        List.map
+        Array.map
           (fun (b : Pkg.block) ->
             match b.Pkg.term with
             | Pkg.Exit_jump _ -> { b with Pkg.term = Pkg.Exit_jump 0 }
@@ -366,7 +380,7 @@ let test_emit_leftmost_claims_launch () =
           p.Pkg.blocks;
     }
   in
-  let result = Emit.emit img [ retarget pkg_f; retarget pkg_t ] in
+  let result = Emit.of_groups img (Linking.group_packages [ retarget pkg_f; retarget pkg_t ]) in
   (match result.Emit.launch_patches with
   | [ (orig, target) ] ->
     Alcotest.(check int) "patched at shared entry" addr orig;
@@ -384,10 +398,10 @@ let test_rank_of_ratios_paper_example () =
   Alcotest.(check (float 1e-9)) "empty" 0.0 (Linking.rank_of_ratios []);
   Alcotest.(check (float 1e-9)) "single" 0.25 (Linking.rank_of_ratios [ 0.25 ])
 
-(* The emitted symbol of each package holds its blocks in package
-   order: every body verbatim, then its terminator, plus a jump wherever
-   the fall-through successor is not the next block; every transfer to
-   a block of the same package lands on that block's first word. *)
+(* The emitted symbol of each package holds its blocks in its order:
+   every body verbatim, then its terminator, plus a jump wherever the
+   fall-through successor is not the next block; every transfer to a
+   block of the same package lands on that block's first word. *)
 let test_linearize_preserves_blocks () =
   let img = Program.layout (Progs.two_phase ~iters_per_phase:3000 ~repeats:3) in
   let _, _, _, result = pipeline img in
@@ -397,7 +411,7 @@ let test_linearize_preserves_blocks () =
     (fun (p : Pkg.t) ->
       let sym = Option.get (Image.find_sym image p.Pkg.id) in
       let pc = ref sym.Image.start in
-      let starts = Hashtbl.create 16 and jumps = ref [] in
+      let starts = Array.make (Array.length p.Pkg.blocks) (-1) and jumps = ref [] in
       let take what ok =
         let i = Image.fetch image !pc in
         if not (ok i) then
@@ -405,29 +419,30 @@ let test_linearize_preserves_blocks () =
         incr pc;
         i
       in
-      let to_label l i =
+      let to_block j i =
         match Instr.target i with
-        | Some (Instr.Addr a) -> jumps := (l, a) :: !jumps
-        | _ -> Alcotest.failf "%s: unresolved transfer to %s" p.Pkg.id l
+        | Some (Instr.Addr a) -> jumps := (j, a) :: !jumps
+        | _ -> Alcotest.failf "%s: unresolved transfer to block %d" p.Pkg.id j
       in
       let is_jmp = function Instr.Jmp _ -> true | _ -> false in
-      let rec walk = function
-        | [] -> ()
-        | (b : Pkg.block) :: rest ->
-          Hashtbl.replace starts b.Pkg.label !pc;
+      let order = p.Pkg.order in
+      Array.iteri
+        (fun k j ->
+          let b = p.Pkg.blocks.(j) in
+          starts.(j) <- !pc;
           List.iter (fun x -> ignore (take (Instr.to_string x) (( = ) x))) b.Pkg.body;
           let fall l =
-            match rest with
-            | nxt :: _ when nxt.Pkg.label = l -> ()
-            | _ -> to_label l (take "jmp" is_jmp)
+            if not (k + 1 < Array.length order && order.(k + 1) = l) then
+              to_block l (take "jmp" is_jmp)
           in
-          (match b.Pkg.term with
+          match b.Pkg.term with
           | Pkg.Fall l -> fall l
-          | Pkg.Goto l -> to_label l (take "jmp" is_jmp)
+          | Pkg.Goto l -> to_block l (take "jmp" is_jmp)
+          | Pkg.Link _ -> ignore (take "link jump" is_jmp)
           | Pkg.Exit_jump a ->
             ignore (take "exit jump" (( = ) (Instr.Jmp { target = Instr.Addr a })))
           | Pkg.Branch { cond; taken; fall = l; _ } ->
-            to_label taken
+            to_block taken
               (take "br" (function Instr.Br { cond = c; _ } -> c = cond | _ -> false));
             fall l
           | Pkg.Call_orig { callee; next } ->
@@ -438,18 +453,15 @@ let test_linearize_preserves_blocks () =
               (take "la" (function
                 | Instr.La { target = Instr.Addr a; _ } -> a = ra_value
                 | _ -> false));
-            to_label prologue (take "jmp" is_jmp)
+            to_block prologue (take "jmp" is_jmp)
           | Pkg.Return -> ignore (take "ret" (( = ) Instr.Ret))
-          | Pkg.Stop -> ignore (take "halt" (( = ) Instr.Halt)));
-          walk rest
-      in
-      walk p.Pkg.blocks;
+          | Pkg.Stop -> ignore (take "halt" (( = ) Instr.Halt)))
+        order;
       Alcotest.(check int) (p.Pkg.id ^ " fills its symbol") (sym.Image.start + sym.Image.len) !pc;
       List.iter
-        (fun (l, a) ->
-          match Hashtbl.find_opt starts l with
-          | Some start -> Alcotest.(check int) (p.Pkg.id ^ " transfer to " ^ l) start a
-          | None -> ())
+        (fun (j, a) ->
+          let what = p.Pkg.id ^ " transfer to " ^ p.Pkg.blocks.(j).Pkg.label in
+          Alcotest.(check int) what starts.(j) a)
         !jumps)
     result.Emit.packages
 
@@ -480,16 +492,14 @@ let test_emit_1k_packages_linear_time () =
     List.init 1000 (fun i ->
         let id = Printf.sprintf "pkg%04d" i in
         {
-          Pkg.id;
-          region_id = i;
-          root = id;
-          blocks = [ mini_block (id ^ "$b") (List.init 63 (fun _ -> Instr.Nop)) Pkg.Return ];
-          entries = [];
-          sites = [];
+          (package ~region_id:i id
+             [ mini_block (id ^ "$b") (List.init 63 (fun _ -> Instr.Nop)) Pkg.Return ])
+          with
+          Pkg.root = id;
         })
   in
   let t0 = Sys.time () in
-  let result = Emit.emit img pkgs in
+  let result = Emit.of_groups img (Linking.group_packages pkgs) in
   let elapsed = Sys.time () -. t0 in
   let image = result.Emit.image in
   Alcotest.(check int) "all sections placed" (Image.size img + (64 * 1000)) (Image.size image);
@@ -516,38 +526,32 @@ let mk_link_pkg i =
   let f_side = i mod 2 = 0 in
   let hot_orig = if f_side then 200 else 300 in
   let cold_target = if f_side then 300 else 200 in
-  let b = id ^ "$b" and hot = id ^ "$h" and x = id ^ "$x" in
-  {
-    Pkg.id;
-    region_id = i;
-    root = "f";
-    blocks =
-      [
-        mini_block ~orig:99 b []
-          (Pkg.Branch
-             {
-               cond = Op.Ge;
-               src1 = t0;
-               src2 = t1;
-               taken = (if f_side then x else hot);
-               fall = (if f_side then hot else x);
-             });
-        mini_block ~orig:hot_orig hot [] Pkg.Return;
-        mini_block ~exit_:true x [] (Pkg.Exit_jump cold_target);
-      ];
-    entries = [ (b, 99) ];
-    sites =
+  let b = 0 and hot = 1 and x = 2 in
+  package id ~region_id:i ~entries:[ (b, 99) ]
+    ~sites:
       [
         {
           Pkg.orig_pc = 100;
           site_context = [];
-          block_label = b;
+          block = b;
           bias = (if f_side then Pkg.F else Pkg.T);
           cold_exit = Some x;
           cold_target = Some cold_target;
         };
-      ];
-  }
+      ]
+    [
+      mini_block ~orig:99 (id ^ "$b") []
+        (Pkg.Branch
+           {
+             cond = Op.Ge;
+             src1 = t0;
+             src2 = t1;
+             taken = (if f_side then x else hot);
+             fall = (if f_side then hot else x);
+           });
+      mini_block ~orig:hot_orig (id ^ "$h") [] Pkg.Return;
+      mini_block ~exit_:true (id ^ "$x") [] (Pkg.Exit_jump cold_target);
+    ]
 
 let test_large_group_greedy_fallback () =
   let pkgs = List.map mk_link_pkg [ 0; 2; 4; 6; 1; 3; 5; 7 ] in
@@ -559,7 +563,10 @@ let test_large_group_greedy_fallback () =
       (List.sort compare (List.map (fun (p : Pkg.t) -> p.Pkg.id) pkgs))
       (List.sort compare (List.map (fun (p : Pkg.t) -> p.Pkg.id) g.Linking.ordered));
     Alcotest.(check int) "every site linked" 8 (List.length g.Linking.links);
-    let parity id = int_of_string (String.sub id 3 1) mod 2 in
+    let parity k =
+      let id = (List.nth g.Linking.ordered k).Pkg.id in
+      int_of_string (String.sub id 3 1) mod 2
+    in
     List.iter
       (fun (l : Linking.link) ->
         Alcotest.(check bool) "link crosses specialisations" true
@@ -569,42 +576,31 @@ let test_large_group_greedy_fallback () =
       (Printf.sprintf "greedy rank %.2f beats input order's 4.0" g.Linking.rank)
       true
       (g.Linking.rank > 4.0);
-    let final = Linking.apply [ g ] in
-    List.iter
-      (fun (p : Pkg.t) ->
-        let exit_block =
-          List.find (fun (b : Pkg.block) -> b.Pkg.is_exit) p.Pkg.blocks
-        in
-        match exit_block.Pkg.term with
-        | Pkg.Goto l ->
-          Alcotest.(check bool)
-            (p.Pkg.id ^ " exit retargeted cross-package")
-            true
-            (String.sub l 0 (String.index l '$') <> p.Pkg.id)
-        | _ -> Alcotest.failf "%s exit not linked" p.Pkg.id)
-      final
+    check_exits_linked (Linking.apply [ g ])
   | gs -> Alcotest.failf "expected one group, got %d" (List.length gs)
 
 (* The ordering search as it stood before linking ranked orderings in
-   place — list permutations, a link list and a package-id table per
-   candidate, and [copy_label] scans — copied verbatim as the oracle
-   the production search must match bit for bit. *)
+   place — list permutations, a link list per candidate, and
+   [copy_block] scans — kept as the oracle the production search must
+   match bit for bit, on today's package form: blocks by position, and
+   links naming packages by their position in the candidate order. *)
 module Reference = struct
   module Pkg = struct
     include Pkg
 
-    let copy_label t context addr =
-      List.find_opt
-        (fun b -> (not b.is_exit) && b.context = context && b.orig_addr = addr)
-        t.blocks
-      |> Option.map (fun b -> b.label)
+    let copy_block t context addr =
+      Array.find_opt
+        (fun j ->
+          let b = t.blocks.(j) in
+          (not b.is_exit) && b.context = context && b.orig_addr = addr)
+        t.order
   end
 
   type link = Linking.link = {
-    from_pkg : string;
+    from_pkg : int;
     site : Pkg.site;
-    to_pkg : string;
-    to_label : string;
+    to_pkg : int;
+    to_block : int;
   }
 
   let rank_of_ratios = function
@@ -624,13 +620,13 @@ module Reference = struct
      under the identical inline context.
 
      The ordering search re-ranks the same package set under many
-     candidate orders, so the [Pkg.copy_label] scans — the expensive,
+     candidate orders, so the [Pkg.copy_block] scans — the expensive,
      order-independent part — are memoised once per group: for each
-     linkable site, [copies] records each package's copy label (indexed
-     by the package's position in the base array). *)
+     linkable site, [copies] records each package's copy (indexed by
+     the package's position in the base array). *)
   type site_memo = {
     site : Pkg.site;
-    copies : string option array;  (* by base index; [None] at the owner *)
+    copies : int option array;  (* by base index; [None] at the owner *)
   }
 
   (* Per base package index, its linkable sites in declaration order. *)
@@ -645,7 +641,7 @@ module Reference = struct
               let copies =
                 Array.init n (fun j ->
                     if j = i then None
-                    else Pkg.copy_label arr.(j) site.Pkg.site_context target)
+                    else Pkg.copy_block arr.(j) site.Pkg.site_context target)
               in
               Some { site; copies }
             | _ -> None)
@@ -655,7 +651,7 @@ module Reference = struct
   (* Resolve links for one candidate order ([perm] maps position to base
      index), walking packages in candidate order so the link list is
      identical to a direct scan of the reordered list. *)
-  let links_for_permutation arr site_memos perm =
+  let links_for_permutation site_memos perm =
     let n = Array.length perm in
     let links = ref [] in
     Array.iteri
@@ -665,17 +661,10 @@ module Reference = struct
             let rec scan k =
               if k >= n - 1 then ()
               else
-                let j = perm.((posn + 1 + k) mod n) in
-                match m.copies.(j) with
-                | Some to_label ->
-                  links :=
-                    {
-                      from_pkg = arr.(i).Pkg.id;
-                      site = m.site;
-                      to_pkg = arr.(j).Pkg.id;
-                      to_label;
-                    }
-                    :: !links
+                let q = (posn + 1 + k) mod n in
+                match m.copies.(perm.(q)) with
+                | Some to_block ->
+                  links := { from_pkg = posn; site = m.site; to_pkg = q; to_block } :: !links
                 | None -> scan (k + 1)
             in
             scan 0)
@@ -686,13 +675,8 @@ module Reference = struct
   let rank_of_links arr branch_counts perm links =
     let n = Array.length arr in
     let incoming = Array.make n 0 in
-    let index_of_id =
-      let tbl = Hashtbl.create n in
-      Array.iteri (fun i (p : Pkg.t) -> Hashtbl.replace tbl p.Pkg.id i) arr;
-      fun id -> Hashtbl.find tbl id
-    in
     List.iter
-      (fun l -> let j = index_of_id l.to_pkg in incoming.(j) <- incoming.(j) + 1)
+      (fun l -> let j = perm.(l.to_pkg) in incoming.(j) <- incoming.(j) + 1)
       links;
     let ratios =
       Array.to_list
@@ -708,7 +692,7 @@ module Reference = struct
 
   let links_for_ordering ordered =
     let arr = Array.of_list ordered in
-    links_for_permutation arr (memoize_sites arr) (identity_perm (Array.length arr))
+    links_for_permutation (memoize_sites arr) (identity_perm (Array.length arr))
 
   (* Index permutations, leftmost element varying slowest; the head is
      the identity, which makes the fold below keep input order on ties. *)
@@ -756,7 +740,7 @@ module Reference = struct
     let site_memos = memoize_sites arr in
     let branch_counts = Array.map Pkg.branch_count arr in
     let eval perm =
-      let links = links_for_permutation arr site_memos perm in
+      let links = links_for_permutation site_memos perm in
       (rank_of_links arr branch_counts perm links, links)
     in
     let greedy = n > max_exhaustive in
@@ -820,21 +804,21 @@ let random_group rng n =
             {
               Pkg.orig_pc = 1000 + k;
               site_context = pick contexts;
-              block_label = (List.hd blocks).Pkg.label;
+              block = 0;
               bias = pick [ Pkg.T; Pkg.F; Pkg.U; Pkg.Neither ];
-              cold_exit = (if Random.State.int rng 6 = 0 then None else Some (id ^ "$x"));
+              cold_exit = (if Random.State.int rng 6 = 0 then None else Some 0);
               cold_target =
                 (if Random.State.int rng 6 = 0 then None else Some (pick (999 :: addrs)));
             })
       in
-      { Pkg.id; region_id = i; root = "f"; blocks; entries = []; sites })
+      package id ~region_id:i ~sites blocks)
 
 let check_linking_parity pkgs =
   let links_repr links =
     List.map
       (fun (l : Linking.link) ->
-        Printf.sprintf "%s@%x>%s:%s" l.Linking.from_pkg l.Linking.site.Pkg.orig_pc
-          l.Linking.to_pkg l.Linking.to_label)
+        Printf.sprintf "%d@%x>%d:%d" l.Linking.from_pkg l.Linking.site.Pkg.orig_pc
+          l.Linking.to_pkg l.Linking.to_block)
       links
   in
   let ids ps = List.map (fun (p : Pkg.t) -> p.Pkg.id) ps in
@@ -869,12 +853,39 @@ let test_linking_parity_large_group () =
   ignore (check_linking_parity (random_group (Random.State.make [| 63 |]) 64));
   ignore (check_linking_parity (List.map mk_link_pkg [ 0; 2; 4; 6; 1; 3; 5; 7 ]))
 
-(* Emission errors carry the offending label, and the driver's ladder
-   walks that label back to its package (the id prefixes every label it
-   builds): exactly that package is dropped and the rest are emitted
-   and verified.  The corrupt blocks are extra exit blocks, which
-   screening lets name labels outside their package and which no site
-   links. *)
+(* The index form's checks: [Pkg.validate] names every position that
+   names no live block of the package, and a block other than an exit
+   that leaves it. *)
+let test_validate_rejects () =
+  let rejects what (p : Pkg.t) expected =
+    match Pkg.validate p with
+    | Ok () -> Alcotest.failf "%s: accepted" what
+    | Error e -> Alcotest.(check string) what expected e
+  in
+  Alcotest.(check bool) "sound fixture" true (Pkg.validate pkg_f = Ok ());
+  let with_term j term =
+    let blocks = Array.copy pkg_f.Pkg.blocks in
+    blocks.(j) <- { (blocks.(j)) with Pkg.term };
+    { pkg_f with Pkg.blocks }
+  in
+  let branch taken fall = Pkg.Branch { cond = Op.Ge; src1 = t0; src2 = t1; taken; fall } in
+  let site = List.hd pkg_f.Pkg.sites in
+  rejects "successor" (with_term 0 (branch 7 1)) "successor 7 of pkgF$b out of range";
+  rejects "absorbed successor" { pkg_f with Pkg.order = [| 0; 2 |] }
+    "successor pkgF$ft of pkgF$b is not in the order";
+  rejects "entry" { pkg_f with Pkg.entries = [ (5, 99) ] } "entry 5 out of range";
+  rejects "site block" { pkg_f with Pkg.sites = [ { site with Pkg.block = -1 } ] }
+    "site block -1 out of range";
+  rejects "cold exit" { pkg_f with Pkg.sites = [ { site with Pkg.cold_exit = Some 3 } ] }
+    "cold exit 3 out of range";
+  rejects "exit jump" (with_term 1 (Pkg.Exit_jump 300)) "pkgF$ft leaves the package";
+  rejects "link" (with_term 1 (Pkg.Link { pkg = 1; block = 1; label = "pkgT$tk" }))
+    "pkgF$ft leaves the package"
+
+(* An emission error carries the package to blame, and the driver's
+   ladder drops exactly that package: the rest are emitted and
+   verified.  The corrupt block is an extra exit linking into a package
+   outside its group, which screening cannot see and no site links. *)
 module Driver = Vacuum.Driver
 
 let emission_fixture =
@@ -883,47 +894,44 @@ let emission_fixture =
      let _, _, pkgs, _ = pipeline img in
      (img, pkgs))
 
-let with_extra_exit (p : Pkg.t) ~label term =
-  let exit_block = List.find (fun (b : Pkg.block) -> b.Pkg.is_exit) p.Pkg.blocks in
-  { p with Pkg.blocks = p.Pkg.blocks @ [ { exit_block with Pkg.label; term } ] }
-
-let check_emit_error ~what ~label ~owner img pkgs =
-  (match Emit.emit img pkgs with
-  | _ -> Alcotest.failf "%s: emission succeeded" what
-  | exception Vp_util.Error.Error e ->
-    Alcotest.(check string) (what ^ ": stage") "emit" e.Vp_util.Error.stage;
-    Alcotest.(check (option string)) (what ^ ": label") (Some label) e.Vp_util.Error.label;
-    Alcotest.(check string) (what ^ ": message") (what ^ " " ^ label) e.Vp_util.Error.what);
-  let a = Driver.assemble ~original:img pkgs in
-  (match a.Driver.drops with
-  | [ { Driver.rung = Driver.Drop_package; error } ] ->
-    Alcotest.(check string) (what ^ ": dropped at") "emit" error.Vp_util.Error.stage;
-    Alcotest.(check (option string)) (what ^ ": drop label") (Some label) error.Vp_util.Error.label
-  | ds -> Alcotest.failf "%s: expected one package drop, got %d drops" what (List.length ds));
-  let ids ps = List.sort compare (List.map (fun (p : Pkg.t) -> p.Pkg.id) ps) in
-  Alcotest.(check (list string)) (what ^ ": emitted")
-    (ids (List.filter (fun (p : Pkg.t) -> p.Pkg.id <> owner) pkgs))
-    (ids a.Driver.assembled.Emit.packages);
-  Alcotest.(check bool) (what ^ ": emitted image verified") true (Vp_package.Verify.ok a.Driver.checks)
-
-let test_emit_duplicate_label () =
-  let img, pkgs = Lazy.force emission_fixture in
-  match pkgs with
-  | p :: q :: rest ->
-    let label = (List.hd p.Pkg.blocks).Pkg.label in
-    let q' = with_extra_exit q ~label (List.find (fun (b : Pkg.block) -> b.Pkg.is_exit) q.Pkg.blocks).Pkg.term in
-    Alcotest.(check int) "uncorrupted input is kept whole" 0
-      (List.length (Driver.assemble ~original:img pkgs).Driver.drops);
-    check_emit_error ~what:"duplicate label" ~label ~owner:p.Pkg.id img (p :: q' :: rest)
-  | _ -> Alcotest.fail "expected at least two packages"
-
-let test_emit_undefined_label () =
+let test_emit_link_outside_group () =
   let img, pkgs = Lazy.force emission_fixture in
   match pkgs with
   | p :: rest ->
-    let label = p.Pkg.id ^ "$gone" in
-    check_emit_error ~what:"undefined label" ~label ~owner:p.Pkg.id img
-      (with_extra_exit p ~label:(p.Pkg.id ^ "$dangling") (Pkg.Goto label) :: rest)
+    let n = Array.length p.Pkg.blocks in
+    let stray =
+      {
+        (exit_of p) with
+        Pkg.label = p.Pkg.id ^ "$stray";
+        term = Pkg.Link { pkg = 99; block = 0; label = "elsewhere" };
+      }
+    in
+    let bad =
+      {
+        p with
+        Pkg.blocks = Array.append p.Pkg.blocks [| stray |];
+        order = Array.append p.Pkg.order [| n |];
+      }
+    in
+    let pkgs = bad :: rest in
+    Alcotest.(check bool) "screening accepts it" true (Pkg.validate bad = Ok ());
+    (match Emit.of_groups img (Linking.group_packages pkgs) with
+    | _ -> Alcotest.fail "emission succeeded"
+    | exception Emit.Rejected (q, e) ->
+      Alcotest.(check bool) "carries its package" true (q == bad);
+      Alcotest.(check string) "stage" "emit" e.Vp_util.Error.stage;
+      Alcotest.(check (option string)) "label" (Some p.Pkg.id) e.Vp_util.Error.label;
+      Alcotest.(check bool) "message" true
+        (Option.is_some (Vp_util.Io.find_sub e.Vp_util.Error.what "outside its group")));
+    let a = Driver.assemble ~original:img pkgs in
+    (match a.Driver.drops with
+    | [ { Driver.rung = Driver.Drop_package; error } ] ->
+      Alcotest.(check string) "dropped at" "emit" error.Vp_util.Error.stage;
+      Alcotest.(check (option string)) "drop label" (Some p.Pkg.id) error.Vp_util.Error.label
+    | ds -> Alcotest.failf "expected one package drop, got %d drops" (List.length ds));
+    let ids ps = List.sort compare (List.map (fun (p : Pkg.t) -> p.Pkg.id) ps) in
+    Alcotest.(check (list string)) "emitted" (ids rest) (ids a.Driver.assembled.Emit.packages);
+    Alcotest.(check bool) "emitted image verified" true (Vp_package.Verify.ok a.Driver.checks)
   | [] -> Alcotest.fail "expected packages"
 
 let prop_rewrite_equivalence_random =
@@ -958,6 +966,7 @@ let () =
           Alcotest.test_case "linearize" `Quick test_linearize_preserves_blocks;
           Alcotest.test_case "emit validates" `Quick test_emit_image_validates;
           Alcotest.test_case "expansion moderate" `Quick test_code_expansion_is_moderate;
+          Alcotest.test_case "validate rejects" `Quick test_validate_rejects;
         ] );
       ( "linking",
         [
@@ -974,7 +983,6 @@ let () =
       ( "emit",
         [
           Alcotest.test_case "1k packages fast" `Quick test_emit_1k_packages_linear_time;
-          Alcotest.test_case "duplicate label" `Quick test_emit_duplicate_label;
-          Alcotest.test_case "undefined label" `Quick test_emit_undefined_label;
+          Alcotest.test_case "link outside its group" `Quick test_emit_link_outside_group;
         ] );
     ]
